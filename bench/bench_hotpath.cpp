@@ -810,35 +810,42 @@ int main(int argc, char** argv) {
   // Host KV residency at end of run (context fully grown, post-reclaim),
   // summed over every (layer, head) cache. f32_mirror_bytes is the retired
   // float shadow — identically 0, and CI fails the run if it is not.
-  // pre_refactor_bytes_per_token adds back what the mirror used to keep
-  // (one float K row + one float V row per resident token) so the reduction
-  // is measured against the old footprint, not assumed.
+  // int16_planes_bytes_per_token adds back the second byte every key plane
+  // element took before the planes became int8 digits, and
+  // pre_refactor_bytes_per_token further adds what the mirror used to keep
+  // (one float K row + one float V row per resident token), so both
+  // reductions are measured against the old footprints, not assumed.
   {
     const auto& res = cached[best].residency;
     const std::size_t resident = cached[best].resident_tokens;
-    const double per_token =
-        resident ? static_cast<double>(res.total()) /
-                       static_cast<double>(resident)
-                 : 0.0;
+    const auto per_resident = [resident](double bytes) {
+      return resident ? bytes / static_cast<double>(resident) : 0.0;
+    };
+    const double per_token = per_resident(static_cast<double>(res.total()));
+    const double int16_planes =
+        per_token + per_resident(static_cast<double>(res.planes));
     const double mirror_per_token =
         static_cast<double>(scenario.head_dim) * 2.0 * sizeof(float);
-    const double pre_refactor = per_token + mirror_per_token;
+    const double pre_refactor = int16_planes + mirror_per_token;
     const double reduction =
-        pre_refactor > 0.0 ? mirror_per_token / pre_refactor : 0.0;
+        pre_refactor > 0.0 ? 1.0 - per_token / pre_refactor : 0.0;
     std::printf("  kv residency: %zu tokens resident, %.1f B/token "
-                "(int16+planes+maxima+ids), f32 mirror 0 B — was %.1f "
-                "B/token, -%.1f%%\n",
-                resident, per_token, pre_refactor, 100.0 * reduction);
+                "(int16+int8 planes+maxima+ids), f32 mirror 0 B — %.1f "
+                "B/token with int16 planes, %.1f with the mirror too, "
+                "-%.1f%%\n",
+                resident, per_token, int16_planes, pre_refactor,
+                100.0 * reduction);
     std::fprintf(
         out,
         "  \"kv_residency\": {\"resident_tokens\": %zu, "
         "\"int16_arena_bytes\": %zu, \"plane_bytes\": %zu, "
         "\"maxima_bytes\": %zu, \"ids_bytes\": %zu, "
         "\"f32_mirror_bytes\": %zu, \"bytes_per_token\": %.1f, "
+        "\"int16_planes_bytes_per_token\": %.1f, "
         "\"pre_refactor_bytes_per_token\": %.1f, "
         "\"reduction_frac\": %.3f},\n",
         resident, res.int16_arena, res.planes, res.maxima, res.ids,
-        res.f32_mirror, per_token, pre_refactor, reduction);
+        res.f32_mirror, per_token, int16_planes, pre_refactor, reduction);
   }
   std::fprintf(
       out,

@@ -256,10 +256,12 @@ wl::PriorityMixParams resilience_mix() {
   return mix;
 }
 
+constexpr std::size_t kResilienceRequests = 48;
+
 // Both arms share the faulted channel, deadlines, retry/backoff, and
 // admission control — the *only* difference is the closed-loop controller.
-BenchRow run_resilience_arm(bool controller, const fault::FaultPlan& plan,
-                            const std::vector<wl::ArrivalEvent>& trace) {
+serve::ServeConfig resilience_config(bool controller,
+                                     const fault::FaultPlan& plan) {
   serve::ServeConfig config =
       bench_config(serve::BackendKind::token_picker, 1e-3, true, 16);
   config.max_batch = 8;
@@ -278,7 +280,7 @@ BenchRow run_resilience_arm(bool controller, const fault::FaultPlan& plan,
     config.degradation.pool_hi = 0.60;
     config.degradation.pool_lo = 0.40;
   }
-  return run_one(controller ? "controller" : "no_controller", config, trace);
+  return config;
 }
 
 void print_resilience_table(const std::vector<BenchRow>& rows) {
@@ -350,11 +352,15 @@ void emit_resilience_rows(FILE* out, const std::vector<BenchRow>& rows) {
 bool run_resilience(FILE* out, bool trailing_comma) {
   const fault::FaultPlan plan = resilience_plan();
   Rng rng(53);
-  const auto trace = wl::make_priority_mix_trace(resilience_mix(), 48, rng);
+  const wl::PriorityMixParams mix = resilience_mix();
+  const auto trace =
+      wl::make_priority_mix_trace(mix, kResilienceRequests, rng);
 
   std::vector<BenchRow> rows;
-  rows.push_back(run_resilience_arm(false, plan, trace));
-  rows.push_back(run_resilience_arm(true, plan, trace));
+  for (const bool controller : {false, true}) {
+    rows.push_back(run_one(controller ? "controller" : "no_controller",
+                           resilience_config(controller, plan), trace));
+  }
   std::printf(
       "Overload resilience (rate past saturation, channel 0 degraded 3x, "
       "deadlines + retry armed in both arms):\n");
@@ -372,13 +378,25 @@ bool run_resilience(FILE* out, bool trailing_comma) {
       base.slo_ttft_attainment(), base.slo_latency_attainment(),
       improves ? "controller improves" : "controller does NOT improve");
 
-  std::fprintf(out,
-               "  \"resilience\": {\"arrivals\": \"poisson\", \"rate\": 1.3, "
-               "\"requests\": 48, \"pool_pages\": 320, "
-               "\"degraded_channel\": 0, \"burst_multiplier\": 3.0, "
-               "\"stall_period\": 4096, \"stall_cycles\": 512, "
-               "\"controller_improves\": %s, \"results\": [\n",
-               improves ? "true" : "false");
+  // Scenario labels come from the mix, the arm config, and the fault plan
+  // the arms actually ran (pool_pages is shared by both arms).
+  const serve::ServeConfig config = resilience_config(false, plan);
+  const fault::ChannelFaultSpec& degraded = plan.channels.front();
+  std::fprintf(
+      out,
+      "  \"resilience\": {\"arrivals\": \"priority_mix\", "
+      "\"arrival_kind\": \"%s\", \"rate\": %s, \"requests\": %zu, "
+      "\"pool_pages\": %zu, \"degraded_channel\": %d, "
+      "\"burst_multiplier\": %s, \"stall_period\": %llu, "
+      "\"stall_cycles\": %llu, \"controller_improves\": %s, "
+      "\"results\": [\n",
+      mix.arrivals.kind == wl::ArrivalKind::poisson ? "poisson" : "bursty",
+      json_escape_number(mix.arrivals.rate).c_str(), kResilienceRequests,
+      config.pool_pages, degraded.channel,
+      json_escape_number(degraded.fault.burst_multiplier).c_str(),
+      static_cast<unsigned long long>(degraded.fault.stall_period),
+      static_cast<unsigned long long>(degraded.fault.stall_cycles),
+      improves ? "true" : "false");
   emit_resilience_rows(out, rows);
   std::fprintf(out, "  ]}%s\n", trailing_comma ? "," : "");
   return improves;

@@ -42,20 +42,21 @@ struct AccelConfig {
   int value_buffer_bytes = 192 * 1024;
   int operand_buffer_bytes = 512;
 
-  // Charge K/V traffic at the host's resident element width instead of the
-  // device's packed one. The host cache is int16-resident (chunk-planar
-  // int16 planes plus flat int16 value rows — core/quantized_kv_cache.h;
-  // the f32 mirror is gone), so a host-layout run walks 16-bit elements per
-  // plane where the packed device walks chunk_bits/total_bits. The plane →
-  // bank-group mapping below is identical either way: the contiguity being
-  // charged is exactly the contiguous plane walk the host performs.
+  // Charge K/V traffic at the host's resident element widths instead of
+  // the device's packed ones. The host cache keeps one int8 digit per key
+  // chunk element and int16 value rows (core/quantized_kv_cache.h; the f32
+  // mirror is gone), so a host-layout run walks 8-bit elements per K plane
+  // and 16-bit elements per V row where the packed device walks
+  // chunk_bits/total_bits. The plane → bank-group mapping is identical
+  // either way: the contiguity being charged is exactly the contiguous plane
+  // walk the host performs.
   bool host_resident_layout = false;
 
   // Granules (32 B DRAM transactions) per K chunk / full V vector for a
   // given head dimension.
   int granules_per_chunk(int head_dim) const {
     const int bits =
-        head_dim * (host_resident_layout ? 16 : quant.chunk_bits);
+        head_dim * (host_resident_layout ? 8 : quant.chunk_bits);
     return (bits / 8 + dram.transaction_bytes - 1) / dram.transaction_bytes;
   }
   int granules_per_value(int head_dim) const {

@@ -7,13 +7,14 @@
 // demand.
 //
 // This is the same chunk-planar shape the host cache is resident in
-// (core/quantized_kv_cache.h: contiguous int16 plane per chunk, token-major,
-// plus flat int16 value rows — the only copy now that the f32 mirror is
-// retired). The two differ only in element width: the device packs chunks at
-// chunk_bits, the host stores int16. AccelConfig::host_resident_layout
-// switches the granule math to the host width so the cycle model charges
-// exactly the contiguity the host walks; the plane → bank-group mapping is
-// shared by both.
+// (core/quantized_kv_cache.h: contiguous int8 digit plane per chunk,
+// token-major, plus flat int16 value rows — the only value copy now that the
+// f32 mirror is retired). The two differ only in element width: the device
+// packs chunks at chunk_bits and values at total_bits, the host stores one
+// int8 digit per chunk element and int16 values.
+// AccelConfig::host_resident_layout switches the granule math to the host
+// widths so the cycle model charges exactly the contiguity the host walks;
+// the plane → bank-group mapping is shared by both.
 //
 // Bank-group mapping: naively stacking planes puts every plane in the same
 // rows of the same banks, so the out-of-order mixture of chunk-0 and

@@ -45,34 +45,44 @@ const char* row_dot_kernel_name() { return fx::kernel_isa_name(); }
 
 namespace {
 
-// Builds (or returns the cached) chunk-plane delta table for a bit layout.
+// Builds (or returns the cached) chunk-plane digit table for a bit layout.
 // One table per (total_bits, chunk_bits) process-wide — it is immutable
 // after construction, so concurrent stores can all read it. The mutex only
-// guards the build-once map (reset-time, never the row hot path).
-const std::vector<std::vector<std::int16_t>>* shared_plane_lut(
+// guards the build-once map (reset-time, never the row hot path). A layout
+// whose digits overflow int8 is rejected before anything is cached.
+const QuantizedKvStore::DigitTable* shared_digit_table(
     const fx::QuantParams& kp) {
   static std::mutex mutex;
   static std::map<std::pair<int, int>,
-                  std::unique_ptr<const std::vector<std::vector<std::int16_t>>>>
+                  std::unique_ptr<const QuantizedKvStore::DigitTable>>
       cache;
   std::lock_guard<std::mutex> lock(mutex);
   auto& entry = cache[{kp.total_bits, kp.chunk_bits}];
   if (!entry) {
-    const std::size_t domain =
-        static_cast<std::size_t>(kp.qmax() - kp.qmin() + 1);
-    std::vector<std::vector<std::int16_t>> lut(
-        static_cast<std::size_t>(kp.num_chunks()),
-        std::vector<std::int16_t>(domain));
-    for (int b = 0; b < kp.num_chunks(); ++b) {
+    const auto chunks = static_cast<std::size_t>(kp.num_chunks());
+    const auto domain = static_cast<std::size_t>(kp.qmax() - kp.qmin() + 1);
+    QuantizedKvStore::DigitTable table;
+    table.digits.assign(chunks, std::vector<std::int8_t>(domain));
+    table.shifts.resize(chunks);
+    for (std::size_t b = 0; b < chunks; ++b) {
+      const int chunk = static_cast<int>(b);
+      const int shift = fx::unknown_bits(chunk + 1, kp);
+      table.shifts[b] = shift;
       for (std::size_t i = 0; i < domain; ++i) {
         const auto q = static_cast<std::int16_t>(
             kp.qmin() + static_cast<std::int32_t>(i));
-        lut[static_cast<std::size_t>(b)][i] = static_cast<std::int16_t>(
-            fx::partial_value(q, b + 1, kp) - fx::partial_value(q, b, kp));
+        // The delta's low `shift` bits are zero, so the shift is exact.
+        const std::int32_t digit = (fx::partial_value(q, chunk + 1, kp) -
+                                    fx::partial_value(q, chunk, kp)) >>
+                                   shift;
+        require(digit >= -128 && digit <= 127,
+                "QuantizedKvStore: chunk digits must fit int8 (chunk_bits "
+                "<= 7; the signed top chunk may be 8 bits)");
+        table.digits[b][i] = static_cast<std::int8_t>(digit);
       }
     }
-    entry = std::make_unique<const std::vector<std::vector<std::int16_t>>>(
-        std::move(lut));
+    entry = std::make_unique<const QuantizedKvStore::DigitTable>(
+        std::move(table));
   }
   return entry.get();
 }
@@ -84,8 +94,8 @@ void QuantizedKvStore::reset(const fx::QuantParams& kp,
   key_params = kp;
   value_params = vp;
   head_dim = dim;
+  digit_table = shared_digit_table(kp);
   key_planes.resize(static_cast<std::size_t>(kp.num_chunks()));
-  plane_lut = shared_plane_lut(kp);
   clear_rows();
 }
 
@@ -106,10 +116,10 @@ void QuantizedKvStore::push_row(const std::int16_t* k_row,
     auto& plane = key_planes[static_cast<std::size_t>(b)];
     const std::size_t base = plane.size();
     plane.resize(base + head_dim);
-    // The chunk's contribution to the partial dot: non-negative low bits
-    // for b > 0, the signed prefix for b == 0 (see fixedpoint/chunks.h) —
-    // precomputed per quantized value in plane_lut.
-    const std::int16_t* lut = (*plane_lut)[static_cast<std::size_t>(b)].data();
+    // The chunk's digit: its raw bits for b > 0, the signed prefix for
+    // b == 0 (see fixedpoint/chunks.h) — precomputed per quantized value.
+    const std::int8_t* lut =
+        digit_table->digits[static_cast<std::size_t>(b)].data();
     for (std::size_t d = 0; d < head_dim; ++d) {
       plane[base + d] = lut[k_row[d] - qmin];
     }
@@ -151,6 +161,7 @@ QuantizedKvView QuantizedKvStore::view() const {
   v.keys = keys.data();
   v.values = values.data();
   v.key_planes = key_planes.data();
+  v.key_plane_shifts = digit_table->shifts.data();
   return v;
 }
 
@@ -187,7 +198,7 @@ QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
   b.int16_arena =
       (store_.keys.size() + store_.values.size()) * sizeof(std::int16_t);
   for (const auto& plane : store_.key_planes) {
-    b.planes += plane.size() * sizeof(std::int16_t);
+    b.planes += plane.size() * sizeof(std::int8_t);
   }
   b.maxima =
       (key_row_amax_.size() + value_row_amax_.size() + 2) * sizeof(float);

@@ -16,10 +16,15 @@
 //
 // Keys are stored twice, SoA-style:
 //   * a flat token-major int16 arena (full values) for exact dots, and
-//   * chunk-planar planes — one contiguous int16 plane per chunk holding
-//     partial_value(k, b+1) - partial_value(k, b) — so the estimation pass's
-//     chunk_dot_delta becomes a contiguous plane walk instead of per-element
-//     double masking.
+//   * chunk-planar digit planes — one contiguous int8 plane per chunk. Chunk
+//     b's contribution partial_value(k, b+1) - partial_value(k, b) always
+//     has its low unknown_bits(b+1) bits clear, so the plane stores only the
+//     digit (that delta >> shift_b, shift_b = unknown_bits(b+1)): the signed
+//     top chunk for b == 0 ([-8, 7] at 12/4), the raw chunk bits for b > 0
+//     ([0, 15]). The estimation pass's chunk_dot_delta becomes
+//     plane_dot_i64(q, digits) * 2^shift_b — an exact integer identity, so
+//     partial sums and pruning decisions are those of the full-width delta,
+//     at one byte per element instead of two.
 // Values live in a flat arena; nothing on the per-token heap.
 #pragma once
 
@@ -44,30 +49,34 @@ struct QuantizedKvView {
   fx::QuantParams value_params;  // shared scale across the head's values
   const std::int16_t* keys = nullptr;    // (len, head_dim) token-major
   const std::int16_t* values = nullptr;  // (len, head_dim) token-major
-  // key_params.num_chunks() planes, each (len, head_dim) token-major.
-  const std::vector<std::int16_t>* key_planes = nullptr;
+  // key_params.num_chunks() digit planes, each (len, head_dim) token-major,
+  // and each plane's shift (digit * 2^shift == the chunk's delta).
+  const std::vector<std::int8_t>* key_planes = nullptr;
+  const int* key_plane_shifts = nullptr;
 
   const std::int16_t* key(std::size_t t) const { return keys + t * head_dim; }
   const std::int16_t* value(std::size_t t) const {
     return values + t * head_dim;
   }
-  const std::int16_t* key_plane_row(int chunk, std::size_t t) const {
+  const std::int8_t* key_plane_row(int chunk, std::size_t t) const {
     return key_planes[chunk].data() + t * head_dim;
   }
+  int key_plane_shift(int chunk) const { return key_plane_shifts[chunk]; }
 };
 
-// Contiguous int16 dot product (int64 accumulator) — the plane-walk kernel,
-// the top kernel of the decode hot path. row_dot_i64 dispatches at RUNTIME
-// through the fixedpoint registry (fixedpoint/dispatch.h): every ISA variant
-// is compiled into the binary from its own translation unit and a one-time
-// CPU probe picks the fastest one the machine supports, so one portable
-// binary gets AVX2/AVX-512 speed without -march=native. Integer dot products
+// Contiguous int16 dot product (int64 accumulator) — the exact-score kernel
+// over the flat key arena (the estimation walk over the int8 digit planes
+// uses fx::plane_dot_i64). row_dot_i64 dispatches at RUNTIME through the
+// fixedpoint registry (fixedpoint/dispatch.h): every ISA variant is compiled
+// into the binary from its own translation unit and a one-time CPU probe
+// picks the fastest one the machine supports, so one portable binary gets
+// AVX2/AVX-512 speed without -march=native. Integer dot products
 // have one right answer, so every variant is element-exact against
 // row_dot_i64_scalar — the selected ISA cannot change any pruning decision
 // (tests/dispatch_test.cpp pins this over adversarial int16 extremes and odd
 // remainders at every compiled-in level). Header-inline wrapper: it is
-// called once per (token, chunk); tiny rows take the inlined scalar loop
-// (same bits) rather than paying the indirect call.
+// called once per token; tiny rows take the inlined scalar loop (same bits)
+// rather than paying the indirect call.
 inline std::int64_t row_dot_i64(const std::int16_t* a, const std::int16_t* b,
                                 std::size_t n) {
   if (n < 16) {
@@ -125,18 +134,27 @@ struct QuantizedKvStore {
   std::size_t len = 0;
   std::vector<std::int16_t> keys;
   std::vector<std::int16_t> values;
-  std::vector<std::vector<std::int16_t>> key_planes;  // [num_chunks]
-  // Chunk-plane delta LUT: (*plane_lut)[b][q - qmin] ==
-  // partial_value(q, b+1) - partial_value(q, b). A pure function of the bit
-  // layout (total_bits / chunk_bits — scale never enters), so it survives
-  // rescales and turns push_row's plane fill into table lookups instead of
-  // per-element mask arithmetic (the requantize_all hot loop). Points into a
-  // process-wide cache keyed by the bit layout: every store across every
-  // (slot, layer, head) instance shares one table instead of rebuilding
-  // num_chunks * 2^total_bits entries per admission.
-  const std::vector<std::vector<std::int16_t>>* plane_lut = nullptr;
+  std::vector<std::vector<std::int8_t>> key_planes;  // [num_chunks] digits
+
+  // Chunk-plane digit table for one bit layout: digits[b][q - qmin] ==
+  // (partial_value(q, b+1) - partial_value(q, b)) >> shifts[b], with
+  // shifts[b] == unknown_bits(b+1). A pure function of total_bits /
+  // chunk_bits (scale never enters), so it survives rescales and turns
+  // push_row's plane fill into table lookups instead of per-element mask
+  // arithmetic (the requantize_all hot loop).
+  struct DigitTable {
+    std::vector<std::vector<std::int8_t>> digits;  // [num_chunks][2^total]
+    std::vector<int> shifts;                       // [num_chunks]
+  };
+  // Points into a process-wide cache keyed by the bit layout: every store
+  // across every (slot, layer, head) instance shares one table instead of
+  // rebuilding num_chunks * 2^total_bits entries per admission.
+  const DigitTable* digit_table = nullptr;
 
   // Sets precision/scale and head_dim; drops all rows, keeps capacity.
+  // Throws (require) when a chunk's digits do not fit int8: the signed top
+  // chunk may be up to 8 bits wide, every other chunk up to 7, so any
+  // chunk_bits <= 7 is accepted.
   void reset(const fx::QuantParams& key_params,
              const fx::QuantParams& value_params, std::size_t head_dim);
   void clear_rows();
@@ -237,7 +255,7 @@ class QuantizedKvCache {
   // the absence is measured, not assumed.
   struct ResidencyBytes {
     std::size_t int16_arena = 0;  // flat key + value rows
-    std::size_t planes = 0;       // chunk-planar key planes
+    std::size_t planes = 0;       // int8 chunk-planar key digit planes
     std::size_t maxima = 0;       // per-row amax pairs + running maxima
     std::size_t ids = 0;          // stable token ids
     std::size_t f32_mirror = 0;   // always 0 since the mirror's removal

@@ -117,8 +117,10 @@ void TokenPickerAttention::attend_view(const fx::QuantizedVector& q,
     bool pruned = false;
     for (int b = 0; b < num_chunks; ++b) {
       // The contiguous plane walk: this chunk's contribution across the
-      // whole key row in one int16 stream.
-      partial += row_dot_i64(qd, kv.key_plane_row(b, token), head_dim);
+      // whole key row in one int8 digit stream, scaled back to the chunk's
+      // bit position (exact: the digit times 2^shift IS the delta).
+      partial += fx::plane_dot_i64(qd, kv.key_plane_row(b, token), head_dim) *
+                 (std::int64_t{1} << kv.key_plane_shift(b));
       result->stats.k_bits_fetched += chunk_bits_per_fetch;
       ++decision.chunks_fetched;
 

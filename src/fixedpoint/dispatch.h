@@ -61,7 +61,7 @@ struct FixedRatio {
 
 FixedRatio make_fixed_ratio(float old_scale, float new_scale);
 
-// One ISA variant of the five hot kernels. All entries are element-exact
+// One ISA variant of the six hot kernels. All entries are element-exact
 // against the scalar references below (the registry's invariant).
 struct KernelTable {
   IsaLevel level = IsaLevel::scalar;
@@ -77,6 +77,8 @@ struct KernelTable {
   void (*rescale_row_i16)(const std::int16_t* src, std::size_t n,
                           FixedRatio ratio, std::int32_t qmin,
                           std::int32_t qmax, std::int16_t* out) = nullptr;
+  std::int64_t (*plane_dot_i64)(const std::int16_t* q, const std::int8_t* d,
+                                std::size_t n) = nullptr;
 };
 
 // Scalar reference kernels (always compiled, portable TU — the equivalence
@@ -99,6 +101,14 @@ float row_amax_scalar(const float* xs, std::size_t n);
 void rescale_row_i16_scalar(const std::int16_t* src, std::size_t n,
                             FixedRatio ratio, std::int32_t qmin,
                             std::int32_t qmax, std::int16_t* out);
+
+// Digit-plane dot product: sum of q[i] * d[i] in int64 — the estimation
+// walk's per-(token, chunk) kernel over an int8 key digit plane
+// (core/quantized_kv_cache.h). Exact for ANY int16 q, int8 d and n: the SIMD
+// variants widen each int32 pair sum (|q * d| <= 2^22) into int64 lanes
+// before accumulating, so nothing overflows even at q = -32768, d = -128.
+std::int64_t plane_dot_i64_scalar(const std::int16_t* q, const std::int8_t* d,
+                                  std::size_t n);
 
 // Every variant compiled into this binary, ascending by level (scalar is
 // always first). A variant whose per-file arch flags the compiler rejected
@@ -160,6 +170,15 @@ inline void rescale_row_i16(const std::int16_t* src, std::size_t n,
     return;
   }
   active_kernels().rescale_row_i16(src, n, ratio, qmin, qmax, out);
+}
+
+// Dispatched digit-plane dot (integer math — exact, so every variant is
+// bit-identical by construction; pinned per level by dispatch_test). Tiny
+// rows take the scalar loop rather than the indirect call.
+inline std::int64_t plane_dot_i64(const std::int16_t* q, const std::int8_t* d,
+                                  std::size_t n) {
+  if (n < 16) return plane_dot_i64_scalar(q, d, n);
+  return active_kernels().plane_dot_i64(q, d, n);
 }
 
 }  // namespace topick::fx

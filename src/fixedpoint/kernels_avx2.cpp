@@ -159,6 +159,41 @@ void rescale_row_i16_avx2(const std::int16_t* src, std::size_t n,
   if (i < n) rescale_row_i16_scalar(src + i, n - i, ratio, qmin, qmax, out + i);
 }
 
+std::int64_t plane_dot_i64_avx2(const std::int16_t* q, const std::int8_t* d,
+                                std::size_t n) {
+  // The SSE4.1 scheme at 256-bit width (see kernels_sse41.cpp): 16 digits
+  // sign-extended to int16, madd into 8 int32 pair sums, widened to int64
+  // every iteration.
+  __m256i acc = _mm256_setzero_si256();  // 4 x int64
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256i vq =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
+    const __m256i vd = _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i)));
+    const __m256i pair_sums = _mm256_madd_epi16(vq, vd);  // 8 x int32
+    acc = _mm256_add_epi64(
+        acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(pair_sums)));
+    acc = _mm256_add_epi64(
+        acc, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(pair_sums, 1)));
+  }
+  if (i + 8 <= n) {
+    const __m128i vq = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i));
+    const __m128i vd = _mm_cvtepi8_epi16(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(d + i)));
+    acc = _mm256_add_epi64(acc,
+                           _mm256_cvtepi32_epi64(_mm_madd_epi16(vq, vd)));
+    i += 8;
+  }
+  alignas(32) std::int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  std::int64_t sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  for (; i < n; ++i) {
+    sum += static_cast<std::int32_t>(q[i]) * static_cast<std::int32_t>(d[i]);
+  }
+  return sum;
+}
+
 float row_amax_avx2(const float* xs, std::size_t n) {
   // max over |x| is order-independent (no rounding), so the vector reduction
   // is exact. Operand order matters for NaN: maxps returns its SECOND
@@ -192,7 +227,7 @@ const KernelTable& avx2_kernels() {
       IsaLevel::avx2,        "avx2",
       row_dot_i64_avx2,      weighted_value_accum_avx2,
       quantize_row_i16_avx2, row_amax_avx2,
-      rescale_row_i16_avx2,
+      rescale_row_i16_avx2,  plane_dot_i64_avx2,
   };
   return table;
 }

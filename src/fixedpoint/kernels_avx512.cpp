@@ -140,6 +140,40 @@ void rescale_row_i16_avx512(const std::int16_t* src, std::size_t n,
   if (i < n) rescale_row_i16_scalar(src + i, n - i, ratio, qmin, qmax, out + i);
 }
 
+std::int64_t plane_dot_i64_avx512(const std::int16_t* q, const std::int8_t* d,
+                                  std::size_t n) {
+  // The SSE4.1 scheme at 512-bit width (see kernels_sse41.cpp): 32 digits
+  // sign-extended to int16 (vpmovsxbw, AVX-512BW), madd into 16 int32 pair
+  // sums, widened to int64 every iteration; a 16-wide AVX2 step covers the
+  // half-vector remainder.
+  __m512i acc = _mm512_setzero_si512();  // 8 x int64
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m512i vq = _mm512_loadu_si512(q + i);
+    const __m512i vd = _mm512_cvtepi8_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i)));
+    const __m512i pair_sums = _mm512_madd_epi16(vq, vd);  // 16 x int32
+    acc = _mm512_add_epi64(
+        acc, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(pair_sums)));
+    acc = _mm512_add_epi64(
+        acc, _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(pair_sums, 1)));
+  }
+  if (i + 16 <= n) {
+    const __m256i vq =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
+    const __m256i vd = _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i)));
+    acc = _mm512_add_epi64(acc,
+                           _mm512_cvtepi32_epi64(_mm256_madd_epi16(vq, vd)));
+    i += 16;
+  }
+  std::int64_t sum = _mm512_reduce_add_epi64(acc);
+  for (; i < n; ++i) {
+    sum += static_cast<std::int32_t>(q[i]) * static_cast<std::int32_t>(d[i]);
+  }
+  return sum;
+}
+
 float row_amax_avx512(const float* xs, std::size_t n) {
   // Exact (max has no rounding); running max second so a NaN element keeps
   // the running max, like the scalar fold — see the AVX2 variant's note.
@@ -168,7 +202,7 @@ const KernelTable& avx512_kernels() {
       IsaLevel::avx512,        "avx512",
       row_dot_i64_avx512,      weighted_value_accum_avx512,
       quantize_row_i16_avx512, row_amax_avx512,
-      rescale_row_i16_avx512,
+      rescale_row_i16_avx512,  plane_dot_i64_avx512,
   };
   return table;
 }

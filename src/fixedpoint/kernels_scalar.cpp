@@ -71,6 +71,15 @@ void rescale_row_i16_scalar(const std::int16_t* src, std::size_t n,
   }
 }
 
+std::int64_t plane_dot_i64_scalar(const std::int16_t* q, const std::int8_t* d,
+                                  std::size_t n) {
+  std::int64_t acc = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc += static_cast<std::int32_t>(q[i]) * static_cast<std::int32_t>(d[i]);
+  }
+  return acc;
+}
+
 float row_amax_scalar(const float* xs, std::size_t n) {
   // std::max(amax, NaN) keeps amax (the comparison is false), so NaN
   // elements are skipped; |−0.0| folds to +0.0. SIMD variants order their
@@ -90,7 +99,7 @@ const KernelTable& scalar_kernels() {
       IsaLevel::scalar,        "scalar",
       row_dot_i64_scalar,      weighted_value_accum_scalar,
       quantize_row_i16_scalar, row_amax_scalar,
-      rescale_row_i16_scalar,
+      rescale_row_i16_scalar,  plane_dot_i64_scalar,
   };
   return table;
 }

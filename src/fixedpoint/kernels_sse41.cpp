@@ -146,6 +146,31 @@ void rescale_row_i16_sse41(const std::int16_t* src, std::size_t n,
   if (i < n) rescale_row_i16_scalar(src + i, n - i, ratio, qmin, qmax, out + i);
 }
 
+std::int64_t plane_dot_i64_sse41(const std::int16_t* q, const std::int8_t* d,
+                                 std::size_t n) {
+  // row_dot_i64's scheme with the digits sign-extended to int16 first: madd
+  // sums adjacent q * d products into 4 int32 lanes (|lane| <= 2^23, never
+  // wraps since |d| <= 128), widened to int64 every iteration, so the
+  // result is exact for any n.
+  __m128i acc = _mm_setzero_si128();  // 2 x int64
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i vq = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i));
+    const __m128i vd = _mm_cvtepi8_epi16(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(d + i)));
+    const __m128i pair_sums = _mm_madd_epi16(vq, vd);  // 4 x int32
+    acc = _mm_add_epi64(acc, _mm_cvtepi32_epi64(pair_sums));
+    acc = _mm_add_epi64(acc, _mm_cvtepi32_epi64(_mm_srli_si128(pair_sums, 8)));
+  }
+  alignas(16) std::int64_t lanes[2];
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
+  std::int64_t sum = lanes[0] + lanes[1];
+  for (; i < n; ++i) {
+    sum += static_cast<std::int32_t>(q[i]) * static_cast<std::int32_t>(d[i]);
+  }
+  return sum;
+}
+
 float row_amax_sse41(const float* xs, std::size_t n) {
   // max over |x| is order-independent (no rounding), so the vector reduction
   // is exact. Operand order matters for NaN: maxps returns its SECOND
@@ -175,7 +200,7 @@ const KernelTable& sse41_kernels() {
       IsaLevel::sse41,        "sse41",
       row_dot_i64_sse41,      weighted_value_accum_sse41,
       quantize_row_i16_sse41, row_amax_sse41,
-      rescale_row_i16_sse41,
+      rescale_row_i16_sse41,  plane_dot_i64_sse41,
   };
   return table;
 }

@@ -42,6 +42,11 @@ struct StepPhaseStats {
   std::uint64_t lane_busy_ns = 0;
   std::uint64_t lane_wait_ns = 0;
 
+  // Widest attention fan-out any step engaged (participants, caller
+  // included): ThreadPool::fanout after the spawn cap and the engine's
+  // grain, so worker tracks at or beyond it never ran a unit.
+  std::uint64_t fanout_peak = 0;
+
   std::uint64_t total_ns() const {
     return admit_ns + append_ns + attention_wall_ns + reduce_ns + replay_ns +
            other_ns + lane_wait_ns;
@@ -60,6 +65,7 @@ struct StepPhaseStats {
     reduce_overlap_ns += other.reduce_overlap_ns;
     lane_busy_ns += other.lane_busy_ns;
     lane_wait_ns += other.lane_wait_ns;
+    if (other.fanout_peak > fanout_peak) fanout_peak = other.fanout_peak;
   }
 };
 

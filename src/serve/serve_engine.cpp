@@ -1549,6 +1549,9 @@ bool ServeEngine::step() {
     if (avg < kGrainTokens) grain = static_cast<std::size_t>(kGrainTokens / avg);
   }
   const std::size_t engaged = workers_.fanout(units_.size(), grain);
+  if (phases && engaged > phase_stats_.fanout_peak) {
+    phase_stats_.fanout_peak = engaged;
+  }
 
   if (!config_.pipeline) {
     {

@@ -104,14 +104,15 @@ TEST(KvLayoutTest, RejectsUnalignedBase) {
   EXPECT_THROW(KvLayout(config, 17, 16, 64), std::logic_error);
 }
 
-TEST(KvLayoutTest, HostResidentLayoutChargesInt16Width) {
-  // host_resident_layout widens the granule math from packed chunk bits to
-  // the int16 elements the host cache actually stores: a 64-dim chunk plane
-  // row goes 32 B -> 128 B, a value row 96 B -> 128 B.
+TEST(KvLayoutTest, HostResidentLayoutChargesHostElementWidths) {
+  // host_resident_layout switches the granule math from packed bits to the
+  // elements the host cache actually stores — one int8 digit per chunk
+  // element, int16 values: a 64-dim chunk plane row goes 32 B -> 64 B, a
+  // value row 96 B -> 128 B.
   AccelConfig config = make_config(DesignPoint::topick_ooo);
   config.host_resident_layout = true;
   KvLayout layout(config, 0, 128, 64);
-  EXPECT_EQ(layout.granules_per_chunk(), 4);
+  EXPECT_EQ(layout.granules_per_chunk(), 2);
   EXPECT_EQ(layout.granules_per_value(), 4);
 
   // Same bank-group discipline as the packed layout: the contiguity charged

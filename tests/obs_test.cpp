@@ -21,7 +21,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -277,7 +276,8 @@ std::vector<wl::ArrivalEvent> traced_trace() {
 
 // Runs a full engine with tracing + phase stats into `recorder`.
 FleetMetrics run_traced(const ServeConfig& base, TraceRecorder* recorder,
-                        std::vector<serve::Request>* requests = nullptr) {
+                        std::vector<serve::Request>* requests = nullptr,
+                        obs::StepPhaseStats* phases = nullptr) {
   ServeConfig config = base;
   config.trace = recorder;
   config.collect_phase_stats = true;
@@ -285,6 +285,7 @@ FleetMetrics run_traced(const ServeConfig& base, TraceRecorder* recorder,
   engine.submit_trace(traced_trace());
   engine.run();
   if (requests != nullptr) *requests = engine.requests();
+  if (phases != nullptr) *phases = engine.phase_stats();
   return engine.metrics();
 }
 
@@ -367,8 +368,15 @@ TEST(Trace, SpansProperlyNestedPerTrack) {
   TraceRecorder recorder(1);
   ServeConfig config = traced_config(PolicyKind::fifo_youngest_first);
   config.threads = 2;
-  run_traced(config, &recorder);
+  obs::StepPhaseStats phases;
+  run_traced(config, &recorder, nullptr, &phases);
   ASSERT_GE(recorder.tracks(), 2u);
+  // The pool caps spawned workers to the host's core count and the engine's
+  // grain caps each step's fan-out, so tracks at or beyond the widest
+  // fan-out the run actually engaged legitimately stay empty.
+  const std::uint64_t fanout_peak = phases.fanout_peak;
+  ASSERT_GE(fanout_peak, 1u);
+  ASSERT_LE(fanout_peak, config.threads);
 
   for (std::size_t track = 0; track < recorder.tracks(); ++track) {
     std::vector<SpanInterval> spans;
@@ -377,10 +385,10 @@ TEST(Trace, SpansProperlyNestedPerTrack) {
       spans.push_back(SpanInterval{e.ts, e.ts + e.dur, e.name});
     }
     SCOPED_TRACE(track);
-    // The pool caps spawned workers to the host's core count, so tracks
-    // beyond it legitimately stay empty on small machines.
-    if (track < std::thread::hardware_concurrency()) {
+    if (track < fanout_peak) {
       EXPECT_FALSE(spans.empty());
+    } else if (track < config.threads) {
+      EXPECT_TRUE(spans.empty());
     }
     expect_no_partial_overlap(spans);
   }

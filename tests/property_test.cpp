@@ -2,6 +2,7 @@
 // together (quantization formats x margins x estimator x engine x memsim).
 #include <cmath>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "common/expsum.h"
 #include "common/rng.h"
 #include "core/attention_backends.h"
+#include "core/quantized_kv_cache.h"
 #include "core/token_picker.h"
 #include "fixedpoint/chunks.h"
 #include "memsim/hbm.h"
@@ -51,11 +53,57 @@ TEST_P(QuantFormatSweep, ChunkRoundTripAndResidualInvariant) {
   }
 }
 
+// Every representable value of the format, pushed as one key row, must be
+// reassembled by the store's int8 digit planes: sum_b digit_b * 2^shift_b.
+TEST_P(QuantFormatSweep, DigitPlanesReassembleEveryValue) {
+  const auto [total_bits, chunk_bits] = GetParam();
+  fx::QuantParams p;
+  p.total_bits = total_bits;
+  p.chunk_bits = chunk_bits;
+  std::vector<std::int16_t> row;
+  for (std::int32_t v = p.qmin(); v <= p.qmax(); ++v) {
+    row.push_back(static_cast<std::int16_t>(v));
+  }
+  QuantizedKvStore store;
+  store.reset(p, p, row.size());
+  store.push_row(row.data(), row.data());
+  const QuantizedKvView view = store.view();
+  for (std::size_t d = 0; d < row.size(); ++d) {
+    std::int64_t sum = 0;
+    for (int b = 0; b < p.num_chunks(); ++b) {
+      ASSERT_EQ(view.key_plane_shift(b), fx::unknown_bits(b + 1, p));
+      sum += std::int64_t{view.key_plane_row(b, 0)[d]} *
+             (std::int64_t{1} << view.key_plane_shift(b));
+    }
+    ASSERT_EQ(sum, row[d]);
+  }
+}
+
+TEST(DigitPlanes, WidthsOverflowingInt8AreRejected) {
+  const std::tuple<int, int> rejected[] = {{16, 8}, {12, 9}, {12, 12}};
+  for (const auto& [total_bits, chunk_bits] : rejected) {
+    fx::QuantParams p;
+    p.total_bits = total_bits;
+    p.chunk_bits = chunk_bits;
+    QuantizedKvStore store;
+    EXPECT_THROW(store.reset(p, p, 4), std::logic_error)
+        << total_bits << "/" << chunk_bits;
+    EXPECT_THROW(QuantizedKvCache(4, QuantizedKvCache::Config{p}),
+                 std::logic_error)
+        << total_bits << "/" << chunk_bits;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Formats, QuantFormatSweep,
     ::testing::Values(std::tuple{12, 4}, std::tuple{12, 2}, std::tuple{12, 6},
                       std::tuple{8, 4}, std::tuple{8, 2}, std::tuple{6, 2},
-                      std::tuple{10, 3}, std::tuple{12, 5}));
+                      std::tuple{10, 3}, std::tuple{12, 5},
+                      // Every chunk width the int8 digit planes accept
+                      // (1-7), the widest total, and an 8-bit chunk that
+                      // fits only because it is the signed top chunk.
+                      std::tuple{12, 1}, std::tuple{12, 3}, std::tuple{12, 7},
+                      std::tuple{15, 7}, std::tuple{8, 8}));
 
 // ---------- estimator invariants over head dims ----------------------------
 

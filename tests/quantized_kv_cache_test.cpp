@@ -105,6 +105,7 @@ void expect_same_result(const TokenPickerResult& a, const TokenPickerResult& b) 
 }
 
 TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
+  // Shift-weighted digits reassemble the key: sum_b digit_b * 2^shift_b.
   Rng rng(0xabc1);
   const std::size_t dim = 16;
   fx::QuantParams params;
@@ -127,7 +128,8 @@ TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
     for (std::size_t d = 0; d < dim; ++d) {
       std::int32_t sum = 0;
       for (int b = 0; b < params.num_chunks(); ++b) {
-        sum += view.key_plane_row(b, t)[d];
+        sum += static_cast<std::int32_t>(view.key_plane_row(b, t)[d]) *
+               (1 << view.key_plane_shift(b));
       }
       EXPECT_EQ(sum, view.key(t)[d]) << "token " << t << " dim " << d;
     }
