@@ -11,8 +11,8 @@
 //     O(len * head_dim) x3 per instance per step;
 //   * cached — the post-PR path: QuantizedKvCache::append() quantizes the new
 //     token once, attention walks contiguous chunk planes allocation-free
-//     with the oracle off (row_dot_i64 compiles to AVX2/NEON under
-//     -DTOPICK_NATIVE_ARCH=ON), and reclamation evicts cache entries
+//     with the oracle off (row_dot_i64 dispatches to the widest SIMD kernel
+//     the CPU supports at runtime), and reclamation evicts cache entries
 //     coherently — O(kept * head_dim) per instance per step. The cached
 //     harness mirrors ServeEngine's phased step: sequential paged appends,
 //     a parallel attention phase fanned over the (layer, head) instances via
@@ -409,10 +409,9 @@ RunResult run_cached(const Scenario& s, const wl::DecodeStream& stream,
 // multi-request Poisson trace through the real ServeEngine under both
 // executors — fork-join (pipeline off) and the pipelined step with sharded
 // channel replay (pipeline on). Phase stats show where each spends host
-// time: per-worker attention compute vs barrier wait (the fork-join tax
-// ROADMAP item 3 targets) vs memsim replay vs the sequential phases — and,
-// pipelined, how much reduction overlapped the fan-out and how much
-// replay moved onto the lane thread.
+// time: per-worker attention compute vs barrier wait vs memsim replay vs
+// the sequential phases — and, pipelined, how much replay moved onto the
+// lane thread.
 serve::ServeConfig engine_config(std::size_t threads, bool pipeline) {
   serve::ServeConfig config;
   config.n_layer = 2;
@@ -556,25 +555,20 @@ bool write_engine_trace(bool smoke, std::size_t threads,
 }
 
 // Fan-out capacity split for one executor: capacity = attention compute +
-// barrier idle + reduction overlapped into the fan-out window (pipelined
-// reclaims barrier idle as reduce_overlap; fork-join has none).
+// barrier idle.
 struct FanoutSplit {
   double compute_frac = 0.0;
   double barrier_frac = 0.0;
-  double reduce_overlap_frac = 0.0;
   double replay_frac_of_step = 0.0;
 };
 
 FanoutSplit fanout_split(const obs::StepPhaseStats& p) {
   FanoutSplit f;
   const double capacity = static_cast<double>(p.attention_busy_ns) +
-                          static_cast<double>(p.barrier_wait_ns) +
-                          static_cast<double>(p.reduce_overlap_ns);
+                          static_cast<double>(p.barrier_wait_ns);
   if (capacity > 0.0) {
     f.compute_frac = static_cast<double>(p.attention_busy_ns) / capacity;
     f.barrier_frac = static_cast<double>(p.barrier_wait_ns) / capacity;
-    f.reduce_overlap_frac =
-        static_cast<double>(p.reduce_overlap_ns) / capacity;
   }
   const double total = static_cast<double>(p.total_ns());
   if (total > 0.0) {
@@ -592,11 +586,10 @@ void write_phase_attribution(FILE* out, const char* key,
       "  \"%s\": {\"threads\": %zu, \"steps\": %llu, "
       "\"admit_ns\": %llu, \"append_ns\": %llu, \"attention_wall_ns\": %llu, "
       "\"attention_busy_ns\": %llu, \"barrier_wait_ns\": %llu, "
-      "\"reduce_ns\": %llu, \"reduce_overlap_ns\": %llu, "
+      "\"reduce_ns\": %llu, "
       "\"replay_ns\": %llu, \"lane_busy_ns\": %llu, \"lane_wait_ns\": %llu, "
       "\"other_ns\": %llu, "
       "\"compute_frac_of_fanout\": %.4f, \"barrier_frac_of_fanout\": %.4f, "
-      "\"reduce_overlap_frac_of_fanout\": %.4f, "
       "\"replay_frac_of_step\": %.4f},\n",
       key, threads, static_cast<unsigned long long>(p.steps),
       static_cast<unsigned long long>(p.admit_ns),
@@ -605,12 +598,11 @@ void write_phase_attribution(FILE* out, const char* key,
       static_cast<unsigned long long>(p.attention_busy_ns),
       static_cast<unsigned long long>(p.barrier_wait_ns),
       static_cast<unsigned long long>(p.reduce_ns),
-      static_cast<unsigned long long>(p.reduce_overlap_ns),
       static_cast<unsigned long long>(p.replay_ns),
       static_cast<unsigned long long>(p.lane_busy_ns),
       static_cast<unsigned long long>(p.lane_wait_ns),
       static_cast<unsigned long long>(p.other_ns), f.compute_frac,
-      f.barrier_frac, f.reduce_overlap_frac, f.replay_frac_of_step);
+      f.barrier_frac, f.replay_frac_of_step);
 }
 
 }  // namespace
@@ -750,13 +742,12 @@ int main(int argc, char** argv) {
       100.0 * seq_split.barrier_frac, 100.0 * seq_split.replay_frac_of_step);
   std::printf(
       "  engine --pipeline on  (sharded replay, threads=%zu, %llu steps): "
-      "%8.1f tok/s  %.2fx; compute %.0f%% / barrier %.0f%% / overlapped "
-      "reduce %.0f%% of fan-out capacity; replay off the step wall "
+      "%8.1f tok/s  %.2fx; compute %.0f%% / barrier %.0f%% of fan-out "
+      "capacity; replay off the step wall "
       "(lane busy %.3f ms, lane wait %.3f ms)\n",
       phase_threads, static_cast<unsigned long long>(pipe_run.phases.steps),
       pipe_run.tokens_per_s, pipeline_speedup,
       100.0 * pipe_split.compute_frac, 100.0 * pipe_split.barrier_frac,
-      100.0 * pipe_split.reduce_overlap_frac,
       static_cast<double>(pipe_run.phases.lane_busy_ns) * 1e-6,
       static_cast<double>(pipe_run.phases.lane_wait_ns) * 1e-6);
   std::printf("  executors bit-identical on the same trace: yes\n");

@@ -63,21 +63,14 @@ struct ThreadPool::Impl {
   std::atomic<std::size_t> active{0};  // engaged workers not yet done
   std::atomic<std::uint64_t> generation{0};
   std::atomic<bool> stop{false};
-  std::atomic<bool> failed{false};
 
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
+  // The lowest-index task exception of the current batch.
   std::mutex error_mutex;
   std::exception_ptr error;
-
-  void record_error() {
-    {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::current_exception();
-    }
-    failed.store(true, std::memory_order_release);
-  }
+  std::size_t error_task = 0;
 
   void run_tasks(std::size_t worker) {
     while (true) {
@@ -86,7 +79,11 @@ struct ThreadPool::Impl {
       try {
         (*fn)(task, worker);
       } catch (...) {
-        record_error();
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error || task < error_task) {
+          error = std::current_exception();
+          error_task = task;
+        }
       }
     }
   }
@@ -166,82 +163,37 @@ std::size_t ThreadPool::fanout(std::size_t n, std::size_t grain) const {
   return want < cap ? want : cap;
 }
 
-void ThreadPool::submit(
+void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
     std::size_t grain) {
-  require(inline_fn_ == nullptr && (!impl_ || impl_->fn == nullptr),
-          "ThreadPool: a batch is already open (reentrant dispatch?)");
   const std::size_t width = fanout(n, grain);
-  if (width <= 1 || !impl_) {
-    // Sequential batch: the caller drains it via run_one(); no worker wakes.
-    inline_fn_ = &fn;
-    inline_n_ = n;
-    inline_next_ = 0;
+  if (width <= 1) {
+    // Sequential batch on the caller; no worker wakes.
+    std::exception_ptr error;
+    for (std::size_t task = 0; task < n; ++task) {
+      try {
+        fn(task, 0);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
     return;
   }
+  require(impl_->fn == nullptr,
+          "ThreadPool: a batch is already open (reentrant dispatch?)");
   impl_->fn = &fn;
   impl_->n = n;
   impl_->engaged = width - 1;  // the caller is the width-th participant
   impl_->next.store(0, std::memory_order_relaxed);
   impl_->active.store(impl_->engaged, std::memory_order_relaxed);
-  impl_->failed.store(false, std::memory_order_relaxed);
   impl_->generation.fetch_add(1, std::memory_order_release);
   for (std::size_t w = 0; w < impl_->engaged; ++w) {
     Impl::WorkerSlot& slot = impl_->slots[w];
     { std::lock_guard<std::mutex> lock(slot.mutex); }
     slot.cv.notify_one();
   }
-}
-
-bool ThreadPool::run_one() {
-  if (inline_fn_) {
-    if (inline_next_ >= inline_n_) return false;
-    const std::size_t task = inline_next_++;
-    try {
-      (*inline_fn_)(task, 0);
-    } catch (...) {
-      if (impl_) {
-        impl_->record_error();
-      } else {
-        // No Impl to park the exception in: surface it via finish() through
-        // a one-shot local slot.
-        inline_error_ = std::current_exception();
-      }
-    }
-    return true;
-  }
-  if (!impl_ || !impl_->fn) return false;
-  const std::size_t task =
-      impl_->next.fetch_add(1, std::memory_order_relaxed);
-  if (task >= impl_->n) return false;
-  try {
-    (*impl_->fn)(task, 0);
-  } catch (...) {
-    impl_->record_error();
-  }
-  return true;
-}
-
-void ThreadPool::finish() {
-  if (inline_fn_) {
-    while (run_one()) {
-    }
-    inline_fn_ = nullptr;
-    inline_n_ = inline_next_ = 0;
-    std::exception_ptr error;
-    if (impl_) {
-      std::lock_guard<std::mutex> lock(impl_->error_mutex);
-      std::swap(error, impl_->error);
-      impl_->failed.store(false, std::memory_order_relaxed);
-    } else {
-      std::swap(error, inline_error_);
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-  if (!impl_ || !impl_->fn) return;
-  while (run_one()) {
-  }
+  impl_->run_tasks(0);
   // Stragglers: spin briefly (batches are short), then sleep.
   bool done = impl_->active.load(std::memory_order_acquire) == 0;
   for (int spin = 0; !done && spin < kSpinIters; ++spin) {
@@ -256,30 +208,12 @@ void ThreadPool::finish() {
   }
   impl_->fn = nullptr;
   impl_->n = 0;
-  if (impl_->failed.load(std::memory_order_acquire) || impl_->error) {
-    std::exception_ptr error;
-    {
-      std::lock_guard<std::mutex> lock(impl_->error_mutex);
-      std::swap(error, impl_->error);
-    }
-    impl_->failed.store(false, std::memory_order_relaxed);
-    if (error) std::rethrow_exception(error);
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(impl_->error_mutex);
+    std::swap(error, impl_->error);
   }
-}
-
-bool ThreadPool::failed() const {
-  if (impl_) return impl_->failed.load(std::memory_order_acquire);
-  return inline_error_ != nullptr;
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t grain) {
-  if (n == 0) return;
-  submit(n, fn, grain);
-  while (run_one()) {
-  }
-  finish();
+  if (error) std::rethrow_exception(error);
 }
 
 // ---- SerialLane -------------------------------------------------------------

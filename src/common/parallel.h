@@ -21,23 +21,14 @@
 // an optional grain (min tasks per participant), so tiny batches never pay
 // a wake-up they cannot amortize.
 //
-// Two dispatch shapes:
-//   * parallel_for(n, fn[, grain]) — classic fork-join: blocks until every
-//     task completed, rethrows the first task exception.
-//   * submit(n, fn[, grain]) / run_one() / finish() — the pipelined shape:
-//     submit publishes the batch and wakes the participants, the caller
-//     helps by claiming tasks via run_one(), and may interleave its own
-//     sequential work (e.g. slot-ordered reduction of already-finished
-//     items) between claims; finish() joins the batch and rethrows the
-//     first task exception. failed() peeks whether a task has already
-//     thrown. Completion of individual tasks is signalled by the caller's
-//     own release/acquire counters inside fn — the pool itself only tracks
-//     whole-batch completion.
+// One dispatch shape: parallel_for(n, fn[, grain]) — fork-join. It blocks
+// until every task completed (a throwing task does not stop the others) and
+// then rethrows the exception of the lowest-index task that threw, so the
+// error a caller sees is the same at every width.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 
@@ -66,44 +57,23 @@ class ThreadPool {
   // Blocks until fn(i, worker) has completed for every i in [0, n).
   // worker is in [0, threads()); reentrant calls from inside a task are not
   // supported. `grain` is the minimum tasks per participant before another
-  // worker is engaged (1 = fan out as wide as the task count allows).
+  // worker is engaged (1 = fan out as wide as the task count allows). Every
+  // task runs; then the lowest-index task's exception (if any) is rethrown
+  // and the pool is ready for the next dispatch.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t task,
                                              std::size_t worker)>& fn,
                     std::size_t grain = 1);
 
-  // Publishes a batch and wakes its participants; returns immediately. The
-  // caller must drain its share via run_one() and then call finish().
-  void submit(std::size_t n,
-              const std::function<void(std::size_t task, std::size_t worker)>&
-                  fn,
-              std::size_t grain = 1);
-  // Claims and runs one task as worker 0. Returns false once every task has
-  // been claimed (claimed, not completed — stragglers may still be running
-  // on workers until finish()).
-  bool run_one();
-  // Blocks until the submitted batch fully completes, clears it, and
-  // rethrows the first task exception.
-  void finish();
-  // True once any task of the current batch has thrown (sticky until
-  // finish()). Lets a caller interleaving dependent work bail out early.
-  bool failed() const;
-
  private:
   struct Impl;
   std::size_t threads_;
   std::unique_ptr<Impl> impl_;  // null when threads_ <= 1 or no cores spare
-
-  // Inline (no-worker) batch state for submit/run_one/finish.
-  const std::function<void(std::size_t, std::size_t)>* inline_fn_ = nullptr;
-  std::size_t inline_n_ = 0;
-  std::size_t inline_next_ = 0;
-  std::exception_ptr inline_error_;  // task exception parked when impl_ null
 };
 
 // SerialLane: a single background thread executing submitted jobs strictly
 // in submission order — the ordered, cross-step work queue behind the serve
-// engine's pipelined executor. The engine hands the lane everything that
+// engine's pipelined DRAM replay (ServeConfig::pipeline). The engine hands the lane everything that
 // depends on the simulated DRAM clock (the memsim replay of step t, the
 // cycle checkpoints that read its result, the cycle-stamped trace events),
 // then moves straight on to step t+1's admit/append/attention: replay(t)

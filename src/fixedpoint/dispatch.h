@@ -1,8 +1,8 @@
 // Runtime ISA dispatch for the decode hot kernels (ROADMAP item 2).
 //
-// PR 5 selected the SIMD kernels at *compile* time (`-march=native` behind
-// TOPICK_NATIVE_ARCH), which no distributable binary can require and which
-// made cross-host BENCH_hotpath.json numbers incomparable. This registry
+// Selecting the SIMD kernels at *compile* time (`-march=native`) would tie a
+// binary to its build machine and make cross-host BENCH_hotpath.json numbers
+// incomparable. This registry
 // adopts the rapidyenc pattern instead: every ISA variant is compiled into
 // the same binary from its own translation unit (built with per-file arch
 // flags, so the base build stays portable), a one-time CPU probe fills a

@@ -2,9 +2,7 @@
 // does a step actually spend host time — compute (summed per-worker busy ns
 // in the parallel attention phase), barrier wait (fan-out wall time x
 // workers minus busy: the cost of waiting for the slowest (slot, layer,
-// head) unit), sequential append/reduce, or the memsim DRAM replay? This is
-// the evidence ROADMAP item 3 (always-busy pipelined engine) needs before
-// restructuring the fork-join step.
+// head) unit), sequential append/reduce, or the memsim DRAM replay?
 //
 // Collection is runtime-gated (ServeConfig::collect_phase_stats) and reads
 // only the steady clock — it never touches engine state, so enabling it
@@ -29,16 +27,12 @@ struct StepPhaseStats {
   std::uint64_t replay_ns = 0;    // memsim DRAM replay (host time, inline)
   std::uint64_t other_ns = 0;     // checkpoints, fragmentation sampling
 
-  // Pipelined-executor attribution (zero in fork-join mode):
-  //   * reduce_overlap_ns — slot-ordered reduction interleaved INSIDE the
-  //     attention fan-out window (already inside attention_wall_ns; kept
-  //     separate so barrier accounting can subtract reclaimed idle time).
+  // Cross-step lane attribution (zero unless ServeConfig::pipeline):
   //   * lane_busy_ns — DRAM replay + cycle checkpoints executed on the
   //     SerialLane thread, overlapped with the next step's compute (off the
   //     main thread, so NOT part of total_ns()).
   //   * lane_wait_ns — main-thread time blocked on lane backpressure/drain:
   //     the residual serialization the pipeline failed to hide.
-  std::uint64_t reduce_overlap_ns = 0;
   std::uint64_t lane_busy_ns = 0;
   std::uint64_t lane_wait_ns = 0;
 
@@ -62,7 +56,6 @@ struct StepPhaseStats {
     reduce_ns += other.reduce_ns;
     replay_ns += other.replay_ns;
     other_ns += other.other_ns;
-    reduce_overlap_ns += other.reduce_overlap_ns;
     lane_busy_ns += other.lane_busy_ns;
     lane_wait_ns += other.lane_wait_ns;
     if (other.fanout_peak > fanout_peak) fanout_peak = other.fanout_peak;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "common/require.h"
 #include "common/stats.h"
@@ -334,17 +333,9 @@ std::size_t ServeEngine::pages_for_prefill(const Request& request) const {
 // Built on the main thread's sequential phases — the parallel phase never
 // touches lifecycle state — then stamped and recorded via emit_request_event.
 void ServeEngine::emit_request_event(const obs::TraceEvent& event) {
-  if (!config_.pipeline) {
-    obs::TraceEvent e = event;
-    e.ts = trace_->now_ns();
-    e.cycle = hbm_.cycle();
-    trace_->record(0, e);
-    return;
-  }
-  // Pipelined: prior steps' replays may still be in flight. Stamp the event
-  // when the lane reaches it — by then every earlier step's clock advance has
-  // landed, so the cycle stamp matches the sequential engine's exactly. The
-  // lane records on its own track (one-writer-per-track invariant).
+  // Stamped when the lane reaches the event: pipelined, every earlier step's
+  // replay has landed by then, so the cycle stamp matches the sequential
+  // engine's exactly (sequential, the disabled lane runs the job inline).
   lane_.submit([this, event] {
     obs::TraceEvent e = event;
     e.ts = trace_->now_ns();
@@ -394,16 +385,12 @@ void ServeEngine::admit_due_requests() {
   while (next_arrival_ < requests_.size() &&
          requests_[next_arrival_].event.step <= now_) {
     Request& req = requests_[next_arrival_];
-    if (config_.pipeline) {
-      // Cycle stamps ride the lane: earlier steps' replays may still be in
-      // flight, and the arrival must see the clock the sequential engine
-      // would show after them. The lane owns every *_cycle field.
-      lane_.submit([this, r = next_arrival_] {
-        requests_[r].arrival_cycle = hbm_.cycle();
-      });
-    } else {
-      req.arrival_cycle = hbm_.cycle();
-    }
+    // Cycle stamps ride the lane: earlier steps' replays may still be in
+    // flight, and the arrival must see the clock the sequential engine would
+    // show after them. The lane owns every *_cycle field.
+    lane_.submit([this, r = next_arrival_] {
+      requests_[r].arrival_cycle = hbm_.cycle();
+    });
     trace_lifecycle_begin(next_arrival_, "request");
     if (req.event.decode_len == 0) {
       // Nothing to generate: retire at arrival without taking a slot, pool
@@ -411,13 +398,9 @@ void ServeEngine::admit_due_requests() {
       req.state = RequestState::finished;
       req.admit_step = now_;
       req.finish_step = now_;
-      if (config_.pipeline) {
-        lane_.submit([this, r = next_arrival_] {
-          requests_[r].finish_cycle = requests_[r].arrival_cycle;
-        });
-      } else {
-        req.finish_cycle = req.arrival_cycle;
-      }
+      lane_.submit([this, r = next_arrival_] {
+        requests_[r].finish_cycle = requests_[r].arrival_cycle;
+      });
       ++finished_;
       ++metrics_.requests_retired;
       ClassMetrics& cls = class_metrics(req);
@@ -1553,109 +1536,41 @@ bool ServeEngine::step() {
     phase_stats_.fanout_peak = engaged;
   }
 
-  if (!config_.pipeline) {
-    {
-      obs::TraceSpan span(trace_, 0, "attention", "engine");
-      span.arg("units", static_cast<double>(units_.size()));
-      std::chrono::steady_clock::time_point t0;
-      if (phases) {
-        for (auto& wb : worker_busy_) wb.ns = 0;
-        t0 = std::chrono::steady_clock::now();
-      }
-      workers_.parallel_for(
-          units_.size(),
-          [this](std::size_t unit, std::size_t worker) {
-            run_unit(units_[unit], worker);
-          },
-          grain);
-      if (phases) {
-        const std::uint64_t wall = elapsed_ns(t0);
-        std::uint64_t busy = 0;
-        for (const auto& wb : worker_busy_) busy += wb.ns;
-        // Barrier wait: the fork-join step holds every engaged lane until
-        // the slowest unit chain finishes — engaged fan-out x wall minus
-        // summed busy is the idle time the pipelined executor reclaims.
-        const std::uint64_t capacity = wall * engaged;
-        phase_stats_.attention_wall_ns += wall;
-        phase_stats_.attention_busy_ns += busy;
-        phase_stats_.barrier_wait_ns += capacity > busy ? capacity - busy : 0;
-      }
-    }
-
-    // Reduction phase — sequential, in the append phase's slot order:
-    // persistence + reclamation, AccessStats merge, output capture, step
-    // traffic, retirement.
-    {
-      obs::PhaseTimer timer(phases ? &phase_stats_.reduce_ns : nullptr);
-      obs::TraceSpan span(trace_, 0, "reduce", "engine");
-      for (std::size_t p = 0; p < pending_.size(); ++p) reduce_pending(p);
-    }
-  } else {
-    // Pipelined attention + reduction: the fan-out is submitted without a
-    // barrier and the main thread interleaves two jobs — claiming attention
-    // units like any worker, and reducing pendings (in slot order, the sole
-    // serialization point) as soon as their last unit lands. units_left_
-    // release/acquire pairs publish the workers' result writes.
+  {
     obs::TraceSpan span(trace_, 0, "attention", "engine");
     span.arg("units", static_cast<double>(units_.size()));
-    span.arg("overlapped", 1.0);
     std::chrono::steady_clock::time_point t0;
     if (phases) {
       for (auto& wb : worker_busy_) wb.ns = 0;
       t0 = std::chrono::steady_clock::now();
     }
-    if (units_left_cap_ < pending_.size()) {
-      units_left_ =
-          std::make_unique<std::atomic<std::uint32_t>[]>(pending_.size());
-      units_left_cap_ = pending_.size();
-    }
-    for (std::size_t p = 0; p < pending_.size(); ++p) {
-      units_left_[p].store(0, std::memory_order_relaxed);
-    }
-    for (const auto& unit : units_) {
-      units_left_[unit.pending].fetch_add(1, std::memory_order_relaxed);
-    }
-    // submit() keeps a pointer to the batch function, so it must stay alive
-    // until finish() — a temporary in the call expression would dangle for
-    // the whole drain loop below.
-    const std::function<void(std::size_t, std::size_t)> unit_fn =
+    workers_.parallel_for(
+        units_.size(),
         [this](std::size_t unit, std::size_t worker) {
           run_unit(units_[unit], worker);
-          units_left_[units_[unit].pending].fetch_sub(
-              1, std::memory_order_release);
-        };
-    workers_.submit(units_.size(), unit_fn, grain);
-    std::uint64_t reduce_ns = 0;
-    std::size_t next_reduce = 0;
-    for (;;) {
-      const bool ran = workers_.run_one();
-      while (next_reduce < pending_.size() &&
-             units_left_[next_reduce].load(std::memory_order_acquire) == 0) {
-        const auto r0 = phases ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
-        reduce_pending(next_reduce);
-        ++next_reduce;
-        if (phases) reduce_ns += elapsed_ns(r0);
-      }
-      if (!ran) {
-        if (next_reduce >= pending_.size() || workers_.failed()) break;
-        // All units claimed but a worker still owns the head pending's last
-        // unit; yield until it lands rather than spinning hot.
-        std::this_thread::yield();
-      }
-    }
-    workers_.finish();  // rethrows a task exception
+        },
+        grain);
     if (phases) {
       const std::uint64_t wall = elapsed_ns(t0);
       std::uint64_t busy = 0;
       for (const auto& wb : worker_busy_) busy += wb.ns;
+      // Barrier wait: the fork-join step holds every engaged worker until
+      // the slowest unit chain finishes — engaged fan-out x wall minus
+      // summed busy.
+      const std::uint64_t capacity = wall * engaged;
       phase_stats_.attention_wall_ns += wall;
       phase_stats_.attention_busy_ns += busy;
-      phase_stats_.reduce_overlap_ns += reduce_ns;
-      const std::uint64_t capacity = wall * engaged;
-      const std::uint64_t used = busy + reduce_ns;
-      phase_stats_.barrier_wait_ns += capacity > used ? capacity - used : 0;
+      phase_stats_.barrier_wait_ns += capacity > busy ? capacity - busy : 0;
     }
+  }
+
+  // Reduction phase — sequential, in the append phase's slot order:
+  // persistence + reclamation, AccessStats merge, output capture, step
+  // traffic, retirement.
+  {
+    obs::PhaseTimer timer(phases ? &phase_stats_.reduce_ns : nullptr);
+    obs::TraceSpan span(trace_, 0, "reduce", "engine");
+    for (std::size_t p = 0; p < pending_.size(); ++p) reduce_pending(p);
   }
 
   // DRAM replay + cycle-domain checkpoints: inline here (sequential), or as

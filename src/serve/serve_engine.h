@@ -41,7 +41,6 @@
 // references replay exactly.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -148,22 +147,17 @@ struct ServeConfig {
   PolicyKind policy = PolicyKind::fifo_youngest_first;
   PrioritySlackParams policy_params;
 
-  // Pipelined executor (the ROADMAP item 3 refactor). Off, each step is the
-  // classic fork-join barrier: append -> parallel attention -> slot-ordered
-  // reduce -> inline DRAM replay. On, two overlaps open up, with the
-  // slot-ordered reduction left as the only serialization point:
-  //   * within a step, the main thread interleaves the reduction of
-  //     already-complete slots with the attention fan-out instead of waiting
-  //     at the barrier;
-  //   * across steps, the DRAM replay and every cycle-domain checkpoint of
-  //     step t run on a SerialLane thread while step t+1 admits/appends/
-  //     attends. Lane jobs run in submission order, so every simulated-clock
-  //     read sees exactly the state the sequential engine would have seen.
-  // Outputs, pruning decisions, and FleetMetrics are bit-identical to the
-  // sequential engine for any thread count and policy (enforced by
-  // tests/serve_invariants_test.cpp). metrics()/phase_stats()/requests()
-  // are safe to read once step() returned false (the lane is drained) — not
-  // mid-flight from another thread.
+  // Cross-step DRAM lane. Every step has one shape: append -> parallel
+  // attention -> barrier -> slot-ordered reduce. Off, step t's memsim DRAM
+  // replay and cycle-domain checkpoints then run inline. On, they run on a
+  // SerialLane thread while step t+1 admits/appends/attends; lane jobs run
+  // in submission order, so every simulated-clock read sees exactly the
+  // state the sequential engine would have seen. Outputs, pruning
+  // decisions, and FleetMetrics are bit-identical either way, for any
+  // thread count and policy (enforced by tests/serve_invariants_test.cpp).
+  // metrics()/phase_stats()/requests() are safe to read once step()
+  // returned false (the lane is drained) — not mid-flight from another
+  // thread.
   bool pipeline = false;
 
   // Shard the memsim replay per channel (Hbm::replay_sharded): channels run
@@ -542,10 +536,10 @@ class ServeEngine {
   // Hands step `now_`'s replay + checkpoints to the lane (pipelined mode) or
   // runs them inline (sequential mode), consuming active_/checkpoints_.
   void finish_step_cycle_work();
-  // Records a request-domain trace event: immediately on track 0 in
-  // sequential mode, or as a lane job — stamped with the wall time and DRAM
-  // cycle at lane execution, on the lane's own track — in pipelined mode, so
-  // cycle stamps always reflect the sequential engine's clock.
+  // Records a request-domain trace event as a lane job, stamped with the
+  // wall time and DRAM cycle at lane execution on lane_track() (inline on
+  // track 0 when the lane is disabled), so cycle stamps always reflect the
+  // sequential engine's clock.
   void emit_request_event(const obs::TraceEvent& event);
   // The lane's trace track (after the worker tracks); 0 when not pipelined.
   std::size_t lane_track() const {
@@ -615,12 +609,6 @@ class ServeEngine {
   // candidate is erased in O(1).
   std::vector<RequestQueue::Handle> admission_handles_;
 
-  // Pipelined-mode state. units_left_[p] counts pending p's attention units
-  // still in flight: workers decrement (release) as they finish a unit, the
-  // main thread reduces pending p once its count reads 0 (acquire) — the
-  // handshake that lets reduction overlap the fan-out without a barrier.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> units_left_;
-  std::size_t units_left_cap_ = 0;
   // Worker pool for the sharded channel replay (shard_replay only). Separate
   // from workers_: the replay runs on the lane thread in pipelined mode, and
   // a lane job must not re-enter the pool the main thread is dispatching.

@@ -85,17 +85,29 @@ TEST(ThreadPool, ReusableAcrossManyDispatches) {
 }
 
 TEST(ThreadPool, PropagatesTaskExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(64,
-                        [&](std::size_t i, std::size_t) {
-                          if (i == 13) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  // And the pool still works after the failed dispatch.
-  std::atomic<int> ok{0};
-  pool.parallel_for(8, [&](std::size_t, std::size_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 8);
+  // Two throwing tasks: every task still runs, and the lower index's
+  // exception is the one rethrown at every width.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    std::atomic<int> ran{0};
+    try {
+      pool.parallel_for(64, [&](std::size_t i, std::size_t) {
+        ran.fetch_add(1);
+        if (i == 13) throw std::runtime_error("task 13");
+        if (i == 40) throw std::runtime_error("task 40");
+      });
+      ADD_FAILURE() << "parallel_for swallowed the task exceptions";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 13");
+    }
+    EXPECT_EQ(ran.load(), 64);
+    // And the pool still works after the failed dispatch.
+    std::atomic<int> ok{0};
+    pool.parallel_for(8, [&](std::size_t, std::size_t) { ok.fetch_add(1); });
+    EXPECT_EQ(ok.load(), 8);
+  }
 }
 
 // Deterministic reduction pattern the engine relies on: parallel produce into

@@ -392,10 +392,9 @@ TEST(ServeEngineDeterminism, SpAttenThreadFanOutIsBitIdentical) {
   }
 }
 
-// Pipelined-executor acceptance: overlapped in-step reduction plus the
-// cross-step replay lane must leave outputs, FleetMetrics (cycle-domain
-// latency samples included), and token sets bit-identical to the sequential
-// fork-join engine — for every policy, at threads {1, 2, 8}, under the same
+// Pipelined-executor acceptance: the cross-step replay lane must leave
+// outputs, FleetMetrics (cycle-domain latency samples included), and token
+// sets bit-identical to the sequential engine — for every policy, at threads {1, 2, 8}, under the same
 // contended scenario the barrier suite uses.
 TEST(ServeEngineDeterminism, PipelinedExecutorIsBitIdenticalToSequential) {
   wl::PriorityMixParams mix;
