@@ -186,9 +186,7 @@ struct Scenario {
   int head_dim = 64;
   std::size_t page_tokens = 8;
   // Sized to the scenario (2048-token context x 4 instances needs ~1k pages
-  // plus slack). The historical 1M-page pool allocated a 4 GB zeroed slab
-  // per run, whose cache/TLB pollution dominated the prefill timing of BOTH
-  // harnesses — pool capacity is not part of what this bench measures.
+  // plus slack); pool capacity is not part of what this bench measures.
   std::size_t pool_pages = 4096;
   int persistence_window = 4;
   double threshold = 1e-3;
@@ -217,14 +215,16 @@ wl::DecodeStream make_stream(const Scenario& s) {
 // then attend_pre_pr (quantize-from-scratch + always-on oracle), per
 // (layer, head) instance, per step.
 RunResult run_legacy(const Scenario& s, const wl::DecodeStream& stream) {
-  serve::PagedKvPool pool({s.pool_pages, s.page_tokens,
-                           static_cast<std::size_t>(s.head_dim)});
+  serve::PagedKvPool pool({s.pool_pages, s.page_tokens});
   const auto n_inst = static_cast<std::size_t>(s.n_layer) * s.n_head;
   std::vector<serve::PagedSequence> seqs;
   std::vector<PrunePersistence> persistence;
   seqs.reserve(n_inst);
   for (std::size_t i = 0; i < n_inst; ++i) {
-    seqs.emplace_back(&pool);
+    const int layer = static_cast<int>(i) / s.n_head;
+    const int head = static_cast<int>(i) % s.n_head;
+    seqs.emplace_back(&pool, stream.context_view(layer, head,
+                                                 stream.total_tokens()));
     persistence.emplace_back(s.persistence_window);
   }
 
@@ -237,23 +237,15 @@ RunResult run_legacy(const Scenario& s, const wl::DecodeStream& stream) {
   RunResult result;
 
   const auto start = std::chrono::steady_clock::now();
-  for (int layer = 0; layer < s.n_layer; ++layer) {
-    for (int head = 0; head < s.n_head; ++head) {
-      const auto inst = static_cast<std::size_t>(layer) * s.n_head + head;
-      for (std::size_t t = 0; t < s.prompt_len; ++t) {
-        seqs[inst].append(stream.key(layer, head, t),
-                          stream.value(layer, head, t));
-      }
-    }
+  for (auto& seq : seqs) {
+    for (std::size_t t = 0; t < s.prompt_len; ++t) seq.append();
   }
   for (std::size_t step = 0; step < s.decode_len; ++step) {
-    const std::size_t pos = s.prompt_len + step;
     for (int layer = 0; layer < s.n_layer; ++layer) {
       for (int head = 0; head < s.n_head; ++head) {
         const auto inst = static_cast<std::size_t>(layer) * s.n_head + head;
         auto& seq = seqs[inst];
-        seq.append(stream.key(layer, head, pos),
-                   stream.value(layer, head, pos));
+        seq.append();
         const auto paged = seq.view(&token_ids);
         const KvHeadView view = paged.gather(key_scratch, value_scratch);
         const auto result_step = attend_pre_pr(
@@ -291,8 +283,7 @@ RunResult run_legacy(const Scenario& s, const wl::DecodeStream& stream) {
 // per-worker pickers, sequential instance-ordered persistence/reclaim.
 RunResult run_cached(const Scenario& s, const wl::DecodeStream& stream,
                      std::size_t threads) {
-  serve::PagedKvPool pool({s.pool_pages, s.page_tokens,
-                           static_cast<std::size_t>(s.head_dim)});
+  serve::PagedKvPool pool({s.pool_pages, s.page_tokens});
   const auto n_inst = static_cast<std::size_t>(s.n_layer) * s.n_head;
   std::vector<serve::PagedSequence> seqs;
   std::vector<PrunePersistence> persistence;
@@ -305,12 +296,15 @@ RunResult run_cached(const Scenario& s, const wl::DecodeStream& stream,
   config.estimator.threshold = s.threshold;
   config.compute_oracle_mass = false;  // serve hot loops run without oracle
   for (std::size_t i = 0; i < n_inst; ++i) {
-    seqs.emplace_back(&pool);
+    const int layer = static_cast<int>(i) / s.n_head;
+    const int head = static_cast<int>(i) % s.n_head;
+    seqs.emplace_back(&pool, stream.context_view(layer, head,
+                                                 stream.total_tokens()));
     persistence.emplace_back(s.persistence_window);
     qcaches.emplace_back(static_cast<std::size_t>(s.head_dim),
                          QuantizedKvCache::Config{config.quant, 1.0f});
-    // The pool pages are the rescale floats (stable ids == token ids); the
-    // cache keeps no mirror of its own.
+    // The stream rows the sequence is bound to are the rescale floats
+    // (stable ids == token ids); the cache keeps no mirror of its own.
     sources.emplace_back(&seqs[i]);
     qcaches[i].set_rescale_source(&sources[i]);
   }
@@ -327,10 +321,7 @@ RunResult run_cached(const Scenario& s, const wl::DecodeStream& stream,
   for (int layer = 0; layer < s.n_layer; ++layer) {
     for (int head = 0; head < s.n_head; ++head) {
       const auto inst = static_cast<std::size_t>(layer) * s.n_head + head;
-      for (std::size_t t = 0; t < s.prompt_len; ++t) {
-        seqs[inst].append(stream.key(layer, head, t),
-                          stream.value(layer, head, t));
-      }
+      for (std::size_t t = 0; t < s.prompt_len; ++t) seqs[inst].append();
       const auto& hs = stream.head(layer, head);
       qcaches[inst].append_rows(hs.keys.data(), hs.values.data(),
                                 s.prompt_len, 0);
@@ -339,12 +330,7 @@ RunResult run_cached(const Scenario& s, const wl::DecodeStream& stream,
   for (std::size_t step = 0; step < s.decode_len; ++step) {
     const std::size_t pos = s.prompt_len + step;
     // Append phase (sequential: the paged pool is shared).
-    for (std::size_t inst = 0; inst < n_inst; ++inst) {
-      const int layer = static_cast<int>(inst) / s.n_head;
-      const int head = static_cast<int>(inst) % s.n_head;
-      seqs[inst].append(stream.key(layer, head, pos),
-                        stream.value(layer, head, pos));
-    }
+    for (auto& seq : seqs) seq.append();
     // Attention phase (parallel across instances, per-worker scratch).
     // Same effective-fan-out heuristic as ServeEngine::step: below ~1k
     // context tokens per instance the wake-up cost of engaging another

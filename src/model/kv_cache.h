@@ -34,7 +34,8 @@ struct KvHeadView {
 // (chronological over live tokens) resolves through slots[t] = page * page_tokens
 // + slot_in_page, so pages need not be contiguous in memory and reclaimed
 // tokens leave no holes in the view. Produced both by the contiguous KvCache
-// (trivial identity paging) and by the serving pool's scattered pages.
+// (trivial identity paging) and by a serve PagedSequence (the held pages of
+// its bound rows; swept pages drop out of the table).
 struct PagedHeadView {
   std::vector<const float*> key_pages;    // each page: (page_tokens, head_dim)
   std::vector<const float*> value_pages;

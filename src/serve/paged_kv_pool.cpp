@@ -7,11 +7,8 @@
 namespace topick::serve {
 
 PagedKvPool::PagedKvPool(const PagedPoolConfig& config) : config_(config) {
-  require(config.num_pages > 0 && config.page_tokens > 0 && config.head_dim > 0,
+  require(config.num_pages > 0 && config.page_tokens > 0,
           "PagedKvPool: dimensions must be positive");
-  const std::size_t slab = config.num_pages * floats_per_page();
-  keys_.assign(slab, 0.0f);
-  values_.assign(slab, 0.0f);
   // Low page ids pop first so address streams stay compact.
   free_list_.resize(config.num_pages);
   for (std::size_t i = 0; i < config.num_pages; ++i) {
@@ -39,26 +36,6 @@ void PagedKvPool::free_page(PageId page) {
   in_use_[page] = false;
   free_list_.push_back(page);
   ++frees_;
-}
-
-float* PagedKvPool::key_page(PageId page) {
-  require(page < config_.num_pages, "PagedKvPool: bad page id");
-  return keys_.data() + static_cast<std::size_t>(page) * floats_per_page();
-}
-
-float* PagedKvPool::value_page(PageId page) {
-  require(page < config_.num_pages, "PagedKvPool: bad page id");
-  return values_.data() + static_cast<std::size_t>(page) * floats_per_page();
-}
-
-const float* PagedKvPool::key_page(PageId page) const {
-  require(page < config_.num_pages, "PagedKvPool: bad page id");
-  return keys_.data() + static_cast<std::size_t>(page) * floats_per_page();
-}
-
-const float* PagedKvPool::value_page(PageId page) const {
-  require(page < config_.num_pages, "PagedKvPool: bad page id");
-  return values_.data() + static_cast<std::size_t>(page) * floats_per_page();
 }
 
 }  // namespace topick::serve

@@ -1,4 +1,4 @@
-// Fixed-size-page KV storage pool shared by every in-flight request
+// Fixed-size-page KV accounting pool shared by every in-flight request
 // (vLLM-style paged attention, adapted to Token-Picker).
 //
 // The serving motivation in the paper's §1 is that per-request KV residency —
@@ -7,10 +7,12 @@
 // has been persistently pruned (core/token_picker.h's PrunePersistence), the
 // page returns to the free list and a new request's tokens move in.
 //
-// Pages hold `page_tokens` tokens of one head's K and V; requests own pages
-// through PagedSequence (paged_sequence.h). The pool tracks occupancy, the
-// high-water mark, and how many allocations were served from previously-used
-// pages — the numbers the acceptance scenario and the serving bench report.
+// A page is a budget of `page_tokens` token slots of one head; it holds no
+// floats. Requests own pages through PagedSequence (paged_sequence.h), which
+// reads its tokens' K/V from the rows it is bound to (the request's stream).
+// The pool tracks the free list, occupancy, the high-water mark, and how many
+// allocations were served from previously-used pages — the numbers the
+// acceptance scenario and the serving bench report.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +24,6 @@ namespace topick::serve {
 struct PagedPoolConfig {
   std::size_t num_pages = 1024;
   std::size_t page_tokens = 8;  // tokens per page
-  std::size_t head_dim = 32;
 };
 
 class PagedKvPool {
@@ -36,12 +37,6 @@ class PagedKvPool {
   PageId alloc_page();
   void free_page(PageId page);
 
-  // Page storage: page_tokens * head_dim floats each for K and V.
-  float* key_page(PageId page);
-  float* value_page(PageId page);
-  const float* key_page(PageId page) const;
-  const float* value_page(PageId page) const;
-
   std::size_t pages_total() const { return config_.num_pages; }
   std::size_t pages_free() const { return free_list_.size(); }
   std::size_t pages_in_use() const {
@@ -50,9 +45,9 @@ class PagedKvPool {
   // High-water mark of pages_in_use since construction.
   std::size_t peak_pages_in_use() const { return peak_in_use_; }
   // Never divides by zero: the constructor requires a non-empty pool
-  // (num_pages, page_tokens, head_dim all positive), so a zero-page config
-  // throws at construction instead of silently poisoning FleetMetrics
-  // aggregates with NaN here (tests/serve_test.cpp pins the edge cases).
+  // (num_pages and page_tokens positive), so a zero-page config throws at
+  // construction instead of silently poisoning FleetMetrics aggregates with
+  // NaN here (tests/serve_test.cpp pins the edge cases).
   double occupancy() const {
     return static_cast<double>(pages_in_use()) /
            static_cast<double>(config_.num_pages);
@@ -65,14 +60,9 @@ class PagedKvPool {
   std::uint64_t reuses() const { return reuses_; }
 
   const PagedPoolConfig& config() const { return config_; }
-  std::size_t floats_per_page() const {
-    return config_.page_tokens * config_.head_dim;
-  }
 
  private:
   PagedPoolConfig config_;
-  std::vector<float> keys_;    // num_pages * page_tokens * head_dim
-  std::vector<float> values_;
   std::vector<PageId> free_list_;
   std::vector<bool> ever_used_;
   std::vector<bool> in_use_;

@@ -6,14 +6,20 @@
 
 namespace topick::serve {
 
-PagedSequence::PagedSequence(PagedKvPool* pool) : pool_(pool) {
+PagedSequence::PagedSequence(PagedKvPool* pool, KvHeadView rows)
+    : pool_(pool), rows_(rows) {
   require(pool != nullptr, "PagedSequence: null pool");
+  require(rows.len == 0 ||
+              (rows.keys != nullptr && rows.values != nullptr &&
+               rows.head_dim > 0),
+          "PagedSequence: bad bound rows");
 }
 
 PagedSequence::~PagedSequence() { release_all(); }
 
 PagedSequence::PagedSequence(PagedSequence&& other) noexcept
     : pool_(other.pool_),
+      rows_(other.rows_),
       pages_(std::move(other.pages_)),
       page_live_(std::move(other.page_live_)),
       live_(std::move(other.live_)),
@@ -28,27 +34,19 @@ PagedSequence::PagedSequence(PagedSequence&& other) noexcept
   other.pages_held_ = 0;
 }
 
-bool PagedSequence::append(std::span<const float> k, std::span<const float> v) {
-  const std::size_t dim = pool_->config().head_dim;
-  require(k.size() == dim && v.size() == dim,
-          "PagedSequence::append: head_dim mismatch");
+bool PagedSequence::append() {
+  require(appended_ < rows_.len,
+          "PagedSequence::append: every bound row is already appended");
   const std::size_t page_tokens = pool_->config().page_tokens;
-  const std::size_t logical = appended_ / page_tokens;
-  const std::size_t slot = appended_ % page_tokens;
-
-  if (slot == 0) {
+  if (appended_ % page_tokens == 0) {
     const auto page = pool_->alloc_page();
     if (page == PagedKvPool::kInvalidPage) return false;
     pages_.push_back(page);
     page_live_.push_back(0);
     ++pages_held_;
   }
-  // The tail page is never reclaimed while partially filled, so it is valid.
-  const auto page = pages_[logical];
-  std::copy(k.begin(), k.end(), pool_->key_page(page) + slot * dim);
-  std::copy(v.begin(), v.end(), pool_->value_page(page) + slot * dim);
   live_.push_back(true);
-  ++page_live_[logical];
+  ++page_live_[appended_ / page_tokens];
   ++appended_;
   ++live_count_;
   return true;
@@ -82,31 +80,29 @@ bool PagedSequence::live(std::size_t token_id) const {
   return token_id < appended_ && live_[token_id];
 }
 
+void PagedSequence::require_resident(std::size_t token_id) const {
+  require(token_id < appended_, "PagedSequence: row id out of range");
+  require(pages_[token_id / pool_->config().page_tokens] !=
+              PagedKvPool::kInvalidPage,
+          "PagedSequence: token's page not resident");
+}
+
 const float* PagedSequence::key_row(std::size_t token_id) const {
-  require(token_id < appended_, "PagedSequence::key_row: id out of range");
-  const std::size_t page_tokens = pool_->config().page_tokens;
-  const auto page = pages_[token_id / page_tokens];
-  require(page != PagedKvPool::kInvalidPage,
-          "PagedSequence::key_row: token's page not resident");
-  return pool_->key_page(page) +
-         (token_id % page_tokens) * pool_->config().head_dim;
+  require_resident(token_id);
+  return rows_.key(token_id).data();
 }
 
 const float* PagedSequence::value_row(std::size_t token_id) const {
-  require(token_id < appended_, "PagedSequence::value_row: id out of range");
-  const std::size_t page_tokens = pool_->config().page_tokens;
-  const auto page = pages_[token_id / page_tokens];
-  require(page != PagedKvPool::kInvalidPage,
-          "PagedSequence::value_row: token's page not resident");
-  return pool_->value_page(page) +
-         (token_id % page_tokens) * pool_->config().head_dim;
+  require_resident(token_id);
+  return rows_.value(token_id).data();
 }
 
 PagedHeadView PagedSequence::view(
     std::vector<std::size_t>* token_ids_out) const {
   const std::size_t page_tokens = pool_->config().page_tokens;
+  const std::size_t page_floats = page_tokens * rows_.head_dim;
   PagedHeadView view;
-  view.head_dim = pool_->config().head_dim;
+  view.head_dim = rows_.head_dim;
   view.page_tokens = page_tokens;
   if (token_ids_out) token_ids_out->clear();
 
@@ -116,8 +112,8 @@ PagedHeadView PagedSequence::view(
   for (std::size_t p = 0; p < pages_.size(); ++p) {
     if (pages_[p] == PagedKvPool::kInvalidPage) continue;
     view_page[p] = view.key_pages.size();
-    view.key_pages.push_back(pool_->key_page(pages_[p]));
-    view.value_pages.push_back(pool_->value_page(pages_[p]));
+    view.key_pages.push_back(rows_.keys + p * page_floats);
+    view.value_pages.push_back(rows_.values + p * page_floats);
   }
   view.slots.reserve(live_count_);
   for (std::size_t t = 0; t < appended_; ++t) {
@@ -141,11 +137,16 @@ void PagedSequence::release_all() {
   pages_held_ = 0;
 }
 
-PagedKvCache::PagedKvCache(PagedKvPool* pool, int n_layer, int n_head)
-    : pool_(pool), n_layer_(n_layer), n_head_(n_head) {
-  require(n_layer > 0 && n_head > 0, "PagedKvCache: bad shape");
-  seqs_.reserve(static_cast<std::size_t>(n_layer) * n_head);
-  for (int i = 0; i < n_layer * n_head; ++i) seqs_.emplace_back(pool);
+PagedKvCache::PagedKvCache(PagedKvPool* pool, const wl::DecodeStream& stream)
+    : pool_(pool), n_layer_(stream.n_layer), n_head_(stream.n_head) {
+  require(n_layer_ > 0 && n_head_ > 0, "PagedKvCache: bad shape");
+  seqs_.reserve(static_cast<std::size_t>(n_layer_) * n_head_);
+  for (int layer = 0; layer < n_layer_; ++layer) {
+    for (int head = 0; head < n_head_; ++head) {
+      seqs_.emplace_back(pool, stream.context_view(layer, head,
+                                                   stream.total_tokens()));
+    }
+  }
 }
 
 std::size_t PagedKvCache::pages_held() const {

@@ -1,26 +1,32 @@
-// One head's growing token stream stored on pool pages, plus the per-request
-// bundle of sequences (PagedKvCache) — the paged counterpart of
+// One head's growing token stream accounted on pool pages, plus the
+// per-request bundle of sequences (PagedKvCache) — the paged counterpart of
 // model/kv_cache.h's contiguous per-(layer, head) slabs.
 //
-// Tokens keep their stable chronological id for life; pruning marks them dead
-// in place (no compaction inside pages), and a *full* page whose live count
-// hits zero is returned to the pool. Views expose only live tokens, in
-// chronological order, through model/kv_cache.h's PagedHeadView.
+// A sequence is bound to immutable K/V rows (the request's DecodeStream head)
+// and never copies them: appending token t charges t's page slot to the pool
+// and makes row t readable. Tokens keep their stable chronological id (= row
+// index) for life; pruning marks them dead in place (no compaction inside
+// pages), and a *full* page whose live count hits zero is returned to the
+// pool, after which its rows read as not resident. Views expose only live
+// tokens, in chronological order, through model/kv_cache.h's PagedHeadView.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/quantized_kv_cache.h"
 #include "model/kv_cache.h"
 #include "serve/paged_kv_pool.h"
+#include "workload/decode_stream.h"
 
 namespace topick::serve {
 
 class PagedSequence {
  public:
-  explicit PagedSequence(PagedKvPool* pool);
+  // `rows` holds the K/V of every token the sequence may append, token id =
+  // row index. The sequence keeps only the pointers: the rows must stay at
+  // the same address for the sequence's lifetime.
+  PagedSequence(PagedKvPool* pool, KvHeadView rows);
   ~PagedSequence();
 
   PagedSequence(const PagedSequence&) = delete;
@@ -28,9 +34,10 @@ class PagedSequence {
   PagedSequence(PagedSequence&& other) noexcept;
   PagedSequence& operator=(PagedSequence&&) = delete;
 
-  // Appends one token (stable id = appended_tokens() before the call).
-  // Returns false, changing nothing, when the pool can't supply a page.
-  bool append(std::span<const float> k, std::span<const float> v);
+  // Appends the next bound row (stable id = appended_tokens() before the
+  // call). Returns false, changing nothing, when the pool can't supply a
+  // page; throws once every bound row is appended.
+  bool append();
 
   // Marks a token dead (persistently pruned). Storage is reclaimed by
   // sweep(), which frees every *full* page with no live tokens left; the
@@ -41,12 +48,12 @@ class PagedSequence {
 
   bool live(std::size_t token_id) const;
 
-  // Direct float-row access by stable id — the serve-side rescale source
-  // (the pool pages ARE the floats; QuantizedKvCache keeps no mirror). Valid
-  // for any id whose page is still held: every live id always is (only
-  // fully-dead full pages are freed, never the tail), and the engine orders
-  // eviction rescales before sweep(), so rescale-time lookups of survivors
-  // land on resident pages.
+  // Direct float-row access by stable id into the bound rows — the
+  // serve-side rescale source (QuantizedKvCache keeps no mirror). Throws for
+  // an id not yet appended or on a page already swept. Every live id is
+  // resident (only fully-dead full pages are freed, never the tail), and the
+  // engine orders eviction rescales before sweep(), so rescale-time lookups
+  // of survivors land on resident pages.
   const float* key_row(std::size_t token_id) const;
   const float* value_row(std::size_t token_id) const;
 
@@ -64,7 +71,11 @@ class PagedSequence {
   void release_all();
 
  private:
+  // Throws unless token_id is appended and its page is still held.
+  void require_resident(std::size_t token_id) const;
+
   PagedKvPool* pool_;
+  KvHeadView rows_;
   // Logical page p holds token ids [p*page_tokens, (p+1)*page_tokens); a
   // reclaimed logical page keeps its slot with kInvalidPage.
   std::vector<PagedKvPool::PageId> pages_;
@@ -77,8 +88,8 @@ class PagedSequence {
 
 // RescaleSource adapter over one sequence: QuantizedKvCache's stable ids ==
 // PagedSequence token ids, so a whole-head rescale re-reads its floats
-// straight from the pool pages. Non-owning; the sequence must outlive it
-// (ServeEngine ties both to the slot).
+// straight from the sequence's bound rows. Non-owning; the sequence must
+// outlive it (ServeEngine ties both to the slot).
 class PagedRescaleSource final : public RescaleSource {
  public:
   PagedRescaleSource() = default;
@@ -94,10 +105,12 @@ class PagedRescaleSource final : public RescaleSource {
   const PagedSequence* seq_ = nullptr;
 };
 
-// Per-request paged KV storage: n_layer * n_head independent sequences.
+// Per-request paged KV accounting: one sequence per (layer, head) of
+// `stream`, each bound to that head's rows. `stream` must outlive the cache
+// and keep its rows at the same address.
 class PagedKvCache {
  public:
-  PagedKvCache(PagedKvPool* pool, int n_layer, int n_head);
+  PagedKvCache(PagedKvPool* pool, const wl::DecodeStream& stream);
 
   PagedSequence& seq(int layer, int head) {
     return seqs_[static_cast<std::size_t>(layer) * n_head_ + head];

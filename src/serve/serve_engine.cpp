@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <type_traits>
 
 #include "common/require.h"
 #include "common/stats.h"
@@ -61,8 +62,10 @@ struct ServeEngine::Slot {
   // degradation controller raises it for slots created while the request's
   // class is degraded (fewer rescale passes at some quantization-accuracy
   // cost), so it is per-slot, not per-config.
-  Slot(PagedKvPool* pool, const ServeConfig& config, float headroom)
-      : cache(pool, config.n_layer, config.n_head) {
+  // `stream` is the request's: every sequence is bound to its head's rows.
+  Slot(PagedKvPool* pool, const ServeConfig& config, float headroom,
+       const wl::DecodeStream& stream)
+      : cache(pool, stream) {
     const auto n = static_cast<std::size_t>(config.n_layer) * config.n_head;
     persistence.reserve(n);
     qcaches.reserve(n);
@@ -74,13 +77,13 @@ struct ServeEngine::Slot {
       qcaches.emplace_back(static_cast<std::size_t>(config.head_dim),
                            QuantizedKvCache::Config{quant, headroom});
     }
-    // The pool pages ARE each head's floats: register every sequence as its
-    // quantized cache's rescale source (stable ids coincide by
-    // construction), so whole-head rescales re-read exact floats instead of
-    // the cache keeping an f32 mirror alive. The step's phase ordering makes
-    // the rows always resident when queried: sequential seq.append runs
-    // before the parallel qcache appends, and eviction rescales run before
-    // sweep() frees any page.
+    // The request's stream rows are each head's only f32 copy: register
+    // every sequence as its quantized cache's rescale source (stable ids
+    // coincide by construction), so whole-head rescales re-read exact floats
+    // instead of the cache keeping an f32 mirror alive. The step's phase
+    // ordering makes the rows always resident when queried: sequential
+    // seq.append runs before the parallel qcache appends, and eviction
+    // rescales run before sweep() frees any page.
     rescale_sources.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const int layer = static_cast<int>(i) / config.n_head;
@@ -92,8 +95,8 @@ struct ServeEngine::Slot {
 
   PagedKvCache cache;
   // Incrementally quantized companion of each sequence's live tokens — the
-  // attention read path, int16-resident only (rescales read the pool via
-  // rescale_sources). Appended alongside PagedSequence appends; evicted
+  // attention read path, int16-resident only (rescales read the stream rows
+  // via rescale_sources). Appended alongside PagedSequence appends; evicted
   // coherently when reclamation marks tokens dead.
   std::vector<QuantizedKvCache> qcaches;  // per (layer, head), layer-major
   std::vector<PagedRescaleSource> rescale_sources;    // parallel to qcaches
@@ -229,8 +232,7 @@ std::size_t RetryPolicy::backoff_steps(int attempt) const {
 
 ServeEngine::ServeEngine(const ServeConfig& config)
     : config_(config),
-      pool_(PagedPoolConfig{config.pool_pages, config.page_tokens,
-                            static_cast<std::size_t>(config.head_dim)}),
+      pool_(PagedPoolConfig{config.pool_pages, config.page_tokens}),
       batcher_(BatcherConfig{config.max_batch, config.max_prefill}),
       policy_(make_policy(config.policy, config.policy_params)),
       hbm_(config.dram),
@@ -516,9 +518,15 @@ void ServeEngine::begin_prefill(std::size_t request) {
                                 ? now_ - req.enqueue_step
                                 : 0;
   req.enqueue_step = now_;
+  // The slot's sequences point into req.stream's rows, which live in
+  // requests_. submit() may grow requests_ while slots are live; the rows
+  // keep their address only because reallocation moves each Request (and so
+  // hands over its row buffers) rather than copying it.
+  static_assert(std::is_nothrow_move_constructible_v<Request>);
   auto slot = std::make_unique<Slot>(
       &pool_, config_,
-      degrade_headroom_[static_cast<std::size_t>(req.priority())]);
+      degrade_headroom_[static_cast<std::size_t>(req.priority())],
+      req.stream);
   if (config_.backend == BackendKind::spatten) {
     slot->spatten = std::make_unique<SpAttenBackend>(
         config_.spatten, config_.n_layer, config_.n_head,
@@ -555,14 +563,17 @@ bool ServeEngine::append_prefill_chunk(std::size_t request) {
           : std::min(config_.prefill_chunk_tokens, remaining);
   if (!ensure_pages_for_append(request, chunk)) return false;
   Slot& slot = *slots_[request];
+  // Sequences append their bound rows in order, so the chunk's rows are the
+  // next ones only if every earlier cursor position was appended.
+  require(slot.cache.seq(0, 0).appended_tokens() == req.prefilled,
+          "ServeEngine: prefill cursor out of step with the sequences");
 
   for (int layer = 0; layer < config_.n_layer; ++layer) {
     for (int head = 0; head < config_.n_head; ++head) {
       auto& seq = slot.cache.seq(layer, head);
-      for (std::size_t t = req.prefilled; t < req.prefilled + chunk; ++t) {
-        const bool ok = seq.append(req.stream.key(layer, head, t),
-                                   req.stream.value(layer, head, t));
-        require(ok, "ServeEngine: prefill append failed despite page check");
+      for (std::size_t t = 0; t < chunk; ++t) {
+        require(seq.append(),
+                "ServeEngine: prefill append failed despite page check");
       }
     }
   }
@@ -690,13 +701,12 @@ bool ServeEngine::append_decode_token(std::size_t request) {
 
   if (!ensure_pages_for_append(request, 1)) return false;
   Slot& slot = *slots_[request];
+  require(slot.cache.seq(0, 0).appended_tokens() == pos,
+          "ServeEngine: decode position out of step with the sequences");
   for (int layer = 0; layer < config_.n_layer; ++layer) {
     for (int head = 0; head < config_.n_head; ++head) {
-      const bool ok =
-          slot.cache.seq(layer, head)
-              .append(req.stream.key(layer, head, pos),
-                      req.stream.value(layer, head, pos));
-      require(ok, "ServeEngine: decode append failed despite page check");
+      require(slot.cache.seq(layer, head).append(),
+              "ServeEngine: decode append failed despite page check");
     }
   }
 

@@ -350,8 +350,8 @@ struct FleetMetrics {
   // sampled every step (the _peak fields track the run's maximum). Split by
   // arena (see QuantizedKvCache::ResidencyBytes). kv_f32_mirror_bytes must
   // read 0: the cache keeps no float shadow — whole-head rescales re-read
-  // the paged pool through each slot's RescaleSource (CI greps the bench's
-  // kv_residency section for exactly this).
+  // the request's stream rows through each slot's RescaleSource (CI greps
+  // the bench's kv_residency section for exactly this).
   std::size_t kv_int16_bytes = 0;
   std::size_t kv_plane_bytes = 0;
   std::size_t kv_maxima_bytes = 0;
@@ -559,6 +559,8 @@ class ServeEngine {
   mem::Hbm hbm_;
   ThreadPool workers_;
 
+  // Live slots' sequences point into their Request's stream rows; see
+  // begin_prefill for why growing this vector keeps them valid.
   std::vector<Request> requests_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::size_t next_arrival_ = 0;  // index into requests_ by arrival order

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "model/kv_cache.h"
@@ -59,8 +60,15 @@ struct DecodeStream {
   // engine charges to the DRAM proxy during (re)prefill.
   std::uint64_t token_write_bits(int bits_per_element) const;
 
+  // Throws std::out_of_range (a std::logic_error) unless (layer, h) names a
+  // head this stream generated.
   const HeadStream& head(int layer, int h) const {
-    return heads[static_cast<std::size_t>(layer) * n_head + h];
+    const std::size_t index = static_cast<std::size_t>(layer) * n_head + h;
+    if (layer < 0 || layer >= n_layer || h < 0 || h >= n_head ||
+        index >= heads.size()) {
+      throw std::out_of_range("DecodeStream::head: no such (layer, head)");
+    }
+    return heads[index];
   }
   std::span<const float> key(int layer, int h, std::size_t token) const {
     return {head(layer, h).keys.data() + token * head_dim,
@@ -76,8 +84,13 @@ struct DecodeStream {
   }
 
   // Contiguous view over tokens [0, len) of one head — the single-request
-  // reference context for shadow exact attention.
+  // reference context for shadow exact attention, and the rows a serve
+  // PagedSequence is bound to. Throws std::out_of_range when
+  // len > total_tokens() or (layer, h) is not a head of this stream.
   KvHeadView context_view(int layer, int h, std::size_t len) const {
+    if (len > total_tokens()) {
+      throw std::out_of_range("DecodeStream::context_view: len past the end");
+    }
     const auto& hs = head(layer, h);
     return KvHeadView{hs.keys.data(), hs.values.data(), len,
                       static_cast<std::size_t>(head_dim)};

@@ -3,15 +3,17 @@
 // * PagedKvPool property test: ~10k randomized alloc/append/mark-dead/sweep/
 //   release ops over concurrent sequences against a shadow model, asserting
 //   the page-accounting invariants (free + resident == pool size, exclusive
-//   page ownership, reclaim never frees a live token's page).
+//   page ownership, reclaim never frees a live token's page, every view
+//   reads its own sequence's bound rows).
 // * Determinism: two ServeEngine runs from an identical config + seed yield
 //   bit-identical FleetMetrics and per-request token streams, for every
 //   scheduling policy — the guard against iteration-order nondeterminism in
 //   the scheduler refactor.
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,8 +33,8 @@ namespace {
 constexpr std::size_t kHeadDim = 2;
 constexpr std::size_t kPageTokens = 4;
 
-// Shadow of one sequence: every appended token's encoded key plus liveness,
-// and which logical pages an earlier sweep already returned to the pool.
+// Shadow of one sequence: every appended token's liveness, and which logical
+// pages an earlier sweep already returned to the pool.
 struct ShadowSeq {
   std::vector<bool> live;
   std::vector<bool> page_freed;  // by logical page index
@@ -65,10 +67,21 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
   constexpr std::size_t kSeqs = 6;
   constexpr int kOps = 10000;
 
-  PagedKvPool pool({kPoolPages, kPageTokens, kHeadDim});
+  // Every append takes the next row, so kOps rows per sequence can never
+  // run out. Row t of sequence s carries encode(s, t) in its first element.
+  constexpr std::size_t kRows = kOps;
+  std::vector<std::vector<float>> keys(kSeqs), values(kSeqs);
+  PagedKvPool pool({kPoolPages, kPageTokens});
   std::vector<PagedSequence> seqs;
   seqs.reserve(kSeqs);
-  for (std::size_t s = 0; s < kSeqs; ++s) seqs.emplace_back(&pool);
+  for (std::size_t s = 0; s < kSeqs; ++s) {
+    for (std::size_t t = 0; t < kRows; ++t) {
+      keys[s].insert(keys[s].end(), {encode(s, t), 0.5f});
+      values[s].insert(values[s].end(), {-encode(s, t), 1.5f});
+    }
+    seqs.emplace_back(&pool, KvHeadView{keys[s].data(), values[s].data(),
+                                        kRows, kHeadDim});
+  }
   std::vector<ShadowSeq> shadow(kSeqs);
   // Swept full pages leave the sequence but their token ids stay dead
   // forever; shadow.live keeps tracking them as dead, so views must match.
@@ -83,11 +96,8 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
     const double dice = rng.uniform();
 
     if (dice < 0.62) {
-      // Append one token with an identifying key.
-      const std::size_t token = sh.live.size();
-      const std::vector<float> k{encode(s, token), 0.5f};
-      const std::vector<float> v{-encode(s, token), 1.5f};
-      if (seq.append(k, v)) {
+      // Append the next bound row.
+      if (seq.append()) {
         sh.live.push_back(true);
         ++sh.live_count;
       } else {
@@ -136,12 +146,12 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
     EXPECT_EQ(pool.pages_in_use(), held_total) << "op " << op;
 
     // Invariants 2+3, checked through the views: every sequence still reads
-    // exactly its shadow-live tokens with the values it appended (a page
-    // owned by two sequences, or a reclaimed live page, would corrupt some
-    // sequence's ids or values), and no physical page backs two sequences.
+    // exactly its shadow-live tokens from its own bound rows (a reclaimed
+    // live page would drop a live id from the view), and the pages held
+    // across sequences are distinct (invariant 1 already equates their sum
+    // with the pool's in-use count, so a page counted twice would show).
     const bool full_audit = op % 250 == 0 || op == kOps - 1;
     if (full_audit) {
-      std::set<const float*> owned_pages;
       for (std::size_t q = 0; q < kSeqs; ++q) {
         std::vector<std::size_t> ids;
         const auto view = seqs[q].view(&ids);
@@ -158,13 +168,9 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
           EXPECT_EQ(ids[vi], t);
           EXPECT_FLOAT_EQ(view.key(vi)[0], encode(q, t));
           EXPECT_FLOAT_EQ(view.value(vi)[0], -encode(q, t));
+          EXPECT_EQ(view.key(vi).data(), keys[q].data() + t * kHeadDim);
+          EXPECT_EQ(seqs[q].value_row(t), values[q].data() + t * kHeadDim);
           ++vi;
-        }
-        for (const float* page : view.key_pages) {
-          if (page == nullptr) continue;
-          const bool inserted = owned_pages.insert(page).second;
-          EXPECT_TRUE(inserted)
-              << "page owned by two sequences at op " << op;
         }
       }
     }
@@ -473,6 +479,90 @@ TEST(ServeEngineDeterminism, ShardedReplayMatchesSerialWithoutInterference) {
   piped.submit_trace(trace);
   piped.run();
   expect_runs_identical(serial, piped);
+}
+
+
+// Slots read K/V straight from their request's stream rows, which live in the
+// engine's request vector. Submitting while slots are live can reallocate
+// that vector; the rows must survive the move, so submitting arrivals one at
+// a time as the engine reaches their step must be bit-identical to
+// submitting the whole trace up front — with reclaim evicting tokens and
+// record-setting rows forcing whole-head rescales that re-read the rows,
+// under both executors.
+TEST(ServeEngineDeterminism, SubmitWhileSlotsLiveKeepsBoundRowsValid) {
+  wl::PriorityMixParams mix;
+  mix.arrivals.rate = 0.9;
+  for (auto& m : mix.mix) {
+    m.prompt_min = 4;
+    m.prompt_max = 24;
+    m.decode_min = 8;
+    m.decode_max = 24;
+  }
+  Rng trace_rng(2031);
+  auto trace = wl::make_priority_mix_trace(mix, 40, trace_rng);
+  // An engine with nothing submitted cannot step, so the first arrival
+  // opens the run.
+  const std::size_t first_step = trace.front().step;
+  for (auto& event : trace) event.step -= first_step;
+
+  const ServeConfig base = determinism_config(PolicyKind::fifo_youngest_first);
+  ASSERT_TRUE(base.reclaim);
+  ServeEngine reference(base);
+  reference.submit_trace(trace);
+  reference.run();
+
+  // Whole-head rescales re-read every stored row through the slot's bound
+  // rows; appending a row whose max |v| beats every earlier row of its head
+  // forces one.
+  auto value_records_from = [](const wl::DecodeStream& stream,
+                               std::size_t from) {
+    std::size_t records = 0;
+    for (const auto& hs : stream.heads) {
+      float best = 0.0f;
+      for (std::size_t t = 0; t < stream.total_tokens(); ++t) {
+        float amax = 0.0f;
+        for (int d = 0; d < stream.head_dim; ++d) {
+          amax = std::max(amax, std::abs(hs.values[t * stream.head_dim + d]));
+        }
+        if (amax > best && t > 0 && t >= from) ++records;
+        best = std::max(best, amax);
+      }
+    }
+    return records;
+  };
+
+  for (const bool pipeline : {false, true}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "sequential");
+    ServeConfig config = base;
+    config.pipeline = pipeline;
+    ServeEngine engine(config);
+    std::size_t moves_under_live_slots = 0;
+    std::size_t rescales_after_move = 0;
+    std::size_t next = 0;
+    while (next < trace.size()) {
+      while (next < trace.size() && trace[next].step <= engine.now()) {
+        const auto& requests = engine.requests();
+        if (requests.size() == requests.capacity()) {
+          // This submit reallocates: count the decoding slots that survive
+          // it and the record rows they will append after it.
+          for (const Request& r : requests) {
+            if (r.state != RequestState::running) continue;
+            ++moves_under_live_slots;
+            rescales_after_move += value_records_from(
+                r.stream, r.event.prompt_len + r.generated + 1);
+          }
+        }
+        engine.submit(trace[next++]);
+      }
+      ASSERT_TRUE(engine.step()) << "engine drained before arrival " << next;
+    }
+    engine.run();
+
+    EXPECT_GT(moves_under_live_slots, 0u);
+    EXPECT_GT(rescales_after_move, 0u);
+    EXPECT_GT(engine.metrics().pages_reclaimed, 0u);
+    expect_runs_identical(reference, engine);
+  }
 }
 
 }  // namespace

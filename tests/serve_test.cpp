@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +22,7 @@ namespace {
 // ---- PagedKvPool ------------------------------------------------------------
 
 TEST(PagedKvPool, AllocFreeAccounting) {
-  PagedKvPool pool({4, 2, 3});
+  PagedKvPool pool({4, 2});
   EXPECT_EQ(pool.pages_free(), 4u);
   const auto a = pool.alloc_page();
   const auto b = pool.alloc_page();
@@ -40,14 +41,14 @@ TEST(PagedKvPool, AllocFreeAccounting) {
 }
 
 TEST(PagedKvPool, ExhaustionReturnsInvalid) {
-  PagedKvPool pool({2, 2, 2});
+  PagedKvPool pool({2, 2});
   EXPECT_NE(pool.alloc_page(), PagedKvPool::kInvalidPage);
   EXPECT_NE(pool.alloc_page(), PagedKvPool::kInvalidPage);
   EXPECT_EQ(pool.alloc_page(), PagedKvPool::kInvalidPage);
 }
 
 TEST(PagedKvPool, DoubleFreeThrows) {
-  PagedKvPool pool({2, 2, 2});
+  PagedKvPool pool({2, 2});
   const auto a = pool.alloc_page();
   pool.free_page(a);
   EXPECT_THROW(pool.free_page(a), std::logic_error);
@@ -56,14 +57,13 @@ TEST(PagedKvPool, DoubleFreeThrows) {
 TEST(PagedKvPool, RejectsDegenerateConfigs) {
   // A zero-page pool would make occupancy() divide by zero and silently
   // poison FleetMetrics aggregates with NaN; the constructor must refuse it
-  // (and the other zero dimensions) up front.
-  EXPECT_THROW(PagedKvPool({0, 8, 4}), std::logic_error);
-  EXPECT_THROW(PagedKvPool({4, 0, 4}), std::logic_error);
-  EXPECT_THROW(PagedKvPool({4, 8, 0}), std::logic_error);
+  // (and a zero page size) up front.
+  EXPECT_THROW(PagedKvPool({0, 8}), std::logic_error);
+  EXPECT_THROW(PagedKvPool({4, 0}), std::logic_error);
 }
 
 TEST(PagedKvPool, OccupancyIsFiniteAndTracksUse) {
-  PagedKvPool pool({2, 4, 2});
+  PagedKvPool pool({2, 4});
   EXPECT_EQ(pool.occupancy(), 0.0);
   const auto a = pool.alloc_page();
   EXPECT_TRUE(std::isfinite(pool.occupancy()));
@@ -76,19 +76,47 @@ TEST(PagedKvPool, OccupancyIsFiniteAndTracksUse) {
 
 // ---- PagedSequence ----------------------------------------------------------
 
-std::vector<float> ramp(std::size_t dim, float base) {
-  std::vector<float> x(dim);
-  for (std::size_t d = 0; d < dim; ++d) x[d] = base + static_cast<float>(d);
-  return x;
+// Row-major K/V rows a test sequence binds to (token id = row index).
+struct Rows {
+  std::size_t dim = 0;
+  std::vector<float> keys;
+  std::vector<float> values;
+
+  KvHeadView view() const {
+    return {keys.data(), values.data(), keys.size() / dim, dim};
+  }
+};
+
+// n rows of width dim: row t's key is base_k(t), base_k(t) + 1, ... and its
+// value base_v(t), base_v(t) + 1, ...
+template <class KeyBase, class ValueBase>
+Rows ramp_rows(std::size_t n, std::size_t dim, KeyBase base_k,
+               ValueBase base_v) {
+  Rows rows;
+  rows.dim = dim;
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      rows.keys.push_back(base_k(t) + static_cast<float>(d));
+      rows.values.push_back(base_v(t) + static_cast<float>(d));
+    }
+  }
+  return rows;
+}
+
+// Key row t starts at t, value rows at 0.
+Rows id_rows(std::size_t n) {
+  return ramp_rows(
+      n, 2, [](std::size_t t) { return static_cast<float>(t); },
+      [](std::size_t) { return 0.0f; });
 }
 
 TEST(PagedSequence, AppendSpansPageBoundaries) {
-  PagedKvPool pool({8, 4, 2});
-  PagedSequence seq(&pool);
-  for (int t = 0; t < 10; ++t) {  // 2.5 pages of 4 tokens
-    ASSERT_TRUE(seq.append(ramp(2, static_cast<float>(10 * t)),
-                           ramp(2, static_cast<float>(-10 * t))));
-  }
+  PagedKvPool pool({8, 4});
+  const Rows rows = ramp_rows(
+      10, 2, [](std::size_t t) { return 10.0f * static_cast<float>(t); },
+      [](std::size_t t) { return -10.0f * static_cast<float>(t); });
+  PagedSequence seq(&pool, rows.view());
+  for (int t = 0; t < 10; ++t) ASSERT_TRUE(seq.append());  // 2.5 pages of 4
   EXPECT_EQ(seq.appended_tokens(), 10u);
   EXPECT_EQ(seq.pages_held(), 3u);
   std::vector<std::size_t> ids;
@@ -100,15 +128,16 @@ TEST(PagedSequence, AppendSpansPageBoundaries) {
     EXPECT_FLOAT_EQ(view.key(u)[0], static_cast<float>(10 * t));
     EXPECT_FLOAT_EQ(view.key(u)[1], static_cast<float>(10 * t + 1));
     EXPECT_FLOAT_EQ(view.value(u)[0], static_cast<float>(-10 * t));
+    // The view reads the bound rows in place; nothing was copied.
+    EXPECT_EQ(view.key(u).data(), rows.keys.data() + 2 * u);
   }
 }
 
 TEST(PagedSequence, ReclamationFreesOnlyFullDeadPagesAndKeepsSurvivorsReadable) {
-  PagedKvPool pool({8, 4, 2});
-  PagedSequence seq(&pool);
-  for (int t = 0; t < 12; ++t) {  // 3 full pages
-    ASSERT_TRUE(seq.append(ramp(2, static_cast<float>(t)), ramp(2, 0.0f)));
-  }
+  PagedKvPool pool({8, 4});
+  const Rows rows = id_rows(12);
+  PagedSequence seq(&pool, rows.view());
+  for (int t = 0; t < 12; ++t) ASSERT_TRUE(seq.append());  // 3 full pages
   // Kill all of page 1 (tokens 4..7) and part of page 0.
   for (std::size_t t = 4; t < 8; ++t) seq.mark_dead(t);
   seq.mark_dead(0);
@@ -127,15 +156,17 @@ TEST(PagedSequence, ReclamationFreesOnlyFullDeadPagesAndKeepsSurvivorsReadable) 
 }
 
 TEST(PagedSequence, PartialTailPageIsNeverFreed) {
-  PagedKvPool pool({8, 4, 2});
-  PagedSequence seq(&pool);
-  for (int t = 0; t < 6; ++t) {  // page 0 full, page 1 holds 2 tokens
-    ASSERT_TRUE(seq.append(ramp(2, 1.0f), ramp(2, 1.0f)));
-  }
+  PagedKvPool pool({8, 4});
+  const Rows rows = ramp_rows(
+      7, 2, [](std::size_t t) { return t == 6 ? 9.0f : 1.0f; },
+      [](std::size_t) { return 1.0f; });
+  PagedSequence seq(&pool, rows.view());
+  // Page 0 full, page 1 holds 2 tokens.
+  for (int t = 0; t < 6; ++t) ASSERT_TRUE(seq.append());
   seq.mark_dead(4);
   seq.mark_dead(5);
   EXPECT_EQ(seq.sweep(), 0u);  // tail partial: appends still land there
-  ASSERT_TRUE(seq.append(ramp(2, 9.0f), ramp(2, 9.0f)));  // token 6, same page
+  ASSERT_TRUE(seq.append());   // token 6, same page
   EXPECT_EQ(seq.pages_held(), 2u);
   std::vector<std::size_t> ids;
   const auto view = seq.view(&ids);
@@ -149,18 +180,17 @@ TEST(PagedSequence, SweptFullTailPageThenAppendKeepsIndicesConsistent) {
   // full, so sweep may free it) must leave the page table, pages_held, and
   // the view's slot mapping consistent when the sequence then appends past
   // the hole.
-  PagedKvPool pool({8, 4, 2});
-  PagedSequence seq(&pool);
-  for (int t = 0; t < 8; ++t) {  // exactly 2 full pages
-    ASSERT_TRUE(seq.append(ramp(2, static_cast<float>(t)), ramp(2, 0.0f)));
-  }
+  PagedKvPool pool({8, 4});
+  const Rows rows = id_rows(9);
+  PagedSequence seq(&pool, rows.view());
+  for (int t = 0; t < 8; ++t) ASSERT_TRUE(seq.append());  // 2 full pages
   for (std::size_t t = 4; t < 8; ++t) seq.mark_dead(t);
   EXPECT_EQ(seq.sweep(), 1u);  // page 1 is full AND fully dead -> freed
   EXPECT_EQ(seq.pages_held(), 1u);
   EXPECT_EQ(pool.pages_in_use(), 1u);
 
   // Append past the swept boundary: token 8 opens logical page 2.
-  ASSERT_TRUE(seq.append(ramp(2, 8.0f), ramp(2, 0.0f)));
+  ASSERT_TRUE(seq.append());
   EXPECT_EQ(seq.appended_tokens(), 9u);
   EXPECT_EQ(seq.pages_held(), 2u);
   EXPECT_EQ(pool.pages_in_use(), 2u);
@@ -178,6 +208,48 @@ TEST(PagedSequence, SweptFullTailPageThenAppendKeepsIndicesConsistent) {
   }
 }
 
+// The bound-row contract the engine's rescale source relies on: row reads
+// return the bound rows' own addresses, and every read or append the page
+// accounting cannot back throws instead of reading past what was appended.
+TEST(PagedSequence, BoundRowAccessIsCheckedAgainstAppendsAndSweeps) {
+  PagedKvPool pool({8, 4});
+  const Rows rows = id_rows(10);
+  PagedSequence seq(&pool, rows.view());
+  for (int t = 0; t < 9; ++t) ASSERT_TRUE(seq.append());
+  for (std::size_t t = 4; t < 8; ++t) seq.mark_dead(t);
+  ASSERT_EQ(seq.sweep(), 1u);  // logical page 1 (ids 4..7) leaves the pool
+
+  for (std::size_t t = 0; t < 9; ++t) {
+    if (t >= 4 && t < 8) {
+      // An id on a swept page.
+      EXPECT_THROW(seq.key_row(t), std::logic_error) << t;
+      EXPECT_THROW(seq.value_row(t), std::logic_error) << t;
+      continue;
+    }
+    ASSERT_TRUE(seq.live(t));
+    EXPECT_EQ(seq.key_row(t), rows.keys.data() + 2 * t);
+    EXPECT_EQ(seq.value_row(t), rows.values.data() + 2 * t);
+  }
+  // An id at or past appended_tokens(), though a bound row exists for 9.
+  EXPECT_THROW(seq.key_row(9), std::logic_error);
+  EXPECT_THROW(seq.value_row(9), std::logic_error);
+  EXPECT_THROW(seq.key_row(100), std::logic_error);
+
+  // Appending past the bound rows throws and changes nothing.
+  ASSERT_TRUE(seq.append());  // id 9, the last bound row
+  EXPECT_EQ(seq.key_row(9), rows.keys.data() + 18);
+  const std::size_t in_use = pool.pages_in_use();
+  EXPECT_THROW(seq.append(), std::logic_error);
+  EXPECT_EQ(seq.appended_tokens(), 10u);
+  EXPECT_EQ(seq.live_tokens(), 6u);
+  EXPECT_EQ(pool.pages_in_use(), in_use);
+
+  // A sequence bound to no rows can never append.
+  PagedSequence empty(&pool, KvHeadView{});
+  EXPECT_THROW(empty.append(), std::logic_error);
+  EXPECT_EQ(pool.pages_in_use(), in_use);
+}
+
 // The serve-side RescaleSource contract end to end: a QuantizedKvCache with
 // a PagedRescaleSource provider and NO floats of its own survives a
 // mid-decode record-holder eviction bit-identically to quantizing the
@@ -185,24 +257,30 @@ TEST(PagedSequence, SweptFullTailPageThenAppendKeepsIndicesConsistent) {
 // the cache eviction (whose rescale queries the provider) runs BEFORE
 // mark_dead + sweep release the pool pages.
 TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
-  PagedKvPool pool({8, 4, 16});
-  PagedSequence seq(&pool);
   const std::size_t dim = 16;
+  const std::size_t n = 14;
+  Rng rng(0x9a6e);
+  Rows rows;
+  rows.dim = dim;
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      rows.keys.push_back(static_cast<float>(rng.normal() * 0.5));
+    }
+    for (std::size_t d = 0; d < dim; ++d) {
+      rows.values.push_back(static_cast<float>(rng.normal() * 0.5));
+    }
+  }
+  rows.keys[5 * dim + 3] = 25.0f;  // the record holder, in page 1 (4..7)
+  const KvHeadView bound = rows.view();
+
+  PagedKvPool pool({8, 4});
+  PagedSequence seq(&pool, bound);
   QuantizedKvCache cache(dim);
   const PagedRescaleSource provider(&seq);
   cache.set_rescale_source(&provider);
-
-  Rng rng(0x9a6e);
-  std::vector<std::vector<float>> k_rows, v_rows;
-  for (std::size_t t = 0; t < 14; ++t) {
-    std::vector<float> k(dim), v(dim);
-    for (auto& x : k) x = static_cast<float>(rng.normal() * 0.5);
-    for (auto& x : v) x = static_cast<float>(rng.normal() * 0.5);
-    if (t == 5) k[3] = 25.0f;  // the record holder, in page 1 (tokens 4..7)
-    ASSERT_TRUE(seq.append(k, v));
-    cache.append(k, v, t);
-    k_rows.push_back(std::move(k));
-    v_rows.push_back(std::move(v));
+  for (std::size_t t = 0; t < n; ++t) {
+    ASSERT_TRUE(seq.append());
+    cache.append(bound.key(t), bound.value(t), t);
   }
 
   // Mid-decode, persistence prunes all of page 1 — record holder included.
@@ -216,11 +294,11 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   // Bit-identity vs a fresh quantize of the survivors' floats.
   std::vector<float> k_flat, v_flat;
   std::vector<std::size_t> survivors;
-  for (std::size_t t = 0; t < 14; ++t) {
+  for (std::size_t t = 0; t < n; ++t) {
     if (std::find(dead.begin(), dead.end(), t) != dead.end()) continue;
     survivors.push_back(t);
-    k_flat.insert(k_flat.end(), k_rows[t].begin(), k_rows[t].end());
-    v_flat.insert(v_flat.end(), v_rows[t].begin(), v_rows[t].end());
+    k_flat.insert(k_flat.end(), bound.key(t).begin(), bound.key(t).end());
+    v_flat.insert(v_flat.end(), bound.value(t).begin(), bound.value(t).end());
   }
   const KvHeadView fresh_view{k_flat.data(), v_flat.data(), survivors.size(),
                               dim};
@@ -241,31 +319,38 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
 }
 
 TEST(PagedKvCache, FragmentationCountsDeadAndTailSlack) {
-  PagedKvPool pool({16, 4, 2});
-  PagedKvCache cache(&pool, 1, 1);
+  PagedKvPool pool({16, 4});
+  wl::DecodeStreamParams params;
+  params.head_dim = 2;
+  const auto stream = wl::make_decode_stream(params, 6, 2, 1, 1, 7);
+  PagedKvCache cache(&pool, stream);
   auto& seq = cache.seq(0, 0);
-  for (int t = 0; t < 6; ++t) {  // page 0 full, page 1 half full
-    ASSERT_TRUE(seq.append(ramp(2, 0.0f), ramp(2, 0.0f)));
-  }
+  // Page 0 full, page 1 half full.
+  for (int t = 0; t < 6; ++t) ASSERT_TRUE(seq.append());
   // 8 allocated slots, 6 live: tail slack only.
   EXPECT_NEAR(cache.fragmentation(), 2.0 / 8.0, 1e-12);
   seq.mark_dead(1);
   EXPECT_NEAR(cache.fragmentation(), 3.0 / 8.0, 1e-12);
+  // Each sequence reads its own head's stream rows.
+  EXPECT_EQ(seq.key_row(3), stream.key(0, 0, 3).data());
 }
 
 TEST(PagedSequence, ReleaseAllReturnsPages) {
-  PagedKvPool pool({8, 4, 2});
+  PagedKvPool pool({8, 4});
+  const Rows rows = id_rows(9);
   {
-    PagedSequence seq(&pool);
-    for (int t = 0; t < 9; ++t) {
-      ASSERT_TRUE(seq.append(ramp(2, 0.0f), ramp(2, 0.0f)));
-    }
+    PagedSequence seq(&pool, rows.view());
+    for (int t = 0; t < 9; ++t) ASSERT_TRUE(seq.append());
     EXPECT_EQ(pool.pages_in_use(), 3u);
     seq.release_all();
     EXPECT_EQ(pool.pages_in_use(), 0u);
     EXPECT_EQ(seq.appended_tokens(), 0u);
+    // Recompute after release starts again from the first bound row.
+    ASSERT_TRUE(seq.append());
+    EXPECT_EQ(seq.key_row(0), rows.keys.data());
+    EXPECT_EQ(pool.pages_in_use(), 1u);
   }
-  // Destructor after release_all must not double free.
+  // The destructor frees the page the recompute took, and nothing twice.
   EXPECT_EQ(pool.pages_free(), 8u);
 }
 
@@ -341,6 +426,29 @@ TEST(DecodeStream, DeterministicAndShaped) {
     EXPECT_EQ(a.heads[h].queries, b.heads[h].queries);
   }
   EXPECT_TRUE(a.spike[0]);  // attention sink is always spiky
+}
+
+TEST(DecodeStream, AccessorsRejectOutOfRange) {
+  wl::DecodeStreamParams params;
+  params.head_dim = 4;
+  const auto stream = wl::make_decode_stream(params, 5, 3, 2, 3, 99);
+  const auto full = stream.context_view(1, 2, stream.total_tokens());
+  EXPECT_EQ(full.len, 8u);
+  EXPECT_EQ(full.keys, stream.head(1, 2).keys.data());
+  EXPECT_EQ(stream.context_view(0, 0, 0).len, 0u);
+  // A view one row past the end would read past the head's rows.
+  EXPECT_THROW(stream.context_view(0, 0, stream.total_tokens() + 1),
+               std::logic_error);
+  for (const auto& [layer, head] :
+       std::vector<std::pair<int, int>>{{-1, 0}, {2, 0}, {0, -1}, {0, 3}}) {
+    EXPECT_THROW(stream.head(layer, head), std::logic_error)
+        << layer << "," << head;
+    EXPECT_THROW(stream.context_view(layer, head, 1), std::logic_error)
+        << layer << "," << head;
+  }
+  // A zero-decode request's stream is never generated and has no heads.
+  const wl::DecodeStream empty;
+  EXPECT_THROW(empty.head(0, 0), std::logic_error);
 }
 
 // ---- engine helpers ---------------------------------------------------------
