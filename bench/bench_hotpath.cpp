@@ -1,182 +1,50 @@
-// Hot-path microbenchmark: wall-clock decode tokens/sec before/after the
-// incrementally-quantized, chunk-planar KV cache (ISSUE 4 acceptance).
+// Hot-path microbenchmark: wall-clock decode tokens/sec of the shipped
+// ServeEngine's cached, prune-and-reclaim decode step.
 //
-// Both harnesses replay the exact shape of ServeEngine::decode_one for one
-// request's (layer, head) grid over a paged sequence with persistence-driven
-// reclamation:
-//   * legacy — the pre-PR path, preserved verbatim in attend_pre_pr: gather
-//     the paged view to floats, re-quantize the whole head (one heap
-//     QuantizedVector per token), walk chunks with double-masking
-//     chunk_dot_delta_i64, and run the always-on O(len) oracle pass —
-//     O(len * head_dim) x3 per instance per step;
-//   * cached — the post-PR path: QuantizedKvCache::append() quantizes the new
-//     token once, attention walks contiguous chunk planes allocation-free
-//     with the oracle off (row_dot_i64 dispatches to the widest SIMD kernel
-//     the CPU supports at runtime), and reclamation evicts cache entries
-//     coherently — O(kept * head_dim) per instance per step. The cached
-//     harness mirrors ServeEngine's phased step: sequential paged appends,
-//     a parallel attention phase fanned over the (layer, head) instances via
-//     the ThreadPool (per-worker pickers/scratch), and a sequential
-//     instance-ordered reduction — so every thread count is bit-identical.
-// The harnesses must agree bit-for-bit on every output element (verified
-// every run, for every thread count); the speedup is pure hot-path mechanics.
+// The threads sweep drives one request through a real ServeEngine per
+// thread count: a 2k context (1792 prompt + 256 decode) over 2 layers x 2
+// heads, one slot, monolithic prefill and the DRAM proxy off, so the timed
+// steps are the engine's own append -> parallel attention over the
+// per-(layer, head) QuantizedKvCache -> slot-ordered reduce with
+// persistence-driven reclamation. Timed runs capture nothing; one untimed
+// capture_outputs run per thread count must be bit-identical to threads=1,
+// or the bench exits 1. That the cached step equals quantize-from-scratch
+// over the post-reclaim live set is proved by tests/serve_invariants_test.cpp.
+// The kv_residency section reads the engine's kv_* gauges from the last
+// step in which the request was still running.
 //
 // Emits BENCH_hotpath.json with the runtime-selected kernel ISA (plus
 // whether TOPICK_FORCE_ISA forced it — forced numbers must never read as a
-// host's natural selection), a threads sweep, and a full-engine --pipeline
+// host's natural selection), the threads sweep, and a full-engine --pipeline
 // on|off comparison: the same Poisson trace through the fork-join executor
 // and the pipelined executor (sharded channel replay on), outputs
 // bit-checked, with before/after phase attribution. `--smoke` runs a small
 // context for CI; `--threads a,b,c` overrides the sweep (default 1,2,8);
-// `--isa-levels` prints the kernel levels this binary + CPU can run (one
-// per line, for CI forced-ISA matrix loops) and exits. The default scenario
-// is the 2k context the acceptance criteria target.
+// `--repeats N` takes best-of-N (default 3); `--trace out.json` writes a
+// validated engine trace; `--isa-levels` prints the kernel levels this
+// binary + CPU can run (one per line, for CI forced-ISA matrix loops) and
+// exits.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/expsum.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/quantized_kv_cache.h"
-#include "core/token_picker.h"
-#include "fixedpoint/chunks.h"
 #include "fixedpoint/dispatch.h"
-#include "fixedpoint/margin.h"
 #include "obs/phase_stats.h"
 #include "obs/trace.h"
 #include "obs/trace_validate.h"
-#include "serve/paged_kv_pool.h"
-#include "serve/paged_sequence.h"
 #include "serve/serve_engine.h"
 #include "workload/arrivals.h"
-#include "workload/decode_stream.h"
 
 using namespace topick;
 
 namespace {
-
-// The pre-PR TokenPickerAttention::attend, preserved verbatim as the
-// baseline: re-quantizes the whole head (one heap-allocated QuantizedVector
-// per token), walks chunks via the double-masking chunk_dot_delta_i64, and
-// always runs the oracle pass. Bit-identical to the new path by the
-// equivalence suite's argument — only the mechanics differ.
-TokenPickerResult attend_pre_pr(const TokenPickerConfig& config,
-                                ProbabilityEstimator& estimator,
-                                std::span<const float> q,
-                                const KvHeadView& kv) {
-  const QuantizedKv qkv = quantize_kv(kv, config.quant);
-  fx::QuantParams qp = config.quant;
-  qp.scale = fx::choose_scale(q, config.quant.total_bits);
-  const fx::QuantizedVector qq = fx::quantize(q, qp);
-  const double score_scale =
-      static_cast<double>(qp.scale) * qkv.keys[0].params.scale /
-      std::sqrt(static_cast<double>(kv.head_dim));
-
-  const std::size_t len = qkv.keys.size();
-  const std::size_t head_dim = qq.size();
-  const fx::QuantParams& kp = qkv.keys[0].params;
-  const int num_chunks = kp.num_chunks();
-
-  TokenPickerResult result;
-  result.decisions.reserve(len);
-  estimator.reset(len);
-
-  const fx::MarginTable margins(qq, kp);
-  const auto order = make_visit_order(len, config.order, nullptr);
-
-  const auto chunk_bits_per_fetch =
-      static_cast<std::uint64_t>(head_dim) * kp.chunk_bits;
-  const auto full_vector_bits =
-      static_cast<std::uint64_t>(head_dim) * kp.total_bits;
-  result.stats.tokens_total = len;
-  result.stats.k_bits_baseline = full_vector_bits * len;
-  result.stats.v_bits_baseline = full_vector_bits * len;
-
-  std::vector<double> survivor_scores(len, 0.0);
-  std::vector<bool> kept(len, false);
-
-  for (const std::size_t token : order) {
-    const auto& key = qkv.keys[token];
-    std::int64_t partial = 0;
-    TokenDecision decision;
-    decision.token = token;
-
-    bool pruned = false;
-    for (int b = 0; b < num_chunks; ++b) {
-      partial += fx::chunk_dot_delta_i64(qq, key, b);
-      result.stats.k_bits_fetched += chunk_bits_per_fetch;
-      ++decision.chunks_fetched;
-
-      const auto& margin = margins.at_level(b + 1);
-      const double s_max =
-          static_cast<double>(partial + margin.max_margin) * score_scale;
-      const double s_min =
-          static_cast<double>(partial + margin.min_margin) * score_scale;
-
-      if (estimator.should_prune(s_max)) {
-        decision.upper_bound_at_prune = estimator.estimate_upper(s_max);
-        estimator.mark_pruned(token);
-        pruned = true;
-        break;
-      }
-      estimator.update_token(token, s_min);
-    }
-
-    if (!pruned) {
-      decision.kept = true;
-      decision.final_score = static_cast<double>(partial) * score_scale;
-      survivor_scores[token] = decision.final_score;
-      kept[token] = true;
-      ++result.stats.tokens_kept;
-      result.stats.v_bits_fetched += full_vector_bits;
-    }
-    result.stats.record_chunk_fetch(decision.chunks_fetched);
-    result.decisions.push_back(decision);
-  }
-
-  result.log_denominator_estimator = estimator.log_denominator();
-  {
-    std::vector<double> surv;
-    surv.reserve(result.stats.tokens_kept);
-    for (std::size_t t = 0; t < len; ++t) {
-      if (kept[t]) surv.push_back(survivor_scores[t]);
-    }
-    result.log_denominator = log_sum_exp(surv.data(), surv.size());
-  }
-  result.output.assign(head_dim, 0.0f);
-  const float v_scale = qkv.values[0].params.scale;
-  for (std::size_t t = 0; t < len; ++t) {
-    if (!kept[t]) continue;
-    const double p = std::exp(survivor_scores[t] - result.log_denominator);
-    const auto& value = qkv.values[t];
-    for (std::size_t d = 0; d < head_dim; ++d) {
-      result.output[d] += static_cast<float>(
-          p * static_cast<double>(value.values[d]) * v_scale);
-    }
-  }
-  {
-    std::vector<double> all_scores(len);
-    for (std::size_t t = 0; t < len; ++t) {
-      all_scores[t] =
-          static_cast<double>(fx::dot_i64(qq, qkv.keys[t])) * score_scale;
-    }
-    const double log_denom = log_sum_exp(all_scores.data(), len);
-    double dropped = 0.0;
-    for (std::size_t t = 0; t < len; ++t) {
-      if (!kept[t]) dropped += std::exp(all_scores[t] - log_denom);
-    }
-    result.oracle_dropped_mass = dropped;
-  }
-  return result;
-}
 
 struct Scenario {
   std::size_t prompt_len = 1792;
@@ -188,207 +56,88 @@ struct Scenario {
   // Sized to the scenario (2048-token context x 4 instances needs ~1k pages
   // plus slack); pool capacity is not part of what this bench measures.
   std::size_t pool_pages = 4096;
-  int persistence_window = 4;
   double threshold = 1e-3;
   int repeats = 3;
 };
 
-struct RunResult {
+// One request in one slot: the whole prompt prefills in the first step and
+// no DRAM replay runs, so the timed steps are host decode work only.
+serve::ServeConfig sweep_config(const Scenario& s, std::size_t threads) {
+  serve::ServeConfig config;
+  config.n_layer = s.n_layer;
+  config.n_head = s.n_head;
+  config.head_dim = s.head_dim;
+  config.max_batch = 1;
+  config.pool_pages = s.pool_pages;
+  config.page_tokens = s.page_tokens;
+  config.backend = serve::BackendKind::token_picker;
+  config.picker.estimator.threshold = s.threshold;
+  config.prefill_chunk_tokens = 0;
+  config.simulate_dram = false;
+  config.threads = threads;
+  return config;
+}
+
+wl::ArrivalEvent sweep_request(const Scenario& s) {
+  wl::ArrivalEvent event;
+  event.step = 0;
+  event.prompt_len = s.prompt_len;
+  event.decode_len = s.decode_len;
+  event.stream_seed = 0x40b7;
+  return event;
+}
+
+struct SweepRun {
   double seconds = 0.0;
   double tokens_per_s = 0.0;
-  std::uint64_t rescales = 0;
-  std::vector<float> checksum;  // concatenated final-step outputs
-  // End-of-run host KV footprint across all (layer, head) caches (the
-  // kv_residency JSON section; f32_mirror must read 0).
+  // Host KV footprint across the request's (layer, head) caches at its last
+  // running step (the kv_residency JSON section; f32_mirror must read 0).
   QuantizedKvCache::ResidencyBytes residency;
   std::size_t resident_tokens = 0;
 };
 
-wl::DecodeStream make_stream(const Scenario& s) {
-  wl::DecodeStreamParams params;
-  params.head_dim = s.head_dim;
-  return wl::make_decode_stream(params, s.prompt_len, s.decode_len, s.n_layer,
-                                s.n_head, /*seed=*/0x40b7);
-}
-
-// The pre-cache ServeEngine decode loop: gather the paged view to floats,
-// then attend_pre_pr (quantize-from-scratch + always-on oracle), per
-// (layer, head) instance, per step.
-RunResult run_legacy(const Scenario& s, const wl::DecodeStream& stream) {
-  serve::PagedKvPool pool({s.pool_pages, s.page_tokens});
-  const auto n_inst = static_cast<std::size_t>(s.n_layer) * s.n_head;
-  std::vector<serve::PagedSequence> seqs;
-  std::vector<PrunePersistence> persistence;
-  seqs.reserve(n_inst);
-  for (std::size_t i = 0; i < n_inst; ++i) {
-    const int layer = static_cast<int>(i) / s.n_head;
-    const int head = static_cast<int>(i) % s.n_head;
-    seqs.emplace_back(&pool, stream.context_view(layer, head,
-                                                 stream.total_tokens()));
-    persistence.emplace_back(s.persistence_window);
-  }
-
-  TokenPickerConfig config;
-  config.estimator.threshold = s.threshold;
-  ProbabilityEstimator estimator(config.estimator);
-
-  std::vector<float> key_scratch, value_scratch;
-  std::vector<std::size_t> token_ids;
-  RunResult result;
-
+SweepRun run_sweep_point(const Scenario& s, std::size_t threads) {
+  serve::ServeEngine engine(sweep_config(s, threads));
+  engine.submit(sweep_request(s));
+  const serve::FleetMetrics& m = engine.metrics();
+  SweepRun run;
   const auto start = std::chrono::steady_clock::now();
-  for (auto& seq : seqs) {
-    for (std::size_t t = 0; t < s.prompt_len; ++t) seq.append();
-  }
-  for (std::size_t step = 0; step < s.decode_len; ++step) {
-    for (int layer = 0; layer < s.n_layer; ++layer) {
-      for (int head = 0; head < s.n_head; ++head) {
-        const auto inst = static_cast<std::size_t>(layer) * s.n_head + head;
-        auto& seq = seqs[inst];
-        seq.append();
-        const auto paged = seq.view(&token_ids);
-        const KvHeadView view = paged.gather(key_scratch, value_scratch);
-        const auto result_step = attend_pre_pr(
-            config, estimator, stream.query(layer, head, step), view);
-
-        auto& tracker = persistence[inst];
-        for (const auto& decision : result_step.decisions) {
-          tracker.observe(token_ids[decision.token], decision.kept);
-        }
-        for (const std::size_t global : token_ids) {
-          if (tracker.persistent(global)) {
-            seq.mark_dead(global);
-            tracker.forget(global);
-          }
-        }
-        seq.sweep();
-        if (step + 1 == s.decode_len) {
-          result.checksum.insert(result.checksum.end(),
-                                 result_step.output.begin(),
-                                 result_step.output.end());
-        }
-      }
-    }
+  while (engine.step()) {
+    // The final step retires the request, so its residency sample reads 0.
+    if (engine.batcher().running().empty()) continue;
+    run.residency = {m.kv_int16_bytes, m.kv_plane_bytes, m.kv_maxima_bytes,
+                     m.kv_ids_bytes, m.kv_f32_mirror_bytes};
+    run.resident_tokens = m.kv_resident_tokens;
   }
   const auto stop = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(stop - start).count();
-  result.tokens_per_s = static_cast<double>(s.decode_len) / result.seconds;
-  return result;
+  run.seconds = std::chrono::duration<double>(stop - start).count();
+  run.tokens_per_s = static_cast<double>(s.decode_len) / run.seconds;
+  return run;
 }
 
-// The post-PR path: incremental quantization, planar (SIMD-capable) walk,
-// oracle off, coherent cache eviction on reclaim. Mirrors ServeEngine's
-// phased step so `threads` fans the per-(layer, head) attention work without
-// changing a single bit: sequential paged appends, parallel attend with
-// per-worker pickers, sequential instance-ordered persistence/reclaim.
-RunResult run_cached(const Scenario& s, const wl::DecodeStream& stream,
-                     std::size_t threads) {
-  serve::PagedKvPool pool({s.pool_pages, s.page_tokens});
-  const auto n_inst = static_cast<std::size_t>(s.n_layer) * s.n_head;
-  std::vector<serve::PagedSequence> seqs;
-  std::vector<PrunePersistence> persistence;
-  std::vector<QuantizedKvCache> qcaches;
-  std::vector<serve::PagedRescaleSource> sources;
-  seqs.reserve(n_inst);
-  qcaches.reserve(n_inst);
-  sources.reserve(n_inst);
-  TokenPickerConfig config;
-  config.estimator.threshold = s.threshold;
-  config.compute_oracle_mass = false;  // serve hot loops run without oracle
-  for (std::size_t i = 0; i < n_inst; ++i) {
-    const int layer = static_cast<int>(i) / s.n_head;
-    const int head = static_cast<int>(i) % s.n_head;
-    seqs.emplace_back(&pool, stream.context_view(layer, head,
-                                                 stream.total_tokens()));
-    persistence.emplace_back(s.persistence_window);
-    qcaches.emplace_back(static_cast<std::size_t>(s.head_dim),
-                         QuantizedKvCache::Config{config.quant, 1.0f});
-    // The stream rows the sequence is bound to are the rescale floats
-    // (stable ids == token ids); the cache keeps no mirror of its own.
-    sources.emplace_back(&seqs[i]);
-    qcaches[i].set_rescale_source(&sources[i]);
-  }
-  ThreadPool workers(threads);
-  std::vector<std::unique_ptr<TokenPickerAttention>> pickers;
-  for (std::size_t w = 0; w < workers.threads(); ++w) {
-    pickers.push_back(std::make_unique<TokenPickerAttention>(config));
-  }
-  std::vector<TokenPickerResult> inst_results(n_inst);
-  std::vector<std::size_t> dead;
-  RunResult result;
+// Untimed: capture allocates per step.
+std::vector<serve::StepOutput> sweep_outputs(const Scenario& s,
+                                             std::size_t threads) {
+  serve::ServeConfig config = sweep_config(s, threads);
+  config.capture_outputs = true;
+  serve::ServeEngine engine(config);
+  engine.submit(sweep_request(s));
+  engine.run();
+  return engine.requests().front().outputs;
+}
 
-  const auto start = std::chrono::steady_clock::now();
-  for (int layer = 0; layer < s.n_layer; ++layer) {
-    for (int head = 0; head < s.n_head; ++head) {
-      const auto inst = static_cast<std::size_t>(layer) * s.n_head + head;
-      for (std::size_t t = 0; t < s.prompt_len; ++t) seqs[inst].append();
-      const auto& hs = stream.head(layer, head);
-      qcaches[inst].append_rows(hs.keys.data(), hs.values.data(),
-                                s.prompt_len, 0);
+// Every element of every step's attention output and token sets.
+bool same_outputs(const std::vector<serve::StepOutput>& a,
+                  const std::vector<serve::StepOutput>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    if (a[s].position != b[s].position || a[s].out != b[s].out ||
+        a[s].view_tokens != b[s].view_tokens ||
+        a[s].kept_tokens != b[s].kept_tokens) {
+      return false;
     }
   }
-  for (std::size_t step = 0; step < s.decode_len; ++step) {
-    const std::size_t pos = s.prompt_len + step;
-    // Append phase (sequential: the paged pool is shared).
-    for (auto& seq : seqs) seq.append();
-    // Attention phase (parallel across instances, per-worker scratch).
-    // Same effective-fan-out heuristic as ServeEngine::step: below ~1k
-    // context tokens per instance the wake-up cost of engaging another
-    // worker exceeds what it recovers, so the grain narrows the fan-out and
-    // keeps the small-scenario threads sweep monotone.
-    const std::size_t ctx = pos + 1;
-    const std::size_t grain = ctx >= 1024 ? 1 : 1024 / ctx;
-    workers.parallel_for(
-        n_inst,
-        [&](std::size_t inst, std::size_t worker) {
-          const int layer = static_cast<int>(inst) / s.n_head;
-          const int head = static_cast<int>(inst) % s.n_head;
-          auto& qcache = qcaches[inst];
-          qcache.append(stream.key(layer, head, pos),
-                        stream.value(layer, head, pos), pos);
-          pickers[worker]->attend_cached(stream.query(layer, head, step),
-                                         qcache, &inst_results[inst]);
-        },
-        grain);
-    // Reduction phase (sequential, instance order: persistence + reclaim).
-    for (std::size_t inst = 0; inst < n_inst; ++inst) {
-      auto& qcache = qcaches[inst];
-      auto& tracker = persistence[inst];
-      const TokenPickerResult& step_result = inst_results[inst];
-      for (const auto& decision : step_result.decisions) {
-        tracker.observe(qcache.id_at(decision.token), decision.kept);
-      }
-      dead.clear();
-      for (const std::size_t global : qcache.ids()) {
-        if (tracker.persistent(global)) {
-          seqs[inst].mark_dead(global);
-          tracker.forget(global);
-          dead.push_back(global);
-        }
-      }
-      if (!dead.empty()) qcache.evict_ids(dead);
-      seqs[inst].sweep();
-      if (step + 1 == s.decode_len) {
-        result.checksum.insert(result.checksum.end(),
-                               step_result.output.begin(),
-                               step_result.output.end());
-      }
-    }
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(stop - start).count();
-  result.tokens_per_s = static_cast<double>(s.decode_len) / result.seconds;
-  for (const auto& qc : qcaches) {
-    result.rescales += qc.key_rescales() + qc.value_rescales();
-    const auto res = qc.residency();
-    result.residency.int16_arena += res.int16_arena;
-    result.residency.planes += res.planes;
-    result.residency.maxima += res.maxima;
-    result.residency.ids += res.ids;
-    result.residency.f32_mirror += res.f32_mirror;
-    result.resident_tokens += qc.len();
-  }
-  return result;
+  return true;
 }
 
 // Engine-backed executor comparison and phase attribution: the same
@@ -494,16 +243,7 @@ bool executors_bit_identical(bool smoke, std::size_t threads,
          ra.finish_cycle != rb.finish_cycle)) {
       return false;
     }
-    if (ra.outputs.size() != rb.outputs.size()) return false;
-    for (std::size_t s = 0; s < ra.outputs.size(); ++s) {
-      const serve::StepOutput& sa = ra.outputs[s];
-      const serve::StepOutput& sb = rb.outputs[s];
-      if (sa.position != sb.position || sa.out != sb.out ||
-          sa.view_tokens != sb.view_tokens ||
-          sa.kept_tokens != sb.kept_tokens) {
-        return false;
-      }
-    }
+    if (!same_outputs(ra.outputs, rb.outputs)) return false;
   }
   return true;
 }
@@ -613,7 +353,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      // Best-of-N repeats per harness/thread count (default 3; raise on
+      // Best-of-N repeats per sweep point and executor (default 3; raise on
       // noisy hosts so identical-work configurations rank consistently).
       scenario.repeats = std::atoi(argv[++i]);
       if (scenario.repeats < 1) scenario.repeats = 1;
@@ -639,7 +379,6 @@ int main(int argc, char** argv) {
                          : std::vector<std::size_t>{1, 2, 8};
   }
 
-  const wl::DecodeStream stream = make_stream(scenario);
   std::printf("bench_hotpath: context %zu (prompt %zu + decode %zu), "
               "%d layers x %d heads, head_dim %d, kernel isa %s%s%s\n",
               scenario.prompt_len + scenario.decode_len, scenario.prompt_len,
@@ -648,42 +387,38 @@ int main(int argc, char** argv) {
               fx::kernel_isa_forced() ? " (forced)" : " (runtime probe)",
               smoke ? " [smoke]" : "");
 
-  // Warm-up + best-of-N (wall clock; take the fastest run of each harness so
-  // scheduler noise doesn't understate either side). Every cached run, at
-  // every thread count, must be bit-identical to the legacy reference.
-  RunResult legacy;
-  std::vector<RunResult> cached(thread_sweep.size());
-  for (int r = 0; r < scenario.repeats; ++r) {
-    const RunResult l = run_legacy(scenario, stream);
-    if (r == 0 || l.tokens_per_s > legacy.tokens_per_s) legacy = l;
-    for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
-      const RunResult c = run_cached(scenario, stream, thread_sweep[ti]);
-      if (c.checksum != l.checksum) {
-        std::fprintf(stderr,
-                     "FATAL: outputs diverge from legacy at threads=%zu\n",
-                     thread_sweep[ti]);
-        return 1;
-      }
-      if (r == 0 || c.tokens_per_s > cached[ti].tokens_per_s) cached[ti] = c;
+  // Threads never change bits: every sweep point's captured outputs must
+  // equal the sequential engine's.
+  const std::vector<serve::StepOutput> reference = sweep_outputs(scenario, 1);
+  for (const std::size_t threads : thread_sweep) {
+    if (threads > 1 && !same_outputs(sweep_outputs(scenario, threads),
+                                     reference)) {
+      std::fprintf(stderr,
+                   "FATAL: engine outputs at threads=%zu diverge from "
+                   "threads=1\n",
+                   threads);
+      return 1;
     }
   }
 
-  std::printf("  legacy (gather + quantize-from-scratch + oracle): "
-              "%8.1f tok/s  (%.3f s)\n",
-              legacy.tokens_per_s, legacy.seconds);
+  // Best-of-N (wall clock; the fastest run of each thread count, so
+  // scheduler noise doesn't understate any of them).
+  std::vector<SweepRun> sweep(thread_sweep.size());
+  for (int r = 0; r < scenario.repeats; ++r) {
+    for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
+      const SweepRun run = run_sweep_point(scenario, thread_sweep[ti]);
+      if (r == 0 || run.tokens_per_s > sweep[ti].tokens_per_s) sweep[ti] = run;
+    }
+  }
   std::size_t best = 0;
   for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
-    std::printf("  cached threads=%zu: %8.1f tok/s  (%.3f s)  %.1fx\n",
-                thread_sweep[ti], cached[ti].tokens_per_s,
-                cached[ti].seconds,
-                cached[ti].tokens_per_s / legacy.tokens_per_s);
-    if (cached[ti].tokens_per_s > cached[best].tokens_per_s) best = ti;
+    std::printf("  engine threads=%zu: %8.1f tok/s  (%.3f s)\n",
+                thread_sweep[ti], sweep[ti].tokens_per_s, sweep[ti].seconds);
+    if (sweep[ti].tokens_per_s > sweep[best].tokens_per_s) best = ti;
   }
-  const double speedup = cached[best].tokens_per_s / legacy.tokens_per_s;
-  std::printf("  best: threads=%zu, %.1fx over legacy   whole-head rescales: "
-              "%llu   outputs bit-identical at every thread count: yes\n",
-              thread_sweep[best], speedup,
-              static_cast<unsigned long long>(cached[best].rescales));
+  std::printf("  best: threads=%zu   outputs bit-identical at every thread "
+              "count: yes\n",
+              thread_sweep[best]);
 
   // Full-engine executor comparison at the sweep's widest fan-out: the same
   // trace through the fork-join step and the pipelined step (+ sharded
@@ -769,22 +504,17 @@ int main(int argc, char** argv) {
   // overhead only; real overlap needs >= 2.
   std::fprintf(out, "  \"host_hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(out, "  \"legacy_tokens_per_s\": %.2f,\n",
-               legacy.tokens_per_s);
   std::fprintf(out, "  \"cached_tokens_per_s\": %.2f,\n",
-               cached[best].tokens_per_s);
+               sweep[best].tokens_per_s);
   std::fprintf(out, "  \"cached_best_threads\": %zu,\n", thread_sweep[best]);
   std::fprintf(out, "  \"threads_sweep\": [");
   for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
     std::fprintf(out, "%s{\"threads\": %zu, \"tokens_per_s\": %.2f}",
                  ti == 0 ? "" : ", ", thread_sweep[ti],
-                 cached[ti].tokens_per_s);
+                 sweep[ti].tokens_per_s);
   }
   std::fprintf(out, "],\n");
-  std::fprintf(out, "  \"speedup\": %.2f,\n", speedup);
-  std::fprintf(out, "  \"whole_head_rescales\": %llu,\n",
-               static_cast<unsigned long long>(cached[best].rescales));
-  // Host KV residency at end of run (context fully grown, post-reclaim),
+  // Host KV residency at the request's last running step (post-reclaim),
   // summed over every (layer, head) cache. f32_mirror_bytes is the retired
   // float shadow — identically 0, and CI fails the run if it is not.
   // int16_planes_bytes_per_token adds back the second byte every key plane
@@ -793,8 +523,8 @@ int main(int argc, char** argv) {
   // (one float K row + one float V row per resident token), so both
   // reductions are measured against the old footprints, not assumed.
   {
-    const auto& res = cached[best].residency;
-    const std::size_t resident = cached[best].resident_tokens;
+    const auto& res = sweep[best].residency;
+    const std::size_t resident = sweep[best].resident_tokens;
     const auto per_resident = [resident](double bytes) {
       return resident ? bytes / static_cast<double>(resident) : 0.0;
     };

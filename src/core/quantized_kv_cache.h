@@ -172,9 +172,9 @@ struct QuantizedKvStore {
 // token ids. The cache itself retains NO floats (the f32 mirror is gone —
 // per-row maxima + ids are its only float-domain residue); when a rescale
 // fires it re-reads the original rows from whoever still owns them:
-//   * the serve paged pool (serve/paged_sequence.h) — rows live in pool
-//     pages under the same ids until swept, and eviction rescales run
-//     before the sweep;
+//   * a serve PagedSequence (serve/paged_sequence.h) — rows live in the
+//     request's DecodeStream under the same ids, readable while their pool
+//     page is held, and eviction rescales run before the sweep;
 //   * sync_cache_to_view's float view — rows 0..len-1 by position for the
 //     duration of the sync (backends never rescale outside it).
 // With a source registered, a headroom-1 rescale is bit-identical to

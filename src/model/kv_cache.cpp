@@ -45,20 +45,6 @@ void KvCache::append(int layer, std::span<const float> k,
   ++len;
 }
 
-KvHeadView PagedHeadView::gather(std::vector<float>& key_scratch,
-                                 std::vector<float>& value_scratch) const {
-  const std::size_t n = len();
-  key_scratch.resize(n * head_dim);
-  value_scratch.resize(n * head_dim);
-  for (std::size_t t = 0; t < n; ++t) {
-    const auto k = key(t);
-    const auto v = value(t);
-    std::copy(k.begin(), k.end(), key_scratch.begin() + t * head_dim);
-    std::copy(v.begin(), v.end(), value_scratch.begin() + t * head_dim);
-  }
-  return KvHeadView{key_scratch.data(), value_scratch.data(), n, head_dim};
-}
-
 KvHeadView KvCache::head_view(int layer, int head) const {
   KvHeadView view;
   const auto base = slab_offset(layer, head);
@@ -66,27 +52,6 @@ KvHeadView KvCache::head_view(int layer, int head) const {
   view.values = values_.data() + base;
   view.len = lens_[static_cast<std::size_t>(layer)];
   view.head_dim = static_cast<std::size_t>(head_dim_);
-  return view;
-}
-
-PagedHeadView KvCache::paged_head_view(int layer, int head,
-                                       std::size_t page_tokens) const {
-  require(page_tokens > 0, "KvCache: page_tokens must be positive");
-  PagedHeadView view;
-  view.head_dim = static_cast<std::size_t>(head_dim_);
-  view.page_tokens = page_tokens;
-  const auto base = slab_offset(layer, head);
-  const auto n = lens_[static_cast<std::size_t>(layer)];
-  const auto n_pages = (n + page_tokens - 1) / page_tokens;
-  view.key_pages.reserve(n_pages);
-  view.value_pages.reserve(n_pages);
-  for (std::size_t p = 0; p < n_pages; ++p) {
-    view.key_pages.push_back(keys_.data() + base + p * page_tokens * head_dim_);
-    view.value_pages.push_back(values_.data() + base +
-                               p * page_tokens * head_dim_);
-  }
-  view.slots.resize(n);
-  for (std::size_t t = 0; t < n; ++t) view.slots[t] = t;
   return view;
 }
 

@@ -97,34 +97,6 @@ const float* PagedSequence::value_row(std::size_t token_id) const {
   return rows_.value(token_id).data();
 }
 
-PagedHeadView PagedSequence::view(
-    std::vector<std::size_t>* token_ids_out) const {
-  const std::size_t page_tokens = pool_->config().page_tokens;
-  const std::size_t page_floats = page_tokens * rows_.head_dim;
-  PagedHeadView view;
-  view.head_dim = rows_.head_dim;
-  view.page_tokens = page_tokens;
-  if (token_ids_out) token_ids_out->clear();
-
-  // View page table holds only pages still owned; view_page[p] maps a held
-  // logical page to its index there.
-  std::vector<std::size_t> view_page(pages_.size());
-  for (std::size_t p = 0; p < pages_.size(); ++p) {
-    if (pages_[p] == PagedKvPool::kInvalidPage) continue;
-    view_page[p] = view.key_pages.size();
-    view.key_pages.push_back(rows_.keys + p * page_floats);
-    view.value_pages.push_back(rows_.values + p * page_floats);
-  }
-  view.slots.reserve(live_count_);
-  for (std::size_t t = 0; t < appended_; ++t) {
-    if (!live_[t]) continue;
-    const std::size_t logical = t / page_tokens;
-    view.slots.push_back(view_page[logical] * page_tokens + t % page_tokens);
-    if (token_ids_out) token_ids_out->push_back(t);
-  }
-  return view;
-}
-
 void PagedSequence::release_all() {
   for (const auto page : pages_) {
     if (page != PagedKvPool::kInvalidPage) pool_->free_page(page);

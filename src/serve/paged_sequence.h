@@ -7,8 +7,9 @@
 // and makes row t readable. Tokens keep their stable chronological id (= row
 // index) for life; pruning marks them dead in place (no compaction inside
 // pages), and a *full* page whose live count hits zero is returned to the
-// pool, after which its rows read as not resident. Views expose only live
-// tokens, in chronological order, through model/kv_cache.h's PagedHeadView.
+// pool, after which its rows read as not resident. Attention never reads
+// through the sequence: the engine's QuantizedKvCache holds the live set,
+// and the sequence serves its whole-head rescales (PagedRescaleSource).
 #pragma once
 
 #include <cstddef>
@@ -60,11 +61,6 @@ class PagedSequence {
   std::size_t appended_tokens() const { return appended_; }
   std::size_t live_tokens() const { return live_count_; }
   std::size_t pages_held() const { return pages_held_; }
-
-  // View over live tokens, chronological. When token_ids_out is non-null it
-  // receives the stable id of each view position (the map attention decisions
-  // come back through).
-  PagedHeadView view(std::vector<std::size_t>* token_ids_out = nullptr) const;
 
   // Frees every page (request retired or preempted). The sequence resets to
   // empty and may be appended to again (preemption-recompute).

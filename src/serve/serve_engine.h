@@ -27,10 +27,12 @@
 // Attention reads go through a per-(slot, layer, head) QuantizedKvCache that
 // quantizes each token once at append (prefill chunks use the bulk path) and
 // evicts coherently with page reclamation, so a decode step costs O(kept)
-// instead of re-quantizing the whole head; results are bit-identical to the
-// historical gather + quantize-from-scratch path. The oracle diagnostic pass
-// is disabled in the engine (compute_oracle_mass) — tests shadow-check
-// outputs against exact references instead.
+// instead of re-quantizing the whole head; results are bit-identical to
+// quantizing the post-reclaim live set from scratch every step
+// (ServeEngineEquivalence.CachedDecodeMatchesQuantizeFromScratch in
+// tests/serve_invariants_test.cpp).
+// The oracle diagnostic pass is disabled in the engine (compute_oracle_mass)
+// — tests shadow-check outputs against exact references instead.
 // (5) replay the step's combined prefill+decode DRAM traffic through the
 // memsim HBM model for a per-request latency proxy in DRAM cycles — prefill
 // is never free, so TTFT and decode tails see prompt bursts; (6) retire

@@ -70,15 +70,22 @@ struct DecodeStream {
     }
     return heads[index];
   }
+  // Row accessors; each throws std::out_of_range for a token at or past
+  // total_tokens(), a step at or past decode_len, or a bad (layer, h).
   std::span<const float> key(int layer, int h, std::size_t token) const {
+    require_token(token);
     return {head(layer, h).keys.data() + token * head_dim,
             static_cast<std::size_t>(head_dim)};
   }
   std::span<const float> value(int layer, int h, std::size_t token) const {
+    require_token(token);
     return {head(layer, h).values.data() + token * head_dim,
             static_cast<std::size_t>(head_dim)};
   }
   std::span<const float> query(int layer, int h, std::size_t step) const {
+    if (step >= decode_len) {
+      throw std::out_of_range("DecodeStream::query: step past decode_len");
+    }
     return {head(layer, h).queries.data() + step * head_dim,
             static_cast<std::size_t>(head_dim)};
   }
@@ -94,6 +101,13 @@ struct DecodeStream {
     const auto& hs = head(layer, h);
     return KvHeadView{hs.keys.data(), hs.values.data(), len,
                       static_cast<std::size_t>(head_dim)};
+  }
+
+ private:
+  void require_token(std::size_t token) const {
+    if (token >= total_tokens()) {
+      throw std::out_of_range("DecodeStream: token past total_tokens()");
+    }
   }
 };
 

@@ -93,65 +93,6 @@ TEST(KvCacheTest, MidStepLayerLengthsDifferByOne) {
   EXPECT_EQ(cache.len(), 2u);  // max over layers
 }
 
-TEST(KvCacheTest, PagedViewMatchesContiguousAcrossPageBoundaries) {
-  KvCache cache(1, 2, 3, 16);
-  std::vector<float> k(6), v(6);
-  for (int t = 0; t < 11; ++t) {  // 11 tokens over 3-token pages: partial tail
-    for (int i = 0; i < 6; ++i) {
-      k[static_cast<std::size_t>(i)] = static_cast<float>(100 * t + i);
-      v[static_cast<std::size_t>(i)] = static_cast<float>(-100 * t - i);
-    }
-    cache.append(0, k, v);
-  }
-  for (int head = 0; head < 2; ++head) {
-    const auto flat = cache.head_view(0, head);
-    const auto paged = cache.paged_head_view(0, head, 3);
-    ASSERT_EQ(paged.len(), flat.len);
-    EXPECT_EQ(paged.key_pages.size(), 4u);  // ceil(11 / 3)
-    for (std::size_t t = 0; t < flat.len; ++t) {
-      for (std::size_t d = 0; d < 3; ++d) {
-        EXPECT_FLOAT_EQ(paged.key(t)[d], flat.key(t)[d]);
-        EXPECT_FLOAT_EQ(paged.value(t)[d], flat.value(t)[d]);
-      }
-    }
-  }
-}
-
-TEST(KvCacheTest, PagedViewGatherRoundTrips) {
-  KvCache cache(1, 1, 4, 32);
-  Rng rng(7);
-  std::vector<float> k(4), v(4);
-  for (int t = 0; t < 13; ++t) {
-    for (auto& x : k) x = static_cast<float>(rng.normal());
-    for (auto& x : v) x = static_cast<float>(rng.normal());
-    cache.append(0, k, v);
-  }
-  const auto paged = cache.paged_head_view(0, 0, 5);
-  std::vector<float> ks, vs;
-  const KvHeadView gathered = paged.gather(ks, vs);
-  const auto flat = cache.head_view(0, 0);
-  ASSERT_EQ(gathered.len, flat.len);
-  for (std::size_t t = 0; t < flat.len; ++t) {
-    for (std::size_t d = 0; d < 4; ++d) {
-      EXPECT_FLOAT_EQ(gathered.key(t)[d], flat.key(t)[d]);
-      EXPECT_FLOAT_EQ(gathered.value(t)[d], flat.value(t)[d]);
-    }
-  }
-}
-
-TEST(KvCacheTest, PagedViewInterleavesWithAppends) {
-  // Taking a paged view, appending more tokens, and re-taking the view must
-  // reflect the growth (views are cheap, rebuilt per attention instance).
-  KvCache cache(1, 1, 2, 8);
-  std::vector<float> kv(2, 0.5f);
-  cache.append(0, kv, kv);
-  EXPECT_EQ(cache.paged_head_view(0, 0, 4).len(), 1u);
-  cache.append(0, kv, kv);
-  cache.append(0, kv, kv);
-  EXPECT_EQ(cache.paged_head_view(0, 0, 4).len(), 3u);
-  EXPECT_EQ(cache.paged_head_view(0, 0, 2).key_pages.size(), 2u);
-}
-
 TEST(KvCacheTest, OverflowThrows) {
   KvCache cache(1, 1, 2, 1);
   std::vector<float> kv(2, 0.0f);

@@ -3,22 +3,30 @@
 // * PagedKvPool property test: ~10k randomized alloc/append/mark-dead/sweep/
 //   release ops over concurrent sequences against a shadow model, asserting
 //   the page-accounting invariants (free + resident == pool size, exclusive
-//   page ownership, reclaim never frees a live token's page, every view
-//   reads its own sequence's bound rows).
+//   page ownership, reclaim never frees a live token's page, every live id
+//   reads its own sequence's bound row).
 // * Determinism: two ServeEngine runs from an identical config + seed yield
 //   bit-identical FleetMetrics and per-request token streams, for every
 //   scheduling policy — the guard against iteration-order nondeterminism in
 //   the scheduler refactor.
+// * Equivalence: the engine's cached decode step (per-(layer, head)
+//   QuantizedKvCache, quantize once at append, coherent eviction on
+//   reclaim) is bit-identical to quantizing each step's post-reclaim live
+//   set from scratch.
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/token_picker.h"
+#include "model/kv_cache.h"
 #include "serve/paged_kv_pool.h"
 #include "serve/paged_sequence.h"
 #include "serve/scheduling_policy.h"
@@ -145,32 +153,27 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
     EXPECT_EQ(pool.pages_free() + held_total, kPoolPages) << "op " << op;
     EXPECT_EQ(pool.pages_in_use(), held_total) << "op " << op;
 
-    // Invariants 2+3, checked through the views: every sequence still reads
-    // exactly its shadow-live tokens from its own bound rows (a reclaimed
-    // live page would drop a live id from the view), and the pages held
-    // across sequences are distinct (invariant 1 already equates their sum
-    // with the pool's in-use count, so a page counted twice would show).
+    // Invariants 2+3, checked through the row lookups: every sequence holds
+    // exactly its shadow-live tokens, each reading its own bound row (a
+    // reclaimed live page would make a live id's lookup throw), and the
+    // pages held across sequences are distinct (invariant 1 already equates
+    // their sum with the pool's in-use count, so a page counted twice would
+    // show).
     const bool full_audit = op % 250 == 0 || op == kOps - 1;
     if (full_audit) {
       for (std::size_t q = 0; q < kSeqs; ++q) {
-        std::vector<std::size_t> ids;
-        const auto view = seqs[q].view(&ids);
         const auto& shq = shadow[q];
-        ASSERT_EQ(view.len(), shq.live_count) << "op " << op << " seq " << q;
+        ASSERT_EQ(seqs[q].appended_tokens(), shq.live.size())
+            << "op " << op << " seq " << q;
         EXPECT_EQ(seqs[q].live_tokens(), shq.live_count);
-        std::size_t vi = 0;
         for (std::size_t t = 0; t < shq.live.size(); ++t) {
-          if (!shq.live[t]) {
-            EXPECT_FALSE(seqs[q].live(t));
-            continue;
-          }
-          ASSERT_LT(vi, ids.size());
-          EXPECT_EQ(ids[vi], t);
-          EXPECT_FLOAT_EQ(view.key(vi)[0], encode(q, t));
-          EXPECT_FLOAT_EQ(view.value(vi)[0], -encode(q, t));
-          EXPECT_EQ(view.key(vi).data(), keys[q].data() + t * kHeadDim);
+          ASSERT_EQ(seqs[q].live(t), shq.live[t])
+              << "op " << op << " seq " << q << " token " << t;
+          if (!shq.live[t]) continue;
+          EXPECT_FLOAT_EQ(seqs[q].key_row(t)[0], encode(q, t));
+          EXPECT_FLOAT_EQ(seqs[q].value_row(t)[0], -encode(q, t));
+          EXPECT_EQ(seqs[q].key_row(t), keys[q].data() + t * kHeadDim);
           EXPECT_EQ(seqs[q].value_row(t), values[q].data() + t * kHeadDim);
-          ++vi;
         }
       }
     }
@@ -562,6 +565,97 @@ TEST(ServeEngineDeterminism, SubmitWhileSlotsLiveKeepsBoundRowsValid) {
     EXPECT_GT(rescales_after_move, 0u);
     EXPECT_GT(engine.metrics().pages_reclaimed, 0u);
     expect_runs_identical(reference, engine);
+  }
+}
+
+// ---- cached decode vs quantize-from-scratch ----------------------------------
+
+// Each decode step attended the previous step's post-reclaim view_tokens
+// (the prompt ids at step 0) plus its own position. Gathering those stream
+// rows into a contiguous view and quantizing it from scratch
+// (TokenPickerAttention::attend) must reproduce the engine's output bits and
+// kept ids exactly — the whole-head rescales that eviction triggers
+// included — at every thread count.
+TEST(ServeEngineEquivalence, CachedDecodeMatchesQuantizeFromScratch) {
+  ServeConfig config;
+  config.n_layer = 2;
+  config.n_head = 2;
+  config.head_dim = 64;
+  config.max_batch = 1;
+  config.pool_pages = 4096;
+  config.page_tokens = 8;
+  config.backend = BackendKind::token_picker;
+  config.picker.estimator.threshold = 1e-3;
+  config.prefill_chunk_tokens = 0;
+  config.simulate_dram = false;
+  config.capture_outputs = true;
+  ASSERT_TRUE(config.reclaim);
+
+  wl::ArrivalEvent event;
+  event.prompt_len = 192;
+  event.decode_len = 64;
+  event.stream_seed = 0x40b7;
+
+  const auto n_inst = static_cast<std::size_t>(config.n_layer) * config.n_head;
+  const auto head_dim = static_cast<std::size_t>(config.head_dim);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(threads);
+    config.threads = threads;
+    ServeEngine engine(config);
+    engine.submit(event);
+    engine.run();
+    const Request& req = engine.requests().front();
+    ASSERT_EQ(req.state, RequestState::finished);
+    ASSERT_EQ(req.outputs.size(), event.decode_len);
+
+    TokenPickerAttention reference(config.picker);
+    std::vector<std::size_t> ids;
+    std::vector<float> keys, values;
+    std::size_t instances = 0;
+    std::size_t reclaimed = 0;  // instances whose live set lost a token
+    for (std::size_t s = 0; s < req.outputs.size(); ++s) {
+      const StepOutput& step = req.outputs[s];
+      for (std::size_t inst = 0; inst < n_inst; ++inst) {
+        const int layer = static_cast<int>(inst) / config.n_head;
+        const int head = static_cast<int>(inst) % config.n_head;
+        if (s == 0) {
+          ids.resize(event.prompt_len);
+          std::iota(ids.begin(), ids.end(), std::size_t{0});
+        } else {
+          ids = req.outputs[s - 1].view_tokens[inst];
+        }
+        ids.push_back(step.position);
+        if (ids.size() < step.position + 1) ++reclaimed;
+        keys.clear();
+        values.clear();
+        for (const std::size_t id : ids) {
+          const auto k = req.stream.key(layer, head, id);
+          const auto v = req.stream.value(layer, head, id);
+          keys.insert(keys.end(), k.begin(), k.end());
+          values.insert(values.end(), v.begin(), v.end());
+        }
+        const KvHeadView live{keys.data(), values.data(), ids.size(),
+                              head_dim};
+        const TokenPickerResult result =
+            reference.attend(req.stream.query(layer, head, s), live);
+
+        ASSERT_EQ(result.output.size(), step.out[inst].size());
+        EXPECT_EQ(std::memcmp(result.output.data(), step.out[inst].data(),
+                              head_dim * sizeof(float)),
+                  0)
+            << "step " << s << " instance " << inst;
+        std::vector<std::size_t> kept;
+        for (const TokenDecision& decision : result.decisions) {
+          if (decision.kept) kept.push_back(ids[decision.token]);
+        }
+        EXPECT_EQ(kept, step.kept_tokens[inst])
+            << "step " << s << " instance " << inst;
+        ++instances;
+      }
+    }
+    EXPECT_EQ(instances, event.decode_len * n_inst);
+    // The scenario must really reclaim for the comparison to cover eviction.
+    EXPECT_GT(reclaimed, instances / 2);
   }
 }
 

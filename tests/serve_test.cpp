@@ -110,6 +110,15 @@ Rows id_rows(std::size_t n) {
       [](std::size_t) { return 0.0f; });
 }
 
+// Ids the sequence still holds live, chronological.
+std::vector<std::size_t> live_ids(const PagedSequence& seq) {
+  std::vector<std::size_t> ids;
+  for (std::size_t t = 0; t < seq.appended_tokens(); ++t) {
+    if (seq.live(t)) ids.push_back(t);
+  }
+  return ids;
+}
+
 TEST(PagedSequence, AppendSpansPageBoundaries) {
   PagedKvPool pool({8, 4});
   const Rows rows = ramp_rows(
@@ -119,17 +128,16 @@ TEST(PagedSequence, AppendSpansPageBoundaries) {
   for (int t = 0; t < 10; ++t) ASSERT_TRUE(seq.append());  // 2.5 pages of 4
   EXPECT_EQ(seq.appended_tokens(), 10u);
   EXPECT_EQ(seq.pages_held(), 3u);
-  std::vector<std::size_t> ids;
-  const auto view = seq.view(&ids);
-  ASSERT_EQ(view.len(), 10u);
+  EXPECT_EQ(live_ids(seq), (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6,
+                                                      7, 8, 9}));
   for (int t = 0; t < 10; ++t) {
     const auto u = static_cast<std::size_t>(t);
-    EXPECT_EQ(ids[u], u);
-    EXPECT_FLOAT_EQ(view.key(u)[0], static_cast<float>(10 * t));
-    EXPECT_FLOAT_EQ(view.key(u)[1], static_cast<float>(10 * t + 1));
-    EXPECT_FLOAT_EQ(view.value(u)[0], static_cast<float>(-10 * t));
-    // The view reads the bound rows in place; nothing was copied.
-    EXPECT_EQ(view.key(u).data(), rows.keys.data() + 2 * u);
+    EXPECT_FLOAT_EQ(seq.key_row(u)[0], static_cast<float>(10 * t));
+    EXPECT_FLOAT_EQ(seq.key_row(u)[1], static_cast<float>(10 * t + 1));
+    EXPECT_FLOAT_EQ(seq.value_row(u)[0], static_cast<float>(-10 * t));
+    // Rows are read from the bound rows in place; nothing was copied.
+    EXPECT_EQ(seq.key_row(u), rows.keys.data() + 2 * u);
+    EXPECT_EQ(seq.value_row(u), rows.values.data() + 2 * u);
   }
 }
 
@@ -145,13 +153,13 @@ TEST(PagedSequence, ReclamationFreesOnlyFullDeadPagesAndKeepsSurvivorsReadable) 
   EXPECT_EQ(seq.pages_held(), 2u);
   EXPECT_EQ(pool.pages_free(), 8u - 2u);
 
-  std::vector<std::size_t> ids;
-  const auto view = seq.view(&ids);
-  ASSERT_EQ(view.len(), 7u);  // 12 - 4 (page 1) - 1 (token 0)
+  // 12 - 4 (page 1) - 1 (token 0)
   const std::vector<std::size_t> expected_ids{1, 2, 3, 8, 9, 10, 11};
-  EXPECT_EQ(ids, expected_ids);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_FLOAT_EQ(view.key(i)[0], static_cast<float>(ids[i]));
+  EXPECT_EQ(live_ids(seq), expected_ids);
+  EXPECT_EQ(seq.live_tokens(), 7u);
+  for (const std::size_t id : expected_ids) {
+    EXPECT_FLOAT_EQ(seq.key_row(id)[0], static_cast<float>(id));
+    EXPECT_EQ(seq.key_row(id), rows.keys.data() + 2 * id);
   }
 }
 
@@ -168,18 +176,16 @@ TEST(PagedSequence, PartialTailPageIsNeverFreed) {
   EXPECT_EQ(seq.sweep(), 0u);  // tail partial: appends still land there
   ASSERT_TRUE(seq.append());   // token 6, same page
   EXPECT_EQ(seq.pages_held(), 2u);
-  std::vector<std::size_t> ids;
-  const auto view = seq.view(&ids);
   const std::vector<std::size_t> expected_ids{0, 1, 2, 3, 6};
-  EXPECT_EQ(ids, expected_ids);
-  EXPECT_FLOAT_EQ(view.key(4)[0], 9.0f);
+  EXPECT_EQ(live_ids(seq), expected_ids);
+  EXPECT_FLOAT_EQ(seq.key_row(6)[0], 9.0f);
+  EXPECT_EQ(seq.key_row(6), rows.keys.data() + 2 * 6);
 }
 
 TEST(PagedSequence, SweptFullTailPageThenAppendKeepsIndicesConsistent) {
   // A fully-dead page sitting at an exact page boundary (the tail page is
   // full, so sweep may free it) must leave the page table, pages_held, and
-  // the view's slot mapping consistent when the sequence then appends past
-  // the hole.
+  // the row lookups consistent when the sequence then appends past the hole.
   PagedKvPool pool({8, 4});
   const Rows rows = id_rows(9);
   PagedSequence seq(&pool, rows.view());
@@ -195,16 +201,17 @@ TEST(PagedSequence, SweptFullTailPageThenAppendKeepsIndicesConsistent) {
   EXPECT_EQ(seq.pages_held(), 2u);
   EXPECT_EQ(pool.pages_in_use(), 2u);
 
-  std::vector<std::size_t> ids;
-  const auto view = seq.view(&ids);
   const std::vector<std::size_t> expected_ids{0, 1, 2, 3, 8};
-  EXPECT_EQ(ids, expected_ids);
-  ASSERT_EQ(view.key_pages.size(), 2u);  // swept page absent from the table
-  // Tokens 0..3 map into view page 0; token 8 is slot 0 of view page 1.
-  const std::vector<std::size_t> expected_slots{0, 1, 2, 3, 4};
-  EXPECT_EQ(view.slots, expected_slots);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_FLOAT_EQ(view.key(i)[0], static_cast<float>(ids[i]));
+  EXPECT_EQ(live_ids(seq), expected_ids);
+  // Survivors and the token past the hole read their own rows; the swept
+  // page's ids no longer resolve.
+  for (const std::size_t id : expected_ids) {
+    EXPECT_FLOAT_EQ(seq.key_row(id)[0], static_cast<float>(id));
+    EXPECT_EQ(seq.key_row(id), rows.keys.data() + 2 * id);
+    EXPECT_EQ(seq.value_row(id), rows.values.data() + 2 * id);
+  }
+  for (std::size_t id = 4; id < 8; ++id) {
+    EXPECT_THROW(seq.key_row(id), std::logic_error) << id;
   }
 }
 
@@ -446,6 +453,17 @@ TEST(DecodeStream, AccessorsRejectOutOfRange) {
     EXPECT_THROW(stream.context_view(layer, head, 1), std::logic_error)
         << layer << "," << head;
   }
+  // Row accessors: one past the last token / decode step would read past
+  // the head's rows.
+  EXPECT_EQ(stream.key(1, 2, 7).data(), stream.head(1, 2).keys.data() + 28);
+  EXPECT_EQ(stream.value(1, 2, 7).data(),
+            stream.head(1, 2).values.data() + 28);
+  EXPECT_EQ(stream.query(1, 2, 2).data(),
+            stream.head(1, 2).queries.data() + 8);
+  EXPECT_THROW(stream.key(0, 0, stream.total_tokens()), std::logic_error);
+  EXPECT_THROW(stream.value(0, 0, stream.total_tokens()), std::logic_error);
+  EXPECT_THROW(stream.query(0, 0, stream.decode_len), std::logic_error);
+  EXPECT_THROW(stream.key(2, 0, 0), std::logic_error);
   // A zero-decode request's stream is never generated and has no heads.
   const wl::DecodeStream empty;
   EXPECT_THROW(empty.head(0, 0), std::logic_error);
