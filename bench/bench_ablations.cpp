@@ -210,9 +210,11 @@ int main() {
       const QuantizedKvView view = cache.view();
       const double ks = view.key_params.scale, vs = view.value_params.scale;
       double se = 0.0;
+      std::int16_t key[64];
       for (std::size_t t = 0; t < view.len; ++t) {
+        view.key_row(t, key);
         for (std::size_t d = 0; d < 64; ++d) {
-          const double ke = static_cast<double>(view.key(t)[d]) * ks -
+          const double ke = static_cast<double>(key[d]) * ks -
                             static_cast<double>(hs.keys[t * 64 + d]);
           const double ve = static_cast<double>(view.value(t)[d]) * vs -
                             static_cast<double>(hs.values[t * 64 + d]);

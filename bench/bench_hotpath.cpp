@@ -492,10 +492,8 @@ int main(int argc, char** argv) {
                "  \"head_dim\": %d,\n",
                scenario.n_layer, scenario.n_head, scenario.head_dim);
   // kernel_isa is what the runtime probe (or a forced override) actually
-  // selected; row_dot_kernel is kept as an alias for consumers of the older
-  // schema. kernel_isa_forced distinguishes CI matrix legs from a host's
+  // selected; kernel_isa_forced distinguishes CI matrix legs from a host's
   // natural selection when comparing archived numbers.
-  std::fprintf(out, "  \"row_dot_kernel\": \"%s\",\n", row_dot_kernel_name());
   std::fprintf(out, "  \"kernel_isa\": \"%s\",\n", fx::kernel_isa_name());
   std::fprintf(out, "  \"kernel_isa_forced\": %s,\n",
                fx::kernel_isa_forced() ? "true" : "false");
@@ -517,42 +515,24 @@ int main(int argc, char** argv) {
   // Host KV residency at the request's last running step (post-reclaim),
   // summed over every (layer, head) cache. f32_mirror_bytes is the retired
   // float shadow — identically 0, and CI fails the run if it is not.
-  // int16_planes_bytes_per_token adds back the second byte every key plane
-  // element took before the planes became int8 digits, and
-  // pre_refactor_bytes_per_token further adds what the mirror used to keep
-  // (one float K row + one float V row per resident token), so both
-  // reductions are measured against the old footprints, not assumed.
   {
     const auto& res = sweep[best].residency;
     const std::size_t resident = sweep[best].resident_tokens;
-    const auto per_resident = [resident](double bytes) {
-      return resident ? bytes / static_cast<double>(resident) : 0.0;
-    };
-    const double per_token = per_resident(static_cast<double>(res.total()));
-    const double int16_planes =
-        per_token + per_resident(static_cast<double>(res.planes));
-    const double mirror_per_token =
-        static_cast<double>(scenario.head_dim) * 2.0 * sizeof(float);
-    const double pre_refactor = int16_planes + mirror_per_token;
-    const double reduction =
-        pre_refactor > 0.0 ? 1.0 - per_token / pre_refactor : 0.0;
+    const double per_token =
+        resident ? static_cast<double>(res.total()) /
+                       static_cast<double>(resident)
+                 : 0.0;
     std::printf("  kv residency: %zu tokens resident, %.1f B/token "
-                "(int16+int8 planes+maxima+ids), f32 mirror 0 B — %.1f "
-                "B/token with int16 planes, %.1f with the mirror too, "
-                "-%.1f%%\n",
-                resident, per_token, int16_planes, pre_refactor,
-                100.0 * reduction);
+                "(int16 values+int8 key planes+maxima+ids), f32 mirror 0 B\n",
+                resident, per_token);
     std::fprintf(
         out,
         "  \"kv_residency\": {\"resident_tokens\": %zu, "
         "\"int16_arena_bytes\": %zu, \"plane_bytes\": %zu, "
         "\"maxima_bytes\": %zu, \"ids_bytes\": %zu, "
-        "\"f32_mirror_bytes\": %zu, \"bytes_per_token\": %.1f, "
-        "\"int16_planes_bytes_per_token\": %.1f, "
-        "\"pre_refactor_bytes_per_token\": %.1f, "
-        "\"reduction_frac\": %.3f},\n",
+        "\"f32_mirror_bytes\": %zu, \"bytes_per_token\": %.1f},\n",
         resident, res.int16_arena, res.planes, res.maxima, res.ids,
-        res.f32_mirror, per_token, int16_planes, pre_refactor, reduction);
+        res.f32_mirror, per_token);
   }
   std::fprintf(
       out,

@@ -43,13 +43,14 @@ struct AccelConfig {
   int operand_buffer_bytes = 512;
 
   // Charge K/V traffic at the host's resident element widths instead of
-  // the device's packed ones. The host cache keeps one int8 digit per key
-  // chunk element and int16 value rows (core/quantized_kv_cache.h; the f32
-  // mirror is gone), so a host-layout run walks 8-bit elements per K plane
-  // and 16-bit elements per V row where the packed device walks
-  // chunk_bits/total_bits. The plane → bank-group mapping is identical
-  // either way: the contiguity being charged is exactly the contiguous plane
-  // walk the host performs.
+  // the device's packed ones. The host cache stores keys only as int8 digit
+  // planes (one digit per chunk element) and values as int16 rows
+  // (core/quantized_kv_cache.h), so a host-layout run walks 8-bit elements
+  // per K plane and 16-bit elements per V row where the packed device walks
+  // chunk_bits/total_bits, and its region is exactly the cache's planes +
+  // value arena. The plane → bank-group mapping is identical either way:
+  // the contiguity being charged is exactly the contiguous plane walk the
+  // host performs.
   bool host_resident_layout = false;
 
   // Granules (32 B DRAM transactions) per K chunk / full V vector for a

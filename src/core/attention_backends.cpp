@@ -98,10 +98,9 @@ void SpAttenBackend::attend_view(std::span<const float> q,
 
   scores_.resize(active.size());
   for (std::size_t i = 0; i < active.size(); ++i) {
-    scores_[i] = static_cast<double>(row_dot_i64(q_scratch_.values.data(),
-                                                 kv.key(active[i]),
-                                                 kv.head_dim)) *
-                 score_scale;
+    scores_[i] =
+        static_cast<double>(kv.key_dot(q_scratch_.values.data(), active[i])) *
+        score_scale;
   }
   const double log_denom = log_sum_exp(scores_.data(), scores_.size());
   probs_.resize(active.size());

@@ -38,9 +38,6 @@ void quantize_row(std::span<const float> xs, const fx::QuantParams& params,
 
 }  // namespace
 
-// The runtime-selected kernel table's name (probe or TOPICK_FORCE_ISA).
-const char* row_dot_kernel_name() { return fx::kernel_isa_name(); }
-
 // ---- QuantizedKvStore -------------------------------------------------------
 
 namespace {
@@ -101,14 +98,12 @@ void QuantizedKvStore::reset(const fx::QuantParams& kp,
 
 void QuantizedKvStore::clear_rows() {
   len = 0;
-  keys.clear();
   values.clear();
   for (auto& plane : key_planes) plane.clear();
 }
 
 void QuantizedKvStore::push_row(const std::int16_t* k_row,
                                 const std::int16_t* v_row) {
-  keys.insert(keys.end(), k_row, k_row + head_dim);
   values.insert(values.end(), v_row, v_row + head_dim);
   const int num_chunks = key_params.num_chunks();
   const std::int32_t qmin = key_params.qmin();
@@ -132,9 +127,6 @@ void QuantizedKvStore::compact(const std::uint8_t* keep) {
   for (std::size_t r = 0; r < len; ++r) {
     if (!keep[r]) continue;
     if (w != r) {
-      std::copy_n(keys.begin() + static_cast<std::ptrdiff_t>(r * head_dim),
-                  head_dim,
-                  keys.begin() + static_cast<std::ptrdiff_t>(w * head_dim));
       std::copy_n(values.begin() + static_cast<std::ptrdiff_t>(r * head_dim),
                   head_dim,
                   values.begin() + static_cast<std::ptrdiff_t>(w * head_dim));
@@ -147,7 +139,6 @@ void QuantizedKvStore::compact(const std::uint8_t* keep) {
     ++w;
   }
   len = w;
-  keys.resize(len * head_dim);
   values.resize(len * head_dim);
   for (auto& plane : key_planes) plane.resize(len * head_dim);
 }
@@ -158,7 +149,6 @@ QuantizedKvView QuantizedKvStore::view() const {
   v.head_dim = head_dim;
   v.key_params = key_params;
   v.value_params = value_params;
-  v.keys = keys.data();
   v.values = values.data();
   v.key_planes = key_planes.data();
   v.key_plane_shifts = digit_table->shifts.data();
@@ -195,8 +185,7 @@ void QuantizedKvCache::clear() {
 
 QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
   ResidencyBytes b;
-  b.int16_arena =
-      (store_.keys.size() + store_.values.size()) * sizeof(std::int16_t);
+  b.int16_arena = store_.values.size() * sizeof(std::int16_t);
   for (const auto& plane : store_.key_planes) {
     b.planes += plane.size() * sizeof(std::int8_t);
   }
@@ -232,13 +221,18 @@ void QuantizedKvCache::requantize_all(float old_key_scale,
   // Sourceless fallback: re-grid the stored int16 rows through a precomputed
   // fixed-point scale ratio (fx::rescale_row_i16). One extra re-rounding per
   // rescale — within 1 ULP of the real-ratio grid, bounded and pinned by
-  // tests — in exchange for needing no floats at all. The arenas are
-  // snapshotted first because push_row rebuilds the planes row by row.
+  // tests — in exchange for needing no floats at all. The rows are
+  // snapshotted first (keys reassembled from the planes) because push_row
+  // rebuilds the planes and the value arena row by row.
   const fx::FixedRatio k_ratio =
       fx::make_fixed_ratio(old_key_scale, store_.key_params.scale);
   const fx::FixedRatio v_ratio =
       fx::make_fixed_ratio(old_value_scale, store_.value_params.scale);
-  k_arena_scratch_.assign(store_.keys.begin(), store_.keys.end());
+  const QuantizedKvView old = store_.view();
+  k_arena_scratch_.resize(n * head_dim_);
+  for (std::size_t r = 0; r < n; ++r) {
+    old.key_row(r, k_arena_scratch_.data() + r * head_dim_);
+  }
   v_arena_scratch_.assign(store_.values.begin(), store_.values.end());
   store_.clear_rows();
   for (std::size_t r = 0; r < n; ++r) {
@@ -442,12 +436,14 @@ bool tail_matches_view(const QuantizedKvCache& cache, const KvHeadView& view,
       fx::row_amax(vv) != cache.value_row_amax(pos)) {
     return false;
   }
-  static thread_local std::vector<std::int16_t> scratch;
+  static thread_local std::vector<std::int16_t> scratch, stored_key;
   scratch.resize(view.head_dim);
+  stored_key.resize(view.head_dim);
   const QuantizedKvView qv = cache.view();
+  qv.key_row(pos, stored_key.data());
   fx::quantize_row_i16(vk.data(), vk.size(), cache.key_params(),
                        scratch.data());
-  if (!std::equal(scratch.begin(), scratch.end(), qv.key(pos))) return false;
+  if (scratch != stored_key) return false;
   fx::quantize_row_i16(vv.data(), vv.size(), cache.value_params(),
                        scratch.data());
   return std::equal(scratch.begin(), scratch.end(), qv.value(pos));
@@ -500,8 +496,7 @@ void exact_attention_view(std::span<const float> q, const QuantizedKvView& kv,
   result->scores.resize(kv.len);
   for (std::size_t t = 0; t < kv.len; ++t) {
     result->scores[t] =
-        static_cast<double>(
-            row_dot_i64(q_scratch->values.data(), kv.key(t), kv.head_dim)) *
+        static_cast<double>(kv.key_dot(q_scratch->values.data(), t)) *
         score_scale;
   }
 

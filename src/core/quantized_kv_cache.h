@@ -14,18 +14,19 @@
 // proves it over randomized append/evict interleavings); headroom > 1 trades
 // that exactness for even fewer rescales.
 //
-// Keys are stored twice, SoA-style:
-//   * a flat token-major int16 arena (full values) for exact dots, and
-//   * chunk-planar digit planes — one contiguous int8 plane per chunk. Chunk
-//     b's contribution partial_value(k, b+1) - partial_value(k, b) always
-//     has its low unknown_bits(b+1) bits clear, so the plane stores only the
-//     digit (that delta >> shift_b, shift_b = unknown_bits(b+1)): the signed
-//     top chunk for b == 0 ([-8, 7] at 12/4), the raw chunk bits for b > 0
-//     ([0, 15]). The estimation pass's chunk_dot_delta becomes
-//     plane_dot_i64(q, digits) * 2^shift_b — an exact integer identity, so
-//     partial sums and pruning decisions are those of the full-width delta,
-//     at one byte per element instead of two.
-// Values live in a flat arena; nothing on the per-token heap.
+// Keys are stored once, as chunk-planar digit planes — one contiguous int8
+// plane per chunk, the chunked most-significant-first format the estimation
+// walk fetches. Chunk b's contribution partial_value(k, b+1) -
+// partial_value(k, b) always has its low unknown_bits(b+1) bits clear, so
+// the plane stores only the digit (that delta >> shift_b, shift_b =
+// unknown_bits(b+1)): the signed top chunk for b == 0 ([-8, 7] at 12/4), the
+// raw chunk bits for b > 0 ([0, 15]). The estimation pass's chunk_dot_delta
+// becomes plane_dot_i64(q, digits) * 2^shift_b — an exact integer identity,
+// so partial sums and pruning decisions are those of the full-width delta,
+// at one byte per element instead of two. The exact score is that walk with
+// every chunk fetched (QuantizedKvView::key_dot), and the cold readers that
+// need the int16 key reassemble it from the planes (key_row).
+// Values live in a flat int16 arena; nothing on the per-token heap.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +48,13 @@ struct QuantizedKvView {
   std::size_t head_dim = 0;
   fx::QuantParams key_params;    // shared scale across the head's keys
   fx::QuantParams value_params;  // shared scale across the head's values
-  const std::int16_t* keys = nullptr;    // (len, head_dim) token-major
   const std::int16_t* values = nullptr;  // (len, head_dim) token-major
   // key_params.num_chunks() digit planes, each (len, head_dim) token-major,
-  // and each plane's shift (digit * 2^shift == the chunk's delta).
+  // and each plane's shift (digit * 2^shift == the chunk's delta). The only
+  // stored form of a key.
   const std::vector<std::int8_t>* key_planes = nullptr;
   const int* key_plane_shifts = nullptr;
 
-  const std::int16_t* key(std::size_t t) const { return keys + t * head_dim; }
   const std::int16_t* value(std::size_t t) const {
     return values + t * head_dim;
   }
@@ -62,47 +62,37 @@ struct QuantizedKvView {
     return key_planes[chunk].data() + t * head_dim;
   }
   int key_plane_shift(int chunk) const { return key_plane_shifts[chunk]; }
-};
 
-// Contiguous int16 dot product (int64 accumulator) — the exact-score kernel
-// over the flat key arena (the estimation walk over the int8 digit planes
-// uses fx::plane_dot_i64). row_dot_i64 dispatches at RUNTIME through the
-// fixedpoint registry (fixedpoint/dispatch.h): every ISA variant is compiled
-// into the binary from its own translation unit and a one-time CPU probe
-// picks the fastest one the machine supports, so one portable binary gets
-// AVX2/AVX-512 speed without -march=native. Integer dot products
-// have one right answer, so every variant is element-exact against
-// row_dot_i64_scalar — the selected ISA cannot change any pruning decision
-// (tests/dispatch_test.cpp pins this over adversarial int16 extremes and odd
-// remainders at every compiled-in level). Header-inline wrapper: it is
-// called once per token; tiny rows take the inlined scalar loop (same bits)
-// rather than paying the indirect call.
-inline std::int64_t row_dot_i64(const std::int16_t* a, const std::int16_t* b,
-                                std::size_t n) {
-  if (n < 16) {
+  // Exact integer dot of q with key t: the estimation walk with every chunk
+  // fetched (after the last chunk, its `partial` is exactly this sum).
+  std::int64_t key_dot(const std::int16_t* q, std::size_t t) const {
     std::int64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
+    for (int b = 0; b < key_params.num_chunks(); ++b) {
+      acc += fx::plane_dot_i64(q, key_plane_row(b, t), head_dim) *
+             (std::int64_t{1} << key_plane_shift(b));
     }
     return acc;
   }
-  return fx::active_kernels().row_dot_i64(a, b, n);
-}
-
-// The scalar reference implementation (always compiled; the equivalence
-// oracle for the SIMD variants). Lives in fx:: with the registry; forwarded
-// here for the existing call sites and tests.
-inline std::int64_t row_dot_i64_scalar(const std::int16_t* a,
-                                       const std::int16_t* b, std::size_t n) {
-  return fx::row_dot_i64_scalar(a, b, n);
-}
+  // Reassembles key row t's int16 values into out[0, head_dim).
+  void key_row(std::size_t t, std::int16_t* out) const {
+    for (std::size_t d = 0; d < head_dim; ++d) {
+      std::int32_t k = 0;
+      for (int b = 0; b < key_params.num_chunks(); ++b) {
+        k += std::int32_t{key_plane_row(b, t)[d]} * (1 << key_plane_shift(b));
+      }
+      out[d] = static_cast<std::int16_t>(k);
+    }
+  }
+};
 
 // out[d] += float(p * double(v[d]) * v_scale) for d in [0, n): the
-// survivor-weighted V accumulation of the softmax output. Dispatches like
-// row_dot_i64; every SIMD variant performs exactly the scalar op sequence in
-// each lane (double mul, double mul, round-to-float, float add), so it is
-// bit-identical to the scalar loop — proven against
-// weighted_value_accum_scalar in tests/dispatch_test.cpp per variant.
+// survivor-weighted V accumulation of the softmax output. Dispatches at
+// runtime through the fixedpoint registry (fixedpoint/dispatch.h), with
+// tiny rows taking the inlined scalar loop; every SIMD variant performs
+// exactly the scalar op sequence in each lane (double mul, double mul,
+// round-to-float, float add), so it is bit-identical to the scalar loop —
+// proven against weighted_value_accum_scalar in tests/dispatch_test.cpp per
+// variant.
 inline void weighted_value_accum(float* out, const std::int16_t* v, double p,
                                  double v_scale, std::size_t n) {
   if (n < 8) {
@@ -120,10 +110,6 @@ inline void weighted_value_accum_scalar(float* out, const std::int16_t* v,
 // Row quantization lives in fx::quantize_row_i16 (fixedpoint/quant.h) — the
 // single implementation of the element math shared by fx::quantize_into and
 // the cache's append/requantize paths (the prompt-prefill hot kernel).
-// Which kernel table the runtime probe (or TOPICK_FORCE_ISA) selected:
-// "scalar", "sse41", "avx2", "avx512", or "neon" (recorded in
-// BENCH_hotpath.json so archived numbers are attributable to a kernel).
-const char* row_dot_kernel_name();
 
 // Owning chunk-planar storage for already-quantized rows. QuantizedKvCache
 // embeds one; TokenPickerAttention builds transient ones from AoS inputs.
@@ -132,8 +118,7 @@ struct QuantizedKvStore {
   fx::QuantParams value_params;
   std::size_t head_dim = 0;
   std::size_t len = 0;
-  std::vector<std::int16_t> keys;
-  std::vector<std::int16_t> values;
+  std::vector<std::int16_t> values;                  // (len, head_dim)
   std::vector<std::vector<std::int8_t>> key_planes;  // [num_chunks] digits
 
   // Chunk-plane digit table for one bit layout: digits[b][q - qmin] ==
@@ -158,7 +143,8 @@ struct QuantizedKvStore {
   void reset(const fx::QuantParams& key_params,
              const fx::QuantParams& value_params, std::size_t head_dim);
   void clear_rows();
-  // Appends one already-quantized token row (computes its key planes).
+  // Appends one already-quantized token: the key row goes into the digit
+  // planes, the value row into the arena.
   // Precondition: every element lies in [params.qmin(), params.qmax()] —
   // quantize() output always does (the plane LUT is indexed by value).
   void push_row(const std::int16_t* k_row, const std::int16_t* v_row);
@@ -180,7 +166,8 @@ struct QuantizedKvStore {
 // With a source registered, a headroom-1 rescale is bit-identical to
 // quantize-from-scratch, exactly like the old mirror. Without one the cache
 // falls back to the int-domain ratio rescale (rescale_row_i16): each
-// surviving row is re-gridded from its current int16 values with a
+// surviving row is re-gridded from its current int16 values (key rows
+// reassembled from the digit planes, value rows from the arena) with a
 // precomputed fixed-point ratio, which adds at most one re-rounding of
 // bounded size per rescale (within 1 ULP of the real-ratio grid; pinned by
 // tests/quantized_kv_cache_test.cpp) instead of re-reading exact floats.
@@ -254,7 +241,7 @@ class QuantizedKvCache {
   // retired float shadow; it is identically 0 and stays in the report so
   // the absence is measured, not assumed.
   struct ResidencyBytes {
-    std::size_t int16_arena = 0;  // flat key + value rows
+    std::size_t int16_arena = 0;  // flat value rows (keys live in planes)
     std::size_t planes = 0;       // int8 chunk-planar key digit planes
     std::size_t maxima = 0;       // per-row amax pairs + running maxima
     std::size_t ids = 0;          // stable token ids
@@ -291,8 +278,9 @@ class QuantizedKvCache {
   std::vector<std::size_t> ids_;
   std::uint64_t key_rescales_ = 0, value_rescales_ = 0;
   std::vector<std::int16_t> k_row_scratch_, v_row_scratch_;
-  // Sourceless rescales re-grid in place from a snapshot of the old arenas
-  // (push_row rebuilds the planes, so the old rows must survive clear_rows).
+  // Sourceless rescales re-grid from a snapshot of the old rows (key rows
+  // reassembled from the planes): push_row rebuilds the planes and the value
+  // arena, so the old rows must survive clear_rows.
   std::vector<std::int16_t> k_arena_scratch_, v_arena_scratch_;
   std::vector<std::uint8_t> keep_scratch_;
   std::vector<std::size_t> evict_scratch_;

@@ -180,9 +180,7 @@ void TokenPickerAttention::attend_view(const fx::QuantizedVector& q,
   if (config_.compute_oracle_mass) {
     oracle_scores_.resize(len);
     for (std::size_t t = 0; t < len; ++t) {
-      oracle_scores_[t] =
-          static_cast<double>(row_dot_i64(qd, kv.key(t), head_dim)) *
-          score_scale;
+      oracle_scores_[t] = static_cast<double>(kv.key_dot(qd, t)) * score_scale;
     }
     const double log_denom = log_sum_exp(oracle_scores_.data(), len);
     double dropped = 0.0;

@@ -94,12 +94,16 @@ void quantize_row_i16_avx2(const float* xs, std::size_t n,
     const __m128i rhi = _mm256_cvttpd_epi32(_mm256_add_pd(dhi, half_hi));
     __m256i q = _mm256_insertf128_si256(_mm256_castsi128_si256(rlo), rhi, 1);
     // Saturation branches, exactly the scalar order: ratio >= qmax wins,
-    // then ratio <= qmin (NaN lanes take neither compare, like the scalar
-    // else-branch).
+    // then ratio <= qmin. NaN lanes take neither ordered compare (their
+    // truncation reads INT32_MIN), so they are blended to 0 explicitly,
+    // like the scalar NaN branch.
     const __m256 ge = _mm256_cmp_ps(ratio, fmax, _CMP_GE_OQ);
     const __m256 le = _mm256_cmp_ps(ratio, fmin, _CMP_LE_OQ);
+    const __m256 nan = _mm256_cmp_ps(ratio, ratio, _CMP_UNORD_Q);
     q = _mm256_blendv_epi8(q, qmax, _mm256_castps_si256(ge));
     q = _mm256_blendv_epi8(q, qmin, _mm256_castps_si256(le));
+    q = _mm256_blendv_epi8(q, _mm256_setzero_si256(),
+                           _mm256_castps_si256(nan));
     // Lanes are within int16 range after saturation; pack preserves order
     // within each 128-bit half when both halves come from the same vector.
     const __m128i packed = _mm_packs_epi32(_mm256_castsi256_si128(q),

@@ -90,11 +90,14 @@ void quantize_row_i16_avx512(const float* xs, std::size_t n,
     const __m256i rlo = _mm512_cvttpd_epi32(_mm512_add_pd(dlo, half_lo));
     const __m256i rhi = _mm512_cvttpd_epi32(_mm512_add_pd(dhi, half_hi));
     __m512i q = _mm512_inserti64x4(_mm512_castsi256_si512(rlo), rhi, 1);
-    // NaN lanes take neither compare, like the scalar else-branch.
+    // NaN lanes take neither ordered compare and truncate to INT32_MIN, so
+    // they are blended to 0 explicitly, like the scalar NaN branch.
     const __mmask16 ge = _mm512_cmp_ps_mask(ratio, fmax, _CMP_GE_OQ);
     const __mmask16 le = _mm512_cmp_ps_mask(ratio, fmin, _CMP_LE_OQ);
+    const __mmask16 nan = _mm512_cmp_ps_mask(ratio, ratio, _CMP_UNORD_Q);
     q = _mm512_mask_mov_epi32(q, ge, qmax);
     q = _mm512_mask_mov_epi32(q, le, qmin);
+    q = _mm512_mask_mov_epi32(q, nan, _mm512_setzero_si512());
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
                         _mm512_cvtsepi32_epi16(q));
   }

@@ -31,15 +31,18 @@ void weighted_value_accum_scalar(float* out, const std::int16_t* v, double p,
 // The scalar quantize reference: see the narrowing-bug note in quant.h — the
 // clamp runs in the float domain BEFORE lround so extreme ratios saturate,
 // and lround is never handed a value outside long range (where its result is
-// unspecified). For every in-range ratio the result is bit-identical to the
-// historical path (tests/fixedpoint_test.cpp pins the extremes).
+// unspecified). NaN maps to 0 explicitly (see quant.h). For every in-range
+// ratio the result is bit-identical to the historical path
+// (tests/fixedpoint_test.cpp pins the extremes).
 void quantize_row_i16_scalar(const float* xs, std::size_t n,
                              const QuantParams& params, std::int16_t* out) {
   const auto fmax = static_cast<float>(params.qmax());
   const auto fmin = static_cast<float>(params.qmin());
   for (std::size_t i = 0; i < n; ++i) {
     const float ratio = xs[i] / params.scale;
-    if (ratio >= fmax) {
+    if (std::isnan(ratio)) {
+      out[i] = 0;
+    } else if (ratio >= fmax) {
       out[i] = static_cast<std::int16_t>(params.qmax());
     } else if (ratio <= fmin) {
       out[i] = static_cast<std::int16_t>(params.qmin());

@@ -85,12 +85,15 @@ void quantize_row_i16_sse41(const float* xs, std::size_t n,
     const __m128i rlo = _mm_cvttpd_epi32(_mm_add_pd(dlo, half_lo));
     const __m128i rhi = _mm_cvttpd_epi32(_mm_add_pd(dhi, half_hi));
     __m128i q = _mm_unpacklo_epi64(rlo, rhi);  // 4 x int32, in order
-    // cmpge/cmple are ordered compares: NaN lanes take neither, like the
-    // scalar else-branch.
+    // cmpge/cmple are ordered compares: NaN lanes take neither, and their
+    // truncation reads INT32_MIN, so they are blended to 0 explicitly, like
+    // the scalar NaN branch.
     const __m128 ge = _mm_cmpge_ps(ratio, fmax);
     const __m128 le = _mm_cmple_ps(ratio, fmin);
+    const __m128 nan = _mm_cmpunord_ps(ratio, ratio);
     q = _mm_blendv_epi8(q, qmax, _mm_castps_si128(ge));
     q = _mm_blendv_epi8(q, qmin, _mm_castps_si128(le));
+    q = _mm_blendv_epi8(q, _mm_setzero_si128(), _mm_castps_si128(nan));
     const __m128i packed = _mm_packs_epi32(q, q);
     _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), packed);
   }

@@ -45,13 +45,16 @@ void quantize_into(std::span<const float> xs, const QuantParams& params,
 // nearest, half away from zero (lround); saturation happens in the FLOAT
 // domain before any narrowing, so extreme |x|/scale ratios (tiny-scale
 // head, outlier activation, inf) clamp to qmin/qmax instead of wrapping —
-// the historical int32 narrowing bug. quantize_row_i16 dispatches to the
-// runtime-selected ISA variant (fixedpoint/dispatch.h); every SIMD variant
-// is element-exact to the scalar reference — the divide is IEEE per lane,
-// and for a float ratio r promoted to double d, trunc(d + copysign(0.5, d))
-// equals lround(d) exactly (d and d±0.5 are both exactly representable) —
-// pinned in tests/dispatch_test.cpp over half-way and saturating extremes
-// at every compiled-in level.
+// the historical int32 narrowing bug. A NaN element quantizes to 0 at every
+// ISA level (row_amax skips NaN when picking the scale, so one NaN neither
+// poisons the scale nor escapes the [qmin, qmax] range the key digit planes
+// are indexed by). quantize_row_i16 dispatches to the runtime-selected ISA
+// variant (fixedpoint/dispatch.h); every SIMD variant is element-exact to
+// the scalar reference — the divide is IEEE per lane, and for a float ratio
+// r promoted to double d, trunc(d + copysign(0.5, d)) equals lround(d)
+// exactly (d and d±0.5 are both exactly representable) — pinned in
+// tests/dispatch_test.cpp over half-way, saturating and NaN/inf extremes at
+// every compiled-in level.
 void quantize_row_i16(const float* xs, std::size_t n,
                       const QuantParams& params, std::int16_t* out);
 void quantize_row_i16_scalar(const float* xs, std::size_t n,

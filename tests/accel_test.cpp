@@ -158,9 +158,9 @@ TEST(KvLayoutTest, HostResidentRegionMatchesCacheResidency) {
   EXPECT_EQ(res.f32_mirror, 0u);
 
   const KvLayout layout(config, 0, len, head_dim);
-  // int16_arena covers flat keys + values in equal halves; the device never
-  // refetches the flat key copy, so the region is planes + the value half.
-  EXPECT_EQ(layout.region_bytes(), res.planes + res.int16_arena / 2);
+  // Keys live only in the digit planes and int16_arena holds the value
+  // rows, so the region is exactly the cache's two arenas.
+  EXPECT_EQ(layout.region_bytes(), res.planes + res.int16_arena);
 }
 
 TEST(ScoreboardTest, InsertTakeRoundTrip) {

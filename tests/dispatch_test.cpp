@@ -3,7 +3,7 @@
 // * Registry shape: scalar always present and first, levels strictly
 //   ascending, supported ⊆ compiled, the active table is supported.
 // * Forced-level matrix: for EVERY compiled-in variant this CPU can run,
-//   force it and assert the public entry points (row_dot_i64,
+//   force it and assert the entry points (the active row_dot_i64,
 //   weighted_value_accum, fx::quantize_row_i16, fx::row_amax,
 //   fx::choose_scale, fx::rescale_row_i16, fx::plane_dot_i64) are
 //   bit-identical to the scalar reference over randomized rows, odd
@@ -135,8 +135,8 @@ TEST(DispatchForcedMatrix, EveryLevelBitMatchesScalarThroughPublicEntryPoints) {
                 static_cast<int>(rng.uniform_index(4096)) - 2048);
           }
         }
-        EXPECT_EQ(row_dot_i64(a.data(), b.data(), n),
-                  row_dot_i64_scalar(a.data(), b.data(), n))
+        EXPECT_EQ(fx::active_kernels().row_dot_i64(a.data(), b.data(), n),
+                  fx::row_dot_i64_scalar(a.data(), b.data(), n))
             << "n=" << n;
 
         // weighted_value_accum through the dispatching wrapper.
@@ -170,10 +170,25 @@ TEST(DispatchForcedMatrix, EveryLevelBitMatchesScalarThroughPublicEntryPoints) {
               xs[i] = static_cast<float>(rng.normal() * 500.0);
           }
         }
+        // Non-finite elements: ±inf saturates and NaN of either sign
+        // quantizes to 0 (a SIMD lane that truncated NaN read -32768).
+        if (n > 0 && trial % 3 == 1) {
+          constexpr float inf = std::numeric_limits<float>::infinity();
+          constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+          xs[rng.uniform_index(n)] = inf;
+          xs[rng.uniform_index(n)] = -inf;
+          xs[rng.uniform_index(n)] = nan;
+          xs[rng.uniform_index(n)] = -nan;
+        }
         std::vector<std::int16_t> got(n), want(n);
         fx::quantize_row_i16(xs.data(), n, params, got.data());
         fx::quantize_row_i16_scalar(xs.data(), n, params, want.data());
         EXPECT_EQ(got, want) << "n=" << n << " scale=" << params.scale;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (std::isnan(xs[i])) {
+            EXPECT_EQ(got[i], 0) << "n=" << n;
+          }
+        }
 
         // row_amax + choose_scale (the scale decides every quantized bit).
         EXPECT_EQ(fx::row_amax(xs.data(), n), fx::row_amax_scalar(xs.data(), n))
@@ -184,6 +199,59 @@ TEST(DispatchForcedMatrix, EveryLevelBitMatchesScalarThroughPublicEntryPoints) {
           EXPECT_EQ(fx::choose_scale({xs.data(), n}), expected) << "n=" << n;
         }
       }
+    }
+    fx::reset_isa();
+  }
+}
+
+// A NaN-bearing K/V row appends to the cache at every level and lands on
+// the same bits: the key digit planes are indexed by quantized value, so a
+// NaN that escaped [qmin, qmax] would read outside the digit table. The
+// record-setting last row forces a sourceless rescale over the NaN rows.
+TEST(DispatchForcedMatrix, NanBearingRowAppendsIdenticallyAtEveryLevel) {
+  IsaGuard guard;
+  constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::size_t dim = 64;
+  Rng rng(0x7a11);
+  std::vector<std::vector<float>> ks(4, std::vector<float>(dim));
+  std::vector<std::vector<float>> vs = ks;
+  for (std::size_t r = 0; r < ks.size(); ++r) {
+    const double sigma = r == 3 ? 10.0 : 1.0;
+    for (auto& x : ks[r]) x = static_cast<float>(rng.normal(0.0, sigma));
+    for (auto& x : vs[r]) x = static_cast<float>(rng.normal(0.0, sigma));
+  }
+  ks[1][5] = nan;
+  vs[1][17] = nan;
+  ks[2][0] = -nan;
+  vs[2][dim - 1] = nan;
+
+  std::vector<std::int16_t> ref_keys, ref_values;
+  for (const fx::KernelTable* table : fx::supported_kernel_tables()) {
+    SCOPED_TRACE(table->name);
+    ASSERT_TRUE(fx::force_isa(table->level));
+    QuantizedKvCache cache(dim);
+    for (std::size_t r = 0; r + 1 < ks.size(); ++r) cache.append(ks[r], vs[r]);
+    const std::uint64_t rescales = cache.key_rescales();
+    cache.append(ks.back(), vs.back());
+    EXPECT_GT(cache.key_rescales(), rescales);
+
+    const QuantizedKvView view = cache.view();
+    std::vector<std::int16_t> keys(view.len * dim);
+    for (std::size_t t = 0; t < view.len; ++t) {
+      view.key_row(t, keys.data() + t * dim);
+    }
+    const std::vector<std::int16_t> values(view.values,
+                                           view.values + view.len * dim);
+    EXPECT_EQ(keys[1 * dim + 5], 0);
+    EXPECT_EQ(values[1 * dim + 17], 0);
+    EXPECT_EQ(keys[2 * dim + 0], 0);
+    EXPECT_EQ(values[2 * dim + dim - 1], 0);
+    if (table->level == fx::IsaLevel::scalar) {
+      ref_keys = keys;
+      ref_values = values;
+    } else {
+      EXPECT_EQ(keys, ref_keys);
+      EXPECT_EQ(values, ref_values);
     }
     fx::reset_isa();
   }

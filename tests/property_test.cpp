@@ -77,6 +77,27 @@ TEST_P(QuantFormatSweep, DigitPlanesReassembleEveryValue) {
     }
     ASSERT_EQ(sum, row[d]);
   }
+
+  // The view's two key readers: key_row reassembles the pushed row, and
+  // key_dot is the exact int16 dot over it.
+  std::vector<std::int16_t> reassembled(row.size());
+  view.key_row(0, reassembled.data());
+  EXPECT_EQ(reassembled, row);
+  Rng rng(0x9e7 + static_cast<std::uint64_t>(total_bits * 16 + chunk_bits));
+  std::vector<std::int16_t> q_max(row.size()), q_min(row.size()),
+      q_alt(row.size()), q_rand(row.size());
+  for (std::size_t d = 0; d < row.size(); ++d) {
+    q_max[d] = static_cast<std::int16_t>(p.qmax());
+    q_min[d] = static_cast<std::int16_t>(p.qmin());
+    q_alt[d] = d % 2 == 0 ? q_max[d] : q_min[d];
+    q_rand[d] = static_cast<std::int16_t>(
+        p.qmin() + static_cast<std::int32_t>(rng.uniform_index(
+                       static_cast<std::uint64_t>(p.qmax() - p.qmin() + 1))));
+  }
+  for (const auto* q : {&q_max, &q_min, &q_alt, &q_rand}) {
+    EXPECT_EQ(view.key_dot(q->data(), 0),
+              fx::row_dot_i64_scalar(q->data(), row.data(), row.size()));
+  }
 }
 
 TEST(DigitPlanes, WidthsOverflowingInt8AreRejected) {

@@ -113,17 +113,20 @@ TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
 
   QuantizedKvStore store;
   store.reset(params, params, dim);
-  std::vector<std::int16_t> k_row(dim), v_row(dim);
-  for (int t = 0; t < 5; ++t) {
+  std::vector<std::vector<std::int16_t>> k_rows(
+      5, std::vector<std::int16_t>(dim));
+  std::vector<std::int16_t> v_row(dim);
+  for (auto& k_row : k_rows) {
     for (std::size_t d = 0; d < dim; ++d) {
       k_row[d] = static_cast<std::int16_t>(
           static_cast<std::int32_t>(rng.uniform_index(4096)) - 2048);
-      v_row[d] = k_row[d];
+      v_row[d] = static_cast<std::int16_t>(-k_row[d] / 2);
     }
     store.push_row(k_row.data(), v_row.data());
   }
 
   const QuantizedKvView view = store.view();
+  ASSERT_EQ(view.len, k_rows.size());
   for (std::size_t t = 0; t < view.len; ++t) {
     for (std::size_t d = 0; d < dim; ++d) {
       std::int32_t sum = 0;
@@ -131,7 +134,7 @@ TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
         sum += static_cast<std::int32_t>(view.key_plane_row(b, t)[d]) *
                (1 << view.key_plane_shift(b));
       }
-      EXPECT_EQ(sum, view.key(t)[d]) << "token " << t << " dim " << d;
+      EXPECT_EQ(sum, k_rows[t][d]) << "token " << t << " dim " << d;
     }
   }
 }
@@ -151,10 +154,12 @@ void expect_matches_from_scratch(const QuantizedKvCache& cache,
   const QuantizedKvView cached = cache.view();
   EXPECT_EQ(cached.key_params.scale, fresh.keys[0].params.scale);
   EXPECT_EQ(cached.value_params.scale, fresh.values[0].params.scale);
+  std::vector<std::int16_t> key(shadow.head_dim);
   for (std::size_t t = 0; t < cache.len(); ++t) {
     EXPECT_EQ(cache.id_at(t), shadow.ids[t]);
+    cached.key_row(t, key.data());
     for (std::size_t d = 0; d < shadow.head_dim; ++d) {
-      EXPECT_EQ(cached.key(t)[d], fresh.keys[t].values[d]);
+      EXPECT_EQ(key[d], fresh.keys[t].values[d]);
       EXPECT_EQ(cached.value(t)[d], fresh.values[t].values[d]);
     }
   }
@@ -376,10 +381,13 @@ TEST(QuantizedKvCache, SourcelessFallbackTracksFloatSourcedWithinDrift) {
 
     const QuantizedKvView a = fallback.view();
     const QuantizedKvView b = sourced.view();
+    std::vector<std::int16_t> a_key(dim), b_key(dim);
     for (std::size_t t = 0; t < sourced.len(); ++t) {
+      a.key_row(t, a_key.data());
+      b.key_row(t, b_key.data());
       for (std::size_t d = 0; d < dim; ++d) {
-        EXPECT_LE(std::abs(static_cast<int>(a.key(t)[d]) -
-                           static_cast<int>(b.key(t)[d])),
+        EXPECT_LE(std::abs(static_cast<int>(a_key[d]) -
+                           static_cast<int>(b_key[d])),
                   allowed_k + 0.5)
             << "op " << op << " token " << t << " dim " << d;
         EXPECT_LE(std::abs(static_cast<int>(a.value(t)[d]) -
@@ -414,9 +422,10 @@ TEST(QuantizedKvCache, HeadroomAmortizesRescalesWithBoundedError) {
 
     const QuantizedKvView view = amortized.view();
     const float k_scale = view.key_params.scale;
+    std::vector<std::int16_t> key(dim);
+    view.key_row(t, key.data());
     for (std::size_t d = 0; d < dim; ++d) {
-      const float reconstructed =
-          static_cast<float>(view.key(t)[d]) * k_scale;
+      const float reconstructed = static_cast<float>(key[d]) * k_scale;
       EXPECT_NEAR(reconstructed, k[d], 0.5f * k_scale + 1e-7f)
           << "token " << t << " dim " << d << " scale " << k_scale;
     }

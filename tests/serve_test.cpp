@@ -314,10 +314,12 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   ASSERT_EQ(cache.len(), survivors.size());
   EXPECT_EQ(cached.key_params.scale, fresh.keys[0].params.scale);
   EXPECT_EQ(cached.value_params.scale, fresh.values[0].params.scale);
+  std::vector<std::int16_t> key(dim);
   for (std::size_t i = 0; i < survivors.size(); ++i) {
     EXPECT_EQ(cache.id_at(i), survivors[i]);
+    cached.key_row(i, key.data());
     for (std::size_t d = 0; d < dim; ++d) {
-      EXPECT_EQ(cached.key(i)[d], fresh.keys[i].values[d]);
+      EXPECT_EQ(key[d], fresh.keys[i].values[d]);
       EXPECT_EQ(cached.value(i)[d], fresh.values[i].values[d]);
     }
   }
