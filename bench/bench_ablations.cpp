@@ -140,14 +140,7 @@ int main() {
                         "peak occupancy"});
     Rng rng(0xab1d);
     const auto inst = sample_instance(rng, 512);
-    accel::AccelInstance hw;
-    fx::QuantParams base;
-    hw.kv = quantize_kv(inst.view(), base);
-    fx::QuantParams qp = base;
-    qp.scale = fx::choose_scale(inst.q, base.total_bits);
-    hw.q = fx::quantize(inst.q, qp);
-    hw.score_scale =
-        static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale / 8.0;
+    const auto hw = accel::make_instance(inst.q, inst.view());
 
     for (const int entries : {4, 8, 16, 32, 64}) {
       accel::AccelConfig config;

@@ -6,12 +6,10 @@
 // computing first chunks of other tokens. Also quantifies the benefit by
 // comparing lane utilization and total cycles against the stalled in-order
 // design on the identical instance.
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "accel/engine.h"
-#include "core/exact_attention.h"
 #include "workload/generator.h"
 
 namespace {
@@ -40,15 +38,7 @@ int main() {
   Rng rng(0xf05);
   const auto inst = gen.make_instance(rng);
 
-  accel::AccelInstance hw;
-  fx::QuantParams base;
-  hw.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  hw.q = fx::quantize(inst.q, qp);
-  hw.score_scale =
-      static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale / 8.0;
-  hw.base_addr = 0;
+  const auto hw = accel::make_instance(inst.q, inst.view());
 
   const auto ooo = run(hw, accel::DesignPoint::topick_ooo, true);
 

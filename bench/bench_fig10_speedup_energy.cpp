@@ -7,32 +7,17 @@
 // ToPick (adds out-of-order on-demand K, paper: avg 2.28x / 2.41x), and
 // ToPick-0.3 (relaxed threshold, paper: avg 2.48x / 2.63x). The stalled
 // on-demand ablation shows why OoO is necessary.
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "accel/energy_model.h"
 #include "accel/engine.h"
 #include "common/table.h"
-#include "core/exact_attention.h"
 #include "workload/zoo.h"
 
 namespace {
 
 using namespace topick;
-
-accel::AccelInstance make_hw_instance(const wl::Instance& inst) {
-  accel::AccelInstance hw;
-  fx::QuantParams base;
-  hw.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  hw.q = fx::quantize(inst.q, qp);
-  hw.score_scale = static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale /
-                   std::sqrt(static_cast<double>(inst.head_dim));
-  hw.base_addr = 0;
-  return hw;
-}
 
 struct DesignResult {
   std::uint64_t cycles = 0;
@@ -91,7 +76,7 @@ int main() {
 
     for (int i = 0; i < kInstances; ++i) {
       const auto inst = gen.make_instance(rng);
-      const auto hw = make_hw_instance(inst);
+      const auto hw = accel::make_instance(inst.q, inst.view());
 
       const auto base = run_design(hw, accel::DesignPoint::baseline, 0.0);
       const auto kv = run_design(hw, accel::DesignPoint::topick_kv, thr_topick);

@@ -4,7 +4,6 @@
 
 #include "accel/engine.h"
 #include "common/rng.h"
-#include "core/exact_attention.h"
 #include "workload/generator.h"
 
 int main() {
@@ -47,15 +46,7 @@ int main() {
   Rng rng(0x7ab1e1);
   const auto inst = gen.make_instance(rng);
 
-  accel::AccelInstance hw;
-  fx::QuantParams base;
-  hw.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  hw.q = fx::quantize(inst.q, qp);
-  hw.score_scale = static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale /
-                   8.0;  // sqrt(64)
-  hw.base_addr = 0;
+  const auto hw = accel::make_instance(inst.q, inst.view());
 
   const struct {
     const char* name;

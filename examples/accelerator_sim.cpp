@@ -1,12 +1,10 @@
 // Drive the cycle-level ToPick accelerator model directly: place one
 // attention instance in simulated HBM2, run all four design points, and dump
 // timing, traffic, utilization, and energy for each.
-#include <cmath>
 #include <cstdio>
 
 #include "accel/energy_model.h"
 #include "accel/engine.h"
-#include "core/exact_attention.h"
 #include "workload/generator.h"
 
 int main() {
@@ -20,15 +18,7 @@ int main() {
   Rng rng(7);
   const auto instance = generator.make_instance(rng);
 
-  accel::AccelInstance hw;
-  fx::QuantParams base;
-  hw.kv = quantize_kv(instance.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(instance.q, base.total_bits);
-  hw.q = fx::quantize(instance.q, qp);
-  hw.score_scale = static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale /
-                   std::sqrt(128.0);
-  hw.base_addr = 0;
+  const auto hw = accel::make_instance(instance.q, instance.view());
 
   std::printf("one attention instance: context 2048, head_dim 128 "
               "(OPT-6.7B shape), thr = 1e-3\n\n");

@@ -84,6 +84,14 @@ BatchResult Engine::run_many(const std::vector<AccelInstance>& instances) {
   return batch;
 }
 
+AccelInstance make_instance(std::span<const float> q, const KvHeadView& kv,
+                            const fx::QuantParams& base) {
+  AccelInstance out;
+  out.kv = quantize_kv(kv, base);
+  out.score_scale = quantize_query(q, base, out.kv.keys.params.scale, &out.q);
+  return out;
+}
+
 Engine::Engine(const AccelConfig& config) : config_(config) {
   require(config.pe_lanes > 0, "AccelConfig: pe_lanes must be positive");
   require(config.scoreboard_entries > 0,
@@ -93,11 +101,10 @@ Engine::Engine(const AccelConfig& config) : config_(config) {
 }
 
 SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
-  const std::size_t len = instance.kv.keys.size();
+  const std::size_t len = instance.kv.checked_len(instance.q.size());
   require(len > 0, "Engine: instance has no tokens");
-  require(instance.kv.values.size() == len, "Engine: K/V length mismatch");
   const auto head_dim = static_cast<int>(instance.q.size());
-  const fx::QuantParams kparams = instance.kv.keys[0].params;
+  const fx::QuantParams kparams = instance.kv.keys.params;
   const int num_chunks = kparams.num_chunks();
   require(num_chunks < (1 << kChunkBits), "Engine: too many chunks for id");
 
@@ -542,11 +549,11 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
   const double log_denom =
       log_sum_exp(survivor_scores.data(), survivor_scores.size());
   result.output.assign(static_cast<std::size_t>(head_dim), 0.0f);
-  const float v_scale = instance.kv.values[0].params.scale;
+  const float v_scale = instance.kv.values.params.scale;
   for (std::size_t t = 0; t < len; ++t) {
     if (!result.kept[t]) continue;
     const double p = std::exp(tokens[t].final_score - log_denom);
-    const auto& value = instance.kv.values[t];
+    const auto value = instance.kv.values[t];
     for (std::size_t d = 0; d < static_cast<std::size_t>(head_dim); ++d) {
       result.output[d] += static_cast<float>(
           p * static_cast<double>(value.values[d]) * v_scale);

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,11 @@ struct AccelInstance {
   double score_scale = 1.0;       // integer dot -> softmax logits
   std::uint64_t base_addr = 0;    // granule-aligned KV region base
 };
+
+// Quantizes one float (query, head) instance at `base`'s precision: K/V by
+// quantize_kv(), Q and score_scale by quantize_query(). base_addr stays 0.
+AccelInstance make_instance(std::span<const float> q, const KvHeadView& kv,
+                            const fx::QuantParams& base = {});
 
 enum class EventKind { request, arrive, compute, prune, keep, value_fetch };
 

@@ -83,18 +83,15 @@ void SpAttenBackend::attend_view(std::span<const float> q,
                                  std::span<float> out,
                                  const AttentionContext& ctx) {
   require(kv.len > 0, "SpAttenBackend: empty view");
+  require(q.size() == kv.head_dim, "SpAttenBackend: q size mismatch");
   const auto active = pruner_.active_tokens(ctx.layer, kv.len);
   const auto full_vector_bits =
       static_cast<std::uint64_t>(kv.head_dim) * kv.key_params.total_bits;
 
   // 12-bit operands for parity with ToPick; the cache quantized K/V once at
   // append, only the query is quantized per call.
-  fx::QuantParams qp = kv.key_params;
-  qp.scale = fx::choose_scale(q, kv.key_params.total_bits);
-  fx::quantize_into(q, qp, &q_scratch_);
   const double score_scale =
-      static_cast<double>(qp.scale) * kv.key_params.scale /
-      std::sqrt(static_cast<double>(kv.head_dim));
+      quantize_query(q, kv.key_params, kv.key_params.scale, &q_scratch_);
 
   scores_.resize(active.size());
   for (std::size_t i = 0; i < active.size(); ++i) {

@@ -1,6 +1,7 @@
 #include "core/exact_attention.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/expsum.h"
 #include "common/require.h"
@@ -41,30 +42,35 @@ ExactAttentionResult exact_attention_f32(std::span<const float> q,
   return result;
 }
 
-QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base) {
-  QuantizedKv out;
-  // Shared scale across the head's cache, as stored on-device.
-  std::vector<float> all_k, all_v;
-  all_k.reserve(kv.len * kv.head_dim);
-  all_v.reserve(kv.len * kv.head_dim);
-  for (std::size_t t = 0; t < kv.len; ++t) {
-    auto key = kv.key(t);
-    auto value = kv.value(t);
-    all_k.insert(all_k.end(), key.begin(), key.end());
-    all_v.insert(all_v.end(), value.begin(), value.end());
-  }
-  fx::QuantParams kp = base;
-  kp.scale = fx::choose_scale(all_k, base.total_bits);
-  fx::QuantParams vp = base;
-  vp.scale = fx::choose_scale(all_v, base.total_bits);
+double quantize_query(std::span<const float> q, const fx::QuantParams& base,
+                      float key_scale, fx::QuantizedVector* out) {
+  fx::QuantParams qp = base;
+  qp.scale = fx::choose_scale(q, base.total_bits);
+  fx::quantize_into(q, qp, out);
+  return static_cast<double>(qp.scale) * key_scale /
+         std::sqrt(static_cast<double>(q.size()));
+}
 
-  out.keys.reserve(kv.len);
-  out.values.reserve(kv.len);
-  for (std::size_t t = 0; t < kv.len; ++t) {
-    out.keys.push_back(fx::quantize(kv.key(t), kp));
-    out.values.push_back(fx::quantize(kv.value(t), vp));
-  }
-  return out;
+std::size_t QuantizedKv::checked_len(std::size_t dim) const {
+  require(keys.dim == dim && values.dim == dim,
+          "QuantizedKv: K/V row width differs from the query");
+  const std::size_t len = keys.size();
+  require(keys.data.size() == len * dim && values.data.size() == len * dim,
+          "QuantizedKv: K/V length mismatch");
+  return len;
+}
+
+QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base) {
+  // Per arena: the shared scale over all len × head_dim contiguous floats,
+  // then one quantize pass over the whole head.
+  const auto arena = [&](const float* xs) {
+    const std::span<const float> all(xs, kv.len * kv.head_dim);
+    fx::QuantParams params = base;
+    params.scale = fx::choose_scale(all, base.total_bits);
+    fx::QuantizedVector q = fx::quantize(all, params);
+    return QuantizedRows{q.params, kv.head_dim, std::move(q.values)};
+  };
+  return {arena(kv.keys), arena(kv.values)};
 }
 
 ExactAttentionResult exact_attention_quantized(std::span<const float> q,
@@ -74,13 +80,9 @@ ExactAttentionResult exact_attention_quantized(std::span<const float> q,
   require(q.size() == kv.head_dim, "exact_attention_quantized: q size");
 
   const QuantizedKv qkv = quantize_kv(kv, base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(q, base.total_bits);
-  const fx::QuantizedVector qq = fx::quantize(q, qp);
-
+  fx::QuantizedVector qq;
   const double score_scale =
-      static_cast<double>(qp.scale) * qkv.keys[0].params.scale /
-      std::sqrt(static_cast<double>(kv.head_dim));
+      quantize_query(q, base, qkv.keys.params.scale, &qq);
 
   ExactAttentionResult result;
   result.scores.resize(kv.len);
@@ -96,9 +98,9 @@ ExactAttentionResult exact_attention_quantized(std::span<const float> q,
   }
 
   result.output.assign(kv.head_dim, 0.0f);
-  const float v_scale = qkv.values[0].params.scale;
+  const float v_scale = qkv.values.params.scale;
   for (std::size_t t = 0; t < kv.len; ++t) {
-    const auto& value = qkv.values[t];
+    const auto value = qkv.values[t];
     const auto p = result.probs[t];
     for (std::size_t d = 0; d < kv.head_dim; ++d) {
       result.output[d] += static_cast<float>(

@@ -28,12 +28,34 @@ ExactAttentionResult exact_attention_quantized(std::span<const float> q,
                                                const fx::QuantParams& base =
                                                    fx::QuantParams{});
 
-// Quantizes each cache row with a shared per-view scale (how the KV cache is
-// stored on-device). Exposed for reuse by the Token-Picker operator and the
-// accelerator model.
+// Quantizes a query into `out` with its own symmetric scale at `base`'s
+// precision and returns q_scale * key_scale / sqrt(q.size()): the factor that
+// turns an integer q.k dot into a softmax logit.
+double quantize_query(std::span<const float> q, const fx::QuantParams& base,
+                      float key_scale, fx::QuantizedVector* out);
+
+// One head's quantized K or V rows as one flat arena: `len × dim` int16
+// values, row-major, and one QuantParams shared by every row (one symmetric
+// scale per head, as stored on-device). `rows[t]` is a view, not a copy.
+struct QuantizedRows {
+  fx::QuantParams params;
+  std::size_t dim = 0;
+  std::vector<std::int16_t> data;
+
+  std::size_t size() const { return dim == 0 ? 0 : data.size() / dim; }
+  fx::QuantizedRowView operator[](std::size_t t) const {
+    return {params, std::span<const std::int16_t>(data).subspan(t * dim, dim)};
+  }
+};
+
+// A head's quantized K and V. The struct is public, so its rows need not come
+// from quantize_kv(); readers take the token count from checked_len(), which
+// throws unless both arenas hold equally many whole rows of width `dim`.
 struct QuantizedKv {
-  std::vector<fx::QuantizedVector> keys;
-  std::vector<fx::QuantizedVector> values;
+  QuantizedRows keys;
+  QuantizedRows values;
+
+  std::size_t checked_len(std::size_t dim) const;
 };
 QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base);
 

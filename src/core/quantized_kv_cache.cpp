@@ -485,13 +485,8 @@ void exact_attention_view(std::span<const float> q, const QuantizedKvView& kv,
   require(kv.len > 0, "exact_attention_view: empty view");
   require(q.size() == kv.head_dim, "exact_attention_view: q size");
 
-  fx::QuantParams qp = kv.key_params;
-  qp.scale = fx::choose_scale(q, kv.key_params.total_bits);
-  fx::quantize_into(q, qp, q_scratch);
-
   const double score_scale =
-      static_cast<double>(qp.scale) * kv.key_params.scale /
-      std::sqrt(static_cast<double>(kv.head_dim));
+      quantize_query(q, kv.key_params, kv.key_params.scale, q_scratch);
 
   result->scores.resize(kv.len);
   for (std::size_t t = 0; t < kv.len; ++t) {

@@ -42,7 +42,7 @@ namespace topick {
 
 // Non-owning view over chunk-planar quantized K/V. The unit the attention
 // hot paths consume; produced by QuantizedKvCache (incremental) and by
-// transient stores built from legacy AoS QuantizedKv inputs.
+// transient stores built from pre-quantized QuantizedKv arenas.
 struct QuantizedKvView {
   std::size_t len = 0;
   std::size_t head_dim = 0;

@@ -1,5 +1,6 @@
 #include "core/token_picker.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/expsum.h"
@@ -32,24 +33,18 @@ TokenPickerResult TokenPickerAttention::attend(std::span<const float> q,
 
 TokenPickerResult TokenPickerAttention::attend_quantized(
     const fx::QuantizedVector& q, const QuantizedKv& kv, double score_scale) {
-  const std::size_t len = kv.keys.size();
-  require(len > 0, "attend_quantized: no tokens");
-  require(kv.values.size() == len, "attend_quantized: K/V length mismatch");
   const std::size_t head_dim = q.size();
+  const std::size_t len = kv.checked_len(head_dim);
+  require(len > 0, "attend_quantized: no tokens");
 
-  aos_scratch_.reset(kv.keys[0].params, kv.values[0].params, head_dim);
-  const auto kmin = static_cast<std::int16_t>(kv.keys[0].params.qmin());
-  const auto kmax = static_cast<std::int16_t>(kv.keys[0].params.qmax());
+  // push_row's plane LUT is indexed by value, so enforce the store's
+  // precondition here — the one entry point whose rows need not come from
+  // quantize_kv() (which always clamps into [qmin, qmax]).
+  const auto [kmin, kmax] = std::ranges::minmax(kv.keys.data);
+  require(kmin >= kv.keys.params.qmin() && kmax <= kv.keys.params.qmax(),
+          "attend_quantized: key value outside the head's quant range");
+  aos_scratch_.reset(kv.keys.params, kv.values.params, head_dim);
   for (std::size_t t = 0; t < len; ++t) {
-    require(kv.keys[t].size() == head_dim && kv.values[t].size() == head_dim,
-            "attend_quantized: row size mismatch");
-    // push_row's plane LUT is indexed by value, so enforce the store's
-    // precondition here — the one entry point whose rows need not come from
-    // quantize() (which always clamps into [qmin, qmax]).
-    for (const std::int16_t k : kv.keys[t].values) {
-      require(k >= kmin && k <= kmax,
-              "attend_quantized: key value outside the head's quant range");
-    }
     aos_scratch_.push_row(kv.keys[t].values.data(), kv.values[t].values.data());
   }
   attend_view(q, aos_scratch_.view(), score_scale, &result_scratch_);
@@ -62,13 +57,8 @@ void TokenPickerAttention::attend_cached(std::span<const float> q,
   require(cache.len() > 0, "attend_cached: empty cache");
   require(q.size() == cache.head_dim(), "attend_cached: q size mismatch");
 
-  fx::QuantParams qp = config_.quant;
-  qp.scale = fx::choose_scale(q, config_.quant.total_bits);
-  fx::quantize_into(q, qp, &q_scratch_);
-
-  const double score_scale =
-      static_cast<double>(qp.scale) * cache.key_params().scale /
-      std::sqrt(static_cast<double>(cache.head_dim()));
+  const double score_scale = quantize_query(
+      q, config_.quant, cache.key_params().scale, &q_scratch_);
   attend_view(q_scratch_, cache.view(), score_scale, result);
 }
 

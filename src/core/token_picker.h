@@ -112,9 +112,9 @@ class TokenPickerAttention {
   // preserved for calibration/examples and as the equivalence reference).
   TokenPickerResult attend(std::span<const float> q, const KvHeadView& kv);
 
-  // Variant for pre-quantized AoS inputs (used by the accelerator model and
-  // by workloads that generate integer tensors directly). score_scale
-  // converts integer dot products to softmax-logit units.
+  // Variant for pre-quantized K/V arenas (used by the accelerator model and
+  // by workloads that generate integer tensors directly); throws on a key
+  // outside [qmin, qmax]. score_scale converts integer dots to logits.
   TokenPickerResult attend_quantized(const fx::QuantizedVector& q,
                                      const QuantizedKv& kv,
                                      double score_scale);

@@ -77,7 +77,7 @@ std::int16_t assemble(const std::vector<std::uint16_t>& chunks,
   return static_cast<std::int16_t>(raw);
 }
 
-std::int64_t partial_dot_i64(const QuantizedVector& q, const QuantizedVector& k,
+std::int64_t partial_dot_i64(QuantizedRowView q, QuantizedRowView k,
                              int chunks_known) {
   require(q.values.size() == k.values.size(), "partial_dot: length mismatch");
   std::int64_t acc = 0;
@@ -88,8 +88,8 @@ std::int64_t partial_dot_i64(const QuantizedVector& q, const QuantizedVector& k,
   return acc;
 }
 
-std::int64_t chunk_dot_delta_i64(const QuantizedVector& q,
-                                 const QuantizedVector& k, int chunk_idx) {
+std::int64_t chunk_dot_delta_i64(QuantizedRowView q, QuantizedRowView k,
+                                 int chunk_idx) {
   require(q.values.size() == k.values.size(), "chunk_dot_delta: length mismatch");
   std::int64_t acc = 0;
   for (std::size_t d = 0; d < q.values.size(); ++d) {

@@ -39,14 +39,14 @@ std::int16_t assemble(const std::vector<std::uint16_t>& chunks,
 
 // Partial dot product sum_d q_d * partial_value(k_d, chunks_known): the
 // score accumulated by the PE lane after `chunks_known` chunks of K arrived.
-std::int64_t partial_dot_i64(const QuantizedVector& q, const QuantizedVector& k,
+std::int64_t partial_dot_i64(QuantizedRowView q, QuantizedRowView k,
                              int chunks_known);
 
 // Incremental form: the contribution of chunk `chunk_idx` of K alone, i.e.
 // partial_dot(b+1) - partial_dot(b). This mirrors the hardware, which
 // multiplies the 12-bit Q against one 4-bit chunk per cycle and accumulates
 // via the scoreboard.
-std::int64_t chunk_dot_delta_i64(const QuantizedVector& q,
-                                 const QuantizedVector& k, int chunk_idx);
+std::int64_t chunk_dot_delta_i64(QuantizedRowView q, QuantizedRowView k,
+                                 int chunk_idx);
 
 }  // namespace topick::fx

@@ -62,7 +62,7 @@ std::vector<float> dequantize(const QuantizedVector& v) {
   return out;
 }
 
-std::int64_t dot_i64(const QuantizedVector& a, const QuantizedVector& b) {
+std::int64_t dot_i64(QuantizedRowView a, QuantizedRowView b) {
   require(a.values.size() == b.values.size(), "dot_i64: length mismatch");
   std::int64_t acc = 0;
   for (std::size_t i = 0; i < a.values.size(); ++i) {

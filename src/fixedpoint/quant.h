@@ -21,11 +21,20 @@ struct QuantParams {
   std::int32_t qmin() const { return -(1 << (total_bits - 1)); }
 };
 
+// A borrowed quantized row: its params plus a span of its int16 values. A
+// QuantizedVector converts to one implicitly, and each row of a QuantizedKv
+// arena is one (sharing the arena's params), so the integer kernels take both.
+struct QuantizedRowView {
+  QuantParams params;
+  std::span<const std::int16_t> values;
+};
+
 struct QuantizedVector {
   QuantParams params;
   std::vector<std::int16_t> values;
 
   std::size_t size() const { return values.size(); }
+  operator QuantizedRowView() const { return {params, values}; }
 };
 
 // Symmetric scale so that max|x| maps to qmax. A zero vector gets scale 1.
@@ -67,6 +76,6 @@ QuantizedVector quantize_auto(std::span<const float> xs, int total_bits = 12,
 std::vector<float> dequantize(const QuantizedVector& v);
 
 // Exact integer dot product of two quantized vectors (int64 accumulator).
-std::int64_t dot_i64(const QuantizedVector& a, const QuantizedVector& b);
+std::int64_t dot_i64(QuantizedRowView a, QuantizedRowView b);
 
 }  // namespace topick::fx

@@ -1,6 +1,9 @@
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,18 +34,80 @@ AccelInstance make_instance(Rng& rng, std::size_t len, int head_dim = 64) {
   params.head_dim = head_dim;
   wl::Generator gen(params);
   const auto inst = gen.make_instance(rng);
+  return accel::make_instance(inst.q, inst.view());
+}
 
-  AccelInstance out;
-  fx::QuantParams base;
-  out.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  out.q = fx::quantize(inst.q, qp);
-  out.score_scale = static_cast<double>(qp.scale) *
-                    out.kv.keys[0].params.scale /
-                    std::sqrt(static_cast<double>(head_dim));
-  out.base_addr = 0;
-  return out;
+// quantize_kv's arenas must equal the per-row construction — one scale from
+// choose_scale over the whole head, then fx::quantize of each row — params
+// included, also where the quantizer zeroes (NaN) or saturates (±1e30, ±inf).
+TEST(QuantizeKvTest, ArenaMatchesPerRowQuantize) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> specials = {
+      {}, {kNaN, 1e30f, -1e30f}, {kInf, -kInf, -kNaN}};
+  constexpr std::size_t len = 9;
+  Rng rng(0xa7e4a);
+  for (const std::size_t dim : {1, 7, 64, 80, 128}) {
+    for (const auto& special : specials) {
+      for (const fx::QuantParams base : {fx::QuantParams{}, {10, 3}}) {
+        std::vector<float> k(len * dim), v(len * dim);
+        for (auto& x : k) x = static_cast<float>(rng.normal());
+        for (auto& x : v) x = static_cast<float>(rng.normal());
+        for (std::size_t i = 0; i < special.size(); ++i) {
+          k[((3 + i) % len) * dim + i % dim] = special[i];
+          v[((5 + 2 * i) % len) * dim + dim - 1 - i % dim] = special[i];
+        }
+        const auto kv = quantize_kv({k.data(), v.data(), len, dim}, base);
+        for (const bool keys : {true, false}) {
+          const std::vector<float>& src = keys ? k : v;
+          const QuantizedRows& rows = keys ? kv.keys : kv.values;
+          fx::QuantParams params = base;
+          params.scale = fx::choose_scale(src, base.total_bits);
+          ASSERT_EQ(rows.dim, dim);
+          ASSERT_EQ(rows.size(), len);
+          for (std::size_t t = 0; t < len; ++t) {
+            const auto want = fx::quantize({&src[t * dim], dim}, params);
+            const fx::QuantizedRowView got = rows[t];
+            EXPECT_EQ(got.params.total_bits, want.params.total_bits);
+            EXPECT_EQ(got.params.chunk_bits, want.params.chunk_bits);
+            EXPECT_EQ(got.params.scale, want.params.scale);
+            EXPECT_TRUE(std::ranges::equal(got.values, want.values))
+                << "dim " << dim << " row " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+// QuantizedKv is a public struct, so its readers check what quantize_kv
+// guarantees. Engine::run's step 1 reads every V row up to the query's width,
+// so narrow rows and K/V length mismatches must throw at entry;
+// attend_quantized also needs every key in [qmin, qmax] (the digit planes are
+// indexed by value).
+TEST(EngineTest, MalformedArenasThrow) {
+  Rng rng(42);
+  const auto good = make_instance(rng, 64);
+  auto narrow_v = good, narrow_k = good, short_v = good, above = good,
+       below = good;
+  narrow_v.kv.values.dim = narrow_k.kv.keys.dim = 32;
+  narrow_v.kv.values.data.resize(64 * 32);
+  narrow_k.kv.keys.data.resize(64 * 32);
+  short_v.kv.values.data.resize(63 * 64);
+  above.kv.keys.data[17] = good.kv.keys.params.qmax() + 1;
+  below.kv.keys.data[40] = good.kv.keys.params.qmin() - 1;
+  TokenPickerAttention op(TokenPickerConfig{});
+  EXPECT_NO_THROW(op.attend_quantized(good.q, good.kv, good.score_scale));
+  for (const auto* bad : {&narrow_v, &narrow_k, &short_v, &above, &below}) {
+    EXPECT_THROW(op.attend_quantized(bad->q, bad->kv, bad->score_scale),
+                 std::logic_error);
+  }
+  for (const auto design : {DesignPoint::baseline, DesignPoint::topick_ooo}) {
+    Engine engine(make_config(design, 1e-3));
+    for (const auto* bad : {&narrow_v, &narrow_k, &short_v}) {
+      EXPECT_THROW(engine.run(*bad), std::logic_error);
+    }
+  }
 }
 
 TEST(KvLayoutTest, FirstChunkPlaneIsContiguous) {
@@ -312,10 +377,8 @@ TEST(EngineTest, OutputCloseToFunctionalTokenPicker) {
 
   // Pruned-softmax output stays within the dropped-mass bound of exact.
   float vmax = 0.0f;
-  for (const auto& v : inst.kv.values) {
-    for (auto x : v.values) {
-      vmax = std::max(vmax, std::abs(static_cast<float>(x) * v.params.scale));
-    }
+  for (auto x : inst.kv.values.data) {
+    vmax = std::max(vmax, std::abs(x * inst.kv.values.params.scale));
   }
   const double bound = 2.0 * 1e-3 * 192 * vmax + 1e-3;
   for (std::size_t d = 0; d < hw.output.size(); ++d) {

@@ -106,14 +106,7 @@ TEST(EngineEdge, TwoBitChunksRunEndToEnd) {
   config.dram.enable_refresh = false;
   accel::Engine engine(config);
 
-  accel::AccelInstance hw;
-  fx::QuantParams base = config.quant;
-  hw.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  hw.q = fx::quantize(inst.q, qp);
-  hw.score_scale = static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale /
-                   8.0;
+  const auto hw = accel::make_instance(inst.q, inst.view(), config.quant);
   const auto result = engine.run(hw);
   std::uint64_t histo = 0;
   for (auto c : result.access.chunk_histogram) histo += c;
@@ -136,14 +129,7 @@ TEST(EngineEdge, SingleLaneConfigCompletes) {
   config.dram.enable_refresh = false;
   accel::Engine engine(config);
 
-  accel::AccelInstance hw;
-  fx::QuantParams base;
-  hw.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  hw.q = fx::quantize(inst.q, qp);
-  hw.score_scale = static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale /
-                   8.0;
+  const auto hw = accel::make_instance(inst.q, inst.view());
   const auto result = engine.run(hw);
   EXPECT_GT(result.core_cycles, 0u);
   EXPECT_GT(result.survivors, 0u);

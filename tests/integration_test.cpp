@@ -191,14 +191,7 @@ TEST(Integration, EngineMatchesFunctionalSurvivorStatistics) {
   TokenPickerAttention functional(fconfig);
   const auto fres = functional.attend(inst.q, inst.view());
 
-  accel::AccelInstance hw;
-  fx::QuantParams base;
-  hw.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  hw.q = fx::quantize(inst.q, qp);
-  hw.score_scale = static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale /
-                   std::sqrt(64.0);
+  const auto hw = accel::make_instance(inst.q, inst.view());
   accel::AccelConfig config;
   config.design = accel::DesignPoint::topick_ooo;
   config.estimator.threshold = 1e-3;
@@ -249,14 +242,7 @@ TEST(Integration, EnergyOrderingAcrossDesignPoints) {
   Rng rng(0x1e7);
   const auto inst = gen.make_instance(rng);
 
-  accel::AccelInstance hw;
-  fx::QuantParams base;
-  hw.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  hw.q = fx::quantize(inst.q, qp);
-  hw.score_scale = static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale /
-                   std::sqrt(64.0);
+  const auto hw = accel::make_instance(inst.q, inst.view());
 
   auto energy_at = [&](accel::DesignPoint design) {
     accel::AccelConfig config;

@@ -199,14 +199,7 @@ TEST_P(EngineDesignSweep, AllTokensResolvedAndAccountingCloses) {
   Rng rng(4000 + static_cast<std::uint64_t>(design));
   const auto inst = gen.make_instance(rng);
 
-  accel::AccelInstance hw;
-  fx::QuantParams base;
-  hw.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  hw.q = fx::quantize(inst.q, qp);
-  hw.score_scale = static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale /
-                   8.0;
+  const auto hw = accel::make_instance(inst.q, inst.view());
 
   accel::AccelConfig config;
   config.design = design;
@@ -242,14 +235,7 @@ TEST(EngineOrdering, StalledIsSlowerThanOutOfOrder) {
   Rng rng(4100);
   const auto inst = gen.make_instance(rng);
 
-  accel::AccelInstance hw;
-  fx::QuantParams base;
-  hw.kv = quantize_kv(inst.view(), base);
-  fx::QuantParams qp = base;
-  qp.scale = fx::choose_scale(inst.q, base.total_bits);
-  hw.q = fx::quantize(inst.q, qp);
-  hw.score_scale = static_cast<double>(qp.scale) * hw.kv.keys[0].params.scale /
-                   8.0;
+  const auto hw = accel::make_instance(inst.q, inst.view());
 
   auto cycles_at = [&](accel::DesignPoint design) {
     accel::AccelConfig config;

@@ -152,16 +152,15 @@ void expect_matches_from_scratch(const QuantizedKvCache& cache,
   const QuantizedKv fresh = quantize_kv(view, cache.config().base);
 
   const QuantizedKvView cached = cache.view();
-  EXPECT_EQ(cached.key_params.scale, fresh.keys[0].params.scale);
-  EXPECT_EQ(cached.value_params.scale, fresh.values[0].params.scale);
+  EXPECT_EQ(cached.key_params.scale, fresh.keys.params.scale);
+  EXPECT_EQ(cached.value_params.scale, fresh.values.params.scale);
+  EXPECT_TRUE(std::equal(fresh.values.data.begin(), fresh.values.data.end(),
+                         cached.values));
   std::vector<std::int16_t> key(shadow.head_dim);
   for (std::size_t t = 0; t < cache.len(); ++t) {
     EXPECT_EQ(cache.id_at(t), shadow.ids[t]);
     cached.key_row(t, key.data());
-    for (std::size_t d = 0; d < shadow.head_dim; ++d) {
-      EXPECT_EQ(key[d], fresh.keys[t].values[d]);
-      EXPECT_EQ(cached.value(t)[d], fresh.values[t].values[d]);
-    }
+    EXPECT_TRUE(std::ranges::equal(key, fresh.keys[t].values)) << "row " << t;
   }
 }
 
@@ -636,7 +635,7 @@ TEST(BackendAdoption, SpAttenBackendBitIdentical) {
       qp.scale = fx::choose_scale(q, config.quant.total_bits);
       const fx::QuantizedVector qq = fx::quantize(q, qp);
       const double score_scale =
-          static_cast<double>(qp.scale) * qkv.keys[0].params.scale /
+          static_cast<double>(qp.scale) * qkv.keys.params.scale /
           std::sqrt(static_cast<double>(dim));
       std::vector<double> scores(active.size());
       for (std::size_t i = 0; i < active.size(); ++i) {
@@ -646,7 +645,7 @@ TEST(BackendAdoption, SpAttenBackendBitIdentical) {
       const double log_denom = log_sum_exp(scores.data(), scores.size());
       std::vector<double> probs(active.size());
       std::vector<float> expected(dim, 0.0f);
-      const float v_scale = qkv.values[0].params.scale;
+      const float v_scale = qkv.values.params.scale;
       for (std::size_t i = 0; i < active.size(); ++i) {
         probs[i] = std::exp(scores[i] - log_denom);
         if (probs[i] <= config.value_prob_threshold) continue;

@@ -312,16 +312,15 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   const QuantizedKv fresh = quantize_kv(fresh_view, cache.config().base);
   const QuantizedKvView cached = cache.view();
   ASSERT_EQ(cache.len(), survivors.size());
-  EXPECT_EQ(cached.key_params.scale, fresh.keys[0].params.scale);
-  EXPECT_EQ(cached.value_params.scale, fresh.values[0].params.scale);
+  EXPECT_EQ(cached.key_params.scale, fresh.keys.params.scale);
+  EXPECT_EQ(cached.value_params.scale, fresh.values.params.scale);
+  EXPECT_TRUE(std::equal(fresh.values.data.begin(), fresh.values.data.end(),
+                         cached.values));
   std::vector<std::int16_t> key(dim);
   for (std::size_t i = 0; i < survivors.size(); ++i) {
     EXPECT_EQ(cache.id_at(i), survivors[i]);
     cached.key_row(i, key.data());
-    for (std::size_t d = 0; d < dim; ++d) {
-      EXPECT_EQ(key[d], fresh.keys[i].values[d]);
-      EXPECT_EQ(cached.value(i)[d], fresh.values[i].values[d]);
-    }
+    EXPECT_TRUE(std::ranges::equal(key, fresh.keys[i].values)) << "row " << i;
   }
   // And the retired mirror stays retired.
   EXPECT_EQ(cache.residency().f32_mirror, 0u);
