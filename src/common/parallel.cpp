@@ -42,26 +42,30 @@ constexpr std::size_t kCacheLine = 64;
 }  // namespace
 
 struct ThreadPool::Impl {
-  // One wakeup slot per spawned worker: the dispatcher locks/unlocks the
-  // slot's (empty) critical section and notifies only the workers a batch
-  // actually engages, instead of a shared notify_all that drags every
-  // parked thread through the scheduler.
+  // One wakeup slot per spawned worker: the dispatcher posts a batch to, and
+  // notifies, only the workers the batch actually engages, instead of a
+  // shared notify_all that drags every parked thread through the scheduler.
+  // A worker reads shared batch state only after its own slot's `batch`
+  // moves, so a worker left out of a narrow batch never touches that batch
+  // (or the next one's) fields.
   struct alignas(kCacheLine) WorkerSlot {
     std::mutex mutex;
     std::condition_variable cv;
+    // Number of the last batch posted to this worker; the release store
+    // publishes the batch state written before it.
+    std::atomic<std::uint64_t> batch{0};
   };
 
   std::vector<std::thread> workers;
   std::deque<WorkerSlot> slots;  // deque: WorkerSlot is immovable
 
-  // Batch state, published before the release-bump of `generation`; workers
-  // acquire-load `generation` and then read the plain fields.
+  // Batch state, written by the dispatcher before it posts the batch to the
+  // engaged workers' slots.
   const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
   std::size_t n = 0;
-  std::size_t engaged = 0;  // spawned workers engaged (ids 1..engaged)
+  std::uint64_t batches = 0;  // fanned-out batches so far (dispatcher only)
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> active{0};  // engaged workers not yet done
-  std::atomic<std::uint64_t> generation{0};
   std::atomic<bool> stop{false};
 
   std::mutex done_mutex;
@@ -91,27 +95,20 @@ struct ThreadPool::Impl {
   void worker_loop(std::size_t worker) {
     std::uint64_t seen = 0;
     WorkerSlot& slot = slots[worker - 1];
+    const auto posted = [&] {
+      return slot.batch.load(std::memory_order_acquire) != seen ||
+             stop.load(std::memory_order_relaxed);
+    };
     while (true) {
-      std::uint64_t gen = generation.load(std::memory_order_acquire);
-      if (gen == seen && !stop.load(std::memory_order_relaxed)) {
-        for (int spin = 0; spin < kSpinIters; ++spin) {
-          cpu_relax();
-          gen = generation.load(std::memory_order_acquire);
-          if (gen != seen || stop.load(std::memory_order_relaxed)) break;
-        }
-        if (gen == seen && !stop.load(std::memory_order_relaxed)) {
-          std::unique_lock<std::mutex> lock(slot.mutex);
-          slot.cv.wait(lock, [&] {
-            return generation.load(std::memory_order_acquire) != seen ||
-                   stop.load(std::memory_order_relaxed);
-          });
-          gen = generation.load(std::memory_order_acquire);
-        }
+      for (int spin = 0; spin < kSpinIters && !posted(); ++spin) cpu_relax();
+      if (!posted()) {
+        std::unique_lock<std::mutex> lock(slot.mutex);
+        slot.cv.wait(lock, posted);
       }
       if (stop.load(std::memory_order_relaxed)) return;
-      if (gen == seen) continue;
-      seen = gen;
-      if (worker > engaged) continue;  // batch fanned out narrower than us
+      // The dispatcher posts again only after this batch's `active` count
+      // reaches zero, so exactly one new batch is waiting here.
+      seen = slot.batch.load(std::memory_order_acquire);
       run_tasks(worker);
       if (active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::lock_guard<std::mutex> lock(done_mutex);
@@ -182,15 +179,18 @@ void ThreadPool::parallel_for(
   }
   require(impl_->fn == nullptr,
           "ThreadPool: a batch is already open (reentrant dispatch?)");
+  const std::size_t engaged = width - 1;  // the caller is the last one
   impl_->fn = &fn;
   impl_->n = n;
-  impl_->engaged = width - 1;  // the caller is the width-th participant
   impl_->next.store(0, std::memory_order_relaxed);
-  impl_->active.store(impl_->engaged, std::memory_order_relaxed);
-  impl_->generation.fetch_add(1, std::memory_order_release);
-  for (std::size_t w = 0; w < impl_->engaged; ++w) {
+  impl_->active.store(engaged, std::memory_order_relaxed);
+  const std::uint64_t batch = ++impl_->batches;
+  for (std::size_t w = 0; w < engaged; ++w) {
     Impl::WorkerSlot& slot = impl_->slots[w];
-    { std::lock_guard<std::mutex> lock(slot.mutex); }
+    {
+      std::lock_guard<std::mutex> lock(slot.mutex);
+      slot.batch.store(batch, std::memory_order_release);
+    }
     slot.cv.notify_one();
   }
   impl_->run_tasks(0);

@@ -67,6 +67,14 @@ void export_fleet_metrics(const FleetMetrics& metrics,
   registry->counter("serve.decode_write_bits").value =
       metrics.decode_write_bits;
   registry->counter("serve.dram_cycles").value = metrics.dram_cycles;
+  registry->counter("serve.dram_requests").value = metrics.dram.requests;
+  registry->counter("serve.dram_row_hits").value = metrics.dram.row_hits;
+  registry->gauge("serve.dram_row_hit_rate").set(metrics.dram.row_hit_rate());
+  registry->counter("serve.dram_refreshes").value = metrics.dram.refreshes;
+  registry->counter("serve.dram_queue_full_stalls").value =
+      metrics.dram.queue_full_stalls;
+  registry->counter("serve.dram_fault_stall_cycles").value =
+      metrics.dram.fault_stall_cycles;
   registry->counter("serve.pool_peak_pages").value = metrics.pool_peak_pages;
   registry->counter("serve.pool_reuses").value = metrics.pool_reuses;
   registry->counter("serve.pages_reclaimed").value = metrics.pages_reclaimed;

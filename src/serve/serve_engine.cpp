@@ -295,7 +295,8 @@ void ServeEngine::submit(const wl::ArrivalEvent& event) {
   if (event.decode_len > 0) {
     request.stream = wl::make_decode_stream(config_.stream, event.prompt_len,
                                             event.decode_len, config_.n_layer,
-                                            config_.n_head, event.stream_seed);
+                                            config_.n_head, event.stream_seed,
+                                            &workers_);
   }  // else: retired at arrival; the stream is never read.
   requests_.push_back(std::move(request));
   slots_.emplace_back(nullptr);
@@ -1354,6 +1355,7 @@ void ServeEngine::simulate_step_dram(const std::vector<StepXfer>& active) {
     }
   }
   metrics_.dram_cycles = hbm_.cycle();
+  metrics_.dram = hbm_.stats();
 
   // Cycle-domain replay window (pid "memsim"): ts/dur are DRAM cycles.
   if (trace_ != nullptr) {

@@ -132,14 +132,15 @@ struct ServeConfig {
   SpAttenConfig spatten;
   wl::DecodeStreamParams stream;  // head_dim is overridden from above
 
-  // Worker threads for the step's attention/quantization fan-out (the
-  // calling thread included; 0 and 1 both mean sequential). Outputs,
-  // FleetMetrics, and per-step traffic are bit-identical for every value —
-  // the parallel phase computes per-(slot, layer, head) results into
-  // per-worker scratch and all mutation of shared state happens in
-  // slot-ordered sequential phases (tests/serve_invariants_test.cpp enforces
-  // identity at threads {1, 2, 8}). random_order visit ordering is the one
-  // exclusion: it draws from a shared RNG stream, so it requires threads <= 1.
+  // Worker threads for the step's attention/quantization fan-out and for
+  // submit()'s per-head stream generation (the calling thread included; 0
+  // and 1 both mean sequential). Streams, outputs, FleetMetrics, and
+  // per-step traffic are bit-identical for every value — the parallel phase
+  // computes per-(slot, layer, head) results into per-worker scratch and all
+  // mutation of shared state happens in slot-ordered sequential phases
+  // (tests/serve_invariants_test.cpp enforces identity at threads
+  // {1, 2, 8}). random_order visit ordering is the one exclusion: it draws
+  // from a shared RNG stream, so it requires threads <= 1.
   std::size_t threads = 1;
 
   // QoS scheduling: which queued request admits next and which running
@@ -309,6 +310,9 @@ struct FleetMetrics {
   // including any prefill chunks sharing the step.
   std::vector<double> step_cycle_samples;
   std::uint64_t dram_cycles = 0;  // total simulated DRAM clock
+  // The DRAM proxy's counters (row hits, refreshes, stalls), summed over
+  // channels and copied with dram_cycles; all zero when the proxy is off.
+  mem::DramStats dram;
 
   // Request-level latency (populated when simulate_dram is on): arrival ->
   // first generated token (TTFT) and arrival -> retirement, in DRAM cycles.
@@ -406,7 +410,9 @@ class ServeEngine {
   ~ServeEngine();
 
   // Builds the request's synthetic stream from the event and registers it.
-  // Events must be submitted in nondecreasing arrival-step order.
+  // Events must be submitted in nondecreasing arrival-step order. Each
+  // request's decode stream is generated here, its heads fanned over the
+  // engine's worker pool.
   void submit(const wl::ArrivalEvent& event);
   void submit_trace(const std::vector<wl::ArrivalEvent>& trace);
 

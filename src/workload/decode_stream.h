@@ -12,6 +12,9 @@
 //
 // Streams are a pure function of (params, lengths, shape, seed), so
 // preemption-recompute and shadow exact references replay bit-identically.
+// They are also independent of the pool make_decode_stream fills heads on:
+// every head's substream is forked serially before the fan-out, so any pool
+// width (or none) gives the same bits.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +24,10 @@
 #include <vector>
 
 #include "model/kv_cache.h"
+
+namespace topick {
+class ThreadPool;
+}  // namespace topick
 
 namespace topick::wl {
 
@@ -33,7 +40,7 @@ struct DecodeStreamParams {
   double query_topic_scale = 3.5;   // topic-aligned query magnitude
   double query_noise = 0.5;
   double value_std = 1.0;
-  int sink_tokens = 1;              // leading tokens forced spiky
+  int sink_tokens = 1;              // leading tokens forced spiky (>= 0)
 };
 
 // One head's K/V token stream plus the per-step queries.
@@ -111,8 +118,12 @@ struct DecodeStream {
   }
 };
 
+// Fills the n_layer x n_head heads with one parallel_for on `pool` (inline
+// when pool is null or one wide). Throws std::logic_error for a zero length,
+// a non-positive shape or a negative params.sink_tokens.
 DecodeStream make_decode_stream(const DecodeStreamParams& params,
                                 std::size_t prompt_len, std::size_t decode_len,
-                                int n_layer, int n_head, std::uint64_t seed);
+                                int n_layer, int n_head, std::uint64_t seed,
+                                ThreadPool* pool = nullptr);
 
 }  // namespace topick::wl

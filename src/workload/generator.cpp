@@ -12,6 +12,8 @@ Generator::Generator(const WorkloadParams& params) : params_(params) {
   require(params.head_dim > 0, "WorkloadParams: head_dim must be > 0");
   require(params.spike_fraction >= 0.0 && params.spike_fraction <= 1.0,
           "WorkloadParams: spike_fraction must be in [0, 1]");
+  require(params.recency_window >= 0,
+          "WorkloadParams: recency_window must be >= 0");
 }
 
 Instance Generator::make_instance(Rng& rng) const {

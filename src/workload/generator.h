@@ -45,8 +45,8 @@ struct WorkloadParams {
   // Fig. 3 variability that defeats fixed-ratio pruning.
   double spike_fraction_log_sd = 0.5;
 
-  // Locality: the last `recency_window` tokens get a linearly decaying boost;
-  // token 0 is the attention sink.
+  // Locality: the last `recency_window` (>= 0; 0 = off) tokens get a
+  // linearly decaying boost; token 0 is the attention sink.
   int recency_window = 8;
   double recency_boost = 3.0;
   double sink_boost = 3.5;

@@ -289,6 +289,41 @@ FleetMetrics run_traced(const ServeConfig& base, TraceRecorder* recorder,
   return engine.metrics();
 }
 
+TEST(MetricsRegistry, FleetExportCarriesDramStats) {
+  for (const bool proxy : {true, false}) {
+    ServeConfig config = traced_config(PolicyKind::fifo_youngest_first);
+    config.simulate_dram = proxy;
+    const FleetMetrics metrics = run_traced(config, nullptr);
+    MetricsRegistry registry;
+    serve::export_fleet_metrics(metrics, &registry);
+    const auto& counters = registry.counters();
+    const auto requests = counters.at("serve.dram_requests").value;
+    const auto row_hits = counters.at("serve.dram_row_hits").value;
+    const double hit_rate =
+        registry.gauges().at("serve.dram_row_hit_rate").value;
+    SCOPED_TRACE(proxy ? "proxy on" : "proxy off");
+    EXPECT_EQ(requests, metrics.dram.requests);
+    EXPECT_EQ(row_hits, metrics.dram.row_hits);
+    EXPECT_EQ(counters.at("serve.dram_refreshes").value,
+              metrics.dram.refreshes);
+    EXPECT_EQ(counters.at("serve.dram_queue_full_stalls").value,
+              metrics.dram.queue_full_stalls);
+    EXPECT_EQ(counters.at("serve.dram_fault_stall_cycles").value,
+              metrics.dram.fault_stall_cycles);
+    if (proxy) {
+      EXPECT_GT(requests, 0u);
+      EXPECT_LE(row_hits, requests);
+      EXPECT_GT(hit_rate, 0.0);
+      EXPECT_LE(hit_rate, 1.0);
+    } else {
+      EXPECT_EQ(requests, 0u);
+      EXPECT_EQ(row_hits, 0u);
+      EXPECT_EQ(hit_rate, 0.0);
+      EXPECT_EQ(counters.at("serve.dram_refreshes").value, 0u);
+    }
+  }
+}
+
 // ---- Trace well-formedness --------------------------------------------------
 
 TEST(Trace, EngineTraceIsValidChromeJson) {

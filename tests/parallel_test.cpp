@@ -84,6 +84,24 @@ TEST(ThreadPool, ReusableAcrossManyDispatches) {
   EXPECT_EQ(sum.load(), 2000u * (7u * 8u / 2u));
 }
 
+TEST(ThreadPool, NarrowBatchesBetweenWideOnesRunEveryTaskOnce) {
+  // A batch narrower than the pool leaves some spawned workers unengaged.
+  // They must not read the next batch's state (a data race under TSan) or
+  // join it late; every task of every batch runs exactly once.
+  ThreadPool pool(8);
+  for (int round = 0; round < 500; ++round) {
+    const std::size_t n = 1 + static_cast<std::size_t>(round % 5);
+    std::vector<std::atomic<int>> hits(n);
+    for (auto& h : hits) h.store(0);
+    pool.parallel_for(n, [&](std::size_t i, std::size_t) {
+      hits[i].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " task " << i;
+    }
+  }
+}
+
 TEST(ThreadPool, PropagatesTaskExceptions) {
   // Two throwing tasks: every task still runs, and the lower index's
   // exception is the one rethrown at every width.

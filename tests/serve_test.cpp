@@ -1,11 +1,13 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/exact_attention.h"
 #include "core/token_picker.h"
@@ -434,6 +436,58 @@ TEST(DecodeStream, DeterministicAndShaped) {
     EXPECT_EQ(a.heads[h].queries, b.heads[h].queries);
   }
   EXPECT_TRUE(a.spike[0]);  // attention sink is always spiky
+}
+
+// Bitwise equality of two float rows (EXPECT_EQ on floats would let -0.0
+// match +0.0).
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(DecodeStream, PoolWidthNeverChangesBits) {
+  wl::DecodeStreamParams params;
+  params.head_dim = 8;
+  // 1x3: the head count is not a multiple of widths 2 and 4.
+  for (const auto& [n_layer, n_head] :
+       std::vector<std::pair<int, int>>{{2, 4}, {1, 3}, {1, 1}}) {
+    const auto ref =
+        wl::make_decode_stream(params, 37, 11, n_layer, n_head, 4242);
+    for (const std::size_t width : {1u, 2u, 4u}) {
+      ThreadPool pool(width);
+      const auto got = wl::make_decode_stream(params, 37, 11, n_layer, n_head,
+                                              4242, &pool);
+      SCOPED_TRACE(testing::Message() << n_layer << "x" << n_head
+                                      << " width " << width);
+      EXPECT_EQ(got.spike, ref.spike);
+      ASSERT_EQ(got.heads.size(), ref.heads.size());
+      for (std::size_t h = 0; h < ref.heads.size(); ++h) {
+        EXPECT_TRUE(same_bits(got.heads[h].keys, ref.heads[h].keys)) << h;
+        EXPECT_TRUE(same_bits(got.heads[h].values, ref.heads[h].values)) << h;
+        EXPECT_TRUE(same_bits(got.heads[h].queries, ref.heads[h].queries))
+            << h;
+      }
+    }
+  }
+}
+
+TEST(DecodeStream, SinkTokensMustBeNonNegative) {
+  wl::DecodeStreamParams params;
+  params.head_dim = 4;
+  params.spike_fraction = 0.0;
+  // Exactly the leading sink_tokens are spiky when no other token can be.
+  for (const int sinks : {0, 3}) {
+    params.sink_tokens = sinks;
+    const auto stream = wl::make_decode_stream(params, 6, 2, 1, 1, 7);
+    for (std::size_t t = 0; t < stream.total_tokens(); ++t) {
+      EXPECT_EQ(stream.spike[t], t < static_cast<std::size_t>(sinks))
+          << "sinks " << sinks << " token " << t;
+    }
+  }
+  // A negative count used to wrap to SIZE_MAX and make every token a spike.
+  params.sink_tokens = -1;
+  EXPECT_THROW(wl::make_decode_stream(params, 6, 2, 1, 1, 7),
+               std::logic_error);
 }
 
 TEST(DecodeStream, AccessorsRejectOutOfRange) {

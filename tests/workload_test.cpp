@@ -105,6 +105,24 @@ TEST(Workload, InvalidParamsThrow) {
   EXPECT_THROW(wl::Generator{params}, std::logic_error);
 }
 
+TEST(Workload, NegativeRecencyWindowThrows) {
+  // A negative window used to wrap to SIZE_MAX: every token got the recency
+  // boost, and the boost grew with the token's age.
+  wl::WorkloadParams params;
+  params.context_len = 64;
+  params.recency_window = -8;
+  EXPECT_THROW(wl::Generator{params}, std::logic_error);
+  // A zero window is valid and boosts nothing, however large the boost.
+  params.recency_window = 0;
+  params.recency_boost = 1e6;
+  wl::Generator gen(params);
+  Rng rng(6);
+  const auto inst = gen.make_instance(rng);
+  for (std::size_t i = 0; i < inst.len; ++i) {
+    EXPECT_LT(inst.target_scores[i], 1e3) << "token " << i;
+  }
+}
+
 TEST(Zoo, HasEightEntriesWithPaperContexts) {
   const auto zoo = wl::workload_zoo();
   ASSERT_EQ(zoo.size(), 8u);
