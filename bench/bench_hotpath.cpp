@@ -17,8 +17,8 @@
 // whether TOPICK_FORCE_ISA forced it — forced numbers must never read as a
 // host's natural selection), the threads sweep, and a full-engine --pipeline
 // on|off comparison: the same Poisson trace through the fork-join executor
-// and the pipelined executor (sharded channel replay on), outputs
-// bit-checked, with before/after phase attribution. `--smoke` runs a small
+// and the pipelined executor (DRAM replay on the lane), outputs and DRAM
+// cycle stamps bit-checked, with before/after phase attribution. `--smoke` runs a small
 // context for CI; `--threads a,b,c` overrides the sweep (default 1,2,8);
 // `--repeats N` takes best-of-N (default 3); `--trace out.json` writes a
 // validated engine trace; `--isa-levels` prints the kernel levels this
@@ -142,8 +142,8 @@ bool same_outputs(const std::vector<serve::StepOutput>& a,
 
 // Engine-backed executor comparison and phase attribution: the same
 // multi-request Poisson trace through the real ServeEngine under both
-// executors — fork-join (pipeline off) and the pipelined step with sharded
-// channel replay (pipeline on). Phase stats show where each spends host
+// executors — fork-join (pipeline off) and the pipelined step with the DRAM
+// replay on the lane (pipeline on). Phase stats show where each spends host
 // time: per-worker attention compute vs barrier wait vs memsim replay vs
 // the sequential phases — and, pipelined, how much replay moved onto the
 // lane thread.
@@ -162,7 +162,6 @@ serve::ServeConfig engine_config(std::size_t threads, bool pipeline) {
   config.collect_phase_stats = true;
   config.simulate_dram = true;
   config.pipeline = pipeline;
-  config.shard_replay = pipeline;
   return config;
 }
 
@@ -202,23 +201,13 @@ EngineRun run_engine(const serve::ServeConfig& config, bool smoke) {
 // (untimed — capture allocates per step, so the timed runs stay comparable
 // with earlier committed numbers), comparing every request's schedule,
 // traffic, and every element of every step's attention output and token
-// sets. `check_cycles` additionally demands identical DRAM cycle stamps —
-// valid only when the sharded replay is reconcilable with the serial one
-// (refresh off, queues never fill); under interference the contract is
-// "outputs never differ, cycles may".
-bool executors_bit_identical(bool smoke, std::size_t threads,
-                             bool no_interference) {
+// sets, and every per-request DRAM cycle stamp: the lane runs the same serial
+// DRAM driver in the same order, so the simulated clock cannot differ.
+bool executors_bit_identical(bool smoke, std::size_t threads) {
   serve::ServeConfig seq = engine_config(threads, /*pipeline=*/false);
   serve::ServeConfig pipe = engine_config(threads, /*pipeline=*/true);
   seq.capture_outputs = true;
   pipe.capture_outputs = true;
-  if (no_interference) {
-    for (auto* c : {&seq, &pipe}) {
-      c->dram.enable_refresh = false;
-      c->dram.queue_depth = 64;
-    }
-  }
-  const bool check_cycles = no_interference;
   serve::ServeEngine a(seq);
   serve::ServeEngine b(pipe);
   a.submit_trace(engine_trace(smoke));
@@ -233,14 +222,11 @@ bool executors_bit_identical(bool smoke, std::size_t threads,
         ra.finish_step != rb.finish_step ||
         ra.first_token_step != rb.first_token_step ||
         ra.preemptions != rb.preemptions ||
-        ra.prefill_bits != rb.prefill_bits) {
-      return false;
-    }
-    if (check_cycles &&
-        (ra.dram_cycles != rb.dram_cycles ||
-         ra.arrival_cycle != rb.arrival_cycle ||
-         ra.first_token_cycle != rb.first_token_cycle ||
-         ra.finish_cycle != rb.finish_cycle)) {
+        ra.prefill_bits != rb.prefill_bits ||
+        ra.dram_cycles != rb.dram_cycles ||
+        ra.arrival_cycle != rb.arrival_cycle ||
+        ra.first_token_cycle != rb.first_token_cycle ||
+        ra.finish_cycle != rb.finish_cycle) {
       return false;
     }
     if (!same_outputs(ra.outputs, rb.outputs)) return false;
@@ -421,23 +407,14 @@ int main(int argc, char** argv) {
               thread_sweep[best]);
 
   // Full-engine executor comparison at the sweep's widest fan-out: the same
-  // trace through the fork-join step and the pipelined step (+ sharded
-  // replay), best-of-N each, with a separate full-fidelity bit-check.
+  // trace through the fork-join step and the pipelined step, best-of-N
+  // each, with a separate full-fidelity bit-check.
   const std::size_t phase_threads =
       *std::max_element(thread_sweep.begin(), thread_sweep.end());
-  if (!executors_bit_identical(smoke, phase_threads,
-                               /*no_interference=*/false)) {
+  if (!executors_bit_identical(smoke, phase_threads)) {
     std::fprintf(stderr,
-                 "FATAL: pipelined executor output diverges from sequential "
-                 "at threads=%zu\n",
-                 phase_threads);
-    return 1;
-  }
-  if (!executors_bit_identical(smoke, phase_threads,
-                               /*no_interference=*/true)) {
-    std::fprintf(stderr,
-                 "FATAL: sharded replay cycles diverge from serial replay in "
-                 "the no-interference config at threads=%zu\n",
+                 "FATAL: pipelined executor outputs or DRAM cycles diverge "
+                 "from sequential at threads=%zu\n",
                  phase_threads);
     return 1;
   }
@@ -462,7 +439,7 @@ int main(int argc, char** argv) {
       seq_run.tokens_per_s, 100.0 * seq_split.compute_frac,
       100.0 * seq_split.barrier_frac, 100.0 * seq_split.replay_frac_of_step);
   std::printf(
-      "  engine --pipeline on  (sharded replay, threads=%zu, %llu steps): "
+      "  engine --pipeline on  (DRAM lane, threads=%zu, %llu steps): "
       "%8.1f tok/s  %.2fx; compute %.0f%% / barrier %.0f%% of fan-out "
       "capacity; replay off the step wall "
       "(lane busy %.3f ms, lane wait %.3f ms)\n",
@@ -471,7 +448,8 @@ int main(int argc, char** argv) {
       100.0 * pipe_split.compute_frac, 100.0 * pipe_split.barrier_frac,
       static_cast<double>(pipe_run.phases.lane_busy_ns) * 1e-6,
       static_cast<double>(pipe_run.phases.lane_wait_ns) * 1e-6);
-  std::printf("  executors bit-identical on the same trace: yes\n");
+  std::printf("  executors bit-identical on the same trace (outputs and "
+              "DRAM cycle stamps): yes\n");
   if (!trace_path.empty() &&
       !write_engine_trace(smoke, phase_threads, trace_path)) {
     return 1;
@@ -538,8 +516,7 @@ int main(int argc, char** argv) {
       out,
       "  \"pipeline_comparison\": {\"threads\": %zu, "
       "\"sequential_tokens_per_s\": %.2f, \"pipelined_tokens_per_s\": %.2f, "
-      "\"pipelined_speedup\": %.2f, \"sharded_replay\": true, "
-      "\"outputs_bit_identical\": true},\n",
+      "\"pipelined_speedup\": %.2f, \"outputs_bit_identical\": true},\n",
       phase_threads, seq_run.tokens_per_s, pipe_run.tokens_per_s,
       pipeline_speedup);
   write_phase_attribution(out, "phase_attribution_sequential",

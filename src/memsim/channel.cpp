@@ -16,10 +16,14 @@ Channel::Channel(const DramConfig& config)
   }
 }
 
-void Channel::enqueue(const MemRequest& request, const LocalAddr& local) {
-  require(can_accept(), "Channel: queue full (check can_accept first)");
+bool Channel::try_enqueue(const MemRequest& request, const LocalAddr& local) {
+  if (!can_accept()) {
+    ++stats_.queue_full_stalls;
+    return false;
+  }
   require(local.bank < banks_.size(), "Channel: bank out of range");
-  queue_.push_back(QueuedRequest{request, local, 0});
+  queue_.push_back(QueuedRequest{request, local});
+  return true;
 }
 
 void Channel::maybe_refresh(std::uint64_t now) {
@@ -113,34 +117,6 @@ void Channel::tick(std::uint64_t now, std::vector<MemResponse>& done,
 
   in_flight_.push_back(InFlight{qr.request, burst_start + burst_cycles});
   queue_.erase(queue_.begin() + static_cast<long>(pick));
-}
-
-std::uint64_t Channel::replay(const std::vector<TimedArrival>& arrivals,
-                              std::uint64_t start,
-                              std::vector<MemResponse>& done,
-                              std::vector<TraceEntry>* trace) {
-  std::uint64_t now = start;
-  std::size_t next = 0;
-  while (next < arrivals.size() || pending() > 0) {
-    // Idle fast-forward: nothing queued or in flight and the next arrival is
-    // in the future. Refresh bookkeeping is clocked by tick(), so skipping
-    // is only exact with refresh off; with it on, tick through the gap.
-    if (pending() == 0 && next < arrivals.size() &&
-        arrivals[next].arrival > now && !config_->enable_refresh) {
-      now = arrivals[next].arrival;
-    }
-    while (next < arrivals.size() && arrivals[next].arrival <= now) {
-      if (!can_accept()) {
-        ++stats_.queue_full_stalls;
-        break;
-      }
-      enqueue(arrivals[next].request, arrivals[next].local);
-      ++next;
-    }
-    tick(now, done, trace);
-    ++now;
-  }
-  return now;
 }
 
 }  // namespace topick::mem

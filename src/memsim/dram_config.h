@@ -43,7 +43,7 @@ struct DramEnergy {
 //   * periodic stall windows: within every `stall_period` cycles the first
 //     `stall_cycles` block new command issue (in-flight bursts still drain),
 //     modelling transient controller hiccups. Window phase is absolute-cycle
-//     arithmetic, so serial tick and self-clocked replay agree exactly.
+//     arithmetic.
 struct ChannelFault {
   double burst_multiplier = 1.0;
   std::uint64_t stall_period = 0;  // 0 = no stall windows

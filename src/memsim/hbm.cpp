@@ -1,8 +1,5 @@
 #include "memsim/hbm.h"
 
-#include <algorithm>
-
-#include "common/parallel.h"
 #include "common/require.h"
 
 namespace topick::mem {
@@ -10,6 +7,16 @@ namespace topick::mem {
 Hbm::Hbm(const DramConfig& config) : config_(config) {
   require(config.channels > 0 && config.banks_per_channel > 0,
           "DramConfig: channels/banks must be positive");
+  // Each of these would otherwise divide by zero below, leave every channel
+  // queue permanently full, or keep every channel refreshing so nothing
+  // ever issues.
+  require(config.transaction_bytes > 0,
+          "DramConfig: transaction_bytes must be positive");
+  require(config.queue_depth > 0, "DramConfig: queue_depth must be positive");
+  require(!config.enable_refresh ||
+              (config.timing.t_refi > 0 && config.timing.t_rfc >= 0 &&
+               config.timing.t_rfc < config.timing.t_refi),
+          "DramConfig: refresh needs 0 < t_refi and 0 <= t_rfc < t_refi");
   require(config.row_bytes % config.transaction_bytes == 0,
           "DramConfig: row_bytes must be a multiple of the granule");
   channels_.reserve(static_cast<std::size_t>(config.channels));
@@ -37,10 +44,8 @@ bool Hbm::can_accept(std::uint64_t addr) const {
 }
 
 bool Hbm::try_enqueue(const MemRequest& request) {
-  auto& channel = channels_[static_cast<std::size_t>(channel_of(request.addr))];
-  if (!channel.can_accept()) return false;
-  channel.enqueue(request, local_of(request.addr));
-  return true;
+  return channels_[static_cast<std::size_t>(channel_of(request.addr))]
+      .try_enqueue(request, local_of(request.addr));
 }
 
 void Hbm::tick() {
@@ -52,49 +57,6 @@ void Hbm::tick() {
     }
   }
   ++cycle_;
-}
-
-std::uint64_t Hbm::replay_sharded(const std::vector<TimedRequest>& schedule,
-                                  ThreadPool* pool) {
-  const std::size_t n_ch = channels_.size();
-  // Partition by channel, preserving order: `schedule` is sorted by arrival
-  // cycle, so each channel's slice is too, and same-channel transactions
-  // keep their relative order through the FIFO replay queue.
-  std::vector<std::vector<TimedArrival>> per_channel(n_ch);
-  for (const TimedRequest& tr : schedule) {
-    const auto c = static_cast<std::size_t>(channel_of(tr.request.addr));
-    per_channel[c].push_back(
-        TimedArrival{tr.request, local_of(tr.request.addr), tr.arrival});
-  }
-
-  const std::uint64_t start = cycle_;
-  std::vector<std::uint64_t> end(n_ch, start);
-  std::vector<std::vector<MemResponse>> done(n_ch);
-  std::vector<std::vector<TraceEntry>> traces(n_ch);
-  const auto replay_one = [&](std::size_t c, std::size_t) {
-    if (per_channel[c].empty()) return;
-    end[c] = channels_[c].replay(per_channel[c], start, done[c],
-                                 trace_enabled_ ? &traces[c] : nullptr);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(n_ch, replay_one);
-  } else {
-    for (std::size_t c = 0; c < n_ch; ++c) replay_one(c, 0);
-  }
-
-  // Deterministic merge, channel-major: responses in channel order (callers
-  // reduce per-id with max, so cross-channel order is immaterial), trace
-  // entries stamped with their channel, the clock advanced to the slowest
-  // channel's end cycle.
-  for (std::size_t c = 0; c < n_ch; ++c) {
-    responses_.insert(responses_.end(), done[c].begin(), done[c].end());
-    for (TraceEntry& entry : traces[c]) {
-      entry.channel = static_cast<int>(c);
-      trace_.push_back(entry);
-    }
-    cycle_ = std::max(cycle_, end[c]);
-  }
-  return cycle_;
 }
 
 std::string Hbm::trace_csv() const {

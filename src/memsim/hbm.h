@@ -16,18 +16,7 @@
 #include "memsim/dram_config.h"
 #include "memsim/types.h"
 
-namespace topick {
-class ThreadPool;
-}
-
 namespace topick::mem {
-
-// One entry of a pre-scheduled replay: a transaction plus the absolute DRAM
-// cycle it arrives at the controller (Hbm::replay_sharded input).
-struct TimedRequest {
-  MemRequest request;
-  std::uint64_t arrival = 0;
-};
 
 class Hbm {
  public:
@@ -38,29 +27,12 @@ class Hbm {
 
   bool can_accept(std::uint64_t addr) const;
   // Enqueues one transaction-granule read. Returns false (and drops nothing)
-  // when the target channel queue is full.
+  // when the target channel queue is full; the refusal is counted in that
+  // channel's DramStats::queue_full_stalls.
   bool try_enqueue(const MemRequest& request);
 
   // Advances one DRAM clock.
   void tick();
-
-  // Sharded replay: partitions `schedule` (sorted by arrival cycle) per
-  // channel and replays each channel independently on its own clock — in
-  // parallel across host threads when `pool` is given — instead of driving
-  // one global serial tick loop. Responses land in drain_responses(), trace
-  // entries are merged per channel, and cycle() advances to the latest
-  // channel's end cycle. Results are bit-identical for any `pool` width.
-  //
-  // Cycle reconciliation contract: with enable_refresh off and zero
-  // queue_full_stalls, per-request finish cycles, per-channel stats, and the
-  // end cycle all match the serial driver exactly (the serial loop couples
-  // channels only through enqueue backpressure and the globally shared
-  // refresh clock). Under queue pressure the sharded model intentionally
-  // drops the serial driver's cross-channel head-of-line coupling: a full
-  // queue delays only that channel's stream, modelling per-channel
-  // interference instead of a single global stall.
-  std::uint64_t replay_sharded(const std::vector<TimedRequest>& schedule,
-                               ThreadPool* pool = nullptr);
 
   // Responses completed since the last drain (any order across channels).
   std::vector<MemResponse> drain_responses();

@@ -163,13 +163,10 @@ struct ServeConfig {
   // thread.
   bool pipeline = false;
 
-  // Shard the memsim replay per channel (Hbm::replay_sharded): channels run
-  // independently — in parallel on host threads — fed by the analytic
-  // arrival schedule the serial driver would produce absent backpressure.
-  // Cycle-exact vs. the serial driver whenever refresh is off and no channel
-  // queue fills (DramStats::queue_full_stalls == 0); under queue pressure it
-  // models per-channel interference instead of the serial driver's global
-  // head-of-line stall, so cycle numbers may differ (outputs never do).
+  // Removed: the sharded per-channel DRAM replay simulated a different DRAM
+  // than the serial driver under queue pressure. The field remains only
+  // because the benchmark's config dump reads it; the engine rejects true.
+  // Delete it with the next change to the benchmark.
   bool shard_replay = false;
 
   // Chunked prefill: prompt (or preemption-replay) tokens appended per
@@ -619,10 +616,6 @@ class ServeEngine {
   // candidate is erased in O(1).
   std::vector<RequestQueue::Handle> admission_handles_;
 
-  // Worker pool for the sharded channel replay (shard_replay only). Separate
-  // from workers_: the replay runs on the lane thread in pipelined mode, and
-  // a lane job must not re-enter the pool the main thread is dispatching.
-  std::unique_ptr<ThreadPool> replay_pool_;
   // Cross-step cycle-domain lane (pipelined mode; disabled otherwise). Lane
   // jobs touch hbm_, dram_offset_, the requests' cycle stamps, and the
   // metrics' latency samples — all members above — so the lane is declared

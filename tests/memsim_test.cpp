@@ -1,10 +1,8 @@
-#include <algorithm>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/parallel.h"
 #include "memsim/hbm.h"
 
 namespace topick::mem {
@@ -227,6 +225,31 @@ TEST(Hbm, RejectsMisalignedRowConfig) {
   EXPECT_THROW(Hbm{config}, std::logic_error);
 }
 
+// Configs that would divide by zero in the constructor or hang any driver
+// loop are rejected up front; only the Hbm is constructed here.
+TEST(Hbm, RejectsDegenerateConfig) {
+  for (const int bytes : {0, -32}) {
+    DramConfig config;
+    config.transaction_bytes = bytes;
+    EXPECT_THROW(Hbm{config}, std::logic_error) << bytes;
+  }
+  for (const int depth : {0, -1}) {
+    DramConfig config;
+    config.queue_depth = depth;
+    EXPECT_THROW(Hbm{config}, std::logic_error) << depth;
+  }
+  for (const int refi : {0, -1}) {
+    DramConfig config;
+    config.timing.t_refi = refi;
+    EXPECT_THROW(Hbm{config}, std::logic_error) << refi;
+    config.enable_refresh = false;  // the interval is never read
+    EXPECT_NO_THROW(Hbm{config}) << refi;
+  }
+  DramConfig always_refreshing;
+  always_refreshing.timing.t_rfc = always_refreshing.timing.t_refi;
+  EXPECT_THROW(Hbm{always_refreshing}, std::logic_error);
+}
+
 TEST(Hbm, TraceRecordsEveryCommittedTransaction) {
   Hbm hbm(no_refresh_config());
   hbm.enable_trace(true);
@@ -251,155 +274,44 @@ TEST(Hbm, TraceRecordsEveryCommittedTransaction) {
   EXPECT_NE(csv.find("cycle,channel,addr,row_hit"), std::string::npos);
 }
 
-// The engine's analytic streaming schedule: `sources` regions, one granule
-// per source per cycle starting at `start`, sources in index order within a
-// cycle — exactly what ServeEngine::simulate_step_dram builds.
-std::vector<TimedRequest> streaming_schedule(std::size_t sources,
-                                             std::uint64_t granules_each,
-                                             std::uint64_t start = 0) {
-  std::vector<TimedRequest> schedule;
-  for (std::uint64_t k = 0; k < granules_each; ++k) {
-    for (std::size_t i = 0; i < sources; ++i) {
-      MemRequest request;
-      request.addr = (static_cast<std::uint64_t>(i) + 1) * (1ull << 26) +
-                     k * 32;
-      request.id = i;
-      schedule.push_back(TimedRequest{request, start + k});
-    }
-  }
-  return schedule;
-}
-
-// Drives the serial global tick loop the way the engine's non-sharded replay
-// does: enqueue everything due this cycle, tick, collect responses.
-std::vector<MemResponse> drive_serial(Hbm& hbm,
-                                      const std::vector<TimedRequest>& sched) {
-  std::vector<MemResponse> done;
-  std::size_t next = 0;
-  while (next < sched.size() || !hbm.idle()) {
-    while (next < sched.size() && sched[next].arrival <= hbm.cycle()) {
-      if (!hbm.try_enqueue(sched[next].request)) break;  // retry next cycle
-      ++next;
-    }
-    hbm.tick();
-    for (auto& r : hbm.drain_responses()) done.push_back(r);
-  }
-  return done;
-}
-
-void expect_channel_stats_equal(const Hbm& a, const Hbm& b) {
-  ASSERT_EQ(a.channel_count(), b.channel_count());
-  for (std::size_t c = 0; c < a.channel_count(); ++c) {
-    SCOPED_TRACE(c);
-    const DramStats& sa = a.channel(c).stats();
-    const DramStats& sb = b.channel(c).stats();
-    EXPECT_EQ(sa.requests, sb.requests);
-    EXPECT_EQ(sa.row_hits, sb.row_hits);
-    EXPECT_EQ(sa.row_misses, sb.row_misses);
-    EXPECT_EQ(sa.activates, sb.activates);
-    EXPECT_EQ(sa.bytes_read, sb.bytes_read);
-    EXPECT_EQ(sa.data_bus_busy_cycles, sb.data_bus_busy_cycles);
-  }
-}
-
-// Sharded-replay reconciliation contract: refresh off and zero queue-full
-// stalls ==> the per-channel self-clocked replay matches the serial global
-// tick loop exactly — end cycle, per-request finish cycles, and per-channel
-// stats (the certifying condition the engine tests rely on).
-TEST(ShardedReplay, CycleExactVsSerialDriverWithoutInterference) {
-  const auto schedule = streaming_schedule(/*sources=*/3, /*granules_each=*/40);
-
-  Hbm serial(no_refresh_config());
-  const auto serial_done = drive_serial(serial, schedule);
-
-  Hbm sharded(no_refresh_config());
-  const std::uint64_t end = sharded.replay_sharded(schedule);
-  const auto sharded_done = sharded.drain_responses();
-
-  EXPECT_EQ(sharded.stats().queue_full_stalls, 0u)
-      << "no-interference precondition violated";
-  EXPECT_EQ(end, serial.cycle());
-  EXPECT_EQ(sharded.cycle(), serial.cycle());
-
-  // Per-source last-granule finish cycles — the quantity the engine turns
-  // into latency samples.
-  ASSERT_EQ(sharded_done.size(), serial_done.size());
-  std::vector<std::uint64_t> serial_last(3, 0);
-  std::vector<std::uint64_t> sharded_last(3, 0);
-  for (const auto& r : serial_done) {
-    serial_last[r.id] = std::max(serial_last[r.id], r.ready_cycle);
-  }
-  for (const auto& r : sharded_done) {
-    sharded_last[r.id] = std::max(sharded_last[r.id], r.ready_cycle);
-  }
-  EXPECT_EQ(sharded_last, serial_last);
-
-  expect_channel_stats_equal(sharded, serial);
-}
-
-// Thread identity: the per-channel replays are independent, so running them
-// on a pool must be bit-identical to running them sequentially.
-TEST(ShardedReplay, PoolWidthNeverChangesResults) {
-  const auto schedule = streaming_schedule(/*sources=*/4, /*granules_each=*/32);
-
-  Hbm lone(no_refresh_config());
-  lone.enable_trace(true);
-  lone.replay_sharded(schedule, nullptr);
-  const auto lone_done = lone.drain_responses();
-
-  ThreadPool pool(4);
-  Hbm pooled(no_refresh_config());
-  pooled.enable_trace(true);
-  pooled.replay_sharded(schedule, &pool);
-  const auto pooled_done = pooled.drain_responses();
-
-  EXPECT_EQ(pooled.cycle(), lone.cycle());
-  ASSERT_EQ(pooled_done.size(), lone_done.size());
-  for (std::size_t i = 0; i < lone_done.size(); ++i) {
-    EXPECT_EQ(pooled_done[i].id, lone_done[i].id);
-    EXPECT_EQ(pooled_done[i].ready_cycle, lone_done[i].ready_cycle);
-  }
-  ASSERT_EQ(pooled.trace().size(), lone.trace().size());
-  for (std::size_t i = 0; i < lone.trace().size(); ++i) {
-    EXPECT_EQ(pooled.trace()[i].cycle, lone.trace()[i].cycle);
-    EXPECT_EQ(pooled.trace()[i].addr, lone.trace()[i].addr);
-    EXPECT_EQ(pooled.trace()[i].channel, lone.trace()[i].channel);
-  }
-  expect_channel_stats_equal(pooled, lone);
-}
-
-// Order-preservation property: with queue_depth 1 every commit is strictly
-// FIFO per channel, so each channel's committed address sequence must equal
-// the schedule's same-channel subsequence — partitioning never reorders
-// same-channel transactions, even while the shallow queue forces stalls
-// (the interference path the serial driver models differently).
-TEST(ShardedReplay, SameChannelOrderPreservedUnderQueuePressure) {
+// Order-preservation property of the driver the engines use: arrivals are
+// offered to try_enqueue in order every cycle, stopping at the first refusal,
+// so with queue_depth 1 every commit is FIFO per channel and each channel's
+// committed address sequence must equal the arrivals' same-channel
+// subsequence — even while the shallow queue turns enqueues away.
+TEST(Hbm, SameChannelOrderPreservedUnderQueuePressure) {
   DramConfig config = no_refresh_config();
   config.queue_depth = 1;
   Hbm hbm(config);
   hbm.enable_trace(true);
 
-  // Deterministic pseudo-random schedule: bursts of same-cycle arrivals
+  // Deterministic pseudo-random arrivals: bursts of same-cycle arrivals
   // hopping rows so row-policy reordering would be visible if it leaked
   // through the FIFO.
-  std::vector<TimedRequest> schedule;
+  std::vector<MemRequest> arrivals;
   std::uint64_t lcg = 12345;
   for (std::uint64_t k = 0; k < 160; ++k) {
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    MemRequest request;
-    request.addr = ((lcg >> 16) % 4096) * 32;
-    request.id = k;
-    schedule.push_back(TimedRequest{request, k / 4});  // 4 arrivals per cycle
+    arrivals.push_back(MemRequest{((lcg >> 16) % 4096) * 32, k});
   }
-  hbm.replay_sharded(schedule);
+  std::size_t next = 0;
+  while (next < arrivals.size() || !hbm.idle()) {
+    // Four arrivals become due per cycle.
+    while (next < arrivals.size() && next / 4 <= hbm.cycle() &&
+           hbm.try_enqueue(arrivals[next])) {
+      ++next;
+    }
+    hbm.tick();
+    hbm.drain_responses();
+  }
 
   EXPECT_GT(hbm.stats().queue_full_stalls, 0u)
       << "scenario must actually exercise backpressure";
-  ASSERT_EQ(hbm.trace().size(), schedule.size());
+  ASSERT_EQ(hbm.trace().size(), arrivals.size());
   std::vector<std::vector<std::uint64_t>> expected(hbm.channel_count());
-  for (const auto& tr : schedule) {
-    expected[static_cast<std::size_t>(hbm.channel_of(tr.request.addr))]
-        .push_back(tr.request.addr);
+  for (const MemRequest& request : arrivals) {
+    expected[static_cast<std::size_t>(hbm.channel_of(request.addr))]
+        .push_back(request.addr);
   }
   std::vector<std::vector<std::uint64_t>> committed(hbm.channel_count());
   for (const auto& entry : hbm.trace()) {

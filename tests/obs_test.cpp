@@ -320,8 +320,20 @@ TEST(MetricsRegistry, FleetExportCarriesDramStats) {
       EXPECT_EQ(row_hits, 0u);
       EXPECT_EQ(hit_rate, 0.0);
       EXPECT_EQ(counters.at("serve.dram_refreshes").value, 0u);
+      EXPECT_EQ(counters.at("serve.dram_queue_full_stalls").value, 0u);
     }
   }
+
+  // One-deep channel queues turn the streaming driver's enqueues away, and
+  // every refusal reaches the exported counter.
+  ServeConfig shallow = traced_config(PolicyKind::fifo_youngest_first);
+  shallow.dram.queue_depth = 1;
+  const FleetMetrics metrics = run_traced(shallow, nullptr);
+  MetricsRegistry registry;
+  serve::export_fleet_metrics(metrics, &registry);
+  EXPECT_GT(metrics.dram.queue_full_stalls, 0u);
+  EXPECT_EQ(registry.counters().at("serve.dram_queue_full_stalls").value,
+            metrics.dram.queue_full_stalls);
 }
 
 // ---- Trace well-formedness --------------------------------------------------

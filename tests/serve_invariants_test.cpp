@@ -442,49 +442,6 @@ TEST(ServeEngineDeterminism, PipelinedExecutorIsBitIdenticalToSequential) {
   }
 }
 
-// Sharded replay reconciliation at the engine level: with channel queues deep
-// enough that no queue-full stall occurs, the per-channel replay is
-// cycle-exact vs. the serial tick loop — so the whole run, latency samples
-// and per-request dram_cycles included, bit-matches. Also crossed with the
-// pipelined executor (the bench's fast configuration).
-TEST(ServeEngineDeterminism, ShardedReplayMatchesSerialWithoutInterference) {
-  wl::PriorityMixParams mix;
-  mix.arrivals.rate = 0.9;
-  for (auto& m : mix.mix) {
-    m.prompt_min = 4;
-    m.prompt_max = 24;
-    m.decode_min = 8;
-    m.decode_max = 24;
-  }
-  Rng trace_rng(2026);
-  const auto trace = wl::make_priority_mix_trace(mix, 18, trace_rng);
-
-  ServeConfig base = determinism_config(PolicyKind::cost_aware_victim);
-  // No-interference condition: at most max_batch (6) transfers stream per
-  // cycle across 8 channels, so a 64-deep queue never fills and the sharded
-  // model's cycle contract applies exactly.
-  base.dram.queue_depth = 64;
-  ServeEngine serial(base);
-  serial.submit_trace(trace);
-  serial.run();
-
-  ServeConfig sharded_config = base;
-  sharded_config.shard_replay = true;
-  ServeEngine sharded(sharded_config);
-  sharded.submit_trace(trace);
-  sharded.run();
-  expect_runs_identical(serial, sharded);
-
-  ServeConfig piped_config = sharded_config;
-  piped_config.pipeline = true;
-  piped_config.threads = 8;
-  ServeEngine piped(piped_config);
-  piped.submit_trace(trace);
-  piped.run();
-  expect_runs_identical(serial, piped);
-}
-
-
 // Slots read K/V straight from their request's stream rows, which live in the
 // engine's request vector. Submitting while slots are live can reallocate
 // that vector; the rows must survive the move, so submitting arrivals one at

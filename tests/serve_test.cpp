@@ -771,6 +771,16 @@ TEST(DramLayout, StreamAddressesStayWithinTheRequestRegion) {
             dram_layout::region_base(2) + 5 * granule);
 }
 
+// The serial driver is the only DRAM timing model; the retired sharded
+// replay's flag must fail loudly rather than be silently ignored.
+TEST(ServeEngineConfig, ShardReplayIsRejected) {
+  ServeConfig config = acceptance_config();
+  config.shard_replay = true;
+  EXPECT_THROW(ServeEngine{config}, std::logic_error);
+  config.simulate_dram = false;
+  EXPECT_THROW(ServeEngine{config}, std::logic_error);
+}
+
 // ---- chunked prefill --------------------------------------------------------
 
 TEST(ServeEngine, ChunkedPrefillChargesTrafficAndDelaysFirstToken) {
