@@ -14,4 +14,10 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw std::logic_error(message);
 }
 
+// A literal message builds no std::string unless the check fails, so hot
+// paths (Rng::uniform_index) can check on every call.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw std::logic_error(message);
+}
+
 }  // namespace topick

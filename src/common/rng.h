@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/require.h"
+
 namespace topick {
 
 inline std::uint64_t splitmix64(std::uint64_t& state) {
@@ -48,17 +50,36 @@ class Rng {
   // Uniform in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-  // Uniform integer in [0, n). n must be > 0.
-  std::uint64_t uniform_index(std::uint64_t n) { return next_u64() % n; }
+  // Uniform integer in [0, n). Throws std::logic_error for n == 0.
+  std::uint64_t uniform_index(std::uint64_t n) {
+    require(n > 0, "Rng::uniform_index: n must be > 0");
+    return next_u64() % n;
+  }
+
+  // The two uniforms one standard normal consumes.
+  struct NormalDraw {
+    double u1;  // in (0, 1)
+    double u2;  // in [0, 1)
+  };
 
   // Standard normal via Box-Muller (no cached spare: keeps state replayable
-  // regardless of call interleaving).
-  double normal() {
+  // regardless of call interleaving). It is split in two: draw_normal()
+  // advances the stream (u1 is redrawn while it is exactly 0, then u2 is
+  // drawn), and box_muller() is a pure transform of the draw. A caller can
+  // therefore draw serially, keeping the stream order, and run the costly
+  // log/cos transforms anywhere; normal() is exactly their composition.
+  NormalDraw draw_normal() {
     double u1 = uniform();
     while (u1 == 0.0) u1 = uniform();
-    const double u2 = uniform();
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
+    return {u1, uniform()};
   }
+
+  static double box_muller(const NormalDraw& draw) {
+    return std::sqrt(-2.0 * std::log(draw.u1)) *
+           std::cos(6.283185307179586 * draw.u2);
+  }
+
+  double normal() { return box_muller(draw_normal()); }
 
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/require.h"
 #include "common/rng.h"
 
 namespace topick::fault {
@@ -32,6 +33,9 @@ FaultPlan make_chaos_plan(std::uint64_t seed, const ChaosParams& params,
   }
 
   if (horizon_steps > 0 && params.max_alloc_windows > 0) {
+    require(params.alloc_period_max > 0,
+            "make_chaos_plan: alloc_period_max must be > 0 when alloc "
+            "windows are drawn");
     const auto n = rng.uniform_index(params.max_alloc_windows + 1);
     for (std::uint64_t i = 0; i < n; ++i) {
       AllocFaultSpec spec;

@@ -74,7 +74,8 @@ struct ChaosParams {
 // Seeded random plan over `num_channels` channels, `num_requests` request
 // ids, and a step horizon — the randomized fault-matrix tests sweep seeds
 // through this to shake the abort/retry/leak invariants. Same seed, same
-// plan, always.
+// plan, always. Throws std::logic_error for alloc_period_max == 0 when alloc
+// windows can be drawn (max_alloc_windows > 0 and horizon_steps > 0).
 FaultPlan make_chaos_plan(std::uint64_t seed, const ChaosParams& params,
                           std::size_t num_channels, std::size_t num_requests,
                           std::size_t horizon_steps);

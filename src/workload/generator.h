@@ -12,11 +12,19 @@
 //      sink) carry extra weight.
 // K vectors are back-solved so that q . k_i / sqrt(d) hits the target score
 // exactly (before quantization), with orthogonal noise for realism.
+//
+// The K/V rows, nearly all of the generator's time, are built on a thread
+// pool without changing a bit: each block of tokens has its uniforms drawn
+// serially in the caller's stream order, and only the pure Box-Muller
+// transforms and the per-row back-solve fan out. An instance is therefore a
+// pure function of (params, context length, Rng state) at any pool width.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "model/kv_cache.h"
 
@@ -25,6 +33,8 @@ namespace topick::wl {
 struct WorkloadParams {
   std::size_t context_len = 1024;
   int head_dim = 64;
+
+  // Every *_sd / *_std spread must be finite and >= 0.
 
   // Bulk score distribution: N(0, sigma), sigma ~ LogNormal per instance.
   // Defaults calibrated once against the paper's ToPick operating point —
@@ -76,16 +86,34 @@ struct Instance {
 
 class Generator {
  public:
+  // Tokens per block of K/V rows: one block's uniforms are drawn before its
+  // rows fan out, and the next block's draw overlaps this block's rows. Each
+  // of the two block buffers holds 2 * head_dim * kBlockTokens draws (1 MB
+  // at head_dim 128), whatever the context length.
+  static constexpr std::size_t kBlockTokens = 256;
+  // Minimum tokens per participant before another worker engages, so
+  // instances shorter than 2 * kFanoutGrain tokens are built inline.
+  static constexpr std::size_t kFanoutGrain = 64;
+
+  // K/V rows are built on a pool the Generator owns, one thread per CPU the
+  // process may run on, started by the first instance long enough to fan
+  // out. Calls to make_instance on one Generator must not overlap. Throws
+  // std::logic_error for a zero context_len or head_dim, a spike_fraction
+  // outside [0, 1], a negative recency_window, or a spread that is negative
+  // or not finite.
   explicit Generator(const WorkloadParams& params);
 
   Instance make_instance(Rng& rng) const;
-  // Convenience: instance with an explicit context length override.
+  // Convenience: instance with an explicit context length override (> 0).
   Instance make_instance(Rng& rng, std::size_t context_len) const;
 
   const WorkloadParams& params() const { return params_; }
 
  private:
+  ThreadPool& owned_pool() const;
+
   WorkloadParams params_;
+  mutable std::unique_ptr<ThreadPool> pool_;  // null until first needed
 };
 
 }  // namespace topick::wl

@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,6 +63,28 @@ TEST(Rng, ForkProducesIndependentStream) {
 TEST(Rng, UniformIndexInRange) {
   Rng rng(11);
   for (int i = 0; i < 1000; ++i) ASSERT_LT(rng.uniform_index(17), 17u);
+}
+
+TEST(Rng, UniformIndexOfZeroThrows) {
+  // [0, 0) is empty: the modulo by zero used to be undefined behaviour
+  // (SIGFPE on x86).
+  Rng rng(11);
+  EXPECT_THROW(rng.uniform_index(0), std::logic_error);
+  EXPECT_EQ(rng.uniform_index(1), 0u);
+}
+
+TEST(Rng, NormalIsBoxMullerOfDraw) {
+  // normal() == box_muller(draw_normal()) bit for bit, and both advance the
+  // stream identically, so a caller may draw serially and transform later.
+  Rng a(11), b(11);
+  for (int i = 0; i < 100000; ++i) {
+    const double direct = a.normal();
+    const double split = Rng::box_muller(b.draw_normal());
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(direct),
+              std::bit_cast<std::uint64_t>(split))
+        << "draw " << i;
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(ShiftedExpSum, MatchesLogSumExp) {

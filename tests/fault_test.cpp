@@ -10,6 +10,7 @@
 // once, and the degradation controller walks its ladder deterministically.
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -156,6 +157,22 @@ TEST(FaultPlan, ChaosPlansAreSeedDeterministicAndBounded) {
   EXPECT_LE(a.channels.size(), params.max_channel_faults);
   EXPECT_LE(a.alloc_faults.size(), params.max_alloc_windows);
   EXPECT_LE(a.aborts.size(), params.max_aborts);
+}
+
+TEST(FaultPlan, ZeroAllocPeriodMaxThrowsWhenAllocWindowsAreDrawn) {
+  // The period draw was uniform_index(alloc_period_max): a modulo by zero
+  // that killed the process with SIGFPE.
+  fault::ChaosParams params;
+  params.alloc_period_max = 0;
+  EXPECT_THROW(fault::make_chaos_plan(99, params, 8, 20, 400),
+               std::logic_error);
+  // Unused, the value is harmless: no windows, or no horizon to place them.
+  params.max_alloc_windows = 0;
+  EXPECT_TRUE(fault::make_chaos_plan(99, params, 8, 20, 400)
+                  .alloc_faults.empty());
+  params.max_alloc_windows = 2;
+  EXPECT_TRUE(fault::make_chaos_plan(99, params, 8, 20, 0)
+                  .alloc_faults.empty());
 }
 
 // ---- DegradationController ladder -------------------------------------------

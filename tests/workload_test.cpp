@@ -1,9 +1,14 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analytic/traffic.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "workload/generator.h"
 #include "workload/zoo.h"
@@ -103,6 +108,129 @@ TEST(Workload, InvalidParamsThrow) {
   wl::WorkloadParams params;
   params.context_len = 0;
   EXPECT_THROW(wl::Generator{params}, std::logic_error);
+
+  // A NaN spread used to pass through: a NaN key_noise_std gave NaN keys,
+  // which quantize to 0 without a word.
+  const double bad_spreads[] = {-1.0, std::nan(""), INFINITY};
+  double wl::WorkloadParams::*const spreads[] = {
+      &wl::WorkloadParams::sigma_log_sd, &wl::WorkloadParams::spike_boost_sd,
+      &wl::WorkloadParams::spike_fraction_log_sd,
+      &wl::WorkloadParams::key_noise_std, &wl::WorkloadParams::value_std};
+  for (auto spread : spreads) {
+    for (double bad : bad_spreads) {
+      wl::WorkloadParams p;
+      p.context_len = 16;
+      p.*spread = bad;
+      EXPECT_THROW(wl::Generator{p}, std::logic_error) << bad;
+    }
+    wl::WorkloadParams zero;
+    zero.context_len = 16;
+    zero.*spread = 0.0;  // a zero spread is valid
+    EXPECT_NO_THROW(wl::Generator{zero});
+  }
+
+  // The override must not be 0 either, as params.context_len must not.
+  wl::WorkloadParams ok;
+  ok.context_len = 16;
+  const wl::Generator gen(ok);
+  Rng rng(7);
+  EXPECT_THROW(gen.make_instance(rng, 0), std::logic_error);
+}
+
+// Today's generator as one serial loop, kept as the oracle the pooled,
+// block-drawn generator must reproduce bit for bit.
+wl::Instance serial_oracle(const wl::WorkloadParams& params, Rng& rng) {
+  const auto d = static_cast<std::size_t>(params.head_dim);
+  const std::size_t n = params.context_len;
+  wl::Instance inst;
+  inst.len = n;
+  inst.head_dim = d;
+  inst.q.resize(d);
+  inst.keys.resize(n * d);
+  inst.values.resize(n * d);
+  inst.target_scores.resize(n);
+  const double sigma = rng.lognormal(params.sigma_log_mean, params.sigma_log_sd);
+  const double spike_rate = std::min(
+      1.0, params.spike_fraction *
+               rng.lognormal(0.0, params.spike_fraction_log_sd));
+  for (std::size_t i = 0; i < n; ++i) {
+    double score = rng.normal(0.0, sigma);
+    if (rng.bernoulli(spike_rate)) {
+      score += std::abs(rng.normal(params.spike_boost_mean,
+                                   params.spike_boost_sd));
+    }
+    const auto age = n - 1 - i;
+    if (age < static_cast<std::size_t>(params.recency_window)) {
+      const double falloff =
+          1.0 - static_cast<double>(age) /
+                    static_cast<double>(params.recency_window);
+      score += params.recency_boost * falloff;
+    }
+    if (i == 0) score += params.sink_boost;
+    inst.target_scores[i] = score;
+  }
+  double qnorm2 = 0.0;
+  for (auto& x : inst.q) {
+    x = static_cast<float>(rng.normal());
+    qnorm2 += static_cast<double>(x) * x;
+  }
+  const double sqrt_d = std::sqrt(static_cast<double>(d));
+  std::vector<double> noise(d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dot_target = inst.target_scores[i] * sqrt_d;
+    double ndotq = 0.0;
+    for (std::size_t j = 0; j < d; ++j) {
+      noise[j] = rng.normal();
+      ndotq += noise[j] * inst.q[j];
+    }
+    const double coeff = dot_target / qnorm2;
+    const double proj = ndotq / qnorm2;
+    for (std::size_t j = 0; j < d; ++j) {
+      const double orth = (noise[j] - proj * inst.q[j]) * params.key_noise_std;
+      inst.keys[i * d + j] = static_cast<float>(coeff * inst.q[j] + orth);
+    }
+    for (std::size_t j = 0; j < d; ++j) {
+      inst.values[i * d + j] =
+          static_cast<float>(rng.normal(0.0, params.value_std));
+    }
+  }
+  return inst;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(Workload, PoolWidthNeverChangesBits) {
+  // The Generator's pool is one thread per CPU the process may use, so a
+  // run pinned to 1, 2 or 4 CPUs checks that width against the serial
+  // oracle. Contexts hit the block tails: a single token (built inline), one
+  // short of a block, one past it, and a multi-block length with a ragged
+  // last block.
+  constexpr std::size_t kBlock = wl::Generator::kBlockTokens;
+  const std::size_t contexts[] = {1, kBlock - 1, kBlock + 1, 1027};
+  const int head_dims[] = {1, 64, 80, 128};
+  for (std::size_t len : contexts) {
+    for (int d : head_dims) {
+      wl::WorkloadParams params;
+      params.context_len = len;
+      params.head_dim = d;
+      const std::uint64_t seed = 1000 * len + static_cast<std::uint64_t>(d);
+      Rng oracle_rng(seed), rng(seed);
+      const auto want = serial_oracle(params, oracle_rng);
+      const auto got = wl::Generator(params).make_instance(rng);
+      SCOPED_TRACE(testing::Message()
+                   << "context " << len << " head_dim " << d);
+      EXPECT_TRUE(same_bits(got.q, want.q));
+      EXPECT_TRUE(same_bits(got.keys, want.keys));
+      EXPECT_TRUE(same_bits(got.values, want.values));
+      EXPECT_TRUE(same_bits(got.target_scores, want.target_scores));
+      // The caller's stream is left where the serial loop leaves it.
+      EXPECT_EQ(rng.next_u64(), oracle_rng.next_u64());
+    }
+  }
 }
 
 TEST(Workload, NegativeRecencyWindowThrows) {
