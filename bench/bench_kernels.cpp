@@ -116,7 +116,6 @@ void BM_HbmStreamingThroughput(benchmark::State& state) {
         ++issued;
       }
       hbm.tick();
-      hbm.drain_responses();
     }
     benchmark::DoNotOptimize(hbm.stats().bytes_read);
   }

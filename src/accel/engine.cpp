@@ -267,8 +267,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
 
     // DRAM advances dram_clocks_per_core per core cycle; route responses.
     for (int k = 0; k < config_.dram_clocks_per_core; ++k) {
-      hbm.tick();
-      for (const auto& resp : hbm.drain_responses()) {
+      for (const auto& resp : hbm.tick()) {
         const auto d = decode_id(resp.id);
         auto& lane = lanes[d.token % lanes_n];
         --outstanding[d.token % lanes_n];
@@ -465,8 +464,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
     require(cycle < kMaxCoreCycles, "Engine: step 1 exceeded cycle cap");
 
     for (int k = 0; k < config_.dram_clocks_per_core; ++k) {
-      hbm.tick();
-      for (const auto& resp : hbm.drain_responses()) {
+      for (const auto& resp : hbm.tick()) {
         const auto d = decode_id(resp.id);
         auto& lane = lanes[d.token % lanes_n];
         if (lane.deliver_granule(d.token, num_chunks, gpv)) {

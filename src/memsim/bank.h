@@ -15,7 +15,6 @@ class Bank {
   bool row_open(std::uint64_t row) const {
     return has_open_row_ && open_row_ == row;
   }
-  bool any_row_open() const { return has_open_row_; }
 
   // Earliest cycle a RD to `row` could issue, counting any needed PRE/ACT.
   // Does not mutate state.

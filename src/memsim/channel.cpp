@@ -17,7 +17,7 @@ Channel::Channel(const DramConfig& config)
 }
 
 bool Channel::try_enqueue(const MemRequest& request, const LocalAddr& local) {
-  if (!can_accept()) {
+  if (queue_.size() >= queue_limit_) {
     ++stats_.queue_full_stalls;
     return false;
   }
@@ -35,40 +35,29 @@ void Channel::maybe_refresh(std::uint64_t now) {
   ++stats_.refreshes;
 }
 
-std::size_t Channel::pick_request(std::uint64_t now, bool& found) {
-  found = false;
-  std::size_t best = 0;
+std::size_t Channel::pick_request(std::uint64_t now) const {
   // First pass: oldest row hit whose bank can take the column command now.
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const auto& qr = queue_[i];
     const auto& bank = banks_[qr.local.bank];
     if (bank.row_open(qr.local.row) &&
         bank.earliest_read_cycle(qr.local.row, now) == now) {
-      found = true;
       return i;
     }
   }
   // Second pass: the oldest request (FCFS) regardless of row state.
-  if (!queue_.empty()) {
-    found = true;
-    best = 0;
-  }
-  return best;
+  return 0;
 }
 
 void Channel::tick(std::uint64_t now, std::vector<MemResponse>& done,
                    std::vector<TraceEntry>* trace) {
   maybe_refresh(now);
 
-  // Retire finished transfers.
-  for (std::size_t i = 0; i < in_flight_.size();) {
-    if (in_flight_[i].done_cycle <= now) {
-      done.push_back(MemResponse{in_flight_[i].request.id, now});
-      in_flight_[i] = in_flight_.back();
-      in_flight_.pop_back();
-    } else {
-      ++i;
-    }
+  // Retire finished transfers. Bursts finish in commit order (see the
+  // require at commit), so they leave from the front.
+  while (!in_flight_.empty() && in_flight_.front().done_cycle <= now) {
+    done.push_back(MemResponse{in_flight_.front().id, now});
+    in_flight_.pop_front();
   }
 
   if (now < refresh_until_) return;  // channel busy refreshing
@@ -80,9 +69,7 @@ void Channel::tick(std::uint64_t now, std::vector<MemResponse>& done,
   }
   if (queue_.empty()) return;
 
-  bool found = false;
-  const std::size_t pick = pick_request(now, found);
-  if (!found) return;
+  const std::size_t pick = pick_request(now);
 
   // Commit the chosen request: the bank walks through its PRE/ACT/RD
   // sequence (reserved via issue_read), the data burst starts after CAS
@@ -100,7 +87,12 @@ void Channel::tick(std::uint64_t now, std::vector<MemResponse>& done,
   const std::uint64_t burst_start =
       std::max(col_cycle + static_cast<std::uint64_t>(config_->timing.t_cl),
                data_bus_free_);
-  data_bus_free_ = burst_start + burst_cycles;
+  const std::uint64_t done_cycle = burst_start + burst_cycles;
+  // The data bus serializes bursts, so each one finishes strictly after the
+  // previous commit's; tick() retires from the front on that basis.
+  require(in_flight_.empty() || done_cycle > in_flight_.back().done_cycle,
+          "Channel: bursts must finish in commit order");
+  data_bus_free_ = done_cycle;
 
   if (trace != nullptr) {
     trace->push_back(TraceEntry{now, qr.request.addr, 0, was_hit});
@@ -115,7 +107,7 @@ void Channel::tick(std::uint64_t now, std::vector<MemResponse>& done,
     ++stats_.activates;
   }
 
-  in_flight_.push_back(InFlight{qr.request, burst_start + burst_cycles});
+  in_flight_.push_back(InFlight{qr.request.id, done_cycle});
   queue_.erase(queue_.begin() + static_cast<long>(pick));
 }
 

@@ -23,7 +23,6 @@ class Channel {
  public:
   explicit Channel(const DramConfig& config);
 
-  bool can_accept() const { return queue_.size() < queue_limit_; }
   // Queues `request`, or returns false and counts the refusal in
   // stats().queue_full_stalls when the queue is full.
   bool try_enqueue(const MemRequest& request, const LocalAddr& local);
@@ -49,19 +48,20 @@ class Channel {
     LocalAddr local;
   };
   struct InFlight {
-    MemRequest request;
+    std::uint64_t id = 0;
     std::uint64_t done_cycle = 0;
   };
 
   void maybe_refresh(std::uint64_t now);
-  // FR-FCFS: first ready row-hit wins, else the oldest issuable request.
-  std::size_t pick_request(std::uint64_t now, bool& found);
+  // FR-FCFS over a non-empty queue: the oldest ready row hit wins, else the
+  // oldest request.
+  std::size_t pick_request(std::uint64_t now) const;
 
   const DramConfig* config_;
   std::size_t queue_limit_;
   std::vector<Bank> banks_;
   std::deque<QueuedRequest> queue_;
-  std::vector<InFlight> in_flight_;
+  std::deque<InFlight> in_flight_;  // ascending done_cycle
   std::uint64_t data_bus_free_ = 0;   // next cycle the data bus is free
   std::uint64_t next_refresh_ = 0;
   std::uint64_t refresh_until_ = 0;

@@ -16,7 +16,8 @@ struct DramTiming {
   int t_rp = 14;    // PRE -> ACT
   int t_cl = 14;    // RD -> first data beat
   int t_ras = 28;   // ACT -> PRE minimum
-  int t_rrd = 4;    // ACT -> ACT, different banks, same channel
+  int t_rrd = 4;    // ACT -> ACT, different banks: not modelled; only the
+                    // benchmark's config dump reads it
   int t_burst = 1;  // data-bus cycles per 32 B transaction
   int t_refi = 3900;  // refresh interval
   int t_rfc = 260;    // refresh duration (all banks busy)
@@ -69,11 +70,6 @@ struct DramConfig {
   DramEnergy energy;
 
   int columns_per_row() const { return row_bytes / transaction_bytes; }
-  // Peak bandwidth in bytes per DRAM clock (for utilization reporting).
-  double peak_bytes_per_cycle() const {
-    return static_cast<double>(channels) * transaction_bytes /
-           timing.t_burst;
-  }
 };
 
 }  // namespace topick::mem

@@ -17,6 +17,13 @@ Hbm::Hbm(const DramConfig& config) : config_(config) {
               (config.timing.t_refi > 0 && config.timing.t_rfc >= 0 &&
                config.timing.t_rfc < config.timing.t_refi),
           "DramConfig: refresh needs 0 < t_refi and 0 <= t_rfc < t_refi");
+  // A zero burst would let two bursts finish on one cycle, breaking the
+  // commit-order retire in Channel::tick; a negative field would wrap when
+  // widened to the unsigned cycle domain.
+  require(config.timing.t_burst >= 1, "DramConfig: t_burst must be >= 1");
+  require(config.timing.t_rcd >= 0 && config.timing.t_rp >= 0 &&
+              config.timing.t_cl >= 0 && config.timing.t_ras >= 0,
+          "DramConfig: t_rcd, t_rp, t_cl and t_ras must be non-negative");
   require(config.row_bytes % config.transaction_bytes == 0,
           "DramConfig: row_bytes must be a multiple of the granule");
   channels_.reserve(static_cast<std::size_t>(config.channels));
@@ -39,16 +46,13 @@ LocalAddr Hbm::local_of(std::uint64_t addr) const {
   return local;
 }
 
-bool Hbm::can_accept(std::uint64_t addr) const {
-  return channels_[static_cast<std::size_t>(channel_of(addr))].can_accept();
-}
-
 bool Hbm::try_enqueue(const MemRequest& request) {
   return channels_[static_cast<std::size_t>(channel_of(request.addr))]
       .try_enqueue(request, local_of(request.addr));
 }
 
-void Hbm::tick() {
+std::span<const MemResponse> Hbm::tick() {
+  responses_.clear();
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const std::size_t before = trace_.size();
     channels_[c].tick(cycle_, responses_, trace_enabled_ ? &trace_ : nullptr);
@@ -57,6 +61,7 @@ void Hbm::tick() {
     }
   }
   ++cycle_;
+  return responses_;
 }
 
 std::string Hbm::trace_csv() const {
@@ -66,12 +71,6 @@ std::string Hbm::trace_csv() const {
            "," + std::to_string(entry.addr) + "," +
            (entry.row_hit ? "1" : "0") + "\n";
   }
-  return out;
-}
-
-std::vector<MemResponse> Hbm::drain_responses() {
-  std::vector<MemResponse> out;
-  out.swap(responses_);
   return out;
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,22 +26,21 @@ class Hbm {
   int channel_of(std::uint64_t addr) const;
   LocalAddr local_of(std::uint64_t addr) const;
 
-  bool can_accept(std::uint64_t addr) const;
   // Enqueues one transaction-granule read. Returns false (and drops nothing)
   // when the target channel queue is full; the refusal is counted in that
   // channel's DramStats::queue_full_stalls.
   bool try_enqueue(const MemRequest& request);
 
-  // Advances one DRAM clock.
-  void tick();
-
-  // Responses completed since the last drain (any order across channels).
-  std::vector<MemResponse> drain_responses();
+  // Advances one DRAM clock and returns the transactions that completed
+  // during it, each with ready_cycle equal to that clock: channel by channel
+  // in channel order, and in commit order within a channel. The span views
+  // a buffer the next tick() clears, so it is valid until then; a caller
+  // that keeps responses copies them out.
+  std::span<const MemResponse> tick();
 
   std::uint64_t cycle() const { return cycle_; }
   // Transactions queued or in flight inside the DRAM. Responses already
-  // completed but not yet drained are the caller's to collect and do not
-  // count as pending work.
+  // returned by tick() do not count as pending work.
   std::size_t pending() const;
   bool idle() const { return pending() == 0; }
 
@@ -71,7 +71,7 @@ class Hbm {
  private:
   DramConfig config_;
   std::vector<Channel> channels_;
-  std::vector<MemResponse> responses_;
+  std::vector<MemResponse> responses_;  // the last tick()'s completions
   std::uint64_t cycle_ = 0;
   bool trace_enabled_ = false;
   std::vector<TraceEntry> trace_;

@@ -1273,8 +1273,7 @@ void ServeEngine::simulate_step_dram(const std::vector<StepXfer>& active) {
         ++dram_offset_[request];
       }
     }
-    hbm_.tick();
-    for (const auto& resp : hbm_.drain_responses()) {
+    for (const auto& resp : hbm_.tick()) {
       finish[resp.id] = std::max(finish[resp.id], resp.ready_cycle);
     }
     if (trace_ != nullptr &&

@@ -48,7 +48,6 @@ std::pair<std::uint64_t, mem::DramStats> stream_channel(
       if (hbm.try_enqueue(req)) ++sent;
     }
     hbm.tick();
-    hbm.drain_responses();
   }
   return {hbm.cycle(), hbm.stats()};
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "memsim/hbm.h"
 
 namespace topick::mem {
@@ -20,8 +21,7 @@ std::vector<MemResponse> run_to_completion(Hbm& hbm,
   std::vector<MemResponse> all;
   std::uint64_t start = hbm.cycle();
   while (!hbm.idle()) {
-    hbm.tick();
-    for (auto& r : hbm.drain_responses()) all.push_back(r);
+    for (const auto& r : hbm.tick()) all.push_back(r);
     EXPECT_LT(hbm.cycle() - start, max_cycles) << "DRAM model did not drain";
     if (hbm.cycle() - start >= max_cycles) break;
   }
@@ -60,8 +60,7 @@ TEST(Hbm, SingleReadLatencyIsActPlusCas) {
   ASSERT_TRUE(hbm.try_enqueue(MemRequest{0, 1}));
   std::vector<MemResponse> responses;
   while (responses.empty()) {
-    hbm.tick();
-    for (auto& r : hbm.drain_responses()) responses.push_back(r);
+    for (const auto& r : hbm.tick()) responses.push_back(r);
     ASSERT_LT(hbm.cycle(), 1000u);
   }
   const auto expected = static_cast<std::uint64_t>(
@@ -80,8 +79,7 @@ TEST(Hbm, EveryRequestGetsExactlyOneResponse) {
       pending_ids.insert(id);
       ++id;
     }
-    hbm.tick();
-    for (auto& r : hbm.drain_responses()) {
+    for (const auto& r : hbm.tick()) {
       ASSERT_TRUE(pending_ids.count(r.id)) << "duplicate or unknown response";
       pending_ids.erase(r.id);
     }
@@ -107,8 +105,7 @@ TEST(Hbm, RowHitsBeatRowMisses) {
   }
   std::vector<MemResponse> r1;
   while (!streak.idle()) {
-    streak.tick();
-    for (auto& r : streak.drain_responses()) r1.push_back(r);
+    for (const auto& r : streak.tick()) r1.push_back(r);
   }
   const auto streak_cycles = streak.cycle();
 
@@ -140,7 +137,6 @@ TEST(Hbm, StreamingApproachesPeakBandwidth) {
       ++issued;
     }
     hbm.tick();
-    hbm.drain_responses();
     ASSERT_LT(hbm.cycle(), 100000u);
   }
   // 2048 granules over 8 channels at 1 granule/cycle/channel: >= 256 cycles.
@@ -160,7 +156,8 @@ TEST(Hbm, QueueBackpressure) {
     }
   }
   EXPECT_EQ(accepted, config.queue_depth);
-  EXPECT_FALSE(hbm.can_accept(0));
+  EXPECT_EQ(hbm.stats().queue_full_stalls,
+            static_cast<std::uint64_t>(100 - config.queue_depth));
   run_to_completion(hbm);
 }
 
@@ -171,7 +168,6 @@ TEST(Hbm, StatsAccounting) {
     ASSERT_TRUE(hbm.try_enqueue(
         MemRequest{static_cast<std::uint64_t>(i) * 32, static_cast<std::uint64_t>(i)}));
     hbm.tick();
-    hbm.drain_responses();
   }
   run_to_completion(hbm);
   const auto stats = hbm.stats();
@@ -192,7 +188,6 @@ TEST(Hbm, StreamingEnergyNearHbm2Class) {
       ++issued;
     }
     hbm.tick();
-    hbm.drain_responses();
   }
   const double pj_per_bit =
       hbm.energy_pj() / (static_cast<double>(n) * 32.0 * 8.0);
@@ -212,7 +207,6 @@ TEST(Hbm, RefreshAddsLatencyButDrains) {
       ++issued;
     }
     hbm.tick();
-    hbm.drain_responses();
   }
   while (!hbm.idle()) hbm.tick();
   EXPECT_GT(hbm.stats().refreshes, 0u);
@@ -248,6 +242,22 @@ TEST(Hbm, RejectsDegenerateConfig) {
   DramConfig always_refreshing;
   always_refreshing.timing.t_rfc = always_refreshing.timing.t_refi;
   EXPECT_THROW(Hbm{always_refreshing}, std::logic_error);
+  // A zero burst lets two bursts finish on one cycle; a negative timing
+  // field wraps in the unsigned cycle domain.
+  for (const int burst : {0, -1}) {
+    DramConfig config;
+    config.timing.t_burst = burst;
+    EXPECT_THROW(Hbm{config}, std::logic_error) << burst;
+  }
+  for (int DramTiming::*field :
+       {&DramTiming::t_rcd, &DramTiming::t_rp, &DramTiming::t_cl,
+        &DramTiming::t_ras}) {
+    DramConfig config;
+    config.timing.*field = -1;
+    EXPECT_THROW(Hbm{config}, std::logic_error);
+    config.timing.*field = 0;
+    EXPECT_NO_THROW(Hbm{config});
+  }
 }
 
 TEST(Hbm, TraceRecordsEveryCommittedTransaction) {
@@ -258,7 +268,6 @@ TEST(Hbm, TraceRecordsEveryCommittedTransaction) {
     ASSERT_TRUE(hbm.try_enqueue(MemRequest{static_cast<std::uint64_t>(i) * 32,
                                            static_cast<std::uint64_t>(i)}));
     hbm.tick();
-    hbm.drain_responses();
   }
   run_to_completion(hbm);
   EXPECT_EQ(hbm.trace().size(), static_cast<std::size_t>(n));
@@ -302,7 +311,6 @@ TEST(Hbm, SameChannelOrderPreservedUnderQueuePressure) {
       ++next;
     }
     hbm.tick();
-    hbm.drain_responses();
   }
 
   EXPECT_GT(hbm.stats().queue_full_stalls, 0u)
@@ -318,6 +326,81 @@ TEST(Hbm, SameChannelOrderPreservedUnderQueuePressure) {
     committed[static_cast<std::size_t>(entry.channel)].push_back(entry.addr);
   }
   EXPECT_EQ(committed, expected);
+}
+
+// tick() hands back each response on the cycle it completes, and a channel
+// retires its bursts in the order it committed them, across refresh, queue
+// pressure, a stretched data bus and injected stall windows.
+TEST(Hbm, ResponsesRetireInCommitOrder) {
+  const ChannelFault degraded{.burst_multiplier = 2.5};
+  const ChannelFault stalled{.stall_period = 300, .stall_cycles = 80};
+  std::uint64_t seed = 0;
+  for (const bool refresh : {false, true}) {
+    for (const int depth : {1, 16}) {
+      for (const ChannelFault* fault : {static_cast<const ChannelFault*>(nullptr),
+                                        &degraded, &stalled}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "refresh " << refresh << " depth " << depth
+                     << " fault " << (fault == &degraded  ? "degraded"
+                                      : fault == &stalled ? "stalled"
+                                                          : "none"));
+        DramConfig config;
+        config.enable_refresh = refresh;
+        config.queue_depth = depth;
+        Hbm hbm(config);
+        hbm.set_channel_fault(1, fault);
+        hbm.enable_trace(true);
+
+        // Bursty arrivals over a few refresh intervals; a small address
+        // space mixes row hits, misses and conflicts.
+        Rng rng(++seed);
+        std::vector<MemRequest> arrivals;
+        std::vector<std::uint64_t> due;
+        std::uint64_t cycle = 0;
+        for (std::uint64_t id = 0; id < 1200; ++id) {
+          if (rng.bernoulli(0.25)) cycle += rng.uniform_index(40);
+          arrivals.push_back(MemRequest{rng.uniform_index(1 << 15) * 32, id});
+          due.push_back(cycle);
+        }
+
+        std::vector<int> seen(arrivals.size(), 0);
+        std::vector<std::vector<std::uint64_t>> retired(hbm.channel_count());
+        std::size_t next = 0;
+        while (next < arrivals.size() || !hbm.idle()) {
+          while (next < arrivals.size() && due[next] <= hbm.cycle() &&
+                 hbm.try_enqueue(arrivals[next])) {
+            ++next;
+          }
+          const std::uint64_t now = hbm.cycle();
+          for (const MemResponse& r : hbm.tick()) {
+            ASSERT_LT(r.id, arrivals.size());
+            ASSERT_EQ(r.ready_cycle, now);
+            ++seen[r.id];
+            retired[static_cast<std::size_t>(
+                        hbm.channel_of(arrivals[r.id].addr))]
+                .push_back(arrivals[r.id].addr);
+          }
+          ASSERT_LT(hbm.cycle(), 1000000u);
+        }
+
+        for (std::size_t id = 0; id < seen.size(); ++id) {
+          ASSERT_EQ(seen[id], 1) << "id " << id;
+        }
+        std::vector<std::vector<std::uint64_t>> committed(hbm.channel_count());
+        for (const auto& entry : hbm.trace()) {
+          committed[static_cast<std::size_t>(entry.channel)].push_back(
+              entry.addr);
+        }
+        EXPECT_EQ(retired, committed);
+        const DramStats stats = hbm.stats();
+        EXPECT_EQ(stats.refreshes > 0, refresh);
+        EXPECT_EQ(stats.fault_stall_cycles > 0, fault == &stalled);
+        if (depth == 1) {
+          EXPECT_GT(stats.queue_full_stalls, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(Hbm, TraceDisabledByDefault) {
