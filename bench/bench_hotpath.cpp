@@ -20,7 +20,8 @@
 // and the pipelined executor (DRAM replay on the lane), outputs and DRAM
 // cycle stamps bit-checked, with before/after phase attribution. `--smoke` runs a small
 // context for CI; `--threads a,b,c` overrides the sweep (default 1,2,8);
-// `--repeats N` takes best-of-N (default 3); `--trace out.json` writes a
+// `--repeats N` (default 3) takes best-of-N for the sweep and N paired
+// runs for the executor comparison; `--trace out.json` writes a
 // validated engine trace; `--isa-levels` prints the kernel levels this
 // binary + CPU can run (one per line, for CI forced-ISA matrix loops) and
 // exits.
@@ -31,9 +32,11 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "core/quantized_kv_cache.h"
 #include "fixedpoint/dispatch.h"
 #include "obs/phase_stats.h"
@@ -339,7 +342,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      // Best-of-N repeats per sweep point and executor (default 3; raise on
+      // Repeats per sweep point and executor pair (default 3; raise on
       // noisy hosts so identical-work configurations rank consistently).
       scenario.repeats = std::atoi(argv[++i]);
       if (scenario.repeats < 1) scenario.repeats = 1;
@@ -407,8 +410,8 @@ int main(int argc, char** argv) {
               thread_sweep[best]);
 
   // Full-engine executor comparison at the sweep's widest fan-out: the same
-  // trace through the fork-join step and the pipelined step, best-of-N
-  // each, with a separate full-fidelity bit-check.
+  // trace through the fork-join step and the pipelined step, with a
+  // separate full-fidelity bit-check.
   const std::size_t phase_threads =
       *std::max_element(thread_sweep.begin(), thread_sweep.end());
   if (!executors_bit_identical(smoke, phase_threads)) {
@@ -418,17 +421,30 @@ int main(int argc, char** argv) {
                  phase_threads);
     return 1;
   }
-  EngineRun seq_run, pipe_run;
+  // One paired speedup per repeat, the two executors back to back with the
+  // order alternating, so host drift lands on both sides of a pair. The
+  // median pair's runs supply the printed rates and phase attribution.
+  std::vector<std::pair<EngineRun, EngineRun>> pairs;  // (off, on)
   for (int r = 0; r < scenario.repeats; ++r) {
-    const EngineRun s =
-        run_engine(engine_config(phase_threads, false), smoke);
-    const EngineRun p =
-        run_engine(engine_config(phase_threads, true), smoke);
-    if (r == 0 || s.tokens_per_s > seq_run.tokens_per_s) seq_run = s;
-    if (r == 0 || p.tokens_per_s > pipe_run.tokens_per_s) pipe_run = p;
+    const bool on_first = r % 2 == 1;
+    EngineRun first = run_engine(engine_config(phase_threads, on_first), smoke);
+    EngineRun second =
+        run_engine(engine_config(phase_threads, !on_first), smoke);
+    if (on_first) std::swap(first, second);
+    pairs.emplace_back(first, second);
   }
-  const double pipeline_speedup =
-      pipe_run.tokens_per_s / seq_run.tokens_per_s;
+  const auto speedup = [](const std::pair<EngineRun, EngineRun>& p) {
+    return p.second.tokens_per_s / p.first.tokens_per_s;
+  };
+  std::vector<double> speedups;
+  for (const auto& p : pairs) speedups.push_back(speedup(p));
+  std::sort(pairs.begin(), pairs.end(), [&](const auto& a, const auto& b) {
+    return speedup(a) < speedup(b);
+  });
+  const auto& [seq_run, pipe_run] = pairs[pairs.size() / 2];
+  const double speedup_p25 = percentile(speedups, 25.0);
+  const double speedup_median = percentile(speedups, 50.0);
+  const double speedup_p75 = percentile(speedups, 75.0);
   const FanoutSplit seq_split = fanout_split(seq_run.phases);
   const FanoutSplit pipe_split = fanout_split(pipe_run.phases);
   std::printf(
@@ -440,14 +456,17 @@ int main(int argc, char** argv) {
       100.0 * seq_split.barrier_frac, 100.0 * seq_split.replay_frac_of_step);
   std::printf(
       "  engine --pipeline on  (DRAM lane, threads=%zu, %llu steps): "
-      "%8.1f tok/s  %.2fx; compute %.0f%% / barrier %.0f%% of fan-out "
+      "%8.1f tok/s; compute %.0f%% / barrier %.0f%% of fan-out "
       "capacity; replay off the step wall "
       "(lane busy %.3f ms, lane wait %.3f ms)\n",
       phase_threads, static_cast<unsigned long long>(pipe_run.phases.steps),
-      pipe_run.tokens_per_s, pipeline_speedup,
-      100.0 * pipe_split.compute_frac, 100.0 * pipe_split.barrier_frac,
+      pipe_run.tokens_per_s, 100.0 * pipe_split.compute_frac,
+      100.0 * pipe_split.barrier_frac,
       static_cast<double>(pipe_run.phases.lane_busy_ns) * 1e-6,
       static_cast<double>(pipe_run.phases.lane_wait_ns) * 1e-6);
+  std::printf("  pipelined speedup over %d paired repeats: median %.2fx "
+              "(quartiles %.2f-%.2fx)\n",
+              scenario.repeats, speedup_median, speedup_p25, speedup_p75);
   std::printf("  executors bit-identical on the same trace (outputs and "
               "DRAM cycle stamps): yes\n");
   if (!trace_path.empty() &&
@@ -514,11 +533,11 @@ int main(int argc, char** argv) {
   }
   std::fprintf(
       out,
-      "  \"pipeline_comparison\": {\"threads\": %zu, "
-      "\"sequential_tokens_per_s\": %.2f, \"pipelined_tokens_per_s\": %.2f, "
-      "\"pipelined_speedup\": %.2f, \"outputs_bit_identical\": true},\n",
-      phase_threads, seq_run.tokens_per_s, pipe_run.tokens_per_s,
-      pipeline_speedup);
+      "  \"pipeline_comparison\": {\"threads\": %zu, \"repeats\": %d, "
+      "\"pipelined_speedup_median\": %.3f, \"pipelined_speedup_p25\": %.3f, "
+      "\"pipelined_speedup_p75\": %.3f, \"outputs_bit_identical\": true},\n",
+      phase_threads, scenario.repeats, speedup_median, speedup_p25,
+      speedup_p75);
   write_phase_attribution(out, "phase_attribution_sequential",
                           seq_run.phases, phase_threads);
   write_phase_attribution(out, "phase_attribution", pipe_run.phases,

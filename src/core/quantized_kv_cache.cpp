@@ -29,6 +29,19 @@ float scale_for_amax(float amax, int total_bits) {
 // depend on the selected ISA.
 float row_amax(std::span<const float> xs) { return fx::row_amax(xs); }
 
+// row_amax skips NaN, so only an inf element leaves a max non-finite; its
+// scale would be inf and every output NaN. Checked before the cache changes,
+// so a refused append leaves every member as it was.
+constexpr const char* kNonFiniteRow =
+    "QuantizedKvCache: inf K/V value cannot be quantized";
+
+void require_finite_rows(const float* k_rows, const float* v_rows,
+                         std::size_t n) {
+  require(std::isfinite(fx::row_amax(k_rows, n)) &&
+              std::isfinite(fx::row_amax(v_rows, n)),
+          kNonFiniteRow);
+}
+
 // fx::quantize's element math exactly — it IS fx::quantize_row_i16, the one
 // shared round/saturate kernel (see fixedpoint/quant.h).
 void quantize_row(std::span<const float> xs, const fx::QuantParams& params,
@@ -313,6 +326,7 @@ void QuantizedKvCache::append(std::span<const float> k,
           "QuantizedKvCache::append: head_dim mismatch");
   const float ka = row_amax(k);
   const float va = row_amax(v);
+  require(std::isfinite(ka) && std::isfinite(va), kNonFiniteRow);
   key_row_amax_.push_back(ka);
   value_row_amax_.push_back(va);
   ids_.push_back(id);
@@ -325,6 +339,12 @@ void QuantizedKvCache::append(std::span<const float> k,
 
 void QuantizedKvCache::append_rows(const float* k_rows, const float* v_rows,
                                    std::size_t count, std::size_t first_id) {
+  require_finite_rows(k_rows, v_rows, count * head_dim_);
+  push_rows(k_rows, v_rows, count, first_id);
+}
+
+void QuantizedKvCache::push_rows(const float* k_rows, const float* v_rows,
+                                 std::size_t count, std::size_t first_id) {
   require(head_dim_ > 0, "QuantizedKvCache: head_dim not set");
   if (count == 0) return;
   float ka = key_amax_;
@@ -348,9 +368,10 @@ void QuantizedKvCache::append_rows(const float* k_rows, const float* v_rows,
 }
 
 void QuantizedKvCache::rebuild(const KvHeadView& view) {
+  require_finite_rows(view.keys, view.values, view.len * view.head_dim);
   head_dim_ = view.head_dim;
   clear();
-  append_rows(view.keys, view.values, view.len, 0);
+  push_rows(view.keys, view.values, view.len, 0);
 }
 
 std::size_t QuantizedKvCache::evict_ids(std::span<const std::size_t> ids) {

@@ -205,7 +205,9 @@ class QuantizedKvCache {
   void clear();
 
   // Appends one token; `id` is the caller's stable token id (the default
-  // overload numbers tokens by append order).
+  // overload numbers tokens by append order). Every append path and rebuild
+  // throws std::logic_error on an inf K/V value and leaves the cache as it
+  // was; a NaN value quantizes to 0.
   void append(std::span<const float> k, std::span<const float> v);
   void append(std::span<const float> k, std::span<const float> v,
               std::size_t id);
@@ -268,6 +270,9 @@ class QuantizedKvCache {
   bool ensure_scales(float key_amax, float value_amax);
   void requantize_all(float old_key_scale, float old_value_scale);
   void push_quantized(const float* k_row, const float* v_row);
+  // append_rows without its inf check, for callers that already made it.
+  void push_rows(const float* k_rows, const float* v_rows, std::size_t count,
+                 std::size_t first_id);
 
   Config config_;
   std::size_t head_dim_ = 0;

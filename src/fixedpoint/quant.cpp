@@ -1,5 +1,7 @@
 #include "fixedpoint/quant.h"
 
+#include <cmath>
+
 #include "common/require.h"
 #include "fixedpoint/dispatch.h"
 
@@ -8,7 +10,10 @@ namespace topick::fx {
 float choose_scale(std::span<const float> xs, int total_bits) {
   // row_amax dispatches to the active ISA table; every variant is exact
   // (max has no rounding), so the scale is independent of the selection.
+  // row_amax skips NaN, so only an inf element leaves the max non-finite;
+  // its scale would be inf and every quantized value would divide to NaN.
   const float amax = row_amax(xs);
+  require(std::isfinite(amax), "choose_scale: inf value cannot be quantized");
   if (amax == 0.0f) return 1.0f;
   const auto qmax = static_cast<float>((1 << (total_bits - 1)) - 1);
   return amax / qmax;

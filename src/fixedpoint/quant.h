@@ -38,6 +38,7 @@ struct QuantizedVector {
 };
 
 // Symmetric scale so that max|x| maps to qmax. A zero vector gets scale 1.
+// NaN elements are skipped; an inf element throws std::logic_error.
 float choose_scale(std::span<const float> xs, int total_bits = 12);
 
 // Quantizes with round-to-nearest and saturation to [qmin, qmax].

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "fixedpoint/dispatch.h"
 #include "fixedpoint/quant.h"
 #include "serve/serve_engine.h"
+#include "serve_identity.h"
 #include "workload/arrivals.h"
 
 namespace topick {
@@ -196,7 +198,13 @@ TEST(DispatchForcedMatrix, EveryLevelBitMatchesScalarThroughPublicEntryPoints) {
         if (n > 0) {
           float sa = fx::row_amax_scalar(xs.data(), n);
           float expected = sa == 0.0f ? 1.0f : sa / 2047.0f;
-          EXPECT_EQ(fx::choose_scale({xs.data(), n}), expected) << "n=" << n;
+          if (std::isinf(sa)) {
+            // An inf element has no finite scale: refused at every level.
+            EXPECT_THROW(fx::choose_scale({xs.data(), n}), std::logic_error)
+                << "n=" << n;
+          } else {
+            EXPECT_EQ(fx::choose_scale({xs.data(), n}), expected) << "n=" << n;
+          }
         }
       }
     }
@@ -437,36 +445,6 @@ TEST(DispatchRegistry, RowAmaxNanAndSignedZeroMatchScalar) {
 
 // ---- serve determinism at a forced non-default level ------------------------
 
-// Compact bit-identity check over a full engine run (the full field-by-field
-// version lives in serve_invariants_test.cpp; here the claim is only that the
-// ISA selection is invisible end-to-end).
-void expect_serve_runs_identical(const serve::ServeEngine& a,
-                                 const serve::ServeEngine& b) {
-  EXPECT_EQ(a.metrics().tokens_generated, b.metrics().tokens_generated);
-  EXPECT_EQ(a.metrics().engine_steps, b.metrics().engine_steps);
-  EXPECT_EQ(a.metrics().preemptions, b.metrics().preemptions);
-  EXPECT_EQ(a.metrics().stats.k_bits_fetched, b.metrics().stats.k_bits_fetched);
-  EXPECT_EQ(a.metrics().stats.v_bits_fetched, b.metrics().stats.v_bits_fetched);
-  EXPECT_EQ(a.metrics().stats.tokens_kept, b.metrics().stats.tokens_kept);
-  ASSERT_EQ(a.requests().size(), b.requests().size());
-  for (std::size_t r = 0; r < a.requests().size(); ++r) {
-    const serve::Request& ra = a.requests()[r];
-    const serve::Request& rb = b.requests()[r];
-    EXPECT_EQ(ra.generated, rb.generated);
-    ASSERT_EQ(ra.outputs.size(), rb.outputs.size()) << "request " << r;
-    for (std::size_t s = 0; s < ra.outputs.size(); ++s) {
-      EXPECT_EQ(ra.outputs[s].position, rb.outputs[s].position);
-      ASSERT_EQ(ra.outputs[s].out.size(), rb.outputs[s].out.size());
-      for (std::size_t i = 0; i < ra.outputs[s].out.size(); ++i) {
-        EXPECT_EQ(ra.outputs[s].out[i], rb.outputs[s].out[i])
-            << "request " << r << " step " << s << " i=" << i;
-      }
-      EXPECT_EQ(ra.outputs[s].view_tokens, rb.outputs[s].view_tokens);
-      EXPECT_EQ(ra.outputs[s].kept_tokens, rb.outputs[s].kept_tokens);
-    }
-  }
-}
-
 TEST(DispatchServeDeterminism, ForcedNonDefaultLevelIsBitIdenticalToScalar) {
   const auto supported = fx::supported_kernel_tables();
   if (supported.size() < 2) {
@@ -512,7 +490,7 @@ TEST(DispatchServeDeterminism, ForcedNonDefaultLevelIsBitIdenticalToScalar) {
   simd_run.run();
 
   EXPECT_GT(scalar_run.metrics().tokens_generated, 0u);
-  expect_serve_runs_identical(scalar_run, simd_run);
+  serve::expect_runs_identical(scalar_run, simd_run);
 }
 
 }  // namespace

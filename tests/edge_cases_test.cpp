@@ -1,13 +1,17 @@
 // Edge cases and API-contract details not covered by the per-module suites.
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "accel/engine.h"
 #include "core/attention_backends.h"
+#include "core/exact_attention.h"
+#include "core/quantized_kv_cache.h"
 #include "core/spatten.h"
 #include "core/token_picker.h"
+#include "fixedpoint/quant.h"
 #include "train/corpus.h"
 #include "workload/generator.h"
 
@@ -170,6 +174,107 @@ TEST(QuantEdge, NegativeQmaxBoundary) {
   EXPECT_EQ(q.values[1], -2048);
   EXPECT_EQ(q.values[2], 2047);
   EXPECT_EQ(q.values[3], -2048);
+}
+
+// ---- non-finite inputs ------------------------------------------------------
+
+wl::Instance probe_instance() {  // 16 tokens, head_dim 8
+  wl::WorkloadParams params;
+  params.context_len = 16;
+  params.head_dim = 8;
+  Rng rng(8);
+  return wl::Generator(params).make_instance(rng);
+}
+
+TokenPickerConfig probe_config() {
+  TokenPickerConfig config;
+  config.estimator.threshold = 1e-3;
+  return config;
+}
+
+// One ±inf in q, in one K row or in one V row has no finite quantization
+// scale; it used to come back from attend as a NaN output with no error.
+TEST(NonFiniteEdge, InfThroughEveryEntryPointThrows) {
+  for (const float inf : {HUGE_VALF, -HUGE_VALF}) {
+    for (const int target : {0, 1, 2}) {  // q, K row 5, V row 9
+      SCOPED_TRACE(::testing::Message() << inf << " in " << target);
+      wl::Instance inst = probe_instance();
+      const std::size_t row = target == 1 ? 5 : 9;
+      float* slot = target == 0   ? &inst.q[3]
+                    : target == 1 ? &inst.keys[row * 8 + 2]
+                                  : &inst.values[row * 8 + 7];
+      *slot = inf;
+      TokenPickerAttention op(probe_config());
+      EXPECT_THROW(op.attend(inst.q, inst.view()), std::logic_error);
+      fx::QuantizedVector qq;
+      if (target == 0) {
+        EXPECT_THROW(fx::choose_scale(inst.q), std::logic_error);
+        EXPECT_THROW(quantize_query(inst.q, {}, 1.0f, &qq), std::logic_error);
+        continue;
+      }
+      EXPECT_THROW(quantize_kv(inst.view(), {}), std::logic_error);
+      QuantizedKvCache cache(8);
+      EXPECT_THROW(cache.rebuild(inst.view()), std::logic_error);
+      EXPECT_THROW(cache.append_rows(inst.keys.data(), inst.values.data(),
+                                     inst.len, 0),
+                   std::logic_error);
+      EXPECT_THROW(cache.append(inst.view().key(row), inst.view().value(row)),
+                   std::logic_error);
+      EXPECT_EQ(cache.len(), 0u);
+    }
+  }
+}
+
+// A refused append, bulk append or rebuild leaves the cache as it was: the
+// same length and scales, and the same bits for every later append and
+// attend. The refused rows' finite keys are 4x past the cache's record, so
+// a partial push or rescale would show.
+TEST(NonFiniteEdge, RefusedAppendLeavesTheCacheUnchanged) {
+  const wl::Instance inst = probe_instance();
+  wl::Instance bad = inst;
+  for (float& x : bad.keys) x *= 4.0f;
+  bad.keys[10 * 8 + 3] = HUGE_VALF;
+  bad.values[9 * 8] = -HUGE_VALF;
+  QuantizedKvCache refused(8), clean(8);
+  for (QuantizedKvCache* cache : {&refused, &clean}) {
+    cache->append_rows(inst.keys.data(), inst.values.data(), 8, 0);
+  }
+  EXPECT_THROW(refused.append(bad.view().key(10), bad.view().value(10)),
+               std::logic_error);
+  EXPECT_THROW(refused.append(bad.view().key(9), bad.view().value(9)),
+               std::logic_error);
+  EXPECT_THROW(refused.append_rows(&bad.keys[64], &bad.values[64], 8, 8),
+               std::logic_error);
+  EXPECT_THROW(refused.rebuild(bad.view()), std::logic_error);
+  EXPECT_EQ(refused.len(), 8u);
+  EXPECT_EQ(refused.key_params().scale, clean.key_params().scale);
+  EXPECT_EQ(refused.value_params().scale, clean.value_params().scale);
+
+  TokenPickerAttention op(probe_config());
+  TokenPickerResult ra, rb;
+  for (QuantizedKvCache* cache : {&refused, &clean}) {
+    cache->append_rows(&inst.keys[64], &inst.values[64], 8, 8);
+  }
+  op.attend_cached(inst.q, refused, &ra);
+  op.attend_cached(inst.q, clean, &rb);
+  EXPECT_EQ(ra.output, rb.output);
+  EXPECT_EQ(ra.log_denominator, rb.log_denominator);
+  // The per-row bookkeeping too: eviction reads the ids and maxima.
+  for (std::size_t pos = 0; pos < inst.len; ++pos) {
+    EXPECT_EQ(refused.id_at(pos), clean.id_at(pos));
+    EXPECT_EQ(refused.key_row_amax(pos), clean.key_row_amax(pos));
+    EXPECT_EQ(refused.value_row_amax(pos), clean.value_row_amax(pos));
+  }
+}
+
+// NaN keeps its documented behaviour: skipped by the scale, quantized to 0.
+TEST(NonFiniteEdge, NanStillQuantizesToZero) {
+  wl::Instance inst = probe_instance();
+  inst.q[1] = inst.keys[3 * 8 + 4] = inst.values[6 * 8 + 5] = NAN;
+  TokenPickerAttention op(probe_config());
+  const auto result = op.attend(inst.q, inst.view());
+  for (const float x : result.output) EXPECT_TRUE(std::isfinite(x));
+  EXPECT_TRUE(std::isfinite(result.log_denominator));
 }
 
 }  // namespace

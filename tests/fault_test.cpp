@@ -22,6 +22,7 @@
 #include "memsim/hbm.h"
 #include "obs/metrics.h"
 #include "serve/serve_engine.h"
+#include "serve_identity.h"
 #include "workload/arrivals.h"
 
 namespace topick::serve {
@@ -224,90 +225,6 @@ TEST(DegradationController, WalksTheLadderWithHysteresisAndDwell) {
 }
 
 // ---- engine-level determinism ----------------------------------------------
-
-void expect_class_metrics_identical(const ClassMetrics& a,
-                                    const ClassMetrics& b) {
-  EXPECT_EQ(a.submitted, b.submitted);
-  EXPECT_EQ(a.retired, b.retired);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.tokens_generated, b.tokens_generated);
-  EXPECT_EQ(a.ttft_cycle_samples, b.ttft_cycle_samples);
-  EXPECT_EQ(a.latency_cycle_samples, b.latency_cycle_samples);
-  EXPECT_EQ(a.queue_wait_step_samples, b.queue_wait_step_samples);
-  EXPECT_EQ(a.slo_ttft_tracked, b.slo_ttft_tracked);
-  EXPECT_EQ(a.slo_ttft_met, b.slo_ttft_met);
-  EXPECT_EQ(a.slo_latency_tracked, b.slo_latency_tracked);
-  EXPECT_EQ(a.slo_latency_met, b.slo_latency_met);
-  EXPECT_EQ(a.aborts, b.aborts);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.rejections, b.rejections);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.degraded_tokens, b.degraded_tokens);
-}
-
-void expect_runs_identical(const ServeEngine& a, const ServeEngine& b) {
-  const FleetMetrics& ma = a.metrics();
-  const FleetMetrics& mb = b.metrics();
-  EXPECT_EQ(ma.requests_submitted, mb.requests_submitted);
-  EXPECT_EQ(ma.requests_retired, mb.requests_retired);
-  EXPECT_EQ(ma.requests_failed, mb.requests_failed);
-  EXPECT_EQ(ma.preemptions, mb.preemptions);
-  EXPECT_EQ(ma.tokens_generated, mb.tokens_generated);
-  EXPECT_EQ(ma.engine_steps, mb.engine_steps);
-  EXPECT_EQ(ma.stats.k_bits_fetched, mb.stats.k_bits_fetched);
-  EXPECT_EQ(ma.stats.v_bits_fetched, mb.stats.v_bits_fetched);
-  EXPECT_EQ(ma.stats.tokens_total, mb.stats.tokens_total);
-  EXPECT_EQ(ma.stats.tokens_kept, mb.stats.tokens_kept);
-  EXPECT_EQ(ma.prefill_tokens, mb.prefill_tokens);
-  EXPECT_EQ(ma.prefill_bits, mb.prefill_bits);
-  EXPECT_EQ(ma.decode_write_bits, mb.decode_write_bits);
-  EXPECT_EQ(ma.step_cycle_samples, mb.step_cycle_samples);  // bitwise doubles
-  EXPECT_EQ(ma.dram_cycles, mb.dram_cycles);
-  EXPECT_EQ(ma.ttft_cycle_samples, mb.ttft_cycle_samples);
-  EXPECT_EQ(ma.request_latency_cycle_samples,
-            mb.request_latency_cycle_samples);
-  EXPECT_EQ(ma.queue_wait_step_samples, mb.queue_wait_step_samples);
-  EXPECT_EQ(ma.pool_peak_pages, mb.pool_peak_pages);
-  EXPECT_EQ(ma.pool_reuses, mb.pool_reuses);
-  EXPECT_EQ(ma.pages_reclaimed, mb.pages_reclaimed);
-  EXPECT_EQ(ma.aborts, mb.aborts);
-  EXPECT_EQ(ma.retries, mb.retries);
-  EXPECT_EQ(ma.rejections, mb.rejections);
-  EXPECT_EQ(ma.deadline_misses, mb.deadline_misses);
-  EXPECT_EQ(ma.degraded_tokens, mb.degraded_tokens);
-  EXPECT_EQ(ma.degradation_level_changes, mb.degradation_level_changes);
-  EXPECT_EQ(ma.degradation_level, mb.degradation_level);
-  for (std::size_t c = 0; c < wl::kPriorityCount; ++c) {
-    expect_class_metrics_identical(ma.per_class[c], mb.per_class[c]);
-  }
-  ASSERT_EQ(a.requests().size(), b.requests().size());
-  for (std::size_t r = 0; r < a.requests().size(); ++r) {
-    const Request& ra = a.requests()[r];
-    const Request& rb = b.requests()[r];
-    EXPECT_EQ(ra.state, rb.state) << "request " << r;
-    EXPECT_EQ(ra.generated, rb.generated);
-    EXPECT_EQ(ra.admit_step, rb.admit_step);
-    EXPECT_EQ(ra.finish_step, rb.finish_step);
-    EXPECT_EQ(ra.first_token_step, rb.first_token_step);
-    EXPECT_EQ(ra.preemptions, rb.preemptions);
-    EXPECT_EQ(ra.attempts, rb.attempts);
-    EXPECT_EQ(ra.dram_cycles, rb.dram_cycles);
-    EXPECT_EQ(ra.prefill_bits, rb.prefill_bits);
-    ASSERT_EQ(ra.outputs.size(), rb.outputs.size()) << "request " << r;
-    for (std::size_t s = 0; s < ra.outputs.size(); ++s) {
-      const StepOutput& sa = ra.outputs[s];
-      const StepOutput& sb = rb.outputs[s];
-      EXPECT_EQ(sa.position, sb.position);
-      ASSERT_EQ(sa.out.size(), sb.out.size());
-      for (std::size_t i = 0; i < sa.out.size(); ++i) {
-        EXPECT_EQ(sa.out[i], sb.out[i]) << "request " << r << " step " << s;
-        EXPECT_EQ(sa.view_tokens[i], sb.view_tokens[i]);
-        EXPECT_EQ(sa.kept_tokens[i], sb.kept_tokens[i]);
-      }
-    }
-  }
-}
 
 ServeConfig fault_config(PolicyKind policy) {
   ServeConfig config;
@@ -595,6 +512,93 @@ TEST(ServeEngineFaults, DegradationControllerEngagesUnderOverload) {
             again.metrics().degradation_level_changes);
   EXPECT_EQ(m.degraded_tokens, again.metrics().degraded_tokens);
   EXPECT_EQ(m.tokens_generated, again.metrics().tokens_generated);
+}
+
+// ---- the overload resilience verdict ----------------------------------------
+
+// One degraded channel: 3x burst stretch plus periodic stall windows — the
+// fleet's aggregate bandwidth drops and channel-0 traffic queues behind it.
+fault::FaultPlan resilience_plan() {
+  fault::FaultPlan plan;
+  plan.seed = 11;
+  fault::ChannelFaultSpec spec;
+  spec.channel = 0;
+  spec.fault.burst_multiplier = 3.0;
+  spec.fault.stall_period = 4096;
+  spec.fault.stall_cycles = 512;
+  plan.channels.push_back(spec);
+  return plan;
+}
+
+// Offered load past saturation for the resilience pool: the queue only grows
+// while arrivals continue, so without intervention deadlines start blowing.
+wl::PriorityMixParams resilience_mix() {
+  wl::PriorityMixParams mix;
+  mix.arrivals.rate = 2.0;
+  // interactive: short, tight step-domain deadlines — queue wait past ~2
+  // service generations blows them.
+  mix.mix[0] = wl::PriorityClassMix{0.5, 16, 48, 16, 48, 40, 128};
+  // batch: long prompts, deadlines loose enough to survive either arm.
+  mix.mix[1] = wl::PriorityClassMix{0.3, 64, 160, 16, 48, 384, 2048};
+  // best_effort: no SLO — the controller's first sacrifice.
+  mix.mix[2] = wl::PriorityClassMix{0.2, 32, 96, 16, 48, 0, 0};
+  return mix;
+}
+
+// Both arms share the faulted channel, deadlines, retry/backoff, and
+// admission control — the *only* difference is the closed-loop controller.
+ServeConfig resilience_config(bool controller, const fault::FaultPlan& plan) {
+  ServeConfig config;
+  config.n_layer = 2;
+  config.n_head = 2;
+  config.head_dim = 64;
+  config.max_batch = 8;
+  config.pool_pages = 192;  // tight enough that overload shows in occupancy
+  config.page_tokens = 8;
+  config.backend = BackendKind::token_picker;
+  config.picker.estimator.threshold = 1e-3;
+  config.persistence_window = 4;
+  config.reclaim = true;
+  config.capture_outputs = false;
+  config.prefill_chunk_tokens = 16;
+  config.policy = PolicyKind::cost_aware_victim;
+  config.policy_params.aging_steps = 96;
+  config.faults = &plan;
+  config.enforce_deadlines = true;
+  config.retry.max_retries = 2;
+  config.retry.backoff_base_steps = 4;
+  config.admission.reject_best_effort_utilization = 0.95;
+  if (controller) {
+    config.degradation.enabled = true;
+    config.degradation.evaluate_every_steps = 4;
+    config.degradation.hold_steps = 12;
+    config.degradation.pool_hi = 0.60;
+    config.degradation.pool_lo = 0.40;
+  }
+  return config;
+}
+
+// Rate past saturation with channel 0 degraded: the DegradationController
+// must buy the interactive class strictly better latency-SLO attainment than
+// the same fleet without it, and give up no TTFT attainment.
+TEST(ServeEngineFaults, ControllerImprovesInteractiveSloUnderOverload) {
+  const fault::FaultPlan plan = resilience_plan();
+  Rng rng(53);
+  const auto trace = wl::make_priority_mix_trace(resilience_mix(), 48, rng);
+
+  ServeEngine baseline(resilience_config(/*controller=*/false, plan));
+  baseline.submit_trace(trace);
+  baseline.run();
+  ServeEngine controlled(resilience_config(/*controller=*/true, plan));
+  controlled.submit_trace(trace);
+  controlled.run();
+
+  const ClassMetrics& base =
+      baseline.metrics().for_class(wl::Priority::interactive);
+  const ClassMetrics& ctl =
+      controlled.metrics().for_class(wl::Priority::interactive);
+  EXPECT_GT(ctl.slo_latency_attainment(), base.slo_latency_attainment());
+  EXPECT_GE(ctl.slo_ttft_attainment(), base.slo_ttft_attainment());
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "obs/trace_validate.h"
 #include "serve/metrics_export.h"
 #include "serve/serve_engine.h"
+#include "serve_identity.h"
 #include "workload/arrivals.h"
 
 namespace topick {
@@ -503,74 +504,6 @@ TEST(Trace, EventCountsReconcileWithFleetMetrics) {
 
 // ---- Determinism: tracing never changes bits --------------------------------
 
-void expect_class_identical(const serve::ClassMetrics& a,
-                            const serve::ClassMetrics& b) {
-  EXPECT_EQ(a.submitted, b.submitted);
-  EXPECT_EQ(a.retired, b.retired);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.tokens_generated, b.tokens_generated);
-  EXPECT_EQ(a.ttft_cycle_samples, b.ttft_cycle_samples);
-  EXPECT_EQ(a.latency_cycle_samples, b.latency_cycle_samples);
-  EXPECT_EQ(a.queue_wait_step_samples, b.queue_wait_step_samples);
-  EXPECT_TRUE(a.ttft_cycle_hist == b.ttft_cycle_hist);
-  EXPECT_TRUE(a.latency_cycle_hist == b.latency_cycle_hist);
-  EXPECT_TRUE(a.queue_wait_hist == b.queue_wait_hist);
-}
-
-void expect_fleet_identical(const FleetMetrics& a, const FleetMetrics& b) {
-  EXPECT_EQ(a.requests_submitted, b.requests_submitted);
-  EXPECT_EQ(a.requests_retired, b.requests_retired);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.tokens_generated, b.tokens_generated);
-  EXPECT_EQ(a.engine_steps, b.engine_steps);
-  EXPECT_EQ(a.prefill_tokens, b.prefill_tokens);
-  EXPECT_EQ(a.prefill_bits, b.prefill_bits);
-  EXPECT_EQ(a.decode_write_bits, b.decode_write_bits);
-  EXPECT_EQ(a.dram_cycles, b.dram_cycles);
-  EXPECT_EQ(a.stats.k_bits_fetched, b.stats.k_bits_fetched);
-  EXPECT_EQ(a.stats.v_bits_fetched, b.stats.v_bits_fetched);
-  EXPECT_EQ(a.stats.tokens_total, b.stats.tokens_total);
-  EXPECT_EQ(a.stats.tokens_kept, b.stats.tokens_kept);
-  EXPECT_EQ(a.step_cycle_samples, b.step_cycle_samples);  // bitwise doubles
-  EXPECT_EQ(a.ttft_cycle_samples, b.ttft_cycle_samples);
-  EXPECT_EQ(a.request_latency_cycle_samples, b.request_latency_cycle_samples);
-  EXPECT_EQ(a.queue_wait_step_samples, b.queue_wait_step_samples);
-  // The streaming sketches compare exactly too — bucket state included.
-  EXPECT_TRUE(a.step_cycle_hist == b.step_cycle_hist);
-  EXPECT_TRUE(a.ttft_cycle_hist == b.ttft_cycle_hist);
-  EXPECT_TRUE(a.request_latency_hist == b.request_latency_hist);
-  EXPECT_TRUE(a.queue_wait_hist == b.queue_wait_hist);
-  EXPECT_EQ(a.pool_peak_pages, b.pool_peak_pages);
-  EXPECT_EQ(a.pool_reuses, b.pool_reuses);
-  EXPECT_EQ(a.pages_reclaimed, b.pages_reclaimed);
-  EXPECT_DOUBLE_EQ(a.avg_fragmentation, b.avg_fragmentation);
-  for (std::size_t c = 0; c < wl::kPriorityCount; ++c) {
-    expect_class_identical(a.per_class[c], b.per_class[c]);
-  }
-}
-
-void expect_outputs_identical(const std::vector<serve::Request>& a,
-                              const std::vector<serve::Request>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    EXPECT_EQ(a[r].generated, b[r].generated);
-    EXPECT_EQ(a[r].finish_step, b[r].finish_step);
-    EXPECT_EQ(a[r].first_token_step, b[r].first_token_step);
-    EXPECT_EQ(a[r].preemptions, b[r].preemptions);
-    ASSERT_EQ(a[r].outputs.size(), b[r].outputs.size()) << "request " << r;
-    for (std::size_t s = 0; s < a[r].outputs.size(); ++s) {
-      const auto& sa = a[r].outputs[s];
-      const auto& sb = b[r].outputs[s];
-      EXPECT_EQ(sa.position, sb.position);
-      ASSERT_EQ(sa.out.size(), sb.out.size());
-      for (std::size_t i = 0; i < sa.out.size(); ++i) {
-        EXPECT_EQ(sa.out[i], sb.out[i]) << "request " << r << " step " << s;
-        EXPECT_EQ(sa.kept_tokens[i], sb.kept_tokens[i]);
-      }
-    }
-  }
-}
-
 // The hard contract of the observability layer: running with the recorder
 // and phase stats attached changes NOTHING downstream — outputs, pruning
 // decisions, FleetMetrics, histograms — for every policy and thread count.
@@ -598,8 +531,7 @@ TEST(TracingDeterminism, TracingOnVsOffIsBitIdentical) {
       on.run();
 
       EXPECT_GT(recorder.event_count(), 0u);
-      expect_fleet_identical(off.metrics(), on.metrics());
-      expect_outputs_identical(off.requests(), on.requests());
+      serve::expect_runs_identical(off, on);
     }
   }
 }
@@ -632,8 +564,7 @@ TEST(TracingDeterminism, PipelinedTracingOnVsOffIsBitIdentical) {
       on.run();
 
       EXPECT_GT(recorder.event_count(), 0u);
-      expect_fleet_identical(off.metrics(), on.metrics());
-      expect_outputs_identical(off.requests(), on.requests());
+      serve::expect_runs_identical(off, on);
     }
   }
 }

@@ -459,6 +459,59 @@ TEST(ServeEngineScheduling, SloAttainmentAccountsPerClass) {
             m.tokens_generated);
 }
 
+// ---- the QoS policy verdict -------------------------------------------------
+
+wl::PriorityMixParams qos_mix() {
+  wl::PriorityMixParams mix;
+  mix.arrivals.kind = wl::ArrivalKind::bursty;
+  mix.arrivals.rate = 0.5;
+  mix.arrivals.burst_factor = 6.0;
+  // interactive: short, tight TTFT/latency deadlines in engine steps.
+  mix.mix[0] = wl::PriorityClassMix{0.5, 16, 48, 16, 48, 24, 320};
+  // batch: long prompts, loose deadlines.
+  mix.mix[1] = wl::PriorityClassMix{0.3, 96, 224, 24, 64, 128, 1024};
+  // best_effort: no SLO at all.
+  mix.mix[2] = wl::PriorityClassMix{0.2, 32, 96, 16, 48, 0, 0};
+  return mix;
+}
+
+double interactive_p99_latency(PolicyKind policy,
+                               const std::vector<wl::ArrivalEvent>& trace) {
+  ServeConfig config;
+  config.n_layer = 2;
+  config.n_head = 2;
+  config.head_dim = 64;
+  config.max_batch = 10;
+  config.pool_pages = 384;  // tight: preemption policy actually decides
+  config.page_tokens = 8;
+  config.backend = BackendKind::token_picker;
+  config.picker.estimator.threshold = 1e-3;
+  config.persistence_window = 4;
+  config.reclaim = true;
+  config.capture_outputs = false;
+  config.prefill_chunk_tokens = 16;
+  config.policy = policy;
+  config.policy_params.aging_steps = 96;  // starvation guard for best_effort
+  ServeEngine engine(config);
+  engine.submit_trace(trace);
+  engine.run();
+  return engine.metrics().for_class(wl::Priority::interactive)
+      .p99_latency_cycles();
+}
+
+// Identical offered load under the three policies: the QoS-aware ones shield
+// the interactive class from admission queueing behind long batch prompts
+// and from preemption, so its p99 latency comes in strictly below FIFO's.
+TEST(ServeEngineScheduling, QosPoliciesBeatFifoOnInteractiveP99Latency) {
+  Rng rng(41);
+  const auto trace = wl::make_priority_mix_trace(qos_mix(), 40, rng);
+  const double fifo =
+      interactive_p99_latency(PolicyKind::fifo_youngest_first, trace);
+  EXPECT_LT(interactive_p99_latency(PolicyKind::priority_slack, trace), fifo);
+  EXPECT_LT(interactive_p99_latency(PolicyKind::cost_aware_victim, trace),
+            fifo);
+}
+
 // ---- the priority-mix trace generator ---------------------------------------
 
 TEST(PriorityMixTrace, DrawsAllClassesWithPerClassShapesAndSlos) {
