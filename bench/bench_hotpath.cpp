@@ -20,11 +20,11 @@
 // and the pipelined executor (DRAM replay on the lane), outputs and DRAM
 // cycle stamps bit-checked, with before/after phase attribution. `--smoke` runs a small
 // context for CI; `--threads a,b,c` overrides the sweep (default 1,2,8);
-// `--repeats N` (default 3) takes best-of-N for the sweep and N paired
-// runs for the executor comparison; `--trace out.json` writes a
-// validated engine trace; `--isa-levels` prints the kernel levels this
-// binary + CPU can run (one per line, for CI forced-ISA matrix loops) and
-// exits.
+// `--repeats N` (default 3) reports the median (and quartiles) of N runs
+// per sweep point and of N paired runs for the executor comparison;
+// `--trace out.json` writes a validated engine trace; `--isa-levels` prints
+// the kernel levels this binary + CPU can run (one per line, for CI
+// forced-ISA matrix loops) and exits.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -91,10 +91,9 @@ wl::ArrivalEvent sweep_request(const Scenario& s) {
 }
 
 struct SweepRun {
-  double seconds = 0.0;
   double tokens_per_s = 0.0;
   // Host KV footprint across the request's (layer, head) caches at its last
-  // running step (the kv_residency JSON section; f32_mirror must read 0).
+  // running step (the kv_residency JSON section).
   QuantizedKvCache::ResidencyBytes residency;
   std::size_t resident_tokens = 0;
 };
@@ -109,12 +108,12 @@ SweepRun run_sweep_point(const Scenario& s, std::size_t threads) {
     // The final step retires the request, so its residency sample reads 0.
     if (engine.batcher().running().empty()) continue;
     run.residency = {m.kv_int16_bytes, m.kv_plane_bytes, m.kv_maxima_bytes,
-                     m.kv_ids_bytes, m.kv_f32_mirror_bytes};
+                     m.kv_ids_bytes};
     run.resident_tokens = m.kv_resident_tokens;
   }
   const auto stop = std::chrono::steady_clock::now();
-  run.seconds = std::chrono::duration<double>(stop - start).count();
-  run.tokens_per_s = static_cast<double>(s.decode_len) / run.seconds;
+  run.tokens_per_s = static_cast<double>(s.decode_len) /
+                     std::chrono::duration<double>(stop - start).count();
   return run;
 }
 
@@ -390,19 +389,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Best-of-N (wall clock; the fastest run of each thread count, so
-  // scheduler noise doesn't understate any of them).
+  // Median of N wall-clock runs per thread count, the thread counts
+  // interleaved within each repeat so host drift lands on all of them (a
+  // best-of-N moved with host load more than with code). Residency is the
+  // same in every run.
   std::vector<SweepRun> sweep(thread_sweep.size());
+  std::vector<std::vector<double>> rates(thread_sweep.size());
   for (int r = 0; r < scenario.repeats; ++r) {
     for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
-      const SweepRun run = run_sweep_point(scenario, thread_sweep[ti]);
-      if (r == 0 || run.tokens_per_s > sweep[ti].tokens_per_s) sweep[ti] = run;
+      sweep[ti] = run_sweep_point(scenario, thread_sweep[ti]);
+      rates[ti].push_back(sweep[ti].tokens_per_s);
     }
   }
   std::size_t best = 0;
   for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
-    std::printf("  engine threads=%zu: %8.1f tok/s  (%.3f s)\n",
-                thread_sweep[ti], sweep[ti].tokens_per_s, sweep[ti].seconds);
+    sweep[ti].tokens_per_s = percentile(rates[ti], 50.0);
+    std::printf("  engine threads=%zu: %8.1f tok/s median of %d "
+                "(quartiles %.1f-%.1f)\n",
+                thread_sweep[ti], sweep[ti].tokens_per_s, scenario.repeats,
+                percentile(rates[ti], 25.0), percentile(rates[ti], 75.0));
     if (sweep[ti].tokens_per_s > sweep[best].tokens_per_s) best = ti;
   }
   std::printf("  best: threads=%zu   outputs bit-identical at every thread "
@@ -504,14 +509,17 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"cached_best_threads\": %zu,\n", thread_sweep[best]);
   std::fprintf(out, "  \"threads_sweep\": [");
   for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
-    std::fprintf(out, "%s{\"threads\": %zu, \"tokens_per_s\": %.2f}",
-                 ti == 0 ? "" : ", ", thread_sweep[ti],
-                 sweep[ti].tokens_per_s);
+    std::fprintf(out,
+                 "%s{\"threads\": %zu, \"repeats\": %d, "
+                 "\"tokens_per_s\": %.2f, \"tokens_per_s_p25\": %.2f, "
+                 "\"tokens_per_s_p75\": %.2f}",
+                 ti == 0 ? "" : ", ", thread_sweep[ti], scenario.repeats,
+                 sweep[ti].tokens_per_s, percentile(rates[ti], 25.0),
+                 percentile(rates[ti], 75.0));
   }
   std::fprintf(out, "],\n");
   // Host KV residency at the request's last running step (post-reclaim),
-  // summed over every (layer, head) cache. f32_mirror_bytes is the retired
-  // float shadow — identically 0, and CI fails the run if it is not.
+  // summed over every (layer, head) cache.
   {
     const auto& res = sweep[best].residency;
     const std::size_t resident = sweep[best].resident_tokens;
@@ -520,16 +528,16 @@ int main(int argc, char** argv) {
                        static_cast<double>(resident)
                  : 0.0;
     std::printf("  kv residency: %zu tokens resident, %.1f B/token "
-                "(int16 values+int8 key planes+maxima+ids), f32 mirror 0 B\n",
+                "(int16 values+int8 key planes+maxima+ids)\n",
                 resident, per_token);
     std::fprintf(
         out,
         "  \"kv_residency\": {\"resident_tokens\": %zu, "
         "\"int16_arena_bytes\": %zu, \"plane_bytes\": %zu, "
         "\"maxima_bytes\": %zu, \"ids_bytes\": %zu, "
-        "\"f32_mirror_bytes\": %zu, \"bytes_per_token\": %.1f},\n",
+        "\"bytes_per_token\": %.1f},\n",
         resident, res.int16_arena, res.planes, res.maxima, res.ids,
-        res.f32_mirror, per_token);
+        per_token);
   }
   std::fprintf(
       out,

@@ -205,7 +205,6 @@ QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
   b.maxima =
       (key_row_amax_.size() + value_row_amax_.size() + 2) * sizeof(float);
   b.ids = ids_.size() * sizeof(std::size_t);
-  b.f32_mirror = 0;  // the mirror is gone; reported so benches can assert it
   return b;
 }
 

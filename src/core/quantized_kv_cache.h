@@ -239,18 +239,14 @@ class QuantizedKvCache {
 
   // Resident host bytes, split by arena — what one head of this cache
   // actually keeps alive per token (BENCH_hotpath.json's kv_residency
-  // section and the serve fleet gauges aggregate these). f32_mirror is the
-  // retired float shadow; it is identically 0 and stays in the report so
-  // the absence is measured, not assumed.
+  // section and the serve fleet gauges aggregate these). There is no float
+  // shadow: rescales re-read the rows through the RescaleSource.
   struct ResidencyBytes {
     std::size_t int16_arena = 0;  // flat value rows (keys live in planes)
     std::size_t planes = 0;       // int8 chunk-planar key digit planes
     std::size_t maxima = 0;       // per-row amax pairs + running maxima
     std::size_t ids = 0;          // stable token ids
-    std::size_t f32_mirror = 0;   // always 0 since the mirror's removal
-    std::size_t total() const {
-      return int16_arena + planes + maxima + ids + f32_mirror;
-    }
+    std::size_t total() const { return int16_arena + planes + maxima + ids; }
   };
   ResidencyBytes residency() const;
 

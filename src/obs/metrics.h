@@ -1,8 +1,7 @@
 // Streaming metrics for the serve runtime: counters, gauges, and
 // log-bucketed histograms with bounded memory and a proven quantile error
-// bound — the fleet-scale replacement for the grow-forever sample vectors in
-// FleetMetrics (one double per request per metric breaks at the
-// millions-of-users arrival sweeps the ROADMAP targets).
+// bound. serve::export_fleet_metrics builds the latency histograms from
+// FleetMetrics' exact sample vectors.
 //
 // LogHistogram is a DDSketch-style sketch: for a configured relative
 // accuracy alpha, values map to geometric buckets of ratio
@@ -16,9 +15,7 @@
 // without resampling.
 //
 // Everything here is deterministic: identical sample sequences produce
-// identical bucket contents (operator== is exact), which is what lets the
-// serve determinism suite compare histograms bitwise across runs and thread
-// counts.
+// identical bucket contents (operator== is exact).
 #pragma once
 
 #include <cstddef>

@@ -29,6 +29,14 @@ void export_access_stats(const AccessStats& stats, const std::string& prefix,
 
 namespace {
 
+// Builds the registry sketch from the exact samples, added in recording
+// order; into a fresh registry this equals having streamed them at run time.
+void export_samples(const std::vector<double>& samples,
+                    const std::string& name, obs::MetricsRegistry* registry) {
+  obs::LogHistogram& hist = registry->histogram(name);
+  for (const double s : samples) hist.add(s);
+}
+
 void export_class_metrics(const ClassMetrics& cls, const std::string& prefix,
                           obs::MetricsRegistry* registry) {
   registry->counter(prefix + "submitted").value = cls.submitted;
@@ -47,9 +55,11 @@ void export_class_metrics(const ClassMetrics& cls, const std::string& prefix,
       .set(cls.slo_latency_attainment());
   registry->gauge(prefix + "avg_queue_wait_steps")
       .set(cls.avg_queue_wait_steps());
-  registry->histogram(prefix + "ttft_cycles").merge(cls.ttft_cycle_hist);
-  registry->histogram(prefix + "latency_cycles").merge(cls.latency_cycle_hist);
-  registry->histogram(prefix + "queue_wait_steps").merge(cls.queue_wait_hist);
+  export_samples(cls.ttft_cycle_samples, prefix + "ttft_cycles", registry);
+  export_samples(cls.latency_cycle_samples, prefix + "latency_cycles",
+                 registry);
+  export_samples(cls.queue_wait_step_samples, prefix + "queue_wait_steps",
+                 registry);
 }
 
 }  // namespace
@@ -91,9 +101,7 @@ void export_fleet_metrics(const FleetMetrics& metrics,
   registry->gauge("serve.degradation_level")
       .set(static_cast<double>(metrics.degradation_level));
 
-  // Resident host KV footprint (sampled per step over running slots). The
-  // f32 mirror gauge must read 0 — QuantizedKvCache is int16-resident and the
-  // release-perf CI job greps the bench JSON for exactly that.
+  // Resident host KV footprint (sampled per step over running slots).
   registry->gauge("serve.kv_int16_bytes")
       .set(static_cast<double>(metrics.kv_int16_bytes));
   registry->gauge("serve.kv_plane_bytes")
@@ -102,8 +110,6 @@ void export_fleet_metrics(const FleetMetrics& metrics,
       .set(static_cast<double>(metrics.kv_maxima_bytes));
   registry->gauge("serve.kv_ids_bytes")
       .set(static_cast<double>(metrics.kv_ids_bytes));
-  registry->gauge("serve.kv_f32_mirror_bytes")
-      .set(static_cast<double>(metrics.kv_f32_mirror_bytes));
   registry->gauge("serve.kv_resident_tokens")
       .set(static_cast<double>(metrics.kv_resident_tokens));
   registry->gauge("serve.kv_resident_bytes_peak")
@@ -117,13 +123,12 @@ void export_fleet_metrics(const FleetMetrics& metrics,
   registry->gauge("serve.avg_queue_wait_steps")
       .set(metrics.avg_queue_wait_steps());
 
-  // Streaming latency histograms merge bucket-exact into the registry: a
-  // future multi-shard fleet aggregates per-engine registries the same way.
-  registry->histogram("serve.step_cycles").merge(metrics.step_cycle_hist);
-  registry->histogram("serve.ttft_cycles").merge(metrics.ttft_cycle_hist);
-  registry->histogram("serve.request_latency_cycles")
-      .merge(metrics.request_latency_hist);
-  registry->histogram("serve.queue_wait_steps").merge(metrics.queue_wait_hist);
+  export_samples(metrics.step_cycle_samples, "serve.step_cycles", registry);
+  export_samples(metrics.ttft_cycle_samples, "serve.ttft_cycles", registry);
+  export_samples(metrics.request_latency_cycle_samples,
+                 "serve.request_latency_cycles", registry);
+  export_samples(metrics.queue_wait_step_samples, "serve.queue_wait_steps",
+                 registry);
 
   export_access_stats(metrics.stats, "access.", registry);
 

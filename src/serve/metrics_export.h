@@ -20,9 +20,9 @@ void export_access_stats(const AccessStats& stats, const std::string& prefix,
                          obs::MetricsRegistry* registry);
 
 // Full fleet snapshot: counters (requests, tokens, bits, pool), gauges
-// (throughput, fragmentation, traffic reduction), the streaming latency
-// histograms (merged bucket-exact into the registry), per-class slices under
-// "class.<name>.", and the embedded AccessStats under "access.".
+// (throughput, fragmentation, traffic reduction), latency histograms built
+// from the exact sample vectors, per-class slices under "class.<name>.", and
+// the embedded AccessStats under "access.".
 void export_fleet_metrics(const FleetMetrics& metrics,
                           obs::MetricsRegistry* registry);
 

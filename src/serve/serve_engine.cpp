@@ -31,15 +31,11 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-// Quantile with the sample vector as the exact source of truth and the
-// streaming histogram as the bounded-memory fallback (vectors stay empty when
-// retain_latency_samples is off). The cache makes repeated report reads
-// sort-free (see PercentileCache).
-double quantile_of(const std::vector<double>& samples,
-                   const PercentileCache& cache,
-                   const obs::LogHistogram& hist, double p) {
-  if (!samples.empty()) return cache.at(samples, p);
-  return hist.quantile(p);  // 0.0 when empty
+double mean_of(const std::vector<double>& samples) {
+  if (samples.empty()) return 0.0;
+  double sum = 0.0;
+  for (const double s : samples) sum += s;
+  return sum / static_cast<double>(samples.size());
 }
 
 }  // namespace
@@ -104,45 +100,17 @@ struct ServeEngine::Slot {
   std::unique_ptr<SpAttenBackend> spatten;
 };
 
-void ClassMetrics::record_ttft(double cycles, bool retain_samples) {
-  if (retain_samples) ttft_cycle_samples.push_back(cycles);
-  ttft_cycle_hist.add(cycles);
+double ClassMetrics::p50_ttft_cycles() const {
+  return ttft_cache_.at(ttft_cycle_samples, 50.0);
 }
-void ClassMetrics::record_latency(double cycles, bool retain_samples) {
-  if (retain_samples) latency_cycle_samples.push_back(cycles);
-  latency_cycle_hist.add(cycles);
-}
-void ClassMetrics::record_queue_wait(double steps, bool retain_samples) {
-  if (retain_samples) queue_wait_step_samples.push_back(steps);
-  queue_wait_hist.add(steps);
-}
-
-double ClassMetrics::ttft_quantile(double p) const {
-  return quantile_of(ttft_cycle_samples, ttft_cache_, ttft_cycle_hist, p);
-}
-double ClassMetrics::latency_quantile(double p) const {
-  return quantile_of(latency_cycle_samples, latency_cache_,
-                     latency_cycle_hist, p);
-}
-double ClassMetrics::p50_ttft_cycles() const { return ttft_quantile(50.0); }
-double ClassMetrics::p99_ttft_cycles() const { return ttft_quantile(99.0); }
-double ClassMetrics::p50_latency_cycles() const {
-  return latency_quantile(50.0);
+double ClassMetrics::p99_ttft_cycles() const {
+  return ttft_cache_.at(ttft_cycle_samples, 99.0);
 }
 double ClassMetrics::p99_latency_cycles() const {
-  return latency_quantile(99.0);
+  return latency_cache_.at(latency_cycle_samples, 99.0);
 }
-
 double ClassMetrics::avg_queue_wait_steps() const {
-  // The histogram's count/sum are exact (only the buckets are approximate)
-  // and accumulate in the same order the vector appends, so this mean is
-  // bit-identical to the historical sum-the-vector report in retained mode
-  // and still available in bounded-memory mode.
-  if (queue_wait_hist.count() > 0) return queue_wait_hist.mean();
-  if (queue_wait_step_samples.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double s : queue_wait_step_samples) sum += s;
-  return sum / static_cast<double>(queue_wait_step_samples.size());
+  return mean_of(queue_wait_step_samples);
 }
 
 double ClassMetrics::slo_ttft_attainment() const {
@@ -157,55 +125,32 @@ double ClassMetrics::slo_latency_attainment() const {
                    static_cast<double>(slo_latency_tracked);
 }
 
-void FleetMetrics::record_step_cycles(double cycles, bool retain_samples) {
-  if (retain_samples) step_cycle_samples.push_back(cycles);
-  step_cycle_hist.add(cycles);
+double FleetMetrics::p50_step_cycles() const {
+  return step_cache_.at(step_cycle_samples, 50.0);
 }
-void FleetMetrics::record_ttft(double cycles, bool retain_samples) {
-  if (retain_samples) ttft_cycle_samples.push_back(cycles);
-  ttft_cycle_hist.add(cycles);
+double FleetMetrics::p95_step_cycles() const {
+  return step_cache_.at(step_cycle_samples, 95.0);
 }
-void FleetMetrics::record_request_latency(double cycles, bool retain_samples) {
-  if (retain_samples) request_latency_cycle_samples.push_back(cycles);
-  request_latency_hist.add(cycles);
+double FleetMetrics::p99_step_cycles() const {
+  return step_cache_.at(step_cycle_samples, 99.0);
 }
-void FleetMetrics::record_queue_wait(double steps, bool retain_samples) {
-  if (retain_samples) queue_wait_step_samples.push_back(steps);
-  queue_wait_hist.add(steps);
+double FleetMetrics::p50_ttft_cycles() const {
+  return ttft_cache_.at(ttft_cycle_samples, 50.0);
 }
-
-double FleetMetrics::step_quantile(double p) const {
-  return quantile_of(step_cycle_samples, step_cache_, step_cycle_hist, p);
+double FleetMetrics::p95_ttft_cycles() const {
+  return ttft_cache_.at(ttft_cycle_samples, 95.0);
 }
-double FleetMetrics::ttft_quantile(double p) const {
-  return quantile_of(ttft_cycle_samples, ttft_cache_, ttft_cycle_hist, p);
+double FleetMetrics::p99_ttft_cycles() const {
+  return ttft_cache_.at(ttft_cycle_samples, 99.0);
 }
-double FleetMetrics::latency_quantile(double p) const {
-  return quantile_of(request_latency_cycle_samples, latency_cache_,
-                     request_latency_hist, p);
-}
-double FleetMetrics::p50_step_cycles() const { return step_quantile(50.0); }
-double FleetMetrics::p95_step_cycles() const { return step_quantile(95.0); }
-double FleetMetrics::p99_step_cycles() const { return step_quantile(99.0); }
-double FleetMetrics::p50_ttft_cycles() const { return ttft_quantile(50.0); }
-double FleetMetrics::p95_ttft_cycles() const { return ttft_quantile(95.0); }
-double FleetMetrics::p99_ttft_cycles() const { return ttft_quantile(99.0); }
 double FleetMetrics::p50_request_latency_cycles() const {
-  return latency_quantile(50.0);
-}
-double FleetMetrics::p95_request_latency_cycles() const {
-  return latency_quantile(95.0);
+  return latency_cache_.at(request_latency_cycle_samples, 50.0);
 }
 double FleetMetrics::p99_request_latency_cycles() const {
-  return latency_quantile(99.0);
+  return latency_cache_.at(request_latency_cycle_samples, 99.0);
 }
-
 double FleetMetrics::avg_queue_wait_steps() const {
-  if (queue_wait_hist.count() > 0) return queue_wait_hist.mean();
-  if (queue_wait_step_samples.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double s : queue_wait_step_samples) sum += s;
-  return sum / static_cast<double>(queue_wait_step_samples.size());
+  return mean_of(queue_wait_step_samples);
 }
 
 double FleetMetrics::tokens_per_second(double dram_clock_hz) const {
@@ -249,6 +194,9 @@ ServeEngine::ServeEngine(const ServeConfig& config)
   require(!config.shard_replay,
           "ServeConfig: shard_replay was removed; the serial DRAM driver is "
           "the only timing model");
+  require(config.retain_latency_samples,
+          "ServeConfig: retain_latency_samples = false was removed; the "
+          "exact sample vectors are the only stored latency form");
   config_.stream.head_dim = config.head_dim;
   // The oracle pass is an O(context) diagnostic per attention instance; the
   // engine's hot loop must stay O(kept). Outputs/decisions are unaffected.
@@ -533,9 +481,8 @@ void ServeEngine::begin_prefill(std::size_t request) {
   if (req.state == RequestState::queued) {
     req.admit_step = now_;
     const auto wait = static_cast<double>(req.queue_wait_steps());
-    metrics_.record_queue_wait(wait, config_.retain_latency_samples);
-    class_metrics(req).record_queue_wait(wait,
-                                         config_.retain_latency_samples);
+    metrics_.queue_wait_step_samples.push_back(wait);
+    class_metrics(req).queue_wait_step_samples.push_back(wait);
   }
   // Preempted requests recompute: prompt plus every already-generated token
   // re-enters the pool chunk by chunk (their K/V replay bit-identically from
@@ -1304,8 +1251,7 @@ void ServeEngine::simulate_step_dram(const std::vector<StepXfer>& active) {
     // masquerade as token latencies — but they DO stretch the co-scheduled
     // decodes' samples through bus/bank contention above.
     if (active[i].decode) {
-      metrics_.record_step_cycles(static_cast<double>(cycles),
-                                  config_.retain_latency_samples);
+      metrics_.step_cycle_samples.push_back(static_cast<double>(cycles));
     }
   }
   metrics_.dram_cycles = hbm_.cycle();
@@ -1330,8 +1276,8 @@ void ServeEngine::apply_cycle_checkpoints(
     const std::vector<CycleCheckpoint>& checkpoints, std::size_t step) {
   // Stamped after the step's traffic drained, so the DRAM clock includes this
   // step's contention. Runs on the lane in pipelined mode: every field it
-  // touches (cycle stamps, TTFT/latency samples and histograms) is lane-owned
-  // there, disjoint from the step-domain fields the main thread writes.
+  // touches (cycle stamps, TTFT/latency samples) is lane-owned there,
+  // disjoint from the step-domain fields the main thread writes.
   for (const auto& cp : checkpoints) {
     Request& req = requests_[cp.request];
     if (cp.first_token) {
@@ -1349,21 +1295,17 @@ void ServeEngine::apply_cycle_checkpoints(
         trace_->record(lane_track(), e);
       }
       if (config_.simulate_dram) {
-        metrics_.record_ttft(static_cast<double>(req.ttft_cycles()),
-                             config_.retain_latency_samples);
-        class_metrics(req).record_ttft(static_cast<double>(req.ttft_cycles()),
-                                       config_.retain_latency_samples);
+        const auto ttft = static_cast<double>(req.ttft_cycles());
+        metrics_.ttft_cycle_samples.push_back(ttft);
+        class_metrics(req).ttft_cycle_samples.push_back(ttft);
       }
     }
     if (cp.finished) {
       req.finish_cycle = hbm_.cycle();
       if (config_.simulate_dram) {
-        metrics_.record_request_latency(
-            static_cast<double>(req.latency_cycles()),
-            config_.retain_latency_samples);
-        class_metrics(req).record_latency(
-            static_cast<double>(req.latency_cycles()),
-            config_.retain_latency_samples);
+        const auto latency = static_cast<double>(req.latency_cycles());
+        metrics_.request_latency_cycle_samples.push_back(latency);
+        class_metrics(req).latency_cycle_samples.push_back(latency);
       }
     }
   }
@@ -1558,7 +1500,6 @@ bool ServeEngine::step() {
       kv.planes += r.planes;
       kv.maxima += r.maxima;
       kv.ids += r.ids;
-      kv.f32_mirror += r.f32_mirror;
       kv_tokens += qcache.len();
     }
   }
@@ -1566,7 +1507,6 @@ bool ServeEngine::step() {
   metrics_.kv_plane_bytes = kv.planes;
   metrics_.kv_maxima_bytes = kv.maxima;
   metrics_.kv_ids_bytes = kv.ids;
-  metrics_.kv_f32_mirror_bytes = kv.f32_mirror;
   metrics_.kv_resident_tokens = kv_tokens;
   metrics_.kv_resident_bytes_peak =
       std::max(metrics_.kv_resident_bytes_peak, kv.total());

@@ -200,12 +200,10 @@ struct ServeConfig {
   obs::TraceRecorder* trace = nullptr;
   // Accumulate per-phase step time attribution (ServeEngine::phase_stats()).
   bool collect_phase_stats = false;
-  // Keep exact per-sample latency vectors in FleetMetrics/ClassMetrics
-  // (default; percentile accessors are exact). false = bounded-memory mode:
-  // only the streaming log-bucketed histograms are fed, the sample vectors
-  // stay empty, and percentile accessors answer from the histograms within
-  // their relative-error bound — O(buckets) memory however long the fleet
-  // runs.
+  // Removed: the exact sample vectors are the only stored form of each
+  // latency distribution. The field remains only because the benchmark's
+  // config dump reads it; the engine rejects false. Delete it with the next
+  // change to the benchmark.
   bool retain_latency_samples = true;
 
   // --- Fault tolerance & graceful degradation (src/fault/) ---
@@ -241,14 +239,6 @@ struct ClassMetrics {
   std::vector<double> latency_cycle_samples;
   std::vector<double> queue_wait_step_samples;
 
-  // Streaming log-bucketed companions to the vectors above: always fed, so a
-  // bounded-memory deployment (retain_latency_samples = false) keeps
-  // quantiles within the histogram's relative-error bound, and future fleet
-  // shards can merge() their class slices exactly.
-  obs::LogHistogram ttft_cycle_hist;
-  obs::LogHistogram latency_cycle_hist;
-  obs::LogHistogram queue_wait_hist;
-
   std::size_t slo_ttft_tracked = 0;
   std::size_t slo_ttft_met = 0;
   std::size_t slo_latency_tracked = 0;
@@ -263,13 +253,8 @@ struct ClassMetrics {
   std::uint64_t deadline_misses = 0;
   std::uint64_t degraded_tokens = 0;
 
-  void record_ttft(double cycles, bool retain_samples);
-  void record_latency(double cycles, bool retain_samples);
-  void record_queue_wait(double steps, bool retain_samples);
-
   double p50_ttft_cycles() const;
   double p99_ttft_cycles() const;
-  double p50_latency_cycles() const;
   double p99_latency_cycles() const;
   double avg_queue_wait_steps() const;
   // Fraction of SLO-carrying requests that met the deadline; 1.0 when the
@@ -278,9 +263,7 @@ struct ClassMetrics {
   double slo_latency_attainment() const;
 
  private:
-  double ttft_quantile(double p) const;
-  double latency_quantile(double p) const;
-  // Sort-once snapshots for the exact accessors (see PercentileCache).
+  // Sort-once snapshots for the percentile accessors (see PercentileCache).
   PercentileCache ttft_cache_;
   PercentileCache latency_cache_;
 };
@@ -320,13 +303,6 @@ struct FleetMetrics {
   // Arrival -> first admission, in engine steps (always recorded).
   std::vector<double> queue_wait_step_samples;
 
-  // Streaming log-bucketed companions (see ClassMetrics): bounded-memory
-  // quantiles and exact cross-shard merging for the fleet-wide distributions.
-  obs::LogHistogram step_cycle_hist;
-  obs::LogHistogram ttft_cycle_hist;
-  obs::LogHistogram request_latency_hist;
-  obs::LogHistogram queue_wait_hist;
-
   // Resilience outcomes (src/fault/). requests_failed counts terminal
   // non-success: retries exhausted or a deadline cancellation. aborts counts
   // every fault/deadline cancellation (including ones later retried);
@@ -351,15 +327,13 @@ struct FleetMetrics {
 
   // Resident host KV bytes held by the running slots' quantized caches,
   // sampled every step (the _peak fields track the run's maximum). Split by
-  // arena (see QuantizedKvCache::ResidencyBytes). kv_f32_mirror_bytes must
-  // read 0: the cache keeps no float shadow — whole-head rescales re-read
-  // the request's stream rows through each slot's RescaleSource (CI greps
-  // the bench's kv_residency section for exactly this).
+  // arena (see QuantizedKvCache::ResidencyBytes). The cache keeps no float
+  // shadow: whole-head rescales re-read the request's stream rows through
+  // each slot's RescaleSource.
   std::size_t kv_int16_bytes = 0;
   std::size_t kv_plane_bytes = 0;
   std::size_t kv_maxima_bytes = 0;
   std::size_t kv_ids_bytes = 0;
-  std::size_t kv_f32_mirror_bytes = 0;
   std::size_t kv_resident_tokens = 0;
   std::size_t kv_resident_bytes_peak = 0;
   std::size_t kv_resident_tokens_peak = 0;
@@ -370,11 +344,6 @@ struct FleetMetrics {
     return per_class[static_cast<std::size_t>(priority)];
   }
 
-  void record_step_cycles(double cycles, bool retain_samples);
-  void record_ttft(double cycles, bool retain_samples);
-  void record_request_latency(double cycles, bool retain_samples);
-  void record_queue_wait(double steps, bool retain_samples);
-
   double p50_step_cycles() const;
   double p95_step_cycles() const;
   double p99_step_cycles() const;
@@ -382,7 +351,6 @@ struct FleetMetrics {
   double p95_ttft_cycles() const;
   double p99_ttft_cycles() const;
   double p50_request_latency_cycles() const;
-  double p95_request_latency_cycles() const;
   double p99_request_latency_cycles() const;
   double avg_queue_wait_steps() const;
   double prefill_bytes() const { return static_cast<double>(prefill_bits) / 8.0; }
@@ -393,9 +361,6 @@ struct FleetMetrics {
   double bytes_per_token() const;
 
  private:
-  double step_quantile(double p) const;
-  double ttft_quantile(double p) const;
-  double latency_quantile(double p) const;
   PercentileCache step_cache_;
   PercentileCache ttft_cache_;
   PercentileCache latency_cache_;

@@ -220,7 +220,6 @@ TEST(KvLayoutTest, HostResidentRegionMatchesCacheResidency) {
     cache.append(k, v);
   }
   const auto res = cache.residency();
-  EXPECT_EQ(res.f32_mirror, 0u);
 
   const KvLayout layout(config, 0, len, head_dim);
   // Keys live only in the digit planes and int16_arena holds the value

@@ -681,52 +681,48 @@ TEST(TracingDeterminism, TwoTracedRunsAreStructurallyIdentical) {
   }
 }
 
-// ---- Bounded-memory metrics mode -------------------------------------------
+// ---- Latency sketches built at export ---------------------------------------
 
-TEST(BoundedMemoryMetrics, HistogramOnlyModeKeepsQuantilesWithinBound) {
-  ServeConfig exact_config = traced_config(PolicyKind::priority_slack);
-  ServeEngine exact(exact_config);
-  exact.submit_trace(traced_trace());
-  exact.run();
+// export_fleet_metrics builds every latency histogram from the exact sample
+// vectors: each sketch counts every sample, and its p50/p99 lie within the
+// sketch's relative-error bound of the exact nearest-rank percentile.
+TEST(MetricsRegistry, ExportedLatencySketchesMatchTheSamples) {
+  ServeEngine engine(traced_config(PolicyKind::priority_slack));
+  engine.submit_trace(traced_trace());
+  engine.run();
+  const FleetMetrics& m = engine.metrics();
+  MetricsRegistry registry;
+  serve::export_fleet_metrics(m, &registry);
 
-  ServeConfig bounded_config = exact_config;
-  bounded_config.retain_latency_samples = false;
-  ServeEngine bounded(bounded_config);
-  bounded.submit_trace(traced_trace());
-  bounded.run();
-
-  const FleetMetrics& e = exact.metrics();
-  const FleetMetrics& b = bounded.metrics();
-
-  // Bounded mode drops the per-sample vectors entirely...
-  EXPECT_FALSE(e.ttft_cycle_samples.empty());
-  EXPECT_TRUE(b.step_cycle_samples.empty());
-  EXPECT_TRUE(b.ttft_cycle_samples.empty());
-  EXPECT_TRUE(b.request_latency_cycle_samples.empty());
-  EXPECT_TRUE(b.queue_wait_step_samples.empty());
-  // ...while the sketches see the identical stream.
-  EXPECT_TRUE(e.step_cycle_hist == b.step_cycle_hist);
-  EXPECT_TRUE(e.ttft_cycle_hist == b.ttft_cycle_hist);
-  EXPECT_TRUE(e.request_latency_hist == b.request_latency_hist);
-  EXPECT_TRUE(e.queue_wait_hist == b.queue_wait_hist);
-
-  // Quantile accessors now answer from the histograms, within the sketch's
-  // relative-error bound of the exact-mode answers computed from the same
-  // sample stream (nearest-rank reference).
-  const double alpha = b.ttft_cycle_hist.relative_error();
-  const auto check = [alpha](double est, std::vector<double> samples,
-                             double p, const char* what) {
-    const double exact_q = nearest_rank(std::move(samples), p);
-    EXPECT_LE(std::abs(est - exact_q), alpha * exact_q + 1e-9)
-        << what << " p" << p;
-  };
-  check(b.p50_ttft_cycles(), e.ttft_cycle_samples, 50.0, "ttft");
-  check(b.p99_ttft_cycles(), e.ttft_cycle_samples, 99.0, "ttft");
-  check(b.p50_step_cycles(), e.step_cycle_samples, 50.0, "step");
-  check(b.p99_step_cycles(), e.step_cycle_samples, 99.0, "step");
-  check(b.p50_request_latency_cycles(), e.request_latency_cycle_samples, 50.0,
-        "latency");
-  EXPECT_NEAR(b.avg_queue_wait_steps(), e.avg_queue_wait_steps(), 1e-9);
+  std::vector<std::pair<std::string, const std::vector<double>*>> exported = {
+      {"serve.step_cycles", &m.step_cycle_samples},
+      {"serve.ttft_cycles", &m.ttft_cycle_samples},
+      {"serve.request_latency_cycles", &m.request_latency_cycle_samples},
+      {"serve.queue_wait_steps", &m.queue_wait_step_samples}};
+  for (std::size_t p = 0; p < wl::kPriorityCount; ++p) {
+    const serve::ClassMetrics& cls = m.per_class[p];
+    ASSERT_GT(cls.submitted, 0u);  // the priority mix covers every class
+    const std::string prefix = std::string("class.") +
+        wl::priority_name(static_cast<wl::Priority>(p)) + ".";
+    exported.emplace_back(prefix + "ttft_cycles", &cls.ttft_cycle_samples);
+    exported.emplace_back(prefix + "latency_cycles",
+                          &cls.latency_cycle_samples);
+    exported.emplace_back(prefix + "queue_wait_steps",
+                          &cls.queue_wait_step_samples);
+  }
+  EXPECT_EQ(registry.histograms().size(), exported.size());
+  for (const auto& [name, samples] : exported) {
+    SCOPED_TRACE(name);
+    ASSERT_FALSE(samples->empty());
+    const LogHistogram& hist = registry.histograms().at(name);
+    EXPECT_EQ(hist.count(), samples->size());
+    const double alpha = hist.relative_error();
+    for (const double p : {50.0, 99.0}) {
+      const double exact = nearest_rank(*samples, p);
+      EXPECT_LE(std::abs(hist.quantile(p) - exact), alpha * exact + 1e-9)
+          << "p" << p;
+    }
+  }
 }
 
 // ---- Phase attribution ------------------------------------------------------

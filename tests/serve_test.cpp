@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,7 +12,9 @@
 #include "common/rng.h"
 #include "core/exact_attention.h"
 #include "core/token_picker.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
+#include "serve/metrics_export.h"
 #include "serve/paged_kv_pool.h"
 #include "serve/paged_sequence.h"
 #include "serve/serve_engine.h"
@@ -324,8 +327,6 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
     cached.key_row(i, key.data());
     EXPECT_TRUE(std::ranges::equal(key, fresh.keys[i].values)) << "row " << i;
   }
-  // And the retired mirror stays retired.
-  EXPECT_EQ(cache.residency().f32_mirror, 0u);
 }
 
 TEST(PagedKvCache, FragmentationCountsDeadAndTailSlack) {
@@ -771,14 +772,63 @@ TEST(DramLayout, StreamAddressesStayWithinTheRequestRegion) {
             dram_layout::region_base(2) + 5 * granule);
 }
 
-// The serial driver is the only DRAM timing model; the retired sharded
-// replay's flag must fail loudly rather than be silently ignored.
-TEST(ServeEngineConfig, ShardReplayIsRejected) {
+// The serial driver is the only DRAM timing model and the exact sample
+// vectors the only stored latency form; the retired modes' flags must fail
+// loudly rather than be silently ignored.
+TEST(ServeEngineConfig, RetiredModeFlagsAreRejected) {
   ServeConfig config = acceptance_config();
   config.shard_replay = true;
   EXPECT_THROW(ServeEngine{config}, std::logic_error);
   config.simulate_dram = false;
   EXPECT_THROW(ServeEngine{config}, std::logic_error);
+
+  ServeConfig bounded = acceptance_config();
+  bounded.retain_latency_samples = false;
+  EXPECT_THROW(ServeEngine{bounded}, std::logic_error);
+}
+
+// ---- host KV footprint -------------------------------------------------------
+
+// The exported kv_* gauges are the quantized cache and nothing more. At
+// head_dim 64 with 12-bit values in 4-bit chunks, a resident token holds 64
+// int16 values (128 B), three int8 key digit planes (192 B), its key and
+// value row maxima (8 B) and a stable id (8 B): 336 B. Each (layer, head)
+// cache adds its two running maxima (8 B) once.
+TEST(ServeEngine, KvResidencyGaugesPinTheQuantizedFootprint) {
+  ServeConfig config = acceptance_config();
+  config.head_dim = 64;
+  config.capture_outputs = false;
+  config.simulate_dram = false;
+  ASSERT_EQ(config.picker.quant.total_bits, 12);
+  ASSERT_EQ(config.picker.quant.chunk_bits, 4);
+  Rng rng(336);
+  ServeEngine engine(config);
+  engine.submit_trace(concurrent_trace(4, rng, 16, 48, 16, 48));
+
+  std::size_t checked = 0;
+  while (engine.step()) {
+    obs::MetricsRegistry registry;
+    export_fleet_metrics(engine.metrics(), &registry);
+    const auto gauge = [&registry](const std::string& name) {
+      return registry.gauges().at("serve." + name).value;
+    };
+    const double tokens = gauge("kv_resident_tokens");
+    if (tokens == 0.0) continue;
+    const double head_maxima =
+        8.0 * static_cast<double>(engine.batcher().running().size() *
+                                  config.n_layer * config.n_head);
+    EXPECT_EQ(gauge("kv_int16_bytes") / tokens, 128.0);
+    EXPECT_EQ(gauge("kv_plane_bytes") / tokens, 192.0);
+    EXPECT_EQ((gauge("kv_maxima_bytes") - head_maxima) / tokens, 8.0);
+    EXPECT_EQ(gauge("kv_ids_bytes") / tokens, 8.0);
+    EXPECT_EQ((gauge("kv_int16_bytes") + gauge("kv_plane_bytes") +
+               gauge("kv_maxima_bytes") + gauge("kv_ids_bytes") -
+               head_maxima) /
+                  tokens,
+              336.0);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 // ---- chunked prefill --------------------------------------------------------
