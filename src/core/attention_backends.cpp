@@ -70,19 +70,12 @@ void SpAttenBackend::begin_sequence() {
   caches_.clear();
 }
 
-void SpAttenBackend::attend(std::span<const float> q, const KvHeadView& kv,
-                            std::span<float> out, const AttentionContext& ctx) {
-  require(kv.len > 0, "SpAttenBackend: empty KV view");
-  QuantizedKvCache& cache =
-      synced_cache(caches_, ctx, kv, config_.quant);
-  attend_view(q, cache.view(), out, ctx);
-}
-
-void SpAttenBackend::attend_view(std::span<const float> q,
-                                 const QuantizedKvView& kv,
-                                 std::span<float> out,
-                                 const AttentionContext& ctx) {
-  require(kv.len > 0, "SpAttenBackend: empty view");
+void SpAttenBackend::attend(std::span<const float> q,
+                            const KvHeadView& head_kv, std::span<float> out,
+                            const AttentionContext& ctx) {
+  require(head_kv.len > 0, "SpAttenBackend: empty KV view");
+  const QuantizedKvView kv =
+      synced_cache(caches_, ctx, head_kv, config_.quant).view();
   require(q.size() == kv.head_dim, "SpAttenBackend: q size mismatch");
   const auto active = pruner_.active_tokens(ctx.layer, kv.len);
   const auto full_vector_bits =

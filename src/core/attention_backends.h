@@ -64,11 +64,6 @@ class SpAttenBackend final : public AttentionBackend {
                  std::size_t max_tokens);
   void attend(std::span<const float> q, const KvHeadView& kv,
               std::span<float> out, const AttentionContext& ctx) override;
-  // Planar-view entry point for callers that maintain the cache themselves
-  // (the serve engine). Token indices in the view must be chronological
-  // global ids — SpAtten never reclaims storage, so view position == id.
-  void attend_view(std::span<const float> q, const QuantizedKvView& kv,
-                   std::span<float> out, const AttentionContext& ctx);
   void begin_sequence() override;
 
   const AccessStats& stats() const { return stats_; }

@@ -59,42 +59,6 @@ void LogHistogram::add(double value) {
   ++counts_[static_cast<std::size_t>(idx - base_index_)];
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  require(alpha_ == other.alpha_,
-          "LogHistogram::merge: mismatched relative_error");
-  if (other.total_ == 0) return;
-  if (total_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  total_ += other.total_;
-  sum_ += other.sum_;
-  zero_count_ += other.zero_count_;
-  if (other.counts_.empty()) return;
-  if (counts_.empty()) {
-    counts_ = other.counts_;
-    base_index_ = other.base_index_;
-    return;
-  }
-  const int lo = std::min(base_index_, other.base_index_);
-  const int hi = std::max(base_index_ + static_cast<int>(counts_.size()),
-                          other.base_index_ +
-                              static_cast<int>(other.counts_.size()));
-  std::vector<std::uint64_t> merged(static_cast<std::size_t>(hi - lo), 0);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    merged[static_cast<std::size_t>(base_index_ - lo) + i] += counts_[i];
-  }
-  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-    merged[static_cast<std::size_t>(other.base_index_ - lo) + i] +=
-        other.counts_[i];
-  }
-  counts_ = std::move(merged);
-  base_index_ = lo;
-}
-
 double LogHistogram::quantile(double p) const {
   require(p >= 0.0 && p <= 100.0, "LogHistogram::quantile: p in [0, 100]");
   if (total_ == 0) return 0.0;
@@ -117,13 +81,6 @@ double LogHistogram::quantile(double p) const {
     }
   }
   return max_;  // unreachable unless counts lag total_ (all-zero samples)
-}
-
-bool LogHistogram::operator==(const LogHistogram& other) const {
-  return alpha_ == other.alpha_ && zero_count_ == other.zero_count_ &&
-         total_ == other.total_ && sum_ == other.sum_ &&
-         min_ == other.min_ && max_ == other.max_ &&
-         base_index_ == other.base_index_ && counts_ == other.counts_;
 }
 
 LogHistogram& MetricsRegistry::histogram(const std::string& name,

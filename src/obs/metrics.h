@@ -10,12 +10,10 @@
 // of the true nearest-rank sample quantile (tests/obs_test.cpp checks the
 // bound against the exact sort-based percentile). Memory is bounded by the
 // *value range*, not the sample count — [1e-9, 1e18] at alpha = 1% is under
-// 3200 buckets — and sketches merge exactly (bucket-wise addition), so
-// per-shard histograms of a future fleet combine into fleet-wide quantiles
-// without resampling.
+// 3200 buckets.
 //
 // Everything here is deterministic: identical sample sequences produce
-// identical bucket contents (operator== is exact).
+// identical bucket contents.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +31,6 @@ class LogHistogram {
   explicit LogHistogram(double relative_error = 0.01);
 
   void add(double value);
-  void merge(const LogHistogram& other);
 
   std::uint64_t count() const { return total_; }
   double sum() const { return sum_; }
@@ -49,10 +46,6 @@ class LogHistogram {
 
   // Bucket footprint actually allocated (bounded-memory evidence).
   std::size_t buckets_used() const { return counts_.size(); }
-
-  // Exact state equality — the determinism suite's histogram comparison.
-  bool operator==(const LogHistogram& other) const;
-  bool operator!=(const LogHistogram& other) const { return !(*this == other); }
 
  private:
   int index_of(double value) const;

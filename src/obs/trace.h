@@ -21,8 +21,8 @@
 //
 // Span structure per engine step (pid 1): "step" encloses the sequential
 // "admit"/"append" phases, the parallel "attention" phase (one
-// "unit:attend" span per (slot, layer, head) ParallelUnit on the worker
-// thread's track, with slot/layer/head/context args), the slot-ordered
+// "unit:attend" span per (slot, layer, head) unit on the worker thread's
+// track, with slot/layer/head/context args), the slot-ordered
 // "reduce", and "dram_replay". Request lifecycles (pid 3) are async spans
 // keyed by request id: "request" brackets the whole life, with nested
 // "queued"/"prefill"/"decode" state spans, "preempt"/"first_token" instants,

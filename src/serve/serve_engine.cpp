@@ -7,7 +7,6 @@
 
 #include "common/require.h"
 #include "common/stats.h"
-#include "core/attention_backends.h"
 #include "core/exact_attention.h"
 
 namespace topick::serve {
@@ -65,13 +64,11 @@ struct ServeEngine::Slot {
     const auto n = static_cast<std::size_t>(config.n_layer) * config.n_head;
     persistence.reserve(n);
     qcaches.reserve(n);
-    const fx::QuantParams quant = config.backend == BackendKind::spatten
-                                      ? config.spatten.quant
-                                      : config.picker.quant;
     for (std::size_t i = 0; i < n; ++i) {
       persistence.emplace_back(config.persistence_window);
-      qcaches.emplace_back(static_cast<std::size_t>(config.head_dim),
-                           QuantizedKvCache::Config{quant, headroom});
+      qcaches.emplace_back(
+          static_cast<std::size_t>(config.head_dim),
+          QuantizedKvCache::Config{config.picker.quant, headroom});
     }
     // The request's stream rows are each head's only f32 copy: register
     // every sequence as its quantized cache's rescale source (stable ids
@@ -97,7 +94,6 @@ struct ServeEngine::Slot {
   std::vector<QuantizedKvCache> qcaches;  // per (layer, head), layer-major
   std::vector<PagedRescaleSource> rescale_sources;    // parallel to qcaches
   std::vector<PrunePersistence> persistence;  // per (layer, head), layer-major
-  std::unique_ptr<SpAttenBackend> spatten;
 };
 
 double ClassMetrics::p50_ttft_cycles() const {
@@ -197,6 +193,11 @@ ServeEngine::ServeEngine(const ServeConfig& config)
   require(config.retain_latency_samples,
           "ServeConfig: retain_latency_samples = false was removed; the "
           "exact sample vectors are the only stored latency form");
+  // backoff_steps casts the grown wait to std::size_t: a negative or NaN
+  // multiplier would make that conversion undefined.
+  require(std::isfinite(config.retry.backoff_multiplier) &&
+              config.retry.backoff_multiplier >= 0.0,
+          "ServeConfig: retry.backoff_multiplier must be finite and >= 0");
   config_.stream.head_dim = config.head_dim;
   // The oracle pass is an O(context) diagnostic per attention instance; the
   // engine's hot loop must stay O(kept). Outputs/decisions are unaffected.
@@ -253,16 +254,10 @@ void ServeEngine::submit_trace(const std::vector<wl::ArrivalEvent>& trace) {
   for (const auto& event : trace) submit(event);
 }
 
-int ServeEngine::kv_bits_per_element() const {
-  return config_.backend == BackendKind::spatten
-             ? config_.spatten.quant.total_bits
-             : config_.picker.quant.total_bits;
-}
-
 std::uint64_t ServeEngine::replay_cost_bits(const Request& request) const {
   return static_cast<std::uint64_t>(request.event.prompt_len +
                                     request.generated) *
-         request.stream.token_write_bits(kv_bits_per_element());
+         request.stream.token_write_bits(config_.picker.quant.total_bits);
 }
 
 std::size_t ServeEngine::pages_for_prefill(const Request& request) const {
@@ -472,12 +467,6 @@ void ServeEngine::begin_prefill(std::size_t request) {
       &pool_, config_,
       degrade_headroom_[static_cast<std::size_t>(req.priority())],
       req.stream);
-  if (config_.backend == BackendKind::spatten) {
-    slot->spatten = std::make_unique<SpAttenBackend>(
-        config_.spatten, config_.n_layer, config_.n_head,
-        req.stream.total_tokens());
-    slot->spatten->begin_sequence();
-  }
   if (req.state == RequestState::queued) {
     req.admit_step = now_;
     const auto wait = static_cast<double>(req.queue_wait_steps());
@@ -544,7 +533,7 @@ void ServeEngine::cancel_step_work(std::size_t request) {
   // it appended this step are released with the rest of its slot, so neither
   // the attention phase nor the reduction may see its PendingWork. (Only the
   // append phase preempts, so pending_ holds at most one entry per request
-  // and units_/results_/active_ are not built yet.)
+  // and results_/active_ are not built yet.)
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (pending_[i].request == request) {
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -727,36 +716,14 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
       res.stats.tokens_total = res.stats.tokens_kept = qcache.len();
       break;
     }
-    case BackendKind::spatten: {
-      res.out.assign(dim, 0.0f);
-      AttentionContext ctx;
-      ctx.layer = layer;
-      ctx.head = head;
-      ctx.position = static_cast<int>(work.pos);
-      const AccessStats before = slot.spatten->stats();
-      // SpAtten never reclaims pool storage, so cache position == global
-      // token id — the pruner's importance indexing stays valid.
-      slot.spatten->attend_view(q, qcache.view(), res.out, ctx);
-      const AccessStats after = slot.spatten->stats();
-      res.stats.k_bits_fetched = after.k_bits_fetched - before.k_bits_fetched;
-      res.stats.v_bits_fetched = after.v_bits_fetched - before.v_bits_fetched;
-      res.stats.k_bits_baseline =
-          after.k_bits_baseline - before.k_bits_baseline;
-      res.stats.v_bits_baseline =
-          after.v_bits_baseline - before.v_bits_baseline;
-      res.stats.tokens_total = after.tokens_total - before.tokens_total;
-      res.stats.tokens_kept = after.tokens_kept - before.tokens_kept;
-      break;
-    }
   }
   span.arg("context", static_cast<double>(qcache.len()));
   span.arg("kept", static_cast<double>(res.stats.tokens_kept));
 }
 
-void ServeEngine::run_unit(const ParallelUnit& unit, std::size_t worker) {
-  const PendingWork& work = pending_[unit.pending];
-  const auto n_inst = static_cast<std::size_t>(config_.n_layer) *
-                      config_.n_head;
+void ServeEngine::run_unit(std::size_t pending, std::size_t inst,
+                           std::size_t worker) {
+  const PendingWork& work = pending_[pending];
   // Per-worker busy time: the gap between summed busy and fan-out wall time
   // is the barrier wait attributed in phase_stats(). Plain write — each
   // worker owns its (cache-line-isolated) counter.
@@ -769,9 +736,8 @@ void ServeEngine::run_unit(const ParallelUnit& unit, std::size_t worker) {
     Request& req = requests_[work.request];
     Slot& slot = *slots_[work.request];
     const auto dim = static_cast<std::size_t>(config_.head_dim);
-    const auto inst = static_cast<std::size_t>(unit.inst);
-    const int layer = unit.inst / config_.n_head;
-    const int head = unit.inst % config_.n_head;
+    const int layer = static_cast<int>(inst) / config_.n_head;
+    const int head = static_cast<int>(inst) % config_.n_head;
     obs::TraceSpan span(trace_, worker, "unit:prefill_quant", "attention");
     span.arg("request", static_cast<double>(work.request));
     span.arg("layer", static_cast<double>(layer));
@@ -782,19 +748,8 @@ void ServeEngine::run_unit(const ParallelUnit& unit, std::size_t worker) {
         hs.keys.data() + work.prefilled_before * dim,
         hs.values.data() + work.prefilled_before * dim, work.chunk,
         work.prefilled_before);
-  } else if (unit.inst >= 0) {
-    run_decode_instance(unit.pending, static_cast<std::size_t>(unit.inst),
-                        worker);
   } else {
-    // SpAtten slot grain: the pruner's importance cascade couples the slot's
-    // instances, so they run sequentially inside one unit (the instance
-    // spans nest under this slot span on the worker's track).
-    obs::TraceSpan span(trace_, worker, "unit:slot", "attention");
-    span.arg("request", static_cast<double>(work.request));
-    span.arg("instances", static_cast<double>(n_inst));
-    for (std::size_t inst = 0; inst < n_inst; ++inst) {
-      run_decode_instance(unit.pending, inst, worker);
-    }
+    run_decode_instance(pending, inst, worker);
   }
   if (timed) worker_busy_[worker].ns += elapsed_ns(t0);
 }
@@ -805,7 +760,8 @@ void ServeEngine::reduce_pending(std::size_t pending) {
 
   if (!work.decode) {
     const std::uint64_t bits =
-        work.chunk * req.stream.token_write_bits(kv_bits_per_element());
+        work.chunk *
+        req.stream.token_write_bits(config_.picker.quant.total_bits);
     req.prefill_bits += bits;
     metrics_.prefill_bits += bits;
     metrics_.prefill_tokens += work.chunk;
@@ -871,8 +827,7 @@ void ServeEngine::reduce_pending(std::size_t pending) {
         if (!dead_scratch_.empty()) qcache.evict_ids(dead_scratch_);
         metrics_.pages_reclaimed += seq.sweep();
       }
-    } else if (config_.backend == BackendKind::exact_quantized &&
-               config_.capture_outputs) {
+    } else if (config_.capture_outputs) {
       kept_ids = qcache.ids();
     }
 
@@ -894,7 +849,7 @@ void ServeEngine::reduce_pending(std::size_t pending) {
   // write shape a (re)prefill charges, so write accounting doesn't depend on
   // whether a token entered the pool by decode or by preemption replay.
   const std::uint64_t write_bits =
-      req.stream.token_write_bits(kv_bits_per_element());
+      req.stream.token_write_bits(config_.picker.quant.total_bits);
   bits += write_bits;
   metrics_.decode_write_bits += write_bits;
 
@@ -1405,24 +1360,13 @@ bool ServeEngine::step() {
     span.arg("pending", static_cast<double>(pending_.size()));
   }
 
-  // Attention phase — parallel over (slot, instance) units; workers write
-  // only per-worker scratch and per-unit result buffers, so the fan-out is
-  // bit-deterministic for any thread count.
+  // Attention phase — parallel over (pending, instance) units, pending-major;
+  // workers write only per-worker scratch and per-unit result buffers, so
+  // the fan-out is bit-deterministic for any thread count.
   const auto n_inst = static_cast<std::size_t>(config_.n_layer) *
                       config_.n_head;
-  units_.clear();
-  if (results_.size() < pending_.size() * n_inst) {
-    results_.resize(pending_.size() * n_inst);
-  }
-  for (std::size_t p = 0; p < pending_.size(); ++p) {
-    if (pending_[p].decode && config_.backend == BackendKind::spatten) {
-      units_.push_back(ParallelUnit{p, -1});  // slot grain (pruner cascade)
-    } else {
-      for (std::size_t inst = 0; inst < n_inst; ++inst) {
-        units_.push_back(ParallelUnit{p, static_cast<int>(inst)});
-      }
-    }
-  }
+  const std::size_t units = pending_.size() * n_inst;
+  if (results_.size() < units) results_.resize(units);
 
   // Fan-out grain: aim for >= kGrainTokens context tokens of attention work
   // per dispatched task — tiny scenarios otherwise lose more to dispatch
@@ -1438,23 +1382,23 @@ bool ServeEngine::step() {
         std::max<std::uint64_t>(1, tokens / pending_.size());
     if (avg < kGrainTokens) grain = static_cast<std::size_t>(kGrainTokens / avg);
   }
-  const std::size_t engaged = workers_.fanout(units_.size(), grain);
+  const std::size_t engaged = workers_.fanout(units, grain);
   if (phases && engaged > phase_stats_.fanout_peak) {
     phase_stats_.fanout_peak = engaged;
   }
 
   {
     obs::TraceSpan span(trace_, 0, "attention", "engine");
-    span.arg("units", static_cast<double>(units_.size()));
+    span.arg("units", static_cast<double>(units));
     std::chrono::steady_clock::time_point t0;
     if (phases) {
       for (auto& wb : worker_busy_) wb.ns = 0;
       t0 = std::chrono::steady_clock::now();
     }
     workers_.parallel_for(
-        units_.size(),
-        [this](std::size_t unit, std::size_t worker) {
-          run_unit(units_[unit], worker);
+        units,
+        [this, n_inst](std::size_t unit, std::size_t worker) {
+          run_unit(unit / n_inst, unit % n_inst, worker);
         },
         grain);
     if (phases) {

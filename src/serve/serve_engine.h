@@ -10,9 +10,8 @@
 // pool pressure through the policy's victim pick, or self-preempting the
 // needy request when the policy protects every running one; (3) attention
 // phase, fanned across ServeConfig::threads workers: one attention instance
-// per (slot, layer, head) through the configured backend — exact quantized,
-// Token-Picker, or SpAtten (slot-grained: its pruner cascades across the
-// slot's instances) — each worker using only its own scratch; (4) reduction
+// per (slot, layer, head) through the configured backend — exact quantized
+// or Token-Picker — each worker using only its own scratch; (4) reduction
 // phase, sequential in slot order: feed Token-Picker's per-token verdicts
 // into PrunePersistence, reclaim fully-dead pages, merge AccessStats, and
 // stamp outputs/metrics — so results are bit-identical for every thread
@@ -71,7 +70,7 @@
 
 namespace topick::serve {
 
-enum class BackendKind { exact_quantized, token_picker, spatten };
+enum class BackendKind { exact_quantized, token_picker };
 
 // DRAM address layout for the latency proxy: each request streams within its
 // own 64 MiB region so concurrent requests hit different rows/banks like
@@ -129,6 +128,10 @@ struct ServeConfig {
 
   BackendKind backend = BackendKind::token_picker;
   TokenPickerConfig picker;
+  // Removed: the SpAtten serve backend had no benchmark workload; SpAtten is
+  // compared offline (bench_fig09 over core/spatten.h). The field remains
+  // only because the benchmark's config dump reads it; the engine ignores
+  // it. Delete it with the next change to the benchmark.
   SpAttenConfig spatten;
   wl::DecodeStreamParams stream;  // head_dim is overridden from above
 
@@ -426,12 +429,6 @@ class ServeEngine {
     std::size_t chunk = 0;             // prefill: tokens appended this step
     std::size_t prefilled_before = 0;  // prefill: cursor before this chunk
   };
-  // Parallel grain: one (pending, instance) pair — or a whole slot for
-  // SpAtten decode (inst == -1), whose pruner cascades across instances.
-  struct ParallelUnit {
-    std::size_t pending = 0;
-    int inst = -1;
-  };
   // Per-instance attention results, produced in the parallel phase and
   // reduced sequentially in slot order; buffers reused across steps.
   struct InstanceResult {
@@ -441,9 +438,6 @@ class ServeEngine {
   };
 
   std::size_t pages_for_prefill(const Request& request) const;
-  // Element width for pricing K/V writes — the active backend's quant width,
-  // so write traffic is priced consistently with that backend's read stats.
-  int kv_bits_per_element() const;
   // K/V write bits a preempted `request` would replay on resume (prompt plus
   // already-generated tokens) — the recompute cost CostAwareVictim ranks by.
   std::uint64_t replay_cost_bits(const Request& request) const;
@@ -482,7 +476,7 @@ class ServeEngine {
   bool append_decode_token(std::size_t request);
   // Attention phase (parallel): quantize the appended K/V and attend, writing
   // into results_[pending * n_inst + inst] via worker-local scratch only.
-  void run_unit(const ParallelUnit& unit, std::size_t worker);
+  void run_unit(std::size_t pending, std::size_t inst, std::size_t worker);
   void run_decode_instance(std::size_t pending, std::size_t inst,
                            std::size_t worker);
   // Reduction phase (sequential, slot order): persistence + reclaim, stats
@@ -569,7 +563,6 @@ class ServeEngine {
   // Step-phase work lists, members so do_preempt can cancel a victim's
   // recorded work mid-append-phase; reused across steps.
   std::vector<PendingWork> pending_;
-  std::vector<ParallelUnit> units_;
   std::vector<InstanceResult> results_;
   std::vector<StepXfer> active_;
   std::vector<CycleCheckpoint> checkpoints_;

@@ -2,8 +2,8 @@
 // the "tracing never changes bits" contract.
 //
 // * LogHistogram: quantile estimates stay within the configured relative
-//   error of the exact sorted-sample nearest-rank percentile, merge is
-//   bucket-exact, and memory stays bounded by the value range.
+//   error of the exact sorted-sample nearest-rank percentile, and memory
+//   stays bounded by the value range.
 // * TraceRecorder: engine traces are well-formed Chrome trace JSON, spans on
 //   each thread track are properly nested (no partial overlap), async
 //   request lifecycles are balanced, and event counts reconcile against
@@ -126,41 +126,6 @@ TEST(LogHistogram, ZeroAndNegativeValuesLandInZeroBucket) {
   hist.add(200.0);
   EXPECT_DOUBLE_EQ(hist.quantile(0.0), 0.0);
   EXPECT_LE(std::abs(hist.quantile(100.0) - 200.0), 0.01 * 200.0);
-}
-
-TEST(LogHistogram, MergeIsBucketExact) {
-  Rng rng(7003);
-  LogHistogram all(0.01), lo(0.01), hi(0.01);
-  // Disjoint value ranges so the merge must realign bucket windows.
-  for (int i = 0; i < 3000; ++i) {
-    const double small = rng.uniform(1e-6, 1e-2);
-    const double large = rng.uniform(1e4, 1e9);
-    all.add(small);
-    all.add(large);
-    lo.add(small);
-    hi.add(large);
-  }
-  LogHistogram merged(0.01);
-  merged.merge(lo);
-  merged.merge(hi);
-  // Bucket state merges exactly: counts, extremes, and therefore every
-  // quantile match the single-sketch answer bit for bit. (sum is the one
-  // field merge cannot reproduce bitwise — float addition isn't associative
-  // across the shard split — so it's checked to relative precision.)
-  EXPECT_EQ(merged.count(), all.count());
-  EXPECT_EQ(merged.buckets_used(), all.buckets_used());
-  EXPECT_DOUBLE_EQ(merged.min(), all.min());
-  EXPECT_DOUBLE_EQ(merged.max(), all.max());
-  for (const double p : {0.0, 10.0, 50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(merged.quantile(p), all.quantile(p)) << "p" << p;
-  }
-  EXPECT_NEAR(merged.sum() / all.sum(), 1.0, 1e-12);
-
-  // Merging into an empty sketch is a pure copy — exact state equality,
-  // sum included (this is the fleet "adopt a shard" path).
-  LogHistogram adopted(0.01);
-  adopted.merge(all);
-  EXPECT_TRUE(adopted == all);
 }
 
 TEST(LogHistogram, MemoryBoundedByValueRangeNotSampleCount) {

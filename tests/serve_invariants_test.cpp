@@ -282,9 +282,9 @@ TEST(ServeEngineDeterminism, ThreadFanOutIsBitIdenticalToSequential) {
   }
 }
 
-// The SpAtten backend parallelizes at slot grain (its pruner cascades across
-// a slot's instances) — the thread-identity contract must hold there too.
-TEST(ServeEngineDeterminism, SpAttenThreadFanOutIsBitIdentical) {
+// The exact-quantized backend takes the same (pending, instance) fan-out as
+// Token-Picker — the thread-identity contract must hold there too.
+TEST(ServeEngineDeterminism, ExactBackendThreadFanOutIsBitIdentical) {
   wl::PriorityMixParams mix;
   mix.arrivals.rate = 0.9;
   for (auto& m : mix.mix) {
@@ -297,8 +297,8 @@ TEST(ServeEngineDeterminism, SpAttenThreadFanOutIsBitIdentical) {
   const auto trace = wl::make_priority_mix_trace(mix, 14, trace_rng);
 
   ServeConfig base = determinism_config(PolicyKind::fifo_youngest_first);
-  base.backend = BackendKind::spatten;
-  base.reclaim = false;  // SpAtten never reclaims pool storage
+  base.backend = BackendKind::exact_quantized;
+  base.reclaim = false;  // reclamation is Token-Picker-driven
   ServeEngine reference(base);
   reference.submit_trace(trace);
   reference.run();

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -735,23 +736,6 @@ TEST(ServeEngine, StaggeredPoissonArrivalsDrainCompletely) {
   EXPECT_EQ(engine.metrics().tokens_generated, tokens);
 }
 
-TEST(ServeEngine, SpAttenBackendRunsToCompletion) {
-  Rng rng(99);
-  const auto trace = concurrent_trace(8, rng, 12, 20, 6, 10);
-  ServeConfig config = acceptance_config();
-  config.backend = BackendKind::spatten;
-  config.reclaim = false;  // reclamation is Token-Picker-driven
-  config.capture_outputs = false;
-  config.simulate_dram = false;
-  config.spatten.final_keep_ratio = 0.6;
-  config.spatten.start_layer = 0;
-  ServeEngine engine(config);
-  engine.submit_trace(trace);
-  engine.run();
-  EXPECT_EQ(engine.metrics().requests_retired, 8u);
-  EXPECT_GT(engine.metrics().stats.total_bits_fetched(), 0u);
-}
-
 // ---- DRAM address layout ----------------------------------------------------
 
 TEST(DramLayout, StreamAddressesStayWithinTheRequestRegion) {
@@ -785,6 +769,20 @@ TEST(ServeEngineConfig, RetiredModeFlagsAreRejected) {
   ServeConfig bounded = acceptance_config();
   bounded.retain_latency_samples = false;
   EXPECT_THROW(ServeEngine{bounded}, std::logic_error);
+}
+
+// RetryPolicy::backoff_steps casts the grown wait to std::size_t, which is
+// undefined for a negative or NaN value; the engine rejects such multipliers
+// up front and still takes the serve_overload benchmark's retry policy.
+TEST(ServeEngineConfig, BackoffMultiplierMustBeFiniteAndNonNegative) {
+  ServeConfig config = acceptance_config();
+  config.retry.max_retries = 2;
+  config.retry.backoff_base_steps = 4;
+  EXPECT_NO_THROW(ServeEngine{config});
+  config.retry.backoff_multiplier = -1.0;
+  EXPECT_THROW(ServeEngine{config}, std::logic_error);
+  config.retry.backoff_multiplier = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ServeEngine{config}, std::logic_error);
 }
 
 // ---- host KV footprint -------------------------------------------------------
