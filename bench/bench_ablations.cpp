@@ -164,10 +164,9 @@ int main() {
   // --- 5. scale headroom at long context ----------------------------------
   // QuantizedKvCache headroom > 1 holds the shared scale inside a hysteresis
   // band: record-setting appends inside the band cost no whole-head rescale,
-  // at the price of a coarser grid. A 2k-token single-head decode, no float
-  // source registered — rescales take the int-domain ratio path
-  // (fx::rescale_row_i16), so the error column includes its re-rounding
-  // drift on top of grid coarseness.
+  // at the price of a coarser grid. A 2k-token single-head decode with the
+  // stream's rows as the rescale source, so every rescale re-reads floats
+  // and the error column is grid coarseness alone.
   {
     TablePrinter table({"headroom", "whole-head rescales", "rms quant error",
                         "tok/s"});
@@ -177,6 +176,8 @@ int main() {
     const auto stream =
         wl::make_decode_stream(sp, prompt, decode, 1, 1, /*seed=*/0xab1e);
     const auto& hs = stream.head(0, 0);
+    const ViewRescaleSource source(
+        stream.context_view(0, 0, stream.total_tokens()));
     TokenPickerConfig config;
     config.estimator.threshold = kThr;
     config.compute_oracle_mass = false;
@@ -184,6 +185,7 @@ int main() {
     for (const float headroom : {1.0f, 1.25f, 1.5f, 2.0f}) {
       QuantizedKvCache cache(
           64, QuantizedKvCache::Config{config.quant, headroom});
+      cache.set_rescale_source(&source);
       TokenPickerAttention op(config);
       TokenPickerResult result;
       const auto start = std::chrono::steady_clock::now();
@@ -225,8 +227,8 @@ int main() {
            rms_buf,
            TablePrinter::fmt(static_cast<double>(decode) / seconds, 0)});
     }
-    std::printf("--- scale headroom (context 2048, single head, int-domain "
-                "rescales) ---\n%s\n",
+    std::printf("--- scale headroom (context 2048, single head, rescales "
+                "from floats) ---\n%s\n",
                 table.render().c_str());
     std::printf("Headroom trades grid fineness for rescale count; past the "
                 "point where rescales stop mattering to throughput, extra "

@@ -68,7 +68,6 @@ class SpAttenBackend final : public AttentionBackend {
 
   const AccessStats& stats() const { return stats_; }
   void reset_stats() { stats_ = AccessStats{}; }
-  const SpAttenPruner& pruner() const { return pruner_; }
 
  private:
   SpAttenConfig config_;

@@ -180,8 +180,8 @@ QuantizedKvCache::QuantizedKvCache(std::size_t head_dim)
 
 QuantizedKvCache::QuantizedKvCache(std::size_t head_dim, const Config& config)
     : config_(config), head_dim_(head_dim) {
-  require(config.headroom >= 1.0f,
-          "QuantizedKvCache: headroom must be >= 1");
+  require(std::isfinite(config.headroom) && config.headroom >= 1.0f,
+          "QuantizedKvCache: headroom must be finite and >= 1");
   store_.reset(config_.base, config_.base, head_dim_);
 }
 
@@ -208,59 +208,26 @@ QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
   return b;
 }
 
-// Re-grids every row already in the store under the (just-updated) shared
-// scales. Covers exactly store_.len rows: append paths call this BEFORE
-// pushing their new rows, whose floats are still at hand and are quantized
-// directly under the new scale afterward.
-void QuantizedKvCache::requantize_all(float old_key_scale,
-                                      float old_value_scale) {
+void QuantizedKvCache::require_source() const {
+  require(store_.len == 0 || source_ != nullptr,
+          "QuantizedKvCache: a cache holding rows needs a RescaleSource");
+}
+
+// Re-quantizes every row already in the store under the (just-updated)
+// shared scales, re-reading the original rows by stable id — bit-identical
+// to quantizing the live set from scratch at headroom 1. Covers exactly
+// store_.len rows: append paths call this BEFORE pushing their new rows,
+// whose floats are still at hand and are quantized directly under the new
+// scale afterward.
+void QuantizedKvCache::requantize_all() {
   const std::size_t n = store_.len;
-  k_row_scratch_.resize(head_dim_);
-  v_row_scratch_.resize(head_dim_);
-  if (source_ != nullptr) {
-    // Float-sourced: re-read the original rows by stable id — bit-identical
-    // to quantizing the live set from scratch (the headroom-1 contract).
-    store_.clear_rows();
-    for (std::size_t r = 0; r < n; ++r) {
-      quantize_row({source_->key_row(ids_[r]), head_dim_}, store_.key_params,
-                   k_row_scratch_.data());
-      quantize_row({source_->value_row(ids_[r]), head_dim_},
-                   store_.value_params, v_row_scratch_.data());
-      store_.push_row(k_row_scratch_.data(), v_row_scratch_.data());
-    }
-    return;
-  }
-  // Sourceless fallback: re-grid the stored int16 rows through a precomputed
-  // fixed-point scale ratio (fx::rescale_row_i16). One extra re-rounding per
-  // rescale — within 1 ULP of the real-ratio grid, bounded and pinned by
-  // tests — in exchange for needing no floats at all. The rows are
-  // snapshotted first (keys reassembled from the planes) because push_row
-  // rebuilds the planes and the value arena row by row.
-  const fx::FixedRatio k_ratio =
-      fx::make_fixed_ratio(old_key_scale, store_.key_params.scale);
-  const fx::FixedRatio v_ratio =
-      fx::make_fixed_ratio(old_value_scale, store_.value_params.scale);
-  const QuantizedKvView old = store_.view();
-  k_arena_scratch_.resize(n * head_dim_);
-  for (std::size_t r = 0; r < n; ++r) {
-    old.key_row(r, k_arena_scratch_.data() + r * head_dim_);
-  }
-  v_arena_scratch_.assign(store_.values.begin(), store_.values.end());
   store_.clear_rows();
   for (std::size_t r = 0; r < n; ++r) {
-    fx::rescale_row_i16(k_arena_scratch_.data() + r * head_dim_, head_dim_,
-                        k_ratio, store_.key_params.qmin(),
-                        store_.key_params.qmax(), k_row_scratch_.data());
-    fx::rescale_row_i16(v_arena_scratch_.data() + r * head_dim_, head_dim_,
-                        v_ratio, store_.value_params.qmin(),
-                        store_.value_params.qmax(), v_row_scratch_.data());
-    store_.push_row(k_row_scratch_.data(), v_row_scratch_.data());
+    push_quantized(source_->key_row(ids_[r]), source_->value_row(ids_[r]));
   }
 }
 
-bool QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
-  const float old_key_scale = store_.key_params.scale;
-  const float old_value_scale = store_.value_params.scale;
+void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
   const float k_target = scale_for_amax(key_amax, store_.key_params.total_bits);
   const float v_target =
       scale_for_amax(value_amax, store_.value_params.total_bits);
@@ -301,8 +268,7 @@ bool QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
   }
   key_amax_ = key_amax;
   value_amax_ = value_amax;
-  if (requant) requantize_all(old_key_scale, old_value_scale);
-  return requant;
+  if (requant) requantize_all();
 }
 
 void QuantizedKvCache::push_quantized(const float* k_row, const float* v_row) {
@@ -323,6 +289,7 @@ void QuantizedKvCache::append(std::span<const float> k,
   require(head_dim_ > 0, "QuantizedKvCache: head_dim not set");
   require(k.size() == head_dim_ && v.size() == head_dim_,
           "QuantizedKvCache::append: head_dim mismatch");
+  require_source();
   const float ka = row_amax(k);
   const float va = row_amax(v);
   require(std::isfinite(ka) && std::isfinite(va), kNonFiniteRow);
@@ -338,6 +305,7 @@ void QuantizedKvCache::append(std::span<const float> k,
 
 void QuantizedKvCache::append_rows(const float* k_rows, const float* v_rows,
                                    std::size_t count, std::size_t first_id) {
+  require_source();
   require_finite_rows(k_rows, v_rows, count * head_dim_);
   push_rows(k_rows, v_rows, count, first_id);
 }
@@ -374,6 +342,7 @@ void QuantizedKvCache::rebuild(const KvHeadView& view) {
 }
 
 std::size_t QuantizedKvCache::evict_ids(std::span<const std::size_t> ids) {
+  require_source();
   if (ids.empty() || store_.len == 0) return 0;
   evict_scratch_.assign(ids.begin(), ids.end());
   std::sort(evict_scratch_.begin(), evict_scratch_.end());
@@ -419,24 +388,6 @@ std::size_t QuantizedKvCache::evict_ids(std::span<const std::size_t> ids) {
 
 namespace {
 
-// The sync's float-row provider: stable ids ARE view positions (the sync
-// numbers rows 0..len-1), so a suffix-append rescale re-reads exact floats
-// and stays bit-identical to from-scratch. Lives only for the duration of
-// one sync_cache_to_view call.
-class ViewRescaleSource final : public RescaleSource {
- public:
-  explicit ViewRescaleSource(const KvHeadView& view) : view_(&view) {}
-  const float* key_row(std::size_t id) const override {
-    return view_->key(id).data();
-  }
-  const float* value_row(std::size_t id) const override {
-    return view_->value(id).data();
-  }
-
- private:
-  const KvHeadView* view_;
-};
-
 // Restart witness without retained floats, three checks deep:
 //   1. the last shared row's stable id must be its view position (a cache
 //      adopted from any view always numbers 0..len-1);
@@ -445,7 +396,7 @@ class ViewRescaleSource final : public RescaleSource {
 //   3. the view row re-quantized under the cache's CURRENT params must
 //      reproduce the stored int16 bits (catches an overwrite that kept the
 //      row's amax — e.g. a permutation of the same values).
-// A false negative is impossible at headroom 1: stored bits are always
+// A false negative is impossible at any headroom: stored bits are always
 // quantize(floats, current params) for an untouched sequence.
 bool tail_matches_view(const QuantizedKvCache& cache, const KvHeadView& view,
                        std::size_t pos) {

@@ -8,11 +8,15 @@
 // therefore quantizes each token once at append, tracks the live set's
 // max|x| (keys and values separately, via per-row maxima), and re-quantizes
 // the whole head only on the rare step where that max changes — a new record
-// on append, or the record holder leaving on evict. With headroom == 1
-// (default) the integers, scales, and every downstream pruning decision are
-// bit-identical to the from-scratch path (tests/quantized_kv_cache_test.cpp
-// proves it over randomized append/evict interleavings); headroom > 1 trades
-// that exactness for even fewer rescales.
+// on append, or the record holder leaving on evict. The cache keeps no
+// floats: a rescale re-reads every stored row from the registered
+// RescaleSource, so at any headroom each stored row is its floats quantized
+// under the head's current scale. With headroom == 1 (default) that scale is
+// choose_scale()'s, so the integers, scales, and every downstream pruning
+// decision are bit-identical to the from-scratch path
+// (tests/quantized_kv_cache_test.cpp proves it over randomized append/evict
+// interleavings); headroom > 1 trades the from-scratch scale for even fewer
+// rescales.
 //
 // Keys are stored once, as chunk-planar digit planes — one contiguous int8
 // plane per chunk, the chunked most-significant-first format the estimation
@@ -155,22 +159,16 @@ struct QuantizedKvStore {
 };
 
 // Float-row provider for whole-head rescales, keyed by the caller's stable
-// token ids. The cache itself retains NO floats (the f32 mirror is gone —
-// per-row maxima + ids are its only float-domain residue); when a rescale
-// fires it re-reads the original rows from whoever still owns them:
+// token ids. The cache itself retains NO floats (per-row maxima + ids are
+// its only float-domain residue); when a rescale fires it re-reads the
+// original rows from whoever still owns them:
 //   * a serve PagedSequence (serve/paged_sequence.h) — rows live in the
 //     request's DecodeStream under the same ids, readable while their pool
 //     page is held, and eviction rescales run before the sweep;
-//   * sync_cache_to_view's float view — rows 0..len-1 by position for the
-//     duration of the sync (backends never rescale outside it).
-// With a source registered, a headroom-1 rescale is bit-identical to
-// quantize-from-scratch, exactly like the old mirror. Without one the cache
-// falls back to the int-domain ratio rescale (rescale_row_i16): each
-// surviving row is re-gridded from its current int16 values (key rows
-// reassembled from the digit planes, value rows from the arena) with a
-// precomputed fixed-point ratio, which adds at most one re-rounding of
-// bounded size per rescale (within 1 ULP of the real-ratio grid; pinned by
-// tests/quantized_kv_cache_test.cpp) instead of re-reading exact floats.
+//   * a float view whose row t has stable id t (ViewRescaleSource) —
+//     sync_cache_to_view registers one for the duration of the sync.
+// A cache that holds rows must have a source: append, append_rows and
+// evict_ids throw std::logic_error without one, before changing anything.
 // Returned pointers must stay valid for the duration of the rescale call
 // and must only be queried for ids currently resident in the cache.
 class RescaleSource {
@@ -180,16 +178,34 @@ class RescaleSource {
   virtual const float* value_row(std::size_t id) const = 0;
 };
 
+// The source for rows that are a float view's rows by position: stable id t
+// is view row t. Copies the view (not its rows), which must outlive every
+// rescale the source serves.
+class ViewRescaleSource final : public RescaleSource {
+ public:
+  explicit ViewRescaleSource(const KvHeadView& view) : view_(view) {}
+  const float* key_row(std::size_t id) const override {
+    return view_.key(id).data();
+  }
+  const float* value_row(std::size_t id) const override {
+    return view_.value(id).data();
+  }
+
+ private:
+  KvHeadView view_;
+};
+
 class QuantizedKvCache {
  public:
   struct Config {
     fx::QuantParams base{};  // precision; scales are managed by the cache
-    // Scale slack. 1.0 (default) reproduces choose_scale() exactly —
-    // bit-identical to quantize-from-scratch. > 1.0 holds the scale inside a
-    // [max/qmax, headroom*max/qmax] hysteresis band: max|x| drift within the
-    // band costs no rescale, at the cost of bit-exactness (coarser grid);
-    // only a band breach (growth past the top, or an evict dropping the max
-    // by more than the headroom factor) re-quantizes.
+    // Scale slack, finite and >= 1. 1.0 (default) reproduces choose_scale()
+    // exactly — bit-identical to quantize-from-scratch. > 1.0 holds the scale
+    // inside a [max/qmax, headroom*max/qmax] hysteresis band: max|x| drift
+    // within the band costs no rescale, at the cost of a coarser grid than
+    // from-scratch (every row is still its floats quantized under the
+    // current scale); only a band breach (growth past the top, or an evict
+    // dropping the max by more than the headroom factor) re-quantizes.
     float headroom = 1.0f;
   };
 
@@ -207,7 +223,9 @@ class QuantizedKvCache {
   // Appends one token; `id` is the caller's stable token id (the default
   // overload numbers tokens by append order). Every append path and rebuild
   // throws std::logic_error on an inf K/V value and leaves the cache as it
-  // was; a NaN value quantizes to 0.
+  // was; a NaN value quantizes to 0. append, append_rows and evict_ids also
+  // throw, whatever the rows, when the cache holds rows and has no
+  // RescaleSource; rebuild and an append into an empty cache need none.
   void append(std::span<const float> k, std::span<const float> v);
   void append(std::span<const float> k, std::span<const float> v,
               std::size_t id);
@@ -260,11 +278,12 @@ class QuantizedKvCache {
   std::uint64_t value_rescales() const { return value_rescales_; }
 
  private:
+  // Throws unless the cache is empty or has a RescaleSource.
+  void require_source() const;
   // Adjusts the shared scales for new live maxima; when a scale changes it
-  // re-quantizes every stored row (from the registered source's floats, or
-  // int-domain when sourceless) and returns true.
-  bool ensure_scales(float key_amax, float value_amax);
-  void requantize_all(float old_key_scale, float old_value_scale);
+  // re-quantizes every stored row from the registered source's floats.
+  void ensure_scales(float key_amax, float value_amax);
+  void requantize_all();
   void push_quantized(const float* k_row, const float* v_row);
   // append_rows without its inf check, for callers that already made it.
   void push_rows(const float* k_rows, const float* v_rows, std::size_t count,
@@ -273,16 +292,12 @@ class QuantizedKvCache {
   Config config_;
   std::size_t head_dim_ = 0;
   QuantizedKvStore store_;
-  const RescaleSource* source_ = nullptr;  // not owned; may be null
+  const RescaleSource* source_ = nullptr;  // not owned; see RescaleSource
   std::vector<float> key_row_amax_, value_row_amax_;
   float key_amax_ = 0.0f, value_amax_ = 0.0f;
   std::vector<std::size_t> ids_;
   std::uint64_t key_rescales_ = 0, value_rescales_ = 0;
   std::vector<std::int16_t> k_row_scratch_, v_row_scratch_;
-  // Sourceless rescales re-grid from a snapshot of the old rows (key rows
-  // reassembled from the planes): push_row rebuilds the planes and the value
-  // arena, so the old rows must survive clear_rows.
-  std::vector<std::int16_t> k_arena_scratch_, v_arena_scratch_;
   std::vector<std::uint8_t> keep_scratch_;
   std::vector<std::size_t> evict_scratch_;
 };
@@ -295,8 +310,9 @@ class QuantizedKvCache {
 // fresh fx::row_amax over the view's floats, and that row re-quantized under
 // the cache's current params must reproduce the stored int16 bits. For the
 // duration of the call the view itself is registered as the cache's
-// RescaleSource, so a suffix-append rescale stays bit-identical to
-// from-scratch; the cache's previous source is restored before returning.
+// RescaleSource (ViewRescaleSource), so a suffix-append rescale stays
+// bit-identical to from-scratch; the cache's previous source is restored
+// before returning.
 void sync_cache_to_view(QuantizedKvCache& cache, const KvHeadView& view);
 
 // Exact quantized attention over a planar view — bit-identical to

@@ -2,23 +2,10 @@
 
 #include <cmath>
 
-#include "obs/metrics.h"
-
 namespace topick::fault {
-namespace {
 
-// Reads a gauge if present; `fallback` when the engine never published it.
-double gauge_or(const obs::MetricsRegistry& registry, const char* name,
-                double fallback) {
-  const auto& gauges = registry.gauges();
-  const auto it = gauges.find(name);
-  return it != gauges.end() ? it->second.value : fallback;
-}
-
-}  // namespace
-
-bool DegradationController::observe(std::size_t step,
-                                    const obs::MetricsRegistry& registry) {
+bool DegradationController::observe(std::size_t step, double pool_occupancy,
+                                    double interactive_slo_attainment) {
   if (!config_.enabled) return false;
   const std::size_t cadence =
       config_.evaluate_every_steps > 0 ? config_.evaluate_every_steps : 1;
@@ -27,15 +14,15 @@ bool DegradationController::observe(std::size_t step,
     return false;
   }
 
-  const double occupancy = gauge_or(registry, kPoolOccupancyGauge, 0.0);
-  const double attainment = gauge_or(registry, kInteractiveSloGauge, -1.0);
-  const bool slo_pressure = attainment >= 0.0 && attainment < config_.slo_lo;
-  const bool slo_recovered = attainment < 0.0 || attainment > config_.slo_hi;
+  const bool slo_pressure = interactive_slo_attainment >= 0.0 &&
+                            interactive_slo_attainment < config_.slo_lo;
+  const bool slo_recovered = interactive_slo_attainment < 0.0 ||
+                             interactive_slo_attainment > config_.slo_hi;
 
   int next = level_;
-  if (occupancy >= config_.pool_hi || slo_pressure) {
+  if (pool_occupancy >= config_.pool_hi || slo_pressure) {
     if (level_ < kMaxLevel) next = level_ + 1;
-  } else if (occupancy <= config_.pool_lo && slo_recovered) {
+  } else if (pool_occupancy <= config_.pool_lo && slo_recovered) {
     if (level_ > 0) next = level_ - 1;
   }
   if (next == level_) return false;

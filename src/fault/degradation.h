@@ -3,9 +3,9 @@
 // Token-Picker's pruning threshold is a *tunable* accuracy-vs-memory-transfer
 // knob (the paper's core contribution); under overload that makes it a
 // degradation lever most serving stacks don't have. The controller watches
-// pool pressure and interactive SLO attainment — published by the engine as
-// gauges in an obs::MetricsRegistry — and walks a deterministic ladder of
-// degradation levels with hysteresis:
+// pool pressure and interactive SLO attainment — passed in by the engine at
+// each evaluation — and walks a deterministic ladder of degradation levels
+// with hysteresis:
 //
 //   L0  healthy      — no intervention, bit-identical to controller-off.
 //   L1  trim         — best_effort pruning threshold tightened (x scale),
@@ -26,16 +26,7 @@
 
 #include "workload/arrivals.h"
 
-namespace topick::obs {
-class MetricsRegistry;
-}
-
 namespace topick::fault {
-
-// Gauge names the engine publishes and the controller consumes.
-inline constexpr const char* kPoolOccupancyGauge = "degrade.pool_occupancy";
-inline constexpr const char* kInteractiveSloGauge =
-    "degrade.interactive_slo_window";
 
 struct DegradationConfig {
   bool enabled = false;
@@ -49,7 +40,7 @@ struct DegradationConfig {
   double pool_lo = 0.55;
   // Windowed interactive TTFT-SLO attainment band: escalate below slo_lo,
   // allow recovery above slo_hi. A window with no tracked interactive
-  // requests (attainment gauge < 0) is neutral: it neither escalates nor
+  // requests (attainment < 0) is neutral: it neither escalates nor
   // blocks recovery.
   double slo_lo = 0.90;
   double slo_hi = 0.98;
@@ -73,10 +64,12 @@ class DegradationController {
   const DegradationConfig& config() const { return config_; }
 
   // Evaluate once per engine step from a sequential phase; acts only on the
-  // configured cadence and after the dwell expires. Reads the signal gauges
-  // (kPoolOccupancyGauge, kInteractiveSloGauge) from `registry`; a missing
-  // gauge is treated as "no signal". Returns true when the level changed.
-  bool observe(std::size_t step, const obs::MetricsRegistry& registry);
+  // configured cadence and after the dwell expires. `pool_occupancy` is the
+  // pool's used fraction; `interactive_slo_attainment` is the windowed
+  // interactive TTFT-SLO attainment, < 0 for an empty window (no signal).
+  // Returns true when the level changed.
+  bool observe(std::size_t step, double pool_occupancy,
+               double interactive_slo_attainment);
 
   int level() const { return level_; }
   std::uint64_t level_changes() const { return changes_; }

@@ -19,8 +19,8 @@
 
 namespace topick::fx {
 
-// One float divide + frexp per whole-head rescale; the rows then see only
-// integer math (FixedRatio's contract in dispatch.h). The double quotient is
+// One float divide + frexp per ratio; the rows then see only integer math
+// (FixedRatio's contract in dispatch.h). The double quotient is
 // split into mantissa * 2^-shift with the mantissa rounded into [2^30, 2^31]
 // — 31 significant bits, so round(q * ratio) through this grid differs from
 // the real-arithmetic round by at most 1 for any int16 q (pinned by

@@ -48,8 +48,8 @@ const char* isa_name(IsaLevel level);
 // Precomputed fixed-point representation of a positive scale ratio
 // old_scale / new_scale — mantissa / 2^shift, mantissa normalized into
 // [2^30, 2^31] so the relative representation error is <= 2^-31. The whole
-// float divide + frexp happens ONCE per whole-head rescale
-// (make_fixed_ratio); the per-element op is then a single integer multiply,
+// float divide + frexp happens ONCE per ratio (make_fixed_ratio); the
+// per-element op is then a single integer multiply,
 // add, shift — no float touches the row. Degenerate ratios collapse to safe
 // grids: a ratio too small for any int16 to survive becomes {0, 0} (all
 // zeros), a ratio >= 2^31 saturates the mantissa (every nonzero element
@@ -94,10 +94,11 @@ void weighted_value_accum_scalar(float* out, const std::int16_t* v, double p,
 float row_amax_scalar(const float* xs, std::size_t n);
 // Int-domain row rescale: out[i] = clamp(round_half_away_from_zero(
 // |src[i]| * mantissa / 2^shift) * sign(src[i]), qmin, qmax), computed
-// exactly in int64 — the fallback requantize path when a cache holds no
-// float source (core/quantized_kv_cache.h). Precondition: qmin/qmax fit in
-// int16. src == out aliasing is allowed (each element is read before its
-// slot is written).
+// exactly in int64. No library caller: whole-head rescales re-read floats
+// (core/quantized_kv_cache.h); it stays while perfbench times it
+// (fixedpoint.rescale_row_ns). Precondition: qmin/qmax fit in int16.
+// src == out aliasing is allowed (each element is read before its slot is
+// written).
 void rescale_row_i16_scalar(const std::int16_t* src, std::size_t n,
                             FixedRatio ratio, std::int32_t qmin,
                             std::int32_t qmax, std::int16_t* out);

@@ -198,6 +198,15 @@ ServeEngine::ServeEngine(const ServeConfig& config)
   require(std::isfinite(config.retry.backoff_multiplier) &&
               config.retry.backoff_multiplier >= 0.0,
           "ServeConfig: retry.backoff_multiplier must be finite and >= 0");
+  // A NaN or inf threshold scale would pin every degraded threshold at the
+  // 0.5 cap (the cap's comparison is false for both), and a negative
+  // headroom step would only throw at the first degraded admission.
+  require(std::isfinite(config.degradation.threshold_scale) &&
+              config.degradation.threshold_scale >= 1.0,
+          "ServeConfig: degradation.threshold_scale must be finite and >= 1");
+  require(std::isfinite(config.degradation.headroom_step) &&
+              config.degradation.headroom_step >= 0.0f,
+          "ServeConfig: degradation.headroom_step must be finite and >= 0");
   config_.stream.head_dim = config.head_dim;
   // The oracle pass is an O(context) diagnostic per attention instance; the
   // engine's hot loop must stay O(kept). Outputs/decisions are unaffected.
@@ -1097,9 +1106,9 @@ void ServeEngine::update_degradation() {
           ? degrade_.config().evaluate_every_steps
           : 1;
   if (now_ % cadence != 0) return;
-  // Publish the controller's input signals. Pool occupancy reads the live
-  // pool; interactive SLO attainment is windowed over the TTFT verdicts
-  // since the previous evaluation (-1 = empty window, neutral signal).
+  // The controller's input signals. Pool occupancy reads the live pool;
+  // interactive SLO attainment is windowed over the TTFT verdicts since the
+  // previous evaluation (-1 = empty window, neutral signal).
   const double occupancy =
       pool_.pages_total() > 0
           ? 1.0 - static_cast<double>(pool_.pages_free()) /
@@ -1116,9 +1125,7 @@ void ServeEngine::update_degradation() {
           : -1.0;
   slo_window_tracked_ = interactive.slo_ttft_tracked;
   slo_window_met_ = interactive.slo_ttft_met;
-  degrade_signals_.gauge(fault::kPoolOccupancyGauge).set(occupancy);
-  degrade_signals_.gauge(fault::kInteractiveSloGauge).set(attainment);
-  if (degrade_.observe(now_, degrade_signals_)) {
+  if (degrade_.observe(now_, occupancy, attainment)) {
     ++metrics_.degradation_level_changes;
     metrics_.degradation_level = degrade_.level();
     for (std::size_t c = 0; c < wl::kPriorityCount; ++c) {

@@ -57,7 +57,6 @@
 #include "fault/degradation.h"
 #include "fault/fault_plan.h"
 #include "memsim/hbm.h"
-#include "obs/metrics.h"
 #include "obs/phase_stats.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
@@ -541,7 +540,6 @@ class ServeEngine {
   // thread's step-domain phases — the pipelined lane never touches it.
   fault::FaultInjector injector_;
   fault::DegradationController degrade_;
-  obs::MetricsRegistry degrade_signals_;  // controller input gauges
   std::vector<std::size_t> backoff_;      // requests in RequestState::backoff
   std::vector<std::size_t> retry_scratch_;
   // Per-class caches of the controller's knobs, refreshed on level changes;

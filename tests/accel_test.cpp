@@ -210,14 +210,17 @@ TEST(KvLayoutTest, HostResidentRegionMatchesCacheResidency) {
   const std::size_t len = 96;
   const int head_dim = 64;
 
-  QuantizedKvCache cache(static_cast<std::size_t>(head_dim));
+  const auto dim = static_cast<std::size_t>(head_dim);
   Rng rng(0x1d);
-  std::vector<float> k(static_cast<std::size_t>(head_dim));
-  std::vector<float> v(static_cast<std::size_t>(head_dim));
+  std::vector<float> keys(len * dim), values(len * dim);
+  for (auto& x : keys) x = static_cast<float>(rng.normal());
+  for (auto& x : values) x = static_cast<float>(rng.normal());
+  const KvHeadView rows{keys.data(), values.data(), len, dim};
+  const ViewRescaleSource source(rows);
+  QuantizedKvCache cache(dim);
+  cache.set_rescale_source(&source);
   for (std::size_t t = 0; t < len; ++t) {
-    for (auto& x : k) x = static_cast<float>(rng.normal());
-    for (auto& x : v) x = static_cast<float>(rng.normal());
-    cache.append(k, v);
+    cache.append(rows.key(t), rows.value(t));
   }
   const auto res = cache.residency();
 

@@ -215,32 +215,38 @@ TEST(DispatchForcedMatrix, EveryLevelBitMatchesScalarThroughPublicEntryPoints) {
 // A NaN-bearing K/V row appends to the cache at every level and lands on
 // the same bits: the key digit planes are indexed by quantized value, so a
 // NaN that escaped [qmin, qmax] would read outside the digit table. The
-// record-setting last row forces a sourceless rescale over the NaN rows.
+// record-setting last row forces a rescale that re-quantizes the NaN rows
+// from their floats.
 TEST(DispatchForcedMatrix, NanBearingRowAppendsIdenticallyAtEveryLevel) {
   IsaGuard guard;
   constexpr float nan = std::numeric_limits<float>::quiet_NaN();
   const std::size_t dim = 64;
+  const std::size_t len = 4;
   Rng rng(0x7a11);
-  std::vector<std::vector<float>> ks(4, std::vector<float>(dim));
-  std::vector<std::vector<float>> vs = ks;
-  for (std::size_t r = 0; r < ks.size(); ++r) {
-    const double sigma = r == 3 ? 10.0 : 1.0;
-    for (auto& x : ks[r]) x = static_cast<float>(rng.normal(0.0, sigma));
-    for (auto& x : vs[r]) x = static_cast<float>(rng.normal(0.0, sigma));
+  std::vector<float> ks(len * dim), vs(len * dim);
+  for (std::size_t i = 0; i < len * dim; ++i) {
+    const double sigma = i / dim == len - 1 ? 10.0 : 1.0;  // the record row
+    ks[i] = static_cast<float>(rng.normal(0.0, sigma));
+    vs[i] = static_cast<float>(rng.normal(0.0, sigma));
   }
-  ks[1][5] = nan;
-  vs[1][17] = nan;
-  ks[2][0] = -nan;
-  vs[2][dim - 1] = nan;
+  ks[1 * dim + 5] = nan;
+  vs[1 * dim + 17] = nan;
+  ks[2 * dim + 0] = -nan;
+  vs[2 * dim + dim - 1] = nan;
+  const KvHeadView rows{ks.data(), vs.data(), len, dim};
+  const ViewRescaleSource source(rows);
 
   std::vector<std::int16_t> ref_keys, ref_values;
   for (const fx::KernelTable* table : fx::supported_kernel_tables()) {
     SCOPED_TRACE(table->name);
     ASSERT_TRUE(fx::force_isa(table->level));
     QuantizedKvCache cache(dim);
-    for (std::size_t r = 0; r + 1 < ks.size(); ++r) cache.append(ks[r], vs[r]);
+    cache.set_rescale_source(&source);
+    for (std::size_t r = 0; r + 1 < len; ++r) {
+      cache.append(rows.key(r), rows.value(r));
+    }
     const std::uint64_t rescales = cache.key_rescales();
-    cache.append(ks.back(), vs.back());
+    cache.append(rows.key(len - 1), rows.value(len - 1));
     EXPECT_GT(cache.key_rescales(), rescales);
 
     const QuantizedKvView view = cache.view();
@@ -266,10 +272,10 @@ TEST(DispatchForcedMatrix, NanBearingRowAppendsIdenticallyAtEveryLevel) {
 }
 
 // rescale_row_i16 gets its own matrix leg: the int-domain re-gridding
-// (sourceless whole-head rescales, core/quantized_kv_cache.cpp) must be
-// element-exact across every compiled-in variant — through the dispatching
-// wrapper, through the raw table pointer (covering SIMD at n < the wrapper's
-// inline threshold), and under src == out aliasing — over identity, grow,
+// (timed by perfbench as fixedpoint.rescale_row_ns) must be element-exact
+// across every compiled-in variant — through the dispatching wrapper,
+// through the raw table pointer (covering SIMD at n < the wrapper's inline
+// threshold), and under src == out aliasing — over identity, grow,
 // shrink-to-saturation, and degenerate ratios. Each result is additionally
 // pinned within 1 ULP of the real-ratio grid round(|q| * old/new).
 TEST(DispatchForcedMatrix, RescaleRowEveryLevelMatchesScalarAndRealRatioGrid) {

@@ -228,15 +228,18 @@ TEST(NonFiniteEdge, InfThroughEveryEntryPointThrows) {
 // A refused append, bulk append or rebuild leaves the cache as it was: the
 // same length and scales, and the same bits for every later append and
 // attend. The refused rows' finite keys are 4x past the cache's record, so
-// a partial push or rescale would show.
+// a partial push or rescale would show. Both caches have a RescaleSource,
+// so only the inf check can refuse.
 TEST(NonFiniteEdge, RefusedAppendLeavesTheCacheUnchanged) {
   const wl::Instance inst = probe_instance();
   wl::Instance bad = inst;
   for (float& x : bad.keys) x *= 4.0f;
   bad.keys[10 * 8 + 3] = HUGE_VALF;
   bad.values[9 * 8] = -HUGE_VALF;
+  const ViewRescaleSource source(inst.view());
   QuantizedKvCache refused(8), clean(8);
   for (QuantizedKvCache* cache : {&refused, &clean}) {
+    cache->set_rescale_source(&source);
     cache->append_rows(inst.keys.data(), inst.values.data(), 8, 0);
   }
   EXPECT_THROW(refused.append(bad.view().key(10), bad.view().value(10)),

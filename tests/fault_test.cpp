@@ -20,7 +20,6 @@
 #include "fault/degradation.h"
 #include "fault/fault_plan.h"
 #include "memsim/hbm.h"
-#include "obs/metrics.h"
 #include "serve/serve_engine.h"
 #include "serve_identity.h"
 #include "workload/arrivals.h"
@@ -183,24 +182,20 @@ TEST(DegradationController, WalksTheLadderWithHysteresisAndDwell) {
   config.evaluate_every_steps = 1;
   config.hold_steps = 4;
   fault::DegradationController ctl(config);
-  obs::MetricsRegistry reg;
 
   // Healthy signals: stays at L0 forever.
-  reg.gauge(fault::kPoolOccupancyGauge).set(0.3);
-  reg.gauge(fault::kInteractiveSloGauge).set(1.0);
-  EXPECT_FALSE(ctl.observe(0, reg));
+  EXPECT_FALSE(ctl.observe(0, 0.3, 1.0));
   EXPECT_EQ(ctl.level(), 0);
 
   // Pool pressure escalates — but only once per dwell.
-  reg.gauge(fault::kPoolOccupancyGauge).set(0.95);
-  EXPECT_TRUE(ctl.observe(1, reg));
+  EXPECT_TRUE(ctl.observe(1, 0.95, 1.0));
   EXPECT_EQ(ctl.level(), 1);
-  EXPECT_FALSE(ctl.observe(2, reg));  // dwell
-  EXPECT_TRUE(ctl.observe(5, reg));
-  EXPECT_TRUE(ctl.observe(9, reg));
+  EXPECT_FALSE(ctl.observe(2, 0.95, 1.0));  // dwell
+  EXPECT_TRUE(ctl.observe(5, 0.95, 1.0));
+  EXPECT_TRUE(ctl.observe(9, 0.95, 1.0));
   EXPECT_EQ(ctl.level(), 3);
   EXPECT_TRUE(ctl.shed_best_effort());
-  EXPECT_FALSE(ctl.observe(13, reg));  // clamped at kMaxLevel
+  EXPECT_FALSE(ctl.observe(13, 0.95, 1.0));  // clamped at kMaxLevel
 
   // Ladder order: best_effort first, then batch, then interactive.
   EXPECT_EQ(ctl.notches(wl::Priority::best_effort), 3);
@@ -212,15 +207,11 @@ TEST(DegradationController, WalksTheLadderWithHysteresisAndDwell) {
 
   // Recovery needs the pool *and* SLO bands clear; then de-escalates one
   // level per dwell.
-  reg.gauge(fault::kPoolOccupancyGauge).set(0.2);
-  reg.gauge(fault::kInteractiveSloGauge).set(0.5);  // SLO still hurting
-  EXPECT_FALSE(ctl.observe(17, reg));
-  reg.gauge(fault::kInteractiveSloGauge).set(1.0);
-  EXPECT_TRUE(ctl.observe(21, reg));
+  EXPECT_FALSE(ctl.observe(17, 0.2, 0.5));  // SLO still hurting
+  EXPECT_TRUE(ctl.observe(21, 0.2, 1.0));
   EXPECT_EQ(ctl.level(), 2);
   // An empty SLO window (< 0) is neutral: does not block recovery.
-  reg.gauge(fault::kInteractiveSloGauge).set(-1.0);
-  EXPECT_TRUE(ctl.observe(25, reg));
+  EXPECT_TRUE(ctl.observe(25, 0.2, -1.0));
   EXPECT_EQ(ctl.level(), 1);
 }
 

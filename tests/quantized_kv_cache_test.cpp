@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,6 +78,23 @@ std::vector<float> random_row(Rng& rng, std::size_t dim, double scale) {
   std::vector<float> row(dim);
   for (auto& x : row) x = static_cast<float>(rng.normal() * scale);
   return row;
+}
+
+// Appends one random K row and one random V row to flat (len, dim) arrays.
+void push_random_row(Rng& rng, std::size_t dim, double scale,
+                     std::vector<float>* keys, std::vector<float>* values) {
+  const auto k = random_row(rng, dim, scale);
+  const auto v = random_row(rng, dim, scale);
+  keys->insert(keys->end(), k.begin(), k.end());
+  values->insert(values->end(), v.begin(), v.end());
+}
+
+// A float row quantized under `params`.
+std::vector<std::int16_t> quantized(std::span<const float> row,
+                                    const fx::QuantParams& params) {
+  std::vector<std::int16_t> out(row.size());
+  fx::quantize_row_i16(row.data(), row.size(), params, out.data());
+  return out;
 }
 
 void expect_same_result(const TokenPickerResult& a, const TokenPickerResult& b) {
@@ -314,124 +332,115 @@ TEST(QuantizedKvCache, RandomizedInterleavingsAttendBitIdentical) {
   EXPECT_GT(cache.key_rescales() + cache.value_rescales(), 0u);
 }
 
-// The sourceless int-domain fallback against the float-sourced path over
-// randomized append/evict interleavings. Identical inputs keep the two
-// caches in lockstep on everything float-domain — ids, per-row maxima,
-// scales, rescale times — so the only divergence is the stored integers:
-// each fallback rescale re-rounds the current int16 row through a
-// fixed-point ratio (within 1 ULP of the real-ratio grid) instead of
-// re-reading floats. The drift is bounded per rescale and tracked here:
-// allowed' = ratio * (allowed + 0.5) + 1.01 quantization steps.
-TEST(QuantizedKvCache, SourcelessFallbackTracksFloatSourcedWithinDrift) {
-  Rng rng(0xfa11);
-  const std::size_t dim = 32;
-  QuantizedKvCache sourced(dim);
-  QuantizedKvCache fallback(dim);
-  ShadowKv shadow(dim);
-  sourced.set_rescale_source(&shadow);
-  ASSERT_EQ(fallback.rescale_source(), nullptr);
-
-  double allowed_k = 0.0, allowed_v = 0.0;
-  std::size_t next_id = 0;
-  for (int op = 0; op < 300; ++op) {
-    const float old_k_scale = sourced.key_params().scale;
-    const float old_v_scale = sourced.value_params().scale;
-    const auto roll = rng.uniform_index(10);
-    if (roll < 6 || shadow.ids.size() < 2) {
-      const double scale = rng.uniform_index(12) == 0 ? 30.0 : 1.0;
-      auto k = random_row(rng, dim, scale);
-      auto v = random_row(rng, dim, scale);
-      shadow.append(k, v, next_id);
-      sourced.append(k, v, next_id);
-      fallback.append(k, v, next_id);
-      ++next_id;
-    } else {
-      std::vector<std::size_t> dead;
-      const std::size_t count = 1 + rng.uniform_index(3);
-      for (std::size_t i = 0; i < count && shadow.ids.size() - dead.size() > 1;
-           ++i) {
-        dead.push_back(shadow.ids[rng.uniform_index(shadow.ids.size())]);
-      }
-      sourced.evict_ids(dead);
-      fallback.evict_ids(dead);
-      shadow.evict(dead);
-    }
-
-    // Float-domain state never diverges: same ids, scales, rescale counts.
-    ASSERT_EQ(fallback.len(), sourced.len());
-    ASSERT_EQ(fallback.ids(), sourced.ids());
-    ASSERT_EQ(fallback.key_params().scale, sourced.key_params().scale);
-    ASSERT_EQ(fallback.value_params().scale, sourced.value_params().scale);
-    ASSERT_EQ(fallback.key_rescales(), sourced.key_rescales());
-    ASSERT_EQ(fallback.value_rescales(), sourced.value_rescales());
-
-    if (sourced.key_params().scale != old_k_scale && old_k_scale != 1.0f) {
-      allowed_k = static_cast<double>(old_k_scale) /
-                      static_cast<double>(sourced.key_params().scale) *
-                      (allowed_k + 0.5) +
-                  1.01;
-    }
-    if (sourced.value_params().scale != old_v_scale && old_v_scale != 1.0f) {
-      allowed_v = static_cast<double>(old_v_scale) /
-                      static_cast<double>(sourced.value_params().scale) *
-                      (allowed_v + 0.5) +
-                  1.01;
-    }
-
-    const QuantizedKvView a = fallback.view();
-    const QuantizedKvView b = sourced.view();
-    std::vector<std::int16_t> a_key(dim), b_key(dim);
-    for (std::size_t t = 0; t < sourced.len(); ++t) {
-      a.key_row(t, a_key.data());
-      b.key_row(t, b_key.data());
-      for (std::size_t d = 0; d < dim; ++d) {
-        EXPECT_LE(std::abs(static_cast<int>(a_key[d]) -
-                           static_cast<int>(b_key[d])),
-                  allowed_k + 0.5)
-            << "op " << op << " token " << t << " dim " << d;
-        EXPECT_LE(std::abs(static_cast<int>(a.value(t)[d]) -
-                           static_cast<int>(b.value(t)[d])),
-                  allowed_v + 0.5)
-            << "op " << op << " token " << t << " dim " << d;
-      }
-    }
-  }
-  EXPECT_GT(sourced.key_rescales() + sourced.value_rescales(), 0u);
-}
-
-// Amortized mode (headroom > 1) gives up bit-exactness for fewer rescales,
-// but the grid must always stay valid: scale in [max|x|/qmax, headroom *
-// max|x|/qmax], so reconstruction error is bounded by scale/2 and nothing
-// clips. Regression: the initial base scale (1.0) once leaked into
-// small-magnitude data, quantizing everything to zero.
+// Amortized mode (headroom > 1) gives up the from-scratch scale for fewer
+// rescales, but the grid must always stay valid: scale in [max|x|/qmax,
+// headroom * max|x|/qmax], so reconstruction error is bounded by scale/2 and
+// nothing clips. Since every rescale re-reads floats, each stored row is also
+// exactly its floats quantized under the current params, at any headroom.
+// Regression: the initial base scale (1.0) once leaked into small-magnitude
+// data, quantizing everything to zero.
 TEST(QuantizedKvCache, HeadroomAmortizesRescalesWithBoundedError) {
   Rng rng(0x4ead);
   const std::size_t dim = 16;
-  QuantizedKvCache exact(dim, {fx::QuantParams{}, 1.0f});
-  QuantizedKvCache amortized(dim, {fx::QuantParams{}, 2.0f});
-
-  for (std::size_t t = 0; t < 200; ++t) {
+  const std::size_t len = 200;
+  std::vector<float> keys, values;
+  for (std::size_t t = 0; t < len; ++t) {
     // Small-magnitude rows (far below the base scale of 1.0) with occasional
     // growth spurts that force the running max upward.
     const double mag = 0.01 * (1.0 + 0.05 * static_cast<double>(t));
-    const auto k = random_row(rng, dim, mag);
-    const auto v = random_row(rng, dim, mag);
-    exact.append(k, v, t);
-    amortized.append(k, v, t);
+    push_random_row(rng, dim, mag, &keys, &values);
+  }
+  const KvHeadView rows{keys.data(), values.data(), len, dim};
+  const ViewRescaleSource source(rows);
+  QuantizedKvCache exact(dim, {fx::QuantParams{}, 1.0f});
+  QuantizedKvCache amortized(dim, {fx::QuantParams{}, 2.0f});
+  exact.set_rescale_source(&source);
+  amortized.set_rescale_source(&source);
+
+  std::vector<std::int16_t> key(dim);
+  for (std::size_t t = 0; t < len; ++t) {
+    exact.append(rows.key(t), rows.value(t), t);
+    amortized.append(rows.key(t), rows.value(t), t);
 
     const QuantizedKvView view = amortized.view();
     const float k_scale = view.key_params.scale;
-    std::vector<std::int16_t> key(dim);
-    view.key_row(t, key.data());
-    for (std::size_t d = 0; d < dim; ++d) {
-      const float reconstructed = static_cast<float>(key[d]) * k_scale;
-      EXPECT_NEAR(reconstructed, k[d], 0.5f * k_scale + 1e-7f)
-          << "token " << t << " dim " << d << " scale " << k_scale;
+    for (std::size_t r = 0; r <= t; ++r) {
+      view.key_row(r, key.data());
+      ASSERT_EQ(key, quantized(rows.key(r), view.key_params))
+          << "after append " << t << ", key row " << r;
+      ASSERT_TRUE(std::ranges::equal(
+          quantized(rows.value(r), view.value_params),
+          std::span<const std::int16_t>(view.value(r), dim)))
+          << "after append " << t << ", value row " << r;
+      for (std::size_t d = 0; d < dim; ++d) {
+        const float reconstructed = static_cast<float>(key[d]) * k_scale;
+        EXPECT_NEAR(reconstructed, rows.key(r)[d], 0.5f * k_scale + 1e-7f)
+            << "token " << r << " dim " << d << " scale " << k_scale;
+      }
     }
   }
   // The whole point of the slack: strictly fewer whole-head requantizes.
   EXPECT_LT(amortized.key_rescales(), exact.key_rescales());
   EXPECT_GT(amortized.key_rescales(), 0u);
+}
+
+// A cache that holds rows but has no RescaleSource refuses every call that
+// could rescale them — whether or not the rows would set a new max — and
+// leaves its length, scales, ids and bits untouched. rebuild and the first
+// append into an empty cache need no source.
+TEST(QuantizedKvCache, SourcelessCacheHoldingRowsRefusesMutations) {
+  Rng rng(0x50c);
+  const std::size_t dim = 8;
+  std::vector<float> keys, values;
+  for (std::size_t t = 0; t < 12; ++t) {
+    push_random_row(rng, dim, 1.0, &keys, &values);
+  }
+  const KvHeadView rows{keys.data(), values.data(), 12, dim};
+  QuantizedKvCache cache(dim);
+  cache.rebuild({keys.data(), values.data(), 6, dim});
+  ASSERT_EQ(cache.rescale_source(), nullptr);
+  ASSERT_EQ(cache.len(), 6u);
+
+  const float k_scale = cache.key_params().scale;
+  const float v_scale = cache.value_params().scale;
+  const std::vector<std::size_t> ids = cache.ids();
+  const QuantizedKvView view = cache.view();
+  const std::vector<std::int16_t> values_before(view.values,
+                                                view.values + 6 * dim);
+  const std::vector<std::vector<std::int8_t>> planes_before(
+      view.key_planes, view.key_planes + view.key_params.num_chunks());
+
+  // A quiet row (no new record) and a spiking one are refused alike.
+  std::vector<float> quiet(dim, 0.0f), spike(dim, 0.0f);
+  spike[0] = 100.0f;
+  EXPECT_THROW(cache.append(quiet, quiet, 6), std::logic_error);
+  EXPECT_THROW(cache.append(spike, spike), std::logic_error);
+  EXPECT_THROW(cache.append_rows(keys.data() + 6 * dim,
+                                 values.data() + 6 * dim, 6, 6),
+               std::logic_error);
+  const std::vector<std::size_t> dead{0, 3};
+  EXPECT_THROW(cache.evict_ids(dead), std::logic_error);
+
+  EXPECT_EQ(cache.len(), 6u);
+  EXPECT_EQ(cache.key_params().scale, k_scale);
+  EXPECT_EQ(cache.value_params().scale, v_scale);
+  EXPECT_EQ(cache.ids(), ids);
+  const QuantizedKvView after = cache.view();
+  EXPECT_TRUE(std::equal(values_before.begin(), values_before.end(),
+                         after.values));
+  EXPECT_TRUE(std::equal(planes_before.begin(), planes_before.end(),
+                         after.key_planes));
+
+  // With a source the same calls go through.
+  const ViewRescaleSource source(rows);
+  cache.set_rescale_source(&source);
+  cache.append_rows(keys.data() + 6 * dim, values.data() + 6 * dim, 6, 6);
+  EXPECT_EQ(cache.evict_ids(dead), 2u);
+  EXPECT_EQ(cache.len(), 10u);
+
+  QuantizedKvCache empty(dim);
+  empty.append(rows.key(0), rows.value(0));
+  EXPECT_EQ(empty.len(), 1u);
 }
 
 TEST(QuantizedKvCache, OracleGateOffZeroesDiagnosticOnly) {
@@ -444,9 +453,16 @@ TEST(QuantizedKvCache, OracleGateOffZeroesDiagnosticOnly) {
   TokenPickerConfig no_oracle = with_oracle;
   no_oracle.compute_oracle_mass = false;
 
-  QuantizedKvCache cache(dim, {with_oracle.quant, 1.0f});
+  std::vector<float> keys, values;
   for (std::size_t t = 0; t < 40; ++t) {
-    cache.append(random_row(rng, dim, 1.0), random_row(rng, dim, 1.0), t);
+    push_random_row(rng, dim, 1.0, &keys, &values);
+  }
+  const KvHeadView rows{keys.data(), values.data(), 40, dim};
+  const ViewRescaleSource source(rows);
+  QuantizedKvCache cache(dim, {with_oracle.quant, 1.0f});
+  cache.set_rescale_source(&source);
+  for (std::size_t t = 0; t < 40; ++t) {
+    cache.append(rows.key(t), rows.value(t), t);
   }
   const auto q = random_row(rng, dim, 1.0);
 
@@ -470,9 +486,16 @@ TEST(QuantizedKvCache, ChunkHistogramClampsDeepChunkConfigs) {
   config.quant.chunk_bits = 1;  // 12 one-bit chunks > 8 buckets
   config.estimator.threshold = 1e-3;
 
-  QuantizedKvCache cache(dim, {config.quant, 1.0f});
+  std::vector<float> keys, values;
   for (std::size_t t = 0; t < 24; ++t) {
-    cache.append(random_row(rng, dim, 1.0), random_row(rng, dim, 1.0), t);
+    push_random_row(rng, dim, 1.0, &keys, &values);
+  }
+  const KvHeadView rows{keys.data(), values.data(), 24, dim};
+  const ViewRescaleSource source(rows);
+  QuantizedKvCache cache(dim, {config.quant, 1.0f});
+  cache.set_rescale_source(&source);
+  for (std::size_t t = 0; t < 24; ++t) {
+    cache.append(rows.key(t), rows.value(t), t);
   }
   TokenPickerAttention op(config);
   TokenPickerResult result;
@@ -491,10 +514,7 @@ TEST(QuantizedKvCache, SyncToViewGrowsAndGuardsRestarts) {
   std::vector<float> keys, values;
   auto grow = [&](std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
-      const auto k = random_row(rng, dim, 1.0);
-      const auto v = random_row(rng, dim, 1.0);
-      keys.insert(keys.end(), k.begin(), k.end());
-      values.insert(values.end(), v.begin(), v.end());
+      push_random_row(rng, dim, 1.0, &keys, &values);
     }
   };
 
@@ -548,10 +568,7 @@ TEST(BackendAdoption, ExactQuantizedBackendBitIdentical) {
   backend.begin_sequence();
   std::vector<float> out(dim);
   for (std::size_t t = 0; t < 48; ++t) {
-    const auto k = random_row(rng, dim, 1.0);
-    const auto v = random_row(rng, dim, 1.0);
-    keys.insert(keys.end(), k.begin(), k.end());
-    values.insert(values.end(), v.begin(), v.end());
+    push_random_row(rng, dim, 1.0, &keys, &values);
     const KvHeadView view{keys.data(), values.data(), t + 1, dim};
     const auto q = random_row(rng, dim, 1.0);
 
@@ -578,10 +595,7 @@ TEST(BackendAdoption, TokenPickerBackendBitIdentical) {
   backend.begin_sequence();
   std::vector<float> out(dim);
   for (std::size_t t = 0; t < 48; ++t) {
-    const auto k = random_row(rng, dim, 1.0);
-    const auto v = random_row(rng, dim, 1.0);
-    keys.insert(keys.end(), k.begin(), k.end());
-    values.insert(values.end(), v.begin(), v.end());
+    push_random_row(rng, dim, 1.0, &keys, &values);
     const KvHeadView view{keys.data(), values.data(), t + 1, dim};
     const auto q = random_row(rng, dim, 1.0);
 
@@ -614,10 +628,7 @@ TEST(BackendAdoption, SpAttenBackendBitIdentical) {
 
   std::vector<float> keys, values, out(dim);
   for (std::size_t t = 0; t < max_tokens; ++t) {
-    const auto k = random_row(rng, dim, 1.0);
-    const auto v = random_row(rng, dim, 1.0);
-    keys.insert(keys.end(), k.begin(), k.end());
-    values.insert(values.end(), v.begin(), v.end());
+    push_random_row(rng, dim, 1.0, &keys, &values);
     const KvHeadView view{keys.data(), values.data(), t + 1, dim};
 
     for (int layer = 0; layer < n_layer; ++layer) {

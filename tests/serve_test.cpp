@@ -785,6 +785,31 @@ TEST(ServeEngineConfig, BackoffMultiplierMustBeFiniteAndNonNegative) {
   EXPECT_THROW(ServeEngine{config}, std::logic_error);
 }
 
+// A NaN or inf threshold_scale would pin every degraded threshold at the 0.5
+// cap, and a negative headroom_step would throw only at the first degraded
+// admission, mid-run. Both are refused at construction; the defaults (the
+// serve_overload benchmark's knobs) construct.
+TEST(ServeEngineConfig, DegradationKnobsMustBeFiniteAndInRange) {
+  ServeConfig config = acceptance_config();
+  config.degradation.enabled = true;
+  EXPECT_NO_THROW(ServeEngine{config});
+  for (const double scale : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 0.5}) {
+    ServeConfig bad = config;
+    bad.degradation.threshold_scale = scale;
+    EXPECT_THROW(ServeEngine{bad}, std::logic_error) << scale;
+  }
+  for (const float step : {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(), -0.5f}) {
+    ServeConfig bad = config;
+    bad.degradation.headroom_step = step;
+    EXPECT_THROW(ServeEngine{bad}, std::logic_error) << step;
+  }
+  config.degradation.threshold_scale = 1.0;
+  config.degradation.headroom_step = 0.0f;
+  EXPECT_NO_THROW(ServeEngine{config});
+}
+
 // ---- host KV footprint -------------------------------------------------------
 
 // The exported kv_* gauges are the quantized cache and nothing more. At
