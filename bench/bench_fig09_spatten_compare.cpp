@@ -7,7 +7,8 @@
 // token pruning with cumulative importance (keep ratio calibrated on the
 // tiny LM at +0.5 PPL, like ToPick's threshold). SpAtten* (the fine-tuned
 // variant) is modeled with the more aggressive schedule the paper reports,
-// since fine-tuning is out of scope offline (see EXPERIMENTS.md).
+// since fine-tuning is out of scope offline: SpAtten* keeps a fixed 0.30
+// of the tokens (spatten_ft_ratio below) rather than a calibrated ratio.
 // Expected shape: SpAtten improves with longer prompts (cascade amortizes),
 // ToPick stays flat (instance-adaptive, but re-reads chunk 0 of every token
 // each step), and SpAtten* dips below ToPick only at 768-1024.
@@ -133,7 +134,7 @@ int main() {
   // Operating points for the GPT2-Medium-scale comparison: the tiny LM
   // tolerates more pruning than Wikitext GPT2 (short concentrated
   // contexts), so the paper-scale schedules are used and the tiny-LM
-  // measurements above serve as budget evidence (see EXPERIMENTS.md).
+  // measurements above serve only as evidence that the budget holds.
   const double thr05 = 1e-2;
   // Paper-scale schedules: without fine-tuning SpAtten must keep most
   // tokens on the real model (its Fig. 9 access is 0.84 at short windows);

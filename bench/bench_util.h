@@ -19,7 +19,7 @@ ModelConfig bench_lm_config();
 train::TrainConfig bench_train_config();
 train::CorpusConfig bench_corpus_config();
 
-// Loads the cached checkpoint from assets/tiny_lm_v1.ckpt (relative to the
+// Loads the cached checkpoint from assets/tiny_lm_v2.ckpt (relative to the
 // working directory), training and saving it on first use. Prints progress
 // to stdout because training takes ~1-2 minutes on one core.
 const TransformerWeights& shared_tiny_lm();

@@ -4,12 +4,16 @@
 
 namespace topick::fault {
 
-bool DegradationController::observe(std::size_t step, double pool_occupancy,
-                                    double interactive_slo_attainment) {
+bool DegradationController::evaluates_at(std::size_t step) const {
   if (!config_.enabled) return false;
   const std::size_t cadence =
       config_.evaluate_every_steps > 0 ? config_.evaluate_every_steps : 1;
-  if (step % cadence != 0) return false;
+  return step % cadence == 0;
+}
+
+bool DegradationController::observe(std::size_t step, double pool_occupancy,
+                                    double interactive_slo_attainment) {
+  if (!evaluates_at(step)) return false;
   if (changed_once_ && step - last_change_step_ < config_.hold_steps) {
     return false;
   }

@@ -63,10 +63,15 @@ class DegradationController {
   bool enabled() const { return config_.enabled; }
   const DegradationConfig& config() const { return config_; }
 
+  // True when the controller is enabled and `step` falls on its evaluation
+  // cadence (every evaluate_every_steps steps; every step when that is 0).
+  bool evaluates_at(std::size_t step) const;
+
   // Evaluate once per engine step from a sequential phase; acts only on the
-  // configured cadence and after the dwell expires. `pool_occupancy` is the
-  // pool's used fraction; `interactive_slo_attainment` is the windowed
-  // interactive TTFT-SLO attainment, < 0 for an empty window (no signal).
+  // evaluates_at(step) cadence and after the dwell expires. `pool_occupancy`
+  // is the pool's used fraction; `interactive_slo_attainment` is the
+  // windowed interactive TTFT-SLO attainment, < 0 for an empty window (no
+  // signal).
   // Returns true when the level changed.
   bool observe(std::size_t step, double pool_occupancy,
                double interactive_slo_attainment);

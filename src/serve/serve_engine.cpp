@@ -207,7 +207,16 @@ ServeEngine::ServeEngine(const ServeConfig& config)
   require(std::isfinite(config.degradation.headroom_step) &&
               config.degradation.headroom_step >= 0.0f,
           "ServeConfig: degradation.headroom_step must be finite and >= 0");
+  require(config.stream.sink_tokens >= 0,
+          "ServeConfig: stream.sink_tokens must be >= 0");
   config_.stream.head_dim = config.head_dim;
+  // K/V write traffic to append one token position across every (layer,
+  // head): K and V, head_dim elements each, at the quantized width. The
+  // per-token shape every (re)prefill chunk and decode append charges.
+  token_write_bits_ =
+      2ull * static_cast<std::uint64_t>(config.picker.quant.total_bits) *
+      static_cast<std::uint64_t>(config.head_dim) *
+      static_cast<std::uint64_t>(config.n_layer * config.n_head);
   // The oracle pass is an O(context) diagnostic per attention instance; the
   // engine's hot loop must stay O(kept). Outputs/decisions are unaffected.
   config_.picker.compute_oracle_mass = false;
@@ -244,14 +253,12 @@ void ServeEngine::submit(const wl::ArrivalEvent& event) {
   // Outstanding lane jobs hold indices into requests_; drain before the
   // push_back below can reallocate under them. No-op unless pipelined.
   lane_.drain();
+  // The stream itself is built at first admission (begin_prefill); reject
+  // here what make_decode_stream would reject there.
+  require(event.decode_len == 0 || event.prompt_len > 0,
+          "ServeEngine::submit: a request that decodes needs a prompt");
   Request request;
   request.event = event;
-  if (event.decode_len > 0) {
-    request.stream = wl::make_decode_stream(config_.stream, event.prompt_len,
-                                            event.decode_len, config_.n_layer,
-                                            config_.n_head, event.stream_seed,
-                                            &workers_);
-  }  // else: retired at arrival; the stream is never read.
   requests_.push_back(std::move(request));
   slots_.emplace_back(nullptr);
   dram_offset_.push_back(0);
@@ -266,7 +273,7 @@ void ServeEngine::submit_trace(const std::vector<wl::ArrivalEvent>& trace) {
 std::uint64_t ServeEngine::replay_cost_bits(const Request& request) const {
   return static_cast<std::uint64_t>(request.event.prompt_len +
                                     request.generated) *
-         request.stream.token_write_bits(config_.picker.quant.total_bits);
+         token_write_bits_;
 }
 
 std::size_t ServeEngine::pages_for_prefill(const Request& request) const {
@@ -462,6 +469,16 @@ void ServeEngine::admit_due_requests() {
 
 void ServeEngine::begin_prefill(std::size_t request) {
   Request& req = requests_[request];
+  // First admission builds the request's K/V rows and queries; a preempted
+  // or retried request kept its stream, so its replay re-reads the same rows.
+  // The stream is a pure function of the event and the config at any pool
+  // width, so building it here rather than at submit changes no bit.
+  if (req.stream.heads.empty()) {
+    req.stream = wl::make_decode_stream(config_.stream, req.event.prompt_len,
+                                        req.event.decode_len, config_.n_layer,
+                                        config_.n_head, req.event.stream_seed,
+                                        &workers_);
+  }
   // Close out the queued stint for the aging clock.
   req.queued_steps_accum += now_ >= req.enqueue_step
                                 ? now_ - req.enqueue_step
@@ -768,9 +785,7 @@ void ServeEngine::reduce_pending(std::size_t pending) {
   Request& req = requests_[work.request];
 
   if (!work.decode) {
-    const std::uint64_t bits =
-        work.chunk *
-        req.stream.token_write_bits(config_.picker.quant.total_bits);
+    const std::uint64_t bits = work.chunk * token_write_bits_;
     req.prefill_bits += bits;
     metrics_.prefill_bits += bits;
     metrics_.prefill_tokens += work.chunk;
@@ -857,10 +872,8 @@ void ServeEngine::reduce_pending(std::size_t pending) {
   // The step's appended K/V is written to DRAM too — the same per-token
   // write shape a (re)prefill charges, so write accounting doesn't depend on
   // whether a token entered the pool by decode or by preemption replay.
-  const std::uint64_t write_bits =
-      req.stream.token_write_bits(config_.picker.quant.total_bits);
-  bits += write_bits;
-  metrics_.decode_write_bits += write_bits;
+  bits += token_write_bits_;
+  metrics_.decode_write_bits += token_write_bits_;
 
   if (config_.capture_outputs) req.outputs.push_back(std::move(record));
   active_.push_back(StepXfer{work.request, /*decode=*/true, bits});
@@ -902,6 +915,7 @@ void ServeEngine::retire(std::size_t request) {
   trace_lifecycle_end(request, "request");
   slots_[request]->cache.release_all();
   slots_[request].reset();
+  req.stream = {};  // no slot reads the rows any more
   req.state = RequestState::finished;
   req.finish_step = now_;
   batcher_.retire(request);
@@ -932,6 +946,7 @@ long long ServeEngine::deadline_slack(const Request& req) const {
 
 void ServeEngine::fail_request(std::size_t request) {
   Request& req = requests_[request];
+  req.stream = {};  // terminal: no replay will read the rows
   req.state = RequestState::failed;
   req.finish_step = now_;
   ++finished_;
@@ -1100,12 +1115,7 @@ void ServeEngine::process_retries_and_faults() {
 }
 
 void ServeEngine::update_degradation() {
-  if (!degrade_.enabled()) return;
-  const std::size_t cadence =
-      degrade_.config().evaluate_every_steps > 0
-          ? degrade_.config().evaluate_every_steps
-          : 1;
-  if (now_ % cadence != 0) return;
+  if (!degrade_.evaluates_at(now_)) return;
   // The controller's input signals. Pool occupancy reads the live pool;
   // interactive SLO attainment is windowed over the TTFT verdicts since the
   // previous evaluation (-1 = empty window, neutral signal).

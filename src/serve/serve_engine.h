@@ -516,6 +516,7 @@ class ServeEngine {
   void trace_lifecycle_instant(std::size_t request, const char* name);
 
   ServeConfig config_;
+  std::uint64_t token_write_bits_ = 0;  // K/V bits appended per token
   PagedKvPool pool_;
   ContinuousBatcher batcher_;
   std::unique_ptr<SchedulingPolicy> policy_;

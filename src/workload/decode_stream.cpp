@@ -103,11 +103,4 @@ DecodeStream make_decode_stream(const DecodeStreamParams& params,
   return stream;
 }
 
-std::uint64_t DecodeStream::token_write_bits(int bits_per_element) const {
-  return 2ull * static_cast<std::uint64_t>(head_dim) *
-         static_cast<std::uint64_t>(bits_per_element) *
-         static_cast<std::uint64_t>(n_layer) *
-         static_cast<std::uint64_t>(n_head);
-}
-
 }  // namespace topick::wl

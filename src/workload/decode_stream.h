@@ -10,11 +10,14 @@
 // filled with them go persistently dead, and the pool can reclaim — the
 // serving-side payoff of the paper's estimator.
 //
-// Streams are a pure function of (params, lengths, shape, seed), so
-// preemption-recompute and shadow exact references replay bit-identically.
-// They are also independent of the pool make_decode_stream fills heads on:
-// every head's substream is forked serially before the fan-out, so any pool
-// width (or none) gives the same bits.
+// Streams are a pure function of (params, lengths, shape, seed). They are
+// also independent of the pool make_decode_stream fills heads on: every
+// head's substream is forked serially before the fan-out, so any pool width
+// (or none) gives the same bits. The serve engine relies on both: it builds a
+// request's stream at first admission and frees it at retirement, and a
+// shadow exact reference rebuilt after the run from the request's event and
+// the engine's config reads the same rows the engine attended over.
+// Preemption-recompute replays the rows the request kept.
 #pragma once
 
 #include <cstddef>
@@ -60,12 +63,6 @@ struct DecodeStream {
   std::vector<bool> spike;        // per token: carries the topic component
 
   std::size_t total_tokens() const { return prompt_len + decode_len; }
-
-  // K/V write traffic to append one token position across every (layer,
-  // head): 2 planes (K and V) x head_dim elements x bits_per_element x
-  // n_layer x n_head. This is the per-token prompt-write shape the serve
-  // engine charges to the DRAM proxy during (re)prefill.
-  std::uint64_t token_write_bits(int bits_per_element) const;
 
   // Throws std::out_of_range (a std::logic_error) unless (layer, h) names a
   // head this stream generated.

@@ -40,7 +40,8 @@ struct WorkloadParams {
   // Defaults calibrated once against the paper's ToPick operating point —
   // at thr 1e-3 / 4e-3 over this family the functional operator measures
   // V 12.3x / 21.3x, K 1.46x / 1.53x, total 2.62x / 2.86x (paper: 12.1x /
-  // 22.2x, 1.45x / 1.51x, 2.57x / 2.79x) — see EXPERIMENTS.md.
+  // 22.2x, 1.45x / 1.51x, 2.57x / 2.79x). bench_fig08_dram_access prints
+  // the measured aggregates beside the paper's (§5.2.1).
   double sigma_log_mean = 0.0;
   double sigma_log_sd = 0.40;
 

@@ -19,7 +19,7 @@ ZooEntry make_entry(const std::string& name, int eval_context,
 
 std::vector<ZooEntry> workload_zoo() {
   // Reference PPLs parsed from the Fig. 8 line series (baseline config);
-  // the LLaMa values are flagged approximate in EXPERIMENTS.md.
+  // the LLaMa values are approximate (the source PDF's text is garbled).
   return {
       make_entry("GPT2-Large", 1024, 19.47),
       make_entry("GPT2-XL", 1024, 17.45),

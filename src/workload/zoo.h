@@ -16,8 +16,9 @@ struct ZooEntry {
   ModelConfig model;
   WorkloadParams workload;
   int eval_context = 1024;  // §5.1.3 hardware evaluation context
-  // Paper-reported Wikitext-2 baseline PPL (reference column; approximate
-  // where the source PDF text is garbled — see EXPERIMENTS.md).
+  // Paper-reported Wikitext-2 baseline PPL (reference column), read off the
+  // Fig. 8 line series. The two LLaMa-2 values are approximate: the source
+  // PDF's text for them is garbled.
   double reference_ppl = 0.0;
 };
 

@@ -23,6 +23,7 @@
 #include "serve/serve_engine.h"
 #include "serve_identity.h"
 #include "workload/arrivals.h"
+#include "workload/decode_stream.h"
 
 namespace topick::serve {
 namespace {
@@ -468,6 +469,117 @@ TEST(ServeEngineFaults, RandomizedFaultMatrixLeaksNothing) {
                   req.state == RequestState::failed);
     }
     EXPECT_EQ(engine.pool().pages_free(), engine.pool().pages_total());
+  }
+}
+
+// Stream lifetime: a request's f32 K/V rows exist only while it may still
+// read them. Checked after every step through preemption, fault aborts,
+// retries, deadline cancels and admission rejections, at threads 1 and 2 in
+// both executors:
+//   * a request in its first queued stint (never admitted) holds no rows;
+//   * a finished or failed request holds none, its storage released;
+//   * a prefilling, running or preempted request holds its full stream, and
+//     a request keeps its full stream from the step it is first seen holding
+//     rows until it is finished or failed (backoff and re-queue included).
+TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
+  auto trace = fault_trace(32);
+  // A tight deadline on every fourth request, so some run out mid-flight.
+  for (std::size_t i = 0; i < trace.size(); i += 4) {
+    trace[i].deadline_steps = 12;
+  }
+  const fault::FaultPlan plan = active_plan();
+
+  for (const bool pipeline : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (pipeline ? "pipelined" : "sequential") << " threads "
+                   << threads);
+      ServeConfig config = fault_config(PolicyKind::cost_aware_victim);
+      arm_resilience(&config, &plan);
+      config.capture_outputs = false;
+      config.threads = threads;
+      config.pipeline = pipeline;
+      ServeEngine engine(config);
+      engine.submit_trace(trace);
+
+      const auto n_inst =
+          static_cast<std::size_t>(config.n_layer) * config.n_head;
+      const auto dim = static_cast<std::size_t>(config.head_dim);
+      const auto holds_full = [&](const Request& r) {
+        const wl::DecodeStream& s = r.stream;
+        if (s.prompt_len != r.event.prompt_len ||
+            s.decode_len != r.event.decode_len || s.n_layer != config.n_layer ||
+            s.n_head != config.n_head || s.head_dim != config.head_dim ||
+            s.heads.size() != n_inst || s.spike.size() != s.total_tokens()) {
+          return false;
+        }
+        for (const wl::HeadStream& hs : s.heads) {
+          if (hs.keys.size() != s.total_tokens() * dim ||
+              hs.values.size() != s.total_tokens() * dim ||
+              hs.queries.size() != s.decode_len * dim) {
+            return false;
+          }
+        }
+        return true;
+      };
+      const auto holds_none = [](const Request& r) {
+        return r.stream.heads.empty() && r.stream.spike.empty();
+      };
+
+      std::vector<bool> held(trace.size(), false);
+      std::size_t held_in_backoff = 0;  // request-steps: backoff with rows
+      bool more = true;
+      while (more) {
+        more = engine.step();
+        const auto& requests = engine.requests();
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const Request& r = requests[i];
+          SCOPED_TRACE(::testing::Message()
+                       << "request " << i << " after step " << engine.now());
+          switch (r.state) {
+            case RequestState::finished:
+            case RequestState::failed:
+              EXPECT_TRUE(holds_none(r));
+              EXPECT_EQ(r.stream.heads.capacity(), 0u);
+              EXPECT_EQ(r.stream.spike.capacity(), 0u);
+              continue;
+            case RequestState::prefilling:
+            case RequestState::running:
+              EXPECT_TRUE(holds_full(r));
+              break;
+            case RequestState::preempted:
+            case RequestState::backoff:
+            case RequestState::queued:
+              if (r.state == RequestState::queued && r.attempts == 0 &&
+                  r.preemptions == 0) {
+                EXPECT_TRUE(holds_none(r)) << "never admitted";
+              } else if (r.state == RequestState::preempted || held[i]) {
+                EXPECT_TRUE(holds_full(r));
+              } else {
+                // Cancelled before this test saw it admitted: rejected at
+                // admission (no rows) or aborted in its admission step.
+                EXPECT_TRUE(holds_none(r) || holds_full(r));
+              }
+              if (r.state == RequestState::backoff && !holds_none(r)) {
+                ++held_in_backoff;
+              }
+              break;
+          }
+          if (!holds_none(r)) held[i] = true;
+        }
+      }
+
+      // The run must exercise every path that moves a stream's lifetime.
+      const FleetMetrics& m = engine.metrics();
+      EXPECT_GT(m.preemptions, 0u);
+      EXPECT_GT(m.aborts, m.deadline_misses);
+      EXPECT_GT(m.deadline_misses, 0u);
+      EXPECT_GT(m.retries, 0u);
+      EXPECT_GT(m.rejections, 0u);
+      EXPECT_GT(m.requests_failed, 0u);
+      EXPECT_GT(held_in_backoff, 0u);
+      EXPECT_EQ(m.requests_retired + m.requests_failed, m.requests_submitted);
+    }
   }
 }
 

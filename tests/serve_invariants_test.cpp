@@ -33,6 +33,7 @@
 #include "serve/serve_engine.h"
 #include "serve_identity.h"
 #include "workload/arrivals.h"
+#include "workload/decode_stream.h"
 
 namespace topick::serve {
 namespace {
@@ -477,6 +478,10 @@ TEST(ServeEngineEquivalence, CachedDecodeMatchesQuantizeFromScratch) {
     const Request& req = engine.requests().front();
     ASSERT_EQ(req.state, RequestState::finished);
     ASSERT_EQ(req.outputs.size(), event.decode_len);
+    // The retired request released its rows; rebuild the same ones.
+    const wl::DecodeStream stream = wl::make_decode_stream(
+        engine.config().stream, event.prompt_len, event.decode_len,
+        config.n_layer, config.n_head, event.stream_seed);
 
     TokenPickerAttention reference(config.picker);
     std::vector<std::size_t> ids;
@@ -499,15 +504,15 @@ TEST(ServeEngineEquivalence, CachedDecodeMatchesQuantizeFromScratch) {
         keys.clear();
         values.clear();
         for (const std::size_t id : ids) {
-          const auto k = req.stream.key(layer, head, id);
-          const auto v = req.stream.value(layer, head, id);
+          const auto k = stream.key(layer, head, id);
+          const auto v = stream.value(layer, head, id);
           keys.insert(keys.end(), k.begin(), k.end());
           values.insert(values.end(), v.begin(), v.end());
         }
         const KvHeadView live{keys.data(), values.data(), ids.size(),
                               head_dim};
         const TokenPickerResult result =
-            reference.attend(req.stream.query(layer, head, s), live);
+            reference.attend(stream.query(layer, head, s), live);
 
         ASSERT_EQ(result.output.size(), step.out[inst].size());
         EXPECT_EQ(std::memcmp(result.output.data(), step.out[inst].data(),

@@ -533,24 +533,27 @@ TEST(DecodeStream, AccessorsRejectOutOfRange) {
 // reclaimed tokens), within the established pruning tolerance — the
 // OutputErrorBoundedByDroppedMass bound, plus a small absolute term because
 // the serving path quantizes over the live view, whose quantization scales
-// can differ slightly from the full-context reference's.
+// can differ slightly from the full-context reference's. A retired request
+// holds no stream rows, so the reference rebuilds them from its event.
 void expect_outputs_match_exact(const ServeEngine& engine,
                                 double extra_abs_tol) {
   const auto& config = engine.config();
   for (const auto& request : engine.requests()) {
     ASSERT_EQ(request.state, RequestState::finished);
     ASSERT_EQ(request.outputs.size(), request.event.decode_len);
+    const auto stream = wl::make_decode_stream(
+        config.stream, request.event.prompt_len, request.event.decode_len,
+        config.n_layer, config.n_head, request.event.stream_seed);
     for (const auto& step : request.outputs) {
       const std::size_t context_len = step.position + 1;
       for (int layer = 0; layer < config.n_layer; ++layer) {
         for (int head = 0; head < config.n_head; ++head) {
           const auto inst =
               static_cast<std::size_t>(layer) * config.n_head + head;
-          const auto view =
-              request.stream.context_view(layer, head, context_len);
+          const auto view = stream.context_view(layer, head, context_len);
           const std::size_t decode_step = step.position -
                                           request.event.prompt_len;
-          const auto q = request.stream.query(layer, head, decode_step);
+          const auto q = stream.query(layer, head, decode_step);
           const auto exact =
               exact_attention_quantized(q, view, config.picker.quant);
 
@@ -870,9 +873,13 @@ TEST(ServeEngine, ChunkedPrefillChargesTrafficAndDelaysFirstToken) {
   EXPECT_EQ(metrics.requests_retired, 4u);
   // Prefill is no longer free: every prompt token's K/V write was charged.
   EXPECT_EQ(metrics.prefill_tokens, 4u * 32u);
+  // K and V, head_dim elements each at the quantized width, per (layer,
+  // head).
   const std::uint64_t per_token =
-      engine.requests()[0].stream.token_write_bits(
-          config.picker.quant.total_bits);
+      2ull * static_cast<std::uint64_t>(config.head_dim) *
+      static_cast<std::uint64_t>(config.n_layer) *
+      static_cast<std::uint64_t>(config.n_head) *
+      static_cast<std::uint64_t>(config.picker.quant.total_bits);
   EXPECT_EQ(metrics.prefill_bits, 4u * 32u * per_token);
 
   ASSERT_EQ(metrics.ttft_cycle_samples.size(), 4u);
