@@ -257,7 +257,7 @@ class QuantizedKvCache {
 
   // Resident host bytes, split by arena — what one head of this cache
   // actually keeps alive per token (BENCH_hotpath.json's kv_residency
-  // section and the serve fleet gauges aggregate these). There is no float
+  // section and FleetMetrics' kv_* fields aggregate these). There is no float
   // shadow: rescales re-read the rows through the RescaleSource.
   struct ResidencyBytes {
     std::size_t int16_arena = 0;  // flat value rows (keys live in planes)

@@ -19,18 +19,6 @@ void TraceRecorder::ensure_tracks(std::size_t n) {
   }
 }
 
-void TraceRecorder::instant(std::size_t track, TraceDomain domain,
-                            const char* name, const char* cat,
-                            std::uint64_t ts) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.phase = 'i';
-  e.domain = domain;
-  e.ts = ts;
-  record(track, e);
-}
-
 void TraceRecorder::counter(std::size_t track, TraceDomain domain,
                             const char* name, std::uint64_t ts,
                             const char* key, double value) {
@@ -41,45 +29,6 @@ void TraceRecorder::counter(std::size_t track, TraceDomain domain,
   e.domain = domain;
   e.ts = ts;
   e.arg(key, value);
-  record(track, e);
-}
-
-void TraceRecorder::async_begin(std::size_t track, const char* name,
-                                const char* cat, std::uint64_t id,
-                                std::uint64_t ts) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.phase = 'b';
-  e.domain = TraceDomain::request;
-  e.id = id;
-  e.ts = ts;
-  record(track, e);
-}
-
-void TraceRecorder::async_end(std::size_t track, const char* name,
-                              const char* cat, std::uint64_t id,
-                              std::uint64_t ts) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.phase = 'e';
-  e.domain = TraceDomain::request;
-  e.id = id;
-  e.ts = ts;
-  record(track, e);
-}
-
-void TraceRecorder::async_instant(std::size_t track, const char* name,
-                                  const char* cat, std::uint64_t id,
-                                  std::uint64_t ts) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.phase = 'n';
-  e.domain = TraceDomain::request;
-  e.id = id;
-  e.ts = ts;
   record(track, e);
 }
 

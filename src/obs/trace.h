@@ -99,17 +99,9 @@ class TraceRecorder {
     buffers_[track]->push_back(event);
   }
 
-  // Convenience emitters (all on `track`'s buffer, same ownership rule).
-  void instant(std::size_t track, TraceDomain domain, const char* name,
-               const char* cat, std::uint64_t ts);
+  // Records a 'C' counter sample on `track` (same ownership rule).
   void counter(std::size_t track, TraceDomain domain, const char* name,
                std::uint64_t ts, const char* key, double value);
-  void async_begin(std::size_t track, const char* name, const char* cat,
-                   std::uint64_t id, std::uint64_t ts);
-  void async_end(std::size_t track, const char* name, const char* cat,
-                 std::uint64_t id, std::uint64_t ts);
-  void async_instant(std::size_t track, const char* name, const char* cat,
-                     std::uint64_t id, std::uint64_t ts);
 
   std::size_t event_count() const;
   const std::vector<TraceEvent>& track_events(std::size_t track) const {

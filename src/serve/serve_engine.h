@@ -135,14 +135,15 @@ struct ServeConfig {
   wl::DecodeStreamParams stream;  // head_dim is overridden from above
 
   // Worker threads for the step's attention/quantization fan-out and for
-  // submit()'s per-head stream generation (the calling thread included; 0
-  // and 1 both mean sequential). Streams, outputs, FleetMetrics, and
-  // per-step traffic are bit-identical for every value — the parallel phase
-  // computes per-(slot, layer, head) results into per-worker scratch and all
-  // mutation of shared state happens in slot-ordered sequential phases
-  // (tests/serve_invariants_test.cpp enforces identity at threads
-  // {1, 2, 8}). random_order visit ordering is the one exclusion: it draws
-  // from a shared RNG stream, so it requires threads <= 1.
+  // the per-head stream generation at a request's first admission (the
+  // calling thread included; 0 and 1 both mean sequential). Streams,
+  // outputs, FleetMetrics, and per-step traffic are bit-identical for every
+  // value — the parallel phase computes per-(slot, layer, head) results
+  // into per-worker scratch and all mutation of shared state happens in
+  // slot-ordered sequential phases (tests/serve_invariants_test.cpp
+  // enforces identity at threads {1, 2, 8}). random_order visit ordering
+  // is the one exclusion: it draws from a shared RNG stream, so it requires
+  // threads <= 1.
   std::size_t threads = 1;
 
   // QoS scheduling: which queued request admits next and which running
@@ -373,10 +374,11 @@ class ServeEngine {
   explicit ServeEngine(const ServeConfig& config);
   ~ServeEngine();
 
-  // Builds the request's synthetic stream from the event and registers it.
-  // Events must be submitted in nondecreasing arrival-step order. Each
-  // request's decode stream is generated here, its heads fanned over the
-  // engine's worker pool.
+  // Registers the request described by the event. Events must be submitted
+  // in nondecreasing arrival-step order. The request's decode stream is not
+  // built here: begin_prefill builds it at the first admission, its heads
+  // fanned over the engine's worker pool, and retire/fail_request release it
+  // (a preempted or backed-off request keeps it for the replay).
   void submit(const wl::ArrivalEvent& event);
   void submit_trace(const std::vector<wl::ArrivalEvent>& trace);
 

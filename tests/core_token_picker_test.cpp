@@ -1,4 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -127,30 +131,85 @@ TEST(TokenPicker, AccountingClosure) {
   EXPECT_EQ(result.decisions.size(), 64u);
 }
 
-// Soundness sweep: across thresholds and orderings, every pruned token's true
-// (full softmax) probability must be below the threshold.
+// A (K/V head, query) pair. Each context draws K/V before Q, so the draw
+// order does not depend on argument evaluation order.
+using Context = std::pair<OwnedKv, std::vector<float>>;
+
+// The contexts the soundness sweep checks: random heads plus the adversarial
+// edges of the quantized bound.
+std::vector<Context> soundness_contexts(Rng& rng) {
+  constexpr std::size_t kDim = 32;
+  std::vector<Context> contexts;
+  for (int trial = 0; trial < 10; ++trial) {
+    auto kv = random_kv(rng, 96, kDim, 1.5);
+    contexts.emplace_back(std::move(kv), random_q(rng, kDim, 1.5));
+  }
+  // One token: its probability is 1, so nothing may be pruned.
+  {
+    auto kv = random_kv(rng, 1, kDim, 1.5);
+    contexts.emplace_back(std::move(kv), random_q(rng, kDim, 1.5));
+  }
+  // All rows equal: every token has probability 1/160, between the
+  // thresholds 1e-3 and 1e-2.
+  {
+    auto kv = random_kv(rng, 160, kDim, 1.5);
+    for (std::size_t t = 1; t < kv.len; ++t) {
+      std::copy_n(kv.keys.begin(), kDim, kv.keys.begin() + t * kDim);
+    }
+    contexts.emplace_back(std::move(kv), random_q(rng, kDim, 1.5));
+  }
+  // Saturated: every key and query element is ±max, so each quantizes to
+  // ±qmax and the scores reach the widest integer dots.
+  {
+    auto kv = random_kv(rng, 96, kDim);
+    for (auto& x : kv.keys) x = rng.uniform() < 0.5 ? -2.0f : 2.0f;
+    std::vector<float> q(kDim);
+    for (auto& x : q) x = rng.uniform() < 0.5 ? -1.5f : 1.5f;
+    contexts.emplace_back(std::move(kv), std::move(q));
+  }
+  // One dominant row sets the head's key scale, so every other key
+  // quantizes to a few levels around zero.
+  {
+    auto kv = random_kv(rng, 96, kDim, 1.5);
+    for (std::size_t d = 0; d < kDim; ++d) kv.keys[40 * kDim + d] *= 200.0f;
+    contexts.emplace_back(std::move(kv), random_q(rng, kDim, 1.5));
+  }
+  return contexts;
+}
+
+// Soundness sweep: across thresholds, orderings, chunk widths, denominator
+// policies and the fixed-point compare, every pruned token's true (full
+// quantized softmax) probability must be below the threshold.
 class TokenPickerSoundness
-    : public ::testing::TestWithParam<std::tuple<double, OrderingPolicy>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<double, OrderingPolicy, int, DenominatorPolicy, bool>> {};
 
 TEST_P(TokenPickerSoundness, PrunedTokensBelowThreshold) {
-  const auto [threshold, policy] = GetParam();
-  Rng rng(500 + static_cast<std::uint64_t>(threshold * 1e6));
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto kv = random_kv(rng, 96, 32, 1.5);
-    const auto q = random_q(rng, 32, 1.5);
+  const auto [threshold, policy, chunk_bits, denominator, fixed_point] =
+      GetParam();
+  TokenPickerConfig config;
+  config.estimator.threshold = threshold;
+  config.estimator.policy = denominator;
+  config.estimator.fixed_point_compare = fixed_point;
+  config.quant.chunk_bits = chunk_bits;
+  config.order = policy;
 
-    TokenPickerConfig config;
-    config.estimator.threshold = threshold;
-    config.order = policy;
+  // Each threshold draws its own contexts, shared by the other axes.
+  static std::map<double, std::vector<Context>> contexts;
+  if (!contexts.contains(threshold)) {
+    Rng rng(500 + static_cast<std::uint64_t>(threshold * 1e6));
+    contexts.emplace(threshold, soundness_contexts(rng));
+  }
+  for (const auto& [kv, q] : contexts.at(threshold)) {
     TokenPickerAttention op(config);
     const auto result = op.attend(q, kv.view());
-    const auto exact = exact_attention_quantized(q, kv.view());
+    const auto exact = exact_attention_quantized(q, kv.view(), config.quant);
 
     for (const auto& decision : result.decisions) {
       if (!decision.kept) {
         EXPECT_LT(exact.probs[decision.token], threshold)
-            << "token " << decision.token << " pruned at chunk "
-            << decision.chunks_fetched;
+            << "token " << decision.token << " of " << kv.len
+            << " pruned at chunk " << decision.chunks_fetched;
       }
     }
     // Dropped mass is bounded by len * thr.
@@ -165,25 +224,11 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1e-4, 1e-3, 1e-2),
         ::testing::Values(OrderingPolicy::reverse_chrono_first_promoted,
                           OrderingPolicy::chrono,
-                          OrderingPolicy::random_order)));
-
-TEST(TokenPicker, KeepStalePolicyIsAlsoSound) {
-  Rng rng(42);
-  const auto kv = random_kv(rng, 96, 32, 1.5);
-  const auto q = random_q(rng, 32, 1.5);
-
-  TokenPickerConfig config;
-  config.estimator.threshold = 1e-3;
-  config.estimator.policy = DenominatorPolicy::keep_stale;
-  TokenPickerAttention op(config);
-  const auto result = op.attend(q, kv.view());
-  const auto exact = exact_attention_quantized(q, kv.view());
-  for (const auto& decision : result.decisions) {
-    if (!decision.kept) {
-      EXPECT_LT(exact.probs[decision.token], 1e-3);
-    }
-  }
-}
+                          OrderingPolicy::random_order),
+        ::testing::Values(2, 3, 4, 6),
+        ::testing::Values(DenominatorPolicy::remove_on_prune,
+                          DenominatorPolicy::keep_stale),
+        ::testing::Bool()));
 
 TEST(TokenPicker, NewestTokenAlwaysSurvives) {
   // The newest token is visited first, so it can never be pruned (empty

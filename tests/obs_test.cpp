@@ -1,20 +1,18 @@
-// Observability-layer suite: histogram error bounds, trace invariants, and
-// the "tracing never changes bits" contract.
+// Observability-layer suite: trace invariants, the fleet counters the
+// engine reports, and the "tracing never changes bits" contract.
 //
-// * LogHistogram: quantile estimates stay within the configured relative
-//   error of the exact sorted-sample nearest-rank percentile, and memory
-//   stays bounded by the value range.
+// * FleetMetrics: the DRAM counters follow the latency proxy, and the
+//   priority mix fills every exact latency sample vector.
 // * TraceRecorder: engine traces are well-formed Chrome trace JSON, spans on
 //   each thread track are properly nested (no partial overlap), async
 //   request lifecycles are balanced, and event counts reconcile against
 //   FleetMetrics (one "unit:attend" span per generated token per instance;
 //   "prefill_chunk" token args sum to prefill_tokens).
-// * Determinism: tracing + phase stats on vs off leaves outputs, metrics,
-//   and histograms bit-identical for every scheduling policy at threads
-//   {1, 2, 8}; two traced runs produce structurally identical traces.
+// * Determinism: tracing + phase stats on vs off leaves outputs and metrics
+//   bit-identical for every scheduling policy at threads {1, 2, 8}; two
+//   traced runs produce structurally identical traces.
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -27,11 +25,9 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "obs/metrics.h"
 #include "obs/phase_stats.h"
 #include "obs/trace.h"
 #include "obs/trace_validate.h"
-#include "serve/metrics_export.h"
 #include "serve/serve_engine.h"
 #include "serve_identity.h"
 #include "workload/arrivals.h"
@@ -39,8 +35,6 @@
 namespace topick {
 namespace {
 
-using obs::LogHistogram;
-using obs::MetricsRegistry;
 using obs::TraceDomain;
 using obs::TraceEvent;
 using obs::TraceRecorder;
@@ -48,95 +42,6 @@ using serve::FleetMetrics;
 using serve::PolicyKind;
 using serve::ServeConfig;
 using serve::ServeEngine;
-
-// ---- LogHistogram: quantile error bound -------------------------------------
-
-// Exact nearest-rank percentile — the reference the sketch's bound is stated
-// against (index = round(p/100 * (n-1)) of the sorted samples).
-double nearest_rank(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const auto idx = static_cast<std::size_t>(
-      std::llround(p / 100.0 * static_cast<double>(samples.size() - 1)));
-  return samples[std::min(idx, samples.size() - 1)];
-}
-
-void expect_quantiles_within_bound(const std::vector<double>& samples,
-                                   const LogHistogram& hist) {
-  const double alpha = hist.relative_error();
-  for (const double p :
-       {0.0, 1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9, 100.0}) {
-    const double exact = nearest_rank(samples, p);
-    const double est = hist.quantile(p);
-    // DDSketch guarantee: relative error <= alpha for positive values.
-    EXPECT_LE(std::abs(est - exact), alpha * exact + 1e-12)
-        << "p" << p << " exact=" << exact << " est=" << est;
-  }
-}
-
-TEST(LogHistogram, QuantilesWithinRelativeErrorOfExactPercentiles) {
-  Rng rng(7001);
-  // Heavy-tailed latencies spanning several decades — the shape the serve
-  // cycle distributions actually have.
-  std::vector<double> samples;
-  LogHistogram hist(0.01);
-  for (int i = 0; i < 20000; ++i) {
-    const double v = rng.lognormal(8.0, 2.5);
-    samples.push_back(v);
-    hist.add(v);
-  }
-  ASSERT_EQ(hist.count(), samples.size());
-  expect_quantiles_within_bound(samples, hist);
-}
-
-TEST(LogHistogram, QuantilesWithinBoundAtCoarserAccuracy) {
-  Rng rng(7002);
-  std::vector<double> samples;
-  LogHistogram hist(0.05);
-  for (int i = 0; i < 5000; ++i) {
-    const double v = rng.uniform(1e-3, 1e6);
-    samples.push_back(v);
-    hist.add(v);
-  }
-  expect_quantiles_within_bound(samples, hist);
-}
-
-TEST(LogHistogram, ExactMomentsAndExtremes) {
-  LogHistogram hist(0.01);
-  double sum = 0.0;
-  for (const double v : {3.5, 120.0, 0.25, 9000.0, 42.0}) {
-    hist.add(v);
-    sum += v;
-  }
-  EXPECT_EQ(hist.count(), 5u);
-  EXPECT_DOUBLE_EQ(hist.sum(), sum);
-  EXPECT_DOUBLE_EQ(hist.mean(), sum / 5.0);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.25);
-  EXPECT_DOUBLE_EQ(hist.max(), 9000.0);
-}
-
-TEST(LogHistogram, ZeroAndNegativeValuesLandInZeroBucket) {
-  LogHistogram hist(0.01);
-  hist.add(0.0);
-  hist.add(-17.0);
-  EXPECT_EQ(hist.count(), 2u);
-  EXPECT_DOUBLE_EQ(hist.quantile(50.0), 0.0);
-  // A mixed stream: the zero bucket holds the low ranks exactly.
-  hist.add(100.0);
-  hist.add(200.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.0), 0.0);
-  EXPECT_LE(std::abs(hist.quantile(100.0) - 200.0), 0.01 * 200.0);
-}
-
-TEST(LogHistogram, MemoryBoundedByValueRangeNotSampleCount) {
-  Rng rng(7004);
-  LogHistogram hist(0.01);
-  for (int i = 0; i < 200000; ++i) hist.add(rng.uniform(1e-6, 1e12));
-  EXPECT_EQ(hist.count(), 200000u);
-  // 18 decades at alpha=1% is ~2100 buckets; the [1e-6, 1e12] spread here
-  // needs far fewer. The point: 200k samples, O(range) buckets.
-  EXPECT_LT(hist.buckets_used(), 3200u);
-}
 
 // ---- PercentileCache --------------------------------------------------------
 
@@ -153,54 +58,6 @@ TEST(PercentileCache, MatchesPercentileAcrossAppends) {
     EXPECT_DOUBLE_EQ(cache.at(samples, 50.0), percentile(samples, 50.0));
   }
   EXPECT_DOUBLE_EQ(cache.at({}, 50.0), 0.0);
-}
-
-// ---- MetricsRegistry --------------------------------------------------------
-
-TEST(MetricsRegistry, SnapshotCarriesAllThreeMetricKinds) {
-  MetricsRegistry registry;
-  registry.counter("a.count").add(41);
-  registry.counter("a.count").add(1);
-  registry.gauge("b.ratio").set(0.75);
-  auto& hist = registry.histogram("c.latency");
-  for (int i = 1; i <= 100; ++i) hist.add(static_cast<double>(i));
-
-  EXPECT_EQ(registry.counters().at("a.count").value, 42u);
-  EXPECT_DOUBLE_EQ(registry.gauges().at("b.ratio").value, 0.75);
-  EXPECT_EQ(registry.histograms().at("c.latency").count(), 100u);
-
-  std::ostringstream out;
-  registry.write_json(out, 2);
-  const std::string json = out.str();
-  for (const char* needle :
-       {"\"counters\"", "\"gauges\"", "\"histograms\"", "\"a.count\"",
-        "\"b.ratio\"", "\"c.latency\"", "\"p50\"", "\"p99\"",
-        "\"buckets_used\""}) {
-    EXPECT_NE(json.find(needle), std::string::npos) << needle;
-  }
-}
-
-TEST(MetricsRegistry, AccessStatsExportRoundTrips) {
-  AccessStats stats;
-  stats.k_bits_fetched = 1000;
-  stats.k_bits_baseline = 4000;
-  stats.v_bits_fetched = 500;
-  stats.v_bits_baseline = 4000;
-  stats.tokens_total = 64;
-  stats.tokens_kept = 16;
-  stats.chunk_histogram[0] = 10;
-  stats.chunk_histogram[7] = 3;
-
-  MetricsRegistry registry;
-  serve::export_access_stats(stats, "access.", &registry);
-  EXPECT_EQ(registry.counters().at("access.k_bits_fetched").value, 1000u);
-  EXPECT_EQ(registry.counters().at("access.tokens_kept").value, 16u);
-  EXPECT_EQ(registry.counters().at("access.chunk_fetch_1").value, 10u);
-  EXPECT_EQ(registry.counters().at("access.chunk_fetch_ge_8").value, 3u);
-  EXPECT_DOUBLE_EQ(registry.gauges().at("access.k_reduction").value,
-                   stats.k_reduction());
-  EXPECT_DOUBLE_EQ(registry.gauges().at("access.pruning_ratio").value,
-                   stats.pruning_ratio());
 }
 
 // ---- Engine trace fixtures --------------------------------------------------
@@ -255,51 +112,39 @@ FleetMetrics run_traced(const ServeConfig& base, TraceRecorder* recorder,
   return engine.metrics();
 }
 
-TEST(MetricsRegistry, FleetExportCarriesDramStats) {
+// The DRAM counters come from the latency proxy alone: a proxy-on run
+// issues requests and hits open rows, a proxy-off run leaves every counter
+// at zero.
+TEST(FleetMetrics, DramCountersFollowTheProxy) {
   for (const bool proxy : {true, false}) {
     ServeConfig config = traced_config(PolicyKind::fifo_youngest_first);
     config.simulate_dram = proxy;
-    const FleetMetrics metrics = run_traced(config, nullptr);
-    MetricsRegistry registry;
-    serve::export_fleet_metrics(metrics, &registry);
-    const auto& counters = registry.counters();
-    const auto requests = counters.at("serve.dram_requests").value;
-    const auto row_hits = counters.at("serve.dram_row_hits").value;
-    const double hit_rate =
-        registry.gauges().at("serve.dram_row_hit_rate").value;
+    const mem::DramStats dram = run_traced(config, nullptr).dram;
     SCOPED_TRACE(proxy ? "proxy on" : "proxy off");
-    EXPECT_EQ(requests, metrics.dram.requests);
-    EXPECT_EQ(row_hits, metrics.dram.row_hits);
-    EXPECT_EQ(counters.at("serve.dram_refreshes").value,
-              metrics.dram.refreshes);
-    EXPECT_EQ(counters.at("serve.dram_queue_full_stalls").value,
-              metrics.dram.queue_full_stalls);
-    EXPECT_EQ(counters.at("serve.dram_fault_stall_cycles").value,
-              metrics.dram.fault_stall_cycles);
     if (proxy) {
-      EXPECT_GT(requests, 0u);
-      EXPECT_LE(row_hits, requests);
-      EXPECT_GT(hit_rate, 0.0);
-      EXPECT_LE(hit_rate, 1.0);
+      EXPECT_GT(dram.requests, 0u);
+      EXPECT_LE(dram.row_hits, dram.requests);
+      EXPECT_GT(dram.row_hit_rate(), 0.0);
+      EXPECT_LE(dram.row_hit_rate(), 1.0);
     } else {
-      EXPECT_EQ(requests, 0u);
-      EXPECT_EQ(row_hits, 0u);
-      EXPECT_EQ(hit_rate, 0.0);
-      EXPECT_EQ(counters.at("serve.dram_refreshes").value, 0u);
-      EXPECT_EQ(counters.at("serve.dram_queue_full_stalls").value, 0u);
+      EXPECT_EQ(dram.requests, 0u);
+      EXPECT_EQ(dram.row_hits, 0u);
+      EXPECT_EQ(dram.row_misses, 0u);
+      EXPECT_EQ(dram.row_hit_rate(), 0.0);
+      EXPECT_EQ(dram.activates, 0u);
+      EXPECT_EQ(dram.refreshes, 0u);
+      EXPECT_EQ(dram.bytes_read, 0u);
+      EXPECT_EQ(dram.data_bus_busy_cycles, 0u);
+      EXPECT_EQ(dram.queue_full_stalls, 0u);
+      EXPECT_EQ(dram.fault_stall_cycles, 0u);
     }
   }
 
   // One-deep channel queues turn the streaming driver's enqueues away, and
-  // every refusal reaches the exported counter.
+  // every refusal is counted.
   ServeConfig shallow = traced_config(PolicyKind::fifo_youngest_first);
   shallow.dram.queue_depth = 1;
-  const FleetMetrics metrics = run_traced(shallow, nullptr);
-  MetricsRegistry registry;
-  serve::export_fleet_metrics(metrics, &registry);
-  EXPECT_GT(metrics.dram.queue_full_stalls, 0u);
-  EXPECT_EQ(registry.counters().at("serve.dram_queue_full_stalls").value,
-            metrics.dram.queue_full_stalls);
+  EXPECT_GT(run_traced(shallow, nullptr).dram.queue_full_stalls, 0u);
 }
 
 // ---- Trace well-formedness --------------------------------------------------
@@ -323,11 +168,23 @@ TEST(Trace, HandRolledEventsValidateAndRoundTripCounts) {
     span.arg("k", 1.0);
     obs::TraceSpan inner(&recorder, 0, "inner");
   }
-  recorder.instant(1, TraceDomain::engine, "mark", "engine", recorder.now_ns());
+  // One event of every other phase the exporter writes: an instant, a
+  // counter and an async begin / instant / end on one request id.
+  const auto mark = [&recorder](std::size_t track, char phase,
+                                TraceDomain domain, const char* name) {
+    TraceEvent e;
+    e.name = name;
+    e.phase = phase;
+    e.domain = domain;
+    e.id = 7;
+    e.ts = recorder.now_ns();
+    recorder.record(track, e);
+  };
+  mark(1, 'i', TraceDomain::engine, "mark");
   recorder.counter(0, TraceDomain::memsim, "occupancy", 128, "ch0", 3.0);
-  recorder.async_begin(0, "life", "request", 7, recorder.now_ns());
-  recorder.async_instant(0, "tick", "request", 7, recorder.now_ns());
-  recorder.async_end(0, "life", "request", 7, recorder.now_ns());
+  mark(0, 'b', TraceDomain::request, "life");
+  mark(0, 'n', TraceDomain::request, "tick");
+  mark(0, 'e', TraceDomain::request, "life");
   EXPECT_EQ(recorder.event_count(), 7u);
 
   std::ostringstream out;
@@ -646,47 +503,34 @@ TEST(TracingDeterminism, TwoTracedRunsAreStructurallyIdentical) {
   }
 }
 
-// ---- Latency sketches built at export ---------------------------------------
+// ---- Exact latency samples --------------------------------------------------
 
-// export_fleet_metrics builds every latency histogram from the exact sample
-// vectors: each sketch counts every sample, and its p50/p99 lie within the
-// sketch's relative-error bound of the exact nearest-rank percentile.
-TEST(MetricsRegistry, ExportedLatencySketchesMatchTheSamples) {
+// The priority mix reaches every class, so every fleet and per-class latency
+// distribution holds samples to read percentiles from.
+TEST(FleetMetrics, PriorityMixFillsEveryLatencyVector) {
   ServeEngine engine(traced_config(PolicyKind::priority_slack));
   engine.submit_trace(traced_trace());
   engine.run();
   const FleetMetrics& m = engine.metrics();
-  MetricsRegistry registry;
-  serve::export_fleet_metrics(m, &registry);
 
-  std::vector<std::pair<std::string, const std::vector<double>*>> exported = {
-      {"serve.step_cycles", &m.step_cycle_samples},
-      {"serve.ttft_cycles", &m.ttft_cycle_samples},
-      {"serve.request_latency_cycles", &m.request_latency_cycle_samples},
-      {"serve.queue_wait_steps", &m.queue_wait_step_samples}};
+  std::vector<std::pair<std::string, const std::vector<double>*>> vectors = {
+      {"step_cycles", &m.step_cycle_samples},
+      {"ttft_cycles", &m.ttft_cycle_samples},
+      {"request_latency_cycles", &m.request_latency_cycle_samples},
+      {"queue_wait_steps", &m.queue_wait_step_samples}};
   for (std::size_t p = 0; p < wl::kPriorityCount; ++p) {
     const serve::ClassMetrics& cls = m.per_class[p];
-    ASSERT_GT(cls.submitted, 0u);  // the priority mix covers every class
-    const std::string prefix = std::string("class.") +
-        wl::priority_name(static_cast<wl::Priority>(p)) + ".";
-    exported.emplace_back(prefix + "ttft_cycles", &cls.ttft_cycle_samples);
-    exported.emplace_back(prefix + "latency_cycles",
-                          &cls.latency_cycle_samples);
-    exported.emplace_back(prefix + "queue_wait_steps",
-                          &cls.queue_wait_step_samples);
+    ASSERT_GT(cls.submitted, 0u);
+    const std::string prefix =
+        wl::priority_name(static_cast<wl::Priority>(p)) + std::string(".");
+    vectors.emplace_back(prefix + "ttft_cycles", &cls.ttft_cycle_samples);
+    vectors.emplace_back(prefix + "latency_cycles",
+                         &cls.latency_cycle_samples);
+    vectors.emplace_back(prefix + "queue_wait_steps",
+                         &cls.queue_wait_step_samples);
   }
-  EXPECT_EQ(registry.histograms().size(), exported.size());
-  for (const auto& [name, samples] : exported) {
-    SCOPED_TRACE(name);
-    ASSERT_FALSE(samples->empty());
-    const LogHistogram& hist = registry.histograms().at(name);
-    EXPECT_EQ(hist.count(), samples->size());
-    const double alpha = hist.relative_error();
-    for (const double p : {50.0, 99.0}) {
-      const double exact = nearest_rank(*samples, p);
-      EXPECT_LE(std::abs(hist.quantile(p) - exact), alpha * exact + 1e-9)
-          << "p" << p;
-    }
+  for (const auto& [name, samples] : vectors) {
+    EXPECT_FALSE(samples->empty()) << name;
   }
 }
 

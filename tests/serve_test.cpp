@@ -13,9 +13,7 @@
 #include "common/rng.h"
 #include "core/exact_attention.h"
 #include "core/token_picker.h"
-#include "obs/metrics.h"
 #include "serve/batcher.h"
-#include "serve/metrics_export.h"
 #include "serve/paged_kv_pool.h"
 #include "serve/paged_sequence.h"
 #include "serve/serve_engine.h"
@@ -815,7 +813,7 @@ TEST(ServeEngineConfig, DegradationKnobsMustBeFiniteAndInRange) {
 
 // ---- host KV footprint -------------------------------------------------------
 
-// The exported kv_* gauges are the quantized cache and nothing more. At
+// FleetMetrics' kv_* fields are the quantized cache and nothing more. At
 // head_dim 64 with 12-bit values in 4-bit chunks, a resident token holds 64
 // int16 values (128 B), three int8 key digit planes (192 B), its key and
 // value row maxima (8 B) and a stable id (8 B): 336 B. Each (layer, head)
@@ -833,22 +831,21 @@ TEST(ServeEngine, KvResidencyGaugesPinTheQuantizedFootprint) {
 
   std::size_t checked = 0;
   while (engine.step()) {
-    obs::MetricsRegistry registry;
-    export_fleet_metrics(engine.metrics(), &registry);
-    const auto gauge = [&registry](const std::string& name) {
-      return registry.gauges().at("serve." + name).value;
-    };
-    const double tokens = gauge("kv_resident_tokens");
+    const FleetMetrics& m = engine.metrics();
+    const double tokens = static_cast<double>(m.kv_resident_tokens);
     if (tokens == 0.0) continue;
+    const double int16_bytes = static_cast<double>(m.kv_int16_bytes);
+    const double plane_bytes = static_cast<double>(m.kv_plane_bytes);
+    const double maxima_bytes = static_cast<double>(m.kv_maxima_bytes);
+    const double ids_bytes = static_cast<double>(m.kv_ids_bytes);
     const double head_maxima =
         8.0 * static_cast<double>(engine.batcher().running().size() *
                                   config.n_layer * config.n_head);
-    EXPECT_EQ(gauge("kv_int16_bytes") / tokens, 128.0);
-    EXPECT_EQ(gauge("kv_plane_bytes") / tokens, 192.0);
-    EXPECT_EQ((gauge("kv_maxima_bytes") - head_maxima) / tokens, 8.0);
-    EXPECT_EQ(gauge("kv_ids_bytes") / tokens, 8.0);
-    EXPECT_EQ((gauge("kv_int16_bytes") + gauge("kv_plane_bytes") +
-               gauge("kv_maxima_bytes") + gauge("kv_ids_bytes") -
+    EXPECT_EQ(int16_bytes / tokens, 128.0);
+    EXPECT_EQ(plane_bytes / tokens, 192.0);
+    EXPECT_EQ((maxima_bytes - head_maxima) / tokens, 8.0);
+    EXPECT_EQ(ids_bytes / tokens, 8.0);
+    EXPECT_EQ((int16_bytes + plane_bytes + maxima_bytes + ids_bytes -
                head_maxima) /
                   tokens,
               336.0);
