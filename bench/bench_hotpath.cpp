@@ -528,7 +528,7 @@ int main(int argc, char** argv) {
                        static_cast<double>(resident)
                  : 0.0;
     std::printf("  kv residency: %zu tokens resident, %.1f B/token "
-                "(int16 values+int8 key planes+maxima+ids)\n",
+                "(int16 values+4-bit key planes+maxima+ids)\n",
                 resident, per_token);
     std::fprintf(
         out,

@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot kernels: quantization, margin
-// generation, chunked partial dot products, estimator decisions, the full
-// functional attention operator, and DRAM-model throughput.
+// generation, chunked partial dot products, the estimation walk's nibble
+// plane kernel, estimator decisions, the full functional attention operator,
+// and DRAM-model throughput.
 #include <cmath>
 #include <vector>
 
@@ -8,6 +9,7 @@
 
 #include "core/token_picker.h"
 #include "fixedpoint/chunks.h"
+#include "fixedpoint/dispatch.h"
 #include "fixedpoint/margin.h"
 #include "memsim/hbm.h"
 #include "workload/generator.h"
@@ -53,6 +55,31 @@ void BM_ChunkDotDelta(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_ChunkDotDelta);
+
+// The estimation walk's per-(token, chunk) kernel on the active ISA: one
+// key nibble plane row of head_dim elements against a 12-bit query at the
+// 4-bit chunk mask, rotating over 64 stored rows so the inputs stay
+// run-time data.
+void BM_WalkNibbleDot(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kRows = 64;
+  Rng rng(7);
+  const auto q = fx::quantize_auto(random_vec(rng, dim));
+  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(dim);
+  std::vector<std::uint8_t> plane(kRows * row_bytes);
+  for (auto& byte : plane) {
+    byte = static_cast<std::uint8_t>(rng.uniform_index(256));
+  }
+  std::size_t row = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx::nibble_dot_i64(
+        q.values.data(), plane.data() + row * row_bytes, 0xF, dim));
+    row = (row + 1) % kRows;
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetLabel(fx::kernel_isa_name());
+}
+BENCHMARK(BM_WalkNibbleDot)->Arg(64)->Arg(128);
 
 void BM_EstimatorDecision(benchmark::State& state) {
   ProbabilityEstimator est(EstimatorConfig{.threshold = 1e-3});

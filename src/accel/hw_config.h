@@ -42,23 +42,25 @@ struct AccelConfig {
   int value_buffer_bytes = 192 * 1024;
   int operand_buffer_bytes = 512;
 
-  // Charge K/V traffic at the host's resident element widths instead of
-  // the device's packed ones. The host cache stores keys only as int8 digit
-  // planes (one digit per chunk element) and values as int16 rows
-  // (core/quantized_kv_cache.h), so a host-layout run walks 8-bit elements
-  // per K plane and 16-bit elements per V row where the packed device walks
-  // chunk_bits/total_bits, and its region is exactly the cache's planes +
-  // value arena. The plane → bank-group mapping is identical either way:
-  // the contiguity being charged is exactly the contiguous plane walk the
-  // host performs.
+  // Charge K/V traffic at the host's resident layout instead of the
+  // device's packed one. The host cache stores keys only as offset-binary
+  // nibble planes (4 bits per element, rows byte-aligned) and values as
+  // int16 rows (core/quantized_kv_cache.h), so a host-layout run fetches one
+  // ceil(head_dim / 2)-byte nibble row per K chunk and 16-bit elements per
+  // V row. At the default 4-bit chunks, chunk b is nibble plane b and the
+  // region is exactly the cache's planes + value arena; at other chunk
+  // widths the host reads the planes a chunk overlaps, which this uniform
+  // per-chunk charge does not model. The plane → bank-group mapping is
+  // identical either way: the contiguity being charged is exactly the
+  // contiguous plane walk the host performs.
   bool host_resident_layout = false;
 
   // Granules (32 B DRAM transactions) per K chunk / full V vector for a
   // given head dimension.
   int granules_per_chunk(int head_dim) const {
-    const int bits =
-        head_dim * (host_resident_layout ? 8 : quant.chunk_bits);
-    return (bits / 8 + dram.transaction_bytes - 1) / dram.transaction_bytes;
+    const int bytes = host_resident_layout ? (head_dim + 1) / 2
+                                           : head_dim * quant.chunk_bits / 8;
+    return (bytes + dram.transaction_bytes - 1) / dram.transaction_bytes;
   }
   int granules_per_value(int head_dim) const {
     const int bits =

@@ -7,11 +7,12 @@
 // demand.
 //
 // This is the same chunk-planar shape the host cache is resident in
-// (core/quantized_kv_cache.h: contiguous int8 digit plane per chunk,
-// token-major, plus flat int16 value rows — the only value copy now that the
-// f32 mirror is retired). The two differ only in element width: the device
-// packs chunks at chunk_bits and values at total_bits, the host stores one
-// int8 digit per chunk element and int16 values.
+// (core/quantized_kv_cache.h: one contiguous offset-binary nibble plane per
+// 4 key bits, token-major, plus flat int16 value rows — the only value
+// copy). At the default 4-bit chunks the key planes coincide: the device
+// packs chunk b at chunk_bits and the host stores nibble plane b, both
+// head_dim / 2 bytes per token. The values differ in width: the device
+// packs them at total_bits, the host stores int16.
 // AccelConfig::host_resident_layout switches the granule math to the host
 // widths so the cycle model charges exactly the contiguity the host walks;
 // the plane → bank-group mapping is shared by both.

@@ -86,10 +86,12 @@ void SpAttenBackend::attend(std::span<const float> q,
   const double score_scale =
       quantize_query(q, kv.key_params, kv.key_params.scale, &q_scratch_);
 
+  const std::int16_t* qd = q_scratch_.values.data();
+  const std::int64_t offset_dot = kv.key_offset_dot(qd);
   scores_.resize(active.size());
   for (std::size_t i = 0; i < active.size(); ++i) {
     scores_[i] =
-        static_cast<double>(kv.key_dot(q_scratch_.values.data(), active[i])) *
+        static_cast<double>(kv.key_dot(qd, active[i], offset_dot)) *
         score_scale;
   }
   const double log_denom = log_sum_exp(scores_.data(), scores_.size());

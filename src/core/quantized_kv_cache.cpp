@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <utility>
 
 #include "common/expsum.h"
 #include "common/require.h"
-#include "fixedpoint/chunks.h"
 #include "fixedpoint/dispatch.h"
 
 namespace topick {
@@ -53,59 +48,13 @@ void quantize_row(std::span<const float> xs, const fx::QuantParams& params,
 
 // ---- QuantizedKvStore -------------------------------------------------------
 
-namespace {
-
-// Builds (or returns the cached) chunk-plane digit table for a bit layout.
-// One table per (total_bits, chunk_bits) process-wide — it is immutable
-// after construction, so concurrent stores can all read it. The mutex only
-// guards the build-once map (reset-time, never the row hot path). A layout
-// whose digits overflow int8 is rejected before anything is cached.
-const QuantizedKvStore::DigitTable* shared_digit_table(
-    const fx::QuantParams& kp) {
-  static std::mutex mutex;
-  static std::map<std::pair<int, int>,
-                  std::unique_ptr<const QuantizedKvStore::DigitTable>>
-      cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto& entry = cache[{kp.total_bits, kp.chunk_bits}];
-  if (!entry) {
-    const auto chunks = static_cast<std::size_t>(kp.num_chunks());
-    const auto domain = static_cast<std::size_t>(kp.qmax() - kp.qmin() + 1);
-    QuantizedKvStore::DigitTable table;
-    table.digits.assign(chunks, std::vector<std::int8_t>(domain));
-    table.shifts.resize(chunks);
-    for (std::size_t b = 0; b < chunks; ++b) {
-      const int chunk = static_cast<int>(b);
-      const int shift = fx::unknown_bits(chunk + 1, kp);
-      table.shifts[b] = shift;
-      for (std::size_t i = 0; i < domain; ++i) {
-        const auto q = static_cast<std::int16_t>(
-            kp.qmin() + static_cast<std::int32_t>(i));
-        // The delta's low `shift` bits are zero, so the shift is exact.
-        const std::int32_t digit = (fx::partial_value(q, chunk + 1, kp) -
-                                    fx::partial_value(q, chunk, kp)) >>
-                                   shift;
-        require(digit >= -128 && digit <= 127,
-                "QuantizedKvStore: chunk digits must fit int8 (chunk_bits "
-                "<= 7; the signed top chunk may be 8 bits)");
-        table.digits[b][i] = static_cast<std::int8_t>(digit);
-      }
-    }
-    entry = std::make_unique<const QuantizedKvStore::DigitTable>(
-        std::move(table));
-  }
-  return entry.get();
-}
-
-}  // namespace
-
 void QuantizedKvStore::reset(const fx::QuantParams& kp,
                              const fx::QuantParams& vp, std::size_t dim) {
+  key_layout = fx::KeyPlaneLayout(kp);  // validates before anything changes
   key_params = kp;
   value_params = vp;
   head_dim = dim;
-  digit_table = shared_digit_table(kp);
-  key_planes.resize(static_cast<std::size_t>(kp.num_chunks()));
+  key_planes.resize(static_cast<std::size_t>(key_layout.planes()));
   clear_rows();
 }
 
@@ -118,24 +67,31 @@ void QuantizedKvStore::clear_rows() {
 void QuantizedKvStore::push_row(const std::int16_t* k_row,
                                 const std::int16_t* v_row) {
   values.insert(values.end(), v_row, v_row + head_dim);
-  const int num_chunks = key_params.num_chunks();
-  const std::int32_t qmin = key_params.qmin();
-  for (int b = 0; b < num_chunks; ++b) {
-    auto& plane = key_planes[static_cast<std::size_t>(b)];
+  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
+  const int planes = key_layout.planes();
+  const std::int32_t offset = key_layout.offset();
+  for (int j = 0; j < planes; ++j) {
+    auto& plane = key_planes[static_cast<std::size_t>(j)];
     const std::size_t base = plane.size();
-    plane.resize(base + head_dim);
-    // The chunk's digit: its raw bits for b > 0, the signed prefix for
-    // b == 0 (see fixedpoint/chunks.h) — precomputed per quantized value.
-    const std::int8_t* lut =
-        digit_table->digits[static_cast<std::size_t>(b)].data();
-    for (std::size_t d = 0; d < head_dim; ++d) {
-      plane[base + d] = lut[k_row[d] - qmin];
+    plane.resize(base + row_bytes);
+    std::uint8_t* row = plane.data() + base;
+    // Plane j's nibble of u = k + offset; element 2i in the low half of
+    // byte i. An odd row leaves its last high nibble 0.
+    const int shift = fx::KeyPlaneLayout::kPlaneBits * (planes - 1 - j);
+    const auto nibble = [&](std::size_t d) {
+      return static_cast<unsigned>((k_row[d] + offset) >> shift) & 0xFu;
+    };
+    std::size_t d = 0;
+    for (; d + 1 < head_dim; d += 2) {
+      row[d / 2] = static_cast<std::uint8_t>(nibble(d) | (nibble(d + 1) << 4));
     }
+    if (d < head_dim) row[d / 2] = static_cast<std::uint8_t>(nibble(d));
   }
   ++len;
 }
 
 void QuantizedKvStore::compact(const std::uint8_t* keep) {
+  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
   std::size_t w = 0;
   for (std::size_t r = 0; r < len; ++r) {
     if (!keep[r]) continue;
@@ -144,16 +100,16 @@ void QuantizedKvStore::compact(const std::uint8_t* keep) {
                   head_dim,
                   values.begin() + static_cast<std::ptrdiff_t>(w * head_dim));
       for (auto& plane : key_planes) {
-        std::copy_n(plane.begin() + static_cast<std::ptrdiff_t>(r * head_dim),
-                    head_dim,
-                    plane.begin() + static_cast<std::ptrdiff_t>(w * head_dim));
+        std::copy_n(plane.begin() + static_cast<std::ptrdiff_t>(r * row_bytes),
+                    row_bytes,
+                    plane.begin() + static_cast<std::ptrdiff_t>(w * row_bytes));
       }
     }
     ++w;
   }
   len = w;
   values.resize(len * head_dim);
-  for (auto& plane : key_planes) plane.resize(len * head_dim);
+  for (auto& plane : key_planes) plane.resize(len * row_bytes);
 }
 
 QuantizedKvView QuantizedKvStore::view() const {
@@ -164,7 +120,7 @@ QuantizedKvView QuantizedKvStore::view() const {
   v.value_params = value_params;
   v.values = values.data();
   v.key_planes = key_planes.data();
-  v.key_plane_shifts = digit_table->shifts.data();
+  v.key_layout = &key_layout;
   return v;
 }
 
@@ -200,7 +156,7 @@ QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
   ResidencyBytes b;
   b.int16_arena = store_.values.size() * sizeof(std::int16_t);
   for (const auto& plane : store_.key_planes) {
-    b.planes += plane.size() * sizeof(std::int8_t);
+    b.planes += plane.size() * sizeof(std::uint8_t);
   }
   b.maxima =
       (key_row_amax_.size() + value_row_amax_.size() + 2) * sizeof(float);
@@ -459,11 +415,12 @@ void exact_attention_view(std::span<const float> q, const QuantizedKvView& kv,
   const double score_scale =
       quantize_query(q, kv.key_params, kv.key_params.scale, q_scratch);
 
+  const std::int16_t* qd = q_scratch->values.data();
+  const std::int64_t offset_dot = kv.key_offset_dot(qd);
   result->scores.resize(kv.len);
   for (std::size_t t = 0; t < kv.len; ++t) {
     result->scores[t] =
-        static_cast<double>(kv.key_dot(q_scratch->values.data(), t)) *
-        score_scale;
+        static_cast<double>(kv.key_dot(qd, t, offset_dot)) * score_scale;
   }
 
   const double log_denom = log_sum_exp(result->scores.data(), kv.len);

@@ -18,18 +18,23 @@
 // interleavings); headroom > 1 trades the from-scratch scale for even fewer
 // rescales.
 //
-// Keys are stored once, as chunk-planar digit planes — one contiguous int8
-// plane per chunk, the chunked most-significant-first format the estimation
-// walk fetches. Chunk b's contribution partial_value(k, b+1) -
-// partial_value(k, b) always has its low unknown_bits(b+1) bits clear, so
-// the plane stores only the digit (that delta >> shift_b, shift_b =
-// unknown_bits(b+1)): the signed top chunk for b == 0 ([-8, 7] at 12/4), the
-// raw chunk bits for b > 0 ([0, 15]). The estimation pass's chunk_dot_delta
-// becomes plane_dot_i64(q, digits) * 2^shift_b — an exact integer identity,
-// so partial sums and pruning decisions are those of the full-width delta,
-// at one byte per element instead of two. The exact score is that walk with
-// every chunk fetched (QuantizedKvView::key_dot), and the cold readers that
-// need the int16 key reassemble it from the planes (key_row).
+// Keys are stored once, in offset binary: u = k + 2^(T-1) (T = total_bits)
+// is an unsigned T-bit integer, cut into ceil(T/4) planes of packed 4-bit
+// nibbles, most significant first — two elements per byte, each token's row
+// byte-aligned (fx::KeyPlaneLayout, fixedpoint/chunks.h). At 12/4 a key
+// costs 1.5 B per element, the chunk_bits x head_dim bits the paper's
+// accelerator fetches. Offset binary is two's complement with the sign bit
+// flipped, and every chunk level c >= 1 knows the sign bit, so
+//   partial_value(k, c) == (u & ~(2^unknown_bits(c) - 1)) - 2^(T-1).
+// The estimation walk therefore starts each key's partial at the constant
+// -2^(T-1) * sum(q) and adds, per chunk, the masked nibble dots
+// sum_d q_d * (nibble_d & mask) * 2^shift of the planes the chunk overlaps
+// (one plane at 4-bit chunks) — an exact integer identity, so every partial
+// sum, pruning decision and output bit is that of the two's-complement
+// chunk_dot_delta. Any chunk width from 1 to T reads the same planes. The
+// exact score is the walk with every chunk fetched (QuantizedKvView::
+// key_dot), and the cold readers that need the int16 key reassemble it from
+// the planes (key_row).
 // Values live in a flat int16 arena; nothing on the per-token heap.
 #pragma once
 
@@ -38,6 +43,7 @@
 #include <vector>
 
 #include "core/exact_attention.h"
+#include "fixedpoint/chunks.h"
 #include "fixedpoint/dispatch.h"
 #include "fixedpoint/quant.h"
 #include "model/kv_cache.h"
@@ -53,38 +59,65 @@ struct QuantizedKvView {
   fx::QuantParams key_params;    // shared scale across the head's keys
   fx::QuantParams value_params;  // shared scale across the head's values
   const std::int16_t* values = nullptr;  // (len, head_dim) token-major
-  // key_params.num_chunks() digit planes, each (len, head_dim) token-major,
-  // and each plane's shift (digit * 2^shift == the chunk's delta). The only
-  // stored form of a key.
-  const std::vector<std::int8_t>* key_planes = nullptr;
-  const int* key_plane_shifts = nullptr;
+  // key_layout->planes() offset-binary nibble planes, each len rows of
+  // key_row_bytes() packed bytes, token-major. The only stored form of a
+  // key.
+  const std::vector<std::uint8_t>* key_planes = nullptr;
+  const fx::KeyPlaneLayout* key_layout = nullptr;
 
   const std::int16_t* value(std::size_t t) const {
     return values + t * head_dim;
   }
-  const std::int8_t* key_plane_row(int chunk, std::size_t t) const {
-    return key_planes[chunk].data() + t * head_dim;
+  std::size_t key_row_bytes() const {
+    return fx::KeyPlaneLayout::row_bytes(head_dim);
   }
-  int key_plane_shift(int chunk) const { return key_plane_shifts[chunk]; }
+  const std::uint8_t* key_plane_row(int plane, std::size_t t) const {
+    return key_planes[plane].data() + t * key_row_bytes();
+  }
 
-  // Exact integer dot of q with key t: the estimation walk with every chunk
-  // fetched (after the last chunk, its `partial` is exactly this sum).
-  std::int64_t key_dot(const std::int16_t* q, std::size_t t) const {
+  // -2^(T-1) * sum(q): the offset-binary correction every key's score
+  // carries — computed once per query, it starts each key's partial sum.
+  std::int64_t key_offset_dot(const std::int16_t* q) const {
+    std::int64_t sum = 0;
+    for (std::size_t d = 0; d < head_dim; ++d) sum += q[d];
+    return -std::int64_t{key_layout->offset()} * sum;
+  }
+  // Chunk b's delta to the walk's partial sum: q against chunk b's bits of
+  // the offset-binary key, one masked nibble dot per plane it overlaps.
+  std::int64_t key_chunk_dot(const std::int16_t* q, std::size_t t,
+                             int chunk) const {
     std::int64_t acc = 0;
-    for (int b = 0; b < key_params.num_chunks(); ++b) {
-      acc += fx::plane_dot_i64(q, key_plane_row(b, t), head_dim) *
-             (std::int64_t{1} << key_plane_shift(b));
+    for (const auto& seg : key_layout->chunk(chunk)) {
+      acc += fx::nibble_dot_i64(q, key_plane_row(seg.plane, t), seg.mask,
+                                head_dim) *
+             (std::int64_t{1} << seg.shift);
+    }
+    return acc;
+  }
+  // Exact integer dot of q with key t: the estimation walk with every chunk
+  // fetched, i.e. every plane at full mask plus the offset correction
+  // (key_offset_dot(q), passed in so loops over keys sum q once).
+  std::int64_t key_dot(const std::int16_t* q, std::size_t t,
+                       std::int64_t offset_dot) const {
+    const int planes = key_layout->planes();
+    std::int64_t acc = offset_dot;
+    for (int j = 0; j < planes; ++j) {
+      acc += fx::nibble_dot_i64(q, key_plane_row(j, t), 0xF, head_dim) *
+             (std::int64_t{1} << (fx::KeyPlaneLayout::kPlaneBits *
+                                  (planes - 1 - j)));
     }
     return acc;
   }
   // Reassembles key row t's int16 values into out[0, head_dim).
   void key_row(std::size_t t, std::int16_t* out) const {
+    const int planes = key_layout->planes();
     for (std::size_t d = 0; d < head_dim; ++d) {
-      std::int32_t k = 0;
-      for (int b = 0; b < key_params.num_chunks(); ++b) {
-        k += std::int32_t{key_plane_row(b, t)[d]} * (1 << key_plane_shift(b));
+      std::int32_t u = 0;
+      for (int j = 0; j < planes; ++j) {
+        u = (u << fx::KeyPlaneLayout::kPlaneBits) |
+            ((key_plane_row(j, t)[d / 2] >> (4 * (d % 2))) & 0xF);
       }
-      out[d] = static_cast<std::int16_t>(k);
+      out[d] = static_cast<std::int16_t>(u - key_layout->offset());
     }
   }
 };
@@ -120,37 +153,22 @@ inline void weighted_value_accum_scalar(float* out, const std::int16_t* v,
 struct QuantizedKvStore {
   fx::QuantParams key_params;
   fx::QuantParams value_params;
+  fx::KeyPlaneLayout key_layout;  // of key_params' bit layout
   std::size_t head_dim = 0;
   std::size_t len = 0;
-  std::vector<std::int16_t> values;                  // (len, head_dim)
-  std::vector<std::vector<std::int8_t>> key_planes;  // [num_chunks] digits
-
-  // Chunk-plane digit table for one bit layout: digits[b][q - qmin] ==
-  // (partial_value(q, b+1) - partial_value(q, b)) >> shifts[b], with
-  // shifts[b] == unknown_bits(b+1). A pure function of total_bits /
-  // chunk_bits (scale never enters), so it survives rescales and turns
-  // push_row's plane fill into table lookups instead of per-element mask
-  // arithmetic (the requantize_all hot loop).
-  struct DigitTable {
-    std::vector<std::vector<std::int8_t>> digits;  // [num_chunks][2^total]
-    std::vector<int> shifts;                       // [num_chunks]
-  };
-  // Points into a process-wide cache keyed by the bit layout: every store
-  // across every (slot, layer, head) instance shares one table instead of
-  // rebuilding num_chunks * 2^total_bits entries per admission.
-  const DigitTable* digit_table = nullptr;
+  std::vector<std::int16_t> values;                   // (len, head_dim)
+  std::vector<std::vector<std::uint8_t>> key_planes;  // [planes] nibbles
 
   // Sets precision/scale and head_dim; drops all rows, keeps capacity.
-  // Throws (require) when a chunk's digits do not fit int8: the signed top
-  // chunk may be up to 8 bits wide, every other chunk up to 7, so any
-  // chunk_bits <= 7 is accepted.
+  // Throws (require), changing nothing, unless key_params.total_bits is in
+  // [2, 15] and chunk_bits in [1, total_bits].
   void reset(const fx::QuantParams& key_params,
              const fx::QuantParams& value_params, std::size_t head_dim);
   void clear_rows();
-  // Appends one already-quantized token: the key row goes into the digit
+  // Appends one already-quantized token: the key row goes into the nibble
   // planes, the value row into the arena.
-  // Precondition: every element lies in [params.qmin(), params.qmax()] —
-  // quantize() output always does (the plane LUT is indexed by value).
+  // Precondition: every key element lies in [params.qmin(), params.qmax()]
+  // — quantize() output always does (u must fit total_bits).
   void push_row(const std::int16_t* k_row, const std::int16_t* v_row);
   // Stable in-place removal of rows where keep[r] == 0.
   void compact(const std::uint8_t* keep);
@@ -261,7 +279,7 @@ class QuantizedKvCache {
   // shadow: rescales re-read the rows through the RescaleSource.
   struct ResidencyBytes {
     std::size_t int16_arena = 0;  // flat value rows (keys live in planes)
-    std::size_t planes = 0;       // int8 chunk-planar key digit planes
+    std::size_t planes = 0;       // offset-binary key nibble planes
     std::size_t maxima = 0;       // per-row amax pairs + running maxima
     std::size_t ids = 0;          // stable token ids
     std::size_t total() const { return int16_arena + planes + maxima + ids; }

@@ -37,9 +37,9 @@ TokenPickerResult TokenPickerAttention::attend_quantized(
   const std::size_t len = kv.checked_len(head_dim);
   require(len > 0, "attend_quantized: no tokens");
 
-  // push_row's plane LUT is indexed by value, so enforce the store's
-  // precondition here — the one entry point whose rows need not come from
-  // quantize_kv() (which always clamps into [qmin, qmax]).
+  // push_row's offset-binary planes hold exactly [qmin, qmax], so enforce
+  // the store's precondition here — the one entry point whose rows need not
+  // come from quantize_kv() (which always clamps into [qmin, qmax]).
   const auto [kmin, kmax] = std::ranges::minmax(kv.keys.data);
   require(kmin >= kv.keys.params.qmin() && kmax <= kv.keys.params.qmax(),
           "attend_quantized: key value outside the head's quant range");
@@ -99,18 +99,21 @@ void TokenPickerAttention::attend_view(const fx::QuantizedVector& q,
   kept_.assign(len, 0);
 
   const std::int16_t* qd = q.values.data();
+  // Every key's score carries the offset-binary correction -2^(T-1) * sum(q)
+  // (see core/quantized_kv_cache.h), so each partial starts there.
+  const std::int64_t offset_dot = kv.key_offset_dot(qd);
   for (const std::size_t token : order_) {
-    std::int64_t partial = 0;
+    std::int64_t partial = offset_dot;
     TokenDecision decision;
     decision.token = token;
 
     bool pruned = false;
     for (int b = 0; b < num_chunks; ++b) {
-      // The contiguous plane walk: this chunk's contribution across the
-      // whole key row in one int8 digit stream, scaled back to the chunk's
-      // bit position (exact: the digit times 2^shift IS the delta).
-      partial += fx::plane_dot_i64(qd, kv.key_plane_row(b, token), head_dim) *
-                 (std::int64_t{1} << kv.key_plane_shift(b));
+      // The contiguous plane walk: this chunk's bits of the offset-binary
+      // key across the whole row, one masked nibble dot per plane it
+      // overlaps (exact: with the starting offset, partial is
+      // partial_dot(b + 1) of the two's-complement key).
+      partial += kv.key_chunk_dot(qd, token, b);
       result->stats.k_bits_fetched += chunk_bits_per_fetch;
       ++decision.chunks_fetched;
 
@@ -170,7 +173,8 @@ void TokenPickerAttention::attend_view(const fx::QuantizedVector& q,
   if (config_.compute_oracle_mass) {
     oracle_scores_.resize(len);
     for (std::size_t t = 0; t < len; ++t) {
-      oracle_scores_[t] = static_cast<double>(kv.key_dot(qd, t)) * score_scale;
+      oracle_scores_[t] =
+          static_cast<double>(kv.key_dot(qd, t, offset_dot)) * score_scale;
     }
     const double log_denom = log_sum_exp(oracle_scores_.data(), len);
     double dropped = 0.0;

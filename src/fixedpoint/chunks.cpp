@@ -100,4 +100,33 @@ std::int64_t chunk_dot_delta_i64(QuantizedRowView q, QuantizedRowView k,
   return acc;
 }
 
+KeyPlaneLayout::KeyPlaneLayout(const QuantParams& params) {
+  require(params.total_bits >= 2 && params.total_bits <= 15,
+          "KeyPlaneLayout: total_bits must be in [2, 15] for int16 storage");
+  require(params.chunk_bits >= 1 && params.chunk_bits <= params.total_bits,
+          "KeyPlaneLayout: chunk_bits must be in [1, total_bits]");
+  planes_ = (params.total_bits + kPlaneBits - 1) / kPlaneBits;
+  offset_ = std::int32_t{1} << (params.total_bits - 1);
+  const int num_chunks = params.num_chunks();
+  std::size_t n = 0;
+  for (int b = 0; b < num_chunks; ++b) {
+    chunk_begin_[static_cast<std::size_t>(b)] = static_cast<std::uint8_t>(n);
+    const auto span = chunk_span(b, params);
+    const int lo = span.low_bit;
+    const int hi = span.low_bit + span.width;  // exclusive
+    for (int j = 0; j < planes_; ++j) {
+      const int plane_lo = kPlaneBits * (planes_ - 1 - j);
+      const int from = std::max(lo, plane_lo);
+      const int to = std::min(hi, plane_lo + kPlaneBits);
+      if (from >= to) continue;
+      const int mask = ((1 << (to - from)) - 1) << (from - plane_lo);
+      segments_[n++] = {static_cast<std::uint8_t>(j),
+                        static_cast<std::uint8_t>(mask),
+                        static_cast<std::uint8_t>(plane_lo)};
+    }
+  }
+  chunk_begin_[static_cast<std::size_t>(num_chunks)] =
+      static_cast<std::uint8_t>(n);
+}
+
 }  // namespace topick::fx

@@ -77,8 +77,9 @@ struct KernelTable {
   void (*rescale_row_i16)(const std::int16_t* src, std::size_t n,
                           FixedRatio ratio, std::int32_t qmin,
                           std::int32_t qmax, std::int16_t* out) = nullptr;
-  std::int64_t (*plane_dot_i64)(const std::int16_t* q, const std::int8_t* d,
-                                std::size_t n) = nullptr;
+  std::int64_t (*nibble_dot_i64)(const std::int16_t* q,
+                                 const std::uint8_t* nibbles,
+                                 std::uint8_t mask, std::size_t n) = nullptr;
 };
 
 // Scalar reference kernels (always compiled, portable TU — the equivalence
@@ -103,13 +104,18 @@ void rescale_row_i16_scalar(const std::int16_t* src, std::size_t n,
                             FixedRatio ratio, std::int32_t qmin,
                             std::int32_t qmax, std::int16_t* out);
 
-// Digit-plane dot product: sum of q[i] * d[i] in int64 — the estimation
-// walk's per-(token, chunk) kernel over an int8 key digit plane
-// (core/quantized_kv_cache.h). Exact for ANY int16 q, int8 d and n: the SIMD
-// variants widen each int32 pair sum (|q * d| <= 2^22) into int64 lanes
-// before accumulating, so nothing overflows even at q = -32768, d = -128.
-std::int64_t plane_dot_i64_scalar(const std::int16_t* q, const std::int8_t* d,
-                                  std::size_t n);
+// Masked nibble dot product: sum of q[i] * (nibble_i & mask) in int64 over
+// n packed 4-bit elements, two per byte with element 2j in the low nibble of
+// nibbles[j] (ceil(n / 2) bytes are read; an odd n ignores the last byte's
+// high nibble). The estimation walk's per-(token, chunk) kernel over an
+// offset-binary key nibble plane (fixedpoint/chunks.h KeyPlaneLayout); mask
+// selects the chunk's bits within the plane, and bits above 0xF are
+// ignored. Exact for ANY int16 q and any n: a nibble is at most 15, so each
+// SIMD pair sum is below 2^20 in magnitude, and the variants widen their
+// int32 lanes to int64 every iteration.
+std::int64_t nibble_dot_i64_scalar(const std::int16_t* q,
+                                   const std::uint8_t* nibbles,
+                                   std::uint8_t mask, std::size_t n);
 
 // Every variant compiled into this binary, ascending by level (scalar is
 // always first). A variant whose per-file arch flags the compiler rejected
@@ -173,13 +179,14 @@ inline void rescale_row_i16(const std::int16_t* src, std::size_t n,
   active_kernels().rescale_row_i16(src, n, ratio, qmin, qmax, out);
 }
 
-// Dispatched digit-plane dot (integer math — exact, so every variant is
+// Dispatched masked nibble dot (integer math — exact, so every variant is
 // bit-identical by construction; pinned per level by dispatch_test). Tiny
 // rows take the scalar loop rather than the indirect call.
-inline std::int64_t plane_dot_i64(const std::int16_t* q, const std::int8_t* d,
-                                  std::size_t n) {
-  if (n < 16) return plane_dot_i64_scalar(q, d, n);
-  return active_kernels().plane_dot_i64(q, d, n);
+inline std::int64_t nibble_dot_i64(const std::int16_t* q,
+                                   const std::uint8_t* nibbles,
+                                   std::uint8_t mask, std::size_t n) {
+  if (n < 16) return nibble_dot_i64_scalar(q, nibbles, mask, n);
+  return active_kernels().nibble_dot_i64(q, nibbles, mask, n);
 }
 
 }  // namespace topick::fx

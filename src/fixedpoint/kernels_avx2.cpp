@@ -163,38 +163,59 @@ void rescale_row_i16_avx2(const std::int16_t* src, std::size_t n,
   if (i < n) rescale_row_i16_scalar(src + i, n - i, ratio, qmin, qmax, out + i);
 }
 
-std::int64_t plane_dot_i64_avx2(const std::int16_t* q, const std::int8_t* d,
-                                std::size_t n) {
-  // The SSE4.1 scheme at 256-bit width (see kernels_sse41.cpp): 16 digits
-  // sign-extended to int16, madd into 8 int32 pair sums, widened to int64
-  // every iteration.
+// The SSE4.1 nibble spread (see kernels_sse41.cpp) on 8 int32 lanes: the
+// zero-extended byte's low nibble becomes the lane's low int16 and its high
+// nibble the high int16, both masked by k = mask * 0x10001.
+__m256i spread_nibbles(__m256i x, __m256i k) {
+  return _mm256_and_si256(_mm256_or_si256(x, _mm256_slli_epi32(x, 12)), k);
+}
+
+std::int64_t nibble_dot_i64_avx2(const std::int16_t* q,
+                                 const std::uint8_t* nibbles,
+                                 std::uint8_t mask, std::size_t n) {
+  // 32 elements (16 bytes) per iteration: each 8-byte half zero-extends into
+  // 8 int32 lanes, spreads into 16 masked nibbles in element order and
+  // madds against 16 q values; the two int32 results (each pair sum below
+  // 2^20 in magnitude) are added and widened to int64 every iteration —
+  // exact for any int16 q and any n. One 16-element step covers the
+  // half-vector remainder.
+  const __m256i k =
+      _mm256_set1_epi32(static_cast<int>((mask & 0xFu) * 0x10001u));
   __m256i acc = _mm256_setzero_si256();  // 4 x int64
+  const auto widen_into = [&acc](__m256i sums) {
+    acc = _mm256_add_epi64(
+        acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(sums)));
+    acc = _mm256_add_epi64(
+        acc, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(sums, 1)));
+  };
   std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i vq =
+  for (; i + 32 <= n; i += 32) {
+    const __m128i b =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(nibbles + i / 2));
+    const __m256i q0 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
-    const __m256i vd = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i)));
-    const __m256i pair_sums = _mm256_madd_epi16(vq, vd);  // 8 x int32
-    acc = _mm256_add_epi64(
-        acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(pair_sums)));
-    acc = _mm256_add_epi64(
-        acc, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(pair_sums, 1)));
+    const __m256i q1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i + 16));
+    widen_into(_mm256_add_epi32(
+        _mm256_madd_epi16(q0, spread_nibbles(_mm256_cvtepu8_epi32(b), k)),
+        _mm256_madd_epi16(
+            q1,
+            spread_nibbles(_mm256_cvtepu8_epi32(_mm_srli_si128(b, 8)), k))));
   }
-  if (i + 8 <= n) {
-    const __m128i vq = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i));
-    const __m128i vd = _mm_cvtepi8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(d + i)));
-    acc = _mm256_add_epi64(acc,
-                           _mm256_cvtepi32_epi64(_mm_madd_epi16(vq, vd)));
-    i += 8;
+  if (i + 16 <= n) {
+    const __m128i b =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(nibbles + i / 2));
+    const __m256i q0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
+    widen_into(
+        _mm256_madd_epi16(q0, spread_nibbles(_mm256_cvtepu8_epi32(b), k)));
+    i += 16;
   }
   alignas(32) std::int64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
   std::int64_t sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    sum += static_cast<std::int32_t>(q[i]) * static_cast<std::int32_t>(d[i]);
-  }
+  // i is a multiple of 16 here, so the tail starts on a byte boundary.
+  if (i < n) sum += nibble_dot_i64_scalar(q + i, nibbles + i / 2, mask, n - i);
   return sum;
 }
 
@@ -231,7 +252,7 @@ const KernelTable& avx2_kernels() {
       IsaLevel::avx2,        "avx2",
       row_dot_i64_avx2,      weighted_value_accum_avx2,
       quantize_row_i16_avx2, row_amax_avx2,
-      rescale_row_i16_avx2,  plane_dot_i64_avx2,
+      rescale_row_i16_avx2,  nibble_dot_i64_avx2,
   };
   return table;
 }

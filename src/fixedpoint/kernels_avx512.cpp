@@ -143,37 +143,44 @@ void rescale_row_i16_avx512(const std::int16_t* src, std::size_t n,
   if (i < n) rescale_row_i16_scalar(src + i, n - i, ratio, qmin, qmax, out + i);
 }
 
-std::int64_t plane_dot_i64_avx512(const std::int16_t* q, const std::int8_t* d,
-                                  std::size_t n) {
-  // The SSE4.1 scheme at 512-bit width (see kernels_sse41.cpp): 32 digits
-  // sign-extended to int16 (vpmovsxbw, AVX-512BW), madd into 16 int32 pair
-  // sums, widened to int64 every iteration; a 16-wide AVX2 step covers the
-  // half-vector remainder.
+std::int64_t nibble_dot_i64_avx512(const std::int16_t* q,
+                                   const std::uint8_t* nibbles,
+                                   std::uint8_t mask, std::size_t n) {
+  // 32 elements (16 bytes) per iteration: the bytes zero-extend into 16
+  // int32 lanes (vpmovzxbd), and (x | x << 12) & k — one vpternlogd,
+  // truth table 0xA8 — lays each byte's two masked nibbles out as the
+  // lane's int16 pair in element order (see kernels_sse41.cpp); madd
+  // against 32 q values gives pair sums below 2^20 in magnitude, widened to
+  // int64 every iteration — exact for any int16 q and any n. A 16-element
+  // AVX2 step covers the half-vector remainder.
+  const auto k32 = static_cast<int>((mask & 0xFu) * 0x10001u);
+  const __m512i k = _mm512_set1_epi32(k32);
   __m512i acc = _mm512_setzero_si512();  // 8 x int64
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
-    const __m512i vq = _mm512_loadu_si512(q + i);
-    const __m512i vd = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i)));
-    const __m512i pair_sums = _mm512_madd_epi16(vq, vd);  // 16 x int32
+    const __m512i x = _mm512_cvtepu8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(nibbles + i / 2)));
+    const __m512i sums = _mm512_madd_epi16(
+        _mm512_loadu_si512(q + i),
+        _mm512_ternarylogic_epi32(x, _mm512_slli_epi32(x, 12), k, 0xA8));
     acc = _mm512_add_epi64(
-        acc, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(pair_sums)));
+        acc, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(sums)));
     acc = _mm512_add_epi64(
-        acc, _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(pair_sums, 1)));
+        acc, _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(sums, 1)));
   }
   if (i + 16 <= n) {
-    const __m256i vq =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
-    const __m256i vd = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i)));
-    acc = _mm512_add_epi64(acc,
-                           _mm512_cvtepi32_epi64(_mm256_madd_epi16(vq, vd)));
+    const __m256i x = _mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(nibbles + i / 2)));
+    const __m256i sums = _mm256_madd_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i)),
+        _mm256_ternarylogic_epi32(x, _mm256_slli_epi32(x, 12),
+                                  _mm256_set1_epi32(k32), 0xA8));
+    acc = _mm512_add_epi64(acc, _mm512_cvtepi32_epi64(sums));
     i += 16;
   }
   std::int64_t sum = _mm512_reduce_add_epi64(acc);
-  for (; i < n; ++i) {
-    sum += static_cast<std::int32_t>(q[i]) * static_cast<std::int32_t>(d[i]);
-  }
+  // i is a multiple of 16 here, so the tail starts on a byte boundary.
+  if (i < n) sum += nibble_dot_i64_scalar(q + i, nibbles + i / 2, mask, n - i);
   return sum;
 }
 
@@ -205,7 +212,7 @@ const KernelTable& avx512_kernels() {
       IsaLevel::avx512,        "avx512",
       row_dot_i64_avx512,      weighted_value_accum_avx512,
       quantize_row_i16_avx512, row_amax_avx512,
-      rescale_row_i16_avx512,  plane_dot_i64_avx512,
+      rescale_row_i16_avx512,  nibble_dot_i64_avx512,
   };
   return table;
 }

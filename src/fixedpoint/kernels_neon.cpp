@@ -79,9 +79,9 @@ const KernelTable& neon_kernels() {
       // rescales (rare by design) and ARM builds here are correctness
       // targets — the scalar reference stays.
       rescale_row_i16_scalar,
-      // plane_dot_i64 is a widening int16 x int8 dot; the scalar loop is the
-      // ARM path for the same correctness-target reason.
-      plane_dot_i64_scalar,
+      // nibble_dot_i64 is a widening int16 x nibble dot; the scalar loop is
+      // the ARM path for the same correctness-target reason.
+      nibble_dot_i64_scalar,
   };
   return table;
 }

@@ -74,12 +74,17 @@ void rescale_row_i16_scalar(const std::int16_t* src, std::size_t n,
   }
 }
 
-std::int64_t plane_dot_i64_scalar(const std::int16_t* q, const std::int8_t* d,
-                                  std::size_t n) {
+std::int64_t nibble_dot_i64_scalar(const std::int16_t* q,
+                                   const std::uint8_t* nibbles,
+                                   std::uint8_t mask, std::size_t n) {
+  // One byte per step: element 2j is its low nibble, 2j + 1 its high one.
+  const std::int32_t m = mask & 0xF;
   std::int64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<std::int32_t>(q[i]) * static_cast<std::int32_t>(d[i]);
+  std::size_t j = 0;
+  for (; 2 * j + 1 < n; ++j) {
+    acc += q[2 * j] * (nibbles[j] & m) + q[2 * j + 1] * ((nibbles[j] >> 4) & m);
   }
+  if (2 * j < n) acc += q[2 * j] * (nibbles[j] & m);
   return acc;
 }
 
@@ -102,7 +107,7 @@ const KernelTable& scalar_kernels() {
       IsaLevel::scalar,        "scalar",
       row_dot_i64_scalar,      weighted_value_accum_scalar,
       quantize_row_i16_scalar, row_amax_scalar,
-      rescale_row_i16_scalar,  plane_dot_i64_scalar,
+      rescale_row_i16_scalar,  nibble_dot_i64_scalar,
   };
   return table;
 }

@@ -149,28 +149,42 @@ void rescale_row_i16_sse41(const std::int16_t* src, std::size_t n,
   if (i < n) rescale_row_i16_scalar(src + i, n - i, ratio, qmin, qmax, out + i);
 }
 
-std::int64_t plane_dot_i64_sse41(const std::int16_t* q, const std::int8_t* d,
-                                 std::size_t n) {
-  // row_dot_i64's scheme with the digits sign-extended to int16 first: madd
-  // sums adjacent q * d products into 4 int32 lanes (|lane| <= 2^23, never
-  // wraps since |d| <= 128), widened to int64 every iteration, so the
-  // result is exact for any n.
+// Lays out a masked nibble pair per int32 lane: each lane holds one packed
+// byte zero-extended, and (x | x << 12) & k puts its low nibble in the
+// lane's low int16 and its high nibble in the high int16 — the element
+// order madd pairs against q. k is mask * 0x10001.
+__m128i spread_nibbles(__m128i x, __m128i k) {
+  return _mm_and_si128(_mm_or_si128(x, _mm_slli_epi32(x, 12)), k);
+}
+
+std::int64_t nibble_dot_i64_sse41(const std::int16_t* q,
+                                  const std::uint8_t* nibbles,
+                                  std::uint8_t mask, std::size_t n) {
+  // 16 elements (8 bytes) per iteration: two madds of q against spread
+  // nibble pairs (each pair sum below 2^20 in magnitude, so their sum fits
+  // int32), widened to int64 every iteration — exact for any int16 q and
+  // any n.
+  const __m128i k = _mm_set1_epi32(static_cast<int>((mask & 0xFu) * 0x10001u));
   __m128i acc = _mm_setzero_si128();  // 2 x int64
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i vq = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i));
-    const __m128i vd = _mm_cvtepi8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(d + i)));
-    const __m128i pair_sums = _mm_madd_epi16(vq, vd);  // 4 x int32
-    acc = _mm_add_epi64(acc, _mm_cvtepi32_epi64(pair_sums));
-    acc = _mm_add_epi64(acc, _mm_cvtepi32_epi64(_mm_srli_si128(pair_sums, 8)));
+  for (; i + 16 <= n; i += 16) {
+    const __m128i b =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(nibbles + i / 2));
+    const __m128i q0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i));
+    const __m128i q1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i + 8));
+    const __m128i sums = _mm_add_epi32(
+        _mm_madd_epi16(q0, spread_nibbles(_mm_cvtepu8_epi32(b), k)),
+        _mm_madd_epi16(
+            q1, spread_nibbles(_mm_cvtepu8_epi32(_mm_srli_si128(b, 4)), k)));
+    acc = _mm_add_epi64(acc, _mm_cvtepi32_epi64(sums));
+    acc = _mm_add_epi64(acc, _mm_cvtepi32_epi64(_mm_srli_si128(sums, 8)));
   }
   alignas(16) std::int64_t lanes[2];
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
   std::int64_t sum = lanes[0] + lanes[1];
-  for (; i < n; ++i) {
-    sum += static_cast<std::int32_t>(q[i]) * static_cast<std::int32_t>(d[i]);
-  }
+  // i is a multiple of 16 here, so the tail starts on a byte boundary.
+  if (i < n) sum += nibble_dot_i64_scalar(q + i, nibbles + i / 2, mask, n - i);
   return sum;
 }
 
@@ -203,7 +217,7 @@ const KernelTable& sse41_kernels() {
       IsaLevel::sse41,        "sse41",
       row_dot_i64_sse41,      weighted_value_accum_sse41,
       quantize_row_i16_sse41, row_amax_sse41,
-      rescale_row_i16_sse41,  plane_dot_i64_sse41,
+      rescale_row_i16_sse41,  nibble_dot_i64_sse41,
   };
   return table;
 }

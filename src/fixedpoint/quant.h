@@ -57,8 +57,8 @@ void quantize_into(std::span<const float> xs, const QuantParams& params,
 // head, outlier activation, inf) clamp to qmin/qmax instead of wrapping —
 // the historical int32 narrowing bug. A NaN element quantizes to 0 at every
 // ISA level (row_amax skips NaN when picking the scale, so one NaN neither
-// poisons the scale nor escapes the [qmin, qmax] range the key digit planes
-// are indexed by). quantize_row_i16 dispatches to the runtime-selected ISA
+// poisons the scale nor escapes the [qmin, qmax] range the offset-binary
+// key planes hold). quantize_row_i16 dispatches to the runtime-selected ISA
 // variant (fixedpoint/dispatch.h); every SIMD variant is element-exact to
 // the scalar reference — the divide is IEEE per lane, and for a float ratio
 // r promoted to double d, trunc(d + copysign(0.5, d)) equals lround(d)

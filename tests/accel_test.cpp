@@ -83,8 +83,8 @@ TEST(QuantizeKvTest, ArenaMatchesPerRowQuantize) {
 // QuantizedKv is a public struct, so its readers check what quantize_kv
 // guarantees. Engine::run's step 1 reads every V row up to the query's width,
 // so narrow rows and K/V length mismatches must throw at entry;
-// attend_quantized also needs every key in [qmin, qmax] (the digit planes are
-// indexed by value).
+// attend_quantized also needs every key in [qmin, qmax] (the offset-binary
+// nibble planes hold only that range).
 TEST(EngineTest, MalformedArenasThrow) {
   Rng rng(42);
   const auto good = make_instance(rng, 64);
@@ -171,14 +171,17 @@ TEST(KvLayoutTest, RejectsUnalignedBase) {
 
 TEST(KvLayoutTest, HostResidentLayoutChargesHostElementWidths) {
   // host_resident_layout switches the granule math from packed bits to the
-  // elements the host cache actually stores — one int8 digit per chunk
-  // element, int16 values: a 64-dim chunk plane row goes 32 B -> 64 B, a
-  // value row 96 B -> 128 B.
+  // rows the host cache actually stores — one packed nibble row per 4-bit
+  // chunk, int16 values: a 64-dim chunk plane row stays 32 B (the device's
+  // packed width at 4-bit chunks), a value row goes 96 B -> 128 B, and an
+  // odd head_dim rounds its nibble row up to whole bytes.
   AccelConfig config = make_config(DesignPoint::topick_ooo);
   config.host_resident_layout = true;
   KvLayout layout(config, 0, 128, 64);
-  EXPECT_EQ(layout.granules_per_chunk(), 2);
+  EXPECT_EQ(layout.granules_per_chunk(), 1);
   EXPECT_EQ(layout.granules_per_value(), 4);
+  EXPECT_EQ(config.granules_per_chunk(130), 3);  // 65 B
+  EXPECT_EQ(config.granules_per_chunk(128), 2);  // 64 B
 
   // Same bank-group discipline as the packed layout: the contiguity charged
   // is the host's contiguous plane walk, so K planes stay bank-disjoint.
@@ -225,7 +228,7 @@ TEST(KvLayoutTest, HostResidentRegionMatchesCacheResidency) {
   const auto res = cache.residency();
 
   const KvLayout layout(config, 0, len, head_dim);
-  // Keys live only in the digit planes and int16_arena holds the value
+  // Keys live only in the nibble planes and int16_arena holds the value
   // rows, so the region is exactly the cache's two arenas.
   EXPECT_EQ(layout.region_bytes(), res.planes + res.int16_arena);
 }

@@ -225,7 +225,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(OrderingPolicy::reverse_chrono_first_promoted,
                           OrderingPolicy::chrono,
                           OrderingPolicy::random_order),
-        ::testing::Values(2, 3, 4, 6),
+        ::testing::Values(2, 3, 4, 6, 12),
         ::testing::Values(DenominatorPolicy::remove_on_prune,
                           DenominatorPolicy::keep_stale),
         ::testing::Bool()));

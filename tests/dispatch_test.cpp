@@ -5,9 +5,9 @@
 // * Forced-level matrix: for EVERY compiled-in variant this CPU can run,
 //   force it and assert the entry points (the active row_dot_i64,
 //   weighted_value_accum, fx::quantize_row_i16, fx::row_amax,
-//   fx::choose_scale, fx::rescale_row_i16, fx::plane_dot_i64) are
+//   fx::choose_scale, fx::rescale_row_i16, fx::nibble_dot_i64) are
 //   bit-identical to the scalar reference over randomized rows, odd
-//   remainders, int16/int8 extremes, and half-way rounding cases — the
+//   remainders, int16/nibble extremes, and half-way rounding cases — the
 //   "selected ISA can never change a result" contract, per level.
 // * Kernel-edge regressions: NaN / signed-zero / infinity handling of
 //   row_amax (PR 5's AVX2 reduction let one NaN poison the running max —
@@ -54,7 +54,7 @@ TEST(DispatchRegistry, ScalarIsAlwaysPresentAndFirst) {
     ASSERT_NE(table->quantize_row_i16, nullptr) << table->name;
     ASSERT_NE(table->row_amax, nullptr) << table->name;
     ASSERT_NE(table->rescale_row_i16, nullptr) << table->name;
-    ASSERT_NE(table->plane_dot_i64, nullptr) << table->name;
+    ASSERT_NE(table->nibble_dot_i64, nullptr) << table->name;
     EXPECT_STREQ(table->name, fx::isa_name(table->level));
   }
   for (std::size_t i = 1; i < compiled.size(); ++i) {
@@ -349,67 +349,84 @@ TEST(DispatchForcedMatrix, RescaleRowEveryLevelMatchesScalarAndRealRatioGrid) {
   }
 }
 
-// plane_dot_i64 (the estimation walk over int8 key digit planes) must be
-// element-exact at every level for every length 0..257 — through the
-// dispatching wrapper and the raw table pointer (SIMD below the wrapper's
-// inline threshold) — over random digits in the 12/4 ranges, the int8 and
-// int16 extremes, and an int32-overflow stress: q = -32768, d = -128 at
-// n = 4096 sums to 2^34 (wraps 4- and 8-lane int32 accumulators) and at
-// n = 16384 to 2^36 (wraps 16 lanes), which any variant accumulating in
-// int32 lanes would get wrong.
-TEST(DispatchForcedMatrix, PlaneDotEveryLevelMatchesScalarAtExtremes) {
+// nibble_dot_i64 (the estimation walk over offset-binary key nibble planes)
+// must be element-exact at every level for every length 0..257 — odd
+// lengths and sub-16 tails included — and every chunk mask 0x1..0xF,
+// through the dispatching wrapper and the raw table pointer (SIMD below the
+// wrapper's inline threshold), over random nibbles, all-15 nibbles against
+// q = +qmax and -qmax at 12 bits and the int16 extremes, and an
+// int32-overflow stress: q = -32768 against all-15 nibbles sums to
+// -n * 491520, which at n = 131072 exceeds 2^31 in each of 16 int32 lanes,
+// so a variant that did not widen to int64 in time would wrap.
+TEST(DispatchForcedMatrix, NibbleDotEveryLevelMatchesScalarAtExtremes) {
   IsaGuard guard;
   Rng rng(0x91a7);
+  constexpr std::int16_t kQmax12 = 2047;
   for (const fx::KernelTable* table : fx::supported_kernel_tables()) {
     SCOPED_TRACE(table->name);
     ASSERT_TRUE(fx::force_isa(table->level));
     for (std::size_t n = 0; n <= 257; ++n) {
-      for (int trial = 0; trial < 4; ++trial) {
+      for (int trial = 0; trial < 5; ++trial) {
         std::vector<std::int16_t> q(n);
-        std::vector<std::int8_t> d(n);
+        std::vector<std::uint8_t> nibbles(fx::KeyPlaneLayout::row_bytes(n));
+        for (auto& byte : nibbles) {
+          byte = trial == 0 ? static_cast<std::uint8_t>(rng.uniform_index(256))
+                            : 0xFF;  // all-15 nibbles
+        }
         for (std::size_t i = 0; i < n; ++i) {
           switch (trial) {
-            case 0:  // production ranges: 12-bit q, 4-bit chunk digits
-              q[i] = static_cast<std::int16_t>(
-                  static_cast<int>(rng.uniform_index(4096)) - 2048);
-              d[i] = static_cast<std::int8_t>(
-                  static_cast<int>(rng.uniform_index(16)) - (i % 2 ? 8 : 0));
-              break;
-            case 1:  // full int16 x int8 domain
+            case 0:  // full int16 domain against random nibbles
               q[i] = static_cast<std::int16_t>(
                   static_cast<int>(rng.uniform_index(65536)) - 32768);
-              d[i] = static_cast<std::int8_t>(
-                  static_cast<int>(rng.uniform_index(256)) - 128);
               break;
-            case 2:  // most-negative extremes: every product is +2^22
+            case 1:
+              q[i] = kQmax12;
+              break;
+            case 2:
+              q[i] = -kQmax12;
+              break;
+            case 3:
               q[i] = std::numeric_limits<std::int16_t>::min();
-              d[i] = std::numeric_limits<std::int8_t>::min();
               break;
             default:  // alternating-sign extremes
               q[i] = (i % 2 == 0) ? std::numeric_limits<std::int16_t>::min()
                                   : std::numeric_limits<std::int16_t>::max();
-              d[i] = (i % 3 == 0) ? std::numeric_limits<std::int8_t>::max()
-                                  : std::numeric_limits<std::int8_t>::min();
           }
         }
-        const std::int64_t want =
-            fx::plane_dot_i64_scalar(q.data(), d.data(), n);
-        EXPECT_EQ(fx::plane_dot_i64(q.data(), d.data(), n), want)
-            << "n=" << n << " trial=" << trial;
-        EXPECT_EQ(table->plane_dot_i64(q.data(), d.data(), n), want)
-            << "direct call, n=" << n << " trial=" << trial;
+        for (unsigned m = 0x1; m <= 0xF; ++m) {
+          const auto mask = static_cast<std::uint8_t>(m);
+          std::int64_t want = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            want += std::int64_t{q[i]} *
+                    ((nibbles[i / 2] >> (4 * (i % 2))) & m);
+          }
+          ASSERT_EQ(fx::nibble_dot_i64_scalar(q.data(), nibbles.data(), mask,
+                                              n),
+                    want)
+              << "n=" << n << " trial=" << trial << " mask=" << m;
+          ASSERT_EQ(fx::nibble_dot_i64(q.data(), nibbles.data(), mask, n),
+                    want)
+              << "n=" << n << " trial=" << trial << " mask=" << m;
+          ASSERT_EQ(table->nibble_dot_i64(q.data(), nibbles.data(), mask, n),
+                    want)
+              << "direct call, n=" << n << " trial=" << trial
+              << " mask=" << m;
+        }
       }
     }
 
-    for (const std::size_t n : {std::size_t{4096}, std::size_t{16384}}) {
+    for (const std::size_t n : {std::size_t{4096}, std::size_t{131072}}) {
       const std::vector<std::int16_t> q(
           n, std::numeric_limits<std::int16_t>::min());
-      const std::vector<std::int8_t> d(
-          n, std::numeric_limits<std::int8_t>::min());
-      const auto exact = static_cast<std::int64_t>(n) << 22;  // n * 2^15 * 2^7
-      EXPECT_EQ(fx::plane_dot_i64_scalar(q.data(), d.data(), n), exact);
-      EXPECT_EQ(fx::plane_dot_i64(q.data(), d.data(), n), exact) << "n=" << n;
-      EXPECT_EQ(table->plane_dot_i64(q.data(), d.data(), n), exact)
+      const std::vector<std::uint8_t> nibbles(fx::KeyPlaneLayout::row_bytes(n),
+                                              0xFF);
+      const std::int64_t exact = -static_cast<std::int64_t>(n) * 32768 * 15;
+      EXPECT_EQ(fx::nibble_dot_i64_scalar(q.data(), nibbles.data(), 0xF, n),
+                exact);
+      EXPECT_EQ(fx::nibble_dot_i64(q.data(), nibbles.data(), 0xF, n), exact)
+          << "n=" << n;
+      EXPECT_EQ(table->nibble_dot_i64(q.data(), nibbles.data(), 0xF, n),
+                exact)
           << "direct call, n=" << n;
     }
     fx::reset_isa();

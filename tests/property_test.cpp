@@ -54,7 +54,11 @@ TEST_P(QuantFormatSweep, ChunkRoundTripAndResidualInvariant) {
 }
 
 // Every representable value of the format, pushed as one key row, must be
-// reassembled by the store's int8 digit planes: sum_b digit_b * 2^shift_b.
+// reassembled by the store's offset-binary nibble planes:
+// sum_j nibble_j * 16^(planes-1-j) - 2^(total_bits-1). Every chunk level of
+// the walk (offset plus the masked nibble dots of the chunks so far) must
+// equal the two's-complement partial_dot_i64, and key_row / key_dot the
+// int16 row and its exact dot.
 TEST_P(QuantFormatSweep, DigitPlanesReassembleEveryValue) {
   const auto [total_bits, chunk_bits] = GetParam();
   fx::QuantParams p;
@@ -68,12 +72,14 @@ TEST_P(QuantFormatSweep, DigitPlanesReassembleEveryValue) {
   store.reset(p, p, row.size());
   store.push_row(row.data(), row.data());
   const QuantizedKvView view = store.view();
+  const int planes = view.key_layout->planes();
+  ASSERT_EQ(planes, (total_bits + 3) / 4);
   for (std::size_t d = 0; d < row.size(); ++d) {
-    std::int64_t sum = 0;
-    for (int b = 0; b < p.num_chunks(); ++b) {
-      ASSERT_EQ(view.key_plane_shift(b), fx::unknown_bits(b + 1, p));
-      sum += std::int64_t{view.key_plane_row(b, 0)[d]} *
-             (std::int64_t{1} << view.key_plane_shift(b));
+    std::int64_t sum = -(std::int64_t{1} << (total_bits - 1));
+    for (int j = 0; j < planes; ++j) {
+      const std::uint8_t byte = view.key_plane_row(j, 0)[d / 2];
+      sum += std::int64_t{(byte >> (4 * (d % 2))) & 0xF}
+             << (4 * (planes - 1 - j));
     }
     ASSERT_EQ(sum, row[d]);
   }
@@ -95,13 +101,22 @@ TEST_P(QuantFormatSweep, DigitPlanesReassembleEveryValue) {
                        static_cast<std::uint64_t>(p.qmax() - p.qmin() + 1))));
   }
   for (const auto* q : {&q_max, &q_min, &q_alt, &q_rand}) {
-    EXPECT_EQ(view.key_dot(q->data(), 0),
+    EXPECT_EQ(view.key_dot(q->data(), 0, view.key_offset_dot(q->data())),
               fx::row_dot_i64_scalar(q->data(), row.data(), row.size()));
+    const fx::QuantizedRowView qv{p, *q};
+    const fx::QuantizedRowView kv{p, row};
+    std::int64_t partial = view.key_offset_dot(q->data());
+    for (int b = 0; b < p.num_chunks(); ++b) {
+      partial += view.key_chunk_dot(q->data(), 0, b);
+      EXPECT_EQ(partial, fx::partial_dot_i64(qv, kv, b + 1)) << "chunk " << b;
+    }
   }
 }
 
-TEST(DigitPlanes, WidthsOverflowingInt8AreRejected) {
-  const std::tuple<int, int> rejected[] = {{16, 8}, {12, 9}, {12, 12}};
+TEST(DigitPlanes, OutOfRangeFormatsAreRejected) {
+  // The planes hold any chunk width up to total_bits; only a format the
+  // int16 quantizer rejects is refused.
+  const std::tuple<int, int> rejected[] = {{16, 8}, {1, 1}, {12, 0}, {12, 13}};
   for (const auto& [total_bits, chunk_bits] : rejected) {
     fx::QuantParams p;
     p.total_bits = total_bits;
@@ -120,11 +135,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::tuple{12, 4}, std::tuple{12, 2}, std::tuple{12, 6},
                       std::tuple{8, 4}, std::tuple{8, 2}, std::tuple{6, 2},
                       std::tuple{10, 3}, std::tuple{12, 5},
-                      // Every chunk width the int8 digit planes accept
-                      // (1-7), the widest total, and an 8-bit chunk that
-                      // fits only because it is the signed top chunk.
                       std::tuple{12, 1}, std::tuple{12, 3}, std::tuple{12, 7},
-                      std::tuple{15, 7}, std::tuple{8, 8}));
+                      std::tuple{15, 7}, std::tuple{8, 8},
+                      // Chunks wider than a nibble plane, up to one chunk
+                      // holding the whole key.
+                      std::tuple{12, 8}, std::tuple{12, 9},
+                      std::tuple{12, 12}));
 
 // ---------- estimator invariants over head dims ----------------------------
 

@@ -123,9 +123,11 @@ void expect_same_result(const TokenPickerResult& a, const TokenPickerResult& b) 
 }
 
 TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
-  // Shift-weighted digits reassemble the key: sum_b digit_b * 2^shift_b.
+  // The offset-binary nibbles reassemble the key:
+  // sum_j nibble_j * 16^(planes-1-j) - 2^(total_bits-1). An odd head_dim
+  // leaves each row's last high nibble 0.
   Rng rng(0xabc1);
-  const std::size_t dim = 16;
+  const std::size_t dim = 15;
   fx::QuantParams params;
   params.scale = 0.01f;
 
@@ -145,14 +147,19 @@ TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
 
   const QuantizedKvView view = store.view();
   ASSERT_EQ(view.len, k_rows.size());
+  ASSERT_EQ(view.key_layout->planes(), 3);
+  ASSERT_EQ(view.key_row_bytes(), 8u);
   for (std::size_t t = 0; t < view.len; ++t) {
     for (std::size_t d = 0; d < dim; ++d) {
-      std::int32_t sum = 0;
-      for (int b = 0; b < params.num_chunks(); ++b) {
-        sum += static_cast<std::int32_t>(view.key_plane_row(b, t)[d]) *
-               (1 << view.key_plane_shift(b));
+      std::int32_t sum = -2048;
+      for (int j = 0; j < 3; ++j) {
+        const std::uint8_t byte = view.key_plane_row(j, t)[d / 2];
+        sum += ((byte >> (4 * (d % 2))) & 0xF) << (4 * (2 - j));
       }
       EXPECT_EQ(sum, k_rows[t][d]) << "token " << t << " dim " << d;
+    }
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_EQ(view.key_plane_row(j, t)[dim / 2] >> 4, 0) << "token " << t;
     }
   }
 }
@@ -407,7 +414,7 @@ TEST(QuantizedKvCache, SourcelessCacheHoldingRowsRefusesMutations) {
   const QuantizedKvView view = cache.view();
   const std::vector<std::int16_t> values_before(view.values,
                                                 view.values + 6 * dim);
-  const std::vector<std::vector<std::int8_t>> planes_before(
+  const std::vector<std::vector<std::uint8_t>> planes_before(
       view.key_planes, view.key_planes + view.key_params.num_chunks());
 
   // A quiet row (no new record) and a spiking one are refused alike.

@@ -815,8 +815,8 @@ TEST(ServeEngineConfig, DegradationKnobsMustBeFiniteAndInRange) {
 
 // FleetMetrics' kv_* fields are the quantized cache and nothing more. At
 // head_dim 64 with 12-bit values in 4-bit chunks, a resident token holds 64
-// int16 values (128 B), three int8 key digit planes (192 B), its key and
-// value row maxima (8 B) and a stable id (8 B): 336 B. Each (layer, head)
+// int16 values (128 B), three packed key nibble planes (96 B), its key and
+// value row maxima (8 B) and a stable id (8 B): 240 B. Each (layer, head)
 // cache adds its two running maxima (8 B) once.
 TEST(ServeEngine, KvResidencyGaugesPinTheQuantizedFootprint) {
   ServeConfig config = acceptance_config();
@@ -842,13 +842,13 @@ TEST(ServeEngine, KvResidencyGaugesPinTheQuantizedFootprint) {
         8.0 * static_cast<double>(engine.batcher().running().size() *
                                   config.n_layer * config.n_head);
     EXPECT_EQ(int16_bytes / tokens, 128.0);
-    EXPECT_EQ(plane_bytes / tokens, 192.0);
+    EXPECT_EQ(plane_bytes / tokens, 96.0);
     EXPECT_EQ((maxima_bytes - head_maxima) / tokens, 8.0);
     EXPECT_EQ(ids_bytes / tokens, 8.0);
     EXPECT_EQ((int16_bytes + plane_bytes + maxima_bytes + ids_bytes -
                head_maxima) /
                   tokens,
-              336.0);
+              240.0);
     ++checked;
   }
   EXPECT_GT(checked, 0u);
