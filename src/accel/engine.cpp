@@ -1,10 +1,8 @@
 #include "accel/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
-#include "common/expsum.h"
 #include "common/require.h"
 #include "fixedpoint/chunks.h"
 
@@ -70,20 +68,6 @@ std::string event_kind_name(EventKind kind) {
   return "?";
 }
 
-BatchResult Engine::run_many(const std::vector<AccelInstance>& instances) {
-  require(!instances.empty(), "run_many: no instances");
-  BatchResult batch;
-  for (const auto& instance : instances) {
-    const SimResult result = run(instance);
-    batch.core_cycles += result.core_cycles;
-    batch.access.merge(result.access);
-    batch.dram_energy_pj += result.dram_energy_pj;
-    batch.lane_busy_cycles += result.lane_busy_cycles;
-    ++batch.instances;
-  }
-  return batch;
-}
-
 AccelInstance make_instance(std::span<const float> q, const KvHeadView& kv,
                             const fx::QuantParams& base) {
   AccelInstance out;
@@ -124,7 +108,9 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
 
   mem::Hbm hbm(config_.dram);
   hbm.enable_trace(config_.trace_dram);
-  Dag dag(config_.estimator);
+  // The Denominator Aggregation module (Fig. 6): one estimator shared by
+  // every lane.
+  ProbabilityEstimator dag(config_.estimator);
   dag.reset(len);
   const fx::MarginTable margins(instance.q, kparams);
 
@@ -221,7 +207,6 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
         static_cast<double>(partial + margin.max_margin) * instance.score_scale;
     const double s_min =
         static_cast<double>(partial + margin.min_margin) * instance.score_scale;
-    lane.stats().decisions++;
 
     if (level == 1) ++primed_decisions;
     if (dag.should_prune(s_max)) {
@@ -299,10 +284,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
         lane.pop_ready();
       }
 
-      if (!lane.has_ready()) {
-        lane.stats().idle_cycles++;
-        continue;
-      }
+      if (!lane.has_ready()) continue;
 
       // A stalled lane may only process downstream chunks (they free their
       // own scoreboard entry); new first chunks wait.
@@ -370,7 +352,6 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
         if (lane.has_request()) {
           if (hbm.try_enqueue(lane.front_request())) {
             lane.pop_request();
-            lane.stats().requests_issued++;
             ++k_granules_fetched;
             ++outstanding[lane_idx];
           }
@@ -399,7 +380,6 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
         if (hbm.try_enqueue(
                 mem::MemRequest{layout.key_chunk_addr(token, 0, g),
                                 encode_id(token, false, 0, g)})) {
-          lane.stats().requests_issued++;
           ++k_granules_fetched;
           ++outstanding[lane_idx];
           if (g == 0) emit(cycle, lane.id(), EventKind::request, token, 0);
@@ -481,8 +461,6 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
         lane.occupy_compute(cycle + static_cast<std::uint64_t>(gpv));
         lane.stats().busy_cycles += static_cast<std::uint64_t>(gpv);
         survivor_granules_left -= static_cast<std::size_t>(gpv);
-      } else if (lane.compute_free(cycle)) {
-        lane.stats().idle_cycles++;
       }
       // Issue one V granule per cycle.
       auto& queue = lane_value_queue[lane_idx];
@@ -538,25 +516,18 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
   if (config_.trace_dram) result.dram_trace = hbm.trace();
 
   // Output: renormalized softmax over survivors (probability generator).
+  std::vector<std::size_t> survivors;
   std::vector<double> survivor_scores;
+  survivors.reserve(result.survivors);
   survivor_scores.reserve(result.survivors);
   for (std::size_t t = 0; t < len; ++t) {
-    if (result.kept[t]) survivor_scores.push_back(tokens[t].final_score);
-  }
-  require(!survivor_scores.empty(), "Engine: no survivors after step 0");
-  const double log_denom =
-      log_sum_exp(survivor_scores.data(), survivor_scores.size());
-  result.output.assign(static_cast<std::size_t>(head_dim), 0.0f);
-  const float v_scale = instance.kv.values.params.scale;
-  for (std::size_t t = 0; t < len; ++t) {
     if (!result.kept[t]) continue;
-    const double p = std::exp(tokens[t].final_score - log_denom);
-    const auto value = instance.kv.values[t];
-    for (std::size_t d = 0; d < static_cast<std::size_t>(head_dim); ++d) {
-      result.output[d] += static_cast<float>(
-          p * static_cast<double>(value.values[d]) * v_scale);
-    }
+    survivors.push_back(t);
+    survivor_scores.push_back(tokens[t].final_score);
   }
+  survivor_softmax(survivors, survivor_scores, instance.kv.values.data.data(),
+                   static_cast<std::size_t>(head_dim),
+                   instance.kv.values.params.scale, &result.output);
 
   return result;
 }

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "accel/dag.h"
 #include "accel/hw_config.h"
 #include "accel/kv_layout.h"
 #include "accel/pe_lane.h"
@@ -75,25 +74,11 @@ struct SimResult {
   }
 };
 
-// Aggregate over a batch of attention instances (multiple heads / requests
-// processed back-to-back, as the lane-based architecture schedules them).
-struct BatchResult {
-  std::uint64_t core_cycles = 0;
-  AccessStats access;
-  double dram_energy_pj = 0.0;
-  std::uint64_t lane_busy_cycles = 0;
-  std::size_t instances = 0;
-};
-
 class Engine {
  public:
   explicit Engine(const AccelConfig& config);
 
   SimResult run(const AccelInstance& instance, bool record_timeline = false);
-
-  // Runs instances sequentially (one (query, head) at a time across all 16
-  // lanes, matching the shared-DAG dataflow) and merges the statistics.
-  BatchResult run_many(const std::vector<AccelInstance>& instances);
 
   const AccelConfig& config() const { return config_; }
 

@@ -24,9 +24,6 @@ struct ReadyChunk {
 struct LaneStats {
   std::uint64_t busy_cycles = 0;   // adder tree active
   std::uint64_t stall_cycles = 0;  // blocked on a full scoreboard
-  std::uint64_t idle_cycles = 0;   // nothing ready
-  std::uint64_t requests_issued = 0;
-  std::uint64_t decisions = 0;
 };
 
 class PeLane {

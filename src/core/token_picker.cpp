@@ -9,6 +9,22 @@
 
 namespace topick {
 
+double survivor_softmax(std::span<const std::size_t> survivors,
+                        std::span<const double> scores,
+                        const std::int16_t* values, std::size_t head_dim,
+                        float v_scale, std::vector<float>* out) {
+  require(!scores.empty(),
+          "token_picker: at least one token must survive estimation");
+  const double log_denom = log_sum_exp(scores.data(), scores.size());
+  out->assign(head_dim, 0.0f);
+  for (std::size_t i = 0; i < survivors.size(); ++i) {
+    const double p = std::exp(scores[i] - log_denom);
+    weighted_value_accum(out->data(), values + survivors[i] * head_dim, p,
+                         static_cast<double>(v_scale), head_dim);
+  }
+  return log_denom;
+}
+
 PrunePersistence::PrunePersistence(int window) : window_(window) {
   require(window > 0, "PrunePersistence: window must be positive");
 }
@@ -148,23 +164,16 @@ void TokenPickerAttention::attend_view(const fx::QuantizedVector& q,
   // denominator is the exact log-sum-exp over survivor scores; under
   // remove_on_prune this is what the DAG holds after step 0.
   result->log_denominator_estimator = estimator_.log_denominator();
+  surv_tokens_.clear();
   surv_compact_.clear();
   for (std::size_t t = 0; t < len; ++t) {
-    if (kept_[t]) surv_compact_.push_back(survivor_scores_[t]);
-  }
-  require(!surv_compact_.empty(),
-          "token_picker: at least one token must survive estimation");
-  result->log_denominator =
-      log_sum_exp(surv_compact_.data(), surv_compact_.size());
-
-  result->output.assign(head_dim, 0.0f);
-  const float v_scale = kv.value_params.scale;
-  for (std::size_t t = 0; t < len; ++t) {
     if (!kept_[t]) continue;
-    const double p = std::exp(survivor_scores_[t] - result->log_denominator);
-    weighted_value_accum(result->output.data(), kv.value(t), p,
-                         static_cast<double>(v_scale), head_dim);
+    surv_tokens_.push_back(t);
+    surv_compact_.push_back(survivor_scores_[t]);
   }
+  result->log_denominator =
+      survivor_softmax(surv_tokens_, surv_compact_, kv.values, head_dim,
+                       kv.value_params.scale, &result->output);
 
   // Oracle diagnostic: true probability mass of pruned tokens under the full
   // quantized softmax (uses data already in memory; no fetch accounting).

@@ -104,6 +104,19 @@ class PrunePersistence {
   std::vector<int> streaks_;  // indexed by token id, grown on demand
 };
 
+// Step 1 of Token-Picker (§3.1): the renormalized softmax over the tokens
+// that survived estimation and its weighted V sum. `survivors` lists them in
+// ascending token order and `scores` their exact scores in the same order;
+// `values` is the head's (len, head_dim) token-major V arena at `v_scale`.
+// Overwrites `out` with head_dim floats and returns the exact ln of the
+// survivor denominator; throws when nothing survived. TokenPickerAttention
+// and the accelerator model both end here, so their outputs agree bit for
+// bit.
+double survivor_softmax(std::span<const std::size_t> survivors,
+                        std::span<const double> scores,
+                        const std::int16_t* values, std::size_t head_dim,
+                        float v_scale, std::vector<float>* out);
+
 class TokenPickerAttention {
  public:
   explicit TokenPickerAttention(const TokenPickerConfig& config);
@@ -150,6 +163,7 @@ class TokenPickerAttention {
   std::vector<std::size_t> order_;
   std::vector<double> survivor_scores_;
   std::vector<std::uint8_t> kept_;
+  std::vector<std::size_t> surv_tokens_;
   std::vector<double> surv_compact_;
   std::vector<double> oracle_scores_;
   fx::QuantizedVector q_scratch_;

@@ -24,11 +24,11 @@ struct StepPhaseStats {
   std::uint64_t attention_busy_ns = 0;  // summed per-worker unit time
   std::uint64_t barrier_wait_ns = 0;    // engaged fan-out x wall - busy
   std::uint64_t reduce_ns = 0;    // slot-ordered reduction (post-barrier)
-  std::uint64_t replay_ns = 0;    // memsim DRAM replay (host time, inline)
-  std::uint64_t other_ns = 0;     // checkpoints, fragmentation sampling
+  std::uint64_t replay_ns = 0;    // DRAM replay + cycle checkpoints, inline
+  std::uint64_t other_ns = 0;     // residency/fragmentation gauges
 
   // Cross-step lane attribution (zero unless ServeConfig::pipeline):
-  //   * lane_busy_ns — DRAM replay + cycle checkpoints executed on the
+  //   * lane_busy_ns — the same replay job as replay_ns, executed on the
   //     SerialLane thread, overlapped with the next step's compute (off the
   //     main thread, so NOT part of total_ns()).
   //   * lane_wait_ns — main-thread time blocked on lane backpressure/drain:

@@ -52,15 +52,11 @@ class ContinuousBatcher {
     prefilling_.push_back(request);
   }
   void begin_decode(std::size_t request) { erase_from(prefilling_, request); }
+  // Drops a request from the running (and prefilling) set; a preemption
+  // then re-queues it with queue().push_preempted().
   void retire(std::size_t request) {
     erase_from(running_, request);
     erase_from(prefilling_, request);
-  }
-
-  void preempt(std::size_t request) {
-    erase_from(running_, request);
-    erase_from(prefilling_, request);
-    queue_.push_preempted(request);
   }
 
   const BatcherConfig& config() const { return config_; }

@@ -100,6 +100,11 @@ struct Request {
 
   bool done() const { return generated >= event.decode_len; }
   wl::Priority priority() const { return event.priority; }
+  // Steps spent queued as of `now`: the completed stints plus the current
+  // one (clamped at 0 before the stint's start step).
+  std::size_t queued_steps(std::size_t now) const {
+    return queued_steps_accum + (now >= enqueue_step ? now - enqueue_step : 0);
+  }
   // 0 until first admission sets admit_step (admit_step defaults to 0, which
   // can sit below event.step — don't underflow for not-yet-admitted requests).
   std::size_t queue_wait_steps() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <type_traits>
 
 #include "common/require.h"
 #include "common/stats.h"
@@ -52,49 +51,33 @@ struct ServeEngine::Workspace {
   fx::QuantizedVector exact_q_scratch;
 };
 
-struct ServeEngine::Slot {
-  // `headroom` is the quantized-cache rescale headroom — 1.0 normally; the
-  // degradation controller raises it for slots created while the request's
-  // class is degraded (fewer rescale passes at some quantization-accuracy
-  // cost), so it is per-slot, not per-config.
-  // `stream` is the request's: every sequence is bound to its head's rows.
-  Slot(PagedKvPool* pool, const ServeConfig& config, float headroom,
-       const wl::DecodeStream& stream)
-      : cache(pool, stream) {
-    const auto n = static_cast<std::size_t>(config.n_layer) * config.n_head;
-    persistence.reserve(n);
-    qcaches.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      persistence.emplace_back(config.persistence_window);
-      qcaches.emplace_back(
-          static_cast<std::size_t>(config.head_dim),
-          QuantizedKvCache::Config{config.picker.quant, headroom});
-    }
-    // The request's stream rows are each head's only f32 copy: register
-    // every sequence as its quantized cache's rescale source (stable ids
-    // coincide by construction), so whole-head rescales re-read exact floats
-    // instead of the cache keeping an f32 mirror alive. The step's phase
-    // ordering makes the rows always resident when queried: sequential
-    // seq.append runs before the parallel qcache appends, and eviction
-    // rescales run before sweep() frees any page.
-    rescale_sources.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const int layer = static_cast<int>(i) / config.n_head;
-      const int head = static_cast<int>(i) % config.n_head;
-      rescale_sources.emplace_back(&cache.seq(layer, head));
-      qcaches[i].set_rescale_source(&rescale_sources[i]);
-    }
+ServeEngine::Slot::Slot(PagedKvPool* pool, const ServeConfig& config,
+                        float headroom, const wl::DecodeStream& stream)
+    : cache(pool, stream) {
+  const auto n = static_cast<std::size_t>(config.n_layer) * config.n_head;
+  persistence.reserve(n);
+  qcaches.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    persistence.emplace_back(config.persistence_window);
+    qcaches.emplace_back(
+        static_cast<std::size_t>(config.head_dim),
+        QuantizedKvCache::Config{config.picker.quant, headroom});
   }
-
-  PagedKvCache cache;
-  // Incrementally quantized companion of each sequence's live tokens — the
-  // attention read path, int16-resident only (rescales read the stream rows
-  // via rescale_sources). Appended alongside PagedSequence appends; evicted
-  // coherently when reclamation marks tokens dead.
-  std::vector<QuantizedKvCache> qcaches;  // per (layer, head), layer-major
-  std::vector<PagedRescaleSource> rescale_sources;    // parallel to qcaches
-  std::vector<PrunePersistence> persistence;  // per (layer, head), layer-major
-};
+  // The request's stream rows are each head's only f32 copy: register
+  // every sequence as its quantized cache's rescale source (stable ids
+  // coincide by construction), so whole-head rescales re-read exact floats
+  // instead of the cache keeping an f32 mirror alive. The step's phase
+  // ordering makes the rows always resident when queried: sequential
+  // seq.append runs before the parallel qcache appends, and eviction
+  // rescales run before sweep() frees any page.
+  rescale_sources.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int layer = static_cast<int>(i) / config.n_head;
+    const int head = static_cast<int>(i) % config.n_head;
+    rescale_sources.emplace_back(&cache.seq(layer, head));
+    qcaches[i].set_rescale_source(&rescale_sources[i]);
+  }
+}
 
 double ClassMetrics::p50_ttft_cycles() const {
   return ttft_cache_.at(ttft_cycle_samples, 50.0);
@@ -176,7 +159,7 @@ ServeEngine::ServeEngine(const ServeConfig& config)
       pool_(PagedPoolConfig{config.pool_pages, config.page_tokens}),
       batcher_(BatcherConfig{config.max_batch, config.max_prefill}),
       policy_(make_policy(config.policy, config.policy_params)),
-      hbm_(config.dram),
+      dram_(config.dram, config.faults),
       workers_(config.threads),
       injector_(config.faults),
       degrade_(config.degradation),
@@ -220,17 +203,6 @@ ServeEngine::ServeEngine(const ServeConfig& config)
   // The oracle pass is an O(context) diagnostic per attention instance; the
   // engine's hot loop must stay O(kept). Outputs/decisions are unaffected.
   config_.picker.compute_oracle_mass = false;
-  // Wire the fault plan's degraded channels into the memsim model. The plan
-  // owns the ChannelFault storage (and must outlive the engine); channels the
-  // model doesn't have are ignored.
-  if (config_.faults != nullptr) {
-    for (const auto& spec : config_.faults->channels) {
-      if (spec.channel >= 0) {
-        hbm_.set_channel_fault(static_cast<std::size_t>(spec.channel),
-                               &spec.fault);
-      }
-    }
-  }
   workspaces_.reserve(workers_.threads());
   for (std::size_t w = 0; w < workers_.threads(); ++w) {
     workspaces_.push_back(std::make_unique<Workspace>(config_.picker));
@@ -246,272 +218,6 @@ ServeEngine::ServeEngine(const ServeConfig& config)
 }
 
 ServeEngine::~ServeEngine() = default;
-
-void ServeEngine::submit(const wl::ArrivalEvent& event) {
-  require(requests_.empty() || event.step >= requests_.back().event.step,
-          "ServeEngine::submit: arrivals must be in step order");
-  // Outstanding lane jobs hold indices into requests_; drain before the
-  // push_back below can reallocate under them. No-op unless pipelined.
-  lane_.drain();
-  // The stream itself is built at first admission (begin_prefill); reject
-  // here what make_decode_stream would reject there.
-  require(event.decode_len == 0 || event.prompt_len > 0,
-          "ServeEngine::submit: a request that decodes needs a prompt");
-  Request request;
-  request.event = event;
-  requests_.push_back(std::move(request));
-  slots_.emplace_back(nullptr);
-  dram_offset_.push_back(0);
-  ++metrics_.requests_submitted;
-  ++class_metrics(requests_.back()).submitted;
-}
-
-void ServeEngine::submit_trace(const std::vector<wl::ArrivalEvent>& trace) {
-  for (const auto& event : trace) submit(event);
-}
-
-std::uint64_t ServeEngine::replay_cost_bits(const Request& request) const {
-  return static_cast<std::uint64_t>(request.event.prompt_len +
-                                    request.generated) *
-         token_write_bits_;
-}
-
-std::size_t ServeEngine::pages_for_prefill(const Request& request) const {
-  // Tokens the (re)prefill appends, plus one decode token of headroom so the
-  // admission itself can always take its first step.
-  const std::size_t tokens =
-      request.event.prompt_len + request.generated + 1;
-  const std::size_t pages_per_head =
-      (tokens + config_.page_tokens - 1) / config_.page_tokens;
-  return pages_per_head * static_cast<std::size_t>(config_.n_layer) *
-         config_.n_head;
-}
-
-// Request-lifecycle async events (pid "requests", one async id per request).
-// Built on the main thread's sequential phases — the parallel phase never
-// touches lifecycle state — then stamped and recorded via emit_request_event.
-void ServeEngine::emit_request_event(const obs::TraceEvent& event) {
-  // Stamped when the lane reaches the event: pipelined, every earlier step's
-  // replay has landed by then, so the cycle stamp matches the sequential
-  // engine's exactly (sequential, the disabled lane runs the job inline).
-  lane_.submit([this, event] {
-    obs::TraceEvent e = event;
-    e.ts = trace_->now_ns();
-    e.cycle = hbm_.cycle();
-    trace_->record(lane_track(), e);
-  });
-}
-
-void ServeEngine::trace_lifecycle_begin(std::size_t request,
-                                        const char* state) {
-  if (trace_ == nullptr) return;
-  obs::TraceEvent e;
-  e.name = state;
-  e.cat = "request";
-  e.phase = 'b';
-  e.domain = obs::TraceDomain::request;
-  e.id = request;
-  e.arg("step", static_cast<double>(now_));
-  emit_request_event(e);
-}
-
-void ServeEngine::trace_lifecycle_end(std::size_t request, const char* state) {
-  if (trace_ == nullptr) return;
-  obs::TraceEvent e;
-  e.name = state;
-  e.cat = "request";
-  e.phase = 'e';
-  e.domain = obs::TraceDomain::request;
-  e.id = request;
-  emit_request_event(e);
-}
-
-void ServeEngine::trace_lifecycle_instant(std::size_t request,
-                                          const char* name) {
-  if (trace_ == nullptr) return;
-  obs::TraceEvent e;
-  e.name = name;
-  e.cat = "request";
-  e.phase = 'n';
-  e.domain = obs::TraceDomain::request;
-  e.id = request;
-  e.arg("step", static_cast<double>(now_));
-  emit_request_event(e);
-}
-
-void ServeEngine::admit_due_requests() {
-  while (next_arrival_ < requests_.size() &&
-         requests_[next_arrival_].event.step <= now_) {
-    Request& req = requests_[next_arrival_];
-    // Cycle stamps ride the lane: earlier steps' replays may still be in
-    // flight, and the arrival must see the clock the sequential engine would
-    // show after them. The lane owns every *_cycle field.
-    lane_.submit([this, r = next_arrival_] {
-      requests_[r].arrival_cycle = hbm_.cycle();
-    });
-    trace_lifecycle_begin(next_arrival_, "request");
-    if (req.event.decode_len == 0) {
-      // Nothing to generate: retire at arrival without taking a slot, pool
-      // pages, or a spurious decode step's DRAM traffic.
-      req.state = RequestState::finished;
-      req.admit_step = now_;
-      req.finish_step = now_;
-      lane_.submit([this, r = next_arrival_] {
-        requests_[r].finish_cycle = requests_[r].arrival_cycle;
-      });
-      ++finished_;
-      ++metrics_.requests_retired;
-      ClassMetrics& cls = class_metrics(req);
-      ++cls.retired;
-      // Retired in zero steps: both SLOs count as trivially met so the two
-      // attainment denominators cover the same request population.
-      if (req.event.slo_ttft_steps > 0) {
-        ++cls.slo_ttft_tracked;
-        ++cls.slo_ttft_met;
-      }
-      if (req.event.slo_latency_steps > 0) {
-        ++cls.slo_latency_tracked;
-        ++cls.slo_latency_met;
-      }
-      trace_lifecycle_end(next_arrival_, "request");  // zero-decode: retired
-    } else {
-      req.enqueue_step = req.event.step;  // queued-stint clock starts
-      batcher_.queue().push_arrival(next_arrival_);
-      trace_lifecycle_begin(next_arrival_, "queued");
-    }
-    ++next_arrival_;
-  }
-  // Chunked prefill allocates pages lazily (prefill_chunk, later in the
-  // step), so pages_free() alone no longer reflects same-step admissions.
-  // Count the outstanding demand of every in-flight prefill as reserved to
-  // keep the admission invariant: the front request admits only when the
-  // pool can cover its whole (re)prefill.
-  std::size_t reserved = 0;
-  for (const std::size_t r : batcher_.running()) {
-    if (requests_[r].state != RequestState::prefilling) continue;
-    const std::size_t need = pages_for_prefill(requests_[r]);
-    const std::size_t held = slots_[r]->cache.pages_held();
-    reserved += need > held ? need - held : 0;
-  }
-  while (!batcher_.queue().empty() && batcher_.has_slot() &&
-         batcher_.has_prefill_slot()) {
-    // Snapshot the queue for the policy's admission pick. Head-of-line
-    // blocking applies to the *pick*: if the policy's choice does not fit,
-    // admission stops — no skipping past it to a smaller request.
-    const RequestQueue& queue = batcher_.queue();
-    admission_scratch_.clear();
-    admission_handles_.clear();
-    std::size_t pos = 0;
-    for (RequestQueue::Handle h = queue.first(); h != RequestQueue::kNone;
-         h = queue.next(h), ++pos) {
-      const std::size_t r = queue.request_of(h);
-      const Request& req = requests_[r];
-      AdmissionCandidate cand;
-      cand.request = r;
-      cand.priority = req.priority();
-      cand.queue_pos = pos;
-      // Aging input: steps spent *queued* (completed stints plus the current
-      // one) — running time between a past admission and a preemption must
-      // not pre-promote a re-entering request.
-      cand.wait_steps =
-          req.queued_steps_accum +
-          (now_ >= req.enqueue_step ? now_ - req.enqueue_step : 0);
-      if (req.event.slo_ttft_steps > 0) {
-        cand.slack_steps =
-            static_cast<long long>(req.event.step + req.event.slo_ttft_steps) -
-            static_cast<long long>(now_);
-      }
-      admission_scratch_.push_back(cand);
-      admission_handles_.push_back(h);
-    }
-    const std::size_t pick = policy_->pick_admission(admission_scratch_);
-    const std::size_t request = admission_scratch_[pick].request;
-    // Admission control may REJECT (not just delay) a best_effort pick:
-    // above the configured pool-utilization threshold, or whenever the
-    // degradation controller is shedding. The rejection goes through the
-    // retry path — the request backs off and may return, or fails once its
-    // attempts are spent. The loop then re-snapshots the shrunken queue.
-    if (requests_[request].priority() == wl::Priority::best_effort) {
-      bool reject = degrade_.enabled() && degrade_.shed_best_effort();
-      const double limit = config_.admission.reject_best_effort_utilization;
-      if (!reject && limit > 0.0 && pool_.pages_total() > 0) {
-        const std::size_t committed =
-            pool_.pages_total() - pool_.pages_free() + reserved;
-        reject = static_cast<double>(committed) >=
-                 limit * static_cast<double>(pool_.pages_total());
-      }
-      if (reject) {
-        cancel_request(request, CancelReason::rejected);
-        continue;
-      }
-    }
-    const std::size_t need = pages_for_prefill(requests_[request]);
-    if (pool_.pages_free() < need + reserved) {
-      // With an idle, fully-free pool this request can never fit — a config
-      // error, not transient pressure.
-      require(!batcher_.running().empty() ||
-                  pool_.pages_free() < pool_.pages_total(),
-              "ServeEngine: request prefill exceeds total pool pages");
-      break;
-    }
-    batcher_.queue().erase(admission_handles_[pick]);
-    begin_prefill(request);
-    if (requests_[request].state == RequestState::prefilling) {
-      batcher_.admit_prefill(request);
-    } else {
-      batcher_.admit(request);  // zero-length prompt: straight to decode
-    }
-    // Reserve in both branches: even a zero-prefill admission allocates its
-    // first pages lazily (at its first decode append).
-    reserved += need;
-  }
-}
-
-void ServeEngine::begin_prefill(std::size_t request) {
-  Request& req = requests_[request];
-  // First admission builds the request's K/V rows and queries; a preempted
-  // or retried request kept its stream, so its replay re-reads the same rows.
-  // The stream is a pure function of the event and the config at any pool
-  // width, so building it here rather than at submit changes no bit.
-  if (req.stream.heads.empty()) {
-    req.stream = wl::make_decode_stream(config_.stream, req.event.prompt_len,
-                                        req.event.decode_len, config_.n_layer,
-                                        config_.n_head, req.event.stream_seed,
-                                        &workers_);
-  }
-  // Close out the queued stint for the aging clock.
-  req.queued_steps_accum += now_ >= req.enqueue_step
-                                ? now_ - req.enqueue_step
-                                : 0;
-  req.enqueue_step = now_;
-  // The slot's sequences point into req.stream's rows, which live in
-  // requests_. submit() may grow requests_ while slots are live; the rows
-  // keep their address only because reallocation moves each Request (and so
-  // hands over its row buffers) rather than copying it.
-  static_assert(std::is_nothrow_move_constructible_v<Request>);
-  auto slot = std::make_unique<Slot>(
-      &pool_, config_,
-      degrade_headroom_[static_cast<std::size_t>(req.priority())],
-      req.stream);
-  if (req.state == RequestState::queued) {
-    req.admit_step = now_;
-    const auto wait = static_cast<double>(req.queue_wait_steps());
-    metrics_.queue_wait_step_samples.push_back(wait);
-    class_metrics(req).queue_wait_step_samples.push_back(wait);
-  }
-  // Preempted requests recompute: prompt plus every already-generated token
-  // re-enters the pool chunk by chunk (their K/V replay bit-identically from
-  // the stream), and the replayed append traffic is charged again.
-  req.prefill_target = req.event.prompt_len + req.generated;
-  req.prefilled = 0;
-  req.state = req.prefill_target == 0 ? RequestState::running
-                                      : RequestState::prefilling;
-  slots_[request] = std::move(slot);
-  trace_lifecycle_end(request, "queued");
-  trace_lifecycle_begin(request, req.state == RequestState::prefilling
-                                     ? "prefill"
-                                     : "decode");
-}
 
 bool ServeEngine::append_prefill_chunk(std::size_t request) {
   Request& req = requests_[request];
@@ -548,78 +254,10 @@ bool ServeEngine::append_prefill_chunk(std::size_t request) {
   if (req.prefilled == req.prefill_target) {
     req.state = RequestState::running;  // first decode next step
     batcher_.begin_decode(request);
-    trace_lifecycle_end(request, "prefill");
-    trace_lifecycle_begin(request, "decode");
+    trace_lifecycle(request, 'e', "prefill");
+    trace_lifecycle(request, 'b', "decode");
   }
   return true;
-}
-
-void ServeEngine::cancel_step_work(std::size_t request) {
-  // A victim preempted mid-append-phase loses its same-step work: the pages
-  // it appended this step are released with the rest of its slot, so neither
-  // the attention phase nor the reduction may see its PendingWork. (Only the
-  // append phase preempts, so pending_ holds at most one entry per request
-  // and results_/active_ are not built yet.)
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].request == request) {
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-void ServeEngine::do_preempt(std::size_t request) {
-  Request& req = requests_[request];
-  // Close the active state span before the state flips; prefilling requests
-  // that completed their last chunk earlier this same step are already in
-  // the "decode" state span.
-  trace_lifecycle_end(request, req.state == RequestState::prefilling
-                                   ? "prefill"
-                                   : "decode");
-  trace_lifecycle_instant(request, "preempt");
-  trace_lifecycle_begin(request, "queued");
-  slots_[request]->cache.release_all();
-  slots_[request].reset();
-  cancel_step_work(request);
-  req.enqueue_step = now_;  // new queued stint starts now
-  req.state = RequestState::preempted;
-  ++req.preemptions;
-  ++metrics_.preemptions;
-  ++class_metrics(req).preemptions;
-  batcher_.preempt(request);
-}
-
-bool ServeEngine::preempt_for_pressure(std::size_t needy) {
-  victim_scratch_.clear();
-  const auto& running = batcher_.running();
-  for (std::size_t order = 0; order < running.size(); ++order) {
-    const std::size_t r = running[order];
-    if (r == needy) continue;  // the needy request is never its own victim
-    VictimCandidate cand;
-    cand.request = r;
-    cand.priority = requests_[r].priority();
-    cand.admit_order = order;
-    cand.pages_held = slots_[r]->cache.pages_held();
-    cand.replay_bits = replay_cost_bits(requests_[r]);
-    // Filled only under deadline enforcement — deadline-free runs keep every
-    // candidate at kNoSlack, leaving the policy's cost ordering untouched.
-    cand.slack_steps = deadline_slack(requests_[r]);
-    victim_scratch_.push_back(cand);
-  }
-  require(!victim_scratch_.empty(),
-          "ServeEngine: pool exhausted with a single running request — "
-          "pool_pages too small for the workload");
-  std::size_t pick = 0;
-  if (policy_->pick_victim(victim_scratch_, requests_[needy].priority(),
-                           &pick)) {
-    do_preempt(victim_scratch_[pick].request);
-    return true;
-  }
-  // Every candidate outranks the needy request's class: it yields instead
-  // of evicting a higher class — back to the queue, to re-admit (with a
-  // full replay) once pages free up.
-  do_preempt(needy);
-  return false;
 }
 
 bool ServeEngine::ensure_pages_for_append(std::size_t request,
@@ -789,21 +427,13 @@ void ServeEngine::reduce_pending(std::size_t pending) {
     req.prefill_bits += bits;
     metrics_.prefill_bits += bits;
     metrics_.prefill_tokens += work.chunk;
-    active_.push_back(StepXfer{work.request, /*decode=*/false, bits});
+    active_.push_back(DramTransfer{work.request, /*decode=*/false, bits});
     // Emitted here — not at append time — so chunks cancelled by same-step
     // preemption never appear: the trace invariant "sum of prefill_chunk
     // token args == metrics.prefill_tokens" holds exactly.
-    if (trace_ != nullptr) {
-      obs::TraceEvent e;
-      e.name = "prefill_chunk";
-      e.cat = "request";
-      e.phase = 'n';
-      e.domain = obs::TraceDomain::request;
-      e.id = work.request;
-      e.arg("tokens", static_cast<double>(work.chunk));
-      e.arg("cursor", static_cast<double>(work.prefilled_before));
-      emit_request_event(e);
-    }
+    trace_lifecycle(work.request, 'n', "prefill_chunk",
+                    {{"tokens", static_cast<double>(work.chunk)},
+                     {"cursor", static_cast<double>(work.prefilled_before)}});
     return;
   }
 
@@ -876,7 +506,7 @@ void ServeEngine::reduce_pending(std::size_t pending) {
   metrics_.decode_write_bits += token_write_bits_;
 
   if (config_.capture_outputs) req.outputs.push_back(std::move(record));
-  active_.push_back(StepXfer{work.request, /*decode=*/true, bits});
+  active_.push_back(DramTransfer{work.request, /*decode=*/true, bits});
   ++req.generated;
   ++metrics_.tokens_generated;
   ++class_metrics(req).tokens_generated;
@@ -887,20 +517,15 @@ void ServeEngine::reduce_pending(std::size_t pending) {
 
   // Step-domain latency bookkeeping happens now, at reduce time; the
   // cycle-domain twins (cycle stamps + TTFT/latency samples) become a
-  // CycleCheckpoint applied after the replay — on the lane in pipelined mode.
+  // CycleCheckpoint the step's lane job applies after the replay.
   CycleCheckpoint cp;
   cp.request = work.request;
   if (!req.first_token_recorded) {
     req.first_token_recorded = true;
     req.first_token_step = now_;
     cp.first_token = true;
-    if (req.event.slo_ttft_steps > 0) {
-      ClassMetrics& cls = class_metrics(req);
-      ++cls.slo_ttft_tracked;
-      if (req.first_token_step - req.event.step <= req.event.slo_ttft_steps) {
-        ++cls.slo_ttft_met;
-      }
-    }
+    record_ttft_slo(
+        req, req.first_token_step - req.event.step <= req.event.slo_ttft_steps);
   }
   if (req.done()) {
     retire(work.request);
@@ -909,362 +534,18 @@ void ServeEngine::reduce_pending(std::size_t pending) {
   if (cp.first_token || cp.finished) checkpoints_.push_back(cp);
 }
 
-void ServeEngine::retire(std::size_t request) {
-  Request& req = requests_[request];
-  trace_lifecycle_end(request, "decode");
-  trace_lifecycle_end(request, "request");
-  slots_[request]->cache.release_all();
-  slots_[request].reset();
-  req.stream = {};  // no slot reads the rows any more
-  req.state = RequestState::finished;
-  req.finish_step = now_;
-  batcher_.retire(request);
-  ++finished_;
-  ++metrics_.requests_retired;
-  ClassMetrics& cls = class_metrics(req);
-  ++cls.retired;
-  if (req.event.slo_latency_steps > 0) {
-    ++cls.slo_latency_tracked;
-    if (req.finish_step - req.event.step <= req.event.slo_latency_steps) {
-      ++cls.slo_latency_met;
-    }
-  }
-}
-
-std::size_t ServeEngine::effective_deadline_steps(const Request& req) const {
-  return req.event.deadline_steps > 0 ? req.event.deadline_steps
-                                      : req.event.slo_latency_steps;
-}
-
-long long ServeEngine::deadline_slack(const Request& req) const {
-  if (!config_.enforce_deadlines) return VictimCandidate::kNoSlack;
-  const std::size_t deadline = effective_deadline_steps(req);
-  if (deadline == 0) return VictimCandidate::kNoSlack;
-  return static_cast<long long>(req.event.step + deadline) -
-         static_cast<long long>(now_);
-}
-
-void ServeEngine::fail_request(std::size_t request) {
-  Request& req = requests_[request];
-  req.stream = {};  // terminal: no replay will read the rows
-  req.state = RequestState::failed;
-  req.finish_step = now_;
-  ++finished_;
-  ++metrics_.requests_failed;
-  ClassMetrics& cls = class_metrics(req);
-  ++cls.failed;
-  // A failed request counts against its SLOs exactly once: TTFT only if no
-  // first token was ever produced (reduce_pending already counted it
-  // otherwise), latency always — both tracked and not met, so attainment
-  // reflects failures instead of silently shrinking its denominator. No
-  // cycle-domain stamps: the lane never hears about failures, keeping the
-  // pipelined field partition intact (latency_cycles() reports 0).
-  if (req.event.slo_ttft_steps > 0 && !req.first_token_recorded) {
-    ++cls.slo_ttft_tracked;
-  }
-  if (req.event.slo_latency_steps > 0) ++cls.slo_latency_tracked;
-  trace_lifecycle_end(request, "request");
-}
-
-void ServeEngine::cancel_request(std::size_t request, CancelReason reason) {
-  Request& req = requests_[request];
-  const RequestState prev = req.state;
-
-  // Detach from wherever the request lives, releasing pages, quantized-cache
-  // entries, and same-step recorded work exactly once.
-  switch (prev) {
-    case RequestState::prefilling:
-    case RequestState::running:
-      slots_[request]->cache.release_all();
-      slots_[request].reset();
-      cancel_step_work(request);
-      batcher_.retire(request);  // drops from running/prefilling, no re-queue
-      break;
-    case RequestState::queued:
-    case RequestState::preempted: {
-      RequestQueue& queue = batcher_.queue();
-      for (RequestQueue::Handle h = queue.first(); h != RequestQueue::kNone;
-           h = queue.next(h)) {
-        if (queue.request_of(h) == request) {
-          queue.erase(h);
-          break;
-        }
-      }
-      // Close the queued stint so the aging clock stays consistent if the
-      // request retries.
-      req.queued_steps_accum +=
-          now_ >= req.enqueue_step ? now_ - req.enqueue_step : 0;
-      req.enqueue_step = now_;
-      break;
-    }
-    case RequestState::backoff:
-      backoff_.erase(std::find(backoff_.begin(), backoff_.end(), request));
-      break;
-    case RequestState::finished:
-    case RequestState::failed:
-      return;  // already terminal; nothing to cancel
-  }
-  // Reset the prefill cursor: a request cancelled mid-prefill must never
-  // resume a stale cursor (begin_prefill recomputes the target from
-  // prompt+generated on re-admission). The chunks it did complete were
-  // charged at reduce time — this step's uncharged chunk died with its
-  // PendingWork above, so replay traffic is charged exactly once per kept
-  // chunk.
-  req.prefilled = 0;
-  req.prefill_target = 0;
-
-  ClassMetrics& cls = class_metrics(req);
-  if (reason == CancelReason::rejected) {
-    ++metrics_.rejections;
-    ++cls.rejections;
-    trace_lifecycle_instant(request, "reject");
-  } else {
-    ++metrics_.aborts;
-    ++cls.aborts;
-    if (reason == CancelReason::deadline) {
-      ++metrics_.deadline_misses;
-      ++cls.deadline_misses;
-      trace_lifecycle_instant(request, "deadline_miss");
-    } else {
-      trace_lifecycle_instant(request, "abort");
-    }
-  }
-
-  // queued/preempted/backoff all live inside the "queued" lifecycle span;
-  // keep it open when the request merely moves to backoff.
-  const bool in_queued_span = prev == RequestState::queued ||
-                              prev == RequestState::preempted ||
-                              prev == RequestState::backoff;
-  const char* active_span = in_queued_span ? "queued"
-                            : prev == RequestState::prefilling ? "prefill"
-                                                               : "decode";
-  // Deadline cancellations never retry: waiting longer cannot un-blow a
-  // deadline. Fault aborts and rejections retry while attempts remain.
-  const bool retryable = reason != CancelReason::deadline &&
-                         req.attempts < config_.retry.max_retries;
-  if (retryable) {
-    ++req.attempts;
-    req.retry_at_step = now_ + config_.retry.backoff_steps(req.attempts);
-    req.state = RequestState::backoff;
-    backoff_.push_back(request);
-    if (!in_queued_span) {
-      trace_lifecycle_end(request, active_span);
-      trace_lifecycle_begin(request, "queued");  // covers backoff + re-queue
-    }
-  } else {
-    trace_lifecycle_end(request, active_span);
-    fail_request(request);
-  }
-}
-
-void ServeEngine::process_retries_and_faults() {
-  // Retry re-entries first — a due request re-queues now and is visible to
-  // this same step's admission phase. Collected then sorted by request index
-  // so the queue order is independent of how backoff_ got permuted by
-  // earlier erases.
-  if (!backoff_.empty()) {
-    retry_scratch_.clear();
-    for (const std::size_t r : backoff_) {
-      if (requests_[r].retry_at_step <= now_) retry_scratch_.push_back(r);
-    }
-    std::sort(retry_scratch_.begin(), retry_scratch_.end());
-    for (const std::size_t r : retry_scratch_) {
-      backoff_.erase(std::find(backoff_.begin(), backoff_.end(), r));
-      Request& req = requests_[r];
-      req.state = RequestState::queued;
-      req.enqueue_step = now_;  // the backoff wait does not age the request
-      batcher_.queue().push_arrival(r);
-      ++metrics_.retries;
-      ++class_metrics(req).retries;
-      trace_lifecycle_instant(r, "retry");
-    }
-  }
-
-  // Abort faults (client disconnect / upstream cancel), walked in request
-  // order over arrived, still-live requests — sequential and index-ordered,
-  // so firing is identical at every thread count.
-  if (injector_.enabled()) {
-    for (std::size_t r = 0; r < next_arrival_; ++r) {
-      Request& req = requests_[r];
-      if (req.state == RequestState::finished ||
-          req.state == RequestState::failed) {
-        continue;
-      }
-      if (injector_.should_abort(req.event.request_id, now_)) {
-        cancel_request(r, CancelReason::fault);
-      }
-    }
-  }
-
-  // Deadline enforcement: cancel anything strictly past its deadline
-  // (finishing exactly at the deadline step still meets it, matching the
-  // SLO accounting's <=).
-  if (config_.enforce_deadlines) {
-    for (std::size_t r = 0; r < next_arrival_; ++r) {
-      Request& req = requests_[r];
-      if (req.state == RequestState::finished ||
-          req.state == RequestState::failed) {
-        continue;
-      }
-      const std::size_t deadline = effective_deadline_steps(req);
-      if (deadline > 0 && now_ > req.event.step + deadline) {
-        cancel_request(r, CancelReason::deadline);
-      }
-    }
-  }
-}
-
-void ServeEngine::update_degradation() {
-  if (!degrade_.evaluates_at(now_)) return;
-  // The controller's input signals. Pool occupancy reads the live pool;
-  // interactive SLO attainment is windowed over the TTFT verdicts since the
-  // previous evaluation (-1 = empty window, neutral signal).
-  const double occupancy =
-      pool_.pages_total() > 0
-          ? 1.0 - static_cast<double>(pool_.pages_free()) /
-                      static_cast<double>(pool_.pages_total())
-          : 0.0;
-  const ClassMetrics& interactive =
-      metrics_.per_class[static_cast<std::size_t>(wl::Priority::interactive)];
-  const std::size_t tracked =
-      interactive.slo_ttft_tracked - slo_window_tracked_;
-  const std::size_t met = interactive.slo_ttft_met - slo_window_met_;
-  const double attainment =
-      tracked > 0
-          ? static_cast<double>(met) / static_cast<double>(tracked)
-          : -1.0;
-  slo_window_tracked_ = interactive.slo_ttft_tracked;
-  slo_window_met_ = interactive.slo_ttft_met;
-  if (degrade_.observe(now_, occupancy, attainment)) {
-    ++metrics_.degradation_level_changes;
-    metrics_.degradation_level = degrade_.level();
-    for (std::size_t c = 0; c < wl::kPriorityCount; ++c) {
-      const auto cls = static_cast<wl::Priority>(c);
-      degrade_scale_[c] = degrade_.threshold_scale(cls);
-      degrade_headroom_[c] = degrade_.headroom(cls);
-    }
-    if (trace_ != nullptr) {
-      trace_->counter(0, obs::TraceDomain::engine, "degrade.level",
-                      trace_->now_ns(), "level",
-                      static_cast<double>(degrade_.level()));
-    }
-  }
-}
-
-void ServeEngine::simulate_step_dram(const std::vector<StepXfer>& active) {
-  const std::uint64_t start = hbm_.cycle();
-  const auto granule =
-      static_cast<std::uint64_t>(config_.dram.transaction_bytes);
-
-  std::vector<std::uint64_t> remaining(active.size());
-  std::vector<std::uint64_t> finish(active.size(), start);
-  std::uint64_t total_granules = 0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const std::uint64_t bytes = (active[i].bits + 7) / 8;
-    remaining[i] = (bytes + granule - 1) / granule;
-    total_granules += remaining[i];
-  }
-
-  std::uint64_t total_remaining = total_granules;
-
-  // Per-channel occupancy sampling cadence (cycle-domain counter tracks).
-  // A replay window is typically a few thousand cycles; 64-cycle sampling
-  // keeps the queue/in-flight shape visible without bloating the trace.
-  constexpr std::uint64_t kChannelSampleCycles = 64;
-  static constexpr const char* kChannelKeys[8] = {
-      "ch0", "ch1", "ch2", "ch3", "ch4", "ch5", "ch6", "ch7"};
-
-  while (total_remaining > 0 || hbm_.pending() > 0) {
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      if (remaining[i] == 0) continue;
-      const std::size_t request = active[i].request;
-      mem::MemRequest mreq;
-      mreq.addr =
-          dram_layout::stream_addr(request, dram_offset_[request], granule);
-      require(mreq.addr >= dram_layout::region_base(request) &&
-                  mreq.addr < dram_layout::region_base(request) +
-                                  dram_layout::kRegionBytes,
-              "ServeEngine: stream address escaped its request region");
-      mreq.id = i;
-      if (hbm_.try_enqueue(mreq)) {
-        --remaining[i];
-        --total_remaining;
-        ++dram_offset_[request];
-      }
-    }
-    for (const auto& resp : hbm_.tick()) {
-      finish[resp.id] = std::max(finish[resp.id], resp.ready_cycle);
-    }
-    if (trace_ != nullptr &&
-        (hbm_.cycle() - start) % kChannelSampleCycles == 1) {
-      // Sampled at cycle 1 of the window (so even short replays get one
-      // loaded-state sample) and every kChannelSampleCycles after.
-      obs::TraceEvent e;
-      e.name = "channel_pending";
-      e.cat = "memsim";
-      e.phase = 'C';
-      e.domain = obs::TraceDomain::memsim;
-      e.ts = hbm_.cycle();
-      const std::size_t n_ch =
-          std::min<std::size_t>(hbm_.channel_count(),
-                                obs::TraceEvent::kMaxArgs);
-      for (std::size_t c = 0; c < n_ch; ++c) {
-        e.arg(kChannelKeys[c],
-              static_cast<double>(hbm_.channel(c).pending()));
-      }
-      trace_->record(lane_track(), e);
-    }
-  }
-
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const auto cycles = finish[i] - start;
-    requests_[active[i].request].dram_cycles += cycles;
-    // Decode-step latency samples stay decode-only so prefill chunks don't
-    // masquerade as token latencies — but they DO stretch the co-scheduled
-    // decodes' samples through bus/bank contention above.
-    if (active[i].decode) {
-      metrics_.step_cycle_samples.push_back(static_cast<double>(cycles));
-    }
-  }
-  metrics_.dram_cycles = hbm_.cycle();
-  metrics_.dram = hbm_.stats();
-
-  // Cycle-domain replay window (pid "memsim"): ts/dur are DRAM cycles.
-  if (trace_ != nullptr) {
-    obs::TraceEvent e;
-    e.name = "replay";
-    e.cat = "memsim";
-    e.phase = 'X';
-    e.domain = obs::TraceDomain::memsim;
-    e.ts = start;
-    e.dur = hbm_.cycle() - start;
-    e.arg("transfers", static_cast<double>(active.size()));
-    e.arg("granules", static_cast<double>(total_granules));
-    trace_->record(lane_track(), e);
-  }
-}
-
 void ServeEngine::apply_cycle_checkpoints(
     const std::vector<CycleCheckpoint>& checkpoints, std::size_t step) {
   // Stamped after the step's traffic drained, so the DRAM clock includes this
-  // step's contention. Runs on the lane in pipelined mode: every field it
-  // touches (cycle stamps, TTFT/latency samples) is lane-owned there,
-  // disjoint from the step-domain fields the main thread writes.
+  // step's contention. Runs in the step's lane job: every field it touches
+  // (cycle stamps, TTFT/latency samples) is lane-owned, disjoint from the
+  // step-domain fields the main thread writes.
   for (const auto& cp : checkpoints) {
     Request& req = requests_[cp.request];
     if (cp.first_token) {
-      req.first_token_cycle = hbm_.cycle();
+      req.first_token_cycle = dram_.cycle();
       if (trace_ != nullptr) {
-        obs::TraceEvent e;
-        e.name = "first_token";
-        e.cat = "request";
-        e.phase = 'n';
-        e.domain = obs::TraceDomain::request;
-        e.ts = trace_->now_ns();
-        e.id = cp.request;
-        e.cycle = hbm_.cycle();
-        e.arg("step", static_cast<double>(step));
-        trace_->record(lane_track(), e);
+        record_stamped(lifecycle_event(cp.request, 'n', "first_token", step));
       }
       if (config_.simulate_dram) {
         const auto ttft = static_cast<double>(req.ttft_cycles());
@@ -1273,7 +554,7 @@ void ServeEngine::apply_cycle_checkpoints(
       }
     }
     if (cp.finished) {
-      req.finish_cycle = hbm_.cycle();
+      req.finish_cycle = dram_.cycle();
       if (config_.simulate_dram) {
         const auto latency = static_cast<double>(req.latency_cycles());
         metrics_.request_latency_cycle_samples.push_back(latency);
@@ -1284,45 +565,51 @@ void ServeEngine::apply_cycle_checkpoints(
 }
 
 void ServeEngine::finish_step_cycle_work() {
-  const bool phases = config_.collect_phase_stats;
-  if (!config_.pipeline) {
-    if (config_.simulate_dram && !active_.empty()) {
-      obs::PhaseTimer replay_timer(phases ? &phase_stats_.replay_ns : nullptr);
-      obs::TraceSpan span(trace_, 0, "dram_replay", "engine");
-      span.cycle(hbm_.cycle());
-      span.arg("transfers", static_cast<double>(active_.size()));
-      simulate_step_dram(active_);
-    }
-    obs::PhaseTimer other_timer(phases ? &phase_stats_.other_ns : nullptr);
-    apply_cycle_checkpoints(checkpoints_, now_);
-    return;
-  }
-  // Pipelined: one lane job replays this step's traffic and applies its
-  // checkpoints while the main thread starts step t+1. Jobs run in
-  // submission order — identical to sequential program order — so the DRAM
-  // clock evolves bit-identically to the sequential engine's.
+  // One job replays this step's traffic and applies its checkpoints. Jobs
+  // run in submission order — identical to sequential program order — so
+  // on the lane's thread the DRAM clock evolves bit-identically to the
+  // inline run while the main thread starts step t+1.
   if (active_.empty() && checkpoints_.empty()) return;
   lane_.submit([this, xfers = std::move(active_),
                 cps = std::move(checkpoints_), step = now_] {
-    const bool timed = config_.collect_phase_stats;
-    const auto t0 = timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
+    std::uint64_t* phase = lane_.enabled() ? &phase_stats_.lane_busy_ns
+                                           : &phase_stats_.replay_ns;
+    obs::PhaseTimer timer(config_.collect_phase_stats ? phase : nullptr);
     if (config_.simulate_dram && !xfers.empty()) {
       obs::TraceSpan span(trace_, lane_track(), "dram_replay", "engine");
-      span.cycle(hbm_.cycle());
+      span.cycle(dram_.cycle());
       span.arg("transfers", static_cast<double>(xfers.size()));
       span.arg("step", static_cast<double>(step));
-      simulate_step_dram(xfers);
+      const std::uint64_t start = dram_.cycle();
+      const std::vector<std::uint64_t>& finish =
+          dram_.replay(xfers, trace_, lane_track());
+      for (std::size_t i = 0; i < xfers.size(); ++i) {
+        const std::uint64_t cycles = finish[i] - start;
+        requests_[xfers[i].request].dram_cycles += cycles;
+        // Decode-step latency samples stay decode-only so prefill chunks
+        // don't masquerade as token latencies — but they DO stretch the
+        // co-scheduled decodes' samples through bus/bank contention.
+        if (xfers[i].decode) {
+          metrics_.step_cycle_samples.push_back(static_cast<double>(cycles));
+        }
+      }
+      metrics_.dram_cycles = dram_.cycle();
+      metrics_.dram = dram_.stats();
     }
     apply_cycle_checkpoints(cps, step);
-    if (timed) phase_stats_.lane_busy_ns += elapsed_ns(t0);
   });
   active_ = {};  // moved-from: hand back fresh buffers for the next step
   checkpoints_ = {};
 }
 
+void ServeEngine::record_stamped(obs::TraceEvent event) {
+  event.ts = trace_->now_ns();
+  event.cycle = dram_.cycle();
+  trace_->record(lane_track(), event);
+}
+
 bool ServeEngine::step() {
-  if (finished_ >= requests_.size()) {
+  if (all_done()) {
     lane_.drain();
     return false;
   }
@@ -1341,7 +628,7 @@ bool ServeEngine::step() {
   obs::TraceSpan step_span(trace_, 0, "step", "engine");
   step_span.arg("step", static_cast<double>(now_));
   // Pipelined, the lane owns the DRAM clock; main-thread spans go uncycled.
-  if (!config_.pipeline) step_span.cycle(hbm_.cycle());
+  if (!config_.pipeline) step_span.cycle(dram_.cycle());
 
   {
     obs::PhaseTimer timer(phases ? &phase_stats_.admit_ns : nullptr);
@@ -1363,8 +650,6 @@ bool ServeEngine::step() {
     obs::TraceSpan span(trace_, 0, "append", "engine");
     const std::vector<std::size_t> schedule = batcher_.running();
     pending_.clear();
-    active_.clear();
-    checkpoints_.clear();
     for (const std::size_t request : schedule) {
       // A false return = the request self-preempted inside the call (the
       // policy shielded every running request): nothing appended, no traffic.
@@ -1500,7 +785,7 @@ bool ServeEngine::step() {
 
   ++metrics_.engine_steps;
   ++now_;
-  if (finished_ < requests_.size()) return true;
+  if (!all_done()) return true;
   // Last request retired: drain the lane so metrics()/requests() and the
   // trace are complete (and any lane-job exception surfaces here).
   lane_.drain();
@@ -1508,7 +793,7 @@ bool ServeEngine::step() {
 }
 
 void ServeEngine::run() {
-  while (finished_ < requests_.size()) step();
+  while (!all_done()) step();
 }
 
 }  // namespace topick::serve

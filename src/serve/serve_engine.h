@@ -1,49 +1,41 @@
-// ServeEngine: the multi-tenant prefill+decode loop tying the subsystem
-// together.
+// ServeEngine: the multi-tenant prefill+decode loop of the serving stack.
+// Its members live in three units:
 //
-// Each engine step: (1) admit due arrivals — ordered by the configured
-// SchedulingPolicy — while slots, prefill slots, and pool pages allow
-// (zero-decode requests retire at arrival); (2) append phase, sequential in
-// schedule order: every prefilling request appends up to
-// prefill_chunk_tokens of its prompt (or preemption replay) through the
-// paged pool, and every decoding request appends the step's K/V — resolving
-// pool pressure through the policy's victim pick, or self-preempting the
-// needy request when the policy protects every running one; (3) attention
-// phase, fanned across ServeConfig::threads workers: one attention instance
-// per (slot, layer, head) through the configured backend — exact quantized
-// or Token-Picker — each worker using only its own scratch; (4) reduction
-// phase, sequential in slot order: feed Token-Picker's per-token verdicts
-// into PrunePersistence, reclaim fully-dead pages, merge AccessStats, and
-// stamp outputs/metrics — so results are bit-identical for every thread
-// count. Two deliberate semantic shifts from the pre-phase engine, both
-// deterministic: a victim preempted during the append phase contributes no
-// work to the step (its same-step appends are rolled back with its pages),
-// and pages freed by this step's reclamation/retirement become visible to
-// pool-pressure checks only from the NEXT step's append phase — earlier,
-// a request retiring mid-step could satisfy a later-scheduled request's
-// page demand within the same step;
+// * serve_engine.cpp: construction and the step. A step (1) admits (see
+//   below); (2) appends, sequentially in schedule order: each prefilling
+//   request up to prefill_chunk_tokens of its prompt (or preemption
+//   replay), each decoding request one token, preempting under pool
+//   pressure; (3) attends, fanned over ServeConfig::threads workers: one
+//   unit per (request, layer, head) on worker-local scratch, reading a
+//   per-head QuantizedKvCache that quantizes each token once at append and
+//   evicts with page reclamation, so a decode costs O(kept)
+//   (ServeEngineEquivalence.CachedDecodeMatchesQuantizeFromScratch pins it
+//   to quantizing the live set from scratch); (4) reduces, sequentially in
+//   slot order: Token-Picker verdicts feed PrunePersistence, dead pages
+//   return to the pool, stats merge, outputs are stamped, finished requests
+//   retire; (5) hands one job to the SerialLane that replays the step's
+//   prefill + decode traffic through the DRAM proxy and stamps first-token
+//   and finish cycles (inline unless ServeConfig::pipeline); (6) samples
+//   the gauges.
+// * request_lifecycle.cpp: submit, admission, start of prefill, preemption,
+//   cancel, retry, fail and retire. Every move of a request between the
+//   queue, the running set and backoff, with its SLO verdicts and its trace
+//   lifecycle.
+// * dram_proxy.{h,cpp}: the DRAM latency proxy (DramProxy): the memsim HBM
+//   model, the per-request address scheme and the plan's channel faults.
 //
-// Attention reads go through a per-(slot, layer, head) QuantizedKvCache that
-// quantizes each token once at append (prefill chunks use the bulk path) and
-// evicts coherently with page reclamation, so a decode step costs O(kept)
-// instead of re-quantizing the whole head; results are bit-identical to
-// quantizing the post-reclaim live set from scratch every step
-// (ServeEngineEquivalence.CachedDecodeMatchesQuantizeFromScratch in
-// tests/serve_invariants_test.cpp).
-// The oracle diagnostic pass is disabled in the engine (compute_oracle_mass)
-// — tests shadow-check outputs against exact references instead.
-// (5) replay the step's combined prefill+decode DRAM traffic through the
-// memsim HBM model for a per-request latency proxy in DRAM cycles — prefill
-// is never free, so TTFT and decode tails see prompt bursts; (6) retire
-// finished requests.
-//
-// The engine is deterministic: request streams are pure functions of their
-// arrival events, so preemption-recompute and the test's shadow exact
-// references replay exactly.
+// Results are bit-identical for every thread count and with the pipeline on
+// or off: shared state is mutated only in slot-ordered sequential phases,
+// and lane jobs run in submission order. Request streams are pure functions
+// of their arrival events, so preemption-recompute and the tests' shadow
+// exact references replay exactly. A victim preempted in the append phase
+// contributes no work to its step, and pages freed by a step's reclamation
+// or retirement serve pool-pressure checks from the next step's append on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -56,10 +48,10 @@
 #include "core/token_picker.h"
 #include "fault/degradation.h"
 #include "fault/fault_plan.h"
-#include "memsim/hbm.h"
 #include "obs/phase_stats.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
+#include "serve/dram_proxy.h"
 #include "serve/paged_kv_pool.h"
 #include "serve/paged_sequence.h"
 #include "serve/request.h"
@@ -70,29 +62,6 @@
 namespace topick::serve {
 
 enum class BackendKind { exact_quantized, token_picker };
-
-// DRAM address layout for the latency proxy: each request streams within its
-// own 64 MiB region so concurrent requests hit different rows/banks like
-// distinct cache slabs would. Offsets wrap within the region — a long
-// request must never walk past its region into a neighbour's address range.
-namespace dram_layout {
-
-inline constexpr std::uint64_t kRegionBytes = 1ull << 26;
-
-constexpr std::uint64_t region_base(std::size_t request) {
-  return (static_cast<std::uint64_t>(request) + 1) * kRegionBytes;
-}
-
-// Byte address of the offset_granules-th transaction of `request`'s stream.
-constexpr std::uint64_t stream_addr(std::size_t request,
-                                    std::uint64_t offset_granules,
-                                    std::uint64_t granule_bytes) {
-  const std::uint64_t granules_per_region = kRegionBytes / granule_bytes;
-  return region_base(request) +
-         (offset_granules % granules_per_region) * granule_bytes;
-}
-
-}  // namespace dram_layout
 
 // Bounded exponential backoff for requests aborted by a fault or rejected by
 // admission control. A request consumes one attempt per abort/rejection; once
@@ -398,22 +367,30 @@ class ServeEngine {
   const obs::StepPhaseStats& phase_stats() const { return phase_stats_; }
 
  private:
-  struct Slot;       // per-running-request paged cache + pruning state
   struct Workspace;  // per-worker attention scratch (no sharing across workers)
 
-  // One request's share of a step's DRAM traffic; decode distinguishes
-  // decode-step latency samples from prefill-only transfers.
-  struct StepXfer {
-    std::size_t request = 0;
-    bool decode = false;
-    std::uint64_t bits = 0;  // K/V bits this transfer moves
+  // A running request's paged cache plus, per (layer, head) and layer-major,
+  // the incrementally quantized companion of each sequence's live tokens
+  // (the attention read path), the sequence that serves as its rescale
+  // source, and the prune-persistence tracker. `headroom` is the quantized
+  // cache's rescale headroom: 1.0 normally, raised by the degradation
+  // controller for slots created while the request's class is degraded.
+  struct Slot {
+    Slot(PagedKvPool* pool, const ServeConfig& config, float headroom,
+         const wl::DecodeStream& stream);
+
+    PagedKvCache cache;
+    std::vector<QuantizedKvCache> qcaches;
+    std::vector<PagedRescaleSource> rescale_sources;  // parallel to qcaches
+    std::vector<PrunePersistence> persistence;
   };
+
   // Cycle-domain work a decode step leaves for after the replay: stamp the
-  // request's first-token/finish cycles and feed the latency metrics. In
-  // pipelined mode these run on the lane; the step-domain twins
-  // (first_token_step, SLO counters) are applied at reduce time on the main
-  // thread — the value partition that keeps the two threads off each other's
-  // fields.
+  // request's first-token/finish cycles and feed the latency metrics. These
+  // run in the step's lane job; the step-domain twins (first_token_step, SLO
+  // counters) are applied at reduce time on the main thread — the value
+  // partition that keeps the lane and the main thread off each other's
+  // fields when the lane has its own thread.
   struct CycleCheckpoint {
     std::size_t request = 0;
     bool first_token = false;
@@ -438,38 +415,20 @@ class ServeEngine {
     std::vector<TokenDecision> decisions;  // token_picker backend only
   };
 
-  std::size_t pages_for_prefill(const Request& request) const;
-  // K/V write bits a preempted `request` would replay on resume (prompt plus
-  // already-generated tokens) — the recompute cost CostAwareVictim ranks by.
-  std::uint64_t replay_cost_bits(const Request& request) const;
+  // Every submitted request is finished or failed.
+  bool all_done() const {
+    return metrics_.requests_retired + metrics_.requests_failed >=
+           requests_.size();
+  }
   ClassMetrics& class_metrics(const Request& request) {
     return metrics_.per_class[static_cast<std::size_t>(request.priority())];
   }
-  // --- Fault/deadline/retry machinery (src/fault/) ---
-  enum class CancelReason { fault, deadline, rejected };
-  // Deadline in engine steps from the arrival step (explicit deadline_steps,
-  // else the latency SLO); 0 = none.
-  std::size_t effective_deadline_steps(const Request& request) const;
-  // Remaining slack for victim selection; kNoSlack when enforcement is off
-  // or the request carries no deadline.
-  long long deadline_slack(const Request& request) const;
-  // Step-start sequential phase: re-queue due backoff requests, fire the
-  // plan's abort faults, cancel past-deadline requests.
-  void process_retries_and_faults();
-  // Removes `request` from wherever it lives (queue / running / backoff),
-  // releasing pages, cache entries, and same-step recorded work exactly once
-  // and resetting the prefill cursor, then either schedules a retry (backoff)
-  // or fails it terminally. Progress (generated tokens) is retained — a retry
-  // replays prompt+generated like preemption-recompute.
-  void cancel_request(std::size_t request, CancelReason reason);
-  void fail_request(std::size_t request);
-  // Degradation controller cadence: publish pool/SLO signals, observe, and
-  // refresh the per-class threshold-scale/headroom caches on level changes.
-  void update_degradation();
-  void admit_due_requests();
-  // All three return false when `request` was self-preempted mid-call (the
-  // policy refused to sacrifice any running request for it) — the caller
-  // must not touch the slot or charge traffic.
+
+  // --- Step (serve_engine.cpp) ---
+  // All three return false when `request` lost its slot mid-call
+  // (self-preempted because the policy protects every running request, or
+  // cancelled by an allocation fault): the caller must not touch the slot or
+  // charge traffic.
   bool ensure_pages_for_append(std::size_t request, std::size_t tokens);
   // Append phase (sequential): pool pressure + paged appends; records a
   // PendingWork on success.
@@ -483,46 +442,86 @@ class ServeEngine {
   // Reduction phase (sequential, slot order): persistence + reclaim, stats
   // merge, output capture, step traffic, retirement.
   void reduce_pending(std::size_t pending);
-  // Drops a preempted victim's recorded step work (append phase only).
-  void cancel_step_work(std::size_t request);
+  // Submits step `now_`'s DRAM replay and cycle checkpoints to the lane as
+  // one job, consuming active_/checkpoints_. The lane runs it inline (timed
+  // as replay_ns) unless ServeConfig::pipeline gave it a thread (timed as
+  // lane_busy_ns).
+  void finish_step_cycle_work();
+  // Post-replay cycle-domain bookkeeping: first-token/finish cycle stamps,
+  // TTFT/latency metrics, first_token trace instants.
+  void apply_cycle_checkpoints(const std::vector<CycleCheckpoint>& checkpoints,
+                               std::size_t step);
+  // The lane's trace track (after the worker tracks); 0 when not pipelined.
+  std::size_t lane_track() const {
+    return config_.pipeline ? workers_.threads() : 0;
+  }
+  // Stamps a request-domain event with the wall time and DRAM cycle and
+  // records it on lane_track(). Lane-side only: the cycle must be the one
+  // the sequential engine would show.
+  void record_stamped(obs::TraceEvent event);
+
+  // --- Request lifecycle (request_lifecycle.cpp) ---
+  enum class CancelReason { fault, deadline, rejected };
+  std::size_t pages_for_prefill(const Request& request) const;
+  // K/V write bits a preempted `request` would replay on resume (prompt plus
+  // already-generated tokens) — the recompute cost CostAwareVictim ranks by.
+  std::uint64_t replay_cost_bits(const Request& request) const;
+  // Deadline in engine steps from the arrival step (explicit deadline_steps,
+  // else the latency SLO); 0 = none.
+  std::size_t effective_deadline_steps(const Request& request) const;
+  // Remaining slack for victim selection; kNoSlack when enforcement is off
+  // or the request carries no deadline.
+  long long deadline_slack(const Request& request) const;
+  // Step-start sequential phase: re-queue due backoff requests, fire the
+  // plan's abort faults, cancel past-deadline requests.
+  void process_retries_and_faults();
+  // Degradation controller cadence: publish pool/SLO signals, observe, and
+  // refresh the per-class threshold-scale/headroom caches on level changes.
+  void update_degradation();
+  void admit_due_requests();
   void begin_prefill(std::size_t request);
   // Applies the policy's victim pick (or self-preempts `needy` on refusal —
   // the false return). Throws when `needy` is the only running request.
   bool preempt_for_pressure(std::size_t needy);
   void do_preempt(std::size_t request);
+  // Removes `request` from wherever it lives (queue / running / backoff),
+  // releasing its slot exactly once and resetting the prefill cursor, then
+  // either schedules a retry (backoff) or fails it terminally. Progress
+  // (generated tokens) is retained — a retry replays prompt+generated like
+  // preemption-recompute.
+  void cancel_request(std::size_t request, CancelReason reason);
+  void fail_request(std::size_t request);
   void retire(std::size_t request);
-  void simulate_step_dram(const std::vector<StepXfer>& active);
-  // Post-replay cycle-domain bookkeeping: first-token/finish cycle stamps,
-  // TTFT/latency metrics, first_token trace instants. Runs inline after the
-  // replay in sequential mode; as a lane job (with the step's xfers) in
-  // pipelined mode.
-  void apply_cycle_checkpoints(const std::vector<CycleCheckpoint>& checkpoints,
-                               std::size_t step);
-  // Hands step `now_`'s replay + checkpoints to the lane (pipelined mode) or
-  // runs them inline (sequential mode), consuming active_/checkpoints_.
-  void finish_step_cycle_work();
-  // Records a request-domain trace event as a lane job, stamped with the
-  // wall time and DRAM cycle at lane execution on lane_track() (inline on
-  // track 0 when the lane is disabled), so cycle stamps always reflect the
-  // sequential engine's clock.
-  void emit_request_event(const obs::TraceEvent& event);
-  // The lane's trace track (after the worker tracks); 0 when not pipelined.
-  std::size_t lane_track() const {
-    return config_.pipeline ? workers_.threads() : 0;
-  }
-  // Request-lifecycle trace transitions (no-ops when tracing is off). A
-  // request's async track is one "request" span nesting exactly one of
-  // {queued, prefill, decode} at any instant.
-  void trace_lifecycle_begin(std::size_t request, const char* state);
-  void trace_lifecycle_end(std::size_t request, const char* state);
-  void trace_lifecycle_instant(std::size_t request, const char* name);
+  // Takes `request` off the running set if it holds a slot: returns its
+  // pages and quantized caches to the pool and drops it from the batcher.
+  // A non-terminal detach (preemption, cancel) happens before the reduction
+  // and also drops the work the request recorded this step; a terminal one
+  // (retire, fail) releases the stream rows, which no replay will read.
+  void detach(std::size_t request, bool terminal);
+  // Drops a preempted or cancelled request's recorded step work.
+  void cancel_step_work(std::size_t request);
+  // Counts one TTFT / latency verdict in the request's class; no-op for a
+  // request without that SLO.
+  void record_ttft_slo(const Request& request, bool met);
+  void record_latency_slo(const Request& request, bool met);
+  // Request-lifecycle trace events (pid "requests", one async track per
+  // request): 'b'/'e' open and close a state span, 'n' marks an instant.
+  // Begins and instants carry the step; `args` follow it. A request's track
+  // is one "request" span nesting exactly one of {queued, prefill, decode}
+  // at any instant.
+  static obs::TraceEvent lifecycle_event(std::size_t request, char phase,
+                                         const char* name, std::size_t step);
+  // Records one as a lane job (no-op when tracing is off), so its cycle
+  // stamp reflects the sequential engine's clock.
+  void trace_lifecycle(std::size_t request, char phase, const char* name,
+                       std::initializer_list<obs::TraceArg> args = {});
 
   ServeConfig config_;
   std::uint64_t token_write_bits_ = 0;  // K/V bits appended per token
   PagedKvPool pool_;
   ContinuousBatcher batcher_;
   std::unique_ptr<SchedulingPolicy> policy_;
-  mem::Hbm hbm_;
+  DramProxy dram_;
   ThreadPool workers_;
 
   // Live slots' sequences point into their Request's stream rows; see
@@ -531,8 +530,6 @@ class ServeEngine {
   std::vector<std::unique_ptr<Slot>> slots_;
   std::size_t next_arrival_ = 0;  // index into requests_ by arrival order
   std::size_t now_ = 0;
-  std::size_t finished_ = 0;
-  std::vector<std::uint64_t> dram_offset_;  // per request, streaming address
 
   FleetMetrics metrics_;
   double fragmentation_sum_ = 0.0;
@@ -565,7 +562,7 @@ class ServeEngine {
   // recorded work mid-append-phase; reused across steps.
   std::vector<PendingWork> pending_;
   std::vector<InstanceResult> results_;
-  std::vector<StepXfer> active_;
+  std::vector<DramTransfer> active_;
   std::vector<CycleCheckpoint> checkpoints_;
   std::vector<std::size_t> dead_scratch_;
   // Policy candidate scratch, rebuilt per pick.
@@ -575,11 +572,11 @@ class ServeEngine {
   // candidate is erased in O(1).
   std::vector<RequestQueue::Handle> admission_handles_;
 
-  // Cross-step cycle-domain lane (pipelined mode; disabled otherwise). Lane
-  // jobs touch hbm_, dram_offset_, the requests' cycle stamps, and the
-  // metrics' latency samples — all members above — so the lane is declared
-  // last: its destructor drains outstanding jobs before anything they read
-  // is torn down.
+  // Cross-step cycle-domain lane (runs jobs inline unless pipelined). Lane
+  // jobs touch dram_, the requests' cycle stamps, and the metrics' latency
+  // samples — all members above — so the lane is declared last: its
+  // destructor drains outstanding jobs before anything they read is torn
+  // down.
   SerialLane lane_;
 };
 

@@ -416,23 +416,6 @@ TEST(EngineTest, StepCyclesSumToTotal) {
   EXPECT_EQ(result.step0_cycles + result.step1_cycles, result.core_cycles);
 }
 
-TEST(EngineTest, RunManyMergesBatchStatistics) {
-  Rng rng(32);
-  std::vector<AccelInstance> instances;
-  for (int i = 0; i < 3; ++i) instances.push_back(make_instance(rng, 96));
-  Engine engine(make_config(DesignPoint::topick_ooo, 1e-3));
-  const auto batch = engine.run_many(instances);
-  EXPECT_EQ(batch.instances, 3u);
-  EXPECT_EQ(batch.access.tokens_total, 3u * 96u);
-  EXPECT_GT(batch.core_cycles, 0u);
-
-  // Merged totals equal the sum of individual runs.
-  Engine single(make_config(DesignPoint::topick_ooo, 1e-3));
-  std::uint64_t cycles = 0;
-  for (const auto& inst : instances) cycles += single.run(inst).core_cycles;
-  EXPECT_EQ(batch.core_cycles, cycles);
-}
-
 TEST(EnergyModelTest, Table2TotalsMatchPaper) {
   AreaPowerModel model;
   EXPECT_NEAR(model.total_area_mm2(), 8.593, 0.1);

@@ -8,6 +8,7 @@
 // Plus the resilience invariants: aborts/retries/rejections never leak pool
 // pages, a mid-prefill abort releases its cursor and charged traffic exactly
 // once, and the degradation controller walks its ladder deterministically.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -481,6 +482,13 @@ TEST(ServeEngineFaults, RandomizedFaultMatrixLeaksNothing) {
 //   * a prefilling, running or preempted request holds its full stream, and
 //     a request keeps its full stream from the step it is first seen holding
 //     rows until it is finished or failed (backoff and re-queue included).
+// The same walk checks that every request sits where its state says:
+//   * a prefilling or running request once in batcher().running(), a queued
+//     or preempted one once in batcher().queue(), anything else (backoff,
+//     finished, failed, not yet arrived) in neither, and nothing else in
+//     either;
+//   * requests_retired + requests_failed counts the finished and failed;
+//   * the pool holds no page while nothing runs.
 TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
   auto trace = fault_trace(32);
   // A tight deadline on every fourth request, so some run out mid-flight.
@@ -528,17 +536,40 @@ TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
 
       std::vector<bool> held(trace.size(), false);
       std::size_t held_in_backoff = 0;  // request-steps: backoff with rows
+      std::size_t idle_steps = 0;       // steps that ended with none running
       bool more = true;
       while (more) {
         more = engine.step();
         const auto& requests = engine.requests();
+        const std::vector<std::size_t>& running = engine.batcher().running();
+        const RequestQueue& queue = engine.batcher().queue();
+        std::vector<std::size_t> queued;
+        for (RequestQueue::Handle h = queue.first(); h != RequestQueue::kNone;
+             h = queue.next(h)) {
+          queued.push_back(queue.request_of(h));
+        }
+        std::size_t in_running = 0;
+        std::size_t in_queue = 0;
+        std::size_t terminal = 0;
         for (std::size_t i = 0; i < requests.size(); ++i) {
           const Request& r = requests[i];
           SCOPED_TRACE(::testing::Message()
                        << "request " << i << " after step " << engine.now());
+          const bool runs = r.state == RequestState::prefilling ||
+                            r.state == RequestState::running;
+          const bool waits = r.event.step < engine.now() &&
+                             (r.state == RequestState::queued ||
+                              r.state == RequestState::preempted);
+          EXPECT_EQ(std::count(running.begin(), running.end(), i),
+                    runs ? 1 : 0);
+          EXPECT_EQ(std::count(queued.begin(), queued.end(), i),
+                    waits ? 1 : 0);
+          in_running += runs ? 1 : 0;
+          in_queue += waits ? 1 : 0;
           switch (r.state) {
             case RequestState::finished:
             case RequestState::failed:
+              ++terminal;
               EXPECT_TRUE(holds_none(r));
               EXPECT_EQ(r.stream.heads.capacity(), 0u);
               EXPECT_EQ(r.stream.spike.capacity(), 0u);
@@ -567,6 +598,16 @@ TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
           }
           if (!holds_none(r)) held[i] = true;
         }
+        SCOPED_TRACE(::testing::Message() << "after step " << engine.now());
+        EXPECT_EQ(running.size(), in_running);
+        EXPECT_EQ(queue.size(), in_queue);
+        EXPECT_EQ(engine.metrics().requests_retired +
+                      engine.metrics().requests_failed,
+                  terminal);
+        if (running.empty()) {
+          ++idle_steps;
+          EXPECT_EQ(engine.pool().pages_in_use(), 0u);
+        }
       }
 
       // The run must exercise every path that moves a stream's lifetime.
@@ -578,6 +619,7 @@ TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
       EXPECT_GT(m.rejections, 0u);
       EXPECT_GT(m.requests_failed, 0u);
       EXPECT_GT(held_in_backoff, 0u);
+      EXPECT_GT(idle_steps, 0u);
       EXPECT_EQ(m.requests_retired + m.requests_failed, m.requests_submitted);
     }
   }
