@@ -43,19 +43,6 @@ void BM_MarginTable(benchmark::State& state) {
 }
 BENCHMARK(BM_MarginTable);
 
-void BM_ChunkDotDelta(benchmark::State& state) {
-  Rng rng(3);
-  const auto q = fx::quantize_auto(random_vec(rng, 64));
-  const auto k = fx::quantize_auto(random_vec(rng, 64));
-  int chunk = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx::chunk_dot_delta_i64(q, k, chunk));
-    chunk = (chunk + 1) % 3;
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_ChunkDotDelta);
-
 // The estimation walk's per-(token, chunk) kernel on the active ISA: one
 // key nibble plane row of head_dim elements against a 12-bit query at the
 // 4-bit chunk mask, rotating over 64 stored rows so the inputs stay

@@ -69,7 +69,7 @@ int main() {
                 "%5.1f%% lane utilization\n",
                 point.name,
                 static_cast<unsigned long long>(result.core_cycles),
-                result.survivors, hw.kv.keys.size(),
+                result.survivors, hw.kv.len,
                 100.0 * result.lane_utilization(c.pe_lanes));
   }
   std::printf("\nAll four design points completed the same instance -> "

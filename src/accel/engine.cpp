@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/require.h"
-#include "fixedpoint/chunks.h"
 
 namespace topick::accel {
 
@@ -85,10 +84,13 @@ Engine::Engine(const AccelConfig& config) : config_(config) {
 }
 
 SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
-  const std::size_t len = instance.kv.checked_len(instance.q.size());
+  const QuantizedKvView kv = instance.kv.view();
+  const std::size_t len = kv.len;
   require(len > 0, "Engine: instance has no tokens");
-  const auto head_dim = static_cast<int>(instance.q.size());
-  const fx::QuantParams kparams = instance.kv.keys.params;
+  require(instance.q.size() == kv.head_dim,
+          "Engine: K/V row width differs from the query");
+  const auto head_dim = static_cast<int>(kv.head_dim);
+  const fx::QuantParams kparams = kv.key_params;
   const int num_chunks = kparams.num_chunks();
   require(num_chunks < (1 << kChunkBits), "Engine: too many chunks for id");
 
@@ -113,6 +115,11 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
   ProbabilityEstimator dag(config_.estimator);
   dag.reset(len);
   const fx::MarginTable margins(instance.q, kparams);
+  // Each key's partial starts at the offset-binary correction and gains one
+  // masked nibble-plane dot per chunk (core/quantized_kv_cache.h): exactly
+  // the two's-complement partial dot at every level.
+  const std::int16_t* qd = instance.q.values.data();
+  const std::int64_t offset_dot = kv.key_offset_dot(qd);
 
   std::vector<PeLane> lanes;
   lanes.reserve(lanes_n);
@@ -324,19 +331,15 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
         continue;  // baseline: plain accumulation, no decisions
       }
 
-      std::int64_t partial = 0;
+      std::int64_t partial = kv.key_chunk_dot(qd, token, chunk);
       if (chunk == 0) {
-        partial = fx::chunk_dot_delta_i64(instance.q, instance.kv.keys[token], 0);
+        partial += offset_dot;
       } else if (on_demand) {
         auto entry = lane.scoreboard().take(token);
         require(entry.has_value(), "Engine: downstream chunk without entry");
-        partial = entry->partial_score +
-                  fx::chunk_dot_delta_i64(instance.q, instance.kv.keys[token],
-                                          chunk);
+        partial += entry->partial_score;
       } else {
-        partial = tokens[token].partial +
-                  fx::chunk_dot_delta_i64(instance.q, instance.kv.keys[token],
-                                          chunk);
+        partial += tokens[token].partial;
       }
       decide(lane, token, chunk, partial);
     }
@@ -420,7 +423,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
     for (std::size_t t = 0; t < len; ++t) {
       tokens[t].phase = TokenPhase::kept;
       tokens[t].final_score =
-          static_cast<double>(fx::dot_i64(instance.q, instance.kv.keys[t])) *
+          static_cast<double>(kv.key_dot(qd, t, offset_dot)) *
           instance.score_scale;
       result.kept[t] = true;
     }
@@ -525,9 +528,8 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
     survivors.push_back(t);
     survivor_scores.push_back(tokens[t].final_score);
   }
-  survivor_softmax(survivors, survivor_scores, instance.kv.values.data.data(),
-                   static_cast<std::size_t>(head_dim),
-                   instance.kv.values.params.scale, &result.output);
+  survivor_softmax(survivors, survivor_scores, kv.values, kv.head_dim,
+                   kv.value_params.scale, &result.output);
 
   return result;
 }

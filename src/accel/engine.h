@@ -18,14 +18,15 @@
 #include "accel/kv_layout.h"
 #include "accel/pe_lane.h"
 #include "core/access_stats.h"
-#include "core/exact_attention.h"
+#include "core/quantized_kv_cache.h"
 #include "core/token_picker.h"
 #include "fixedpoint/margin.h"
 #include "memsim/hbm.h"
 
 namespace topick::accel {
 
-// One (query, head) attention operation placed in DRAM.
+// One (query, head) attention operation placed in DRAM. Engine::run reads
+// the head's key planes and value arena through kv.view().
 struct AccelInstance {
   fx::QuantizedVector q;
   QuantizedKv kv;

@@ -43,16 +43,17 @@ struct AccelConfig {
   int operand_buffer_bytes = 512;
 
   // Charge K/V traffic at the host's resident layout instead of the
-  // device's packed one. The host cache stores keys only as offset-binary
-  // nibble planes (4 bits per element, rows byte-aligned) and values as
-  // int16 rows (core/quantized_kv_cache.h), so a host-layout run fetches one
-  // ceil(head_dim / 2)-byte nibble row per K chunk and 16-bit elements per
-  // V row. At the default 4-bit chunks, chunk b is nibble plane b and the
-  // region is exactly the cache's planes + value arena; at other chunk
-  // widths the host reads the planes a chunk overlaps, which this uniform
-  // per-chunk charge does not model. The plane → bank-group mapping is
-  // identical either way: the contiguity being charged is exactly the
-  // contiguous plane walk the host performs.
+  // device's packed one. A host head (QuantizedKv, core/quantized_kv_cache.h)
+  // stores keys only as offset-binary nibble planes (4 bits per element,
+  // rows byte-aligned) and values as int16 rows, so a host-layout run
+  // fetches one ceil(head_dim / 2)-byte nibble row per K chunk and 16-bit
+  // elements per V row. That charge is exact only when every chunk lies
+  // inside one plane, as at 4-bit chunks; a chunk that spans two planes
+  // reads two rows, so KvLayout, and with it Engine::run, throws on such a
+  // format (12/3, say). At 4-bit chunks chunk b is nibble plane b and the
+  // region is exactly the head's planes + value arena. The plane →
+  // bank-group mapping is identical either way: the contiguity being
+  // charged is exactly the contiguous plane walk the host performs.
   bool host_resident_layout = false;
 
   // Granules (32 B DRAM transactions) per K chunk / full V vector for a

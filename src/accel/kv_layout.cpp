@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/require.h"
+#include "fixedpoint/chunks.h"
 
 namespace topick::accel {
 
@@ -20,6 +21,16 @@ KvLayout::KvLayout(const AccelConfig& config, std::uint64_t base_addr,
   require(num_tokens > 0, "KvLayout: need at least one token");
   require(base_addr % static_cast<std::uint64_t>(granule_bytes_) == 0,
           "KvLayout: base address must be granule-aligned");
+  // The host layout charges one nibble row per K chunk, which is what the
+  // host reads only when every chunk lies inside one plane.
+  if (config.host_resident_layout) {
+    const fx::KeyPlaneLayout planes(config.quant);
+    for (int b = 0; b < num_chunks_; ++b) {
+      require(planes.chunk(b).size() == 1,
+              "KvLayout: host_resident_layout needs every K chunk inside one "
+              "nibble plane");
+    }
+  }
   // Only the K planes interleave in time, so only they split the banks; V
   // streams alone in step 1 and gets every bank (linear mapping above the
   // K region).

@@ -1,7 +1,10 @@
 #include "core/quantized_kv_cache.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/expsum.h"
 #include "common/require.h"
@@ -44,62 +47,112 @@ void quantize_row(std::span<const float> xs, const fx::QuantParams& params,
   fx::quantize_row_i16(xs.data(), xs.size(), params, out);
 }
 
+// Offset-binary packing, two int16 key elements per 32-bit word (element 2i
+// in the low half). For a key k of T = total_bits bits, u = k + 2^(T-1) is
+// k's low T bits with the top one flipped: bitwise, so no half carries into
+// the other. k lies in [qmin, qmax] iff (k + 2^(T-1)) mod 2^16 < 2^T, a
+// half-wise add whose top bit is added apart so that it cannot carry out.
+static_assert(std::endian::native == std::endian::little,
+              "pack_key_row reads element pairs in little-endian order");
+static_assert(fx::KeyPlaneLayout::kPlaneBits == 4);
+
+// Writes key row k's nibbles into rows[0, planes): plane j holds bits
+// [4(planes-1-j), 4(planes-j)) of u, element 2i in the low half of byte i,
+// and an odd row leaves its last high nibble 0. Returns false, the rows
+// then holding garbage, when some element lies outside [qmin, qmax]. Full
+// blocks of 16 pairs run fixed-count loops, which the compiler vectorizes.
+bool pack_key_row(const std::int16_t* k, std::size_t n, int total_bits,
+                  int planes, std::uint8_t* const* rows) {
+  constexpr std::uint32_t kHalves = 0x00010001u;
+  constexpr std::uint32_t kTop = kHalves * 0x8000u;
+  constexpr std::size_t kBlockPairs = 16;
+  const std::uint32_t offset = kHalves << (total_bits - 1);
+  const std::uint32_t low = kHalves * ((1u << total_bits) - 1);
+  std::uint32_t bad = 0;
+  // Packs `count` <= kBlockPairs pairs read from src into byte p onward.
+  const auto encode = [&](const std::int16_t* src, std::size_t p,
+                          std::size_t count) {
+    std::uint32_t u[kBlockPairs];
+    std::memcpy(u, src, count * sizeof(std::uint32_t));
+    for (std::size_t e = 0; e < count; ++e) {
+      bad |= (((u[e] & ~kTop) + offset) ^ (u[e] & kTop)) & ~low;
+      u[e] = (u[e] & low) ^ offset;
+    }
+    for (int j = 0; j < planes; ++j) {
+      const int shift = 4 * (planes - 1 - j);
+      std::uint8_t* row = rows[j] + p;
+      for (std::size_t e = 0; e < count; ++e) {
+        const std::uint32_t x = (u[e] >> shift) & 0x000F000Fu;
+        row[e] = static_cast<std::uint8_t>(x | (x >> 12));
+      }
+    }
+  };
+  const std::size_t pairs = n / 2;
+  std::size_t p = 0;
+  for (; p + kBlockPairs <= pairs; p += kBlockPairs) {
+    encode(k + 2 * p, p, kBlockPairs);
+  }
+  encode(k + 2 * p, p, pairs - p);
+  if (n % 2 != 0) {
+    // Pairs the last element with qmin, whose u is 0 in every plane.
+    const std::int16_t last[2] = {
+        k[n - 1], static_cast<std::int16_t>(-(1 << (total_bits - 1)))};
+    encode(last, pairs, 1);
+  }
+  return bad == 0;
+}
+
 }  // namespace
 
-// ---- QuantizedKvStore -------------------------------------------------------
+// ---- QuantizedKv ------------------------------------------------------------
 
-void QuantizedKvStore::reset(const fx::QuantParams& kp,
-                             const fx::QuantParams& vp, std::size_t dim) {
-  key_layout = fx::KeyPlaneLayout(kp);  // validates before anything changes
-  key_params = kp;
-  value_params = vp;
+void QuantizedKv::reset(const fx::QuantParams& kp, const fx::QuantParams& vp,
+                        std::size_t dim) {
+  keys.layout = fx::KeyPlaneLayout(kp);  // validates before anything changes
+  keys.params = kp;
+  values.params = vp;
   head_dim = dim;
-  key_planes.resize(static_cast<std::size_t>(key_layout.planes()));
+  keys.planes.resize(static_cast<std::size_t>(keys.layout.planes()));
   clear_rows();
 }
 
-void QuantizedKvStore::clear_rows() {
+void QuantizedKv::clear_rows() {
   len = 0;
-  values.clear();
-  for (auto& plane : key_planes) plane.clear();
+  values.data.clear();
+  for (auto& plane : keys.planes) plane.clear();
 }
 
-void QuantizedKvStore::push_row(const std::int16_t* k_row,
-                                const std::int16_t* v_row) {
-  values.insert(values.end(), v_row, v_row + head_dim);
+void QuantizedKv::push_row(const std::int16_t* k_row,
+                           const std::int16_t* v_row) {
   const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
-  const int planes = key_layout.planes();
-  const std::int32_t offset = key_layout.offset();
+  const int planes = keys.layout.planes();
+  std::array<std::uint8_t*, 4> rows{};  // total_bits <= 15: at most 4 planes
   for (int j = 0; j < planes; ++j) {
-    auto& plane = key_planes[static_cast<std::size_t>(j)];
-    const std::size_t base = plane.size();
-    plane.resize(base + row_bytes);
-    std::uint8_t* row = plane.data() + base;
-    // Plane j's nibble of u = k + offset; element 2i in the low half of
-    // byte i. An odd row leaves its last high nibble 0.
-    const int shift = fx::KeyPlaneLayout::kPlaneBits * (planes - 1 - j);
-    const auto nibble = [&](std::size_t d) {
-      return static_cast<unsigned>((k_row[d] + offset) >> shift) & 0xFu;
-    };
-    std::size_t d = 0;
-    for (; d + 1 < head_dim; d += 2) {
-      row[d / 2] = static_cast<std::uint8_t>(nibble(d) | (nibble(d + 1) << 4));
-    }
-    if (d < head_dim) row[d / 2] = static_cast<std::uint8_t>(nibble(d));
+    auto& plane = keys.planes[static_cast<std::size_t>(j)];
+    plane.resize(plane.size() + row_bytes);
+    rows[static_cast<std::size_t>(j)] = plane.data() + plane.size() - row_bytes;
   }
+  const bool in_range = pack_key_row(k_row, head_dim, keys.params.total_bits,
+                                     planes, rows.data());
+  if (!in_range) {
+    for (auto& plane : keys.planes) plane.resize(len * row_bytes);
+  }
+  require(in_range, "QuantizedKv: key value outside the head's quant range");
+  values.data.insert(values.data.end(), v_row, v_row + head_dim);
   ++len;
 }
 
-void QuantizedKvStore::compact(const std::uint8_t* keep) {
+void QuantizedKv::compact(const std::uint8_t* keep) {
   const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
   std::size_t w = 0;
   for (std::size_t r = 0; r < len; ++r) {
     if (!keep[r]) continue;
     if (w != r) {
-      std::copy_n(values.begin() + static_cast<std::ptrdiff_t>(r * head_dim),
-                  head_dim,
-                  values.begin() + static_cast<std::ptrdiff_t>(w * head_dim));
-      for (auto& plane : key_planes) {
+      std::copy_n(
+          values.data.begin() + static_cast<std::ptrdiff_t>(r * head_dim),
+          head_dim,
+          values.data.begin() + static_cast<std::ptrdiff_t>(w * head_dim));
+      for (auto& plane : keys.planes) {
         std::copy_n(plane.begin() + static_cast<std::ptrdiff_t>(r * row_bytes),
                     row_bytes,
                     plane.begin() + static_cast<std::ptrdiff_t>(w * row_bytes));
@@ -108,20 +161,61 @@ void QuantizedKvStore::compact(const std::uint8_t* keep) {
     ++w;
   }
   len = w;
-  values.resize(len * head_dim);
-  for (auto& plane : key_planes) plane.resize(len * row_bytes);
+  values.data.resize(len * head_dim);
+  for (auto& plane : keys.planes) plane.resize(len * row_bytes);
 }
 
-QuantizedKvView QuantizedKvStore::view() const {
+QuantizedKvView QuantizedKv::view() const {
+  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
+  require(keys.planes.size() == static_cast<std::size_t>(keys.layout.planes()),
+          "QuantizedKv: key plane count differs from the layout");
+  require(values.data.size() == len * head_dim &&
+              std::all_of(keys.planes.begin(), keys.planes.end(),
+                          [&](const std::vector<std::uint8_t>& plane) {
+                            return plane.size() == len * row_bytes;
+                          }),
+          "QuantizedKv: K/V arenas do not hold len rows of head_dim");
   QuantizedKvView v;
   v.len = len;
   v.head_dim = head_dim;
-  v.key_params = key_params;
-  v.value_params = value_params;
-  v.values = values.data();
-  v.key_planes = key_planes.data();
-  v.key_layout = &key_layout;
+  v.key_params = keys.params;
+  v.value_params = values.params;
+  v.values = values.data.data();
+  v.key_planes = keys.planes.data();
+  v.key_layout = &keys.layout;
   return v;
+}
+
+QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base) {
+  const std::size_t n = kv.len * kv.head_dim;
+  const auto arena_params = [&](const float* xs) {
+    fx::QuantParams params = base;
+    params.scale = fx::choose_scale({xs, n}, base.total_bits);
+    return params;
+  };
+  QuantizedKv out;
+  out.reset(arena_params(kv.keys), arena_params(kv.values), kv.head_dim);
+  // Every arena is sized to exactly len rows. The values quantize in one
+  // pass; each key row is quantized into a head_dim scratch and packed into
+  // its plane rows (quantize output always lies in [qmin, qmax]).
+  out.values.data.resize(n);
+  fx::quantize_row_i16(kv.values, n, out.values.params, out.values.data.data());
+  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(kv.head_dim);
+  const int planes = out.keys.layout.planes();
+  for (auto& plane : out.keys.planes) plane.resize(kv.len * row_bytes);
+  std::vector<std::int16_t> k_row(kv.head_dim);
+  std::array<std::uint8_t*, 4> rows{};
+  for (std::size_t t = 0; t < kv.len; ++t) {
+    quantize_row(kv.key(t), out.keys.params, k_row.data());
+    for (int j = 0; j < planes; ++j) {
+      rows[static_cast<std::size_t>(j)] =
+          out.keys.planes[static_cast<std::size_t>(j)].data() + t * row_bytes;
+    }
+    pack_key_row(k_row.data(), kv.head_dim, out.keys.params.total_bits, planes,
+                 rows.data());
+  }
+  out.len = kv.len;
+  return out;
 }
 
 // ---- QuantizedKvCache -------------------------------------------------------
@@ -154,8 +248,8 @@ void QuantizedKvCache::clear() {
 
 QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
   ResidencyBytes b;
-  b.int16_arena = store_.values.size() * sizeof(std::int16_t);
-  for (const auto& plane : store_.key_planes) {
+  b.int16_arena = store_.values.data.size() * sizeof(std::int16_t);
+  for (const auto& plane : store_.keys.planes) {
     b.planes += plane.size() * sizeof(std::uint8_t);
   }
   b.maxima =
@@ -184,20 +278,21 @@ void QuantizedKvCache::requantize_all() {
 }
 
 void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
-  const float k_target = scale_for_amax(key_amax, store_.key_params.total_bits);
+  const float k_target =
+      scale_for_amax(key_amax, store_.keys.params.total_bits);
   const float v_target =
-      scale_for_amax(value_amax, store_.value_params.total_bits);
+      scale_for_amax(value_amax, store_.values.params.total_bits);
   bool requant = false;
   if (config_.headroom == 1.0f) {
     // Exact mode: the scale tracks choose_scale() bit-for-bit, shrinking on
     // evict as well as growing on append.
-    if (store_.key_params.scale != k_target) {
-      store_.key_params.scale = k_target;
+    if (store_.keys.params.scale != k_target) {
+      store_.keys.params.scale = k_target;
       ++key_rescales_;
       requant = true;
     }
-    if (store_.value_params.scale != v_target) {
-      store_.value_params.scale = v_target;
+    if (store_.values.params.scale != v_target) {
+      store_.values.params.scale = v_target;
       ++value_rescales_;
       requant = true;
     }
@@ -209,15 +304,16 @@ void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
     // re-quantizes to the band's top, so max|x| drift within the headroom
     // costs nothing.
     const float k_hi = k_target * config_.headroom;
-    if (store_.key_params.scale < k_target || store_.key_params.scale > k_hi) {
-      store_.key_params.scale = k_hi;
+    if (store_.keys.params.scale < k_target ||
+        store_.keys.params.scale > k_hi) {
+      store_.keys.params.scale = k_hi;
       ++key_rescales_;
       requant = true;
     }
     const float v_hi = v_target * config_.headroom;
-    if (store_.value_params.scale < v_target ||
-        store_.value_params.scale > v_hi) {
-      store_.value_params.scale = v_hi;
+    if (store_.values.params.scale < v_target ||
+        store_.values.params.scale > v_hi) {
+      store_.values.params.scale = v_hi;
       ++value_rescales_;
       requant = true;
     }
@@ -230,8 +326,8 @@ void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
 void QuantizedKvCache::push_quantized(const float* k_row, const float* v_row) {
   k_row_scratch_.resize(head_dim_);
   v_row_scratch_.resize(head_dim_);
-  quantize_row({k_row, head_dim_}, store_.key_params, k_row_scratch_.data());
-  quantize_row({v_row, head_dim_}, store_.value_params, v_row_scratch_.data());
+  quantize_row({k_row, head_dim_}, store_.keys.params, k_row_scratch_.data());
+  quantize_row({v_row, head_dim_}, store_.values.params, v_row_scratch_.data());
   store_.push_row(k_row_scratch_.data(), v_row_scratch_.data());
 }
 

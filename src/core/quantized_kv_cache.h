@@ -1,7 +1,9 @@
-// Incrementally quantized, chunk-planar KV storage — the decode hot path.
+// Chunk-planar quantized KV storage (QuantizedKv, one head; quantize_kv()
+// builds one from floats) and its incremental form — the decode hot path.
 //
-// quantize_kv() re-quantizes an entire head every decode step because the
-// shared symmetric scale depends on the head's max|x| over the live tokens.
+// Calling quantize_kv() every decode step would re-quantize an entire head,
+// because the shared symmetric scale depends on the head's max|x| over the
+// live tokens.
 // But that is the *only* thing it depends on: while the live set's max|x| is
 // unchanged, every already-quantized token is bit-identical to what a fresh
 // quantize_kv() would produce from the same floats. QuantizedKvCache
@@ -31,7 +33,7 @@
 // sum_d q_d * (nibble_d & mask) * 2^shift of the planes the chunk overlaps
 // (one plane at 4-bit chunks) — an exact integer identity, so every partial
 // sum, pruning decision and output bit is that of the two's-complement
-// chunk_dot_delta. Any chunk width from 1 to T reads the same planes. The
+// fx::partial_dot_i64. Any chunk width from 1 to T reads the same planes. The
 // exact score is the walk with every chunk fetched (QuantizedKvView::
 // key_dot), and the cold readers that need the int16 key reassemble it from
 // the planes (key_row).
@@ -51,8 +53,8 @@
 namespace topick {
 
 // Non-owning view over chunk-planar quantized K/V. The unit the attention
-// hot paths consume; produced by QuantizedKvCache (incremental) and by
-// transient stores built from pre-quantized QuantizedKv arenas.
+// hot paths consume; produced by QuantizedKv::view(), whether the head came
+// from quantize_kv() or lives in a QuantizedKvCache.
 struct QuantizedKvView {
   std::size_t len = 0;
   std::size_t head_dim = 0;
@@ -145,19 +147,41 @@ inline void weighted_value_accum_scalar(float* out, const std::int16_t* v,
 }
 
 // Row quantization lives in fx::quantize_row_i16 (fixedpoint/quant.h) — the
-// single implementation of the element math shared by fx::quantize_into and
-// the cache's append/requantize paths (the prompt-prefill hot kernel).
+// single implementation of the element math shared by quantize_kv() and the
+// cache's append/requantize paths (the prompt-prefill hot kernel).
 
-// Owning chunk-planar storage for already-quantized rows. QuantizedKvCache
-// embeds one; TokenPickerAttention builds transient ones from AoS inputs.
-struct QuantizedKvStore {
-  fx::QuantParams key_params;
-  fx::QuantParams value_params;
-  fx::KeyPlaneLayout key_layout;  // of key_params' bit layout
+// One head's quantized K and V: the library's one owning form of a
+// quantized head. Keys are the offset-binary nibble planes described above,
+// the only stored form of a key; values are one flat (len, head_dim) int16
+// arena. quantize_kv() builds one per accelerator instance, and
+// QuantizedKvCache embeds one and mutates it row by row. The members are
+// public, so a head need not come from either: push_row refuses a key the
+// planes cannot hold, and view() refuses arenas that do not hold exactly
+// len rows of head_dim.
+struct QuantizedKv {
+  struct Keys {
+    fx::QuantParams params;     // shared scale across the head's keys
+    fx::KeyPlaneLayout layout;  // of params' bit layout
+    // layout.planes() nibble planes, each len rows of
+    // KeyPlaneLayout::row_bytes(head_dim) packed bytes, token-major.
+    std::vector<std::vector<std::uint8_t>> planes;
+
+    // A key row's handle: its params, which every row of the head shares.
+    // Its bits are read through view().
+    struct Row {
+      fx::QuantParams params;
+    };
+    Row operator[](std::size_t) const { return {params}; }
+  };
+  struct Values {
+    fx::QuantParams params;          // shared scale across the head's values
+    std::vector<std::int16_t> data;  // (len, head_dim) token-major
+  };
+
+  Keys keys;
+  Values values;
   std::size_t head_dim = 0;
   std::size_t len = 0;
-  std::vector<std::int16_t> values;                   // (len, head_dim)
-  std::vector<std::vector<std::uint8_t>> key_planes;  // [planes] nibbles
 
   // Sets precision/scale and head_dim; drops all rows, keeps capacity.
   // Throws (require), changing nothing, unless key_params.total_bits is in
@@ -166,15 +190,26 @@ struct QuantizedKvStore {
              const fx::QuantParams& value_params, std::size_t head_dim);
   void clear_rows();
   // Appends one already-quantized token: the key row goes into the nibble
-  // planes, the value row into the arena.
-  // Precondition: every key element lies in [params.qmin(), params.qmax()]
-  // — quantize() output always does (u must fit total_bits).
+  // planes, the value row into the arena. Throws (require), changing
+  // nothing, unless every key element lies in [keys.params.qmin(),
+  // keys.params.qmax()] — the range the offset-binary planes hold, and the
+  // range quantize() output always lies in.
   void push_row(const std::int16_t* k_row, const std::int16_t* v_row);
   // Stable in-place removal of rows where keep[r] == 0.
   void compact(const std::uint8_t* keep);
 
+  // Throws (require) unless there are layout.planes() key planes and every
+  // arena holds exactly len rows of head_dim.
   QuantizedKvView view() const;
 };
+
+// Quantizes a float head at `base`'s precision: one symmetric scale per
+// arena, chosen over all of its len x head_dim floats (fx::choose_scale, so
+// an inf element throws), then each key row quantized into a head_dim
+// scratch and packed straight into planes sized to exactly len rows; no
+// arena holds capacity slack. Bit-identical to QuantizedKvCache::rebuild at
+// headroom 1.
+QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base);
 
 // Float-row provider for whole-head rescales, keyed by the caller's stable
 // token ids. The cache itself retains NO floats (per-row maxima + ids are
@@ -287,8 +322,8 @@ class QuantizedKvCache {
   ResidencyBytes residency() const;
 
   QuantizedKvView view() const { return store_.view(); }
-  const fx::QuantParams& key_params() const { return store_.key_params; }
-  const fx::QuantParams& value_params() const { return store_.value_params; }
+  const fx::QuantParams& key_params() const { return store_.keys.params; }
+  const fx::QuantParams& value_params() const { return store_.values.params; }
   const Config& config() const { return config_; }
 
   // Diagnostics: whole-head re-quantizations since construction/clear().
@@ -309,7 +344,7 @@ class QuantizedKvCache {
 
   Config config_;
   std::size_t head_dim_ = 0;
-  QuantizedKvStore store_;
+  QuantizedKv store_;
   const RescaleSource* source_ = nullptr;  // not owned; see RescaleSource
   std::vector<float> key_row_amax_, value_row_amax_;
   float key_amax_ = 0.0f, value_amax_ = 0.0f;

@@ -49,21 +49,7 @@ TokenPickerResult TokenPickerAttention::attend(std::span<const float> q,
 
 TokenPickerResult TokenPickerAttention::attend_quantized(
     const fx::QuantizedVector& q, const QuantizedKv& kv, double score_scale) {
-  const std::size_t head_dim = q.size();
-  const std::size_t len = kv.checked_len(head_dim);
-  require(len > 0, "attend_quantized: no tokens");
-
-  // push_row's offset-binary planes hold exactly [qmin, qmax], so enforce
-  // the store's precondition here — the one entry point whose rows need not
-  // come from quantize_kv() (which always clamps into [qmin, qmax]).
-  const auto [kmin, kmax] = std::ranges::minmax(kv.keys.data);
-  require(kmin >= kv.keys.params.qmin() && kmax <= kv.keys.params.qmax(),
-          "attend_quantized: key value outside the head's quant range");
-  aos_scratch_.reset(kv.keys.params, kv.values.params, head_dim);
-  for (std::size_t t = 0; t < len; ++t) {
-    aos_scratch_.push_row(kv.keys[t].values.data(), kv.values[t].values.data());
-  }
-  attend_view(q, aos_scratch_.view(), score_scale, &result_scratch_);
+  attend_view(q, kv.view(), score_scale, &result_scratch_);
   return result_scratch_;
 }
 

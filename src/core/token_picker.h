@@ -13,8 +13,9 @@
 // The hot path runs over QuantizedKvView (chunk-planar, quantized once at
 // append by QuantizedKvCache) and is allocation-free after warm-up: scratch
 // buffers and the result's vectors are reused across calls. The float-view
-// and AoS entry points below rebuild a scratch store per call and remain
-// bit-identical to the historical quantize-from-scratch behavior.
+// entry point rebuilds a scratch cache per call, bit-identical to the
+// historical quantize-from-scratch behavior; the pre-quantized entry point
+// reads its QuantizedKv's planes in place.
 #pragma once
 
 #include <optional>
@@ -125,9 +126,10 @@ class TokenPickerAttention {
   // preserved for calibration/examples and as the equivalence reference).
   TokenPickerResult attend(std::span<const float> q, const KvHeadView& kv);
 
-  // Variant for pre-quantized K/V arenas (used by the accelerator model and
-  // by workloads that generate integer tensors directly); throws on a key
-  // outside [qmin, qmax]. score_scale converts integer dots to logits.
+  // Variant for a pre-quantized head (quantize_kv(), as the accelerator
+  // model's instances hold): attend_view over kv.view(), so it throws on
+  // arenas that do not hold len rows of head_dim and on a query of another
+  // width. score_scale converts integer dots to logits.
   TokenPickerResult attend_quantized(const fx::QuantizedVector& q,
                                      const QuantizedKv& kv,
                                      double score_scale);
@@ -168,7 +170,6 @@ class TokenPickerAttention {
   std::vector<double> oracle_scores_;
   fx::QuantizedVector q_scratch_;
   QuantizedKvCache view_scratch_;   // attend(): per-call from-scratch rebuild
-  QuantizedKvStore aos_scratch_;    // attend_quantized(): planar adapter
   TokenPickerResult result_scratch_;
 };
 

@@ -88,18 +88,6 @@ std::int64_t partial_dot_i64(QuantizedRowView q, QuantizedRowView k,
   return acc;
 }
 
-std::int64_t chunk_dot_delta_i64(QuantizedRowView q, QuantizedRowView k,
-                                 int chunk_idx) {
-  require(q.values.size() == k.values.size(), "chunk_dot_delta: length mismatch");
-  std::int64_t acc = 0;
-  for (std::size_t d = 0; d < q.values.size(); ++d) {
-    const auto hi = partial_value(k.values[d], chunk_idx + 1, k.params);
-    const auto lo = partial_value(k.values[d], chunk_idx, k.params);
-    acc += static_cast<std::int64_t>(q.values[d]) * (hi - lo);
-  }
-  return acc;
-}
-
 KeyPlaneLayout::KeyPlaneLayout(const QuantParams& params) {
   require(params.total_bits >= 2 && params.total_bits <= 15,
           "KeyPlaneLayout: total_bits must be in [2, 15] for int16 storage");

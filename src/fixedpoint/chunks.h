@@ -40,28 +40,23 @@ std::int16_t assemble(const std::vector<std::uint16_t>& chunks,
                       const QuantParams& params);
 
 // Partial dot product sum_d q_d * partial_value(k_d, chunks_known): the
-// score accumulated by the PE lane after `chunks_known` chunks of K arrived.
+// score accumulated after `chunks_known` chunks of K arrived, in plain two's
+// complement — the oracle the nibble-plane walk below is tested against.
 std::int64_t partial_dot_i64(QuantizedRowView q, QuantizedRowView k,
                              int chunks_known);
 
-// Incremental form: the contribution of chunk `chunk_idx` of K alone, i.e.
-// partial_dot(b+1) - partial_dot(b). This mirrors the hardware, which
-// multiplies the 12-bit Q against one 4-bit chunk per cycle and accumulates
-// via the scoreboard.
-std::int64_t chunk_dot_delta_i64(QuantizedRowView q, QuantizedRowView k,
-                                 int chunk_idx);
-
-// ---- offset-binary nibble planes (the host key layout) ----------------------
+// ---- offset-binary nibble planes (the stored key layout) --------------------
 //
-// The host cache (core/quantized_kv_cache.h) stores a key k as the unsigned
-// total_bits-wide integer u = k + 2^(total_bits-1), cut into 4-bit nibble
-// planes, most significant first: plane j of P = ceil(total_bits / 4) holds
-// bits [4(P-1-j), 4(P-j)) of u. Since partial_value(k, c) ==
-// (u & ~(2^unknown_bits(c) - 1)) - 2^(total_bits-1) for every c >= 1 (the
-// derivation is in that header), chunk b's delta is sum_d q_d * (u_d & chunk
-// b's bits), plus -2^(total_bits-1) * sum(q) once, and chunk b's bits are a
-// masked slice of each nibble plane the chunk overlaps. KeyPlaneLayout
-// lists those slices for one (total_bits, chunk_bits) layout.
+// Every quantized head (QuantizedKv, core/quantized_kv_cache.h) stores a key
+// k as the unsigned total_bits-wide integer u = k + 2^(total_bits-1), cut
+// into 4-bit nibble planes, most significant first: plane j of
+// P = ceil(total_bits / 4) holds bits [4(P-1-j), 4(P-j)) of u. Since
+// partial_value(k, c) == (u & ~(2^unknown_bits(c) - 1)) - 2^(total_bits-1)
+// for every c >= 1 (the derivation is in that header), chunk b's delta is
+// sum_d q_d * (u_d & chunk b's bits), plus -2^(total_bits-1) * sum(q) once,
+// and chunk b's bits are a masked slice of each nibble plane the chunk
+// overlaps. KeyPlaneLayout lists those slices for one (total_bits,
+// chunk_bits) layout.
 class KeyPlaneLayout {
  public:
   static constexpr int kPlaneBits = 4;

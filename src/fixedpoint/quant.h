@@ -22,8 +22,9 @@ struct QuantParams {
 };
 
 // A borrowed quantized row: its params plus a span of its int16 values. A
-// QuantizedVector converts to one implicitly, and each row of a QuantizedKv
-// arena is one (sharing the arena's params), so the integer kernels take both.
+// QuantizedVector converts to one implicitly. The two's-complement oracles
+// (dot_i64, fx::partial_dot_i64) take it; a stored head keeps its keys as
+// nibble planes instead (QuantizedKv, core/quantized_kv_cache.h).
 struct QuantizedRowView {
   QuantParams params;
   std::span<const std::int16_t> values;

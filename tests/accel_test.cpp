@@ -37,10 +37,12 @@ AccelInstance make_instance(Rng& rng, std::size_t len, int head_dim = 64) {
   return accel::make_instance(inst.q, inst.view());
 }
 
-// quantize_kv's arenas must equal the per-row construction — one scale from
-// choose_scale over the whole head, then fx::quantize of each row — params
-// included, also where the quantizer zeroes (NaN) or saturates (±1e30). An
-// inf element has no finite scale and is refused (tests/edge_cases_test.cpp).
+// quantize_kv's head must equal the per-row construction — one scale from
+// choose_scale over the whole arena, then fx::quantize of each row — params
+// included, also where the quantizer zeroes (NaN) or saturates (±1e30): the
+// key rows reassembled from the nibble planes and the value rows as stored.
+// An inf element has no finite scale and is refused
+// (tests/edge_cases_test.cpp).
 TEST(QuantizeKvTest, ArenaMatchesPerRowQuantize) {
   constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
   const std::vector<std::vector<float>> specials = {
@@ -58,21 +60,28 @@ TEST(QuantizeKvTest, ArenaMatchesPerRowQuantize) {
           v[((5 + 2 * i) % len) * dim + dim - 1 - i % dim] = special[i];
         }
         const auto kv = quantize_kv({k.data(), v.data(), len, dim}, base);
+        const QuantizedKvView view = kv.view();
+        ASSERT_EQ(view.head_dim, dim);
+        ASSERT_EQ(view.len, len);
+        std::vector<std::int16_t> key(dim);
         for (const bool keys : {true, false}) {
           const std::vector<float>& src = keys ? k : v;
-          const QuantizedRows& rows = keys ? kv.keys : kv.values;
           fx::QuantParams params = base;
           params.scale = fx::choose_scale(src, base.total_bits);
-          ASSERT_EQ(rows.dim, dim);
-          ASSERT_EQ(rows.size(), len);
+          const fx::QuantParams& got_params =
+              keys ? view.key_params : view.value_params;
+          EXPECT_EQ(got_params.total_bits, params.total_bits);
+          EXPECT_EQ(got_params.chunk_bits, params.chunk_bits);
+          EXPECT_EQ(got_params.scale, params.scale);
           for (std::size_t t = 0; t < len; ++t) {
             const auto want = fx::quantize({&src[t * dim], dim}, params);
-            const fx::QuantizedRowView got = rows[t];
-            EXPECT_EQ(got.params.total_bits, want.params.total_bits);
-            EXPECT_EQ(got.params.chunk_bits, want.params.chunk_bits);
-            EXPECT_EQ(got.params.scale, want.params.scale);
-            EXPECT_TRUE(std::ranges::equal(got.values, want.values))
-                << "dim " << dim << " row " << t;
+            const std::int16_t* got = view.value(t);
+            if (keys) {
+              view.key_row(t, key.data());
+              got = key.data();
+            }
+            EXPECT_TRUE(std::equal(want.values.begin(), want.values.end(), got))
+                << "dim " << dim << " row " << t << (keys ? " key" : " value");
           }
         }
       }
@@ -80,31 +89,72 @@ TEST(QuantizeKvTest, ArenaMatchesPerRowQuantize) {
   }
 }
 
-// QuantizedKv is a public struct, so its readers check what quantize_kv
-// guarantees. Engine::run's step 1 reads every V row up to the query's width,
-// so narrow rows and K/V length mismatches must throw at entry;
-// attend_quantized also needs every key in [qmin, qmax] (the offset-binary
-// nibble planes hold only that range).
+// quantize_kv holds exactly the bytes its layout needs: P nibble planes of
+// ceil(d / 2) bytes per row and a 2-byte value per element, with no
+// capacity slack in any arena.
+TEST(QuantizeKvTest, HoldsExactlyThePlanesAndTheValueArena) {
+  Rng rng(0xf007);
+  for (const fx::QuantParams base : {fx::QuantParams{}, {10, 3}}) {
+    for (const std::size_t dim : {7, 64}) {
+      constexpr std::size_t len = 37;
+      std::vector<float> k(len * dim), v(len * dim);
+      for (auto& x : k) x = static_cast<float>(rng.normal());
+      for (auto& x : v) x = static_cast<float>(rng.normal());
+      const auto kv = quantize_kv({k.data(), v.data(), len, dim}, base);
+      const std::size_t planes = (base.total_bits + 3) / 4;
+      ASSERT_EQ(kv.keys.planes.size(), planes);
+      std::size_t bytes = kv.values.data.capacity() * sizeof(std::int16_t);
+      EXPECT_EQ(kv.values.data.capacity(), kv.values.data.size());
+      for (const auto& plane : kv.keys.planes) {
+        EXPECT_EQ(plane.capacity(), plane.size());
+        bytes += plane.capacity();
+      }
+      EXPECT_EQ(bytes, len * (planes * ((dim + 1) / 2) + 2 * dim))
+          << base.total_bits << "/" << base.chunk_bits << " dim " << dim;
+    }
+  }
+}
+
+// A head built by hand refuses a key its offset-binary planes cannot hold,
+// at the push, leaving the head as it was.
+TEST(QuantizedKvTest, PushRowRejectsAKeyOutsideTheQuantRange) {
+  const fx::QuantParams params;
+  const std::size_t dim = 8;
+  for (const std::int32_t bad : {params.qmax() + 1, params.qmin() - 1}) {
+    QuantizedKv kv;
+    kv.reset(params, params, dim);
+    std::vector<std::int16_t> k(dim, 3), v(dim, 5);
+    kv.push_row(k.data(), v.data());
+    k[5] = static_cast<std::int16_t>(bad);
+    EXPECT_THROW(kv.push_row(k.data(), v.data()), std::logic_error) << bad;
+    EXPECT_EQ(kv.len, 1u);
+    EXPECT_EQ(kv.view().len, 1u);
+  }
+}
+
+// QuantizedKv's members are public, so its readers check what quantize_kv
+// guarantees. Engine::run and attend_quantized read every K plane and V row
+// up to the query's width, so rows narrower than the query and arenas that
+// do not hold len rows must throw at entry.
 TEST(EngineTest, MalformedArenasThrow) {
   Rng rng(42);
   const auto good = make_instance(rng, 64);
-  auto narrow_v = good, narrow_k = good, short_v = good, above = good,
-       below = good;
-  narrow_v.kv.values.dim = narrow_k.kv.keys.dim = 32;
-  narrow_v.kv.values.data.resize(64 * 32);
-  narrow_k.kv.keys.data.resize(64 * 32);
+  auto narrow = good, short_v = good, short_k = good;
+  narrow.kv.head_dim = 32;
+  narrow.kv.values.data.resize(64 * 32);
+  for (auto& plane : narrow.kv.keys.planes) plane.resize(64 * 16);
   short_v.kv.values.data.resize(63 * 64);
-  above.kv.keys.data[17] = good.kv.keys.params.qmax() + 1;
-  below.kv.keys.data[40] = good.kv.keys.params.qmin() - 1;
+  short_k.kv.keys.planes[1].resize(63 * 32);
   TokenPickerAttention op(TokenPickerConfig{});
   EXPECT_NO_THROW(op.attend_quantized(good.q, good.kv, good.score_scale));
-  for (const auto* bad : {&narrow_v, &narrow_k, &short_v, &above, &below}) {
+  for (const auto* bad : {&narrow, &short_v, &short_k}) {
     EXPECT_THROW(op.attend_quantized(bad->q, bad->kv, bad->score_scale),
                  std::logic_error);
   }
   for (const auto design : {DesignPoint::baseline, DesignPoint::topick_ooo}) {
     Engine engine(make_config(design, 1e-3));
-    for (const auto* bad : {&narrow_v, &narrow_k, &short_v}) {
+    EXPECT_NO_THROW(engine.run(good));
+    for (const auto* bad : {&narrow, &short_v, &short_k}) {
       EXPECT_THROW(engine.run(*bad), std::logic_error);
     }
   }
@@ -204,6 +254,23 @@ TEST(KvLayoutTest, HostResidentLayoutChargesHostElementWidths) {
   }
 }
 
+TEST(KvLayoutTest, HostResidentLayoutNeedsChunksInsideOnePlane) {
+  // One nibble row per K chunk is what the host reads only when no chunk
+  // spans two planes: 12/3's chunk 1 (bits 6-8) does, 12/4's never do.
+  AccelConfig config = make_config(DesignPoint::topick_ooo);
+  config.host_resident_layout = true;
+  config.quant = {12, 3};
+  EXPECT_THROW(KvLayout(config, 0, 16, 64), std::logic_error);
+  Rng rng(0x12);
+  const auto inst = make_instance(rng, 64);
+  EXPECT_THROW(Engine(config).run(inst), std::logic_error);
+  config.quant = {12, 4};
+  EXPECT_NO_THROW(KvLayout(config, 0, 16, 64));
+  const auto result = Engine(config).run(inst);
+  EXPECT_GT(result.survivors, 0u);
+  EXPECT_EQ(result.access.k_bits_baseline, 64u * 3u * 32u * 8u);
+}
+
 TEST(KvLayoutTest, HostResidentRegionMatchesCacheResidency) {
   // Cross-layer pin: the host-layout region footprint must equal what one
   // head of QuantizedKvCache reports as resident for its planes + value
@@ -296,10 +363,13 @@ TEST(EngineTest, TopickPrunesSoundly) {
   EXPECT_GT(result.survivors, 0u);
 
   // Oracle check: every pruned token's true probability is below thr.
+  const QuantizedKvView kv = inst.kv.view();
+  const std::int16_t* q = inst.q.values.data();
   std::vector<double> scores(256);
   for (std::size_t t = 0; t < 256; ++t) {
-    scores[t] = static_cast<double>(fx::dot_i64(inst.q, inst.kv.keys[t])) *
-                inst.score_scale;
+    scores[t] =
+        static_cast<double>(kv.key_dot(q, t, kv.key_offset_dot(q))) *
+        inst.score_scale;
   }
   const double log_denom = log_sum_exp(scores.data(), scores.size());
   for (std::size_t t = 0; t < 256; ++t) {

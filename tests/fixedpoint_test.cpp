@@ -178,27 +178,13 @@ TEST(Chunks, PaperWorkedExampleFigure4b) {
   EXPECT_EQ(residual_weight(2, p), 3);
 }
 
-TEST(Chunks, ChunkDeltasSumToFullDot) {
+TEST(Chunks, PartialDotAtEveryChunkIsTheFullDot) {
   Rng rng(4);
   for (int trial = 0; trial < 100; ++trial) {
     const auto qv = quantize_auto(random_vec(rng, 64));
     const auto kv = quantize_auto(random_vec(rng, 64));
-    std::int64_t acc = 0;
-    for (int b = 0; b < kv.params.num_chunks(); ++b) {
-      acc += chunk_dot_delta_i64(qv, kv, b);
-    }
-    EXPECT_EQ(acc, dot_i64(qv, kv));
-  }
-}
-
-TEST(Chunks, PartialDotMatchesDeltaPrefixSums) {
-  Rng rng(5);
-  const auto qv = quantize_auto(random_vec(rng, 32));
-  const auto kv = quantize_auto(random_vec(rng, 32));
-  std::int64_t acc = 0;
-  for (int b = 0; b < kv.params.num_chunks(); ++b) {
-    acc += chunk_dot_delta_i64(qv, kv, b);
-    EXPECT_EQ(acc, partial_dot_i64(qv, kv, b + 1));
+    EXPECT_EQ(partial_dot_i64(qv, kv, kv.params.num_chunks()), dot_i64(qv, kv));
+    EXPECT_EQ(partial_dot_i64(qv, kv, 0), 0);
   }
 }
 

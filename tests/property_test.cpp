@@ -68,7 +68,7 @@ TEST_P(QuantFormatSweep, DigitPlanesReassembleEveryValue) {
   for (std::int32_t v = p.qmin(); v <= p.qmax(); ++v) {
     row.push_back(static_cast<std::int16_t>(v));
   }
-  QuantizedKvStore store;
+  QuantizedKv store;
   store.reset(p, p, row.size());
   store.push_row(row.data(), row.data());
   const QuantizedKvView view = store.view();
@@ -121,7 +121,7 @@ TEST(DigitPlanes, OutOfRangeFormatsAreRejected) {
     fx::QuantParams p;
     p.total_bits = total_bits;
     p.chunk_bits = chunk_bits;
-    QuantizedKvStore store;
+    QuantizedKv store;
     EXPECT_THROW(store.reset(p, p, 4), std::logic_error)
         << total_bits << "/" << chunk_bits;
     EXPECT_THROW(QuantizedKvCache(4, QuantizedKvCache::Config{p}),

@@ -122,7 +122,7 @@ void expect_same_result(const TokenPickerResult& a, const TokenPickerResult& b) 
   EXPECT_EQ(a.log_denominator_estimator, b.log_denominator_estimator);
 }
 
-TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
+TEST(QuantizedKv, PlaneRowsSumToFullKey) {
   // The offset-binary nibbles reassemble the key:
   // sum_j nibble_j * 16^(planes-1-j) - 2^(total_bits-1). An odd head_dim
   // leaves each row's last high nibble 0.
@@ -131,7 +131,7 @@ TEST(QuantizedKvStore, PlaneRowsSumToFullKey) {
   fx::QuantParams params;
   params.scale = 0.01f;
 
-  QuantizedKvStore store;
+  QuantizedKv store;
   store.reset(params, params, dim);
   std::vector<std::vector<std::int16_t>> k_rows(
       5, std::vector<std::int16_t>(dim));
@@ -181,11 +181,15 @@ void expect_matches_from_scratch(const QuantizedKvCache& cache,
   EXPECT_EQ(cached.value_params.scale, fresh.values.params.scale);
   EXPECT_TRUE(std::equal(fresh.values.data.begin(), fresh.values.data.end(),
                          cached.values));
-  std::vector<std::int16_t> key(shadow.head_dim);
+  for (std::size_t j = 0; j < fresh.keys.planes.size(); ++j) {
+    EXPECT_TRUE(std::equal(fresh.keys.planes[j].begin(),
+                           fresh.keys.planes[j].end(),
+                           cached.key_planes[j].begin(),
+                           cached.key_planes[j].end()))
+        << "plane " << j;
+  }
   for (std::size_t t = 0; t < cache.len(); ++t) {
     EXPECT_EQ(cache.id_at(t), shadow.ids[t]);
-    cached.key_row(t, key.data());
-    EXPECT_TRUE(std::ranges::equal(key, fresh.keys[t].values)) << "row " << t;
   }
 }
 
@@ -648,29 +652,32 @@ TEST(BackendAdoption, SpAttenBackendBitIdentical) {
       // The historical path, verbatim: re-quantize the whole head, dot the
       // active tokens' full keys, softmax, value-prune.
       const auto active = shadow_pruner.active_tokens(layer, view.len);
-      const QuantizedKv qkv = quantize_kv(view, config.quant);
+      const QuantizedKv head = quantize_kv(view, config.quant);
+      const QuantizedKvView qkv = head.view();
       fx::QuantParams qp = config.quant;
       qp.scale = fx::choose_scale(q, config.quant.total_bits);
       const fx::QuantizedVector qq = fx::quantize(q, qp);
       const double score_scale =
-          static_cast<double>(qp.scale) * qkv.keys.params.scale /
+          static_cast<double>(qp.scale) * qkv.key_params.scale /
           std::sqrt(static_cast<double>(dim));
+      const std::int16_t* qd = qq.values.data();
       std::vector<double> scores(active.size());
       for (std::size_t i = 0; i < active.size(); ++i) {
-        scores[i] = static_cast<double>(fx::dot_i64(qq, qkv.keys[active[i]])) *
+        scores[i] = static_cast<double>(qkv.key_dot(qd, active[i],
+                                                    qkv.key_offset_dot(qd))) *
                     score_scale;
       }
       const double log_denom = log_sum_exp(scores.data(), scores.size());
       std::vector<double> probs(active.size());
       std::vector<float> expected(dim, 0.0f);
-      const float v_scale = qkv.values.params.scale;
+      const float v_scale = qkv.value_params.scale;
       for (std::size_t i = 0; i < active.size(); ++i) {
         probs[i] = std::exp(scores[i] - log_denom);
         if (probs[i] <= config.value_prob_threshold) continue;
         for (std::size_t d = 0; d < dim; ++d) {
           expected[d] += static_cast<float>(
               probs[i] *
-              static_cast<double>(qkv.values[active[i]].values[d]) * v_scale);
+              static_cast<double>(qkv.value(active[i])[d]) * v_scale);
         }
       }
       shadow_pruner.accumulate_importance(active, probs);

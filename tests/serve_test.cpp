@@ -320,11 +320,15 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   EXPECT_EQ(cached.value_params.scale, fresh.values.params.scale);
   EXPECT_TRUE(std::equal(fresh.values.data.begin(), fresh.values.data.end(),
                          cached.values));
-  std::vector<std::int16_t> key(dim);
+  for (std::size_t j = 0; j < fresh.keys.planes.size(); ++j) {
+    EXPECT_TRUE(std::equal(fresh.keys.planes[j].begin(),
+                           fresh.keys.planes[j].end(),
+                           cached.key_planes[j].begin(),
+                           cached.key_planes[j].end()))
+        << "plane " << j;
+  }
   for (std::size_t i = 0; i < survivors.size(); ++i) {
     EXPECT_EQ(cache.id_at(i), survivors[i]);
-    cached.key_row(i, key.data());
-    EXPECT_TRUE(std::ranges::equal(key, fresh.keys[i].values)) << "row " << i;
   }
 }
 
