@@ -81,6 +81,9 @@ Engine::Engine(const AccelConfig& config) : config_(config) {
           "AccelConfig: scoreboard_entries must be positive");
   require(config.dram_clocks_per_core > 0,
           "AccelConfig: dram_clocks_per_core must be positive");
+  require(!config.host_resident_layout,
+          "AccelConfig: host_resident_layout was removed; the device's packed "
+          "layout is the only DRAM layout");
 }
 
 SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
@@ -91,6 +94,11 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
           "Engine: K/V row width differs from the query");
   const auto head_dim = static_cast<int>(kv.head_dim);
   const fx::QuantParams kparams = kv.key_params;
+  // The layout is sized from config_.quant but the walk follows the head's
+  // own chunking, so the two formats must agree.
+  require(kparams.total_bits == config_.quant.total_bits &&
+              kparams.chunk_bits == config_.quant.chunk_bits,
+          "Engine: instance key format differs from AccelConfig::quant");
   const int num_chunks = kparams.num_chunks();
   require(num_chunks < (1 << kChunkBits), "Engine: too many chunks for id");
 

@@ -42,30 +42,20 @@ struct AccelConfig {
   int value_buffer_bytes = 192 * 1024;
   int operand_buffer_bytes = 512;
 
-  // Charge K/V traffic at the host's resident layout instead of the
-  // device's packed one. A host head (QuantizedKv, core/quantized_kv_cache.h)
-  // stores keys only as offset-binary nibble planes (4 bits per element,
-  // rows byte-aligned) and values as int16 rows, so a host-layout run
-  // fetches one ceil(head_dim / 2)-byte nibble row per K chunk and 16-bit
-  // elements per V row. That charge is exact only when every chunk lies
-  // inside one plane, as at 4-bit chunks; a chunk that spans two planes
-  // reads two rows, so KvLayout, and with it Engine::run, throws on such a
-  // format (12/3, say). At 4-bit chunks chunk b is nibble plane b and the
-  // region is exactly the head's planes + value arena. The plane →
-  // bank-group mapping is identical either way: the contiguity being
-  // charged is exactly the contiguous plane walk the host performs.
+  // Removed: charging K/V traffic at the host cache's resident widths won
+  // nowhere over the device's packed layout, the only DRAM layout. The field
+  // remains only because the benchmark's config dump reads it; Engine
+  // rejects true. Delete it with the next change to the benchmark.
   bool host_resident_layout = false;
 
   // Granules (32 B DRAM transactions) per K chunk / full V vector for a
   // given head dimension.
   int granules_per_chunk(int head_dim) const {
-    const int bytes = host_resident_layout ? (head_dim + 1) / 2
-                                           : head_dim * quant.chunk_bits / 8;
+    const int bytes = head_dim * quant.chunk_bits / 8;
     return (bytes + dram.transaction_bytes - 1) / dram.transaction_bytes;
   }
   int granules_per_value(int head_dim) const {
-    const int bits =
-        head_dim * (host_resident_layout ? 16 : quant.total_bits);
+    const int bits = head_dim * quant.total_bits;
     return (bits / 8 + dram.transaction_bytes - 1) / dram.transaction_bytes;
   }
 };

@@ -13,11 +13,6 @@
 // packs chunk b at chunk_bits and the host stores nibble plane b, both
 // head_dim / 2 bytes per token. The values differ in width: the device
 // packs them at total_bits, the host stores int16.
-// AccelConfig::host_resident_layout switches the granule math to the host
-// widths so the cycle model charges exactly the contiguity the host walks
-// (the constructor throws on a format with a chunk spanning two nibble
-// planes, which the host reads as two rows); the plane → bank-group mapping
-// is shared by both.
 //
 // Bank-group mapping: naively stacking planes puts every plane in the same
 // rows of the same banks, so the out-of-order mixture of chunk-0 and

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/require.h"
-#include "fixedpoint/fxexp.h"
 
 namespace topick {
 
@@ -14,6 +13,9 @@ ProbabilityEstimator::ProbabilityEstimator(const EstimatorConfig& config)
                          : -std::numeric_limits<double>::infinity()) {
   require(config.threshold >= 0.0 && config.threshold < 1.0,
           "EstimatorConfig: threshold must be in [0, 1)");
+  require(!config.fixed_point_compare,
+          "EstimatorConfig: fixed_point_compare was removed; the double "
+          "log-domain compare is the only prune test");
 }
 
 void ProbabilityEstimator::reset(std::size_t num_tokens) {
@@ -23,16 +25,6 @@ void ProbabilityEstimator::reset(std::size_t num_tokens) {
   contribution_.assign(num_tokens,
                        std::numeric_limits<double>::quiet_NaN());
   term_cache_.assign(num_tokens, ShiftedExpSum::Term{});
-}
-
-bool ProbabilityEstimator::should_prune_fixed_point(double s_max) const {
-  // RPDU model: Q16.16 compare with conservative rounding. Rounding s_max
-  // up and ln(D)/ln(thr) down can only turn a prune into a keep, never
-  // the reverse — safety is preserved (FxRpdu tests).
-  const fx::q16_16 s_up = fx::to_q16(s_max) + 1;
-  const fx::q16_16 lnd_down = fx::to_q16(denom_.log()) - 1;
-  const fx::q16_16 thr_down = fx::to_q16(log_threshold_) - 1;
-  return static_cast<std::int64_t>(s_up) - lnd_down <= thr_down;
 }
 
 double ProbabilityEstimator::estimate_upper(double s_max) const {

@@ -126,7 +126,6 @@ void TokenPickerAttention::attend_view(const fx::QuantizedVector& q,
           static_cast<double>(partial + margin.min_margin) * score_scale;
 
       if (estimator_.should_prune(s_max)) {
-        decision.upper_bound_at_prune = estimator_.estimate_upper(s_max);
         estimator_.mark_pruned(token);
         pruned = true;
         break;

@@ -52,7 +52,6 @@ struct TokenDecision {
   int chunks_fetched = 0;
   bool kept = false;
   double final_score = 0.0;       // defined for kept tokens
-  double upper_bound_at_prune = 0.0;  // p'' that triggered the prune
 };
 
 struct TokenPickerResult {

@@ -136,6 +136,26 @@ TEST(QuantizedKvTest, PushRowRejectsAKeyOutsideTheQuantRange) {
 // guarantees. Engine::run and attend_quantized read every K plane and V row
 // up to the query's width, so rows narrower than the query and arenas that
 // do not hold len rows must throw at entry.
+TEST(EngineTest, RemovedHostResidentLayoutIsRejected) {
+  AccelConfig config = make_config(DesignPoint::topick_ooo);
+  config.host_resident_layout = true;
+  EXPECT_THROW(Engine{config}, std::logic_error);
+}
+
+TEST(EngineTest, KeyFormatMustMatchConfigQuant) {
+  // The DRAM layout is sized from AccelConfig::quant while the walk follows
+  // the head's key chunks: a 12/3 config over a 12/4 head is refused.
+  Rng rng(0x12);
+  const auto inst = make_instance(rng, 64);
+  AccelConfig config = make_config(DesignPoint::topick_ooo);
+  config.quant = {12, 3};
+  EXPECT_THROW(Engine(config).run(inst), std::logic_error);
+  config.quant = {12, 4};
+  const auto result = Engine(config).run(inst);
+  EXPECT_GT(result.survivors, 0u);
+  EXPECT_EQ(result.access.k_bits_baseline, 64u * 3u * 32u * 8u);
+}
+
 TEST(EngineTest, MalformedArenasThrow) {
   Rng rng(42);
   const auto good = make_instance(rng, 64);
@@ -217,87 +237,6 @@ TEST(KvLayoutTest, WideHeadUsesMultipleGranules) {
 TEST(KvLayoutTest, RejectsUnalignedBase) {
   const AccelConfig config = make_config(DesignPoint::topick_ooo);
   EXPECT_THROW(KvLayout(config, 17, 16, 64), std::logic_error);
-}
-
-TEST(KvLayoutTest, HostResidentLayoutChargesHostElementWidths) {
-  // host_resident_layout switches the granule math from packed bits to the
-  // rows the host cache actually stores — one packed nibble row per 4-bit
-  // chunk, int16 values: a 64-dim chunk plane row stays 32 B (the device's
-  // packed width at 4-bit chunks), a value row goes 96 B -> 128 B, and an
-  // odd head_dim rounds its nibble row up to whole bytes.
-  AccelConfig config = make_config(DesignPoint::topick_ooo);
-  config.host_resident_layout = true;
-  KvLayout layout(config, 0, 128, 64);
-  EXPECT_EQ(layout.granules_per_chunk(), 1);
-  EXPECT_EQ(layout.granules_per_value(), 4);
-  EXPECT_EQ(config.granules_per_chunk(130), 3);  // 65 B
-  EXPECT_EQ(config.granules_per_chunk(128), 2);  // 64 B
-
-  // Same bank-group discipline as the packed layout: the contiguity charged
-  // is the host's contiguous plane walk, so K planes stay bank-disjoint.
-  mem::Hbm hbm(config.dram);
-  std::array<std::set<std::uint64_t>, 3> banks_used;
-  for (std::size_t t = 0; t < 128; ++t) {
-    for (int b = 0; b < 3; ++b) {
-      for (int g = 0; g < layout.granules_per_chunk(); ++g) {
-        banks_used[static_cast<std::size_t>(b)].insert(
-            hbm.local_of(layout.key_chunk_addr(t, b, g)).bank);
-      }
-    }
-  }
-  for (int a = 0; a < 3; ++a) {
-    for (int b = a + 1; b < 3; ++b) {
-      for (auto bank : banks_used[static_cast<std::size_t>(a)]) {
-        EXPECT_FALSE(banks_used[static_cast<std::size_t>(b)].count(bank));
-      }
-    }
-  }
-}
-
-TEST(KvLayoutTest, HostResidentLayoutNeedsChunksInsideOnePlane) {
-  // One nibble row per K chunk is what the host reads only when no chunk
-  // spans two planes: 12/3's chunk 1 (bits 6-8) does, 12/4's never do.
-  AccelConfig config = make_config(DesignPoint::topick_ooo);
-  config.host_resident_layout = true;
-  config.quant = {12, 3};
-  EXPECT_THROW(KvLayout(config, 0, 16, 64), std::logic_error);
-  Rng rng(0x12);
-  const auto inst = make_instance(rng, 64);
-  EXPECT_THROW(Engine(config).run(inst), std::logic_error);
-  config.quant = {12, 4};
-  EXPECT_NO_THROW(KvLayout(config, 0, 16, 64));
-  const auto result = Engine(config).run(inst);
-  EXPECT_GT(result.survivors, 0u);
-  EXPECT_EQ(result.access.k_bits_baseline, 64u * 3u * 32u * 8u);
-}
-
-TEST(KvLayoutTest, HostResidentRegionMatchesCacheResidency) {
-  // Cross-layer pin: the host-layout region footprint must equal what one
-  // head of QuantizedKvCache reports as resident for its planes + value
-  // arena (head_dim 64 rows are granule-aligned, so no rounding slack).
-  AccelConfig config = make_config(DesignPoint::topick_ooo);
-  config.host_resident_layout = true;
-  const std::size_t len = 96;
-  const int head_dim = 64;
-
-  const auto dim = static_cast<std::size_t>(head_dim);
-  Rng rng(0x1d);
-  std::vector<float> keys(len * dim), values(len * dim);
-  for (auto& x : keys) x = static_cast<float>(rng.normal());
-  for (auto& x : values) x = static_cast<float>(rng.normal());
-  const KvHeadView rows{keys.data(), values.data(), len, dim};
-  const ViewRescaleSource source(rows);
-  QuantizedKvCache cache(dim);
-  cache.set_rescale_source(&source);
-  for (std::size_t t = 0; t < len; ++t) {
-    cache.append(rows.key(t), rows.value(t));
-  }
-  const auto res = cache.residency();
-
-  const KvLayout layout(config, 0, len, head_dim);
-  // Keys live only in the nibble planes and int16_arena holds the value
-  // rows, so the region is exactly the cache's two arenas.
-  EXPECT_EQ(layout.region_bytes(), res.planes + res.int16_arena);
 }
 
 TEST(ScoreboardTest, InsertTakeRoundTrip) {

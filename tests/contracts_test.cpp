@@ -122,14 +122,10 @@ TEST(ExactAttentionContract, SingleTokenReturnsItsValue) {
   EXPECT_DOUBLE_EQ(result.probs[0], 1.0);
 }
 
-TEST(EstimatorContract, FixedPointModeWithZeroThresholdNeverPrunes) {
+TEST(EstimatorContract, RemovedFixedPointCompareIsRejected) {
   EstimatorConfig config;
-  config.threshold = 0.0;
   config.fixed_point_compare = true;
-  ProbabilityEstimator est(config);
-  est.reset(4);
-  est.update_token(0, 50.0);
-  EXPECT_FALSE(est.should_prune(-100.0));
+  EXPECT_THROW(ProbabilityEstimator{config}, std::logic_error);
 }
 
 TEST(TrafficContract, EmbeddingFractionShrinksWithBatch) {

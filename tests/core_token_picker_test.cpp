@@ -177,20 +177,18 @@ std::vector<Context> soundness_contexts(Rng& rng) {
   return contexts;
 }
 
-// Soundness sweep: across thresholds, orderings, chunk widths, denominator
-// policies and the fixed-point compare, every pruned token's true (full
-// quantized softmax) probability must be below the threshold.
+// Soundness sweep: across thresholds, orderings, chunk widths and
+// denominator policies, every pruned token's true (full quantized softmax)
+// probability must be below the threshold.
 class TokenPickerSoundness
     : public ::testing::TestWithParam<
-          std::tuple<double, OrderingPolicy, int, DenominatorPolicy, bool>> {};
+          std::tuple<double, OrderingPolicy, int, DenominatorPolicy>> {};
 
 TEST_P(TokenPickerSoundness, PrunedTokensBelowThreshold) {
-  const auto [threshold, policy, chunk_bits, denominator, fixed_point] =
-      GetParam();
+  const auto [threshold, policy, chunk_bits, denominator] = GetParam();
   TokenPickerConfig config;
   config.estimator.threshold = threshold;
   config.estimator.policy = denominator;
-  config.estimator.fixed_point_compare = fixed_point;
   config.quant.chunk_bits = chunk_bits;
   config.order = policy;
 
@@ -227,8 +225,7 @@ INSTANTIATE_TEST_SUITE_P(
                           OrderingPolicy::random_order),
         ::testing::Values(2, 3, 4, 6, 12),
         ::testing::Values(DenominatorPolicy::remove_on_prune,
-                          DenominatorPolicy::keep_stale),
-        ::testing::Bool()));
+                          DenominatorPolicy::keep_stale)));
 
 TEST(TokenPicker, NewestTokenAlwaysSurvives) {
   // The newest token is visited first, so it can never be pruned (empty
