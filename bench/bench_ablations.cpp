@@ -175,9 +175,9 @@ int main() {
     const std::size_t prompt = 1536, decode = 512;
     const auto stream =
         wl::make_decode_stream(sp, prompt, decode, 1, 1, /*seed=*/0xab1e);
-    const auto& hs = stream.head(0, 0);
-    const ViewRescaleSource source(
-        stream.context_view(0, 0, stream.total_tokens()));
+    const wl::HeadRows rows = wl::materialize(stream, 0, 0);
+    const KvHeadView all = rows.view();
+    const ViewRescaleSource source(all);
     TokenPickerConfig config;
     config.estimator.threshold = kThr;
     config.compute_oracle_mass = false;
@@ -189,10 +189,10 @@ int main() {
       TokenPickerAttention op(config);
       TokenPickerResult result;
       const auto start = std::chrono::steady_clock::now();
-      cache.append_rows(hs.keys.data(), hs.values.data(), prompt, 0);
+      cache.append_rows(rows.keys.data(), rows.values.data(), prompt, 0);
       for (std::size_t step = 0; step < decode; ++step) {
         const std::size_t pos = prompt + step;
-        cache.append(stream.key(0, 0, pos), stream.value(0, 0, pos), pos);
+        cache.append(all.key(pos), all.value(pos), pos);
         op.attend_cached(stream.query(0, 0, step), cache, &result);
       }
       const double seconds =
@@ -210,9 +210,9 @@ int main() {
         view.key_row(t, key);
         for (std::size_t d = 0; d < 64; ++d) {
           const double ke = static_cast<double>(key[d]) * ks -
-                            static_cast<double>(hs.keys[t * 64 + d]);
+                            static_cast<double>(rows.keys[t * 64 + d]);
           const double ve = static_cast<double>(view.value(t)[d]) * vs -
-                            static_cast<double>(hs.values[t * 64 + d]);
+                            static_cast<double>(rows.values[t * 64 + d]);
           se += ke * ke + ve * ve;
         }
       }

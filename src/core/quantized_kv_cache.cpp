@@ -122,18 +122,23 @@ void QuantizedKv::clear_rows() {
   for (auto& plane : keys.planes) plane.clear();
 }
 
-void QuantizedKv::push_row(const std::int16_t* k_row,
-                           const std::int16_t* v_row) {
+bool QuantizedKv::write_key_row(std::size_t t, const std::int16_t* k_row) {
   const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
   const int planes = keys.layout.planes();
   std::array<std::uint8_t*, 4> rows{};  // total_bits <= 15: at most 4 planes
   for (int j = 0; j < planes; ++j) {
-    auto& plane = keys.planes[static_cast<std::size_t>(j)];
-    plane.resize(plane.size() + row_bytes);
-    rows[static_cast<std::size_t>(j)] = plane.data() + plane.size() - row_bytes;
+    rows[static_cast<std::size_t>(j)] =
+        keys.planes[static_cast<std::size_t>(j)].data() + t * row_bytes;
   }
-  const bool in_range = pack_key_row(k_row, head_dim, keys.params.total_bits,
-                                     planes, rows.data());
+  return pack_key_row(k_row, head_dim, keys.params.total_bits, planes,
+                      rows.data());
+}
+
+void QuantizedKv::push_row(const std::int16_t* k_row,
+                           const std::int16_t* v_row) {
+  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
+  for (auto& plane : keys.planes) plane.resize((len + 1) * row_bytes);
+  const bool in_range = write_key_row(len, k_row);
   if (!in_range) {
     for (auto& plane : keys.planes) plane.resize(len * row_bytes);
   }
@@ -201,21 +206,29 @@ QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base) {
   out.values.data.resize(n);
   fx::quantize_row_i16(kv.values, n, out.values.params, out.values.data.data());
   const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(kv.head_dim);
-  const int planes = out.keys.layout.planes();
   for (auto& plane : out.keys.planes) plane.resize(kv.len * row_bytes);
   std::vector<std::int16_t> k_row(kv.head_dim);
-  std::array<std::uint8_t*, 4> rows{};
   for (std::size_t t = 0; t < kv.len; ++t) {
     quantize_row(kv.key(t), out.keys.params, k_row.data());
-    for (int j = 0; j < planes; ++j) {
-      rows[static_cast<std::size_t>(j)] =
-          out.keys.planes[static_cast<std::size_t>(j)].data() + t * row_bytes;
-    }
-    pack_key_row(k_row.data(), kv.head_dim, out.keys.params.total_bits, planes,
-                 rows.data());
+    out.write_key_row(t, k_row.data());
   }
   out.len = kv.len;
   return out;
+}
+
+// ---- ViewRescaleSource ------------------------------------------------------
+
+void ViewRescaleSource::fill_rows(std::span<const std::size_t> ids,
+                                  float* keys, float* values) const {
+  const std::size_t dim = view_.head_dim;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (keys != nullptr) {
+      std::copy_n(view_.key(ids[i]).data(), dim, keys + i * dim);
+    }
+    if (values != nullptr) {
+      std::copy_n(view_.value(ids[i]).data(), dim, values + i * dim);
+    }
+  }
 }
 
 // ---- QuantizedKvCache -------------------------------------------------------
@@ -244,6 +257,8 @@ void QuantizedKvCache::clear() {
   ids_.clear();
   key_rescales_ = 0;
   value_rescales_ = 0;
+  key_rows_requantized_ = 0;
+  value_rows_requantized_ = 0;
 }
 
 QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
@@ -263,18 +278,45 @@ void QuantizedKvCache::require_source() const {
           "QuantizedKvCache: a cache holding rows needs a RescaleSource");
 }
 
+// Rows a rescale asks the source for at a time: bounds the float scratch
+// (32 KiB at head_dim 64) however long the head is.
+constexpr std::size_t kRescaleBlockRows = 64;
+
 // Re-quantizes every row already in the store under the (just-updated)
-// shared scales, re-reading the original rows by stable id — bit-identical
-// to quantizing the live set from scratch at headroom 1. Covers exactly
-// store_.len rows: append paths call this BEFORE pushing their new rows,
-// whose floats are still at hand and are quantized directly under the new
-// scale afterward.
-void QuantizedKvCache::requantize_all() {
+// shared scale of each requested arena, re-reading that arena's original
+// rows by stable id — bit-identical to quantizing the live set from scratch
+// at headroom 1. An arena whose scale did not change is left as it is: each
+// of its rows already is its floats quantized under that scale. Covers
+// exactly store_.len rows: append paths call this BEFORE pushing their new
+// rows, whose floats are still at hand and are quantized directly under the
+// new scale afterward.
+void QuantizedKvCache::requantize(bool keys, bool values) {
   const std::size_t n = store_.len;
-  store_.clear_rows();
-  for (std::size_t r = 0; r < n; ++r) {
-    push_quantized(source_->key_row(ids_[r]), source_->value_row(ids_[r]));
+  if (n == 0) return;
+  static thread_local std::vector<float> k_rows, v_rows;
+  if (keys) k_rows.resize(kRescaleBlockRows * head_dim_);
+  if (values) v_rows.resize(kRescaleBlockRows * head_dim_);
+  k_row_scratch_.resize(head_dim_);
+  for (std::size_t start = 0; start < n; start += kRescaleBlockRows) {
+    const std::size_t count = std::min(kRescaleBlockRows, n - start);
+    source_->fill_rows({ids_.data() + start, count},
+                       keys ? k_rows.data() : nullptr,
+                       values ? v_rows.data() : nullptr);
+    for (std::size_t r = 0; r < count; ++r) {
+      if (keys) {
+        quantize_row({k_rows.data() + r * head_dim_, head_dim_},
+                     store_.keys.params, k_row_scratch_.data());
+        store_.write_key_row(start + r, k_row_scratch_.data());
+      }
+      if (values) {
+        quantize_row({v_rows.data() + r * head_dim_, head_dim_},
+                     store_.values.params,
+                     store_.values.data.data() + (start + r) * head_dim_);
+      }
+    }
   }
+  if (keys) key_rows_requantized_ += n;
+  if (values) value_rows_requantized_ += n;
 }
 
 void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
@@ -282,19 +324,20 @@ void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
       scale_for_amax(key_amax, store_.keys.params.total_bits);
   const float v_target =
       scale_for_amax(value_amax, store_.values.params.total_bits);
-  bool requant = false;
+  bool requant_keys = false;
+  bool requant_values = false;
   if (config_.headroom == 1.0f) {
     // Exact mode: the scale tracks choose_scale() bit-for-bit, shrinking on
     // evict as well as growing on append.
     if (store_.keys.params.scale != k_target) {
       store_.keys.params.scale = k_target;
       ++key_rescales_;
-      requant = true;
+      requant_keys = true;
     }
     if (store_.values.params.scale != v_target) {
       store_.values.params.scale = v_target;
       ++value_rescales_;
-      requant = true;
+      requant_values = true;
     }
   } else {
     // Amortized mode: hold the scale inside [target, target * headroom].
@@ -308,19 +351,21 @@ void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
         store_.keys.params.scale > k_hi) {
       store_.keys.params.scale = k_hi;
       ++key_rescales_;
-      requant = true;
+      requant_keys = true;
     }
     const float v_hi = v_target * config_.headroom;
     if (store_.values.params.scale < v_target ||
         store_.values.params.scale > v_hi) {
       store_.values.params.scale = v_hi;
       ++value_rescales_;
-      requant = true;
+      requant_values = true;
     }
   }
   key_amax_ = key_amax;
   value_amax_ = value_amax;
-  if (requant) requantize_all();
+  if (requant_keys || requant_values) {
+    requantize(requant_keys, requant_values);
+  }
 }
 
 void QuantizedKvCache::push_quantized(const float* k_row, const float* v_row) {

@@ -9,11 +9,12 @@
 // quantize_kv() would produce from the same floats. QuantizedKvCache
 // therefore quantizes each token once at append, tracks the live set's
 // max|x| (keys and values separately, via per-row maxima), and re-quantizes
-// the whole head only on the rare step where that max changes — a new record
-// on append, or the record holder leaving on evict. The cache keeps no
-// floats: a rescale re-reads every stored row from the registered
-// RescaleSource, so at any headroom each stored row is its floats quantized
-// under the head's current scale. With headroom == 1 (default) that scale is
+// an arena of the whole head only on the rare step where its max changes — a
+// new record on append, or the record holder leaving on evict. The cache
+// keeps no floats: a rescale re-reads every stored row of the rescaled arena
+// from the registered RescaleSource (the other arena's rows already are
+// their floats under its unchanged scale), so at any headroom each stored
+// row is its floats quantized under the head's current scales. With headroom == 1 (default) that scale is
 // choose_scale()'s, so the integers, scales, and every downstream pruning
 // decision are bit-identical to the from-scratch path
 // (tests/quantized_kv_cache_test.cpp proves it over randomized append/evict
@@ -195,6 +196,10 @@ struct QuantizedKv {
   // keys.params.qmax()] — the range the offset-binary planes hold, and the
   // range quantize() output always lies in.
   void push_row(const std::int16_t* k_row, const std::int16_t* v_row);
+  // Packs key row t in place, into plane bytes already sized to hold it.
+  // Returns false, row t then holding garbage, when some element lies outside
+  // [keys.params.qmin(), keys.params.qmax()].
+  bool write_key_row(std::size_t t, const std::int16_t* k_row);
   // Stable in-place removal of rows where keep[r] == 0.
   void compact(const std::uint8_t* keep);
 
@@ -213,22 +218,25 @@ QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base);
 
 // Float-row provider for whole-head rescales, keyed by the caller's stable
 // token ids. The cache itself retains NO floats (per-row maxima + ids are
-// its only float-domain residue); when a rescale fires it re-reads the
-// original rows from whoever still owns them:
-//   * a serve PagedSequence (serve/paged_sequence.h) — rows live in the
-//     request's DecodeStream under the same ids, readable while their pool
-//     page is held, and eviction rescales run before the sweep;
-//   * a float view whose row t has stable id t (ViewRescaleSource) —
-//     sync_cache_to_view registers one for the duration of the sync.
+// its only float-domain residue); when a rescale fires it asks for the
+// original rows of the arena whose scale changed, in blocks, into its own
+// scratch:
+//   * a serve PagedRescaleSource (serve/paged_sequence.h) regenerates them
+//     from the request's DecodeStream checkpoints, for ids whose pool page
+//     is still held; eviction rescales run before the sweep;
+//   * a float view whose row t has stable id t (ViewRescaleSource) copies
+//     them — sync_cache_to_view registers one for the duration of the sync.
 // A cache that holds rows must have a source: append, append_rows and
 // evict_ids throw std::logic_error without one, before changing anything.
-// Returned pointers must stay valid for the duration of the rescale call
-// and must only be queried for ids currently resident in the cache.
+// The cache only asks for ids currently resident in it.
 class RescaleSource {
  public:
   virtual ~RescaleSource() = default;
-  virtual const float* key_row(std::size_t id) const = 0;
-  virtual const float* value_row(std::size_t id) const = 0;
+  // Writes the floats of token ids[i] into row i of `keys` and of `values`
+  // ((ids.size(), head_dim) row-major each). A null pointer means that
+  // arena is not wanted: a rescale of one arena asks for its floats only.
+  virtual void fill_rows(std::span<const std::size_t> ids, float* keys,
+                         float* values) const = 0;
 };
 
 // The source for rows that are a float view's rows by position: stable id t
@@ -237,12 +245,8 @@ class RescaleSource {
 class ViewRescaleSource final : public RescaleSource {
  public:
   explicit ViewRescaleSource(const KvHeadView& view) : view_(view) {}
-  const float* key_row(std::size_t id) const override {
-    return view_.key(id).data();
-  }
-  const float* value_row(std::size_t id) const override {
-    return view_.value(id).data();
-  }
+  void fill_rows(std::span<const std::size_t> ids, float* keys,
+                 float* values) const override;
 
  private:
   KvHeadView view_;
@@ -326,17 +330,24 @@ class QuantizedKvCache {
   const fx::QuantParams& value_params() const { return store_.values.params; }
   const Config& config() const { return config_; }
 
-  // Diagnostics: whole-head re-quantizations since construction/clear().
+  // Diagnostics since construction/clear(): whole-head re-quantizations
+  // per arena, and the stored rows each one re-read from the source (a
+  // rescale re-quantizes only the arena whose scale changed).
   std::uint64_t key_rescales() const { return key_rescales_; }
   std::uint64_t value_rescales() const { return value_rescales_; }
+  std::uint64_t key_rows_requantized() const { return key_rows_requantized_; }
+  std::uint64_t value_rows_requantized() const {
+    return value_rows_requantized_;
+  }
 
  private:
   // Throws unless the cache is empty or has a RescaleSource.
   void require_source() const;
   // Adjusts the shared scales for new live maxima; when a scale changes it
-  // re-quantizes every stored row from the registered source's floats.
+  // re-quantizes that arena's stored rows from the registered source's
+  // floats.
   void ensure_scales(float key_amax, float value_amax);
-  void requantize_all();
+  void requantize(bool keys, bool values);
   void push_quantized(const float* k_row, const float* v_row);
   // append_rows without its inf check, for callers that already made it.
   void push_rows(const float* k_rows, const float* v_rows, std::size_t count,
@@ -350,6 +361,7 @@ class QuantizedKvCache {
   float key_amax_ = 0.0f, value_amax_ = 0.0f;
   std::vector<std::size_t> ids_;
   std::uint64_t key_rescales_ = 0, value_rescales_ = 0;
+  std::uint64_t key_rows_requantized_ = 0, value_rows_requantized_ = 0;
   std::vector<std::int16_t> k_row_scratch_, v_row_scratch_;
   std::vector<std::uint8_t> keep_scratch_;
   std::vector<std::size_t> evict_scratch_;

@@ -9,7 +9,7 @@
 //
 // A page is a budget of `page_tokens` token slots of one head; it holds no
 // floats. Requests own pages through PagedSequence (paged_sequence.h), which
-// reads its tokens' K/V from the rows it is bound to (the request's stream).
+// only accounts which of its tokens' pages are held.
 // The pool tracks the free list, occupancy, the high-water mark, and how many
 // allocations were served from previously-used pages — the numbers the
 // acceptance scenario and the serving bench report.

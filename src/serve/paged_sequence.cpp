@@ -6,20 +6,16 @@
 
 namespace topick::serve {
 
-PagedSequence::PagedSequence(PagedKvPool* pool, KvHeadView rows)
-    : pool_(pool), rows_(rows) {
+PagedSequence::PagedSequence(PagedKvPool* pool, std::size_t capacity)
+    : pool_(pool), capacity_(capacity) {
   require(pool != nullptr, "PagedSequence: null pool");
-  require(rows.len == 0 ||
-              (rows.keys != nullptr && rows.values != nullptr &&
-               rows.head_dim > 0),
-          "PagedSequence: bad bound rows");
 }
 
 PagedSequence::~PagedSequence() { release_all(); }
 
 PagedSequence::PagedSequence(PagedSequence&& other) noexcept
     : pool_(other.pool_),
-      rows_(other.rows_),
+      capacity_(other.capacity_),
       pages_(std::move(other.pages_)),
       page_live_(std::move(other.page_live_)),
       live_(std::move(other.live_)),
@@ -35,8 +31,8 @@ PagedSequence::PagedSequence(PagedSequence&& other) noexcept
 }
 
 bool PagedSequence::append() {
-  require(appended_ < rows_.len,
-          "PagedSequence::append: every bound row is already appended");
+  require(appended_ < capacity_,
+          "PagedSequence::append: the sequence is at capacity");
   const std::size_t page_tokens = pool_->config().page_tokens;
   if (appended_ % page_tokens == 0) {
     const auto page = pool_->alloc_page();
@@ -87,16 +83,6 @@ void PagedSequence::require_resident(std::size_t token_id) const {
           "PagedSequence: token's page not resident");
 }
 
-const float* PagedSequence::key_row(std::size_t token_id) const {
-  require_resident(token_id);
-  return rows_.key(token_id).data();
-}
-
-const float* PagedSequence::value_row(std::size_t token_id) const {
-  require_resident(token_id);
-  return rows_.value(token_id).data();
-}
-
 void PagedSequence::release_all() {
   for (const auto page : pages_) {
     if (page != PagedKvPool::kInvalidPage) pool_->free_page(page);
@@ -109,16 +95,19 @@ void PagedSequence::release_all() {
   pages_held_ = 0;
 }
 
-PagedKvCache::PagedKvCache(PagedKvPool* pool, const wl::DecodeStream& stream)
-    : pool_(pool), n_layer_(stream.n_layer), n_head_(stream.n_head) {
+void PagedRescaleSource::fill_rows(std::span<const std::size_t> ids,
+                                   float* keys, float* values) const {
+  for (const std::size_t id : ids) seq_->require_resident(id);
+  stream_->fill_rows(layer_, head_, ids, keys, values);
+}
+
+PagedKvCache::PagedKvCache(PagedKvPool* pool, int n_layer, int n_head,
+                           std::size_t capacity)
+    : pool_(pool), n_layer_(n_layer), n_head_(n_head) {
   require(n_layer_ > 0 && n_head_ > 0, "PagedKvCache: bad shape");
-  seqs_.reserve(static_cast<std::size_t>(n_layer_) * n_head_);
-  for (int layer = 0; layer < n_layer_; ++layer) {
-    for (int head = 0; head < n_head_; ++head) {
-      seqs_.emplace_back(pool, stream.context_view(layer, head,
-                                                   stream.total_tokens()));
-    }
-  }
+  const std::size_t n = static_cast<std::size_t>(n_layer_) * n_head_;
+  seqs_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) seqs_.emplace_back(pool, capacity);
 }
 
 std::size_t PagedKvCache::pages_held() const {

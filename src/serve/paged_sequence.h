@@ -2,21 +2,22 @@
 // per-request bundle of sequences (PagedKvCache) — the paged counterpart of
 // model/kv_cache.h's contiguous per-(layer, head) slabs.
 //
-// A sequence is bound to immutable K/V rows (the request's DecodeStream head)
-// and never copies them: appending token t charges t's page slot to the pool
-// and makes row t readable. Tokens keep their stable chronological id (= row
-// index) for life; pruning marks them dead in place (no compaction inside
-// pages), and a *full* page whose live count hits zero is returned to the
-// pool, after which its rows read as not resident. Attention never reads
-// through the sequence: the engine's QuantizedKvCache holds the live set,
-// and the sequence serves its whole-head rescales (PagedRescaleSource).
+// A sequence is page accounting only: it holds no K/V rows. Appending token
+// t charges t's page slot to the pool. Tokens keep their stable
+// chronological id for life; pruning marks them dead in place (no
+// compaction inside pages), and a *full* page whose live count hits zero is
+// returned to the pool, after which its ids are no longer resident.
+// Attention never reads through the sequence: the engine's QuantizedKvCache
+// holds the live set, and its whole-head rescales regenerate rows from the
+// request's DecodeStream through PagedRescaleSource, which refuses any id
+// the sequence does not hold.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/quantized_kv_cache.h"
-#include "model/kv_cache.h"
 #include "serve/paged_kv_pool.h"
 #include "workload/decode_stream.h"
 
@@ -24,10 +25,9 @@ namespace topick::serve {
 
 class PagedSequence {
  public:
-  // `rows` holds the K/V of every token the sequence may append, token id =
-  // row index. The sequence keeps only the pointers: the rows must stay at
-  // the same address for the sequence's lifetime.
-  PagedSequence(PagedKvPool* pool, KvHeadView rows);
+  // `capacity` is the number of tokens the sequence may append (the
+  // request's stream length).
+  PagedSequence(PagedKvPool* pool, std::size_t capacity);
   ~PagedSequence();
 
   PagedSequence(const PagedSequence&) = delete;
@@ -35,9 +35,9 @@ class PagedSequence {
   PagedSequence(PagedSequence&& other) noexcept;
   PagedSequence& operator=(PagedSequence&&) = delete;
 
-  // Appends the next bound row (stable id = appended_tokens() before the
-  // call). Returns false, changing nothing, when the pool can't supply a
-  // page; throws once every bound row is appended.
+  // Appends the next token (stable id = appended_tokens() before the call).
+  // Returns false, changing nothing, when the pool can't supply a page;
+  // throws once `capacity` tokens are appended.
   bool append();
 
   // Marks a token dead (persistently pruned). Storage is reclaimed by
@@ -49,14 +49,11 @@ class PagedSequence {
 
   bool live(std::size_t token_id) const;
 
-  // Direct float-row access by stable id into the bound rows — the
-  // serve-side rescale source (QuantizedKvCache keeps no mirror). Throws for
-  // an id not yet appended or on a page already swept. Every live id is
-  // resident (only fully-dead full pages are freed, never the tail), and the
-  // engine orders eviction rescales before sweep(), so rescale-time lookups
-  // of survivors land on resident pages.
-  const float* key_row(std::size_t token_id) const;
-  const float* value_row(std::size_t token_id) const;
+  // Throws unless token_id is appended and its page is still held. Every
+  // live id is resident (only fully-dead full pages are freed, never the
+  // tail), and the engine orders eviction rescales before sweep(), so
+  // rescale-time lookups of survivors land on resident pages.
+  void require_resident(std::size_t token_id) const;
 
   std::size_t appended_tokens() const { return appended_; }
   std::size_t live_tokens() const { return live_count_; }
@@ -67,11 +64,8 @@ class PagedSequence {
   void release_all();
 
  private:
-  // Throws unless token_id is appended and its page is still held.
-  void require_resident(std::size_t token_id) const;
-
   PagedKvPool* pool_;
-  KvHeadView rows_;
+  std::size_t capacity_;
   // Logical page p holds token ids [p*page_tokens, (p+1)*page_tokens); a
   // reclaimed logical page keeps its slot with kInvalidPage.
   std::vector<PagedKvPool::PageId> pages_;
@@ -82,31 +76,34 @@ class PagedSequence {
   std::size_t pages_held_ = 0;
 };
 
-// RescaleSource adapter over one sequence: QuantizedKvCache's stable ids ==
-// PagedSequence token ids, so a whole-head rescale re-reads its floats
-// straight from the sequence's bound rows. Non-owning; the sequence must
-// outlive it (ServeEngine ties both to the slot).
+// RescaleSource over one (layer, head) of a request: QuantizedKvCache's
+// stable ids == PagedSequence token ids == stream token ids, so a
+// whole-head rescale regenerates its floats from the stream's checkpoints,
+// after the sequence confirmed every id is resident. Non-owning; the
+// sequence and the stream must outlive it (ServeEngine ties all three to the
+// slot, and re-points the stream when the request moves).
 class PagedRescaleSource final : public RescaleSource {
  public:
-  PagedRescaleSource() = default;
-  explicit PagedRescaleSource(const PagedSequence* seq) : seq_(seq) {}
-  const float* key_row(std::size_t id) const override {
-    return seq_->key_row(id);
-  }
-  const float* value_row(std::size_t id) const override {
-    return seq_->value_row(id);
-  }
+  PagedRescaleSource(const PagedSequence* seq, const wl::DecodeStream* stream,
+                     int layer, int head)
+      : seq_(seq), stream_(stream), layer_(layer), head_(head) {}
+  void fill_rows(std::span<const std::size_t> ids, float* keys,
+                 float* values) const override;
+  void set_stream(const wl::DecodeStream* stream) { stream_ = stream; }
 
  private:
-  const PagedSequence* seq_ = nullptr;
+  const PagedSequence* seq_;
+  const wl::DecodeStream* stream_;
+  int layer_;
+  int head_;
 };
 
-// Per-request paged KV accounting: one sequence per (layer, head) of
-// `stream`, each bound to that head's rows. `stream` must outlive the cache
-// and keep its rows at the same address.
+// Per-request paged KV accounting: one sequence per (layer, head), each of
+// `capacity` tokens.
 class PagedKvCache {
  public:
-  PagedKvCache(PagedKvPool* pool, const wl::DecodeStream& stream);
+  PagedKvCache(PagedKvPool* pool, int n_layer, int n_head,
+               std::size_t capacity);
 
   PagedSequence& seq(int layer, int head) {
     return seqs_[static_cast<std::size_t>(layer) * n_head_ + head];

@@ -47,12 +47,13 @@ struct StepOutput {
 
 struct Request {
   wl::ArrivalEvent event;
-  // The request's f32 K/V rows and queries for every (layer, head). Empty
-  // until the first admission builds them; kept while prefilling, running,
-  // preempted or in backoff (replay re-reads the same rows); released
-  // (capacity 0) once the request is finished or failed. Rebuild a retired
-  // request's rows with wl::make_decode_stream(engine config().stream, ...)
-  // from its event.
+  // The request's K/V row checkpoints and f32 queries for every (layer,
+  // head); rows are regenerated when appended or rescaled, never stored.
+  // Empty until the first admission builds it; kept while prefilling,
+  // running, preempted or in backoff (replay regenerates the same rows);
+  // released (capacity 0) once the request is finished or failed. Rebuild a
+  // retired request's stream with wl::make_decode_stream(engine
+  // config().stream, ...) from its event.
   wl::DecodeStream stream;
   RequestState state = RequestState::queued;
 

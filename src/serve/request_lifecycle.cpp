@@ -3,7 +3,6 @@
 // main thread's sequential phases; cycle stamps and trace events ride the
 // lane so they see the DRAM clock the sequential engine would show.
 #include <algorithm>
-#include <type_traits>
 
 #include "common/require.h"
 #include "serve/serve_engine.h"
@@ -22,7 +21,18 @@ void ServeEngine::submit(const wl::ArrivalEvent& event) {
           "ServeEngine::submit: a request that decodes needs a prompt");
   Request request;
   request.event = event;
+  const bool moves = requests_.size() == requests_.capacity();
   requests_.push_back(std::move(request));
+  if (moves) {
+    // Every request moved, its stream with it: live slots regenerate rows
+    // from the stream's new address.
+    for (std::size_t r = 0; r + 1 < requests_.size(); ++r) {
+      if (slots_[r] == nullptr) continue;
+      for (auto& source : slots_[r]->rescale_sources) {
+        source.set_stream(&requests_[r].stream);
+      }
+    }
+  }
   slots_.emplace_back(nullptr);
   dram_.add_request();
   ++metrics_.requests_submitted;
@@ -207,8 +217,9 @@ void ServeEngine::admit_due_requests() {
 
 void ServeEngine::begin_prefill(std::size_t request) {
   Request& req = requests_[request];
-  // First admission builds the request's K/V rows and queries; a preempted
-  // or retried request kept its stream, so its replay re-reads the same rows.
+  // First admission builds the request's stream (row checkpoints and
+  // queries); a preempted or retried request kept it, so its replay
+  // regenerates the same rows.
   // The stream is a pure function of the event and the config at any pool
   // width, so building it here rather than at submit changes no bit.
   if (req.stream.heads.empty()) {
@@ -220,11 +231,6 @@ void ServeEngine::begin_prefill(std::size_t request) {
   // Close out the queued stint for the aging clock.
   req.queued_steps_accum = req.queued_steps(now_);
   req.enqueue_step = now_;
-  // The slot's sequences point into req.stream's rows, which live in
-  // requests_. submit() may grow requests_ while slots are live; the rows
-  // keep their address only because reallocation moves each Request (and so
-  // hands over its row buffers) rather than copying it.
-  static_assert(std::is_nothrow_move_constructible_v<Request>);
   auto slot = std::make_unique<Slot>(
       &pool_, config_,
       degrade_headroom_[static_cast<std::size_t>(req.priority())],
@@ -251,6 +257,10 @@ void ServeEngine::begin_prefill(std::size_t request) {
 
 void ServeEngine::detach(std::size_t request, bool terminal) {
   if (slots_[request] != nullptr) {
+    for (const QuantizedKvCache& qcache : slots_[request]->qcaches) {
+      metrics_.key_rows_requantized += qcache.key_rows_requantized();
+      metrics_.value_rows_requantized += qcache.value_rows_requantized();
+    }
     slots_[request]->cache.release_all();
     slots_[request].reset();
     batcher_.retire(request);

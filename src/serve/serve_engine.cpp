@@ -49,11 +49,21 @@ struct ServeEngine::Workspace {
   TokenPickerResult picker_result;
   ExactAttentionResult exact_result;
   fx::QuantizedVector exact_q_scratch;
+  // Rows regenerated from the request's stream for an append, sized on
+  // first use (the largest prefill chunk this worker has appended).
+  std::vector<float> keys, values;
+
+  void size_rows(std::size_t floats) {
+    if (keys.size() < floats) {
+      keys.resize(floats);
+      values.resize(floats);
+    }
+  }
 };
 
 ServeEngine::Slot::Slot(PagedKvPool* pool, const ServeConfig& config,
                         float headroom, const wl::DecodeStream& stream)
-    : cache(pool, stream) {
+    : cache(pool, config.n_layer, config.n_head, stream.total_tokens()) {
   const auto n = static_cast<std::size_t>(config.n_layer) * config.n_head;
   persistence.reserve(n);
   qcaches.reserve(n);
@@ -63,18 +73,18 @@ ServeEngine::Slot::Slot(PagedKvPool* pool, const ServeConfig& config,
         static_cast<std::size_t>(config.head_dim),
         QuantizedKvCache::Config{config.picker.quant, headroom});
   }
-  // The request's stream rows are each head's only f32 copy: register
-  // every sequence as its quantized cache's rescale source (stable ids
-  // coincide by construction), so whole-head rescales re-read exact floats
-  // instead of the cache keeping an f32 mirror alive. The step's phase
-  // ordering makes the rows always resident when queried: sequential
-  // seq.append runs before the parallel qcache appends, and eviction
-  // rescales run before sweep() frees any page.
+  // No copy of a row outlives its append: whole-head rescales regenerate
+  // the live rows from the request's stream (stable ids coincide by
+  // construction), gated by the sequence's page residency. The step's phase
+  // ordering keeps every queried id resident: sequential seq.append runs
+  // before the parallel qcache appends, and eviction rescales run before
+  // sweep() frees any page.
   rescale_sources.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const int layer = static_cast<int>(i) / config.n_head;
     const int head = static_cast<int>(i) % config.n_head;
-    rescale_sources.emplace_back(&cache.seq(layer, head));
+    rescale_sources.emplace_back(&cache.seq(layer, head), &stream, layer,
+                                 head);
     qcaches[i].set_rescale_source(&rescale_sources[i]);
   }
 }
@@ -333,10 +343,14 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
   span.arg("head", static_cast<double>(head));
   span.arg("pos", static_cast<double>(work.pos));
 
-  // Quantize the new token once; earlier tokens stay quantized (the cache
-  // rescales the head only when the live max|x| changes).
-  qcache.append(req.stream.key(layer, head, work.pos),
-                req.stream.value(layer, head, work.pos), work.pos);
+  // Regenerate and quantize the new token once; earlier tokens stay
+  // quantized (the cache rescales the head only when the live max|x|
+  // changes).
+  Workspace& ws = *workspaces_[worker];
+  ws.size_rows(dim);
+  req.stream.fill_rows(layer, head, work.pos, 1, ws.keys.data(),
+                       ws.values.data());
+  qcache.append({ws.keys.data(), dim}, {ws.values.data(), dim}, work.pos);
 
   const auto q = req.stream.query(layer, head, req.generated);
   const auto n_inst = static_cast<std::size_t>(config_.n_layer) *
@@ -344,7 +358,6 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
   InstanceResult& res = results_[pending * n_inst + inst];
   res.stats = AccessStats{};
   res.decisions.clear();
-  Workspace& ws = *workspaces_[worker];
 
   switch (config_.backend) {
     case BackendKind::token_picker: {
@@ -395,8 +408,9 @@ void ServeEngine::run_unit(std::size_t pending, std::size_t inst,
   const auto t0 = timed ? std::chrono::steady_clock::now()
                         : std::chrono::steady_clock::time_point{};
   if (!work.decode) {
-    // Prefill: quantize this instance's chunk via the bulk path (at most one
-    // rescale for the whole chunk). Instances touch disjoint caches.
+    // Prefill: regenerate this instance's chunk into worker scratch and
+    // quantize it via the bulk path (at most one rescale for the whole
+    // chunk). Instances touch disjoint caches.
     Request& req = requests_[work.request];
     Slot& slot = *slots_[work.request];
     const auto dim = static_cast<std::size_t>(config_.head_dim);
@@ -407,11 +421,12 @@ void ServeEngine::run_unit(std::size_t pending, std::size_t inst,
     span.arg("layer", static_cast<double>(layer));
     span.arg("head", static_cast<double>(head));
     span.arg("tokens", static_cast<double>(work.chunk));
-    const auto& hs = req.stream.head(layer, head);
-    slot.qcaches[inst].append_rows(
-        hs.keys.data() + work.prefilled_before * dim,
-        hs.values.data() + work.prefilled_before * dim, work.chunk,
-        work.prefilled_before);
+    Workspace& ws = *workspaces_[worker];
+    ws.size_rows(work.chunk * dim);
+    req.stream.fill_rows(layer, head, work.prefilled_before, work.chunk,
+                         ws.keys.data(), ws.values.data());
+    slot.qcaches[inst].append_rows(ws.keys.data(), ws.values.data(),
+                                   work.chunk, work.prefilled_before);
   } else {
     run_decode_instance(pending, inst, worker);
   }

@@ -299,9 +299,9 @@ struct FleetMetrics {
 
   // Resident host KV bytes held by the running slots' quantized caches,
   // sampled every step (the _peak fields track the run's maximum). Split by
-  // arena (see QuantizedKvCache::ResidencyBytes). The cache keeps no float
-  // shadow: whole-head rescales re-read the request's stream rows through
-  // each slot's RescaleSource.
+  // arena (see QuantizedKvCache::ResidencyBytes). Neither the cache nor the
+  // request's stream keeps float rows: whole-head rescales regenerate them
+  // from the stream's checkpoints through each slot's RescaleSource.
   std::size_t kv_int16_bytes = 0;
   std::size_t kv_plane_bytes = 0;
   std::size_t kv_maxima_bytes = 0;
@@ -309,6 +309,11 @@ struct FleetMetrics {
   std::size_t kv_resident_tokens = 0;
   std::size_t kv_resident_bytes_peak = 0;
   std::size_t kv_resident_tokens_peak = 0;
+  // Stored rows whole-head rescales re-quantized (and so regenerated from
+  // the stream), per arena: the host cost of keeping no float rows. Summed
+  // from each slot's quantized caches when the slot is released.
+  std::uint64_t key_rows_requantized = 0;
+  std::uint64_t value_rows_requantized = 0;
 
   // Per-priority-class breakdowns, indexed by wl::Priority.
   std::array<ClassMetrics, wl::kPriorityCount> per_class;
@@ -371,10 +376,11 @@ class ServeEngine {
 
   // A running request's paged cache plus, per (layer, head) and layer-major,
   // the incrementally quantized companion of each sequence's live tokens
-  // (the attention read path), the sequence that serves as its rescale
-  // source, and the prune-persistence tracker. `headroom` is the quantized
-  // cache's rescale headroom: 1.0 normally, raised by the degradation
-  // controller for slots created while the request's class is degraded.
+  // (the attention read path), its rescale source (the request's stream,
+  // gated by the sequence's residency), and the prune-persistence tracker.
+  // `headroom` is the quantized cache's rescale headroom: 1.0 normally,
+  // raised by the degradation controller for slots created while the
+  // request's class is degraded.
   struct Slot {
     Slot(PagedKvPool* pool, const ServeConfig& config, float headroom,
          const wl::DecodeStream& stream);
@@ -496,7 +502,7 @@ class ServeEngine {
   // pages and quantized caches to the pool and drops it from the batcher.
   // A non-terminal detach (preemption, cancel) happens before the reduction
   // and also drops the work the request recorded this step; a terminal one
-  // (retire, fail) releases the stream rows, which no replay will read.
+  // (retire, fail) releases the stream, which no replay will read.
   void detach(std::size_t request, bool terminal);
   // Drops a preempted or cancelled request's recorded step work.
   void cancel_step_work(std::size_t request);
@@ -524,8 +530,8 @@ class ServeEngine {
   DramProxy dram_;
   ThreadPool workers_;
 
-  // Live slots' sequences point into their Request's stream rows; see
-  // begin_prefill for why growing this vector keeps them valid.
+  // A live slot's rescale sources point at its Request's stream; submit
+  // re-points them when growing this vector moves the requests.
   std::vector<Request> requests_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::size_t next_arrival_ = 0;  // index into requests_ by arrival order

@@ -10,6 +10,16 @@
 // filled with them go persistently dead, and the pool can reclaim — the
 // serving-side payoff of the paper's estimator.
 //
+// A stream does not store its K/V rows. Each head draws its rows from its
+// own forked xoshiro stream, token after token, and the stream keeps that
+// generator's full state at every kCheckpointTokens-token boundary (32 B per
+// 8 tokens, against 4 KiB of floats at head_dim 64). fill_rows regenerates
+// any rows from the nearest checkpoint at or before them, bit for bit: the
+// draws between a checkpoint and a wanted row are replayed without their
+// log/cos transforms. Only the queries, read once per decode step, are
+// stored as floats. materialize() is the whole-head float form, for tests
+// and offline benches.
+//
 // Streams are a pure function of (params, lengths, shape, seed). They are
 // also independent of the pool make_decode_stream fills heads on: every
 // head's substream is forked serially before the fan-out, so any pool width
@@ -17,7 +27,7 @@
 // request's stream at first admission and frees it at retirement, and a
 // shadow exact reference rebuilt after the run from the request's event and
 // the engine's config reads the same rows the engine attended over.
-// Preemption-recompute replays the rows the request kept.
+// Preemption-recompute regenerates the rows the request kept.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +36,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.h"
 #include "model/kv_cache.h"
 
 namespace topick {
@@ -33,6 +44,10 @@ class ThreadPool;
 }  // namespace topick
 
 namespace topick::wl {
+
+// Tokens between two saved generator states of a head: checkpoint p is the
+// state that draws token p * kCheckpointTokens's row.
+inline constexpr std::size_t kCheckpointTokens = 8;
 
 struct DecodeStreamParams {
   int head_dim = 32;
@@ -46,14 +61,27 @@ struct DecodeStreamParams {
   int sink_tokens = 1;              // leading tokens forced spiky (>= 0)
 };
 
-// One head's K/V token stream plus the per-step queries.
+// One head's row generator state plus the per-step queries.
 struct HeadStream {
-  std::vector<float> keys;     // (n_tokens, head_dim) row-major
-  std::vector<float> values;   // (n_tokens, head_dim)
-  std::vector<float> queries;  // (decode_len, head_dim)
+  std::vector<float> topic;        // (head_dim) unit-norm topic direction
+  std::vector<Rng> checkpoints;    // ceil(n_tokens / kCheckpointTokens)
+  std::vector<float> queries;      // (decode_len, head_dim)
+};
+
+// One head's rows as floats (materialize()).
+struct HeadRows {
+  std::vector<float> keys;    // (len, head_dim) row-major
+  std::vector<float> values;  // (len, head_dim)
+  std::size_t len = 0;
+  std::size_t head_dim = 0;
+
+  KvHeadView view() const {
+    return KvHeadView{keys.data(), values.data(), len, head_dim};
+  }
 };
 
 struct DecodeStream {
+  DecodeStreamParams params;  // params.head_dim == head_dim
   std::size_t prompt_len = 0;
   std::size_t decode_len = 0;
   int n_layer = 1;
@@ -74,44 +102,27 @@ struct DecodeStream {
     }
     return heads[index];
   }
-  // Row accessors; each throws std::out_of_range for a token at or past
-  // total_tokens(), a step at or past decode_len, or a bad (layer, h).
-  std::span<const float> key(int layer, int h, std::size_t token) const {
-    require_token(token);
-    return {head(layer, h).keys.data() + token * head_dim,
-            static_cast<std::size_t>(head_dim)};
-  }
-  std::span<const float> value(int layer, int h, std::size_t token) const {
-    require_token(token);
-    return {head(layer, h).values.data() + token * head_dim,
-            static_cast<std::size_t>(head_dim)};
-  }
+
+  // Regenerates the rows of tokens ids[0, n) of head (layer, h): row i of
+  // `keys` and of `values` ((n, head_dim) row-major each) receives token
+  // ids[i]. A null pointer skips that arena's transforms. Ids may come in
+  // any order; ascending ids replay the fewest draws. Throws
+  // std::out_of_range for an id at or past total_tokens() or a bad
+  // (layer, h), before writing anything.
+  void fill_rows(int layer, int h, std::span<const std::size_t> ids,
+                 float* keys, float* values) const;
+  // The same for the contiguous tokens [first, first + count).
+  void fill_rows(int layer, int h, std::size_t first, std::size_t count,
+                 float* keys, float* values) const;
+
+  // Throws std::out_of_range for a step at or past decode_len or a bad
+  // (layer, h).
   std::span<const float> query(int layer, int h, std::size_t step) const {
     if (step >= decode_len) {
       throw std::out_of_range("DecodeStream::query: step past decode_len");
     }
     return {head(layer, h).queries.data() + step * head_dim,
             static_cast<std::size_t>(head_dim)};
-  }
-
-  // Contiguous view over tokens [0, len) of one head — the single-request
-  // reference context for shadow exact attention, and the rows a serve
-  // PagedSequence is bound to. Throws std::out_of_range when
-  // len > total_tokens() or (layer, h) is not a head of this stream.
-  KvHeadView context_view(int layer, int h, std::size_t len) const {
-    if (len > total_tokens()) {
-      throw std::out_of_range("DecodeStream::context_view: len past the end");
-    }
-    const auto& hs = head(layer, h);
-    return KvHeadView{hs.keys.data(), hs.values.data(), len,
-                      static_cast<std::size_t>(head_dim)};
-  }
-
- private:
-  void require_token(std::size_t token) const {
-    if (token >= total_tokens()) {
-      throw std::out_of_range("DecodeStream: token past total_tokens()");
-    }
   }
 };
 
@@ -122,5 +133,9 @@ DecodeStream make_decode_stream(const DecodeStreamParams& params,
                                 std::size_t prompt_len, std::size_t decode_len,
                                 int n_layer, int n_head, std::uint64_t seed,
                                 ThreadPool* pool = nullptr);
+
+// Every row of head (layer, h), tokens [0, total_tokens()), through
+// fill_rows. Throws as head() does.
+HeadRows materialize(const DecodeStream& stream, int layer, int h);
 
 }  // namespace topick::wl

@@ -521,9 +521,14 @@ TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
             s.heads.size() != n_inst || s.spike.size() != s.total_tokens()) {
           return false;
         }
+        // Rows are not stored: a head holds one generator checkpoint per
+        // started kCheckpointTokens tokens, its topic and its queries.
+        const std::size_t checkpoints =
+            (s.total_tokens() + wl::kCheckpointTokens - 1) /
+            wl::kCheckpointTokens;
         for (const wl::HeadStream& hs : s.heads) {
-          if (hs.keys.size() != s.total_tokens() * dim ||
-              hs.values.size() != s.total_tokens() * dim ||
+          if (hs.checkpoints.size() != checkpoints ||
+              hs.topic.size() != dim ||
               hs.queries.size() != s.decode_len * dim) {
             return false;
           }

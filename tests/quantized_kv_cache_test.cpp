@@ -29,13 +29,25 @@ struct ShadowKv final : RescaleSource {
   std::vector<std::vector<float>> keys, values;
   std::vector<std::size_t> ids;
 
+  // Rows handed out per arena, over every fill_rows call.
+  mutable std::size_t key_rows_filled = 0, value_rows_filled = 0;
+
   explicit ShadowKv(std::size_t dim) : head_dim(dim) {}
 
-  const float* key_row(std::size_t id) const override {
-    return keys[pos_of(id)].data();
-  }
-  const float* value_row(std::size_t id) const override {
-    return values[pos_of(id)].data();
+  void fill_rows(std::span<const std::size_t> rows, float* k_out,
+                 float* v_out) const override {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::size_t pos = pos_of(rows[i]);
+      if (k_out != nullptr) {
+        std::copy(keys[pos].begin(), keys[pos].end(), k_out + i * head_dim);
+        ++key_rows_filled;
+      }
+      if (v_out != nullptr) {
+        std::copy(values[pos].begin(), values[pos].end(),
+                  v_out + i * head_dim);
+        ++value_rows_filled;
+      }
+    }
   }
   std::size_t pos_of(std::size_t id) const {
     const auto it = std::find(ids.begin(), ids.end(), id);
@@ -280,6 +292,86 @@ TEST(QuantizedKvCache, EvictingTheRecordHolderShrinksTheScale) {
   EXPECT_EQ(cache.evict_ids(dead), 1u);
   shadow.evict(dead);
   EXPECT_LT(cache.key_params().scale, scale_with_spike);
+  expect_matches_from_scratch(cache, shadow);
+}
+
+// A rescale re-quantizes only the arena whose scale moved: the other
+// arena's bytes are already its floats under an unchanged scale. So a
+// value-only record leaves every key plane byte as it was and asks the
+// source for value rows only, and a key-only record the other way round —
+// both still bit-identical to quantizing from scratch. The prefix is longer
+// than one block of rows the cache asks the source for at a time.
+TEST(QuantizedKvCache, OneArenaRescaleRereadsOnlyThatArena) {
+  Rng rng(0xa7e);
+  const std::size_t dim = 16, prefix = 150;
+  QuantizedKvCache cache(dim);
+  ShadowKv shadow(dim);
+  cache.set_rescale_source(&shadow);
+  for (std::size_t t = 0; t < prefix; ++t) {
+    auto k = random_row(rng, dim, 0.5);
+    auto v = random_row(rng, dim, 0.5);
+    k[0] = 3.0f;  // pins both maxima, so the quiet rows set no record
+    v[0] = 3.0f;
+    cache.append(k, v, t);
+    shadow.append(k, v, t);
+  }
+  const auto planes_of = [&] {
+    std::vector<std::vector<std::uint8_t>> planes;
+    const QuantizedKvView view = cache.view();
+    for (int j = 0; j < view.key_layout->planes(); ++j) {
+      planes.push_back(view.key_planes[j]);
+    }
+    return planes;
+  };
+
+  // Value-only record.
+  const auto planes_before = planes_of();
+  const std::vector<std::int16_t> values_before(
+      cache.view().values, cache.view().values + prefix * dim);
+  const auto key_rescales = cache.key_rescales();
+  const auto value_rescales = cache.value_rescales();
+  shadow.key_rows_filled = shadow.value_rows_filled = 0;
+  auto k = random_row(rng, dim, 0.5);
+  auto v = random_row(rng, dim, 0.5);
+  v[2] = 9.0f;
+  cache.append(k, v, prefix);
+  shadow.append(k, v, prefix);
+  EXPECT_EQ(cache.key_rescales(), key_rescales);
+  EXPECT_EQ(cache.value_rescales(), value_rescales + 1);
+  EXPECT_EQ(shadow.key_rows_filled, 0u);
+  EXPECT_EQ(shadow.value_rows_filled, prefix);
+  EXPECT_EQ(cache.value_rows_requantized(), prefix);
+  const auto planes_after = planes_of();
+  ASSERT_EQ(planes_after.size(), planes_before.size());
+  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(dim);
+  for (std::size_t j = 0; j < planes_before.size(); ++j) {
+    EXPECT_TRUE(std::equal(planes_before[j].begin(), planes_before[j].end(),
+                           planes_after[j].begin(),
+                           planes_after[j].begin() +
+                               static_cast<std::ptrdiff_t>(prefix * row_bytes)))
+        << "plane " << j;
+  }
+  EXPECT_FALSE(std::equal(values_before.begin(), values_before.end(),
+                          cache.view().values));
+  expect_matches_from_scratch(cache, shadow);
+
+  // Key-only record.
+  const auto keys_rows_before = cache.key_rows_requantized();
+  const std::vector<std::int16_t> values_mid(
+      cache.view().values, cache.view().values + (prefix + 1) * dim);
+  shadow.key_rows_filled = shadow.value_rows_filled = 0;
+  k = random_row(rng, dim, 0.5);
+  v = random_row(rng, dim, 0.5);
+  k[5] = -11.0f;
+  cache.append(k, v, prefix + 1);
+  shadow.append(k, v, prefix + 1);
+  EXPECT_EQ(cache.key_rescales(), key_rescales + 1);
+  EXPECT_EQ(cache.value_rescales(), value_rescales + 1);
+  EXPECT_EQ(shadow.key_rows_filled, prefix + 1);
+  EXPECT_EQ(shadow.value_rows_filled, 0u);
+  EXPECT_EQ(cache.key_rows_requantized(), keys_rows_before + prefix + 1);
+  EXPECT_TRUE(std::equal(values_mid.begin(), values_mid.end(),
+                         cache.view().values));
   expect_matches_from_scratch(cache, shadow);
 }
 

@@ -40,7 +40,6 @@ namespace {
 
 // ---- PagedKvPool / PagedSequence property test ------------------------------
 
-constexpr std::size_t kHeadDim = 2;
 constexpr std::size_t kPageTokens = 4;
 
 // Shadow of one sequence: every appended token's liveness, and which logical
@@ -50,10 +49,6 @@ struct ShadowSeq {
   std::vector<bool> page_freed;  // by logical page index
   std::size_t live_count = 0;
 };
-
-float encode(std::size_t seq, std::size_t token) {
-  return static_cast<float>(seq * 100000 + token);
-}
 
 // Full pages whose live count is zero and that are still held — exactly what
 // the next sweep() must free (the partial tail page never counts, even when
@@ -77,21 +72,12 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
   constexpr std::size_t kSeqs = 6;
   constexpr int kOps = 10000;
 
-  // Every append takes the next row, so kOps rows per sequence can never
-  // run out. Row t of sequence s carries encode(s, t) in its first element.
-  constexpr std::size_t kRows = kOps;
-  std::vector<std::vector<float>> keys(kSeqs), values(kSeqs);
+  // Every append takes the next token, so a capacity of kOps tokens per
+  // sequence can never run out.
   PagedKvPool pool({kPoolPages, kPageTokens});
   std::vector<PagedSequence> seqs;
   seqs.reserve(kSeqs);
-  for (std::size_t s = 0; s < kSeqs; ++s) {
-    for (std::size_t t = 0; t < kRows; ++t) {
-      keys[s].insert(keys[s].end(), {encode(s, t), 0.5f});
-      values[s].insert(values[s].end(), {-encode(s, t), 1.5f});
-    }
-    seqs.emplace_back(&pool, KvHeadView{keys[s].data(), values[s].data(),
-                                        kRows, kHeadDim});
-  }
+  for (std::size_t s = 0; s < kSeqs; ++s) seqs.emplace_back(&pool, kOps);
   std::vector<ShadowSeq> shadow(kSeqs);
   // Swept full pages leave the sequence but their token ids stay dead
   // forever; shadow.live keeps tracking them as dead, so views must match.
@@ -155,12 +141,12 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
     EXPECT_EQ(pool.pages_free() + held_total, kPoolPages) << "op " << op;
     EXPECT_EQ(pool.pages_in_use(), held_total) << "op " << op;
 
-    // Invariants 2+3, checked through the row lookups: every sequence holds
-    // exactly its shadow-live tokens, each reading its own bound row (a
-    // reclaimed live page would make a live id's lookup throw), and the
-    // pages held across sequences are distinct (invariant 1 already equates
-    // their sum with the pool's in-use count, so a page counted twice would
-    // show).
+    // Invariants 2+3, checked through the residency lookups: every sequence
+    // holds exactly its shadow-live tokens, each on a held page (a
+    // reclaimed live page would make a live id's lookup throw), an id on a
+    // swept page is no longer resident, and the pages held across sequences
+    // are distinct (invariant 1 already equates their sum with the pool's
+    // in-use count, so a page counted twice would show).
     const bool full_audit = op % 250 == 0 || op == kOps - 1;
     if (full_audit) {
       for (std::size_t q = 0; q < kSeqs; ++q) {
@@ -171,11 +157,14 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
         for (std::size_t t = 0; t < shq.live.size(); ++t) {
           ASSERT_EQ(seqs[q].live(t), shq.live[t])
               << "op " << op << " seq " << q << " token " << t;
+          const std::size_t page = t / kPageTokens;
+          if (page < shq.page_freed.size() && shq.page_freed[page]) {
+            EXPECT_THROW(seqs[q].require_resident(t), std::logic_error)
+                << "op " << op << " seq " << q << " token " << t;
+          }
           if (!shq.live[t]) continue;
-          EXPECT_FLOAT_EQ(seqs[q].key_row(t)[0], encode(q, t));
-          EXPECT_FLOAT_EQ(seqs[q].value_row(t)[0], -encode(q, t));
-          EXPECT_EQ(seqs[q].key_row(t), keys[q].data() + t * kHeadDim);
-          EXPECT_EQ(seqs[q].value_row(t), values[q].data() + t * kHeadDim);
+          EXPECT_NO_THROW(seqs[q].require_resident(t))
+              << "op " << op << " seq " << q << " token " << t;
         }
       }
     }
@@ -356,12 +345,12 @@ TEST(ServeEngineDeterminism, PipelinedExecutorIsBitIdenticalToSequential) {
   }
 }
 
-// Slots read K/V straight from their request's stream rows, which live in the
+// Slots regenerate K/V rows from their request's stream, which lives in the
 // engine's request vector. Submitting while slots are live can reallocate
-// that vector; the rows must survive the move, so submitting arrivals one at
+// that vector; the slots must follow the move, so submitting arrivals one at
 // a time as the engine reaches their step must be bit-identical to
 // submitting the whole trace up front — with reclaim evicting tokens and
-// record-setting rows forcing whole-head rescales that re-read the rows,
+// record-setting rows forcing whole-head rescales that regenerate the rows,
 // under both executors.
 TEST(ServeEngineDeterminism, SubmitWhileSlotsLiveKeepsBoundRowsValid) {
   wl::PriorityMixParams mix;
@@ -385,18 +374,20 @@ TEST(ServeEngineDeterminism, SubmitWhileSlotsLiveKeepsBoundRowsValid) {
   reference.submit_trace(trace);
   reference.run();
 
-  // Whole-head rescales re-read every stored row through the slot's bound
-  // rows; appending a row whose max |v| beats every earlier row of its head
-  // forces one.
+  // Whole-head rescales regenerate every stored row of the rescaled arena
+  // through the slot's stream; appending a row whose max |v| beats every
+  // earlier row of its head forces one.
   auto value_records_from = [](const wl::DecodeStream& stream,
                                std::size_t from) {
     std::size_t records = 0;
-    for (const auto& hs : stream.heads) {
+    for (int inst = 0; inst < stream.n_layer * stream.n_head; ++inst) {
+      const wl::HeadRows rows = wl::materialize(
+          stream, inst / stream.n_head, inst % stream.n_head);
       float best = 0.0f;
       for (std::size_t t = 0; t < stream.total_tokens(); ++t) {
         float amax = 0.0f;
-        for (int d = 0; d < stream.head_dim; ++d) {
-          amax = std::max(amax, std::abs(hs.values[t * stream.head_dim + d]));
+        for (const float x : rows.view().value(t)) {
+          amax = std::max(amax, std::abs(x));
         }
         if (amax > best && t > 0 && t >= from) ++records;
         best = std::max(best, amax);
@@ -482,6 +473,12 @@ TEST(ServeEngineEquivalence, CachedDecodeMatchesQuantizeFromScratch) {
     const wl::DecodeStream stream = wl::make_decode_stream(
         engine.config().stream, event.prompt_len, event.decode_len,
         config.n_layer, config.n_head, event.stream_seed);
+    std::vector<wl::HeadRows> rows;
+    for (std::size_t inst = 0; inst < n_inst; ++inst) {
+      rows.push_back(wl::materialize(stream,
+                                     static_cast<int>(inst) / config.n_head,
+                                     static_cast<int>(inst) % config.n_head));
+    }
 
     TokenPickerAttention reference(config.picker);
     std::vector<std::size_t> ids;
@@ -503,9 +500,10 @@ TEST(ServeEngineEquivalence, CachedDecodeMatchesQuantizeFromScratch) {
         if (ids.size() < step.position + 1) ++reclaimed;
         keys.clear();
         values.clear();
+        const KvHeadView all = rows[inst].view();
         for (const std::size_t id : ids) {
-          const auto k = stream.key(layer, head, id);
-          const auto v = stream.value(layer, head, id);
+          const auto k = all.key(id);
+          const auto v = all.value(id);
           keys.insert(keys.end(), k.begin(), k.end());
           values.insert(values.end(), v.begin(), v.end());
         }

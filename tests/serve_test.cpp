@@ -80,40 +80,6 @@ TEST(PagedKvPool, OccupancyIsFiniteAndTracksUse) {
 
 // ---- PagedSequence ----------------------------------------------------------
 
-// Row-major K/V rows a test sequence binds to (token id = row index).
-struct Rows {
-  std::size_t dim = 0;
-  std::vector<float> keys;
-  std::vector<float> values;
-
-  KvHeadView view() const {
-    return {keys.data(), values.data(), keys.size() / dim, dim};
-  }
-};
-
-// n rows of width dim: row t's key is base_k(t), base_k(t) + 1, ... and its
-// value base_v(t), base_v(t) + 1, ...
-template <class KeyBase, class ValueBase>
-Rows ramp_rows(std::size_t n, std::size_t dim, KeyBase base_k,
-               ValueBase base_v) {
-  Rows rows;
-  rows.dim = dim;
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t d = 0; d < dim; ++d) {
-      rows.keys.push_back(base_k(t) + static_cast<float>(d));
-      rows.values.push_back(base_v(t) + static_cast<float>(d));
-    }
-  }
-  return rows;
-}
-
-// Key row t starts at t, value rows at 0.
-Rows id_rows(std::size_t n) {
-  return ramp_rows(
-      n, 2, [](std::size_t t) { return static_cast<float>(t); },
-      [](std::size_t) { return 0.0f; });
-}
-
 // Ids the sequence still holds live, chronological.
 std::vector<std::size_t> live_ids(const PagedSequence& seq) {
   std::vector<std::size_t> ids;
@@ -125,30 +91,20 @@ std::vector<std::size_t> live_ids(const PagedSequence& seq) {
 
 TEST(PagedSequence, AppendSpansPageBoundaries) {
   PagedKvPool pool({8, 4});
-  const Rows rows = ramp_rows(
-      10, 2, [](std::size_t t) { return 10.0f * static_cast<float>(t); },
-      [](std::size_t t) { return -10.0f * static_cast<float>(t); });
-  PagedSequence seq(&pool, rows.view());
+  PagedSequence seq(&pool, 10);
   for (int t = 0; t < 10; ++t) ASSERT_TRUE(seq.append());  // 2.5 pages of 4
   EXPECT_EQ(seq.appended_tokens(), 10u);
   EXPECT_EQ(seq.pages_held(), 3u);
   EXPECT_EQ(live_ids(seq), (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6,
                                                       7, 8, 9}));
-  for (int t = 0; t < 10; ++t) {
-    const auto u = static_cast<std::size_t>(t);
-    EXPECT_FLOAT_EQ(seq.key_row(u)[0], static_cast<float>(10 * t));
-    EXPECT_FLOAT_EQ(seq.key_row(u)[1], static_cast<float>(10 * t + 1));
-    EXPECT_FLOAT_EQ(seq.value_row(u)[0], static_cast<float>(-10 * t));
-    // Rows are read from the bound rows in place; nothing was copied.
-    EXPECT_EQ(seq.key_row(u), rows.keys.data() + 2 * u);
-    EXPECT_EQ(seq.value_row(u), rows.values.data() + 2 * u);
+  for (std::size_t t = 0; t < 10; ++t) {
+    EXPECT_NO_THROW(seq.require_resident(t)) << t;
   }
 }
 
-TEST(PagedSequence, ReclamationFreesOnlyFullDeadPagesAndKeepsSurvivorsReadable) {
+TEST(PagedSequence, ReclamationFreesOnlyFullDeadPagesAndKeepsSurvivorsResident) {
   PagedKvPool pool({8, 4});
-  const Rows rows = id_rows(12);
-  PagedSequence seq(&pool, rows.view());
+  PagedSequence seq(&pool, 12);
   for (int t = 0; t < 12; ++t) ASSERT_TRUE(seq.append());  // 3 full pages
   // Kill all of page 1 (tokens 4..7) and part of page 0.
   for (std::size_t t = 4; t < 8; ++t) seq.mark_dead(t);
@@ -162,17 +118,15 @@ TEST(PagedSequence, ReclamationFreesOnlyFullDeadPagesAndKeepsSurvivorsReadable) 
   EXPECT_EQ(live_ids(seq), expected_ids);
   EXPECT_EQ(seq.live_tokens(), 7u);
   for (const std::size_t id : expected_ids) {
-    EXPECT_FLOAT_EQ(seq.key_row(id)[0], static_cast<float>(id));
-    EXPECT_EQ(seq.key_row(id), rows.keys.data() + 2 * id);
+    EXPECT_NO_THROW(seq.require_resident(id)) << id;
   }
+  // Token 0 is dead but its page is still held.
+  EXPECT_NO_THROW(seq.require_resident(0));
 }
 
 TEST(PagedSequence, PartialTailPageIsNeverFreed) {
   PagedKvPool pool({8, 4});
-  const Rows rows = ramp_rows(
-      7, 2, [](std::size_t t) { return t == 6 ? 9.0f : 1.0f; },
-      [](std::size_t) { return 1.0f; });
-  PagedSequence seq(&pool, rows.view());
+  PagedSequence seq(&pool, 7);
   // Page 0 full, page 1 holds 2 tokens.
   for (int t = 0; t < 6; ++t) ASSERT_TRUE(seq.append());
   seq.mark_dead(4);
@@ -182,17 +136,16 @@ TEST(PagedSequence, PartialTailPageIsNeverFreed) {
   EXPECT_EQ(seq.pages_held(), 2u);
   const std::vector<std::size_t> expected_ids{0, 1, 2, 3, 6};
   EXPECT_EQ(live_ids(seq), expected_ids);
-  EXPECT_FLOAT_EQ(seq.key_row(6)[0], 9.0f);
-  EXPECT_EQ(seq.key_row(6), rows.keys.data() + 2 * 6);
+  EXPECT_NO_THROW(seq.require_resident(6));
 }
 
 TEST(PagedSequence, SweptFullTailPageThenAppendKeepsIndicesConsistent) {
   // A fully-dead page sitting at an exact page boundary (the tail page is
   // full, so sweep may free it) must leave the page table, pages_held, and
-  // the row lookups consistent when the sequence then appends past the hole.
+  // the residency lookups consistent when the sequence then appends past
+  // the hole.
   PagedKvPool pool({8, 4});
-  const Rows rows = id_rows(9);
-  PagedSequence seq(&pool, rows.view());
+  PagedSequence seq(&pool, 9);
   for (int t = 0; t < 8; ++t) ASSERT_TRUE(seq.append());  // 2 full pages
   for (std::size_t t = 4; t < 8; ++t) seq.mark_dead(t);
   EXPECT_EQ(seq.sweep(), 1u);  // page 1 is full AND fully dead -> freed
@@ -207,25 +160,22 @@ TEST(PagedSequence, SweptFullTailPageThenAppendKeepsIndicesConsistent) {
 
   const std::vector<std::size_t> expected_ids{0, 1, 2, 3, 8};
   EXPECT_EQ(live_ids(seq), expected_ids);
-  // Survivors and the token past the hole read their own rows; the swept
-  // page's ids no longer resolve.
+  // Survivors and the token past the hole are resident; the swept page's
+  // ids no longer resolve.
   for (const std::size_t id : expected_ids) {
-    EXPECT_FLOAT_EQ(seq.key_row(id)[0], static_cast<float>(id));
-    EXPECT_EQ(seq.key_row(id), rows.keys.data() + 2 * id);
-    EXPECT_EQ(seq.value_row(id), rows.values.data() + 2 * id);
+    EXPECT_NO_THROW(seq.require_resident(id)) << id;
   }
   for (std::size_t id = 4; id < 8; ++id) {
-    EXPECT_THROW(seq.key_row(id), std::logic_error) << id;
+    EXPECT_THROW(seq.require_resident(id), std::logic_error) << id;
   }
 }
 
-// The bound-row contract the engine's rescale source relies on: row reads
-// return the bound rows' own addresses, and every read or append the page
-// accounting cannot back throws instead of reading past what was appended.
-TEST(PagedSequence, BoundRowAccessIsCheckedAgainstAppendsAndSweeps) {
+// The residency contract the engine's rescale source relies on: every id
+// the page accounting cannot back throws, and so does an append past the
+// sequence's capacity.
+TEST(PagedSequence, ResidencyIsCheckedAgainstAppendsAndSweeps) {
   PagedKvPool pool({8, 4});
-  const Rows rows = id_rows(10);
-  PagedSequence seq(&pool, rows.view());
+  PagedSequence seq(&pool, 10);
   for (int t = 0; t < 9; ++t) ASSERT_TRUE(seq.append());
   for (std::size_t t = 4; t < 8; ++t) seq.mark_dead(t);
   ASSERT_EQ(seq.sweep(), 1u);  // logical page 1 (ids 4..7) leaves the pool
@@ -233,32 +183,70 @@ TEST(PagedSequence, BoundRowAccessIsCheckedAgainstAppendsAndSweeps) {
   for (std::size_t t = 0; t < 9; ++t) {
     if (t >= 4 && t < 8) {
       // An id on a swept page.
-      EXPECT_THROW(seq.key_row(t), std::logic_error) << t;
-      EXPECT_THROW(seq.value_row(t), std::logic_error) << t;
+      EXPECT_THROW(seq.require_resident(t), std::logic_error) << t;
       continue;
     }
     ASSERT_TRUE(seq.live(t));
-    EXPECT_EQ(seq.key_row(t), rows.keys.data() + 2 * t);
-    EXPECT_EQ(seq.value_row(t), rows.values.data() + 2 * t);
+    EXPECT_NO_THROW(seq.require_resident(t)) << t;
   }
-  // An id at or past appended_tokens(), though a bound row exists for 9.
-  EXPECT_THROW(seq.key_row(9), std::logic_error);
-  EXPECT_THROW(seq.value_row(9), std::logic_error);
-  EXPECT_THROW(seq.key_row(100), std::logic_error);
+  // An id at or past appended_tokens(), though the capacity reaches 9.
+  EXPECT_THROW(seq.require_resident(9), std::logic_error);
+  EXPECT_THROW(seq.require_resident(100), std::logic_error);
 
-  // Appending past the bound rows throws and changes nothing.
-  ASSERT_TRUE(seq.append());  // id 9, the last bound row
-  EXPECT_EQ(seq.key_row(9), rows.keys.data() + 18);
+  // Appending past the capacity throws and changes nothing.
+  ASSERT_TRUE(seq.append());  // id 9, the last one
+  EXPECT_NO_THROW(seq.require_resident(9));
   const std::size_t in_use = pool.pages_in_use();
   EXPECT_THROW(seq.append(), std::logic_error);
   EXPECT_EQ(seq.appended_tokens(), 10u);
   EXPECT_EQ(seq.live_tokens(), 6u);
   EXPECT_EQ(pool.pages_in_use(), in_use);
 
-  // A sequence bound to no rows can never append.
-  PagedSequence empty(&pool, KvHeadView{});
+  // A sequence of capacity 0 can never append.
+  PagedSequence empty(&pool, 0);
   EXPECT_THROW(empty.append(), std::logic_error);
   EXPECT_EQ(pool.pages_in_use(), in_use);
+}
+
+// The serve source regenerates exactly the stream's rows for resident ids,
+// and refuses an id on a swept page or one not yet appended, before
+// writing anything.
+TEST(PagedRescaleSource, RegeneratesResidentRowsAndRefusesTheRest) {
+  wl::DecodeStreamParams params;
+  params.head_dim = 5;
+  const auto stream = wl::make_decode_stream(params, 20, 4, 2, 2, 0x5eed);
+  const wl::HeadRows all = wl::materialize(stream, 1, 0);
+  PagedKvPool pool({16, 4});
+  PagedSequence seq(&pool, stream.total_tokens());
+  for (int t = 0; t < 18; ++t) ASSERT_TRUE(seq.append());
+  for (std::size_t t = 8; t < 12; ++t) seq.mark_dead(t);
+  ASSERT_EQ(seq.sweep(), 1u);  // ids 8..11 leave the pool
+  const PagedRescaleSource source(&seq, &stream, 1, 0);
+
+  const std::vector<std::size_t> ids{0, 3, 7, 12, 13, 17};
+  std::vector<float> keys(ids.size() * 5), values(ids.size() * 5);
+  source.fill_rows(ids, keys.data(), values.data());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(std::memcmp(keys.data() + i * 5, all.view().key(ids[i]).data(),
+                          5 * sizeof(float)),
+              0)
+        << ids[i];
+    EXPECT_EQ(std::memcmp(values.data() + i * 5,
+                          all.view().value(ids[i]).data(), 5 * sizeof(float)),
+              0)
+        << ids[i];
+  }
+
+  std::vector<float> untouched(2 * 5, -7.0f);
+  for (const std::size_t bad : {std::size_t{9}, std::size_t{18},
+                                std::size_t{23}}) {
+    const std::vector<std::size_t> with_bad{3, bad};
+    EXPECT_THROW(source.fill_rows(with_bad, untouched.data(), nullptr),
+                 std::logic_error)
+        << bad;
+  }
+  EXPECT_TRUE(std::all_of(untouched.begin(), untouched.end(),
+                          [](float x) { return x == -7.0f; }));
 }
 
 // The serve-side RescaleSource contract end to end: a QuantizedKvCache with
@@ -268,36 +256,45 @@ TEST(PagedSequence, BoundRowAccessIsCheckedAgainstAppendsAndSweeps) {
 // the cache eviction (whose rescale queries the provider) runs BEFORE
 // mark_dead + sweep release the pool pages.
 TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
+  wl::DecodeStreamParams params;
+  params.head_dim = 16;
+  const auto stream = wl::make_decode_stream(params, 40, 8, 1, 1, 0x9a6e);
   const std::size_t dim = 16;
-  const std::size_t n = 14;
-  Rng rng(0x9a6e);
-  Rows rows;
-  rows.dim = dim;
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t d = 0; d < dim; ++d) {
-      rows.keys.push_back(static_cast<float>(rng.normal() * 0.5));
-    }
-    for (std::size_t d = 0; d < dim; ++d) {
-      rows.values.push_back(static_cast<float>(rng.normal() * 0.5));
-    }
-  }
-  rows.keys[5 * dim + 3] = 25.0f;  // the record holder, in page 1 (4..7)
+  const std::size_t n = stream.total_tokens();
+  const wl::HeadRows rows = wl::materialize(stream, 0, 0);
   const KvHeadView bound = rows.view();
 
-  PagedKvPool pool({8, 4});
-  PagedSequence seq(&pool, bound);
+  // The key record holder and the ids of its (full) pool page.
+  constexpr std::size_t kPage = 4;
+  std::size_t holder = 0;
+  float best = 0.0f;
+  for (std::size_t t = 0; t < n; ++t) {
+    for (const float x : bound.key(t)) {
+      if (std::abs(x) > best) {
+        best = std::abs(x);
+        holder = t;
+      }
+    }
+  }
+  std::vector<std::size_t> dead;
+  const std::size_t page_start = holder / kPage * kPage;
+  for (std::size_t t = page_start; t < page_start + kPage; ++t) {
+    dead.push_back(t);
+  }
+
+  PagedKvPool pool({16, kPage});
+  PagedSequence seq(&pool, n);
   QuantizedKvCache cache(dim);
-  const PagedRescaleSource provider(&seq);
+  const PagedRescaleSource provider(&seq, &stream, 0, 0);
   cache.set_rescale_source(&provider);
   for (std::size_t t = 0; t < n; ++t) {
     ASSERT_TRUE(seq.append());
     cache.append(bound.key(t), bound.value(t), t);
   }
 
-  // Mid-decode, persistence prunes all of page 1 — record holder included.
-  const std::vector<std::size_t> dead{4, 5, 6, 7};
+  // Mid-decode, persistence prunes the whole page — record holder included.
   const auto rescales_before = cache.key_rescales();
-  EXPECT_EQ(cache.evict_ids(dead), 4u);  // provider queried for survivors
+  EXPECT_EQ(cache.evict_ids(dead), kPage);  // provider queried for survivors
   EXPECT_EQ(cache.key_rescales(), rescales_before + 1);
   for (const auto id : dead) seq.mark_dead(id);
   EXPECT_EQ(seq.sweep(), 1u);  // only now does the page leave the pool
@@ -334,10 +331,7 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
 
 TEST(PagedKvCache, FragmentationCountsDeadAndTailSlack) {
   PagedKvPool pool({16, 4});
-  wl::DecodeStreamParams params;
-  params.head_dim = 2;
-  const auto stream = wl::make_decode_stream(params, 6, 2, 1, 1, 7);
-  PagedKvCache cache(&pool, stream);
+  PagedKvCache cache(&pool, 1, 2, 8);
   auto& seq = cache.seq(0, 0);
   // Page 0 full, page 1 half full.
   for (int t = 0; t < 6; ++t) ASSERT_TRUE(seq.append());
@@ -345,23 +339,23 @@ TEST(PagedKvCache, FragmentationCountsDeadAndTailSlack) {
   EXPECT_NEAR(cache.fragmentation(), 2.0 / 8.0, 1e-12);
   seq.mark_dead(1);
   EXPECT_NEAR(cache.fragmentation(), 3.0 / 8.0, 1e-12);
-  // Each sequence reads its own head's stream rows.
-  EXPECT_EQ(seq.key_row(3), stream.key(0, 0, 3).data());
+  // Each head has its own sequence.
+  EXPECT_EQ(cache.seq(0, 1).appended_tokens(), 0u);
 }
 
 TEST(PagedSequence, ReleaseAllReturnsPages) {
   PagedKvPool pool({8, 4});
-  const Rows rows = id_rows(9);
   {
-    PagedSequence seq(&pool, rows.view());
+    PagedSequence seq(&pool, 9);
     for (int t = 0; t < 9; ++t) ASSERT_TRUE(seq.append());
     EXPECT_EQ(pool.pages_in_use(), 3u);
     seq.release_all();
     EXPECT_EQ(pool.pages_in_use(), 0u);
     EXPECT_EQ(seq.appended_tokens(), 0u);
-    // Recompute after release starts again from the first bound row.
+    EXPECT_THROW(seq.require_resident(0), std::logic_error);
+    // Recompute after release starts again from the first token.
     ASSERT_TRUE(seq.append());
-    EXPECT_EQ(seq.key_row(0), rows.keys.data());
+    EXPECT_NO_THROW(seq.require_resident(0));
     EXPECT_EQ(pool.pages_in_use(), 1u);
   }
   // The destructor frees the page the recompute took, and nothing twice.
@@ -428,6 +422,15 @@ TEST(Arrivals, BurstyTraceClustersMoreThanPoisson) {
   EXPECT_GT(max_per_step(b), max_per_step(p));
 }
 
+// Bitwise equality of two float rows (EXPECT_EQ on floats would let -0.0
+// match +0.0).
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
+}
+
 TEST(DecodeStream, DeterministicAndShaped) {
   wl::DecodeStreamParams params;
   params.head_dim = 8;
@@ -435,18 +438,18 @@ TEST(DecodeStream, DeterministicAndShaped) {
   const auto b = wl::make_decode_stream(params, 5, 3, 2, 2, 99);
   ASSERT_EQ(a.heads.size(), 4u);
   EXPECT_EQ(a.total_tokens(), 8u);
-  for (std::size_t h = 0; h < 4; ++h) {
-    EXPECT_EQ(a.heads[h].keys, b.heads[h].keys);
+  for (int h = 0; h < 4; ++h) {
+    // No rows are stored: one checkpoint covers the 8 tokens.
+    EXPECT_EQ(a.heads[h].checkpoints.size(), 1u);
+    EXPECT_EQ(a.heads[h].topic.size(), 8u);
+    EXPECT_EQ(a.heads[h].queries.size(), 3u * 8u);
+    const auto rows_a = wl::materialize(a, h / 2, h % 2);
+    const auto rows_b = wl::materialize(b, h / 2, h % 2);
+    EXPECT_TRUE(same_bits(rows_a.keys, rows_b.keys));
+    EXPECT_TRUE(same_bits(rows_a.values, rows_b.values));
     EXPECT_EQ(a.heads[h].queries, b.heads[h].queries);
   }
   EXPECT_TRUE(a.spike[0]);  // attention sink is always spiky
-}
-
-// Bitwise equality of two float rows (EXPECT_EQ on floats would let -0.0
-// match +0.0).
-bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 TEST(DecodeStream, PoolWidthNeverChangesBits) {
@@ -465,11 +468,83 @@ TEST(DecodeStream, PoolWidthNeverChangesBits) {
                                       << " width " << width);
       EXPECT_EQ(got.spike, ref.spike);
       ASSERT_EQ(got.heads.size(), ref.heads.size());
-      for (std::size_t h = 0; h < ref.heads.size(); ++h) {
-        EXPECT_TRUE(same_bits(got.heads[h].keys, ref.heads[h].keys)) << h;
-        EXPECT_TRUE(same_bits(got.heads[h].values, ref.heads[h].values)) << h;
+      for (int h = 0; h < n_layer * n_head; ++h) {
+        const auto got_rows = wl::materialize(got, h / n_head, h % n_head);
+        const auto ref_rows = wl::materialize(ref, h / n_head, h % n_head);
+        EXPECT_TRUE(same_bits(got_rows.keys, ref_rows.keys)) << h;
+        EXPECT_TRUE(same_bits(got_rows.values, ref_rows.values)) << h;
         EXPECT_TRUE(same_bits(got.heads[h].queries, ref.heads[h].queries))
             << h;
+      }
+    }
+  }
+}
+
+// Rows regenerated from a mid-stream checkpoint are the materialized rows,
+// byte for byte: every [first, first + count) that crosses a checkpoint
+// boundary, scattered and unordered ids, and one arena at a time — over
+// odd and SIMD-wide head_dim, 0/1/3 sink tokens, a 1-token prompt, and
+// streams built on pools of width 1 and 4.
+TEST(DecodeStream, RegeneratedRowsEqualMaterializedRows) {
+  for (const int dim : {7, 64}) {
+    for (const int sinks : {0, 1, 3}) {
+      for (const std::size_t prompt : {std::size_t{1}, std::size_t{19}}) {
+        for (const std::size_t width : {1u, 4u}) {
+          SCOPED_TRACE(testing::Message() << "dim " << dim << " sinks "
+                                          << sinks << " prompt " << prompt
+                                          << " width " << width);
+          wl::DecodeStreamParams params;
+          params.head_dim = dim;
+          params.sink_tokens = sinks;
+          ThreadPool pool(width);
+          const auto stream =
+              wl::make_decode_stream(params, prompt, 13, 1, 2, 77, &pool);
+          const std::size_t n = stream.total_tokens();
+          const auto d = static_cast<std::size_t>(dim);
+          ASSERT_EQ(stream.heads[1].checkpoints.size(),
+                    (n + wl::kCheckpointTokens - 1) / wl::kCheckpointTokens);
+          const wl::HeadRows all = wl::materialize(stream, 0, 1);
+          std::vector<float> keys(n * d), values(n * d);
+          for (std::size_t first = 0; first < n; ++first) {
+            for (std::size_t count = 1; first + count <= n; ++count) {
+              if (first / wl::kCheckpointTokens ==
+                  (first + count - 1) / wl::kCheckpointTokens) {
+                continue;  // within one checkpoint's tokens
+              }
+              stream.fill_rows(0, 1, first, count, keys.data(),
+                               values.data());
+              ASSERT_TRUE(same_bits(keys.data(),
+                                    all.keys.data() + first * d, count * d))
+                  << first << "+" << count;
+              ASSERT_TRUE(same_bits(values.data(),
+                                    all.values.data() + first * d, count * d))
+                  << first << "+" << count;
+            }
+          }
+          // Scattered ids, out of order, repeated; then one arena only.
+          std::vector<std::size_t> ids{n - 1, 0, 9, 9, 2, 17, 8, 16, 15};
+          ids.erase(std::remove_if(ids.begin(), ids.end(),
+                                   [n](std::size_t t) { return t >= n; }),
+                    ids.end());
+          stream.fill_rows(0, 1, ids, keys.data(), values.data());
+          for (std::size_t i = 0; i < ids.size(); ++i) {
+            EXPECT_TRUE(same_bits(keys.data() + i * d,
+                                  all.keys.data() + ids[i] * d, d))
+                << ids[i];
+            EXPECT_TRUE(same_bits(values.data() + i * d,
+                                  all.values.data() + ids[i] * d, d))
+                << ids[i];
+          }
+          std::fill(keys.begin(), keys.end(), 0.0f);
+          stream.fill_rows(0, 1, ids, keys.data(), nullptr);
+          for (std::size_t i = 0; i < ids.size(); ++i) {
+            EXPECT_TRUE(same_bits(keys.data() + i * d,
+                                  all.keys.data() + ids[i] * d, d));
+          }
+          stream.fill_rows(0, 1, n - 1, 1, nullptr, values.data());
+          EXPECT_TRUE(same_bits(values.data(),
+                                all.values.data() + (n - 1) * d, d));
+        }
       }
     }
   }
@@ -498,31 +573,34 @@ TEST(DecodeStream, AccessorsRejectOutOfRange) {
   wl::DecodeStreamParams params;
   params.head_dim = 4;
   const auto stream = wl::make_decode_stream(params, 5, 3, 2, 3, 99);
-  const auto full = stream.context_view(1, 2, stream.total_tokens());
-  EXPECT_EQ(full.len, 8u);
-  EXPECT_EQ(full.keys, stream.head(1, 2).keys.data());
-  EXPECT_EQ(stream.context_view(0, 0, 0).len, 0u);
-  // A view one row past the end would read past the head's rows.
-  EXPECT_THROW(stream.context_view(0, 0, stream.total_tokens() + 1),
-               std::logic_error);
+  std::vector<float> row(4, -1.0f);
   for (const auto& [layer, head] :
        std::vector<std::pair<int, int>>{{-1, 0}, {2, 0}, {0, -1}, {0, 3}}) {
     EXPECT_THROW(stream.head(layer, head), std::logic_error)
         << layer << "," << head;
-    EXPECT_THROW(stream.context_view(layer, head, 1), std::logic_error)
+    EXPECT_THROW(stream.fill_rows(layer, head, 0, 1, row.data(), nullptr),
+                 std::logic_error)
+        << layer << "," << head;
+    EXPECT_THROW(stream.query(layer, head, 0), std::logic_error)
         << layer << "," << head;
   }
-  // Row accessors: one past the last token / decode step would read past
-  // the head's rows.
-  EXPECT_EQ(stream.key(1, 2, 7).data(), stream.head(1, 2).keys.data() + 28);
-  EXPECT_EQ(stream.value(1, 2, 7).data(),
-            stream.head(1, 2).values.data() + 28);
+  // One past the last token / decode step would read past the head; a
+  // refused call writes nothing.
+  EXPECT_NO_THROW(stream.fill_rows(1, 2, 7, 1, row.data(), row.data()));
   EXPECT_EQ(stream.query(1, 2, 2).data(),
             stream.head(1, 2).queries.data() + 8);
-  EXPECT_THROW(stream.key(0, 0, stream.total_tokens()), std::logic_error);
-  EXPECT_THROW(stream.value(0, 0, stream.total_tokens()), std::logic_error);
+  std::fill(row.begin(), row.end(), -1.0f);
+  EXPECT_THROW(stream.fill_rows(0, 0, stream.total_tokens(), 1, row.data(),
+                                nullptr),
+               std::logic_error);
+  EXPECT_THROW(stream.fill_rows(0, 0, 6, 3, row.data(), nullptr),
+               std::logic_error);
+  const std::vector<std::size_t> ids{1, stream.total_tokens()};
+  EXPECT_THROW(stream.fill_rows(0, 0, ids, row.data(), row.data()),
+               std::logic_error);
+  EXPECT_TRUE(std::all_of(row.begin(), row.end(),
+                          [](float x) { return x == -1.0f; }));
   EXPECT_THROW(stream.query(0, 0, stream.decode_len), std::logic_error);
-  EXPECT_THROW(stream.key(2, 0, 0), std::logic_error);
   // A zero-decode request's stream is never generated and has no heads.
   const wl::DecodeStream empty;
   EXPECT_THROW(empty.head(0, 0), std::logic_error);
@@ -546,13 +624,19 @@ void expect_outputs_match_exact(const ServeEngine& engine,
     const auto stream = wl::make_decode_stream(
         config.stream, request.event.prompt_len, request.event.decode_len,
         config.n_layer, config.n_head, request.event.stream_seed);
+    std::vector<wl::HeadRows> rows;
+    for (int inst = 0; inst < config.n_layer * config.n_head; ++inst) {
+      rows.push_back(
+          wl::materialize(stream, inst / config.n_head, inst % config.n_head));
+    }
     for (const auto& step : request.outputs) {
       const std::size_t context_len = step.position + 1;
       for (int layer = 0; layer < config.n_layer; ++layer) {
         for (int head = 0; head < config.n_head; ++head) {
           const auto inst =
               static_cast<std::size_t>(layer) * config.n_head + head;
-          const auto view = stream.context_view(layer, head, context_len);
+          KvHeadView view = rows[inst].view();
+          view.len = context_len;
           const std::size_t decode_step = step.position -
                                           request.event.prompt_len;
           const auto q = stream.query(layer, head, decode_step);
@@ -856,6 +940,47 @@ TEST(ServeEngine, KvResidencyGaugesPinTheQuantizedFootprint) {
     ++checked;
   }
   EXPECT_GT(checked, 0u);
+}
+
+// The host cost of keeping no float rows: stored rows that whole-head
+// rescales regenerated, per arena. A request's rescales depend only on its
+// own stream and the reclaim verdicts over it, so without preemption the
+// fleet total is the sum of each request served alone — at any thread count
+// and with either executor. The totals are pinned on this fixed trace.
+TEST(ServeEngine, RequantizedRowCountsArePinnedAndSumOverRequests) {
+  ServeConfig config = acceptance_config();
+  config.head_dim = 64;
+  config.capture_outputs = false;
+  config.simulate_dram = false;
+  Rng rng(336);
+  const auto trace = concurrent_trace(4, rng, 16, 48, 16, 48);
+
+  std::uint64_t solo_keys = 0, solo_values = 0;
+  for (wl::ArrivalEvent event : trace) {
+    event.step = 0;
+    ServeEngine solo(config);
+    solo.submit(event);
+    solo.run();
+    solo_keys += solo.metrics().key_rows_requantized;
+    solo_values += solo.metrics().value_rows_requantized;
+  }
+  for (const bool pipeline : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(testing::Message() << "pipeline " << pipeline
+                                      << " threads " << threads);
+      config.pipeline = pipeline;
+      config.threads = threads;
+      ServeEngine engine(config);
+      engine.submit_trace(trace);
+      engine.run();
+      const FleetMetrics& m = engine.metrics();
+      ASSERT_EQ(m.preemptions, 0u);
+      EXPECT_EQ(m.key_rows_requantized, solo_keys);
+      EXPECT_EQ(m.value_rows_requantized, solo_values);
+      EXPECT_EQ(m.key_rows_requantized, 217u);
+      EXPECT_EQ(m.value_rows_requantized, 349u);
+    }
+  }
 }
 
 // ---- chunked prefill --------------------------------------------------------
