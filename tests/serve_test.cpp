@@ -983,6 +983,39 @@ TEST(ServeEngine, RequantizedRowCountsArePinnedAndSumOverRequests) {
   }
 }
 
+// Page reclamation end to end: which pages persistent pruning frees, how
+// high the pool climbs, how often freed pages come back, and the per-step
+// fraction of held slots that hold no live token — pinned on one fixed
+// reclaiming trace whose pool is tight enough to preempt, at any thread
+// count and with either executor.
+TEST(ServeEngine, ReclaimPageCountsArePinned) {
+  ServeConfig config = acceptance_config();
+  config.capture_outputs = false;
+  config.simulate_dram = false;
+  config.persistence_window = 2;
+  config.pool_pages = 80;
+  Rng rng(5150);
+  const auto trace = concurrent_trace(8, rng, 16, 48, 16, 48);
+  for (const bool pipeline : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(testing::Message() << "pipeline " << pipeline
+                                      << " threads " << threads);
+      config.pipeline = pipeline;
+      config.threads = threads;
+      ServeEngine engine(config);
+      engine.submit_trace(trace);
+      engine.run();
+      const FleetMetrics& m = engine.metrics();
+      ASSERT_EQ(m.requests_retired, 8u);
+      EXPECT_EQ(m.preemptions, 1u);
+      EXPECT_EQ(m.pages_reclaimed, 18u);
+      EXPECT_EQ(m.pool_peak_pages, 79u);
+      EXPECT_EQ(m.pool_reuses, 45u);
+      EXPECT_EQ(m.avg_fragmentation, 0.66886104496950838);
+    }
+  }
+}
+
 // ---- chunked prefill --------------------------------------------------------
 
 TEST(ServeEngine, ChunkedPrefillChargesTrafficAndDelaysFirstToken) {
