@@ -74,27 +74,24 @@ struct TokenPickerResult {
 // stayed below threshold for that many queries, so a serving layer can
 // reclaim its KV storage — turning skipped reads into freed DRAM residency.
 // Tokens are identified by stable (global) ids so the tracker survives view
-// compaction after reclamation.
+// compaction after reclamation. The tracker keeps no liveness of its own: a
+// reclaimed token is simply never observed again.
 class PrunePersistence {
  public:
   explicit PrunePersistence(int window = 4);
 
-  // Records one attention instance's verdict for a token. A kept token's
-  // streak resets to zero; a pruned token's streak grows by one.
-  // (Header-inline with the readers below: the serve reduction calls these
-  // once per decision per step.)
-  void observe(std::size_t token, bool kept) {
+  // Records one attention instance's verdict for a token and returns whether
+  // the token is now persistently pruned. A kept token's streak resets to
+  // zero; a pruned token's streak grows by one. (Header-inline: the serve
+  // reduction calls it once per decision per step.)
+  bool observe(std::size_t token, bool kept) {
     if (token >= streaks_.size()) streaks_.resize(token + 1, 0);
     streaks_[token] = kept ? 0 : streaks_[token] + 1;
+    return streaks_[token] >= window_;
   }
 
-  bool persistent(std::size_t token) const { return streak(token) >= window_; }
   int streak(std::size_t token) const {
     return token < streaks_.size() ? streaks_[token] : 0;
-  }
-  // Drops tracker state for a token whose storage has been reclaimed.
-  void forget(std::size_t token) {
-    if (token < streaks_.size()) streaks_[token] = 0;
   }
 
   int window() const { return window_; }

@@ -3,9 +3,11 @@
 //
 // The serving motivation in the paper's §1 is that per-request KV residency —
 // not weights — bounds batch size and DRAM traffic. A paged pool makes
-// Token-Picker's pruning *reclaim* that residency: when every token in a page
-// has been persistently pruned (core/token_picker.h's PrunePersistence), the
-// page returns to the free list and a new request's tokens move in.
+// Token-Picker's pruning *reclaim* that residency: when every token in a full
+// page has been persistently pruned (core/token_picker.h's PrunePersistence)
+// and evicted from the head's quantized cache, whose id list no longer
+// touches the page, the page returns to the free list and a new request's
+// tokens move in.
 //
 // A page is a budget of `page_tokens` token slots of one head; it holds no
 // floats. Requests own pages through PagedSequence (paged_sequence.h), which

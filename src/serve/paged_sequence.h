@@ -2,15 +2,15 @@
 // per-request bundle of sequences (PagedKvCache) — the paged counterpart of
 // model/kv_cache.h's contiguous per-(layer, head) slabs.
 //
-// A sequence is page accounting only: it holds no K/V rows. Appending token
-// t charges t's page slot to the pool. Tokens keep their stable
-// chronological id for life; pruning marks them dead in place (no
-// compaction inside pages), and a *full* page whose live count hits zero is
-// returned to the pool, after which its ids are no longer resident.
-// Attention never reads through the sequence: the engine's QuantizedKvCache
-// holds the live set, and its whole-head rescales regenerate rows from the
-// request's DecodeStream through PagedRescaleSource, which refuses any id
-// the sequence does not hold.
+// A sequence is page accounting only: it holds no K/V rows and no per-token
+// state. Appending token t charges t's page slot to the pool. Tokens keep
+// their stable chronological id for life. Which of them are live is the
+// engine's QuantizedKvCache id list alone: after an eviction the engine
+// hands that list to sweep(), which returns every held *full* page holding
+// no listed id to the pool, after which its ids are no longer resident.
+// Attention never reads through the sequence: its whole-head rescales
+// regenerate rows from the request's DecodeStream through
+// PagedRescaleSource, which refuses any id the sequence does not hold.
 #pragma once
 
 #include <cstddef>
@@ -40,23 +40,19 @@ class PagedSequence {
   // throws once `capacity` tokens are appended.
   bool append();
 
-  // Marks a token dead (persistently pruned). Storage is reclaimed by
-  // sweep(), which frees every *full* page with no live tokens left; the
-  // partially-filled tail page is never freed (appends still land there).
-  void mark_dead(std::size_t token_id);
-  // Returns the number of pages returned to the pool.
-  std::size_t sweep();
-
-  bool live(std::size_t token_id) const;
+  // Frees every held *full* page that holds none of `live_ids` (the live
+  // token ids, strictly ascending; throws otherwise, or when a listed id
+  // lies on a page already freed). The partially-filled tail page is never
+  // freed: appends still land there. Returns the number of pages freed.
+  std::size_t sweep(std::span<const std::size_t> live_ids);
 
   // Throws unless token_id is appended and its page is still held. Every
-  // live id is resident (only fully-dead full pages are freed, never the
+  // live id is resident (sweep frees only pages without one, never the
   // tail), and the engine orders eviction rescales before sweep(), so
   // rescale-time lookups of survivors land on resident pages.
   void require_resident(std::size_t token_id) const;
 
   std::size_t appended_tokens() const { return appended_; }
-  std::size_t live_tokens() const { return live_count_; }
   std::size_t pages_held() const { return pages_held_; }
 
   // Frees every page (request retired or preempted). The sequence resets to
@@ -69,10 +65,7 @@ class PagedSequence {
   // Logical page p holds token ids [p*page_tokens, (p+1)*page_tokens); a
   // reclaimed logical page keeps its slot with kInvalidPage.
   std::vector<PagedKvPool::PageId> pages_;
-  std::vector<int> page_live_;  // live tokens per logical page
-  std::vector<bool> live_;      // per token id
   std::size_t appended_ = 0;
-  std::size_t live_count_ = 0;
   std::size_t pages_held_ = 0;
 };
 
@@ -116,14 +109,10 @@ class PagedKvCache {
   int n_head() const { return n_head_; }
 
   std::size_t pages_held() const;
-  std::size_t live_tokens() const;
-  // Dead-but-unreclaimed slots over allocated slots (internal fragmentation).
-  double fragmentation() const;
 
   void release_all();
 
  private:
-  PagedKvPool* pool_;
   int n_layer_;
   int n_head_;
   std::vector<PagedSequence> seqs_;

@@ -32,11 +32,11 @@ struct StepOutput {
   std::size_t position = 0;  // query token index (== context len - 1)
   // Per (layer, head), layer-major: attention output and the stable token ids
   // of this step.
-  //   * view_tokens: ids still live in the paged cache *after* this step's
-  //     pruning/reclamation — the context the next decode step extends.
-  //     mark_dead/sweep run within the step, so this is captured post-reclaim
-  //     (the pre-reclaim attention view is view_tokens plus the ids the step
-  //     itself retired).
+  //   * view_tokens: ids still live in the quantized cache *after* this
+  //     step's pruning/reclamation — the context the next decode step
+  //     extends. Eviction and the page sweep run within the step, so this is
+  //     captured post-reclaim (the pre-reclaim attention view is view_tokens
+  //     plus the ids the step itself retired).
   //   * kept_tokens: ids the backend kept (fully attended) at this step.
   //     A kept verdict resets the token's prune streak, so kept_tokens is
   //     always a subset of view_tokens.

@@ -89,6 +89,15 @@ ServeEngine::Slot::Slot(PagedKvPool* pool, const ServeConfig& config,
   }
 }
 
+ServeEngine::HeadState ServeEngine::head_state(std::size_t request, int layer,
+                                               int head) const {
+  const Slot* slot = slots_.at(request).get();
+  if (slot == nullptr) return {};
+  return {&slot->cache.seq(layer, head),
+          &slot->qcaches[static_cast<std::size_t>(layer) * config_.n_head +
+                         head]};
+}
+
 double ClassMetrics::p50_ttft_cycles() const {
   return ttft_cache_.at(ttft_cycle_samples, 50.0);
 }
@@ -202,6 +211,10 @@ ServeEngine::ServeEngine(const ServeConfig& config)
           "ServeConfig: degradation.headroom_step must be finite and >= 0");
   require(config.stream.sink_tokens >= 0,
           "ServeConfig: stream.sink_tokens must be >= 0");
+  // Every slot builds a PrunePersistence over this window; refuse it here
+  // rather than at the first admission, mid-run.
+  require(config.persistence_window >= 1,
+          "ServeConfig: persistence_window must be >= 1");
   config_.stream.head_dim = config.head_dim;
   // K/V write traffic to append one token position across every (layer,
   // head): K and V, head_dim elements each, at the quantized width. The
@@ -471,30 +484,28 @@ void ServeEngine::reduce_pending(std::size_t pending) {
     std::vector<std::size_t> kept_ids;
 
     if (config_.backend == BackendKind::token_picker) {
+      // One verdict per live token: the decisions cover the cache's whole
+      // id list, which is the one record of which tokens are live.
       auto& persistence = slot.persistence[inst];
+      dead_scratch_.clear();
       for (const auto& decision : res.decisions) {
         const std::size_t global = qcache.id_at(decision.token);
-        persistence.observe(global, decision.kept);
+        if (config_.reclaim && persistence.observe(global, decision.kept)) {
+          dead_scratch_.push_back(global);
+        }
         if (config_.capture_outputs && decision.kept) {
           kept_ids.push_back(global);
         }
       }
-      if (config_.reclaim) {
+      // Reclaimed tokens leave the cache now, so the next step's attention
+      // view (and its shared scale) covers exactly the live set; the
+      // eviction's rescale reads survivors before any page is freed. Only
+      // an eviction can leave a full page without a live id.
+      if (!dead_scratch_.empty()) {
+        qcache.evict_ids(dead_scratch_);
         auto& seq = slot.cache.seq(static_cast<int>(inst) / config_.n_head,
                                    static_cast<int>(inst) % config_.n_head);
-        dead_scratch_.clear();
-        for (const std::size_t global : qcache.ids()) {
-          if (persistence.persistent(global)) {
-            seq.mark_dead(global);
-            persistence.forget(global);
-            dead_scratch_.push_back(global);
-          }
-        }
-        // Page frees and the quantized mirror stay coherent: reclaimed
-        // tokens leave the cache now, so the next step's attention view
-        // (and its shared scale) covers exactly the live set.
-        if (!dead_scratch_.empty()) qcache.evict_ids(dead_scratch_);
-        metrics_.pages_reclaimed += seq.sweep();
+        metrics_.pages_reclaimed += seq.sweep(qcache.ids());
       }
     } else if (config_.capture_outputs) {
       kept_ids = qcache.ids();
@@ -747,14 +758,13 @@ bool ServeEngine::step() {
 
   {
   obs::PhaseTimer other_timer(phases ? &phase_stats_.other_ns : nullptr);
-  // Fragmentation sample over live slots (running requests only).
+  // Fragmentation sample over live slots (running requests only); the
+  // quantized caches hold exactly the live tokens.
   std::size_t pages = 0;
-  std::size_t live = 0;
   QuantizedKvCache::ResidencyBytes kv{};
   std::size_t kv_tokens = 0;
   for (const std::size_t request : batcher_.running()) {
     pages += slots_[request]->cache.pages_held();
-    live += slots_[request]->cache.live_tokens();
     for (const QuantizedKvCache& qcache : slots_[request]->qcaches) {
       const auto r = qcache.residency();
       kv.int16_arena += r.int16_arena;
@@ -775,7 +785,7 @@ bool ServeEngine::step() {
       std::max(metrics_.kv_resident_tokens_peak, kv_tokens);
   if (pages > 0) {
     fragmentation_sum_ +=
-        1.0 - static_cast<double>(live) /
+        1.0 - static_cast<double>(kv_tokens) /
                   static_cast<double>(pages * config_.page_tokens);
     ++fragmentation_samples_;
     metrics_.avg_fragmentation = fragmentation_sum_ / fragmentation_samples_;

@@ -11,9 +11,12 @@
 //   evicts with page reclamation, so a decode costs O(kept)
 //   (ServeEngineEquivalence.CachedDecodeMatchesQuantizeFromScratch pins it
 //   to quantizing the live set from scratch); (4) reduces, sequentially in
-//   slot order: Token-Picker verdicts feed PrunePersistence, dead pages
-//   return to the pool, stats merge, outputs are stamped, finished requests
-//   retire; (5) hands one job to the SerialLane that replays the step's
+//   slot order: one pass over each instance's Token-Picker verdicts feeds
+//   PrunePersistence and collects the tokens whose streak reached the
+//   window, which leave the quantized cache (the one liveness record);
+//   after such an eviction the sequence frees every full page that cache's
+//   id list no longer touches; stats merge, outputs are stamped, finished
+//   requests retire; (5) hands one job to the SerialLane that replays the step's
 //   prefill + decode traffic through the DRAM proxy and stamps first-token
 //   and finish cycles (inline unless ServeConfig::pipeline); (6) samples
 //   the gauges.
@@ -370,14 +373,22 @@ class ServeEngine {
   const ServeConfig& config() const { return config_; }
   // Per-phase step time attribution; all-zero unless collect_phase_stats.
   const obs::StepPhaseStats& phase_stats() const { return phase_stats_; }
+  // A request's page accounting and quantized cache for one (layer, head);
+  // both null while the request holds no slot.
+  struct HeadState {
+    const PagedSequence* seq = nullptr;
+    const QuantizedKvCache* qcache = nullptr;
+  };
+  HeadState head_state(std::size_t request, int layer, int head) const;
 
  private:
   struct Workspace;  // per-worker attention scratch (no sharing across workers)
 
   // A running request's paged cache plus, per (layer, head) and layer-major,
-  // the incrementally quantized companion of each sequence's live tokens
-  // (the attention read path), its rescale source (the request's stream,
-  // gated by the sequence's residency), and the prune-persistence tracker.
+  // the incrementally quantized cache of the head's live tokens (the
+  // attention read path, and the one record of which tokens are live), its
+  // rescale source (the request's stream, gated by the sequence's
+  // residency), and the prune-persistence tracker.
   // `headroom` is the quantized cache's rescale headroom: 1.0 normally,
   // raised by the degradation controller for slots created while the
   // request's class is degraded.

@@ -489,6 +489,10 @@ TEST(ServeEngineFaults, RandomizedFaultMatrixLeaksNothing) {
 //     either;
 //   * requests_retired + requests_failed counts the finished and failed;
 //   * the pool holds no page while nothing runs.
+// And that page frees follow the one liveness record, each (layer, head)'s
+// quantized cache id list: a request holds KV state exactly while it runs,
+// every listed id is resident, and no held full page is left without a
+// listed id.
 TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
   auto trace = fault_trace(32);
   // A tight deadline on every fourth request, so some run out mid-flight.
@@ -539,8 +543,47 @@ TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
         return r.stream.heads.empty() && r.stream.spike.empty();
       };
 
+      // Checks one running request's heads; returns how many of their full
+      // pages sweeps have freed.
+      const std::size_t page_tokens = config.page_tokens;
+      const auto check_pages_follow_ids = [&](std::size_t request) {
+        std::size_t freed_pages = 0;
+        for (int layer = 0; layer < config.n_layer; ++layer) {
+          for (int head = 0; head < config.n_head; ++head) {
+            SCOPED_TRACE(::testing::Message()
+                         << "layer " << layer << " head " << head);
+            const auto state = engine.head_state(request, layer, head);
+            if (state.seq == nullptr || state.qcache == nullptr) {
+              ADD_FAILURE() << "a running request holds no KV state";
+              continue;
+            }
+            const std::vector<std::size_t>& ids = state.qcache->ids();
+            for (const std::size_t id : ids) {
+              EXPECT_NO_THROW(state.seq->require_resident(id)) << id;
+            }
+            const std::size_t full_pages =
+                state.seq->appended_tokens() / page_tokens;
+            std::size_t next = 0;
+            for (std::size_t p = 0; p < full_pages; ++p) {
+              bool has_live = false;
+              for (; next < ids.size() && ids[next] < (p + 1) * page_tokens;
+                   ++next) {
+                has_live = true;
+              }
+              if (has_live) continue;
+              EXPECT_THROW(state.seq->require_resident(p * page_tokens),
+                           std::logic_error)
+                  << "page " << p << " holds no live id but is held";
+              ++freed_pages;
+            }
+          }
+        }
+        return freed_pages;
+      };
+
       std::vector<bool> held(trace.size(), false);
       std::size_t held_in_backoff = 0;  // request-steps: backoff with rows
+      std::size_t freed_pages_seen = 0;  // summed over running request-steps
       std::size_t idle_steps = 0;       // steps that ended with none running
       bool more = true;
       while (more) {
@@ -571,6 +614,11 @@ TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
                     waits ? 1 : 0);
           in_running += runs ? 1 : 0;
           in_queue += waits ? 1 : 0;
+          if (runs) {
+            freed_pages_seen += check_pages_follow_ids(i);
+          } else {
+            EXPECT_EQ(engine.head_state(i, 0, 0).seq, nullptr);
+          }
           switch (r.state) {
             case RequestState::finished:
             case RequestState::failed:
@@ -625,6 +673,8 @@ TEST(ServeEngineFaults, StreamsLiveOnlyWhileTheirRequestIsInFlight) {
       EXPECT_GT(m.requests_failed, 0u);
       EXPECT_GT(held_in_backoff, 0u);
       EXPECT_GT(idle_steps, 0u);
+      EXPECT_GT(m.pages_reclaimed, 0u);
+      EXPECT_GT(freed_pages_seen, 0u);
       EXPECT_EQ(m.requests_retired + m.requests_failed, m.requests_submitted);
     }
   }

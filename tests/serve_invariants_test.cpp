@@ -1,10 +1,11 @@
 // Serve-level invariant and determinism suite.
 //
-// * PagedKvPool property test: ~10k randomized alloc/append/mark-dead/sweep/
-//   release ops over concurrent sequences against a shadow model, asserting
-//   the page-accounting invariants (free + resident == pool size, exclusive
-//   page ownership, reclaim never frees a live token's page, every live id
-//   reads its own sequence's bound row).
+// * PagedKvPool property test: ~10k randomized append/kill/sweep/release
+//   ops over concurrent sequences against a shadow model that keeps each
+//   sequence's live ids as a sorted list, asserting the page-accounting
+//   invariants (free + resident == pool size, exclusive page ownership,
+//   reclaim never frees a live token's page, every live id is resident and
+//   every id on a swept page is not).
 // * Determinism: two ServeEngine runs from an identical config + seed yield
 //   bit-identical FleetMetrics and per-request token streams, for every
 //   scheduling policy — the guard against iteration-order nondeterminism in
@@ -42,27 +43,31 @@ namespace {
 
 constexpr std::size_t kPageTokens = 4;
 
-// Shadow of one sequence: every appended token's liveness, and which logical
-// pages an earlier sweep already returned to the pool.
+// Shadow of one sequence: its appended count, its live ids in ascending
+// order (the list the engine's quantized cache keeps and hands to sweep()),
+// and which logical pages an earlier sweep already returned to the pool.
 struct ShadowSeq {
-  std::vector<bool> live;
+  std::size_t appended = 0;
+  std::vector<std::size_t> live;
   std::vector<bool> page_freed;  // by logical page index
-  std::size_t live_count = 0;
 };
 
-// Full pages whose live count is zero and that are still held — exactly what
-// the next sweep() must free (the partial tail page never counts, even when
-// fully dead; already-swept pages don't free twice).
+bool page_freed(const ShadowSeq& shadow, std::size_t page) {
+  return page < shadow.page_freed.size() && shadow.page_freed[page];
+}
+
+// Full pages that hold no live id and are still held — exactly what the next
+// sweep() must free (the partial tail page never counts, even when fully
+// dead; already-swept pages don't free twice).
 std::vector<std::size_t> sweepable_pages(const ShadowSeq& shadow) {
-  const std::size_t full_pages = shadow.live.size() / kPageTokens;
+  const std::size_t full_pages = shadow.appended / kPageTokens;
+  std::vector<bool> any_live(full_pages, false);
+  for (const std::size_t t : shadow.live) {
+    if (t / kPageTokens < full_pages) any_live[t / kPageTokens] = true;
+  }
   std::vector<std::size_t> dead_pages;
   for (std::size_t p = 0; p < full_pages; ++p) {
-    if (p < shadow.page_freed.size() && shadow.page_freed[p]) continue;
-    bool any_live = false;
-    for (std::size_t t = p * kPageTokens; t < (p + 1) * kPageTokens; ++t) {
-      any_live |= shadow.live[t];
-    }
-    if (!any_live) dead_pages.push_back(p);
+    if (!page_freed(shadow, p) && !any_live[p]) dead_pages.push_back(p);
   }
   return dead_pages;
 }
@@ -79,11 +84,12 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
   seqs.reserve(kSeqs);
   for (std::size_t s = 0; s < kSeqs; ++s) seqs.emplace_back(&pool, kOps);
   std::vector<ShadowSeq> shadow(kSeqs);
-  // Swept full pages leave the sequence but their token ids stay dead
-  // forever; shadow.live keeps tracking them as dead, so views must match.
+  // Swept full pages leave the sequence; their token ids never rejoin
+  // shadow.live, so every later sweep is handed a list without them.
 
   Rng rng(0xfeedface);
   std::uint64_t appends_refused = 0;
+  std::uint64_t pages_swept = 0;
 
   for (int op = 0; op < kOps; ++op) {
     const std::size_t s = rng.uniform_index(kSeqs);
@@ -94,8 +100,7 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
     if (dice < 0.62) {
       // Append the next bound row.
       if (seq.append()) {
-        sh.live.push_back(true);
-        ++sh.live_count;
+        sh.live.push_back(sh.appended++);
       } else {
         // Refusal is only legal on genuine exhaustion, and changes nothing.
         EXPECT_EQ(pool.pages_free(), 0u);
@@ -103,24 +108,18 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
       }
     } else if (dice < 0.82) {
       // Kill a random live token.
-      if (sh.live_count > 0) {
-        std::size_t pick = rng.uniform_index(sh.live_count);
-        for (std::size_t t = 0; t < sh.live.size(); ++t) {
-          if (!sh.live[t]) continue;
-          if (pick-- == 0) {
-            seq.mark_dead(t);
-            sh.live[t] = false;
-            --sh.live_count;
-            break;
-          }
-        }
+      if (!sh.live.empty()) {
+        const auto pick =
+            static_cast<std::ptrdiff_t>(rng.uniform_index(sh.live.size()));
+        sh.live.erase(sh.live.begin() + pick);
       }
     } else if (dice < 0.95) {
       // Sweep: must free exactly the still-held fully-dead full pages, never
-      // a page holding a live token (verified below by the view re-read).
+      // a page holding a live token (verified below by the residency audit).
       const auto dead_pages = sweepable_pages(sh);
-      const std::size_t freed = seq.sweep();
+      const std::size_t freed = seq.sweep(sh.live);
       EXPECT_EQ(freed, dead_pages.size()) << "op " << op << " seq " << s;
+      pages_swept += freed;
       for (const std::size_t p : dead_pages) {
         if (p >= sh.page_freed.size()) sh.page_freed.resize(p + 1, false);
         sh.page_freed[p] = true;
@@ -128,9 +127,7 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
     } else {
       // Retire/preempt: everything returns to the pool.
       seq.release_all();
-      sh.live.clear();
-      sh.page_freed.clear();
-      sh.live_count = 0;
+      sh = ShadowSeq{};
       EXPECT_EQ(seq.appended_tokens(), 0u);
       EXPECT_EQ(seq.pages_held(), 0u);
     }
@@ -142,27 +139,24 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
     EXPECT_EQ(pool.pages_in_use(), held_total) << "op " << op;
 
     // Invariants 2+3, checked through the residency lookups: every sequence
-    // holds exactly its shadow-live tokens, each on a held page (a
-    // reclaimed live page would make a live id's lookup throw), an id on a
-    // swept page is no longer resident, and the pages held across sequences
-    // are distinct (invariant 1 already equates their sum with the pool's
-    // in-use count, so a page counted twice would show).
+    // has appended exactly its shadow's tokens, every shadow-live id is on
+    // a held page (a reclaimed live page would make its lookup throw), an
+    // id on a swept page is no longer resident, and the pages held across
+    // sequences are distinct (invariant 1 already equates their sum with the
+    // pool's in-use count, so a page counted twice would show).
     const bool full_audit = op % 250 == 0 || op == kOps - 1;
     if (full_audit) {
       for (std::size_t q = 0; q < kSeqs; ++q) {
         const auto& shq = shadow[q];
-        ASSERT_EQ(seqs[q].appended_tokens(), shq.live.size())
+        ASSERT_EQ(seqs[q].appended_tokens(), shq.appended)
             << "op " << op << " seq " << q;
-        EXPECT_EQ(seqs[q].live_tokens(), shq.live_count);
-        for (std::size_t t = 0; t < shq.live.size(); ++t) {
-          ASSERT_EQ(seqs[q].live(t), shq.live[t])
-              << "op " << op << " seq " << q << " token " << t;
-          const std::size_t page = t / kPageTokens;
-          if (page < shq.page_freed.size() && shq.page_freed[page]) {
+        for (std::size_t t = 0; t < shq.appended; ++t) {
+          if (page_freed(shq, t / kPageTokens)) {
             EXPECT_THROW(seqs[q].require_resident(t), std::logic_error)
                 << "op " << op << " seq " << q << " token " << t;
           }
-          if (!shq.live[t]) continue;
+        }
+        for (const std::size_t t : shq.live) {
           EXPECT_NO_THROW(seqs[q].require_resident(t))
               << "op " << op << " seq " << q << " token " << t;
         }
@@ -171,6 +165,7 @@ TEST(PagedKvPoolProperty, RandomizedOpsPreserveAccountingAndOwnership) {
   }
   // The scenario actually exercised exhaustion-and-recovery.
   EXPECT_GT(appends_refused, 0u);
+  EXPECT_GT(pages_swept, 0u);
   EXPECT_GT(pool.reuses(), 0u);
 }
 

@@ -80,14 +80,8 @@ TEST(PagedKvPool, OccupancyIsFiniteAndTracksUse) {
 
 // ---- PagedSequence ----------------------------------------------------------
 
-// Ids the sequence still holds live, chronological.
-std::vector<std::size_t> live_ids(const PagedSequence& seq) {
-  std::vector<std::size_t> ids;
-  for (std::size_t t = 0; t < seq.appended_tokens(); ++t) {
-    if (seq.live(t)) ids.push_back(t);
-  }
-  return ids;
-}
+// The sequence keeps no liveness: each test holds its live ids itself, as
+// the engine's quantized cache does, and hands them to sweep().
 
 TEST(PagedSequence, AppendSpansPageBoundaries) {
   PagedKvPool pool({8, 4});
@@ -95,8 +89,8 @@ TEST(PagedSequence, AppendSpansPageBoundaries) {
   for (int t = 0; t < 10; ++t) ASSERT_TRUE(seq.append());  // 2.5 pages of 4
   EXPECT_EQ(seq.appended_tokens(), 10u);
   EXPECT_EQ(seq.pages_held(), 3u);
-  EXPECT_EQ(live_ids(seq), (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6,
-                                                      7, 8, 9}));
+  const std::vector<std::size_t> all{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(seq.sweep(all), 0u);  // every page holds a live id
   for (std::size_t t = 0; t < 10; ++t) {
     EXPECT_NO_THROW(seq.require_resident(t)) << t;
   }
@@ -106,18 +100,15 @@ TEST(PagedSequence, ReclamationFreesOnlyFullDeadPagesAndKeepsSurvivorsResident) 
   PagedKvPool pool({8, 4});
   PagedSequence seq(&pool, 12);
   for (int t = 0; t < 12; ++t) ASSERT_TRUE(seq.append());  // 3 full pages
-  // Kill all of page 1 (tokens 4..7) and part of page 0.
-  for (std::size_t t = 4; t < 8; ++t) seq.mark_dead(t);
-  seq.mark_dead(0);
-  EXPECT_EQ(seq.sweep(), 1u);  // only page 1 is fully dead
+  // All of page 1 (tokens 4..7) and part of page 0 are dead:
+  // 12 - 4 (page 1) - 1 (token 0).
+  const std::vector<std::size_t> live{1, 2, 3, 8, 9, 10, 11};
+  EXPECT_EQ(seq.sweep(live), 1u);  // only page 1 is fully dead
   EXPECT_EQ(seq.pages_held(), 2u);
   EXPECT_EQ(pool.pages_free(), 8u - 2u);
+  EXPECT_EQ(seq.sweep(live), 0u);  // a freed page is not freed twice
 
-  // 12 - 4 (page 1) - 1 (token 0)
-  const std::vector<std::size_t> expected_ids{1, 2, 3, 8, 9, 10, 11};
-  EXPECT_EQ(live_ids(seq), expected_ids);
-  EXPECT_EQ(seq.live_tokens(), 7u);
-  for (const std::size_t id : expected_ids) {
+  for (const std::size_t id : live) {
     EXPECT_NO_THROW(seq.require_resident(id)) << id;
   }
   // Token 0 is dead but its page is still held.
@@ -127,16 +118,15 @@ TEST(PagedSequence, ReclamationFreesOnlyFullDeadPagesAndKeepsSurvivorsResident) 
 TEST(PagedSequence, PartialTailPageIsNeverFreed) {
   PagedKvPool pool({8, 4});
   PagedSequence seq(&pool, 7);
-  // Page 0 full, page 1 holds 2 tokens.
+  // Page 0 full, page 1 holds 2 tokens, both dead.
   for (int t = 0; t < 6; ++t) ASSERT_TRUE(seq.append());
-  seq.mark_dead(4);
-  seq.mark_dead(5);
-  EXPECT_EQ(seq.sweep(), 0u);  // tail partial: appends still land there
-  ASSERT_TRUE(seq.append());   // token 6, same page
+  EXPECT_EQ(seq.sweep(std::vector<std::size_t>{0, 1, 2, 3}), 0u);
+  EXPECT_NO_THROW(seq.require_resident(4));  // tail partial: still held
+  ASSERT_TRUE(seq.append());  // token 6, same page
   EXPECT_EQ(seq.pages_held(), 2u);
-  const std::vector<std::size_t> expected_ids{0, 1, 2, 3, 6};
-  EXPECT_EQ(live_ids(seq), expected_ids);
-  EXPECT_NO_THROW(seq.require_resident(6));
+  for (const std::size_t id : {0, 1, 2, 3, 6}) {
+    EXPECT_NO_THROW(seq.require_resident(id)) << id;
+  }
 }
 
 TEST(PagedSequence, SweptFullTailPageThenAppendKeepsIndicesConsistent) {
@@ -147,22 +137,22 @@ TEST(PagedSequence, SweptFullTailPageThenAppendKeepsIndicesConsistent) {
   PagedKvPool pool({8, 4});
   PagedSequence seq(&pool, 9);
   for (int t = 0; t < 8; ++t) ASSERT_TRUE(seq.append());  // 2 full pages
-  for (std::size_t t = 4; t < 8; ++t) seq.mark_dead(t);
-  EXPECT_EQ(seq.sweep(), 1u);  // page 1 is full AND fully dead -> freed
+  std::vector<std::size_t> live{0, 1, 2, 3};
+  EXPECT_EQ(seq.sweep(live), 1u);  // page 1 is full AND fully dead -> freed
   EXPECT_EQ(seq.pages_held(), 1u);
   EXPECT_EQ(pool.pages_in_use(), 1u);
 
   // Append past the swept boundary: token 8 opens logical page 2.
   ASSERT_TRUE(seq.append());
+  live.push_back(8);
   EXPECT_EQ(seq.appended_tokens(), 9u);
   EXPECT_EQ(seq.pages_held(), 2u);
   EXPECT_EQ(pool.pages_in_use(), 2u);
+  EXPECT_EQ(seq.sweep(live), 0u);
 
-  const std::vector<std::size_t> expected_ids{0, 1, 2, 3, 8};
-  EXPECT_EQ(live_ids(seq), expected_ids);
   // Survivors and the token past the hole are resident; the swept page's
   // ids no longer resolve.
-  for (const std::size_t id : expected_ids) {
+  for (const std::size_t id : live) {
     EXPECT_NO_THROW(seq.require_resident(id)) << id;
   }
   for (std::size_t id = 4; id < 8; ++id) {
@@ -177,8 +167,8 @@ TEST(PagedSequence, ResidencyIsCheckedAgainstAppendsAndSweeps) {
   PagedKvPool pool({8, 4});
   PagedSequence seq(&pool, 10);
   for (int t = 0; t < 9; ++t) ASSERT_TRUE(seq.append());
-  for (std::size_t t = 4; t < 8; ++t) seq.mark_dead(t);
-  ASSERT_EQ(seq.sweep(), 1u);  // logical page 1 (ids 4..7) leaves the pool
+  const std::vector<std::size_t> live{0, 1, 2, 3, 8};
+  ASSERT_EQ(seq.sweep(live), 1u);  // logical page 1 (ids 4..7) leaves the pool
 
   for (std::size_t t = 0; t < 9; ++t) {
     if (t >= 4 && t < 8) {
@@ -186,7 +176,6 @@ TEST(PagedSequence, ResidencyIsCheckedAgainstAppendsAndSweeps) {
       EXPECT_THROW(seq.require_resident(t), std::logic_error) << t;
       continue;
     }
-    ASSERT_TRUE(seq.live(t));
     EXPECT_NO_THROW(seq.require_resident(t)) << t;
   }
   // An id at or past appended_tokens(), though the capacity reaches 9.
@@ -199,13 +188,31 @@ TEST(PagedSequence, ResidencyIsCheckedAgainstAppendsAndSweeps) {
   const std::size_t in_use = pool.pages_in_use();
   EXPECT_THROW(seq.append(), std::logic_error);
   EXPECT_EQ(seq.appended_tokens(), 10u);
-  EXPECT_EQ(seq.live_tokens(), 6u);
+  EXPECT_EQ(seq.pages_held(), 2u);
   EXPECT_EQ(pool.pages_in_use(), in_use);
 
   // A sequence of capacity 0 can never append.
   PagedSequence empty(&pool, 0);
   EXPECT_THROW(empty.append(), std::logic_error);
   EXPECT_EQ(pool.pages_in_use(), in_use);
+}
+
+// sweep() walks the live list once, so it must be strictly ascending; a
+// listed id on a page an earlier sweep freed means the list and the pages
+// disagree. Both throw.
+TEST(PagedSequence, SweepRejectsUnorderedIdsAndIdsOnFreedPages) {
+  PagedKvPool pool({8, 4});
+  PagedSequence seq(&pool, 12);
+  for (int t = 0; t < 12; ++t) ASSERT_TRUE(seq.append());
+  EXPECT_THROW(seq.sweep(std::vector<std::size_t>{2, 1, 9}),
+               std::logic_error);
+  EXPECT_THROW(seq.sweep(std::vector<std::size_t>{1, 1, 9}),
+               std::logic_error);
+  EXPECT_EQ(seq.pages_held(), 3u);
+  ASSERT_EQ(seq.sweep(std::vector<std::size_t>{1, 9}), 1u);  // page 1 goes
+  EXPECT_THROW(seq.sweep(std::vector<std::size_t>{1, 5, 9}),
+               std::logic_error);
+  EXPECT_EQ(seq.pages_held(), 2u);
 }
 
 // The serve source regenerates exactly the stream's rows for resident ids,
@@ -218,9 +225,12 @@ TEST(PagedRescaleSource, RegeneratesResidentRowsAndRefusesTheRest) {
   const wl::HeadRows all = wl::materialize(stream, 1, 0);
   PagedKvPool pool({16, 4});
   PagedSequence seq(&pool, stream.total_tokens());
-  for (int t = 0; t < 18; ++t) ASSERT_TRUE(seq.append());
-  for (std::size_t t = 8; t < 12; ++t) seq.mark_dead(t);
-  ASSERT_EQ(seq.sweep(), 1u);  // ids 8..11 leave the pool
+  std::vector<std::size_t> live;
+  for (std::size_t t = 0; t < 18; ++t) {
+    ASSERT_TRUE(seq.append());
+    if (t < 8 || t >= 12) live.push_back(t);
+  }
+  ASSERT_EQ(seq.sweep(live), 1u);  // ids 8..11 leave the pool
   const PagedRescaleSource source(&seq, &stream, 1, 0);
 
   const std::vector<std::size_t> ids{0, 3, 7, 12, 13, 17};
@@ -254,7 +264,7 @@ TEST(PagedRescaleSource, RegeneratesResidentRowsAndRefusesTheRest) {
 // mid-decode record-holder eviction bit-identically to quantizing the
 // survivors from scratch. The engine's ordering discipline is replicated:
 // the cache eviction (whose rescale queries the provider) runs BEFORE
-// mark_dead + sweep release the pool pages.
+// sweep, fed the cache's surviving ids, releases the pool pages.
 TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   wl::DecodeStreamParams params;
   params.head_dim = 16;
@@ -296,8 +306,7 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   const auto rescales_before = cache.key_rescales();
   EXPECT_EQ(cache.evict_ids(dead), kPage);  // provider queried for survivors
   EXPECT_EQ(cache.key_rescales(), rescales_before + 1);
-  for (const auto id : dead) seq.mark_dead(id);
-  EXPECT_EQ(seq.sweep(), 1u);  // only now does the page leave the pool
+  EXPECT_EQ(seq.sweep(cache.ids()), 1u);  // only now does the page go
 
   // Bit-identity vs a fresh quantize of the survivors' floats.
   std::vector<float> k_flat, v_flat;
@@ -329,18 +338,19 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   }
 }
 
-TEST(PagedKvCache, FragmentationCountsDeadAndTailSlack) {
+TEST(PagedKvCache, EachHeadHasItsOwnSequence) {
   PagedKvPool pool({16, 4});
   PagedKvCache cache(&pool, 1, 2, 8);
-  auto& seq = cache.seq(0, 0);
-  // Page 0 full, page 1 half full.
-  for (int t = 0; t < 6; ++t) ASSERT_TRUE(seq.append());
-  // 8 allocated slots, 6 live: tail slack only.
-  EXPECT_NEAR(cache.fragmentation(), 2.0 / 8.0, 1e-12);
-  seq.mark_dead(1);
-  EXPECT_NEAR(cache.fragmentation(), 3.0 / 8.0, 1e-12);
-  // Each head has its own sequence.
-  EXPECT_EQ(cache.seq(0, 1).appended_tokens(), 0u);
+  // Head 0: page 0 full, page 1 half full; head 1: one token.
+  for (int t = 0; t < 6; ++t) ASSERT_TRUE(cache.seq(0, 0).append());
+  ASSERT_TRUE(cache.seq(0, 1).append());
+  EXPECT_EQ(cache.seq(0, 0).appended_tokens(), 6u);
+  EXPECT_EQ(cache.seq(0, 1).appended_tokens(), 1u);
+  EXPECT_EQ(cache.pages_held(), 3u);
+  EXPECT_EQ(pool.pages_in_use(), 3u);
+  cache.release_all();
+  EXPECT_EQ(cache.pages_held(), 0u);
+  EXPECT_EQ(pool.pages_in_use(), 0u);
 }
 
 TEST(PagedSequence, ReleaseAllReturnsPages) {
@@ -366,13 +376,18 @@ TEST(PagedSequence, ReleaseAllReturnsPages) {
 
 TEST(PrunePersistence, StreaksAndReset) {
   PrunePersistence tracker(3);
-  for (int i = 0; i < 2; ++i) tracker.observe(7, /*kept=*/false);
-  EXPECT_FALSE(tracker.persistent(7));
-  tracker.observe(7, /*kept=*/true);  // kept resets the streak
+  for (int i = 0; i < 2; ++i) EXPECT_FALSE(tracker.observe(7, /*kept=*/false));
+  EXPECT_FALSE(tracker.observe(7, /*kept=*/true));  // kept resets the streak
   EXPECT_EQ(tracker.streak(7), 0);
-  for (int i = 0; i < 3; ++i) tracker.observe(7, /*kept=*/false);
-  EXPECT_TRUE(tracker.persistent(7));
-  EXPECT_FALSE(tracker.persistent(3));  // untouched token
+  EXPECT_FALSE(tracker.observe(7, /*kept=*/false));
+  EXPECT_FALSE(tracker.observe(7, /*kept=*/false));
+  EXPECT_TRUE(tracker.observe(7, /*kept=*/false));  // the third in a row
+  EXPECT_EQ(tracker.streak(7), 3);
+  EXPECT_EQ(tracker.streak(3), 0);  // untouched token
+  EXPECT_FALSE(tracker.observe(3, /*kept=*/false));
+
+  EXPECT_TRUE(PrunePersistence(1).observe(0, /*kept=*/false));
+  EXPECT_THROW(PrunePersistence{0}, std::logic_error);
 }
 
 // ---- workload: arrivals and decode streams ----------------------------------
@@ -897,6 +912,21 @@ TEST(ServeEngineConfig, DegradationKnobsMustBeFiniteAndInRange) {
   config.degradation.threshold_scale = 1.0;
   config.degradation.headroom_step = 0.0f;
   EXPECT_NO_THROW(ServeEngine{config});
+}
+
+// Every slot tracks prune streaks over persistence_window, with reclaim on
+// or off; a window below 1 is refused at construction rather than at the
+// first admission, mid-run.
+TEST(ServeEngineConfig, PersistenceWindowMustBePositive) {
+  ServeConfig config = acceptance_config();
+  config.persistence_window = 1;
+  EXPECT_NO_THROW(ServeEngine{config});
+  for (const int window : {0, -1}) {
+    config.persistence_window = window;
+    EXPECT_THROW(ServeEngine{config}, std::logic_error) << window;
+  }
+  config.reclaim = false;
+  EXPECT_THROW(ServeEngine{config}, std::logic_error);
 }
 
 // ---- host KV footprint -------------------------------------------------------
