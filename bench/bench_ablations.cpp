@@ -205,13 +205,14 @@ int main() {
       const QuantizedKvView view = cache.view();
       const double ks = view.key_params.scale, vs = view.value_params.scale;
       double se = 0.0;
-      std::int16_t key[64];
+      std::int16_t key[64], value[64];
       for (std::size_t t = 0; t < view.len; ++t) {
         view.key_row(t, key);
+        view.value_row(t, value);
         for (std::size_t d = 0; d < 64; ++d) {
           const double ke = static_cast<double>(key[d]) * ks -
                             static_cast<double>(rows.keys[t * 64 + d]);
-          const double ve = static_cast<double>(view.value(t)[d]) * vs -
+          const double ve = static_cast<double>(value[d]) * vs -
                             static_cast<double>(rows.values[t * 64 + d]);
           se += ke * ke + ve * ve;
         }

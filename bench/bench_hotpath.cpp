@@ -107,8 +107,8 @@ SweepRun run_sweep_point(const Scenario& s, std::size_t threads) {
   while (engine.step()) {
     // The final step retires the request, so its residency sample reads 0.
     if (engine.batcher().running().empty()) continue;
-    run.residency = {m.kv_int16_bytes, m.kv_plane_bytes, m.kv_maxima_bytes,
-                     m.kv_ids_bytes};
+    run.residency = {m.kv_value_plane_bytes, m.kv_key_plane_bytes,
+                     m.kv_maxima_bytes, m.kv_ids_bytes};
     run.resident_tokens = m.kv_resident_tokens;
   }
   const auto stop = std::chrono::steady_clock::now();
@@ -528,15 +528,15 @@ int main(int argc, char** argv) {
                        static_cast<double>(resident)
                  : 0.0;
     std::printf("  kv residency: %zu tokens resident, %.1f B/token "
-                "(int16 values+4-bit key planes+maxima+ids)\n",
+                "(4-bit value and key planes+maxima+ids)\n",
                 resident, per_token);
     std::fprintf(
         out,
         "  \"kv_residency\": {\"resident_tokens\": %zu, "
-        "\"int16_arena_bytes\": %zu, \"plane_bytes\": %zu, "
+        "\"value_plane_bytes\": %zu, \"key_plane_bytes\": %zu, "
         "\"maxima_bytes\": %zu, \"ids_bytes\": %zu, "
         "\"bytes_per_token\": %.1f},\n",
-        resident, res.int16_arena, res.planes, res.maxima, res.ids,
+        resident, res.value_planes, res.key_planes, res.maxima, res.ids,
         per_token);
   }
   std::fprintf(

@@ -52,7 +52,7 @@ void BM_WalkNibbleDot(benchmark::State& state) {
   constexpr std::size_t kRows = 64;
   Rng rng(7);
   const auto q = fx::quantize_auto(random_vec(rng, dim));
-  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(dim);
+  const std::size_t row_bytes = fx::PlaneLayout::row_bytes(dim);
   std::vector<std::uint8_t> plane(kRows * row_bytes);
   for (auto& byte : plane) {
     byte = static_cast<std::uint8_t>(rng.uniform_index(256));
@@ -94,10 +94,20 @@ void BM_TokenPickerAttend(benchmark::State& state) {
   TokenPickerConfig config;
   config.estimator.threshold = 1e-3;
   TokenPickerAttention op(config);
+  std::uint64_t chunks = 0;  // per call: every call makes the same fetches
   for (auto _ : state) {
-    benchmark::DoNotOptimize(op.attend(inst.q, inst.view()));
+    const auto result = op.attend(inst.q, inst.view());
+    chunks = result.stats.k_bits_fetched /
+             (params.head_dim * static_cast<std::uint64_t>(
+                                    config.quant.chunk_bits));
+    benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["chunks_per_call"] = static_cast<double>(chunks);
+  // Whole-call time (quantizing the view included) per chunk fetched.
+  state.counters["ns_per_chunk"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * chunks),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_TokenPickerAttend)->Arg(256)->Arg(1024)->Arg(2048);
 

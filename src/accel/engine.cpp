@@ -536,8 +536,7 @@ SimResult Engine::run(const AccelInstance& instance, bool record_timeline) {
     survivors.push_back(t);
     survivor_scores.push_back(tokens[t].final_score);
   }
-  survivor_softmax(survivors, survivor_scores, kv.values, kv.head_dim,
-                   kv.value_params.scale, &result.output);
+  survivor_softmax(survivors, survivor_scores, kv, &result.output);
 
   return result;
 }

@@ -43,9 +43,11 @@ struct AccelConfig {
   int operand_buffer_bytes = 512;
 
   // Removed: charging K/V traffic at the host cache's resident widths won
-  // nowhere over the device's packed layout, the only DRAM layout. The field
-  // remains only because the benchmark's config dump reads it; Engine
-  // rejects true. Delete it with the next change to the benchmark.
+  // nowhere over the device's packed layout, the only DRAM layout — and the
+  // widths now agree: the host stores keys and values as total_bits-wide
+  // nibble planes, as the device packs them. The field remains only because
+  // the benchmark's config dump reads it; Engine rejects true. Delete it
+  // with the next change to the benchmark.
   bool host_resident_layout = false;
 
   // Granules (32 B DRAM transactions) per K chunk / full V vector for a

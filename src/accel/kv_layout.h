@@ -8,11 +8,12 @@
 //
 // This is the same chunk-planar shape the host cache is resident in
 // (core/quantized_kv_cache.h: one contiguous offset-binary nibble plane per
-// 4 key bits, token-major, plus flat int16 value rows — the only value
-// copy). At the default 4-bit chunks the key planes coincide: the device
-// packs chunk b at chunk_bits and the host stores nibble plane b, both
-// head_dim / 2 bytes per token. The values differ in width: the device
-// packs them at total_bits, the host stores int16.
+// 4 bits of a key or a value, token-major — the only stored copy). At the
+// default 4-bit chunks the key planes coincide: the device packs chunk b at
+// chunk_bits and the host stores nibble plane b, both head_dim / 2 bytes
+// per token. The value widths agree too: the device packs a value at
+// total_bits, and the host's ceil(total_bits / 4) value planes hold the
+// same 12 bits per element at the default precision.
 //
 // Bank-group mapping: naively stacking planes puts every plane in the same
 // rows of the same banks, so the out-of-order mixture of chunk-0 and

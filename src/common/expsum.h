@@ -87,7 +87,7 @@ class ShiftedExpSum {
   }
 
   // Natural log of the sum; -infinity when empty. Memoizes log(acc) for
-  // log_upper_bound().
+  // log_upper_bound() and log_lower_bound().
   double log() const {
     if (terms_ == 0 || acc_ <= 0.0) {
       return -std::numeric_limits<double>::infinity();
@@ -115,6 +115,22 @@ class ShiftedExpSum {
     double bound = memo_log_acc_;
     if (acc_ > memo_acc_) bound += acc_ / memo_acc_ - 1.0;
     return shift_ + bound + 1e-9;
+  }
+
+  // Its mirror, a transcendental-free lower bound on log(): from the same
+  // memo and ln x >= 1 - 1/x, so hot paths can prove "log() >= threshold"
+  // (a prune) without calling log. log(acc) >= log(memo_acc) when acc has
+  // grown (monotonicity), and log(acc) >= log(memo_acc) + (1 - memo_acc/acc)
+  // otherwise; the same 1e-9 slack keeps the bound below the computed
+  // log(). Exact log() is the fallback when no memo exists yet.
+  double log_lower_bound() const {
+    if (terms_ == 0 || acc_ <= 0.0) {
+      return -std::numeric_limits<double>::infinity();
+    }
+    if (memo_acc_ <= 0.0) return log();  // no memo yet: exact (and memoize)
+    double bound = memo_log_acc_;
+    if (acc_ < memo_acc_) bound += 1.0 - memo_acc_ / acc_;
+    return shift_ + bound - 1e-9;
   }
 
   // The sum itself (may overflow to +inf for extreme shifts; log() is safe).

@@ -114,13 +114,14 @@ void SpAttenBackend::attend(std::span<const float> q,
   const float v_scale = kv.value_params.scale;
   std::fill(out.begin(), out.end(), 0.0f);
   std::size_t v_fetched = 0;
+  value_scratch_.resize(kv.head_dim);
   for (std::size_t i = 0; i < active.size(); ++i) {
     if (probs_[i] <= config_.value_prob_threshold) continue;
     ++v_fetched;
-    const std::int16_t* value = kv.value(active[i]);
+    kv.value_row(active[i], value_scratch_.data());
     for (std::size_t d = 0; d < kv.head_dim; ++d) {
-      out[d] += static_cast<float>(probs_[i] *
-                                   static_cast<double>(value[d]) * v_scale);
+      out[d] += static_cast<float>(
+          probs_[i] * static_cast<double>(value_scratch_[d]) * v_scale);
     }
   }
   stats_.v_bits_fetched += full_vector_bits * v_fetched;

@@ -78,6 +78,7 @@ class SpAttenBackend final : public AttentionBackend {
   std::map<std::pair<int, int>, QuantizedKvCache> caches_;
   fx::QuantizedVector q_scratch_;
   std::vector<double> scores_, probs_;  // reused across attends
+  std::vector<std::int16_t> value_scratch_;  // one unpacked value row
 };
 
 // Exact float attention that hands every probability vector to a sink —

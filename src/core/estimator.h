@@ -49,15 +49,18 @@ class ProbabilityEstimator {
   // RPDU decision: should the token with upper score bound s_max be pruned,
   // given the current denominator? Never prunes when the denominator is empty
   // or the threshold is zero. Header-inline (one call per (token, chunk)):
-  // keeps vastly outnumber prunes on real score distributions, so first try
-  // to prove the keep with a transcendental-free upper bound on ln D — if
-  // s_max clears even the over-estimate of ln D, the exact comparison must
-  // also keep (same decision, no std::log). Only near-threshold tokens (and
-  // actual prunes) fall through to the exact test.
+  // first try to prove the keep with a transcendental-free upper bound on
+  // ln D — if s_max clears even the over-estimate of ln D, the exact
+  // comparison must also keep — then the prune with the matching lower
+  // bound: if s_max falls under the threshold against even the
+  // under-estimate of ln D, the exact comparison must also prune. Either
+  // proof is the exact test's decision without a std::log; only tokens
+  // whose margin lies between the two bounds fall through to it.
   bool should_prune(double s_max) const {
     if (denom_.empty()) return false;  // nothing to compare against yet
     if (config_.threshold <= 0.0) return false;
     if (s_max - denom_.log_upper_bound() > log_threshold_) return false;
+    if (s_max - denom_.log_lower_bound() <= log_threshold_) return true;
     return s_max - denom_.log() <= log_threshold_;
   }
 

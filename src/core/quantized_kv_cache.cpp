@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "common/expsum.h"
 #include "common/require.h"
@@ -47,59 +45,25 @@ void quantize_row(std::span<const float> xs, const fx::QuantParams& params,
   fx::quantize_row_i16(xs.data(), xs.size(), params, out);
 }
 
-// Offset-binary packing, two int16 key elements per 32-bit word (element 2i
-// in the low half). For a key k of T = total_bits bits, u = k + 2^(T-1) is
-// k's low T bits with the top one flipped: bitwise, so no half carries into
-// the other. k lies in [qmin, qmax] iff (k + 2^(T-1)) mod 2^16 < 2^T, a
-// half-wise add whose top bit is added apart so that it cannot carry out.
-static_assert(std::endian::native == std::endian::little,
-              "pack_key_row reads element pairs in little-endian order");
-static_assert(fx::KeyPlaneLayout::kPlaneBits == 4);
+// Packs `row` into row t of `arena`'s planes, already sized to hold it.
+bool write_arena_row(QuantizedKv::Arena& arena, std::size_t head_dim,
+                     std::size_t t, const std::int16_t* row) {
+  const std::size_t row_bytes = fx::PlaneLayout::row_bytes(head_dim);
+  std::array<std::uint8_t*, 4> rows{};  // total_bits <= 15: at most 4 planes
+  for (std::size_t j = 0; j < arena.planes.size(); ++j) {
+    rows[j] = arena.planes[j].data() + t * row_bytes;
+  }
+  return fx::pack_planes_i16(row, head_dim, arena.params.total_bits,
+                             rows.data());
+}
 
-// Writes key row k's nibbles into rows[0, planes): plane j holds bits
-// [4(planes-1-j), 4(planes-j)) of u, element 2i in the low half of byte i,
-// and an odd row leaves its last high nibble 0. Returns false, the rows
-// then holding garbage, when some element lies outside [qmin, qmax]. Full
-// blocks of 16 pairs run fixed-count loops, which the compiler vectorizes.
-bool pack_key_row(const std::int16_t* k, std::size_t n, int total_bits,
-                  int planes, std::uint8_t* const* rows) {
-  constexpr std::uint32_t kHalves = 0x00010001u;
-  constexpr std::uint32_t kTop = kHalves * 0x8000u;
-  constexpr std::size_t kBlockPairs = 16;
-  const std::uint32_t offset = kHalves << (total_bits - 1);
-  const std::uint32_t low = kHalves * ((1u << total_bits) - 1);
-  std::uint32_t bad = 0;
-  // Packs `count` <= kBlockPairs pairs read from src into byte p onward.
-  const auto encode = [&](const std::int16_t* src, std::size_t p,
-                          std::size_t count) {
-    std::uint32_t u[kBlockPairs];
-    std::memcpy(u, src, count * sizeof(std::uint32_t));
-    for (std::size_t e = 0; e < count; ++e) {
-      bad |= (((u[e] & ~kTop) + offset) ^ (u[e] & kTop)) & ~low;
-      u[e] = (u[e] & low) ^ offset;
-    }
-    for (int j = 0; j < planes; ++j) {
-      const int shift = 4 * (planes - 1 - j);
-      std::uint8_t* row = rows[j] + p;
-      for (std::size_t e = 0; e < count; ++e) {
-        const std::uint32_t x = (u[e] >> shift) & 0x000F000Fu;
-        row[e] = static_cast<std::uint8_t>(x | (x >> 12));
-      }
-    }
-  };
-  const std::size_t pairs = n / 2;
-  std::size_t p = 0;
-  for (; p + kBlockPairs <= pairs; p += kBlockPairs) {
-    encode(k + 2 * p, p, kBlockPairs);
+// Sizes every plane of both arenas to `rows` rows of row_bytes.
+void resize_planes(QuantizedKv& kv, std::size_t rows) {
+  const std::size_t row_bytes = fx::PlaneLayout::row_bytes(kv.head_dim);
+  QuantizedKv::Arena* const arenas[] = {&kv.keys, &kv.values};
+  for (auto* arena : arenas) {
+    for (auto& plane : arena->planes) plane.resize(rows * row_bytes);
   }
-  encode(k + 2 * p, p, pairs - p);
-  if (n % 2 != 0) {
-    // Pairs the last element with qmin, whose u is 0 in every plane.
-    const std::int16_t last[2] = {
-        k[n - 1], static_cast<std::int16_t>(-(1 << (total_bits - 1)))};
-    encode(last, pairs, 1);
-  }
-  return bad == 0;
 }
 
 }  // namespace
@@ -108,86 +72,92 @@ bool pack_key_row(const std::int16_t* k, std::size_t n, int total_bits,
 
 void QuantizedKv::reset(const fx::QuantParams& kp, const fx::QuantParams& vp,
                         std::size_t dim) {
-  keys.layout = fx::KeyPlaneLayout(kp);  // validates before anything changes
+  const fx::PlaneLayout layout(kp);  // validates before anything changes
+  require(vp.total_bits >= 2 && vp.total_bits <= 15,
+          "QuantizedKv: value total_bits must be in [2, 15]");
+  keys.layout = layout;
   keys.params = kp;
   values.params = vp;
   head_dim = dim;
-  keys.planes.resize(static_cast<std::size_t>(keys.layout.planes()));
+  keys.planes.resize(static_cast<std::size_t>(layout.planes()));
+  values.planes.resize(
+      static_cast<std::size_t>(fx::PlaneLayout::planes_for(vp.total_bits)));
   clear_rows();
 }
 
 void QuantizedKv::clear_rows() {
   len = 0;
-  values.data.clear();
-  for (auto& plane : keys.planes) plane.clear();
+  resize_planes(*this, 0);
 }
 
 bool QuantizedKv::write_key_row(std::size_t t, const std::int16_t* k_row) {
-  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
-  const int planes = keys.layout.planes();
-  std::array<std::uint8_t*, 4> rows{};  // total_bits <= 15: at most 4 planes
-  for (int j = 0; j < planes; ++j) {
-    rows[static_cast<std::size_t>(j)] =
-        keys.planes[static_cast<std::size_t>(j)].data() + t * row_bytes;
-  }
-  return pack_key_row(k_row, head_dim, keys.params.total_bits, planes,
-                      rows.data());
+  return write_arena_row(keys, head_dim, t, k_row);
+}
+
+bool QuantizedKv::write_value_row(std::size_t t, const std::int16_t* v_row) {
+  return write_arena_row(values, head_dim, t, v_row);
 }
 
 void QuantizedKv::push_row(const std::int16_t* k_row,
                            const std::int16_t* v_row) {
-  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
-  for (auto& plane : keys.planes) plane.resize((len + 1) * row_bytes);
-  const bool in_range = write_key_row(len, k_row);
-  if (!in_range) {
-    for (auto& plane : keys.planes) plane.resize(len * row_bytes);
-  }
-  require(in_range, "QuantizedKv: key value outside the head's quant range");
-  values.data.insert(values.data.end(), v_row, v_row + head_dim);
+  resize_planes(*this, len + 1);
+  const bool keys_in_range = write_key_row(len, k_row);
+  const bool values_in_range = write_value_row(len, v_row);
+  if (!keys_in_range || !values_in_range) resize_planes(*this, len);
+  require(keys_in_range,
+          "QuantizedKv: key element outside the head's quant range");
+  require(values_in_range,
+          "QuantizedKv: value element outside the head's quant range");
   ++len;
 }
 
 void QuantizedKv::compact(const std::uint8_t* keep) {
-  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
+  const std::size_t row_bytes = fx::PlaneLayout::row_bytes(head_dim);
+  Arena* const arenas[] = {&keys, &values};
   std::size_t w = 0;
   for (std::size_t r = 0; r < len; ++r) {
     if (!keep[r]) continue;
     if (w != r) {
-      std::copy_n(
-          values.data.begin() + static_cast<std::ptrdiff_t>(r * head_dim),
-          head_dim,
-          values.data.begin() + static_cast<std::ptrdiff_t>(w * head_dim));
-      for (auto& plane : keys.planes) {
-        std::copy_n(plane.begin() + static_cast<std::ptrdiff_t>(r * row_bytes),
-                    row_bytes,
-                    plane.begin() + static_cast<std::ptrdiff_t>(w * row_bytes));
+      for (auto* arena : arenas) {
+        for (auto& plane : arena->planes) {
+          std::copy_n(
+              plane.begin() + static_cast<std::ptrdiff_t>(r * row_bytes),
+              row_bytes,
+              plane.begin() + static_cast<std::ptrdiff_t>(w * row_bytes));
+        }
       }
     }
     ++w;
   }
   len = w;
-  values.data.resize(len * head_dim);
-  for (auto& plane : keys.planes) plane.resize(len * row_bytes);
+  resize_planes(*this, len);
 }
 
 QuantizedKvView QuantizedKv::view() const {
-  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(head_dim);
+  const std::size_t row_bytes = fx::PlaneLayout::row_bytes(head_dim);
   require(keys.planes.size() == static_cast<std::size_t>(keys.layout.planes()),
           "QuantizedKv: key plane count differs from the layout");
-  require(values.data.size() == len * head_dim &&
-              std::all_of(keys.planes.begin(), keys.planes.end(),
-                          [&](const std::vector<std::uint8_t>& plane) {
-                            return plane.size() == len * row_bytes;
-                          }),
-          "QuantizedKv: K/V arenas do not hold len rows of head_dim");
+  const auto holds_len_rows = [&](const Arena& arena) {
+    const int bits = arena.params.total_bits;
+    return bits >= 2 && bits <= 15 &&
+           arena.planes.size() ==
+               static_cast<std::size_t>(fx::PlaneLayout::planes_for(bits)) &&
+           std::all_of(arena.planes.begin(), arena.planes.end(),
+                       [&](const std::vector<std::uint8_t>& plane) {
+                         return plane.size() == len * row_bytes;
+                       });
+  };
+  require(holds_len_rows(keys) && holds_len_rows(values),
+          "QuantizedKv: K/V planes do not hold len rows of head_dim at "
+          "their bit width");
   QuantizedKvView v;
   v.len = len;
   v.head_dim = head_dim;
   v.key_params = keys.params;
   v.value_params = values.params;
-  v.values = values.data.data();
   v.key_planes = keys.planes.data();
   v.key_layout = &keys.layout;
+  v.value_planes = values.planes.data();
   return v;
 }
 
@@ -200,17 +170,16 @@ QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base) {
   };
   QuantizedKv out;
   out.reset(arena_params(kv.keys), arena_params(kv.values), kv.head_dim);
-  // Every arena is sized to exactly len rows. The values quantize in one
-  // pass; each key row is quantized into a head_dim scratch and packed into
-  // its plane rows (quantize output always lies in [qmin, qmax]).
-  out.values.data.resize(n);
-  fx::quantize_row_i16(kv.values, n, out.values.params, out.values.data.data());
-  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(kv.head_dim);
-  for (auto& plane : out.keys.planes) plane.resize(kv.len * row_bytes);
-  std::vector<std::int16_t> k_row(kv.head_dim);
+  // Every plane is sized to exactly len rows. Each row is quantized into a
+  // head_dim scratch and packed into its plane rows (quantize output always
+  // lies in [qmin, qmax]).
+  resize_planes(out, kv.len);
+  std::vector<std::int16_t> row(kv.head_dim);
   for (std::size_t t = 0; t < kv.len; ++t) {
-    quantize_row(kv.key(t), out.keys.params, k_row.data());
-    out.write_key_row(t, k_row.data());
+    quantize_row(kv.key(t), out.keys.params, row.data());
+    out.write_key_row(t, row.data());
+    quantize_row(kv.value(t), out.values.params, row.data());
+    out.write_value_row(t, row.data());
   }
   out.len = kv.len;
   return out;
@@ -263,10 +232,8 @@ void QuantizedKvCache::clear() {
 
 QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
   ResidencyBytes b;
-  b.int16_arena = store_.values.data.size() * sizeof(std::int16_t);
-  for (const auto& plane : store_.keys.planes) {
-    b.planes += plane.size() * sizeof(std::uint8_t);
-  }
+  for (const auto& plane : store_.values.planes) b.value_planes += plane.size();
+  for (const auto& plane : store_.keys.planes) b.key_planes += plane.size();
   b.maxima =
       (key_row_amax_.size() + value_row_amax_.size() + 2) * sizeof(float);
   b.ids = ids_.size() * sizeof(std::size_t);
@@ -297,6 +264,7 @@ void QuantizedKvCache::requantize(bool keys, bool values) {
   if (keys) k_rows.resize(kRescaleBlockRows * head_dim_);
   if (values) v_rows.resize(kRescaleBlockRows * head_dim_);
   k_row_scratch_.resize(head_dim_);
+  v_row_scratch_.resize(head_dim_);
   for (std::size_t start = 0; start < n; start += kRescaleBlockRows) {
     const std::size_t count = std::min(kRescaleBlockRows, n - start);
     source_->fill_rows({ids_.data() + start, count},
@@ -310,8 +278,8 @@ void QuantizedKvCache::requantize(bool keys, bool values) {
       }
       if (values) {
         quantize_row({v_rows.data() + r * head_dim_, head_dim_},
-                     store_.values.params,
-                     store_.values.data.data() + (start + r) * head_dim_);
+                     store_.values.params, v_row_scratch_.data());
+        store_.write_value_row(start + r, v_row_scratch_.data());
       }
     }
   }
@@ -504,17 +472,18 @@ bool tail_matches_view(const QuantizedKvCache& cache, const KvHeadView& view,
       fx::row_amax(vv) != cache.value_row_amax(pos)) {
     return false;
   }
-  static thread_local std::vector<std::int16_t> scratch, stored_key;
+  static thread_local std::vector<std::int16_t> scratch, stored;
   scratch.resize(view.head_dim);
-  stored_key.resize(view.head_dim);
+  stored.resize(view.head_dim);
   const QuantizedKvView qv = cache.view();
-  qv.key_row(pos, stored_key.data());
+  qv.key_row(pos, stored.data());
   fx::quantize_row_i16(vk.data(), vk.size(), cache.key_params(),
                        scratch.data());
-  if (scratch != stored_key) return false;
+  if (scratch != stored) return false;
+  qv.value_row(pos, stored.data());
   fx::quantize_row_i16(vv.data(), vv.size(), cache.value_params(),
                        scratch.data());
-  return std::equal(scratch.begin(), scratch.end(), qv.value(pos));
+  return scratch == stored;
 }
 
 }  // namespace
@@ -572,9 +541,17 @@ void exact_attention_view(std::span<const float> q, const QuantizedKvView& kv,
 
   result->output.assign(kv.head_dim, 0.0f);
   const float v_scale = kv.value_params.scale;
-  for (std::size_t t = 0; t < kv.len; ++t) {
-    weighted_value_accum(result->output.data(), kv.value(t), result->probs[t],
-                         static_cast<double>(v_scale), kv.head_dim);
+  static thread_local std::vector<std::int16_t> block;
+  block.resize(kValueBlockRows * kv.head_dim);
+  for (std::size_t t = 0; t < kv.len; t += kValueBlockRows) {
+    const std::size_t run = std::min(kValueBlockRows, kv.len - t);
+    kv.value_rows(t, run, block.data());
+    for (std::size_t r = 0; r < run; ++r) {
+      weighted_value_accum(result->output.data(),
+                           block.data() + r * kv.head_dim,
+                           result->probs[t + r], static_cast<double>(v_scale),
+                           kv.head_dim);
+    }
   }
 }
 

@@ -21,12 +21,14 @@
 // interleavings); headroom > 1 trades the from-scratch scale for even fewer
 // rescales.
 //
-// Keys are stored once, in offset binary: u = k + 2^(T-1) (T = total_bits)
-// is an unsigned T-bit integer, cut into ceil(T/4) planes of packed 4-bit
-// nibbles, most significant first — two elements per byte, each token's row
-// byte-aligned (fx::KeyPlaneLayout, fixedpoint/chunks.h). At 12/4 a key
-// costs 1.5 B per element, the chunk_bits x head_dim bits the paper's
-// accelerator fetches. Offset binary is two's complement with the sign bit
+// Keys and values are stored once each, in offset binary: u = x + 2^(T-1)
+// (T = total_bits) is an unsigned T-bit integer, cut into ceil(T/4) planes
+// of packed 4-bit nibbles, most significant first — two elements per byte,
+// each token's row byte-aligned (fx::PlaneLayout, fixedpoint/chunks.h;
+// fx::pack_planes_i16 writes a row, fx::unpack_planes_i16 reads one back).
+// At 12 bits an element costs 1.5 B, the width the paper's accelerator
+// fetches: a head_dim-64 token-head holds 96 B of key planes and 96 B of
+// value planes. Offset binary is two's complement with the sign bit
 // flipped, and every chunk level c >= 1 knows the sign bit, so
 //   partial_value(k, c) == (u & ~(2^unknown_bits(c) - 1)) - 2^(T-1).
 // The estimation walk therefore starts each key's partial at the constant
@@ -36,9 +38,10 @@
 // sum, pruning decision and output bit is that of the two's-complement
 // fx::partial_dot_i64. Any chunk width from 1 to T reads the same planes. The
 // exact score is the walk with every chunk fetched (QuantizedKvView::
-// key_dot), and the cold readers that need the int16 key reassemble it from
-// the planes (key_row).
-// Values live in a flat int16 arena; nothing on the per-token heap.
+// key_dot). Values are read whole: step 1 unpacks each survivor's row into
+// int16 scratch (value_row) for weighted_value_accum, and the cold readers
+// that need an int16 key do the same (key_row). Nothing on the per-token
+// heap.
 #pragma once
 
 #include <cstdint>
@@ -61,21 +64,19 @@ struct QuantizedKvView {
   std::size_t head_dim = 0;
   fx::QuantParams key_params;    // shared scale across the head's keys
   fx::QuantParams value_params;  // shared scale across the head's values
-  const std::int16_t* values = nullptr;  // (len, head_dim) token-major
   // key_layout->planes() offset-binary nibble planes, each len rows of
-  // key_row_bytes() packed bytes, token-major. The only stored form of a
-  // key.
+  // row_bytes() packed bytes, token-major. The only stored form of a key.
   const std::vector<std::uint8_t>* key_planes = nullptr;
-  const fx::KeyPlaneLayout* key_layout = nullptr;
+  const fx::PlaneLayout* key_layout = nullptr;
+  // PlaneLayout::planes_for(value_params.total_bits) planes of the same
+  // shape: the only stored form of a value.
+  const std::vector<std::uint8_t>* value_planes = nullptr;
 
-  const std::int16_t* value(std::size_t t) const {
-    return values + t * head_dim;
-  }
-  std::size_t key_row_bytes() const {
-    return fx::KeyPlaneLayout::row_bytes(head_dim);
+  std::size_t row_bytes() const {
+    return fx::PlaneLayout::row_bytes(head_dim);
   }
   const std::uint8_t* key_plane_row(int plane, std::size_t t) const {
-    return key_planes[plane].data() + t * key_row_bytes();
+    return key_planes[plane].data() + t * row_bytes();
   }
 
   // -2^(T-1) * sum(q): the offset-binary correction every key's score
@@ -106,24 +107,46 @@ struct QuantizedKvView {
     std::int64_t acc = offset_dot;
     for (int j = 0; j < planes; ++j) {
       acc += fx::nibble_dot_i64(q, key_plane_row(j, t), 0xF, head_dim) *
-             (std::int64_t{1} << (fx::KeyPlaneLayout::kPlaneBits *
+             (std::int64_t{1} << (fx::PlaneLayout::kPlaneBits *
                                   (planes - 1 - j)));
     }
     return acc;
   }
-  // Reassembles key row t's int16 values into out[0, head_dim).
+  // Reassemble key / value row t's int16 elements into out[0, head_dim).
   void key_row(std::size_t t, std::int16_t* out) const {
-    const int planes = key_layout->planes();
-    for (std::size_t d = 0; d < head_dim; ++d) {
-      std::int32_t u = 0;
-      for (int j = 0; j < planes; ++j) {
-        u = (u << fx::KeyPlaneLayout::kPlaneBits) |
-            ((key_plane_row(j, t)[d / 2] >> (4 * (d % 2))) & 0xF);
-      }
-      out[d] = static_cast<std::int16_t>(u - key_layout->offset());
+    unpack(key_planes, key_params.total_bits, t, head_dim, out);
+  }
+  void value_row(std::size_t t, std::int16_t* out) const {
+    unpack(value_planes, value_params.total_bits, t, head_dim, out);
+  }
+  // Value rows [t, t + count) into out[0, count * head_dim). At an even
+  // head_dim the rows are contiguous in every plane, so they unpack in one
+  // kernel call, which amortizes its set-up over the run.
+  void value_rows(std::size_t t, std::size_t count, std::int16_t* out) const {
+    if (head_dim % 2 == 0) {
+      unpack(value_planes, value_params.total_bits, t, count * head_dim, out);
+      return;
+    }
+    for (std::size_t r = 0; r < count; ++r) {
+      value_row(t + r, out + r * head_dim);
     }
   }
+
+ private:
+  // n elements from the start of row t of the given planes.
+  void unpack(const std::vector<std::uint8_t>* planes, int total_bits,
+              std::size_t t, std::size_t n, std::int16_t* out) const {
+    const std::uint8_t* rows[4];  // total_bits <= 15: at most 4 planes
+    for (int j = 0; j < fx::PlaneLayout::planes_for(total_bits); ++j) {
+      rows[j] = planes[j].data() + t * row_bytes();
+    }
+    fx::unpack_planes_i16(rows, n, total_bits, out);
+  }
 };
+
+// Value rows step 1 unpacks per kernel call, at most: runs of consecutive
+// tokens unpack together (QuantizedKvView::value_rows).
+inline constexpr std::size_t kValueBlockRows = 16;
 
 // out[d] += float(p * double(v[d]) * v_scale) for d in [0, n): the
 // survivor-weighted V accumulation of the softmax output. Dispatches at
@@ -152,20 +175,21 @@ inline void weighted_value_accum_scalar(float* out, const std::int16_t* v,
 // cache's append/requantize paths (the prompt-prefill hot kernel).
 
 // One head's quantized K and V: the library's one owning form of a
-// quantized head. Keys are the offset-binary nibble planes described above,
-// the only stored form of a key; values are one flat (len, head_dim) int16
-// arena. quantize_kv() builds one per accelerator instance, and
-// QuantizedKvCache embeds one and mutates it row by row. The members are
-// public, so a head need not come from either: push_row refuses a key the
-// planes cannot hold, and view() refuses arenas that do not hold exactly
-// len rows of head_dim.
+// quantized head. Keys and values are each one arena of the offset-binary
+// nibble planes described above, their only stored form. quantize_kv()
+// builds one per accelerator instance, and QuantizedKvCache embeds one and
+// mutates it row by row. The members are public, so a head need not come
+// from either: push_row refuses an element the planes cannot hold, and
+// view() refuses arenas that do not hold exactly len rows of head_dim.
 struct QuantizedKv {
-  struct Keys {
-    fx::QuantParams params;     // shared scale across the head's keys
-    fx::KeyPlaneLayout layout;  // of params' bit layout
-    // layout.planes() nibble planes, each len rows of
-    // KeyPlaneLayout::row_bytes(head_dim) packed bytes, token-major.
+  struct Arena {
+    fx::QuantParams params;  // shared scale across the arena's rows
+    // PlaneLayout::planes_for(params.total_bits) nibble planes, each len
+    // rows of PlaneLayout::row_bytes(head_dim) packed bytes, token-major.
     std::vector<std::vector<std::uint8_t>> planes;
+  };
+  struct Keys : Arena {
+    fx::PlaneLayout layout;  // the estimation walk's chunk slices of params
 
     // A key row's handle: its params, which every row of the head shares.
     // Its bits are read through view().
@@ -174,46 +198,45 @@ struct QuantizedKv {
     };
     Row operator[](std::size_t) const { return {params}; }
   };
-  struct Values {
-    fx::QuantParams params;          // shared scale across the head's values
-    std::vector<std::int16_t> data;  // (len, head_dim) token-major
-  };
-
   Keys keys;
-  Values values;
+  Arena values;
   std::size_t head_dim = 0;
   std::size_t len = 0;
 
   // Sets precision/scale and head_dim; drops all rows, keeps capacity.
   // Throws (require), changing nothing, unless key_params.total_bits is in
-  // [2, 15] and chunk_bits in [1, total_bits].
+  // [2, 15] and chunk_bits in [1, total_bits], and value_params.total_bits
+  // is in [2, 15] (a value's chunk_bits is never read).
   void reset(const fx::QuantParams& key_params,
              const fx::QuantParams& value_params, std::size_t head_dim);
   void clear_rows();
-  // Appends one already-quantized token: the key row goes into the nibble
-  // planes, the value row into the arena. Throws (require), changing
-  // nothing, unless every key element lies in [keys.params.qmin(),
-  // keys.params.qmax()] — the range the offset-binary planes hold, and the
-  // range quantize() output always lies in.
+  // Appends one already-quantized token into both arenas' planes. Throws
+  // (require), changing nothing, unless every key element lies in
+  // [keys.params.qmin(), keys.params.qmax()] and every value element in
+  // [values.params.qmin(), values.params.qmax()] — the ranges the
+  // offset-binary planes hold, and the ranges quantize() output always lies
+  // in.
   void push_row(const std::int16_t* k_row, const std::int16_t* v_row);
-  // Packs key row t in place, into plane bytes already sized to hold it.
-  // Returns false, row t then holding garbage, when some element lies outside
-  // [keys.params.qmin(), keys.params.qmax()].
+  // Pack key / value row t in place, into plane bytes already sized to hold
+  // it. Return false, row t then holding garbage, when some element lies
+  // outside the arena's [qmin, qmax].
   bool write_key_row(std::size_t t, const std::int16_t* k_row);
+  bool write_value_row(std::size_t t, const std::int16_t* v_row);
   // Stable in-place removal of rows where keep[r] == 0.
   void compact(const std::uint8_t* keep);
 
-  // Throws (require) unless there are layout.planes() key planes and every
-  // arena holds exactly len rows of head_dim.
+  // Throws (require) unless each arena's total_bits is in [2, 15], it has
+  // planes_for(total_bits) planes (keys: also layout.planes()) and every
+  // plane holds exactly len rows of head_dim.
   QuantizedKvView view() const;
 };
 
 // Quantizes a float head at `base`'s precision: one symmetric scale per
 // arena, chosen over all of its len x head_dim floats (fx::choose_scale, so
-// an inf element throws), then each key row quantized into a head_dim
-// scratch and packed straight into planes sized to exactly len rows; no
-// arena holds capacity slack. Bit-identical to QuantizedKvCache::rebuild at
-// headroom 1.
+// an inf element throws), then each key and value row quantized into a
+// head_dim scratch and packed straight into planes sized to exactly len
+// rows; no plane holds capacity slack. Bit-identical to
+// QuantizedKvCache::rebuild at headroom 1.
 QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base);
 
 // Float-row provider for whole-head rescales, keyed by the caller's stable
@@ -317,11 +340,13 @@ class QuantizedKvCache {
   // section and FleetMetrics' kv_* fields aggregate these). There is no float
   // shadow: rescales re-read the rows through the RescaleSource.
   struct ResidencyBytes {
-    std::size_t int16_arena = 0;  // flat value rows (keys live in planes)
-    std::size_t planes = 0;       // offset-binary key nibble planes
-    std::size_t maxima = 0;       // per-row amax pairs + running maxima
-    std::size_t ids = 0;          // stable token ids
-    std::size_t total() const { return int16_arena + planes + maxima + ids; }
+    std::size_t value_planes = 0;  // offset-binary value nibble planes
+    std::size_t key_planes = 0;    // offset-binary key nibble planes
+    std::size_t maxima = 0;        // per-row amax pairs + running maxima
+    std::size_t ids = 0;           // stable token ids
+    std::size_t total() const {
+      return value_planes + key_planes + maxima + ids;
+    }
   };
   ResidencyBytes residency() const;
 

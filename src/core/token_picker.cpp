@@ -11,16 +11,26 @@ namespace topick {
 
 double survivor_softmax(std::span<const std::size_t> survivors,
                         std::span<const double> scores,
-                        const std::int16_t* values, std::size_t head_dim,
-                        float v_scale, std::vector<float>* out) {
+                        const QuantizedKvView& kv, std::vector<float>* out) {
   require(!scores.empty(),
           "token_picker: at least one token must survive estimation");
   const double log_denom = log_sum_exp(scores.data(), scores.size());
-  out->assign(head_dim, 0.0f);
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    const double p = std::exp(scores[i] - log_denom);
-    weighted_value_accum(out->data(), values + survivors[i] * head_dim, p,
-                         static_cast<double>(v_scale), head_dim);
+  out->assign(kv.head_dim, 0.0f);
+  static thread_local std::vector<std::int16_t> block;
+  block.resize(kValueBlockRows * kv.head_dim);
+  const auto v_scale = static_cast<double>(kv.value_params.scale);
+  for (std::size_t i = 0; i < survivors.size();) {
+    std::size_t run = 1;
+    while (run < kValueBlockRows && i + run < survivors.size() &&
+           survivors[i + run] == survivors[i] + run) {
+      ++run;
+    }
+    kv.value_rows(survivors[i], run, block.data());
+    for (std::size_t r = 0; r < run; ++r, ++i) {
+      const double p = std::exp(scores[i] - log_denom);
+      weighted_value_accum(out->data(), block.data() + r * kv.head_dim, p,
+                           v_scale, kv.head_dim);
+    }
   }
   return log_denom;
 }
@@ -157,8 +167,7 @@ void TokenPickerAttention::attend_view(const fx::QuantizedVector& q,
     surv_compact_.push_back(survivor_scores_[t]);
   }
   result->log_denominator =
-      survivor_softmax(surv_tokens_, surv_compact_, kv.values, head_dim,
-                       kv.value_params.scale, &result->output);
+      survivor_softmax(surv_tokens_, surv_compact_, kv, &result->output);
 
   // Oracle diagnostic: true probability mass of pruned tokens under the full
   // quantized softmax (uses data already in memory; no fetch accounting).

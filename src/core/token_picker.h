@@ -104,15 +104,15 @@ class PrunePersistence {
 // Step 1 of Token-Picker (§3.1): the renormalized softmax over the tokens
 // that survived estimation and its weighted V sum. `survivors` lists them in
 // ascending token order and `scores` their exact scores in the same order;
-// `values` is the head's (len, head_dim) token-major V arena at `v_scale`.
-// Overwrites `out` with head_dim floats and returns the exact ln of the
+// each survivor's value row is unpacked from kv's value planes
+// (QuantizedKvView::value_row) and weighted at kv.value_params.scale.
+// Overwrites `out` with kv.head_dim floats and returns the exact ln of the
 // survivor denominator; throws when nothing survived. TokenPickerAttention
 // and the accelerator model both end here, so their outputs agree bit for
 // bit.
 double survivor_softmax(std::span<const std::size_t> survivors,
                         std::span<const double> scores,
-                        const std::int16_t* values, std::size_t head_dim,
-                        float v_scale, std::vector<float>* out);
+                        const QuantizedKvView& kv, std::vector<float>* out);
 
 class TokenPickerAttention {
  public:

@@ -88,12 +88,12 @@ std::int64_t partial_dot_i64(QuantizedRowView q, QuantizedRowView k,
   return acc;
 }
 
-KeyPlaneLayout::KeyPlaneLayout(const QuantParams& params) {
+PlaneLayout::PlaneLayout(const QuantParams& params) {
   require(params.total_bits >= 2 && params.total_bits <= 15,
-          "KeyPlaneLayout: total_bits must be in [2, 15] for int16 storage");
+          "PlaneLayout: total_bits must be in [2, 15] for int16 storage");
   require(params.chunk_bits >= 1 && params.chunk_bits <= params.total_bits,
-          "KeyPlaneLayout: chunk_bits must be in [1, total_bits]");
-  planes_ = (params.total_bits + kPlaneBits - 1) / kPlaneBits;
+          "PlaneLayout: chunk_bits must be in [1, total_bits]");
+  planes_ = planes_for(params.total_bits);
   offset_ = std::int32_t{1} << (params.total_bits - 1);
   const int num_chunks = params.num_chunks();
   std::size_t n = 0;

@@ -45,19 +45,21 @@ std::int16_t assemble(const std::vector<std::uint16_t>& chunks,
 std::int64_t partial_dot_i64(QuantizedRowView q, QuantizedRowView k,
                              int chunks_known);
 
-// ---- offset-binary nibble planes (the stored key layout) --------------------
+// ---- offset-binary nibble planes (the stored K/V layout) --------------------
 //
 // Every quantized head (QuantizedKv, core/quantized_kv_cache.h) stores a key
-// k as the unsigned total_bits-wide integer u = k + 2^(total_bits-1), cut
-// into 4-bit nibble planes, most significant first: plane j of
-// P = ceil(total_bits / 4) holds bits [4(P-1-j), 4(P-j)) of u. Since
+// or value x as the unsigned total_bits-wide integer u = x + 2^(total_bits-1),
+// cut into 4-bit nibble planes, most significant first: plane j of
+// P = ceil(total_bits / 4) holds bits [4(P-1-j), 4(P-j)) of u
+// (fx::pack_planes_i16 and fx::unpack_planes_i16, fixedpoint/dispatch.h,
+// convert int16 rows to planes and back). For keys, since
 // partial_value(k, c) == (u & ~(2^unknown_bits(c) - 1)) - 2^(total_bits-1)
 // for every c >= 1 (the derivation is in that header), chunk b's delta is
 // sum_d q_d * (u_d & chunk b's bits), plus -2^(total_bits-1) * sum(q) once,
 // and chunk b's bits are a masked slice of each nibble plane the chunk
-// overlaps. KeyPlaneLayout lists those slices for one (total_bits,
+// overlaps. PlaneLayout lists those slices for one (total_bits,
 // chunk_bits) layout.
-class KeyPlaneLayout {
+class PlaneLayout {
  public:
   static constexpr int kPlaneBits = 4;
 
@@ -69,12 +71,16 @@ class KeyPlaneLayout {
     std::uint8_t shift = 0;
   };
 
-  KeyPlaneLayout() : KeyPlaneLayout(QuantParams{}) {}
+  PlaneLayout() : PlaneLayout(QuantParams{}) {}
   // Throws unless total_bits is in [2, 15] and chunk_bits in [1, total_bits]
   // — the int16 range quantize() enforces.
-  explicit KeyPlaneLayout(const QuantParams& params);
+  explicit PlaneLayout(const QuantParams& params);
 
   int planes() const { return planes_; }
+  // ceil(total_bits / 4): the planes of a total_bits-wide element.
+  static constexpr int planes_for(int total_bits) {
+    return (total_bits + kPlaneBits - 1) / kPlaneBits;
+  }
   // Chunk b's slices, most significant plane first.
   std::span<const Segment> chunk(int b) const {
     return {segments_.data() + chunk_begin_[static_cast<std::size_t>(b)],

@@ -61,7 +61,7 @@ struct FixedRatio {
 
 FixedRatio make_fixed_ratio(float old_scale, float new_scale);
 
-// One ISA variant of the six hot kernels. All entries are element-exact
+// One ISA variant of the eight hot kernels. All entries are element-exact
 // against the scalar references below (the registry's invariant).
 struct KernelTable {
   IsaLevel level = IsaLevel::scalar;
@@ -80,6 +80,10 @@ struct KernelTable {
   std::int64_t (*nibble_dot_i64)(const std::int16_t* q,
                                  const std::uint8_t* nibbles,
                                  std::uint8_t mask, std::size_t n) = nullptr;
+  bool (*pack_planes_i16)(const std::int16_t* src, std::size_t n,
+                          int total_bits, std::uint8_t* const* rows) = nullptr;
+  void (*unpack_planes_i16)(const std::uint8_t* const* rows, std::size_t n,
+                            int total_bits, std::int16_t* out) = nullptr;
 };
 
 // Scalar reference kernels (always compiled, portable TU — the equivalence
@@ -108,7 +112,7 @@ void rescale_row_i16_scalar(const std::int16_t* src, std::size_t n,
 // n packed 4-bit elements, two per byte with element 2j in the low nibble of
 // nibbles[j] (ceil(n / 2) bytes are read; an odd n ignores the last byte's
 // high nibble). The estimation walk's per-(token, chunk) kernel over an
-// offset-binary key nibble plane (fixedpoint/chunks.h KeyPlaneLayout); mask
+// offset-binary key nibble plane (fixedpoint/chunks.h PlaneLayout); mask
 // selects the chunk's bits within the plane, and bits above 0xF are
 // ignored. Exact for ANY int16 q and any n: a nibble is at most 15, so each
 // SIMD pair sum is below 2^20 in magnitude, and the variants widen their
@@ -116,6 +120,23 @@ void rescale_row_i16_scalar(const std::int16_t* src, std::size_t n,
 std::int64_t nibble_dot_i64_scalar(const std::int16_t* q,
                                    const std::uint8_t* nibbles,
                                    std::uint8_t mask, std::size_t n);
+
+// Offset-binary nibble-plane pack, the one writer of a stored key or value
+// row (fixedpoint/chunks.h PlaneLayout): with P = ceil(total_bits / 4) and
+// u_i = src[i] + 2^(total_bits-1), plane row rows[j] (j in [0, P)) receives
+// bits [4(P-1-j), 4(P-j)) of each u_i, element 2i in the low nibble of byte
+// i; an odd n leaves the last byte's high nibble 0. Writes ceil(n / 2)
+// bytes per plane. Returns false when some element lies outside
+// [-2^(total_bits-1), 2^(total_bits-1) - 1]; each element is then stored as
+// its low total_bits bits with the top one flipped, the same bytes at every
+// ISA level. Precondition: total_bits in [2, 15].
+bool pack_planes_i16_scalar(const std::int16_t* src, std::size_t n,
+                            int total_bits, std::uint8_t* const* rows);
+// Its inverse, the one reader of a stored int16 row: out[i] = u_i -
+// 2^(total_bits-1), u_i reassembled from the plane rows (an odd n ignores the
+// last byte's high nibble). Integer bit moves only, so every variant is exact.
+void unpack_planes_i16_scalar(const std::uint8_t* const* rows, std::size_t n,
+                              int total_bits, std::int16_t* out);
 
 // Every variant compiled into this binary, ascending by level (scalar is
 // always first). A variant whose per-file arch flags the compiler rejected
@@ -187,6 +208,23 @@ inline std::int64_t nibble_dot_i64(const std::int16_t* q,
                                    std::uint8_t mask, std::size_t n) {
   if (n < 16) return nibble_dot_i64_scalar(q, nibbles, mask, n);
   return active_kernels().nibble_dot_i64(q, nibbles, mask, n);
+}
+
+// Dispatched plane pack/unpack (integer bit moves — exact, so every variant
+// is bit-identical by construction; pinned per level by dispatch_test). Tiny
+// rows take the scalar loop rather than the indirect call.
+inline bool pack_planes_i16(const std::int16_t* src, std::size_t n,
+                            int total_bits, std::uint8_t* const* rows) {
+  if (n < 16) return pack_planes_i16_scalar(src, n, total_bits, rows);
+  return active_kernels().pack_planes_i16(src, n, total_bits, rows);
+}
+inline void unpack_planes_i16(const std::uint8_t* const* rows, std::size_t n,
+                              int total_bits, std::int16_t* out) {
+  if (n < 16) {
+    unpack_planes_i16_scalar(rows, n, total_bits, out);
+    return;
+  }
+  active_kernels().unpack_planes_i16(rows, n, total_bits, out);
 }
 
 }  // namespace topick::fx

@@ -219,6 +219,98 @@ std::int64_t nibble_dot_i64_avx2(const std::int16_t* q,
   return sum;
 }
 
+bool pack_planes_i16_avx2(const std::int16_t* src, std::size_t n,
+                          int total_bits, std::uint8_t* const* rows) {
+  // The SSE4.1 algorithm (see kernels_sse41.cpp) on 64 elements per
+  // iteration. The two packs run per 128-bit lane, leaving the plane row's
+  // 4-byte groups in the order 0, 2, 4, 6, 1, 3, 5, 7; one vpermd restores
+  // element order.
+  const int planes = PlaneLayout::planes_for(total_bits);
+  const int half = 1 << (total_bits - 1);
+  const __m256i low = _mm256_set1_epi16(static_cast<short>(2 * half - 1));
+  const __m256i offset = _mm256_set1_epi16(static_cast<short>(half));
+  const __m256i qmax = _mm256_set1_epi16(static_cast<short>(half - 1));
+  const __m256i qmin = _mm256_set1_epi16(static_cast<short>(-half));
+  const __m256i nibble = _mm256_set1_epi16(0xF);
+  const __m256i pair = _mm256_set1_epi32(0x00100001);
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  __m256i bad = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    __m256i u[4];
+    for (int k = 0; k < 4; ++k) {
+      const __m256i x = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(src + i + 16 * k));
+      bad = _mm256_or_si256(bad, _mm256_or_si256(_mm256_cmpgt_epi16(x, qmax),
+                                                 _mm256_cmpgt_epi16(qmin, x)));
+      u[k] = _mm256_xor_si256(_mm256_and_si256(x, low), offset);
+    }
+    for (int j = 0; j < planes; ++j) {
+      const __m128i shift = _mm_cvtsi32_si128(4 * (planes - 1 - j));
+      __m256i b[4];
+      for (int k = 0; k < 4; ++k) {
+        b[k] = _mm256_madd_epi16(
+            _mm256_and_si256(_mm256_srl_epi16(u[k], shift), nibble), pair);
+      }
+      const __m256i bytes =
+          _mm256_packus_epi16(_mm256_packus_epi32(b[0], b[1]),
+                              _mm256_packus_epi32(b[2], b[3]));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(rows[j] + i / 2),
+                          _mm256_permutevar8x32_epi32(bytes, order));
+    }
+  }
+  bool in_range = _mm256_testz_si256(bad, bad) != 0;
+  if (i < n) in_range &= pack_planes_tail(src, i, n, total_bits, rows);
+  return in_range;
+}
+
+void unpack_planes_i16_avx2(const std::uint8_t* const* rows, std::size_t n,
+                            int total_bits, std::int16_t* out) {
+  // The SSE4.1 algorithm (see kernels_sse41.cpp) on 64 elements (32 bytes
+  // per plane) per iteration. The unpacks run per 128-bit lane, so word
+  // vector k holds elements [8k, 8k + 8) and [32 + 8k, 40 + 8k); two
+  // vperm2i128 per output pair restore element order.
+  const int planes = PlaneLayout::planes_for(total_bits);
+  const __m256i lo_nibbles = _mm256_set1_epi8(0x0F);
+  const __m256i hi_nibbles = _mm256_set1_epi8(static_cast<char>(0xF0));
+  const __m256i offset =
+      _mm256_set1_epi16(static_cast<short>(1 << (total_bits - 1)));
+  const auto load = [&](int j, std::size_t i) {
+    return j >= 0 ? _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i*>(rows[j] + i / 2))
+                  : _mm256_setzero_si256();
+  };
+  const auto merge = [&](__m256i a, __m256i b, __m256i* e0, __m256i* e1) {
+    const __m256i even =
+        _mm256_or_si256(_mm256_and_si256(_mm256_slli_epi16(a, 4), hi_nibbles),
+                        _mm256_and_si256(b, lo_nibbles));
+    const __m256i odd = _mm256_or_si256(
+        _mm256_and_si256(a, hi_nibbles),
+        _mm256_and_si256(_mm256_srli_epi16(b, 4), lo_nibbles));
+    *e0 = _mm256_unpacklo_epi8(even, odd);
+    *e1 = _mm256_unpackhi_epi8(even, odd);
+  };
+  const auto store = [&](std::int16_t* dst, __m256i words) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                        _mm256_sub_epi16(words, offset));
+  };
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    __m256i lo0, lo1, hi0, hi1;
+    merge(load(planes - 2, i), load(planes - 1, i), &lo0, &lo1);
+    merge(load(planes - 4, i), load(planes - 3, i), &hi0, &hi1);
+    const __m256i w0 = _mm256_unpacklo_epi8(lo0, hi0);
+    const __m256i w1 = _mm256_unpackhi_epi8(lo0, hi0);
+    const __m256i w2 = _mm256_unpacklo_epi8(lo1, hi1);
+    const __m256i w3 = _mm256_unpackhi_epi8(lo1, hi1);
+    store(out + i, _mm256_permute2x128_si256(w0, w1, 0x20));
+    store(out + i + 16, _mm256_permute2x128_si256(w2, w3, 0x20));
+    store(out + i + 32, _mm256_permute2x128_si256(w0, w1, 0x31));
+    store(out + i + 48, _mm256_permute2x128_si256(w2, w3, 0x31));
+  }
+  if (i < n) unpack_planes_tail(rows, i, n, total_bits, out);
+}
+
 float row_amax_avx2(const float* xs, std::size_t n) {
   // max over |x| is order-independent (no rounding), so the vector reduction
   // is exact. Operand order matters for NaN: maxps returns its SECOND
@@ -253,6 +345,7 @@ const KernelTable& avx2_kernels() {
       row_dot_i64_avx2,      weighted_value_accum_avx2,
       quantize_row_i16_avx2, row_amax_avx2,
       rescale_row_i16_avx2,  nibble_dot_i64_avx2,
+      pack_planes_i16_avx2,  unpack_planes_i16_avx2,
   };
   return table;
 }

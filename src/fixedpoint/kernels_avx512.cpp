@@ -184,6 +184,111 @@ std::int64_t nibble_dot_i64_avx512(const std::int16_t* q,
   return sum;
 }
 
+bool pack_planes_i16_avx512(const std::int16_t* src, std::size_t n,
+                            int total_bits, std::uint8_t* const* rows) {
+  // 32 elements per step, the scalar bit moves per lane (see the SSE4.1
+  // variant): per plane, one madd turns each int16 pair's shifted nibbles
+  // into an int32 lane below 256 and vpmovdb narrows the 16 lanes to the
+  // plane row's 16 bytes in order. The tail step loads its missing elements
+  // as qmin (u = 0, as the scalar odd-row pad) and stores only the bytes it
+  // covers.
+  const int planes = PlaneLayout::planes_for(total_bits);
+  const int half = 1 << (total_bits - 1);
+  const __m512i low = _mm512_set1_epi16(static_cast<short>(2 * half - 1));
+  const __m512i offset = _mm512_set1_epi16(static_cast<short>(half));
+  const __m512i qmax = _mm512_set1_epi16(static_cast<short>(half - 1));
+  const __m512i qmin = _mm512_set1_epi16(static_cast<short>(-half));
+  const __m512i nibble = _mm512_set1_epi16(0xF);
+  const __m512i pair = _mm512_set1_epi32(0x00100001);
+  __mmask32 bad = 0;
+  const auto step = [&](std::size_t i, __m512i x, __mmask16 bytes) {
+    bad |= _mm512_cmpgt_epi16_mask(x, qmax) | _mm512_cmpgt_epi16_mask(qmin, x);
+    const __m512i u = _mm512_xor_si512(_mm512_and_si512(x, low), offset);
+    for (int j = 0; j < planes; ++j) {
+      const __m128i shift = _mm_cvtsi32_si128(4 * (planes - 1 - j));
+      const __m512i b = _mm512_madd_epi16(
+          _mm512_and_si512(_mm512_srl_epi16(u, shift), nibble), pair);
+      _mm_mask_storeu_epi8(rows[j] + i / 2, bytes, _mm512_cvtepi32_epi8(b));
+    }
+  };
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) step(i, _mm512_loadu_si512(src + i), 0xFFFF);
+  if (i < n) {
+    const std::size_t rest = n - i;
+    step(i,
+         _mm512_mask_loadu_epi16(qmin, static_cast<__mmask32>((1u << rest) - 1),
+                                 src + i),
+         static_cast<__mmask16>((1u << ((rest + 1) / 2)) - 1));
+  }
+  return bad == 0;
+}
+
+void unpack_planes_i16_avx512(const std::uint8_t* const* rows, std::size_t n,
+                              int total_bits, std::int16_t* out) {
+  // 64 elements (32 bytes per plane) per iteration: the AVX2 byte merge
+  // (see kernels_avx2.cpp and kernels_sse41.cpp), each nibble select one
+  // vpternlogd — two adjacent planes merge into one byte per element, the
+  // two least significant making u's low byte and the two above them its
+  // high byte, and the per-lane unpacks are put back in element order by
+  // vperm2i128. The remainder runs 32-element masked steps instead: each
+  // plane's bytes zero-extend into 16 int32 lanes, and (x | x << 12) &
+  // 0x000F000F spreads each byte's nibbles into the lane's int16 pair in
+  // element order (as in nibble_dot_i64); the steps load and store only
+  // what they cover.
+  const int planes = PlaneLayout::planes_for(total_bits);
+  const auto half = static_cast<short>(1 << (total_bits - 1));
+  const __m256i lo_nibbles = _mm256_set1_epi8(0x0F);
+  const __m256i offset = _mm256_set1_epi16(half);
+  const auto load = [&](int j, std::size_t i) {
+    return j >= 0 ? _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i*>(rows[j] + i / 2))
+                  : _mm256_setzero_si256();
+  };
+  // a ? b : c per bit, a the low-nibble mask (truth table 0xAC).
+  const auto merge = [&](__m256i a, __m256i b, __m256i* e0, __m256i* e1) {
+    const __m256i even = _mm256_ternarylogic_epi32(
+        lo_nibbles, _mm256_slli_epi16(a, 4), b, 0xAC);
+    const __m256i odd = _mm256_ternarylogic_epi32(
+        lo_nibbles, a, _mm256_srli_epi16(b, 4), 0xAC);
+    *e0 = _mm256_unpacklo_epi8(even, odd);
+    *e1 = _mm256_unpackhi_epi8(even, odd);
+  };
+  const auto store = [&](std::int16_t* dst, __m256i words) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                        _mm256_sub_epi16(words, offset));
+  };
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    __m256i lo0, lo1, hi0, hi1;
+    merge(load(planes - 2, i), load(planes - 1, i), &lo0, &lo1);
+    merge(load(planes - 4, i), load(planes - 3, i), &hi0, &hi1);
+    const __m256i w0 = _mm256_unpacklo_epi8(lo0, hi0);
+    const __m256i w1 = _mm256_unpackhi_epi8(lo0, hi0);
+    const __m256i w2 = _mm256_unpacklo_epi8(lo1, hi1);
+    const __m256i w3 = _mm256_unpackhi_epi8(lo1, hi1);
+    store(out + i, _mm256_permute2x128_si256(w0, w1, 0x20));
+    store(out + i + 16, _mm256_permute2x128_si256(w2, w3, 0x20));
+    store(out + i + 32, _mm256_permute2x128_si256(w0, w1, 0x31));
+    store(out + i + 48, _mm256_permute2x128_si256(w2, w3, 0x31));
+  }
+  const __m512i k = _mm512_set1_epi32(0x000F000F);
+  for (; i < n; i += 32) {
+    const std::size_t rest = n - i < 32 ? n - i : 32;
+    const auto bytes = static_cast<__mmask16>((1u << ((rest + 1) / 2)) - 1);
+    __m512i u = _mm512_setzero_si512();
+    for (int j = 0; j < planes; ++j) {
+      const __m512i x =
+          _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(bytes, rows[j] + i / 2));
+      u = _mm512_or_si512(
+          _mm512_slli_epi16(u, 4),
+          _mm512_ternarylogic_epi32(x, _mm512_slli_epi32(x, 12), k, 0xA8));
+    }
+    _mm512_mask_storeu_epi16(
+        out + i, static_cast<__mmask32>((std::uint64_t{1} << rest) - 1),
+        _mm512_sub_epi16(u, _mm512_set1_epi16(half)));
+  }
+}
+
 float row_amax_avx512(const float* xs, std::size_t n) {
   // Exact (max has no rounding); running max second so a NaN element keeps
   // the running max, like the scalar fold — see the AVX2 variant's note.
@@ -213,6 +318,7 @@ const KernelTable& avx512_kernels() {
       row_dot_i64_avx512,      weighted_value_accum_avx512,
       quantize_row_i16_avx512, row_amax_avx512,
       rescale_row_i16_avx512,  nibble_dot_i64_avx512,
+      pack_planes_i16_avx512,  unpack_planes_i16_avx512,
   };
   return table;
 }

@@ -82,6 +82,10 @@ const KernelTable& neon_kernels() {
       // nibble_dot_i64 is a widening int16 x nibble dot; the scalar loop is
       // the ARM path for the same correctness-target reason.
       nibble_dot_i64_scalar,
+      // The plane pack/unpack are integer bit moves; the scalar loops are
+      // the ARM path for the same reason.
+      pack_planes_i16_scalar,
+      unpack_planes_i16_scalar,
   };
   return table;
 }

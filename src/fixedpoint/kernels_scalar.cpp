@@ -4,8 +4,11 @@
 // that disagrees with any function in this file on any input is a bug, not
 // a rounding difference (see fixedpoint/dispatch.h).
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
+#include "fixedpoint/chunks.h"
 #include "fixedpoint/kernels.h"
 
 namespace topick::fx {
@@ -88,6 +91,73 @@ std::int64_t nibble_dot_i64_scalar(const std::int16_t* q,
   return acc;
 }
 
+// Offset-binary packing, two int16 elements per 32-bit word (element 2i in
+// the low half). For an element x of T = total_bits bits, u = x + 2^(T-1) is
+// x's low T bits with the top one flipped: bitwise, so no half carries into
+// the other. x lies in [qmin, qmax] iff (x + 2^(T-1)) mod 2^16 < 2^T, a
+// half-wise add whose top bit is added apart so that it cannot carry out.
+// Full blocks of 16 pairs run fixed-count loops, which the compiler
+// vectorizes.
+static_assert(std::endian::native == std::endian::little,
+              "pack_planes_i16 reads element pairs in little-endian order");
+static_assert(PlaneLayout::kPlaneBits == 4);
+
+bool pack_planes_i16_scalar(const std::int16_t* src, std::size_t n,
+                            int total_bits, std::uint8_t* const* rows) {
+  constexpr std::uint32_t kHalves = 0x00010001u;
+  constexpr std::uint32_t kTop = kHalves * 0x8000u;
+  constexpr std::size_t kBlockPairs = 16;
+  const int planes = PlaneLayout::planes_for(total_bits);
+  const std::uint32_t offset = kHalves << (total_bits - 1);
+  const std::uint32_t low = kHalves * ((1u << total_bits) - 1);
+  std::uint32_t bad = 0;
+  // Packs `count` <= kBlockPairs pairs read from pairs into byte p onward.
+  const auto encode = [&](const std::int16_t* pairs, std::size_t p,
+                          std::size_t count) {
+    if (count == 0) return;  // an empty row may come with a null pointer
+    std::uint32_t u[kBlockPairs];
+    std::memcpy(u, pairs, count * sizeof(std::uint32_t));
+    for (std::size_t e = 0; e < count; ++e) {
+      bad |= (((u[e] & ~kTop) + offset) ^ (u[e] & kTop)) & ~low;
+      u[e] = (u[e] & low) ^ offset;
+    }
+    for (int j = 0; j < planes; ++j) {
+      const int shift = 4 * (planes - 1 - j);
+      std::uint8_t* row = rows[j] + p;
+      for (std::size_t e = 0; e < count; ++e) {
+        const std::uint32_t x = (u[e] >> shift) & 0x000F000Fu;
+        row[e] = static_cast<std::uint8_t>(x | (x >> 12));
+      }
+    }
+  };
+  const std::size_t pairs = n / 2;
+  std::size_t p = 0;
+  for (; p + kBlockPairs <= pairs; p += kBlockPairs) {
+    encode(src + 2 * p, p, kBlockPairs);
+  }
+  encode(src + 2 * p, p, pairs - p);
+  if (n % 2 != 0) {
+    // Pairs the last element with qmin, whose u is 0 in every plane.
+    const std::int16_t last[2] = {
+        src[n - 1], static_cast<std::int16_t>(-(1 << (total_bits - 1)))};
+    encode(last, pairs, 1);
+  }
+  return bad == 0;
+}
+
+void unpack_planes_i16_scalar(const std::uint8_t* const* rows, std::size_t n,
+                              int total_bits, std::int16_t* out) {
+  const int planes = PlaneLayout::planes_for(total_bits);
+  const std::int32_t offset = std::int32_t{1} << (total_bits - 1);
+  for (std::size_t d = 0; d < n; ++d) {
+    std::int32_t u = 0;
+    for (int j = 0; j < planes; ++j) {
+      u = (u << 4) | ((rows[j][d / 2] >> (4 * (d % 2))) & 0xF);
+    }
+    out[d] = static_cast<std::int16_t>(u - offset);
+  }
+}
+
 float row_amax_scalar(const float* xs, std::size_t n) {
   // std::max(amax, NaN) keeps amax (the comparison is false), so NaN
   // elements are skipped; |−0.0| folds to +0.0. SIMD variants order their
@@ -108,6 +178,7 @@ const KernelTable& scalar_kernels() {
       row_dot_i64_scalar,      weighted_value_accum_scalar,
       quantize_row_i16_scalar, row_amax_scalar,
       rescale_row_i16_scalar,  nibble_dot_i64_scalar,
+      pack_planes_i16_scalar,  unpack_planes_i16_scalar,
   };
   return table;
 }

@@ -188,6 +188,92 @@ std::int64_t nibble_dot_i64_sse41(const std::int16_t* q,
   return sum;
 }
 
+bool pack_planes_i16_sse41(const std::int16_t* src, std::size_t n,
+                           int total_bits, std::uint8_t* const* rows) {
+  // 32 elements per iteration, the scalar bit moves per lane: the range
+  // check, u = (x & low) ^ offset, then per plane each int16 pair's shifted
+  // nibbles (lo + 16 * hi, one madd) as an int32 lane narrowed to a byte by
+  // two unsigned-saturating packs (every lane is below 256).
+  const int planes = PlaneLayout::planes_for(total_bits);
+  const int half = 1 << (total_bits - 1);
+  const __m128i low = _mm_set1_epi16(static_cast<short>(2 * half - 1));
+  const __m128i offset = _mm_set1_epi16(static_cast<short>(half));
+  const __m128i qmax = _mm_set1_epi16(static_cast<short>(half - 1));
+  const __m128i qmin = _mm_set1_epi16(static_cast<short>(-half));
+  const __m128i nibble = _mm_set1_epi16(0xF);
+  const __m128i pair = _mm_set1_epi32(0x00100001);
+  __m128i bad = _mm_setzero_si128();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m128i u[4];
+    for (int k = 0; k < 4; ++k) {
+      const __m128i x =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i + 8 * k));
+      bad = _mm_or_si128(bad, _mm_or_si128(_mm_cmpgt_epi16(x, qmax),
+                                           _mm_cmpgt_epi16(qmin, x)));
+      u[k] = _mm_xor_si128(_mm_and_si128(x, low), offset);
+    }
+    for (int j = 0; j < planes; ++j) {
+      const __m128i shift = _mm_cvtsi32_si128(4 * (planes - 1 - j));
+      __m128i b[4];
+      for (int k = 0; k < 4; ++k) {
+        b[k] = _mm_madd_epi16(
+            _mm_and_si128(_mm_srl_epi16(u[k], shift), nibble), pair);
+      }
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(rows[j] + i / 2),
+                       _mm_packus_epi16(_mm_packus_epi32(b[0], b[1]),
+                                        _mm_packus_epi32(b[2], b[3])));
+    }
+  }
+  bool in_range = _mm_testz_si128(bad, bad) != 0;
+  if (i < n) in_range &= pack_planes_tail(src, i, n, total_bits, rows);
+  return in_range;
+}
+
+void unpack_planes_i16_sse41(const std::uint8_t* const* rows, std::size_t n,
+                             int total_bits, std::int16_t* out) {
+  // 32 elements (16 bytes per plane) per iteration. Two adjacent planes
+  // (a more significant than b) merge into one byte per element, a's nibble
+  // high: even elements take the low nibbles, odd ones the high nibbles,
+  // and an 8-bit unpack puts them in element order. The two least
+  // significant planes make u's low byte and the two above them its high
+  // byte (an absent plane reads as zero); a 16-bit unpack joins them.
+  const int planes = PlaneLayout::planes_for(total_bits);
+  const __m128i lo_nibbles = _mm_set1_epi8(0x0F);
+  const __m128i hi_nibbles = _mm_set1_epi8(static_cast<char>(0xF0));
+  const __m128i offset =
+      _mm_set1_epi16(static_cast<short>(1 << (total_bits - 1)));
+  const auto load = [&](int j, std::size_t i) {
+    return j >= 0 ? _mm_loadu_si128(
+                        reinterpret_cast<const __m128i*>(rows[j] + i / 2))
+                  : _mm_setzero_si128();
+  };
+  const auto merge = [&](__m128i a, __m128i b, __m128i* e0, __m128i* e1) {
+    const __m128i even =
+        _mm_or_si128(_mm_and_si128(_mm_slli_epi16(a, 4), hi_nibbles),
+                     _mm_and_si128(b, lo_nibbles));
+    const __m128i odd =
+        _mm_or_si128(_mm_and_si128(a, hi_nibbles),
+                     _mm_and_si128(_mm_srli_epi16(b, 4), lo_nibbles));
+    *e0 = _mm_unpacklo_epi8(even, odd);
+    *e1 = _mm_unpackhi_epi8(even, odd);
+  };
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m128i lo0, lo1, hi0, hi1;
+    merge(load(planes - 2, i), load(planes - 1, i), &lo0, &lo1);
+    merge(load(planes - 4, i), load(planes - 3, i), &hi0, &hi1);
+    const __m128i words[4] = {
+        _mm_unpacklo_epi8(lo0, hi0), _mm_unpackhi_epi8(lo0, hi0),
+        _mm_unpacklo_epi8(lo1, hi1), _mm_unpackhi_epi8(lo1, hi1)};
+    for (int k = 0; k < 4; ++k) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 8 * k),
+                       _mm_sub_epi16(words[k], offset));
+    }
+  }
+  if (i < n) unpack_planes_tail(rows, i, n, total_bits, out);
+}
+
 float row_amax_sse41(const float* xs, std::size_t n) {
   // max over |x| is order-independent (no rounding), so the vector reduction
   // is exact. Operand order matters for NaN: maxps returns its SECOND
@@ -218,6 +304,7 @@ const KernelTable& sse41_kernels() {
       row_dot_i64_sse41,      weighted_value_accum_sse41,
       quantize_row_i16_sse41, row_amax_sse41,
       rescale_row_i16_sse41,  nibble_dot_i64_sse41,
+      pack_planes_i16_sse41,  unpack_planes_i16_sse41,
   };
   return table;
 }

@@ -56,10 +56,18 @@ void quantize_into(std::span<const float> xs, const QuantParams& params,
 // nearest, half away from zero (lround); saturation happens in the FLOAT
 // domain before any narrowing, so extreme |x|/scale ratios (tiny-scale
 // head, outlier activation, inf) clamp to qmin/qmax instead of wrapping —
-// the historical int32 narrowing bug. A NaN element quantizes to 0 at every
-// ISA level (row_amax skips NaN when picking the scale, so one NaN neither
-// poisons the scale nor escapes the [qmin, qmax] range the offset-binary
-// key planes hold). quantize_row_i16 dispatches to the runtime-selected ISA
+// the historical int32 narrowing bug.
+//
+// NaN: quantizes to 0 at every ISA level, by decision — it does not throw.
+// row_amax skips NaN when picking the scale, so one NaN neither poisons the
+// scale nor escapes the [qmin, qmax] range the offset-binary key and value
+// planes hold; it round-trips through either as 0, contributing nothing to
+// a score or an output (pinned by DispatchForcedMatrix.
+// NanBearingRowAppendsIdenticallyAtEveryLevel). An inf element, which has no
+// finite scale, is refused instead (choose_scale and the cache's append
+// paths throw).
+//
+// quantize_row_i16 dispatches to the runtime-selected ISA
 // variant (fixedpoint/dispatch.h); every SIMD variant is element-exact to
 // the scalar reference — the divide is IEEE per lane, and for a float ratio
 // r promoted to double d, trunc(d + copysign(0.5, d)) equals lround(d)

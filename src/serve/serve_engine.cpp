@@ -767,15 +767,15 @@ bool ServeEngine::step() {
     pages += slots_[request]->cache.pages_held();
     for (const QuantizedKvCache& qcache : slots_[request]->qcaches) {
       const auto r = qcache.residency();
-      kv.int16_arena += r.int16_arena;
-      kv.planes += r.planes;
+      kv.value_planes += r.value_planes;
+      kv.key_planes += r.key_planes;
       kv.maxima += r.maxima;
       kv.ids += r.ids;
       kv_tokens += qcache.len();
     }
   }
-  metrics_.kv_int16_bytes = kv.int16_arena;
-  metrics_.kv_plane_bytes = kv.planes;
+  metrics_.kv_value_plane_bytes = kv.value_planes;
+  metrics_.kv_key_plane_bytes = kv.key_planes;
   metrics_.kv_maxima_bytes = kv.maxima;
   metrics_.kv_ids_bytes = kv.ids;
   metrics_.kv_resident_tokens = kv_tokens;

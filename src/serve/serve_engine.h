@@ -305,8 +305,8 @@ struct FleetMetrics {
   // arena (see QuantizedKvCache::ResidencyBytes). Neither the cache nor the
   // request's stream keeps float rows: whole-head rescales regenerate them
   // from the stream's checkpoints through each slot's RescaleSource.
-  std::size_t kv_int16_bytes = 0;
-  std::size_t kv_plane_bytes = 0;
+  std::size_t kv_value_plane_bytes = 0;
+  std::size_t kv_key_plane_bytes = 0;
   std::size_t kv_maxima_bytes = 0;
   std::size_t kv_ids_bytes = 0;
   std::size_t kv_resident_tokens = 0;

@@ -63,7 +63,7 @@ TEST(QuantizeKvTest, ArenaMatchesPerRowQuantize) {
         const QuantizedKvView view = kv.view();
         ASSERT_EQ(view.head_dim, dim);
         ASSERT_EQ(view.len, len);
-        std::vector<std::int16_t> key(dim);
+        std::vector<std::int16_t> row(dim);
         for (const bool keys : {true, false}) {
           const std::vector<float>& src = keys ? k : v;
           fx::QuantParams params = base;
@@ -75,12 +75,13 @@ TEST(QuantizeKvTest, ArenaMatchesPerRowQuantize) {
           EXPECT_EQ(got_params.scale, params.scale);
           for (std::size_t t = 0; t < len; ++t) {
             const auto want = fx::quantize({&src[t * dim], dim}, params);
-            const std::int16_t* got = view.value(t);
             if (keys) {
-              view.key_row(t, key.data());
-              got = key.data();
+              view.key_row(t, row.data());
+            } else {
+              view.value_row(t, row.data());
             }
-            EXPECT_TRUE(std::equal(want.values.begin(), want.values.end(), got))
+            EXPECT_TRUE(std::equal(want.values.begin(), want.values.end(),
+                                   row.begin()))
                 << "dim " << dim << " row " << t << (keys ? " key" : " value");
           }
         }
@@ -90,8 +91,8 @@ TEST(QuantizeKvTest, ArenaMatchesPerRowQuantize) {
 }
 
 // quantize_kv holds exactly the bytes its layout needs: P nibble planes of
-// ceil(d / 2) bytes per row and a 2-byte value per element, with no
-// capacity slack in any arena.
+// ceil(d / 2) bytes per row for the keys and P more for the values, with no
+// capacity slack in any plane.
 TEST(QuantizeKvTest, HoldsExactlyThePlanesAndTheValueArena) {
   Rng rng(0xf007);
   for (const fx::QuantParams base : {fx::QuantParams{}, {10, 3}}) {
@@ -103,13 +104,15 @@ TEST(QuantizeKvTest, HoldsExactlyThePlanesAndTheValueArena) {
       const auto kv = quantize_kv({k.data(), v.data(), len, dim}, base);
       const std::size_t planes = (base.total_bits + 3) / 4;
       ASSERT_EQ(kv.keys.planes.size(), planes);
-      std::size_t bytes = kv.values.data.capacity() * sizeof(std::int16_t);
-      EXPECT_EQ(kv.values.data.capacity(), kv.values.data.size());
-      for (const auto& plane : kv.keys.planes) {
-        EXPECT_EQ(plane.capacity(), plane.size());
-        bytes += plane.capacity();
+      ASSERT_EQ(kv.values.planes.size(), planes);
+      std::size_t bytes = 0;
+      for (const auto* arena : {&kv.keys.planes, &kv.values.planes}) {
+        for (const auto& plane : *arena) {
+          EXPECT_EQ(plane.capacity(), plane.size());
+          bytes += plane.capacity();
+        }
       }
-      EXPECT_EQ(bytes, len * (planes * ((dim + 1) / 2) + 2 * dim))
+      EXPECT_EQ(bytes, len * 2 * planes * ((dim + 1) / 2))
           << base.total_bits << "/" << base.chunk_bits << " dim " << dim;
     }
   }
@@ -129,6 +132,62 @@ TEST(QuantizedKvTest, PushRowRejectsAKeyOutsideTheQuantRange) {
     EXPECT_THROW(kv.push_row(k.data(), v.data()), std::logic_error) << bad;
     EXPECT_EQ(kv.len, 1u);
     EXPECT_EQ(kv.view().len, 1u);
+  }
+}
+
+// Values share the key's plane format, so push_row refuses a value element
+// outside [qmin, qmax] the same way, leaving the head's rows as they were.
+TEST(QuantizedKvTest, PushRowRejectsAValueOutsideTheQuantRange) {
+  const fx::QuantParams params;
+  const std::size_t dim = 9;
+  for (const std::int32_t bad : {params.qmax() + 1, params.qmin() - 1}) {
+    QuantizedKv kv;
+    kv.reset(params, params, dim);
+    std::vector<std::int16_t> k(dim, 3), v(dim, -5);
+    kv.push_row(k.data(), v.data());
+    std::vector<std::int16_t> k_bad(dim, 7), v_bad(dim, 6);
+    v_bad[dim - 1] = static_cast<std::int16_t>(bad);
+    EXPECT_THROW(kv.push_row(k_bad.data(), v_bad.data()), std::logic_error)
+        << bad;
+    EXPECT_EQ(kv.len, 1u);
+    const QuantizedKvView view = kv.view();
+    ASSERT_EQ(view.len, 1u);
+    std::vector<std::int16_t> row(dim);
+    view.key_row(0, row.data());
+    EXPECT_EQ(row, k);
+    view.value_row(0, row.data());
+    EXPECT_EQ(row, v);
+  }
+}
+
+// reset validates the value params as it does the key params: value planes
+// hold total_bits in [2, 15] only. A refused reset changes nothing.
+TEST(QuantizedKvTest, ResetRejectsValueBitsThePlanesCannotHold) {
+  const fx::QuantParams params;
+  const std::size_t dim = 4;
+  QuantizedKv kv;
+  kv.reset(params, params, dim);
+  const std::vector<std::int16_t> k{1, -2, 3, -4}, v{-8, 9, 2047, -2048};
+  kv.push_row(k.data(), v.data());
+  for (const int bits : {0, 1, 16, 17}) {
+    fx::QuantParams bad = params;
+    bad.total_bits = bits;
+    bad.chunk_bits = 1;
+    EXPECT_THROW(kv.reset(params, bad, 2 * dim), std::logic_error) << bits;
+    EXPECT_EQ(kv.values.params.total_bits, params.total_bits);
+    EXPECT_EQ(kv.head_dim, dim);
+    EXPECT_EQ(kv.len, 1u);
+    const QuantizedKvView view = kv.view();
+    std::vector<std::int16_t> row(dim);
+    view.value_row(0, row.data());
+    EXPECT_EQ(row, v) << bits;
+  }
+  for (const int bits : {2, 15}) {
+    fx::QuantParams ok = params;
+    ok.total_bits = bits;
+    EXPECT_NO_THROW(kv.reset(params, ok, dim)) << bits;
+    EXPECT_EQ(kv.values.planes.size(),
+              static_cast<std::size_t>(fx::PlaneLayout::planes_for(bits)));
   }
 }
 
@@ -161,9 +220,9 @@ TEST(EngineTest, MalformedArenasThrow) {
   const auto good = make_instance(rng, 64);
   auto narrow = good, short_v = good, short_k = good;
   narrow.kv.head_dim = 32;
-  narrow.kv.values.data.resize(64 * 32);
   for (auto& plane : narrow.kv.keys.planes) plane.resize(64 * 16);
-  short_v.kv.values.data.resize(63 * 64);
+  for (auto& plane : narrow.kv.values.planes) plane.resize(64 * 16);
+  short_v.kv.values.planes[1].resize(63 * 32);
   short_k.kv.keys.planes[1].resize(63 * 32);
   TokenPickerAttention op(TokenPickerConfig{});
   EXPECT_NO_THROW(op.attend_quantized(good.q, good.kv, good.score_scale));
@@ -391,8 +450,13 @@ TEST(EngineTest, OutputCloseToFunctionalTokenPicker) {
 
   // Pruned-softmax output stays within the dropped-mass bound of exact.
   float vmax = 0.0f;
-  for (auto x : inst.kv.values.data) {
-    vmax = std::max(vmax, std::abs(x * inst.kv.values.params.scale));
+  const QuantizedKvView view = inst.kv.view();
+  std::vector<std::int16_t> value(view.head_dim);
+  for (std::size_t t = 0; t < view.len; ++t) {
+    view.value_row(t, value.data());
+    for (auto x : value) {
+      vmax = std::max(vmax, std::abs(x * view.value_params.scale));
+    }
   }
   const double bound = 2.0 * 1e-3 * 192 * vmax + 1e-3;
   for (std::size_t d = 0; d < hw.output.size(); ++d) {

@@ -152,6 +152,43 @@ TEST(ShiftedExpSum, ReplaceEqualsRemoveThenAdd) {
   EXPECT_EQ(a.terms(), 3u);
 }
 
+// The estimator's transcendental-free proofs rest on this bracket: between
+// refreshes of the memo (log() calls) the sum grows and shrinks, and the
+// bounds must still hold the log() the exact fallback would compute. A copy
+// takes that log, so the memo under test stays as stale as in the walk.
+TEST(ShiftedExpSum, LogBoundsBracketTheExactLog) {
+  Rng rng(0xb0d5);
+  ShiftedExpSum sum;
+  std::vector<double> terms;
+  std::size_t checked = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const double op = rng.uniform();
+    if (terms.empty() || op < 0.55) {
+      terms.push_back(rng.uniform(-20.0, 20.0));
+      sum.add(terms.back());
+    } else if (op < 0.8) {
+      const std::size_t i = rng.uniform_index(terms.size());
+      sum.remove(terms[i]);
+      terms[i] = terms.back();
+      terms.pop_back();
+    } else {
+      const std::size_t i = rng.uniform_index(terms.size());
+      const double next = terms[i] + rng.uniform(-3.0, 3.0);
+      sum.replace(terms[i], next);
+      terms[i] = next;
+    }
+    if (step % 7 == 0) sum.log();  // refresh the memo now and then
+    if (sum.empty()) continue;
+    const double lower = sum.log_lower_bound();
+    const double upper = sum.log_upper_bound();
+    ShiftedExpSum exact = sum;
+    ASSERT_LE(lower, exact.log()) << "step " << step;
+    ASSERT_GE(upper, exact.log()) << "step " << step;
+    ++checked;
+  }
+  EXPECT_GT(checked, 3000u);
+}
+
 TEST(ShiftedExpSum, HandlesLargeMagnitudes) {
   ShiftedExpSum sum;
   sum.add(700.0);  // exp(700) overflows double; log() must stay finite

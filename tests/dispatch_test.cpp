@@ -5,7 +5,8 @@
 // * Forced-level matrix: for EVERY compiled-in variant this CPU can run,
 //   force it and assert the entry points (the active row_dot_i64,
 //   weighted_value_accum, fx::quantize_row_i16, fx::row_amax,
-//   fx::choose_scale, fx::rescale_row_i16, fx::nibble_dot_i64) are
+//   fx::choose_scale, fx::rescale_row_i16, fx::nibble_dot_i64,
+//   fx::pack_planes_i16, fx::unpack_planes_i16) are
 //   bit-identical to the scalar reference over randomized rows, odd
 //   remainders, int16/nibble extremes, and half-way rounding cases — the
 //   "selected ISA can never change a result" contract, per level.
@@ -55,6 +56,8 @@ TEST(DispatchRegistry, ScalarIsAlwaysPresentAndFirst) {
     ASSERT_NE(table->row_amax, nullptr) << table->name;
     ASSERT_NE(table->rescale_row_i16, nullptr) << table->name;
     ASSERT_NE(table->nibble_dot_i64, nullptr) << table->name;
+    ASSERT_NE(table->pack_planes_i16, nullptr) << table->name;
+    ASSERT_NE(table->unpack_planes_i16, nullptr) << table->name;
     EXPECT_STREQ(table->name, fx::isa_name(table->level));
   }
   for (std::size_t i = 1; i < compiled.size(); ++i) {
@@ -213,10 +216,11 @@ TEST(DispatchForcedMatrix, EveryLevelBitMatchesScalarThroughPublicEntryPoints) {
 }
 
 // A NaN-bearing K/V row appends to the cache at every level and lands on
-// the same bits: the key digit planes are indexed by quantized value, so a
-// NaN that escaped [qmin, qmax] would read outside the digit table. The
-// record-setting last row forces a rescale that re-quantizes the NaN rows
-// from their floats.
+// the same bits: a NaN element quantizes to 0 (fixedpoint/quant.h), so it
+// stays inside the [qmin, qmax] the offset-binary planes hold and reads
+// back as 0 from the key and the value planes alike. The record-setting
+// last row forces a rescale that re-quantizes the NaN rows from their
+// floats.
 TEST(DispatchForcedMatrix, NanBearingRowAppendsIdenticallyAtEveryLevel) {
   IsaGuard guard;
   constexpr float nan = std::numeric_limits<float>::quiet_NaN();
@@ -250,12 +254,11 @@ TEST(DispatchForcedMatrix, NanBearingRowAppendsIdenticallyAtEveryLevel) {
     EXPECT_GT(cache.key_rescales(), rescales);
 
     const QuantizedKvView view = cache.view();
-    std::vector<std::int16_t> keys(view.len * dim);
+    std::vector<std::int16_t> keys(view.len * dim), values(view.len * dim);
     for (std::size_t t = 0; t < view.len; ++t) {
       view.key_row(t, keys.data() + t * dim);
+      view.value_row(t, values.data() + t * dim);
     }
-    const std::vector<std::int16_t> values(view.values,
-                                           view.values + view.len * dim);
     EXPECT_EQ(keys[1 * dim + 5], 0);
     EXPECT_EQ(values[1 * dim + 17], 0);
     EXPECT_EQ(keys[2 * dim + 0], 0);
@@ -368,7 +371,7 @@ TEST(DispatchForcedMatrix, NibbleDotEveryLevelMatchesScalarAtExtremes) {
     for (std::size_t n = 0; n <= 257; ++n) {
       for (int trial = 0; trial < 5; ++trial) {
         std::vector<std::int16_t> q(n);
-        std::vector<std::uint8_t> nibbles(fx::KeyPlaneLayout::row_bytes(n));
+        std::vector<std::uint8_t> nibbles(fx::PlaneLayout::row_bytes(n));
         for (auto& byte : nibbles) {
           byte = trial == 0 ? static_cast<std::uint8_t>(rng.uniform_index(256))
                             : 0xFF;  // all-15 nibbles
@@ -418,7 +421,7 @@ TEST(DispatchForcedMatrix, NibbleDotEveryLevelMatchesScalarAtExtremes) {
     for (const std::size_t n : {std::size_t{4096}, std::size_t{131072}}) {
       const std::vector<std::int16_t> q(
           n, std::numeric_limits<std::int16_t>::min());
-      const std::vector<std::uint8_t> nibbles(fx::KeyPlaneLayout::row_bytes(n),
+      const std::vector<std::uint8_t> nibbles(fx::PlaneLayout::row_bytes(n),
                                               0xFF);
       const std::int64_t exact = -static_cast<std::int64_t>(n) * 32768 * 15;
       EXPECT_EQ(fx::nibble_dot_i64_scalar(q.data(), nibbles.data(), 0xF, n),
@@ -428,6 +431,150 @@ TEST(DispatchForcedMatrix, NibbleDotEveryLevelMatchesScalarAtExtremes) {
       EXPECT_EQ(table->nibble_dot_i64(q.data(), nibbles.data(), 0xF, n),
                 exact)
           << "direct call, n=" << n;
+    }
+    fx::reset_isa();
+  }
+}
+
+// pack_planes_i16 / unpack_planes_i16 (the one stored K/V format) must be
+// byte- and element-exact at every level for every total_bits 2..15, odd and
+// even lengths on both sides of each variant's block widths (16/32/64), and
+// rows of random in-range elements, all qmin, all qmax, all 0 and
+// alternating qmin/qmax — through the dispatching wrapper and the raw table
+// pointer. The scalar reference is checked against the format's definition
+// (plane j holds bits [4(P-1-j), 4(P-j)) of x + 2^(T-1), the odd tail's
+// high nibble 0), every variant writes nothing past ceil(n / 2) bytes, a row
+// with one element just outside [qmin, qmax] is refused alike, and unpack
+// agrees with scalar on arbitrary plane bytes.
+TEST(DispatchForcedMatrix, PlanePackAndUnpackEveryLevelMatchScalar) {
+  IsaGuard guard;
+  Rng rng(0x9ac4);
+  constexpr std::uint8_t kGuard = 0xA5;
+  constexpr std::size_t kGuardBytes = 8;
+  const std::size_t lengths[] = {0,  1,  2,  7,  15, 16,  17,  31,  32, 33,
+                                 63, 64, 65, 80, 95, 127, 128, 129, 257};
+  // Packs src into four guarded plane buffers; returns them and the verdict.
+  struct Packed {
+    bool in_range = false;
+    std::vector<std::vector<std::uint8_t>> planes;
+  };
+  const auto pack = [&](auto&& kernel, const std::vector<std::int16_t>& src,
+                        int bits) {
+    Packed out;
+    const std::size_t bytes = fx::PlaneLayout::row_bytes(src.size());
+    out.planes.assign(
+        static_cast<std::size_t>(fx::PlaneLayout::planes_for(bits)),
+        std::vector<std::uint8_t>(bytes + kGuardBytes, kGuard));
+    std::uint8_t* rows[4] = {};
+    for (std::size_t j = 0; j < out.planes.size(); ++j) {
+      rows[j] = out.planes[j].data();
+    }
+    out.in_range = kernel(src.data(), src.size(), bits, rows);
+    return out;
+  };
+  const auto unpack = [&](auto&& kernel, const Packed& packed, std::size_t n,
+                          int bits) {
+    std::vector<std::int16_t> out(n + kGuardBytes, 0x5A5A);
+    const std::uint8_t* rows[4] = {};
+    for (std::size_t j = 0; j < packed.planes.size(); ++j) {
+      rows[j] = packed.planes[j].data();
+    }
+    kernel(rows, n, bits, out.data());
+    return out;
+  };
+
+  for (const fx::KernelTable* table : fx::supported_kernel_tables()) {
+    SCOPED_TRACE(table->name);
+    ASSERT_TRUE(fx::force_isa(table->level));
+    for (int bits = 2; bits <= 15; ++bits) {
+      const int half = 1 << (bits - 1);
+      const int planes = fx::PlaneLayout::planes_for(bits);
+      for (const std::size_t n : lengths) {
+        for (int kind = 0; kind < 6; ++kind) {
+          SCOPED_TRACE("bits=" + std::to_string(bits) +
+                       " n=" + std::to_string(n) +
+                       " kind=" + std::to_string(kind));
+          std::vector<std::int16_t> src(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            switch (kind) {
+              case 0:
+                src[i] = static_cast<std::int16_t>(
+                    static_cast<int>(rng.uniform_index(2 * half)) - half);
+                break;
+              case 1:
+                src[i] = static_cast<std::int16_t>(-half);
+                break;
+              case 2:
+                src[i] = static_cast<std::int16_t>(half - 1);
+                break;
+              case 3:
+                src[i] = 0;
+                break;
+              default:
+                src[i] = static_cast<std::int16_t>(i % 2 == 0 ? -half
+                                                              : half - 1);
+            }
+          }
+          // Kind 5: one element just outside the range, low or high.
+          const bool refused = kind == 5 && n > 0;
+          if (refused) {
+            const std::size_t at = rng.uniform_index(n);
+            src[at] = static_cast<std::int16_t>(at % 2 == 0 ? -half - 1 : half);
+          }
+          const Packed want = pack(fx::pack_planes_i16_scalar, src, bits);
+          ASSERT_EQ(want.in_range, !refused);
+          const std::size_t bytes = fx::PlaneLayout::row_bytes(n);
+          if (!refused) {
+            for (std::size_t i = 0; i < n; ++i) {
+              const int u = src[i] + half;
+              for (int j = 0; j < planes; ++j) {
+                const int nibble =
+                    (want.planes[static_cast<std::size_t>(j)][i / 2] >>
+                     (4 * (i % 2))) &
+                    0xF;
+                ASSERT_EQ(nibble, (u >> (4 * (planes - 1 - j))) & 0xF)
+                    << "element " << i << " plane " << j;
+              }
+            }
+            if (n % 2 != 0) {
+              for (const auto& plane : want.planes) {
+                ASSERT_EQ(plane[bytes - 1] >> 4, 0);
+              }
+            }
+          }
+          for (auto* const kernel :
+               {&fx::pack_planes_i16, table->pack_planes_i16}) {
+            const Packed got = pack(*kernel, src, bits);
+            EXPECT_EQ(got.in_range, want.in_range);
+            ASSERT_EQ(got.planes, want.planes);  // guard bytes included
+          }
+          if (refused) continue;
+          for (auto* const kernel :
+               {&fx::unpack_planes_i16, table->unpack_planes_i16}) {
+            const auto got = unpack(*kernel, want, n, bits);
+            ASSERT_TRUE(std::equal(src.begin(), src.end(), got.begin()));
+            for (std::size_t i = n; i < got.size(); ++i) {
+              ASSERT_EQ(got[i], 0x5A5A) << "wrote past the row at " << i;
+            }
+          }
+        }
+        // Arbitrary plane bytes, high nibble of an odd tail included.
+        Packed noise;
+        noise.planes.assign(
+            static_cast<std::size_t>(planes),
+            std::vector<std::uint8_t>(fx::PlaneLayout::row_bytes(n)));
+        for (auto& plane : noise.planes) {
+          for (auto& byte : plane) {
+            byte = static_cast<std::uint8_t>(rng.uniform_index(256));
+          }
+        }
+        const auto want = unpack(fx::unpack_planes_i16_scalar, noise, n, bits);
+        for (auto* const kernel :
+             {&fx::unpack_planes_i16, table->unpack_planes_i16}) {
+          ASSERT_EQ(unpack(*kernel, noise, n, bits), want)
+              << "bits=" << bits << " n=" << n;
+        }
+      }
     }
     fx::reset_isa();
   }

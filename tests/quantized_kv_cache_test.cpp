@@ -135,7 +135,8 @@ void expect_same_result(const TokenPickerResult& a, const TokenPickerResult& b) 
 TEST(QuantizedKv, PlaneRowsSumToFullKey) {
   // The offset-binary nibbles reassemble the key:
   // sum_j nibble_j * 16^(planes-1-j) - 2^(total_bits-1). An odd head_dim
-  // leaves each row's last high nibble 0.
+  // leaves each row's last high nibble 0. Values share the format, so
+  // value_row reads back what push_row stored.
   Rng rng(0xabc1);
   const std::size_t dim = 15;
   fx::QuantParams params;
@@ -145,21 +146,24 @@ TEST(QuantizedKv, PlaneRowsSumToFullKey) {
   store.reset(params, params, dim);
   std::vector<std::vector<std::int16_t>> k_rows(
       5, std::vector<std::int16_t>(dim));
-  std::vector<std::int16_t> v_row(dim);
-  for (auto& k_row : k_rows) {
+  std::vector<std::vector<std::int16_t>> v_rows = k_rows;
+  for (std::size_t r = 0; r < k_rows.size(); ++r) {
     for (std::size_t d = 0; d < dim; ++d) {
-      k_row[d] = static_cast<std::int16_t>(
+      k_rows[r][d] = static_cast<std::int16_t>(
           static_cast<std::int32_t>(rng.uniform_index(4096)) - 2048);
-      v_row[d] = static_cast<std::int16_t>(-k_row[d] / 2);
+      v_rows[r][d] = static_cast<std::int16_t>(-k_rows[r][d] / 2);
     }
-    store.push_row(k_row.data(), v_row.data());
+    store.push_row(k_rows[r].data(), v_rows[r].data());
   }
 
   const QuantizedKvView view = store.view();
   ASSERT_EQ(view.len, k_rows.size());
   ASSERT_EQ(view.key_layout->planes(), 3);
-  ASSERT_EQ(view.key_row_bytes(), 8u);
+  ASSERT_EQ(view.row_bytes(), 8u);
+  std::vector<std::int16_t> value(dim);
   for (std::size_t t = 0; t < view.len; ++t) {
+    view.value_row(t, value.data());
+    EXPECT_EQ(value, v_rows[t]) << "token " << t;
     for (std::size_t d = 0; d < dim; ++d) {
       std::int32_t sum = -2048;
       for (int j = 0; j < 3; ++j) {
@@ -170,6 +174,37 @@ TEST(QuantizedKv, PlaneRowsSumToFullKey) {
     }
     for (int j = 0; j < 3; ++j) {
       EXPECT_EQ(view.key_plane_row(j, t)[dim / 2] >> 4, 0) << "token " << t;
+    }
+  }
+}
+
+// value_rows unpacks a run of rows in one call at an even head_dim and row
+// by row at an odd one; either way it reads what value_row reads, for every
+// run length up to the step-1 block and past it.
+TEST(QuantizedKv, ValueRowsMatchRowByRow) {
+  Rng rng(0x7e57);
+  for (const std::size_t dim : {7, 8, 64, 80}) {
+    const std::size_t len = 2 * kValueBlockRows + 3;
+    std::vector<float> keys, values;
+    for (std::size_t t = 0; t < len; ++t) {
+      push_random_row(rng, dim, 1.0, &keys, &values);
+    }
+    const QuantizedKv kv =
+        quantize_kv({keys.data(), values.data(), len, dim}, fx::QuantParams{});
+    const QuantizedKvView view = kv.view();
+    std::vector<std::int16_t> want(len * dim);
+    for (std::size_t t = 0; t < len; ++t) {
+      view.value_row(t, want.data() + t * dim);
+    }
+    for (std::size_t t = 0; t < len; ++t) {
+      for (std::size_t count = 1; t + count <= len; ++count) {
+        std::vector<std::int16_t> got(count * dim);
+        view.value_rows(t, count, got.data());
+        ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                               want.begin() + static_cast<std::ptrdiff_t>(
+                                                  t * dim)))
+            << "dim " << dim << " rows [" << t << ", " << t + count << ")";
+      }
     }
   }
 }
@@ -189,14 +224,19 @@ void expect_matches_from_scratch(const QuantizedKvCache& cache,
   const QuantizedKvView cached = cache.view();
   EXPECT_EQ(cached.key_params.scale, fresh.keys.params.scale);
   EXPECT_EQ(cached.value_params.scale, fresh.values.params.scale);
-  EXPECT_TRUE(std::equal(fresh.values.data.begin(), fresh.values.data.end(),
-                         cached.values));
   for (std::size_t j = 0; j < fresh.keys.planes.size(); ++j) {
     EXPECT_TRUE(std::equal(fresh.keys.planes[j].begin(),
                            fresh.keys.planes[j].end(),
                            cached.key_planes[j].begin(),
                            cached.key_planes[j].end()))
-        << "plane " << j;
+        << "key plane " << j;
+  }
+  for (std::size_t j = 0; j < fresh.values.planes.size(); ++j) {
+    EXPECT_TRUE(std::equal(fresh.values.planes[j].begin(),
+                           fresh.values.planes[j].end(),
+                           cached.value_planes[j].begin(),
+                           cached.value_planes[j].end()))
+        << "value plane " << j;
   }
   for (std::size_t t = 0; t < cache.len(); ++t) {
     EXPECT_EQ(cache.id_at(t), shadow.ids[t]);
@@ -223,7 +263,8 @@ TEST(QuantizedKvCache, AppendOnlyMatchesFromScratch) {
 
 TEST(QuantizedKvCache, ResidencyIsThePlanesAndTheValueArena) {
   // serve.kv_resident_bytes_peak is built from residency(): a head_dim-64
-  // token holds three 32 B key nibble planes and one 128 B int16 value row.
+  // token holds three 32 B key nibble planes and three 32 B value nibble
+  // planes, 12 bits per element each.
   Rng rng(0x1d);
   const std::size_t len = 96, dim = 64;
   QuantizedKvCache cache(dim);
@@ -236,7 +277,8 @@ TEST(QuantizedKvCache, ResidencyIsThePlanesAndTheValueArena) {
     shadow.append(k, v, t);
   }
   const auto res = cache.residency();
-  EXPECT_EQ(res.planes + res.int16_arena, len * (3 * 32 + 2 * dim));
+  EXPECT_EQ(res.key_planes, len * 3 * 32);
+  EXPECT_EQ(res.value_planes, len * 3 * 32);
 }
 
 TEST(QuantizedKvCache, EngineeredMidDecodeRescale) {
@@ -323,11 +365,16 @@ TEST(QuantizedKvCache, OneArenaRescaleRereadsOnlyThatArena) {
     }
     return planes;
   };
+  const auto value_rows = [&](std::size_t n) {
+    std::vector<std::int16_t> rows(n * dim);
+    const QuantizedKvView view = cache.view();
+    for (std::size_t t = 0; t < n; ++t) view.value_row(t, &rows[t * dim]);
+    return rows;
+  };
 
   // Value-only record.
   const auto planes_before = planes_of();
-  const std::vector<std::int16_t> values_before(
-      cache.view().values, cache.view().values + prefix * dim);
+  const std::vector<std::int16_t> values_before = value_rows(prefix);
   const auto key_rescales = cache.key_rescales();
   const auto value_rescales = cache.value_rescales();
   shadow.key_rows_filled = shadow.value_rows_filled = 0;
@@ -343,7 +390,7 @@ TEST(QuantizedKvCache, OneArenaRescaleRereadsOnlyThatArena) {
   EXPECT_EQ(cache.value_rows_requantized(), prefix);
   const auto planes_after = planes_of();
   ASSERT_EQ(planes_after.size(), planes_before.size());
-  const std::size_t row_bytes = fx::KeyPlaneLayout::row_bytes(dim);
+  const std::size_t row_bytes = fx::PlaneLayout::row_bytes(dim);
   for (std::size_t j = 0; j < planes_before.size(); ++j) {
     EXPECT_TRUE(std::equal(planes_before[j].begin(), planes_before[j].end(),
                            planes_after[j].begin(),
@@ -351,14 +398,12 @@ TEST(QuantizedKvCache, OneArenaRescaleRereadsOnlyThatArena) {
                                static_cast<std::ptrdiff_t>(prefix * row_bytes)))
         << "plane " << j;
   }
-  EXPECT_FALSE(std::equal(values_before.begin(), values_before.end(),
-                          cache.view().values));
+  EXPECT_NE(values_before, value_rows(prefix));
   expect_matches_from_scratch(cache, shadow);
 
   // Key-only record.
   const auto keys_rows_before = cache.key_rows_requantized();
-  const std::vector<std::int16_t> values_mid(
-      cache.view().values, cache.view().values + (prefix + 1) * dim);
+  const std::vector<std::int16_t> values_mid = value_rows(prefix + 1);
   shadow.key_rows_filled = shadow.value_rows_filled = 0;
   k = random_row(rng, dim, 0.5);
   v = random_row(rng, dim, 0.5);
@@ -370,8 +415,7 @@ TEST(QuantizedKvCache, OneArenaRescaleRereadsOnlyThatArena) {
   EXPECT_EQ(shadow.key_rows_filled, prefix + 1);
   EXPECT_EQ(shadow.value_rows_filled, 0u);
   EXPECT_EQ(cache.key_rows_requantized(), keys_rows_before + prefix + 1);
-  EXPECT_TRUE(std::equal(values_mid.begin(), values_mid.end(),
-                         cache.view().values));
+  EXPECT_EQ(values_mid, value_rows(prefix + 1));
   expect_matches_from_scratch(cache, shadow);
 }
 
@@ -476,7 +520,7 @@ TEST(QuantizedKvCache, HeadroomAmortizesRescalesWithBoundedError) {
   exact.set_rescale_source(&source);
   amortized.set_rescale_source(&source);
 
-  std::vector<std::int16_t> key(dim);
+  std::vector<std::int16_t> key(dim), value(dim);
   for (std::size_t t = 0; t < len; ++t) {
     exact.append(rows.key(t), rows.value(t), t);
     amortized.append(rows.key(t), rows.value(t), t);
@@ -487,9 +531,8 @@ TEST(QuantizedKvCache, HeadroomAmortizesRescalesWithBoundedError) {
       view.key_row(r, key.data());
       ASSERT_EQ(key, quantized(rows.key(r), view.key_params))
           << "after append " << t << ", key row " << r;
-      ASSERT_TRUE(std::ranges::equal(
-          quantized(rows.value(r), view.value_params),
-          std::span<const std::int16_t>(view.value(r), dim)))
+      view.value_row(r, value.data());
+      ASSERT_EQ(value, quantized(rows.value(r), view.value_params))
           << "after append " << t << ", value row " << r;
       for (std::size_t d = 0; d < dim; ++d) {
         const float reconstructed = static_cast<float>(key[d]) * k_scale;
@@ -524,10 +567,12 @@ TEST(QuantizedKvCache, SourcelessCacheHoldingRowsRefusesMutations) {
   const float v_scale = cache.value_params().scale;
   const std::vector<std::size_t> ids = cache.ids();
   const QuantizedKvView view = cache.view();
-  const std::vector<std::int16_t> values_before(view.values,
-                                                view.values + 6 * dim);
+  const std::vector<std::vector<std::uint8_t>> values_before(
+      view.value_planes,
+      view.value_planes +
+          fx::PlaneLayout::planes_for(view.value_params.total_bits));
   const std::vector<std::vector<std::uint8_t>> planes_before(
-      view.key_planes, view.key_planes + view.key_params.num_chunks());
+      view.key_planes, view.key_planes + view.key_layout->planes());
 
   // A quiet row (no new record) and a spiking one are refused alike.
   std::vector<float> quiet(dim, 0.0f), spike(dim, 0.0f);
@@ -546,7 +591,7 @@ TEST(QuantizedKvCache, SourcelessCacheHoldingRowsRefusesMutations) {
   EXPECT_EQ(cache.ids(), ids);
   const QuantizedKvView after = cache.view();
   EXPECT_TRUE(std::equal(values_before.begin(), values_before.end(),
-                         after.values));
+                         after.value_planes));
   EXPECT_TRUE(std::equal(planes_before.begin(), planes_before.end(),
                          after.key_planes));
 
@@ -779,13 +824,14 @@ TEST(BackendAdoption, SpAttenBackendBitIdentical) {
       std::vector<double> probs(active.size());
       std::vector<float> expected(dim, 0.0f);
       const float v_scale = qkv.value_params.scale;
+      std::vector<std::int16_t> value(dim);
       for (std::size_t i = 0; i < active.size(); ++i) {
         probs[i] = std::exp(scores[i] - log_denom);
         if (probs[i] <= config.value_prob_threshold) continue;
+        qkv.value_row(active[i], value.data());
         for (std::size_t d = 0; d < dim; ++d) {
           expected[d] += static_cast<float>(
-              probs[i] *
-              static_cast<double>(qkv.value(active[i])[d]) * v_scale);
+              probs[i] * static_cast<double>(value[d]) * v_scale);
         }
       }
       shadow_pruner.accumulate_importance(active, probs);

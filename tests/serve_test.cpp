@@ -324,14 +324,17 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   ASSERT_EQ(cache.len(), survivors.size());
   EXPECT_EQ(cached.key_params.scale, fresh.keys.params.scale);
   EXPECT_EQ(cached.value_params.scale, fresh.values.params.scale);
-  EXPECT_TRUE(std::equal(fresh.values.data.begin(), fresh.values.data.end(),
-                         cached.values));
   for (std::size_t j = 0; j < fresh.keys.planes.size(); ++j) {
     EXPECT_TRUE(std::equal(fresh.keys.planes[j].begin(),
                            fresh.keys.planes[j].end(),
                            cached.key_planes[j].begin(),
                            cached.key_planes[j].end()))
-        << "plane " << j;
+        << "key plane " << j;
+    EXPECT_TRUE(std::equal(fresh.values.planes[j].begin(),
+                           fresh.values.planes[j].end(),
+                           cached.value_planes[j].begin(),
+                           cached.value_planes[j].end()))
+        << "value plane " << j;
   }
   for (std::size_t i = 0; i < survivors.size(); ++i) {
     EXPECT_EQ(cache.id_at(i), survivors[i]);
@@ -932,10 +935,10 @@ TEST(ServeEngineConfig, PersistenceWindowMustBePositive) {
 // ---- host KV footprint -------------------------------------------------------
 
 // FleetMetrics' kv_* fields are the quantized cache and nothing more. At
-// head_dim 64 with 12-bit values in 4-bit chunks, a resident token holds 64
-// int16 values (128 B), three packed key nibble planes (96 B), its key and
-// value row maxima (8 B) and a stable id (8 B): 240 B. Each (layer, head)
-// cache adds its two running maxima (8 B) once.
+// head_dim 64 with 12-bit keys and values in 4-bit chunks, a resident token
+// holds three packed value nibble planes (96 B), three packed key nibble
+// planes (96 B), its key and value row maxima (8 B) and a stable id (8 B):
+// 208 B. Each (layer, head) cache adds its two running maxima (8 B) once.
 TEST(ServeEngine, KvResidencyGaugesPinTheQuantizedFootprint) {
   ServeConfig config = acceptance_config();
   config.head_dim = 64;
@@ -952,21 +955,21 @@ TEST(ServeEngine, KvResidencyGaugesPinTheQuantizedFootprint) {
     const FleetMetrics& m = engine.metrics();
     const double tokens = static_cast<double>(m.kv_resident_tokens);
     if (tokens == 0.0) continue;
-    const double int16_bytes = static_cast<double>(m.kv_int16_bytes);
-    const double plane_bytes = static_cast<double>(m.kv_plane_bytes);
+    const double value_bytes = static_cast<double>(m.kv_value_plane_bytes);
+    const double key_bytes = static_cast<double>(m.kv_key_plane_bytes);
     const double maxima_bytes = static_cast<double>(m.kv_maxima_bytes);
     const double ids_bytes = static_cast<double>(m.kv_ids_bytes);
     const double head_maxima =
         8.0 * static_cast<double>(engine.batcher().running().size() *
                                   config.n_layer * config.n_head);
-    EXPECT_EQ(int16_bytes / tokens, 128.0);
-    EXPECT_EQ(plane_bytes / tokens, 96.0);
+    EXPECT_EQ(value_bytes / tokens, 96.0);
+    EXPECT_EQ(key_bytes / tokens, 96.0);
     EXPECT_EQ((maxima_bytes - head_maxima) / tokens, 8.0);
     EXPECT_EQ(ids_bytes / tokens, 8.0);
-    EXPECT_EQ((int16_bytes + plane_bytes + maxima_bytes + ids_bytes -
+    EXPECT_EQ((value_bytes + key_bytes + maxima_bytes + ids_bytes -
                head_maxima) /
                   tokens,
-              240.0);
+              208.0);
     ++checked;
   }
   EXPECT_GT(checked, 0u);
