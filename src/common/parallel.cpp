@@ -284,19 +284,27 @@ std::size_t SerialLane::depth() const {
 }
 
 std::uint64_t SerialLane::wait_depth_below(std::size_t max_depth) {
-  if (!impl_ || max_depth == 0) return 0;
-  if (impl_->pending.load(std::memory_order_acquire) < max_depth) return 0;
-  const auto start = std::chrono::steady_clock::now();
+  if (!impl_) return 0;
+  std::uint64_t waited = 0;
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(impl_->mutex);
-    impl_->completed.wait(lock, [&] {
-      return impl_->pending.load(std::memory_order_acquire) < max_depth;
-    });
+    const auto below = [&] {
+      return max_depth == 0 ||
+             impl_->pending.load(std::memory_order_acquire) < max_depth;
+    };
+    if (!below()) {
+      const auto start = std::chrono::steady_clock::now();
+      impl_->completed.wait(lock, below);
+      waited = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+    }
+    std::swap(error, impl_->error);
   }
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+  if (error) std::rethrow_exception(error);
+  return waited;
 }
 
 void SerialLane::drain() {

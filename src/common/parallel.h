@@ -94,12 +94,15 @@ class SerialLane {
   bool enabled() const { return impl_ != nullptr; }
 
   // Enqueues a job (runs it inline when disabled). Jobs run in submission
-  // order; a job's exception is captured and rethrown by the next drain().
+  // order; a job's exception is captured and rethrown by the next
+  // wait_depth_below() or drain(), whichever comes first.
   void submit(std::function<void()> job);
   // Jobs submitted but not yet completed.
   std::size_t depth() const;
-  // Back-pressure: blocks until depth() < max_depth. Returns the ns spent
-  // blocked (0 when the lane is disabled or already below the bound).
+  // Back-pressure: blocks until depth() < max_depth (0 = no bound), then
+  // rethrows the first captured job exception (then clears it). Returns the
+  // ns spent blocked (0 when the lane is disabled or already below the
+  // bound).
   std::uint64_t wait_depth_below(std::size_t max_depth);
   // Blocks until every submitted job completed; rethrows the first captured
   // job exception (then clears it).

@@ -82,8 +82,8 @@ class PrunePersistence {
 
   // Records one attention instance's verdict for a token and returns whether
   // the token is now persistently pruned. A kept token's streak resets to
-  // zero; a pruned token's streak grows by one. (Header-inline: the serve
-  // reduction calls it once per decision per step.)
+  // zero; a pruned token's streak grows by one. (Header-inline: each serve
+  // attention unit calls it once per decision per step.)
   bool observe(std::size_t token, bool kept) {
     if (token >= streaks_.size()) streaks_.resize(token + 1, 0);
     streaks_[token] = kept ? 0 : streaks_[token] + 1;

@@ -86,23 +86,4 @@ void PagedRescaleSource::fill_rows(std::span<const std::size_t> ids,
   stream_->fill_rows(layer_, head_, ids, keys, values);
 }
 
-PagedKvCache::PagedKvCache(PagedKvPool* pool, int n_layer, int n_head,
-                           std::size_t capacity)
-    : n_layer_(n_layer), n_head_(n_head) {
-  require(n_layer_ > 0 && n_head_ > 0, "PagedKvCache: bad shape");
-  const std::size_t n = static_cast<std::size_t>(n_layer_) * n_head_;
-  seqs_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) seqs_.emplace_back(pool, capacity);
-}
-
-std::size_t PagedKvCache::pages_held() const {
-  std::size_t total = 0;
-  for (const auto& s : seqs_) total += s.pages_held();
-  return total;
-}
-
-void PagedKvCache::release_all() {
-  for (auto& s : seqs_) s.release_all();
-}
-
 }  // namespace topick::serve

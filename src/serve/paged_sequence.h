@@ -1,13 +1,15 @@
-// One head's growing token stream accounted on pool pages, plus the
-// per-request bundle of sequences (PagedKvCache) — the paged counterpart of
-// model/kv_cache.h's contiguous per-(layer, head) slabs.
+// One head's growing token stream accounted on pool pages — the paged
+// counterpart of one of model/kv_cache.h's contiguous per-(layer, head)
+// slabs. ServeEngine keeps one per (layer, head) of a running request, beside
+// that head's quantized cache, rescale source and prune-persistence tracker.
 //
 // A sequence is page accounting only: it holds no K/V rows and no per-token
 // state. Appending token t charges t's page slot to the pool. Tokens keep
 // their stable chronological id for life. Which of them are live is the
-// engine's QuantizedKvCache id list alone: after an eviction the engine
-// hands that list to sweep(), which returns every held *full* page holding
-// no listed id to the pool, after which its ids are no longer resident.
+// head's QuantizedKvCache id list alone. The worker that attends the head
+// evicts from that cache; the engine's serial reduce then hands the cache's
+// id list to sweep(), which returns every held *full* page holding no listed
+// id to the shared pool, after which its ids are no longer resident.
 // Attention never reads through the sequence: its whole-head rescales
 // regenerate rows from the request's DecodeStream through
 // PagedRescaleSource, which refuses any id the sequence does not hold.
@@ -73,8 +75,9 @@ class PagedSequence {
 // stable ids == PagedSequence token ids == stream token ids, so a
 // whole-head rescale regenerates its floats from the stream's checkpoints,
 // after the sequence confirmed every id is resident. Non-owning; the
-// sequence and the stream must outlive it (ServeEngine ties all three to the
-// slot, and re-points the stream when the request moves).
+// sequence and the stream must outlive it (ServeEngine keeps it beside its
+// sequence in the head's bundle, and re-points the stream when the request
+// moves).
 class PagedRescaleSource final : public RescaleSource {
  public:
   PagedRescaleSource(const PagedSequence* seq, const wl::DecodeStream* stream,
@@ -89,33 +92,6 @@ class PagedRescaleSource final : public RescaleSource {
   const wl::DecodeStream* stream_;
   int layer_;
   int head_;
-};
-
-// Per-request paged KV accounting: one sequence per (layer, head), each of
-// `capacity` tokens.
-class PagedKvCache {
- public:
-  PagedKvCache(PagedKvPool* pool, int n_layer, int n_head,
-               std::size_t capacity);
-
-  PagedSequence& seq(int layer, int head) {
-    return seqs_[static_cast<std::size_t>(layer) * n_head_ + head];
-  }
-  const PagedSequence& seq(int layer, int head) const {
-    return seqs_[static_cast<std::size_t>(layer) * n_head_ + head];
-  }
-
-  int n_layer() const { return n_layer_; }
-  int n_head() const { return n_head_; }
-
-  std::size_t pages_held() const;
-
-  void release_all();
-
- private:
-  int n_layer_;
-  int n_head_;
-  std::vector<PagedSequence> seqs_;
 };
 
 }  // namespace topick::serve

@@ -28,8 +28,8 @@ void ServeEngine::submit(const wl::ArrivalEvent& event) {
     // from the stream's new address.
     for (std::size_t r = 0; r + 1 < requests_.size(); ++r) {
       if (slots_[r] == nullptr) continue;
-      for (auto& source : slots_[r]->rescale_sources) {
-        source.set_stream(&requests_[r].stream);
+      for (Head& h : slots_[r]->heads) {
+        h.source.set_stream(&requests_[r].stream);
       }
     }
   }
@@ -140,7 +140,7 @@ void ServeEngine::admit_due_requests() {
   for (const std::size_t r : batcher_.running()) {
     if (requests_[r].state != RequestState::prefilling) continue;
     const std::size_t need = pages_for_prefill(requests_[r]);
-    const std::size_t held = slots_[r]->cache.pages_held();
+    const std::size_t held = slots_[r]->pages_held();
     reserved += need > held ? need - held : 0;
   }
   while (!batcher_.queue().empty() && batcher_.has_slot() &&
@@ -257,11 +257,11 @@ void ServeEngine::begin_prefill(std::size_t request) {
 
 void ServeEngine::detach(std::size_t request, bool terminal) {
   if (slots_[request] != nullptr) {
-    for (const QuantizedKvCache& qcache : slots_[request]->qcaches) {
-      metrics_.key_rows_requantized += qcache.key_rows_requantized();
-      metrics_.value_rows_requantized += qcache.value_rows_requantized();
+    for (const Head& h : slots_[request]->heads) {
+      metrics_.key_rows_requantized += h.qcache.key_rows_requantized();
+      metrics_.value_rows_requantized += h.qcache.value_rows_requantized();
     }
-    slots_[request]->cache.release_all();
+    slots_[request]->release_all();
     slots_[request].reset();
     batcher_.retire(request);
     if (!terminal) cancel_step_work(request);
@@ -312,7 +312,7 @@ bool ServeEngine::preempt_for_pressure(std::size_t needy) {
     cand.request = r;
     cand.priority = requests_[r].priority();
     cand.admit_order = order;
-    cand.pages_held = slots_[r]->cache.pages_held();
+    cand.pages_held = slots_[r]->pages_held();
     cand.replay_bits = replay_cost_bits(requests_[r]);
     // Filled only under deadline enforcement — deadline-free runs keep every
     // candidate at kNoSlack, leaving the policy's cost ordering untouched.

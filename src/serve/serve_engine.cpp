@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <span>
 
 #include "common/require.h"
 #include "common/stats.h"
@@ -52,6 +53,7 @@ struct ServeEngine::Workspace {
   // Rows regenerated from the request's stream for an append, sized on
   // first use (the largest prefill chunk this worker has appended).
   std::vector<float> keys, values;
+  std::vector<std::size_t> dead;  // ids a decode unit evicts from its head
 
   void size_rows(std::size_t floats) {
     if (keys.size() < floats) {
@@ -61,41 +63,50 @@ struct ServeEngine::Workspace {
   }
 };
 
+// No copy of a row outlives its append: whole-head rescales regenerate the
+// live rows from the request's stream (stable ids coincide by construction),
+// gated by the sequence's page residency. The step's phase ordering keeps
+// every queried id resident: the sequential seq.append runs before the
+// parallel qcache appends, and every eviction rescale in the fan-out runs
+// before the reduce's sweep() frees any page.
+ServeEngine::Head::Head(PagedKvPool* pool, const ServeConfig& config,
+                        float headroom, const wl::DecodeStream& stream,
+                        int layer, int head)
+    : seq(pool, stream.total_tokens()),
+      qcache(static_cast<std::size_t>(config.head_dim),
+             QuantizedKvCache::Config{config.picker.quant, headroom}),
+      source(&seq, &stream, layer, head),
+      persistence(config.persistence_window) {
+  qcache.set_rescale_source(&source);
+}
+
 ServeEngine::Slot::Slot(PagedKvPool* pool, const ServeConfig& config,
-                        float headroom, const wl::DecodeStream& stream)
-    : cache(pool, config.n_layer, config.n_head, stream.total_tokens()) {
-  const auto n = static_cast<std::size_t>(config.n_layer) * config.n_head;
-  persistence.reserve(n);
-  qcaches.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    persistence.emplace_back(config.persistence_window);
-    qcaches.emplace_back(
-        static_cast<std::size_t>(config.head_dim),
-        QuantizedKvCache::Config{config.picker.quant, headroom});
+                        float headroom, const wl::DecodeStream& stream) {
+  heads.reserve(static_cast<std::size_t>(config.n_layer) * config.n_head);
+  for (int layer = 0; layer < config.n_layer; ++layer) {
+    for (int head = 0; head < config.n_head; ++head) {
+      heads.emplace_back(pool, config, headroom, stream, layer, head);
+    }
   }
-  // No copy of a row outlives its append: whole-head rescales regenerate
-  // the live rows from the request's stream (stable ids coincide by
-  // construction), gated by the sequence's page residency. The step's phase
-  // ordering keeps every queried id resident: sequential seq.append runs
-  // before the parallel qcache appends, and eviction rescales run before
-  // sweep() frees any page.
-  rescale_sources.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int layer = static_cast<int>(i) / config.n_head;
-    const int head = static_cast<int>(i) % config.n_head;
-    rescale_sources.emplace_back(&cache.seq(layer, head), &stream, layer,
-                                 head);
-    qcaches[i].set_rescale_source(&rescale_sources[i]);
-  }
+}
+
+std::size_t ServeEngine::Slot::pages_held() const {
+  std::size_t total = 0;
+  for (const Head& h : heads) total += h.seq.pages_held();
+  return total;
+}
+
+void ServeEngine::Slot::release_all() {
+  for (Head& h : heads) h.seq.release_all();
 }
 
 ServeEngine::HeadState ServeEngine::head_state(std::size_t request, int layer,
                                                int head) const {
   const Slot* slot = slots_.at(request).get();
   if (slot == nullptr) return {};
-  return {&slot->cache.seq(layer, head),
-          &slot->qcaches[static_cast<std::size_t>(layer) * config_.n_head +
-                         head]};
+  const Head& h =
+      slot->heads[static_cast<std::size_t>(layer) * config_.n_head + head];
+  return {&h.seq, &h.qcache};
 }
 
 double ClassMetrics::p50_ttft_cycles() const {
@@ -253,16 +264,13 @@ bool ServeEngine::append_prefill_chunk(std::size_t request) {
   Slot& slot = *slots_[request];
   // Sequences append their bound rows in order, so the chunk's rows are the
   // next ones only if every earlier cursor position was appended.
-  require(slot.cache.seq(0, 0).appended_tokens() == req.prefilled,
+  require(slot.heads[0].seq.appended_tokens() == req.prefilled,
           "ServeEngine: prefill cursor out of step with the sequences");
 
-  for (int layer = 0; layer < config_.n_layer; ++layer) {
-    for (int head = 0; head < config_.n_head; ++head) {
-      auto& seq = slot.cache.seq(layer, head);
-      for (std::size_t t = 0; t < chunk; ++t) {
-        require(seq.append(),
-                "ServeEngine: prefill append failed despite page check");
-      }
+  for (Head& h : slot.heads) {
+    for (std::size_t t = 0; t < chunk; ++t) {
+      require(h.seq.append(),
+              "ServeEngine: prefill append failed despite page check");
     }
   }
 
@@ -290,15 +298,11 @@ bool ServeEngine::ensure_pages_for_append(std::size_t request,
   // needy request itself is never a victim *candidate*, so either the pool
   // frees up or the policy refuses and the needy request self-preempts
   // (false return — caller bails out of the append).
-  auto& slot = *slots_[request];
   const std::size_t pt = config_.page_tokens;
   std::size_t needed = 0;
-  for (int layer = 0; layer < config_.n_layer; ++layer) {
-    for (int head = 0; head < config_.n_head; ++head) {
-      const std::size_t appended =
-          slot.cache.seq(layer, head).appended_tokens();
-      needed += (appended + tokens + pt - 1) / pt - (appended + pt - 1) / pt;
-    }
+  for (const Head& h : slots_[request]->heads) {
+    const std::size_t appended = h.seq.appended_tokens();
+    needed += (appended + tokens + pt - 1) / pt - (appended + pt - 1) / pt;
   }
   // Transient allocation fault (fault_plan.h): an append that needs at least
   // one new page may be failed by the plan. The request loses its slot —
@@ -321,13 +325,11 @@ bool ServeEngine::append_decode_token(std::size_t request) {
 
   if (!ensure_pages_for_append(request, 1)) return false;
   Slot& slot = *slots_[request];
-  require(slot.cache.seq(0, 0).appended_tokens() == pos,
+  require(slot.heads[0].seq.appended_tokens() == pos,
           "ServeEngine: decode position out of step with the sequences");
-  for (int layer = 0; layer < config_.n_layer; ++layer) {
-    for (int head = 0; head < config_.n_head; ++head) {
-      require(slot.cache.seq(layer, head).append(),
-              "ServeEngine: decode append failed despite page check");
-    }
+  for (Head& h : slot.heads) {
+    require(h.seq.append(),
+            "ServeEngine: decode append failed despite page check");
   }
 
   PendingWork work;
@@ -342,11 +344,11 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
                                       std::size_t worker) {
   const PendingWork& work = pending_[pending];
   Request& req = requests_[work.request];
-  Slot& slot = *slots_[work.request];
+  Head& h = slots_[work.request]->heads[inst];
+  QuantizedKvCache& qcache = h.qcache;
   const auto dim = static_cast<std::size_t>(config_.head_dim);
   const int layer = static_cast<int>(inst) / config_.n_head;
   const int head = static_cast<int>(inst) % config_.n_head;
-  auto& qcache = slot.qcaches[inst];
 
   // Per-unit span on the worker's own track (lock-free recording). Args are
   // stamped at destruction, after the backend ran, so `kept` is available.
@@ -364,13 +366,17 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
   req.stream.fill_rows(layer, head, work.pos, 1, ws.keys.data(),
                        ws.values.data());
   qcache.append({ws.keys.data(), dim}, {ws.values.data(), dim}, work.pos);
+  const std::size_t context = qcache.len();
 
   const auto q = req.stream.query(layer, head, req.generated);
   const auto n_inst = static_cast<std::size_t>(config_.n_layer) *
                       config_.n_head;
   InstanceResult& res = results_[pending * n_inst + inst];
   res.stats = AccessStats{};
-  res.decisions.clear();
+  res.evicted = false;
+  res.kept_ids.clear();
+  const bool capture = config_.capture_outputs;
+  std::span<const float> out;
 
   switch (config_.backend) {
     case BackendKind::token_picker: {
@@ -388,17 +394,31 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
       }
       ws.picker.attend_cached(q, qcache, &ws.picker_result);
       res.stats = ws.picker_result.stats;
-      res.out.assign(ws.picker_result.output.begin(),
-                     ws.picker_result.output.end());
-      res.decisions.assign(ws.picker_result.decisions.begin(),
-                           ws.picker_result.decisions.end());
+      out = ws.picker_result.output;
+      // One verdict per live token: the decisions cover the head's whole id
+      // list. Tokens whose prune streak reached the window leave the cache
+      // now, so the next step's attention view (and its shared scale) covers
+      // exactly the live set; the eviction's rescale reads survivors before
+      // the reduce sweeps any page.
+      ws.dead.clear();
+      for (const TokenDecision& decision : ws.picker_result.decisions) {
+        const std::size_t global = qcache.id_at(decision.token);
+        if (config_.reclaim && h.persistence.observe(global, decision.kept)) {
+          ws.dead.push_back(global);
+        }
+        if (capture && decision.kept) res.kept_ids.push_back(global);
+      }
+      if (!ws.dead.empty()) {
+        qcache.evict_ids(ws.dead);
+        res.evicted = true;
+      }
       break;
     }
     case BackendKind::exact_quantized: {
       exact_attention_view(q, qcache.view(), &ws.exact_q_scratch,
                            &ws.exact_result);
-      res.out.assign(ws.exact_result.output.begin(),
-                     ws.exact_result.output.end());
+      out = ws.exact_result.output;
+      if (capture) res.kept_ids = qcache.ids();
       const auto full_bits = static_cast<std::uint64_t>(qcache.len()) * dim *
                              config_.picker.quant.total_bits;
       res.stats.k_bits_fetched = res.stats.k_bits_baseline = full_bits;
@@ -407,7 +427,8 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
       break;
     }
   }
-  span.arg("context", static_cast<double>(qcache.len()));
+  if (capture) res.out.assign(out.begin(), out.end());
+  span.arg("context", static_cast<double>(context));
   span.arg("kept", static_cast<double>(res.stats.tokens_kept));
 }
 
@@ -425,7 +446,6 @@ void ServeEngine::run_unit(std::size_t pending, std::size_t inst,
     // quantize it via the bulk path (at most one rescale for the whole
     // chunk). Instances touch disjoint caches.
     Request& req = requests_[work.request];
-    Slot& slot = *slots_[work.request];
     const auto dim = static_cast<std::size_t>(config_.head_dim);
     const int layer = static_cast<int>(inst) / config_.n_head;
     const int head = static_cast<int>(inst) % config_.n_head;
@@ -438,8 +458,8 @@ void ServeEngine::run_unit(std::size_t pending, std::size_t inst,
     ws.size_rows(work.chunk * dim);
     req.stream.fill_rows(layer, head, work.prefilled_before, work.chunk,
                          ws.keys.data(), ws.values.data());
-    slot.qcaches[inst].append_rows(ws.keys.data(), ws.values.data(),
-                                   work.chunk, work.prefilled_before);
+    slots_[work.request]->heads[inst].qcache.append_rows(
+        ws.keys.data(), ws.values.data(), work.chunk, work.prefilled_before);
   } else {
     run_decode_instance(pending, inst, worker);
   }
@@ -480,48 +500,23 @@ void ServeEngine::reduce_pending(std::size_t pending) {
   std::uint64_t bits = 0;
   for (std::size_t inst = 0; inst < n_inst; ++inst) {
     InstanceResult& res = results_[pending * n_inst + inst];
-    auto& qcache = slot.qcaches[inst];
-    std::vector<std::size_t> kept_ids;
-
-    if (config_.backend == BackendKind::token_picker) {
-      // One verdict per live token: the decisions cover the cache's whole
-      // id list, which is the one record of which tokens are live.
-      auto& persistence = slot.persistence[inst];
-      dead_scratch_.clear();
-      for (const auto& decision : res.decisions) {
-        const std::size_t global = qcache.id_at(decision.token);
-        if (config_.reclaim && persistence.observe(global, decision.kept)) {
-          dead_scratch_.push_back(global);
-        }
-        if (config_.capture_outputs && decision.kept) {
-          kept_ids.push_back(global);
-        }
-      }
-      // Reclaimed tokens leave the cache now, so the next step's attention
-      // view (and its shared scale) covers exactly the live set; the
-      // eviction's rescale reads survivors before any page is freed. Only
-      // an eviction can leave a full page without a live id.
-      if (!dead_scratch_.empty()) {
-        qcache.evict_ids(dead_scratch_);
-        auto& seq = slot.cache.seq(static_cast<int>(inst) / config_.n_head,
-                                   static_cast<int>(inst) % config_.n_head);
-        metrics_.pages_reclaimed += seq.sweep(qcache.ids());
-      }
-    } else if (config_.capture_outputs) {
-      kept_ids = qcache.ids();
-    }
+    Head& h = slot.heads[inst];
+    // The unit already evicted; only an eviction can leave a full page
+    // without a live id. The pool is shared, so sweeps stay here, in slot
+    // and instance order, and page ids do not depend on the thread count.
+    if (res.evicted) metrics_.pages_reclaimed += h.seq.sweep(h.qcache.ids());
 
     bits += res.stats.k_bits_fetched + res.stats.v_bits_fetched;
     req.stats.merge(res.stats);
     metrics_.stats.merge(res.stats);
 
     if (config_.capture_outputs) {
-      record.out[inst] = res.out;
-      // Post-reclaim liveness (see StepOutput in request.h): the reclaim
-      // above already evicted retired tokens from the quantized mirror, so
-      // its id list *is* the context the next decode step extends.
-      record.view_tokens[inst] = qcache.ids();
-      record.kept_tokens[inst] = std::move(kept_ids);
+      record.out[inst] = std::move(res.out);
+      // Post-reclaim liveness (see StepOutput in request.h): the unit
+      // already evicted retired tokens from the quantized cache, so its id
+      // list *is* the context the next decode step extends.
+      record.view_tokens[inst] = h.qcache.ids();
+      record.kept_tokens[inst] = std::move(res.kept_ids);
     }
   }
 
@@ -743,9 +738,9 @@ bool ServeEngine::step() {
     }
   }
 
-  // Reduction phase — sequential, in the append phase's slot order:
-  // persistence + reclamation, AccessStats merge, output capture, step
-  // traffic, retirement.
+  // Reduction phase — sequential, in the append phase's slot order: page
+  // sweeps of the heads that evicted, AccessStats merge, output capture,
+  // step traffic, retirement.
   {
     obs::PhaseTimer timer(phases ? &phase_stats_.reduce_ns : nullptr);
     obs::TraceSpan span(trace_, 0, "reduce", "engine");
@@ -764,14 +759,14 @@ bool ServeEngine::step() {
   QuantizedKvCache::ResidencyBytes kv{};
   std::size_t kv_tokens = 0;
   for (const std::size_t request : batcher_.running()) {
-    pages += slots_[request]->cache.pages_held();
-    for (const QuantizedKvCache& qcache : slots_[request]->qcaches) {
-      const auto r = qcache.residency();
+    pages += slots_[request]->pages_held();
+    for (const Head& h : slots_[request]->heads) {
+      const auto r = h.qcache.residency();
       kv.value_planes += r.value_planes;
       kv.key_planes += r.key_planes;
       kv.maxima += r.maxima;
       kv.ids += r.ids;
-      kv_tokens += qcache.len();
+      kv_tokens += h.qcache.len();
     }
   }
   metrics_.kv_value_plane_bytes = kv.value_planes;

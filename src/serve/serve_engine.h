@@ -6,20 +6,21 @@
 //   request up to prefill_chunk_tokens of its prompt (or preemption
 //   replay), each decoding request one token, preempting under pool
 //   pressure; (3) attends, fanned over ServeConfig::threads workers: one
-//   unit per (request, layer, head) on worker-local scratch, reading a
-//   per-head QuantizedKvCache that quantizes each token once at append and
-//   evicts with page reclamation, so a decode costs O(kept)
+//   unit per (request, layer, head) on worker-local scratch, and the unit
+//   owns its head for the phase. It quantizes the new token once into the
+//   head's QuantizedKvCache, so a decode costs O(kept)
 //   (ServeEngineEquivalence.CachedDecodeMatchesQuantizeFromScratch pins it
-//   to quantizing the live set from scratch); (4) reduces, sequentially in
-//   slot order: one pass over each instance's Token-Picker verdicts feeds
-//   PrunePersistence and collects the tokens whose streak reached the
-//   window, which leave the quantized cache (the one liveness record);
-//   after such an eviction the sequence frees every full page that cache's
-//   id list no longer touches; stats merge, outputs are stamped, finished
-//   requests retire; (5) hands one job to the SerialLane that replays the step's
-//   prefill + decode traffic through the DRAM proxy and stamps first-token
-//   and finish cycles (inline unless ServeConfig::pipeline); (6) samples
-//   the gauges.
+//   to quantizing the live set from scratch), attends, and makes one pass
+//   over the Token-Picker verdicts that feeds the head's PrunePersistence;
+//   tokens whose streak reached the window leave the cache (the one
+//   liveness record), with the eviction's rescale; (4) reduces,
+//   sequentially in slot order, only the state heads share: each head that
+//   evicted sweeps its sequence, returning every full page its cache's id
+//   list no longer touches to the pool; stats merge, outputs are stamped,
+//   finished requests retire; (5) hands one job to the SerialLane that
+//   replays the step's prefill + decode traffic through the DRAM proxy and
+//   stamps first-token and finish cycles (inline unless
+//   ServeConfig::pipeline); (6) samples the gauges.
 // * request_lifecycle.cpp: submit, admission, start of prefill, preemption,
 //   cancel, retry, fail and retire. Every move of a request between the
 //   queue, the running set and backoff, with its SLO verdicts and its trace
@@ -28,12 +29,14 @@
 //   model, the per-request address scheme and the plan's channel faults.
 //
 // Results are bit-identical for every thread count and with the pipeline on
-// or off: shared state is mutated only in slot-ordered sequential phases,
-// and lane jobs run in submission order. Request streams are pure functions
-// of their arrival events, so preemption-recompute and the tests' shadow
-// exact references replay exactly. A victim preempted in the append phase
-// contributes no work to its step, and pages freed by a step's reclamation
-// or retirement serve pool-pressure checks from the next step's append on.
+// or off: in the fan-out a head's state is written only by its own unit,
+// shared state (the pool, metrics, requests) only in slot-ordered
+// sequential phases, and lane jobs run in submission order. Request streams
+// are pure functions of their arrival events, so preemption-recompute and
+// the tests' shadow exact references replay exactly. A victim preempted in
+// the append phase contributes no work to its step, and pages freed by a
+// step's reclamation or retirement serve pool-pressure checks from the next
+// step's append on.
 #pragma once
 
 #include <cstddef>
@@ -384,22 +387,33 @@ class ServeEngine {
  private:
   struct Workspace;  // per-worker attention scratch (no sharing across workers)
 
-  // A running request's paged cache plus, per (layer, head) and layer-major,
-  // the incrementally quantized cache of the head's live tokens (the
-  // attention read path, and the one record of which tokens are live), its
-  // rescale source (the request's stream, gated by the sequence's
-  // residency), and the prune-persistence tracker.
-  // `headroom` is the quantized cache's rescale headroom: 1.0 normally,
-  // raised by the degradation controller for slots created while the
-  // request's class is degraded.
+  // One (layer, head) of a running request: its page accounting, the
+  // incrementally quantized cache of its live tokens (the attention read
+  // path, and the one record of which tokens are live), the cache's rescale
+  // source (the request's stream, gated by the sequence's residency), and
+  // the prune-persistence tracker. The append phase appends to `seq`; the
+  // attention unit of the head writes the rest; the reduce sweeps `seq`.
+  // `source` points at `seq` and `qcache` at `source`, so a Head never moves.
+  struct Head {
+    Head(PagedKvPool* pool, const ServeConfig& config, float headroom,
+         const wl::DecodeStream& stream, int layer, int head);
+
+    PagedSequence seq;
+    QuantizedKvCache qcache;
+    PagedRescaleSource source;
+    PrunePersistence persistence;
+  };
+  // A running request's heads, layer-major. `headroom` is the quantized
+  // caches' rescale headroom: 1.0 normally, raised by the degradation
+  // controller for slots created while the request's class is degraded.
   struct Slot {
     Slot(PagedKvPool* pool, const ServeConfig& config, float headroom,
          const wl::DecodeStream& stream);
 
-    PagedKvCache cache;
-    std::vector<QuantizedKvCache> qcaches;
-    std::vector<PagedRescaleSource> rescale_sources;  // parallel to qcaches
-    std::vector<PrunePersistence> persistence;
+    std::size_t pages_held() const;
+    void release_all();
+
+    std::vector<Head> heads;  // sized once by the constructor, never grown
   };
 
   // Cycle-domain work a decode step leaves for after the replay: stamp the
@@ -424,12 +438,14 @@ class ServeEngine {
     std::size_t chunk = 0;             // prefill: tokens appended this step
     std::size_t prefilled_before = 0;  // prefill: cursor before this chunk
   };
-  // Per-instance attention results, produced in the parallel phase and
-  // reduced sequentially in slot order; buffers reused across steps.
+  // What a decode unit leaves the slot-ordered reduce, which owns the state
+  // heads share; buffers reused across steps.
   struct InstanceResult {
     AccessStats stats;
+    bool evicted = false;  // the head's sequence has pages to sweep
+    // capture_outputs only: the head's output and the ids it kept.
     std::vector<float> out;
-    std::vector<TokenDecision> decisions;  // token_picker backend only
+    std::vector<std::size_t> kept_ids;
   };
 
   // Every submitted request is finished or failed.
@@ -451,13 +467,15 @@ class ServeEngine {
   // PendingWork on success.
   bool append_prefill_chunk(std::size_t request);
   bool append_decode_token(std::size_t request);
-  // Attention phase (parallel): quantize the appended K/V and attend, writing
-  // into results_[pending * n_inst + inst] via worker-local scratch only.
+  // Attention phase (parallel): quantize the appended K/V into the unit's
+  // head and attend; a decode unit also observes persistence and evicts
+  // from its head. Writes only that head, worker-local scratch and
+  // results_[pending * n_inst + inst].
   void run_unit(std::size_t pending, std::size_t inst, std::size_t worker);
   void run_decode_instance(std::size_t pending, std::size_t inst,
                            std::size_t worker);
-  // Reduction phase (sequential, slot order): persistence + reclaim, stats
-  // merge, output capture, step traffic, retirement.
+  // Reduction phase (sequential, slot order): page sweeps of the heads that
+  // evicted, stats merge, output capture, step traffic, retirement.
   void reduce_pending(std::size_t pending);
   // Submits step `now_`'s DRAM replay and cycle checkpoints to the lane as
   // one job, consuming active_/checkpoints_. The lane runs it inline (timed
@@ -581,7 +599,6 @@ class ServeEngine {
   std::vector<InstanceResult> results_;
   std::vector<DramTransfer> active_;
   std::vector<CycleCheckpoint> checkpoints_;
-  std::vector<std::size_t> dead_scratch_;
   // Policy candidate scratch, rebuilt per pick.
   std::vector<AdmissionCandidate> admission_scratch_;
   std::vector<VictimCandidate> victim_scratch_;

@@ -1,6 +1,8 @@
 // PR 5 concurrency-subsystem suite:
 //   * ThreadPool: every index runs exactly once, results land regardless of
 //     thread count, reuse across many parallel_fors, exception propagation.
+//   * SerialLane: a job's exception surfaces at the next back-pressure wait,
+//     and only once.
 //   * row_dot_i64 SIMD-vs-scalar equivalence: randomized lengths including
 //     odd remainders and adversarial int16 extremes (±32767 runs) — integer
 //     dot products have one right answer, so EVERY kernel variant the
@@ -145,6 +147,30 @@ TEST(ThreadPool, PerTaskSlotsGiveThreadCountIndependentResults) {
   const std::uint64_t reference = run(1);
   EXPECT_EQ(run(2), reference);
   EXPECT_EQ(run(8), reference);
+}
+
+// ---- SerialLane -------------------------------------------------------------
+
+// The serve engine waits on its pipelined lane every step, so a job that
+// throws in step t stops the run at step t + 1, as the inline lane stops it
+// at step t; the final drain does not report it a second time.
+TEST(SerialLane, WaitDepthBelowRethrowsACapturedJobExceptionOnce) {
+  SerialLane lane(/*enabled=*/true);
+  std::atomic<int> ran{0};
+  lane.submit([] { throw std::runtime_error("job 0"); });
+  lane.submit([&] { ran.fetch_add(1); });
+  try {
+    lane.wait_depth_below(1);  // blocks until both jobs completed
+    ADD_FAILURE() << "wait_depth_below swallowed the job exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "job 0");
+  }
+  EXPECT_EQ(ran.load(), 1);  // the failed job did not stop the lane
+  EXPECT_NO_THROW(lane.drain());
+  EXPECT_NO_THROW(lane.wait_depth_below(1));
+  lane.submit([&] { ran.fetch_add(1); });
+  lane.drain();
+  EXPECT_EQ(ran.load(), 2);
 }
 
 // ---- row_dot_i64 variant-vs-scalar equivalence ------------------------------

@@ -341,18 +341,26 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   }
 }
 
-TEST(PagedKvCache, EachHeadHasItsOwnSequence) {
+// A request keeps one sequence per head on the one pool: each accounts its
+// own pages, and releasing one leaves the other's pages held.
+TEST(PagedSequence, SequencesSharingAPoolAccountIndependently) {
   PagedKvPool pool({16, 4});
-  PagedKvCache cache(&pool, 1, 2, 8);
-  // Head 0: page 0 full, page 1 half full; head 1: one token.
-  for (int t = 0; t < 6; ++t) ASSERT_TRUE(cache.seq(0, 0).append());
-  ASSERT_TRUE(cache.seq(0, 1).append());
-  EXPECT_EQ(cache.seq(0, 0).appended_tokens(), 6u);
-  EXPECT_EQ(cache.seq(0, 1).appended_tokens(), 1u);
-  EXPECT_EQ(cache.pages_held(), 3u);
+  PagedSequence a(&pool, 8);
+  PagedSequence b(&pool, 8);
+  // a: page 0 full, page 1 half full; b: one token.
+  for (int t = 0; t < 6; ++t) ASSERT_TRUE(a.append());
+  ASSERT_TRUE(b.append());
+  EXPECT_EQ(a.appended_tokens(), 6u);
+  EXPECT_EQ(b.appended_tokens(), 1u);
+  EXPECT_EQ(a.pages_held(), 2u);
+  EXPECT_EQ(b.pages_held(), 1u);
   EXPECT_EQ(pool.pages_in_use(), 3u);
-  cache.release_all();
-  EXPECT_EQ(cache.pages_held(), 0u);
+  a.release_all();
+  EXPECT_EQ(a.pages_held(), 0u);
+  EXPECT_EQ(b.pages_held(), 1u);
+  EXPECT_EQ(pool.pages_in_use(), 1u);
+  EXPECT_NO_THROW(b.require_resident(0));
+  b.release_all();
   EXPECT_EQ(pool.pages_in_use(), 0u);
 }
 
@@ -979,7 +987,8 @@ TEST(ServeEngine, KvResidencyGaugesPinTheQuantizedFootprint) {
 // rescales regenerated, per arena. A request's rescales depend only on its
 // own stream and the reclaim verdicts over it, so without preemption the
 // fleet total is the sum of each request served alone — at any thread count
-// and with either executor. The totals are pinned on this fixed trace.
+// (eviction rescales run on the attention workers) and with either
+// executor. The totals are pinned on this fixed trace.
 TEST(ServeEngine, RequantizedRowCountsArePinnedAndSumOverRequests) {
   ServeConfig config = acceptance_config();
   config.head_dim = 64;
@@ -998,7 +1007,8 @@ TEST(ServeEngine, RequantizedRowCountsArePinnedAndSumOverRequests) {
     solo_values += solo.metrics().value_rows_requantized;
   }
   for (const bool pipeline : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       SCOPED_TRACE(testing::Message() << "pipeline " << pipeline
                                       << " threads " << threads);
       config.pipeline = pipeline;
@@ -1030,7 +1040,8 @@ TEST(ServeEngine, ReclaimPageCountsArePinned) {
   Rng rng(5150);
   const auto trace = concurrent_trace(8, rng, 16, 48, 16, 48);
   for (const bool pipeline : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       SCOPED_TRACE(testing::Message() << "pipeline " << pipeline
                                       << " threads " << threads);
       config.pipeline = pipeline;
