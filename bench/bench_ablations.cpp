@@ -183,16 +183,15 @@ int main() {
     config.compute_oracle_mass = false;
 
     for (const float headroom : {1.0f, 1.25f, 1.5f, 2.0f}) {
-      QuantizedKvCache cache(
-          64, QuantizedKvCache::Config{config.quant, headroom});
-      cache.set_rescale_source(&source);
+      QuantizedKvCache cache(64, {config.quant, headroom});
       TokenPickerAttention op(config);
       TokenPickerResult result;
       const auto start = std::chrono::steady_clock::now();
-      cache.append_rows(rows.keys.data(), rows.values.data(), prompt, 0);
+      cache.append_rows(rows.keys.data(), rows.values.data(), prompt, 0,
+                        source);
       for (std::size_t step = 0; step < decode; ++step) {
         const std::size_t pos = prompt + step;
-        cache.append(all.key(pos), all.value(pos), pos);
+        cache.append(all.key(pos), all.value(pos), pos, source);
         op.attend_cached(stream.query(0, 0, step), cache, &result);
       }
       const double seconds =

@@ -15,7 +15,8 @@
 //
 // Emits BENCH_hotpath.json with the runtime-selected kernel ISA (plus
 // whether TOPICK_FORCE_ISA forced it — forced numbers must never read as a
-// host's natural selection), the threads sweep, and a full-engine --pipeline
+// host's natural selection), the host fingerprint (usable CPUs, CPU model,
+// compiler), the threads sweep, and a full-engine --pipeline
 // on|off comparison: the same Poisson trace through the fork-join executor
 // and the pipelined executor (DRAM replay on the lane), outputs and DRAM
 // cycle stamps bit-checked, with before/after phase attribution. `--smoke` runs a small
@@ -25,11 +26,14 @@
 // `--trace out.json` writes a validated engine trace; `--isa-levels` prints
 // the kernel levels this binary + CPU can run (one per line, for CI
 // forced-ISA matrix loops) and exits.
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -319,6 +323,52 @@ void write_phase_attribution(FILE* out, const char* key,
       f.barrier_frac, f.replay_frac_of_step);
 }
 
+// Host fingerprint: ties the throughput sections to the build and the
+// machine that produced them.
+std::string compiler_id() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+// The first "model name" line of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto value = line.find_first_not_of(" \t", colon + 1);
+    return value == std::string::npos ? "unknown" : line.substr(value);
+  }
+  return "unknown";
+}
+
+// CPUs this process may run on (its affinity mask), not the host's count.
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
+}
+
+// `s` as the body of a JSON string.
+std::string json_escaped(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -504,6 +554,11 @@ int main(int argc, char** argv) {
   // overhead only; real overlap needs >= 2.
   std::fprintf(out, "  \"host_hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
+  std::fprintf(out, "  \"nproc\": %zu,\n", usable_cpus());
+  std::fprintf(out, "  \"cpu_model\": \"%s\",\n",
+               json_escaped(cpu_model()).c_str());
+  std::fprintf(out, "  \"compiler\": \"%s\",\n",
+               json_escaped(compiler_id()).c_str());
   std::fprintf(out, "  \"cached_tokens_per_s\": %.2f,\n",
                sweep[best].tokens_per_s);
   std::fprintf(out, "  \"cached_best_threads\": %zu,\n", thread_sweep[best]);

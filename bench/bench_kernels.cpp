@@ -99,8 +99,7 @@ void BM_TokenPickerAttend(benchmark::State& state) {
   TokenPickerConfig config;
   config.estimator.threshold = 1e-3;
   config.compute_oracle_mass = false;
-  QuantizedKvCache cache(params.head_dim,
-                         QuantizedKvCache::Config{config.quant, 1.0f});
+  QuantizedKvCache cache(params.head_dim, {config.quant});
   cache.rebuild(inst.view());
   TokenPickerAttention op(config);
   TokenPickerResult result;

@@ -18,7 +18,7 @@ QuantizedKvCache& synced_cache(
     const fx::QuantParams& quant) {
   auto [it, inserted] = caches.try_emplace(
       std::make_pair(ctx.layer, ctx.head), kv.head_dim,
-      QuantizedKvCache::Config{quant, 1.0f});
+      QuantizedKvCache::Config{quant});
   sync_cache_to_view(it->second, kv);
   return it->second;
 }

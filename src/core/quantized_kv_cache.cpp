@@ -202,14 +202,6 @@ void ViewRescaleSource::fill_rows(std::span<const std::size_t> ids,
 
 // ---- QuantizedKvCache -------------------------------------------------------
 
-QuantizedKvCache::QuantizedKvCache() : QuantizedKvCache(0, Config{}) {}
-
-QuantizedKvCache::QuantizedKvCache(const Config& config)
-    : QuantizedKvCache(0, config) {}
-
-QuantizedKvCache::QuantizedKvCache(std::size_t head_dim)
-    : QuantizedKvCache(head_dim, Config{}) {}
-
 QuantizedKvCache::QuantizedKvCache(std::size_t head_dim, const Config& config)
     : config_(config), head_dim_(head_dim) {
   require(std::isfinite(config.headroom) && config.headroom >= 1.0f,
@@ -240,11 +232,6 @@ QuantizedKvCache::ResidencyBytes QuantizedKvCache::residency() const {
   return b;
 }
 
-void QuantizedKvCache::require_source() const {
-  require(store_.len == 0 || source_ != nullptr,
-          "QuantizedKvCache: a cache holding rows needs a RescaleSource");
-}
-
 // Rows a rescale asks the source for at a time: bounds the float scratch
 // (32 KiB at head_dim 64) however long the head is.
 constexpr std::size_t kRescaleBlockRows = 64;
@@ -257,7 +244,8 @@ constexpr std::size_t kRescaleBlockRows = 64;
 // exactly store_.len rows: append paths call this BEFORE pushing their new
 // rows, whose floats are still at hand and are quantized directly under the
 // new scale afterward.
-void QuantizedKvCache::requantize(bool keys, bool values) {
+void QuantizedKvCache::requantize(bool keys, bool values,
+                                  const RescaleSource& rows) {
   const std::size_t n = store_.len;
   if (n == 0) return;
   static thread_local std::vector<float> k_rows, v_rows;
@@ -267,9 +255,9 @@ void QuantizedKvCache::requantize(bool keys, bool values) {
   v_row_scratch_.resize(head_dim_);
   for (std::size_t start = 0; start < n; start += kRescaleBlockRows) {
     const std::size_t count = std::min(kRescaleBlockRows, n - start);
-    source_->fill_rows({ids_.data() + start, count},
-                       keys ? k_rows.data() : nullptr,
-                       values ? v_rows.data() : nullptr);
+    rows.fill_rows({ids_.data() + start, count},
+                   keys ? k_rows.data() : nullptr,
+                   values ? v_rows.data() : nullptr);
     for (std::size_t r = 0; r < count; ++r) {
       if (keys) {
         quantize_row({k_rows.data() + r * head_dim_, head_dim_},
@@ -287,7 +275,8 @@ void QuantizedKvCache::requantize(bool keys, bool values) {
   if (values) value_rows_requantized_ += n;
 }
 
-void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
+void QuantizedKvCache::ensure_scales(float key_amax, float value_amax,
+                                     const RescaleSource& rows) {
   const float k_target =
       scale_for_amax(key_amax, store_.keys.params.total_bits);
   const float v_target =
@@ -332,7 +321,7 @@ void QuantizedKvCache::ensure_scales(float key_amax, float value_amax) {
   key_amax_ = key_amax;
   value_amax_ = value_amax;
   if (requant_keys || requant_values) {
-    requantize(requant_keys, requant_values);
+    requantize(requant_keys, requant_values, rows);
   }
 }
 
@@ -345,16 +334,11 @@ void QuantizedKvCache::push_quantized(const float* k_row, const float* v_row) {
 }
 
 void QuantizedKvCache::append(std::span<const float> k,
-                              std::span<const float> v) {
-  append(k, v, ids_.empty() ? 0 : ids_.back() + 1);
-}
-
-void QuantizedKvCache::append(std::span<const float> k,
-                              std::span<const float> v, std::size_t id) {
+                              std::span<const float> v, std::size_t id,
+                              const RescaleSource& rows) {
   require(head_dim_ > 0, "QuantizedKvCache: head_dim not set");
   require(k.size() == head_dim_ && v.size() == head_dim_,
           "QuantizedKvCache::append: head_dim mismatch");
-  require_source();
   const float ka = row_amax(k);
   const float va = row_amax(v);
   require(std::isfinite(ka) && std::isfinite(va), kNonFiniteRow);
@@ -364,19 +348,20 @@ void QuantizedKvCache::append(std::span<const float> k,
   // A record-setting row triggers the whole-head requantize of the rows
   // already stored; the new row's floats are at hand either way, so it is
   // always quantized exactly under the (possibly fresh) scale.
-  ensure_scales(std::max(key_amax_, ka), std::max(value_amax_, va));
+  ensure_scales(std::max(key_amax_, ka), std::max(value_amax_, va), rows);
   push_quantized(k.data(), v.data());
 }
 
 void QuantizedKvCache::append_rows(const float* k_rows, const float* v_rows,
-                                   std::size_t count, std::size_t first_id) {
-  require_source();
+                                   std::size_t count, std::size_t first_id,
+                                   const RescaleSource& rows) {
   require_finite_rows(k_rows, v_rows, count * head_dim_);
-  push_rows(k_rows, v_rows, count, first_id);
+  push_rows(k_rows, v_rows, count, first_id, rows);
 }
 
 void QuantizedKvCache::push_rows(const float* k_rows, const float* v_rows,
-                                 std::size_t count, std::size_t first_id) {
+                                 std::size_t count, std::size_t first_id,
+                                 const RescaleSource& rows) {
   require(head_dim_ > 0, "QuantizedKvCache: head_dim not set");
   if (count == 0) return;
   float ka = key_amax_;
@@ -393,7 +378,7 @@ void QuantizedKvCache::push_rows(const float* k_rows, const float* v_rows,
   // At most one whole-head requantize for the batch — the scale target is
   // computed over ALL batch maxima before any batch row is quantized, so
   // every batch row lands on the final grid directly from its floats.
-  ensure_scales(ka, va);
+  ensure_scales(ka, va, rows);
   for (std::size_t r = 0; r < count; ++r) {
     push_quantized(k_rows + r * head_dim_, v_rows + r * head_dim_);
   }
@@ -403,11 +388,12 @@ void QuantizedKvCache::rebuild(const KvHeadView& view) {
   require_finite_rows(view.keys, view.values, view.len * view.head_dim);
   head_dim_ = view.head_dim;
   clear();
-  push_rows(view.keys, view.values, view.len, 0);
+  // The cache is empty, so the source is never read.
+  push_rows(view.keys, view.values, view.len, 0, ViewRescaleSource(view));
 }
 
-std::size_t QuantizedKvCache::evict_ids(std::span<const std::size_t> ids) {
-  require_source();
+std::size_t QuantizedKvCache::evict_ids(std::span<const std::size_t> ids,
+                                        const RescaleSource& rows) {
   if (ids.empty() || store_.len == 0) return 0;
   evict_scratch_.assign(ids.begin(), ids.end());
   std::sort(evict_scratch_.begin(), evict_scratch_.end());
@@ -445,7 +431,7 @@ std::size_t QuantizedKvCache::evict_ids(std::span<const std::size_t> ids) {
     ka = std::max(ka, key_row_amax_[r]);
     va = std::max(va, value_row_amax_[r]);
   }
-  ensure_scales(ka, va);
+  ensure_scales(ka, va, rows);
   return evicted;
 }
 
@@ -490,17 +476,6 @@ bool tail_matches_view(const QuantizedKvCache& cache, const KvHeadView& view,
 
 void sync_cache_to_view(QuantizedKvCache& cache, const KvHeadView& view) {
   const std::size_t n = cache.len();
-  // Register the view as the rescale source for the duration of the sync
-  // (restoring the caller's source on every exit path): rebuilds and
-  // suffix-append rescales then re-read exact floats from the view.
-  const ViewRescaleSource source(view);
-  struct RestoreSource {
-    QuantizedKvCache* cache;
-    const RescaleSource* previous;
-    ~RestoreSource() { cache->set_rescale_source(previous); }
-  } restore{&cache, cache.rescale_source()};
-  cache.set_rescale_source(&source);
-
   if (view.len < n) {
     cache.rebuild(view);
     return;
@@ -511,8 +486,11 @@ void sync_cache_to_view(QuantizedKvCache& cache, const KvHeadView& view) {
     return;
   }
   if (view.len > n) {
+    // Rows 0..n-1 are the view's (the witness above), so a suffix rescale
+    // re-reads exact floats from it.
     cache.append_rows(view.keys + n * view.head_dim,
-                      view.values + n * view.head_dim, view.len - n, n);
+                      view.values + n * view.head_dim, view.len - n, n,
+                      ViewRescaleSource(view));
   }
 }
 

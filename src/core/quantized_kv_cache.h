@@ -12,9 +12,10 @@
 // an arena of the whole head only on the rare step where its max changes — a
 // new record on append, or the record holder leaving on evict. The cache
 // keeps no floats: a rescale re-reads every stored row of the rescaled arena
-// from the registered RescaleSource (the other arena's rows already are
-// their floats under its unchanged scale), so at any headroom each stored
-// row is its floats quantized under the head's current scales. With headroom == 1 (default) that scale is
+// from the RescaleSource the mutating call was handed (the other arena's
+// rows already are their floats under its unchanged scale), so at any
+// headroom each stored row is its floats quantized under the head's current
+// scales. With headroom == 1 (default) that scale is
 // choose_scale()'s, so the integers, scales, and every downstream pruning
 // decision are bit-identical to the from-scratch path
 // (tests/quantized_kv_cache_test.cpp proves it over randomized append/evict
@@ -241,16 +242,15 @@ QuantizedKv quantize_kv(const KvHeadView& kv, const fx::QuantParams& base);
 
 // Float-row provider for whole-head rescales, keyed by the caller's stable
 // token ids. The cache itself retains NO floats (per-row maxima + ids are
-// its only float-domain residue); when a rescale fires it asks for the
-// original rows of the arena whose scale changed, in blocks, into its own
-// scratch:
+// its only float-domain residue), so every call that can rescale — append,
+// append_rows and evict_ids — takes one; the cache keeps no reference to it
+// past the call. When a rescale fires it asks for the original rows of the
+// arena whose scale changed, in blocks, into its own scratch:
 //   * a serve PagedRescaleSource (serve/paged_sequence.h) regenerates them
 //     from the request's DecodeStream checkpoints, for ids whose pool page
 //     is still held; eviction rescales run before the sweep;
 //   * a float view whose row t has stable id t (ViewRescaleSource) copies
-//     them — sync_cache_to_view registers one for the duration of the sync.
-// A cache that holds rows must have a source: append, append_rows and
-// evict_ids throw std::logic_error without one, before changing anything.
+//     them — sync_cache_to_view hands one over the view it syncs to.
 // The cache only asks for ids currently resident in it.
 class RescaleSource {
  public:
@@ -275,24 +275,26 @@ class ViewRescaleSource final : public RescaleSource {
   KvHeadView view_;
 };
 
+// QuantizedKvCache::Config. At namespace scope so that its default member
+// initializers are usable in the cache constructor's default argument.
+struct QuantizedKvCacheConfig {
+  fx::QuantParams base{};  // precision; scales are managed by the cache
+  // Scale slack, finite and >= 1. 1.0 (default) reproduces choose_scale()
+  // exactly — bit-identical to quantize-from-scratch. > 1.0 holds the scale
+  // inside a [max/qmax, headroom*max/qmax] hysteresis band: max|x| drift
+  // within the band costs no rescale, at the cost of a coarser grid than
+  // from-scratch (every row is still its floats quantized under the
+  // current scale); only a band breach (growth past the top, or an evict
+  // dropping the max by more than the headroom factor) re-quantizes.
+  float headroom = 1.0f;
+};
+
 class QuantizedKvCache {
  public:
-  struct Config {
-    fx::QuantParams base{};  // precision; scales are managed by the cache
-    // Scale slack, finite and >= 1. 1.0 (default) reproduces choose_scale()
-    // exactly — bit-identical to quantize-from-scratch. > 1.0 holds the scale
-    // inside a [max/qmax, headroom*max/qmax] hysteresis band: max|x| drift
-    // within the band costs no rescale, at the cost of a coarser grid than
-    // from-scratch (every row is still its floats quantized under the
-    // current scale); only a band breach (growth past the top, or an evict
-    // dropping the max by more than the headroom factor) re-quantizes.
-    float headroom = 1.0f;
-  };
+  using Config = QuantizedKvCacheConfig;
 
-  QuantizedKvCache();
-  explicit QuantizedKvCache(const Config& config);
-  explicit QuantizedKvCache(std::size_t head_dim);
-  QuantizedKvCache(std::size_t head_dim, const Config& config);
+  explicit QuantizedKvCache(std::size_t head_dim = 0,
+                            const Config& config = {});
 
   std::size_t len() const { return store_.len; }
   bool empty() const { return store_.len == 0; }
@@ -300,28 +302,27 @@ class QuantizedKvCache {
 
   void clear();
 
-  // Appends one token; `id` is the caller's stable token id (the default
-  // overload numbers tokens by append order). Every append path and rebuild
-  // throws std::logic_error on an inf K/V value and leaves the cache as it
-  // was; a NaN value quantizes to 0. append, append_rows and evict_ids also
-  // throw, whatever the rows, when the cache holds rows and has no
-  // RescaleSource; rebuild and an append into an empty cache need none.
-  void append(std::span<const float> k, std::span<const float> v);
+  // Appends one token under `id`, the caller's stable token id; `rows`
+  // supplies the floats of the rows already stored should the append
+  // rescale. Every append path and rebuild throws std::logic_error on an inf
+  // K/V value and leaves the cache as it was; a NaN value quantizes to 0.
   void append(std::span<const float> k, std::span<const float> v,
-              std::size_t id);
+              std::size_t id, const RescaleSource& rows);
   // Bulk append of `count` contiguous (count, head_dim) row-major rows with
   // ids first_id, first_id+1, ...; rescales at most once for the batch.
   void append_rows(const float* k_rows, const float* v_rows, std::size_t count,
-                   std::size_t first_id);
+                   std::size_t first_id, const RescaleSource& rows);
   // One-shot rebuild from a float view (ids 0..len-1) with a single scale
   // computation; bit-identical to quantize_kv() at headroom 1.
   void rebuild(const KvHeadView& view);
 
   // Evicts tokens by stable id (order-preserving compaction); unknown ids are
   // ignored. Returns the number of tokens removed. If the evicted set held
-  // the live max|x|, the head re-quantizes to the shrunk scale (headroom 1)
-  // so the result stays bit-identical to quantizing the survivors fresh.
-  std::size_t evict_ids(std::span<const std::size_t> ids);
+  // the live max|x|, the head re-quantizes the survivors, read from `rows`,
+  // to the shrunk scale (headroom 1) so the result stays bit-identical to
+  // quantizing the survivors fresh.
+  std::size_t evict_ids(std::span<const std::size_t> ids,
+                        const RescaleSource& rows);
 
   const std::vector<std::size_t>& ids() const { return ids_; }
   std::size_t id_at(std::size_t pos) const { return ids_[pos]; }
@@ -330,15 +331,10 @@ class QuantizedKvCache {
   float key_row_amax(std::size_t pos) const { return key_row_amax_[pos]; }
   float value_row_amax(std::size_t pos) const { return value_row_amax_[pos]; }
 
-  // Registers (or clears, with nullptr) the float-row provider used by
-  // whole-head rescales; not owned. See RescaleSource for the contract.
-  void set_rescale_source(const RescaleSource* source) { source_ = source; }
-  const RescaleSource* rescale_source() const { return source_; }
-
   // Resident host bytes, split by arena — what one head of this cache
   // actually keeps alive per token (BENCH_hotpath.json's kv_residency
   // section and FleetMetrics' kv_* fields aggregate these). There is no float
-  // shadow: rescales re-read the rows through the RescaleSource.
+  // shadow: rescales re-read the rows through a RescaleSource.
   struct ResidencyBytes {
     std::size_t value_planes = 0;  // offset-binary value nibble planes
     std::size_t key_planes = 0;    // offset-binary key nibble planes
@@ -366,22 +362,19 @@ class QuantizedKvCache {
   }
 
  private:
-  // Throws unless the cache is empty or has a RescaleSource.
-  void require_source() const;
   // Adjusts the shared scales for new live maxima; when a scale changes it
-  // re-quantizes that arena's stored rows from the registered source's
-  // floats.
-  void ensure_scales(float key_amax, float value_amax);
-  void requantize(bool keys, bool values);
+  // re-quantizes that arena's stored rows from `rows`' floats.
+  void ensure_scales(float key_amax, float value_amax,
+                     const RescaleSource& rows);
+  void requantize(bool keys, bool values, const RescaleSource& rows);
   void push_quantized(const float* k_row, const float* v_row);
   // append_rows without its inf check, for callers that already made it.
   void push_rows(const float* k_rows, const float* v_rows, std::size_t count,
-                 std::size_t first_id);
+                 std::size_t first_id, const RescaleSource& rows);
 
   Config config_;
   std::size_t head_dim_ = 0;
   QuantizedKv store_;
-  const RescaleSource* source_ = nullptr;  // not owned; see RescaleSource
   std::vector<float> key_row_amax_, value_row_amax_;
   float key_amax_ = 0.0f, value_amax_ = 0.0f;
   std::vector<std::size_t> ids_;
@@ -398,11 +391,9 @@ class QuantizedKvCache {
 // witnesses the divergence without retained floats: stable ids must read
 // 0..n-1 (view positions), the last shared row's recorded amax must equal a
 // fresh fx::row_amax over the view's floats, and that row re-quantized under
-// the cache's current params must reproduce the stored int16 bits. For the
-// duration of the call the view itself is registered as the cache's
-// RescaleSource (ViewRescaleSource), so a suffix-append rescale stays
-// bit-identical to from-scratch; the cache's previous source is restored
-// before returning.
+// the cache's current params must reproduce the stored int16 bits. A
+// suffix append rescales from the view itself (ViewRescaleSource), so it
+// stays bit-identical to from-scratch.
 void sync_cache_to_view(QuantizedKvCache& cache, const KvHeadView& view);
 
 // Exact quantized attention over a planar view — bit-identical to

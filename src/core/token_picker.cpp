@@ -43,7 +43,7 @@ TokenPickerAttention::TokenPickerAttention(const TokenPickerConfig& config)
     : config_(config),
       estimator_(config.estimator),
       order_rng_(config.order_seed),
-      view_scratch_(QuantizedKvCache::Config{config.quant, 1.0f}) {}
+      view_scratch_(0, {config.quant}) {}
 
 TokenPickerResult TokenPickerAttention::attend(std::span<const float> q,
                                                const KvHeadView& kv) {

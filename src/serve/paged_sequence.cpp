@@ -82,8 +82,8 @@ void PagedSequence::release_all() {
 
 void PagedRescaleSource::fill_rows(std::span<const std::size_t> ids,
                                    float* keys, float* values) const {
-  for (const std::size_t id : ids) seq_->require_resident(id);
-  stream_->fill_rows(layer_, head_, ids, keys, values);
+  for (const std::size_t id : ids) seq_.require_resident(id);
+  stream_.fill_rows(layer_, head_, ids, keys, values);
 }
 
 }  // namespace topick::serve

@@ -1,7 +1,7 @@
 // One head's growing token stream accounted on pool pages — the paged
 // counterpart of one of model/kv_cache.h's contiguous per-(layer, head)
 // slabs. ServeEngine keeps one per (layer, head) of a running request, beside
-// that head's quantized cache, rescale source and prune-persistence tracker.
+// that head's quantized cache and prune-persistence tracker.
 //
 // A sequence is page accounting only: it holds no K/V rows and no per-token
 // state. Appending token t charges t's page slot to the pool. Tokens keep
@@ -11,7 +11,7 @@
 // id list to sweep(), which returns every held *full* page holding no listed
 // id to the shared pool, after which its ids are no longer resident.
 // Attention never reads through the sequence: its whole-head rescales
-// regenerate rows from the request's DecodeStream through
+// regenerate rows from the request's DecodeStream through a
 // PagedRescaleSource, which refuses any id the sequence does not hold.
 #pragma once
 
@@ -74,22 +74,20 @@ class PagedSequence {
 // RescaleSource over one (layer, head) of a request: QuantizedKvCache's
 // stable ids == PagedSequence token ids == stream token ids, so a
 // whole-head rescale regenerates its floats from the stream's checkpoints,
-// after the sequence confirmed every id is resident. Non-owning; the
-// sequence and the stream must outlive it (ServeEngine keeps it beside its
-// sequence in the head's bundle, and re-points the stream when the request
-// moves).
+// after the sequence confirmed every id is resident. Non-owning and
+// short-lived: ServeEngine's attention unit builds one on its stack for the
+// cache calls it makes, so the sequence and the stream outlive it.
 class PagedRescaleSource final : public RescaleSource {
  public:
-  PagedRescaleSource(const PagedSequence* seq, const wl::DecodeStream* stream,
+  PagedRescaleSource(const PagedSequence& seq, const wl::DecodeStream& stream,
                      int layer, int head)
       : seq_(seq), stream_(stream), layer_(layer), head_(head) {}
   void fill_rows(std::span<const std::size_t> ids, float* keys,
                  float* values) const override;
-  void set_stream(const wl::DecodeStream* stream) { stream_ = stream; }
 
  private:
-  const PagedSequence* seq_;
-  const wl::DecodeStream* stream_;
+  const PagedSequence& seq_;
+  const wl::DecodeStream& stream_;
   int layer_;
   int head_;
 };

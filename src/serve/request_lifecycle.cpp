@@ -21,18 +21,7 @@ void ServeEngine::submit(const wl::ArrivalEvent& event) {
           "ServeEngine::submit: a request that decodes needs a prompt");
   Request request;
   request.event = event;
-  const bool moves = requests_.size() == requests_.capacity();
   requests_.push_back(std::move(request));
-  if (moves) {
-    // Every request moved, its stream with it: live slots regenerate rows
-    // from the stream's new address.
-    for (std::size_t r = 0; r + 1 < requests_.size(); ++r) {
-      if (slots_[r] == nullptr) continue;
-      for (Head& h : slots_[r]->heads) {
-        h.source.set_stream(&requests_[r].stream);
-      }
-    }
-  }
   slots_.emplace_back(nullptr);
   dram_.add_request();
   ++metrics_.requests_submitted;
@@ -234,7 +223,7 @@ void ServeEngine::begin_prefill(std::size_t request) {
   auto slot = std::make_unique<Slot>(
       &pool_, config_,
       degrade_headroom_[static_cast<std::size_t>(req.priority())],
-      req.stream);
+      req.stream.total_tokens());
   if (req.state == RequestState::queued) {
     req.admit_step = now_;
     const auto wait = static_cast<double>(req.queue_wait_steps());

@@ -63,30 +63,19 @@ struct ServeEngine::Workspace {
   }
 };
 
-// No copy of a row outlives its append: whole-head rescales regenerate the
-// live rows from the request's stream (stable ids coincide by construction),
-// gated by the sequence's page residency. The step's phase ordering keeps
-// every queried id resident: the sequential seq.append runs before the
-// parallel qcache appends, and every eviction rescale in the fan-out runs
-// before the reduce's sweep() frees any page.
 ServeEngine::Head::Head(PagedKvPool* pool, const ServeConfig& config,
-                        float headroom, const wl::DecodeStream& stream,
-                        int layer, int head)
-    : seq(pool, stream.total_tokens()),
+                        float headroom, std::size_t tokens)
+    : seq(pool, tokens),
       qcache(static_cast<std::size_t>(config.head_dim),
-             QuantizedKvCache::Config{config.picker.quant, headroom}),
-      source(&seq, &stream, layer, head),
-      persistence(config.persistence_window) {
-  qcache.set_rescale_source(&source);
-}
+             {config.picker.quant, headroom}),
+      persistence(config.persistence_window) {}
 
 ServeEngine::Slot::Slot(PagedKvPool* pool, const ServeConfig& config,
-                        float headroom, const wl::DecodeStream& stream) {
-  heads.reserve(static_cast<std::size_t>(config.n_layer) * config.n_head);
-  for (int layer = 0; layer < config.n_layer; ++layer) {
-    for (int head = 0; head < config.n_head; ++head) {
-      heads.emplace_back(pool, config, headroom, stream, layer, head);
-    }
+                        float headroom, std::size_t tokens) {
+  const auto n_inst = static_cast<std::size_t>(config.n_layer) * config.n_head;
+  heads.reserve(n_inst);
+  for (std::size_t i = 0; i < n_inst; ++i) {
+    heads.emplace_back(pool, config, headroom, tokens);
   }
 }
 
@@ -360,12 +349,16 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
 
   // Regenerate and quantize the new token once; earlier tokens stay
   // quantized (the cache rescales the head only when the live max|x|
-  // changes).
+  // changes, regenerating its rows from the stream). Every id a rescale
+  // asks for is resident: the sequential seq.append ran before this unit,
+  // and the reduce's sweep() frees pages only after the eviction below.
   Workspace& ws = *workspaces_[worker];
   ws.size_rows(dim);
   req.stream.fill_rows(layer, head, work.pos, 1, ws.keys.data(),
                        ws.values.data());
-  qcache.append({ws.keys.data(), dim}, {ws.values.data(), dim}, work.pos);
+  const PagedRescaleSource rows(h.seq, req.stream, layer, head);
+  qcache.append({ws.keys.data(), dim}, {ws.values.data(), dim}, work.pos,
+                rows);
   const std::size_t context = qcache.len();
 
   const auto q = req.stream.query(layer, head, req.generated);
@@ -409,7 +402,7 @@ void ServeEngine::run_decode_instance(std::size_t pending, std::size_t inst,
         if (capture && decision.kept) res.kept_ids.push_back(global);
       }
       if (!ws.dead.empty()) {
-        qcache.evict_ids(ws.dead);
+        qcache.evict_ids(ws.dead, rows);
         res.evicted = true;
       }
       break;
@@ -458,8 +451,10 @@ void ServeEngine::run_unit(std::size_t pending, std::size_t inst,
     ws.size_rows(work.chunk * dim);
     req.stream.fill_rows(layer, head, work.prefilled_before, work.chunk,
                          ws.keys.data(), ws.values.data());
-    slots_[work.request]->heads[inst].qcache.append_rows(
-        ws.keys.data(), ws.values.data(), work.chunk, work.prefilled_before);
+    Head& h = slots_[work.request]->heads[inst];
+    h.qcache.append_rows(ws.keys.data(), ws.values.data(), work.chunk,
+                         work.prefilled_before,
+                         PagedRescaleSource(h.seq, req.stream, layer, head));
   } else {
     run_decode_instance(pending, inst, worker);
   }

@@ -307,7 +307,7 @@ struct FleetMetrics {
   // sampled every step (the _peak fields track the run's maximum). Split by
   // arena (see QuantizedKvCache::ResidencyBytes). Neither the cache nor the
   // request's stream keeps float rows: whole-head rescales regenerate them
-  // from the stream's checkpoints through each slot's RescaleSource.
+  // from the stream's checkpoints through a PagedRescaleSource.
   std::size_t kv_value_plane_bytes = 0;
   std::size_t kv_key_plane_bytes = 0;
   std::size_t kv_maxima_bytes = 0;
@@ -387,20 +387,19 @@ class ServeEngine {
  private:
   struct Workspace;  // per-worker attention scratch (no sharing across workers)
 
-  // One (layer, head) of a running request: its page accounting, the
-  // incrementally quantized cache of its live tokens (the attention read
-  // path, and the one record of which tokens are live), the cache's rescale
-  // source (the request's stream, gated by the sequence's residency), and
-  // the prune-persistence tracker. The append phase appends to `seq`; the
-  // attention unit of the head writes the rest; the reduce sweeps `seq`.
-  // `source` points at `seq` and `qcache` at `source`, so a Head never moves.
+  // One (layer, head) of a running request: its page accounting for the
+  // stream's `tokens` tokens, the incrementally quantized cache of its live
+  // tokens (the attention read path, and the one record of which tokens are
+  // live), and the prune-persistence tracker. The append phase appends to
+  // `seq`; the attention unit of the head writes the rest, handing each
+  // cache call that can rescale a PagedRescaleSource over `seq` and the
+  // request's stream built on its own stack; the reduce sweeps `seq`.
   struct Head {
     Head(PagedKvPool* pool, const ServeConfig& config, float headroom,
-         const wl::DecodeStream& stream, int layer, int head);
+         std::size_t tokens);
 
     PagedSequence seq;
     QuantizedKvCache qcache;
-    PagedRescaleSource source;
     PrunePersistence persistence;
   };
   // A running request's heads, layer-major. `headroom` is the quantized
@@ -408,7 +407,7 @@ class ServeEngine {
   // controller for slots created while the request's class is degraded.
   struct Slot {
     Slot(PagedKvPool* pool, const ServeConfig& config, float headroom,
-         const wl::DecodeStream& stream);
+         std::size_t tokens);
 
     std::size_t pages_held() const;
     void release_all();
@@ -559,8 +558,6 @@ class ServeEngine {
   DramProxy dram_;
   ThreadPool workers_;
 
-  // A live slot's rescale sources point at its Request's stream; submit
-  // re-points them when growing this vector moves the requests.
   std::vector<Request> requests_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::size_t next_arrival_ = 0;  // index into requests_ by arrival order

@@ -245,12 +245,11 @@ TEST(DispatchForcedMatrix, NanBearingRowAppendsIdenticallyAtEveryLevel) {
     SCOPED_TRACE(table->name);
     ASSERT_TRUE(fx::force_isa(table->level));
     QuantizedKvCache cache(dim);
-    cache.set_rescale_source(&source);
     for (std::size_t r = 0; r + 1 < len; ++r) {
-      cache.append(rows.key(r), rows.value(r));
+      cache.append(rows.key(r), rows.value(r), r, source);
     }
     const std::uint64_t rescales = cache.key_rescales();
-    cache.append(rows.key(len - 1), rows.value(len - 1));
+    cache.append(rows.key(len - 1), rows.value(len - 1), len - 1, source);
     EXPECT_GT(cache.key_rescales(), rescales);
 
     const QuantizedKvView view = cache.view();

@@ -214,11 +214,13 @@ TEST(NonFiniteEdge, InfThroughEveryEntryPointThrows) {
       }
       EXPECT_THROW(quantize_kv(inst.view(), {}), std::logic_error);
       QuantizedKvCache cache(8);
+      const ViewRescaleSource source(inst.view());
       EXPECT_THROW(cache.rebuild(inst.view()), std::logic_error);
       EXPECT_THROW(cache.append_rows(inst.keys.data(), inst.values.data(),
-                                     inst.len, 0),
+                                     inst.len, 0, source),
                    std::logic_error);
-      EXPECT_THROW(cache.append(inst.view().key(row), inst.view().value(row)),
+      EXPECT_THROW(cache.append(inst.view().key(row), inst.view().value(row),
+                                row, source),
                    std::logic_error);
       EXPECT_EQ(cache.len(), 0u);
     }
@@ -228,8 +230,8 @@ TEST(NonFiniteEdge, InfThroughEveryEntryPointThrows) {
 // A refused append, bulk append or rebuild leaves the cache as it was: the
 // same length and scales, and the same bits for every later append and
 // attend. The refused rows' finite keys are 4x past the cache's record, so
-// a partial push or rescale would show. Both caches have a RescaleSource,
-// so only the inf check can refuse.
+// a partial push or rescale would show. Every call is handed a
+// RescaleSource, so only the inf check can refuse.
 TEST(NonFiniteEdge, RefusedAppendLeavesTheCacheUnchanged) {
   const wl::Instance inst = probe_instance();
   wl::Instance bad = inst;
@@ -239,15 +241,17 @@ TEST(NonFiniteEdge, RefusedAppendLeavesTheCacheUnchanged) {
   const ViewRescaleSource source(inst.view());
   QuantizedKvCache refused(8), clean(8);
   for (QuantizedKvCache* cache : {&refused, &clean}) {
-    cache->set_rescale_source(&source);
-    cache->append_rows(inst.keys.data(), inst.values.data(), 8, 0);
+    cache->append_rows(inst.keys.data(), inst.values.data(), 8, 0, source);
   }
-  EXPECT_THROW(refused.append(bad.view().key(10), bad.view().value(10)),
+  EXPECT_THROW(refused.append(bad.view().key(10), bad.view().value(10), 8,
+                              source),
                std::logic_error);
-  EXPECT_THROW(refused.append(bad.view().key(9), bad.view().value(9)),
+  EXPECT_THROW(refused.append(bad.view().key(9), bad.view().value(9), 8,
+                              source),
                std::logic_error);
-  EXPECT_THROW(refused.append_rows(&bad.keys[64], &bad.values[64], 8, 8),
-               std::logic_error);
+  EXPECT_THROW(
+      refused.append_rows(&bad.keys[64], &bad.values[64], 8, 8, source),
+      std::logic_error);
   EXPECT_THROW(refused.rebuild(bad.view()), std::logic_error);
   EXPECT_EQ(refused.len(), 8u);
   EXPECT_EQ(refused.key_params().scale, clean.key_params().scale);
@@ -256,7 +260,7 @@ TEST(NonFiniteEdge, RefusedAppendLeavesTheCacheUnchanged) {
   TokenPickerAttention op(probe_config());
   TokenPickerResult ra, rb;
   for (QuantizedKvCache* cache : {&refused, &clean}) {
-    cache->append_rows(&inst.keys[64], &inst.values[64], 8, 8);
+    cache->append_rows(&inst.keys[64], &inst.values[64], 8, 8, source);
   }
   op.attend_cached(inst.q, refused, &ra);
   op.attend_cached(inst.q, clean, &rb);

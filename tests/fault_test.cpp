@@ -714,6 +714,66 @@ TEST(ServeEngineFaults, DegradationControllerEngagesUnderOverload) {
   EXPECT_EQ(m.tokens_generated, again.metrics().tokens_generated);
 }
 
+// A slot's quantized caches take the rescale headroom of the degradation
+// level at its admission: 1.0 at level 0, and for a degraded class
+// 1 + headroom_step per notch (best_effort takes the first notch). The only
+// engine path that sets a headroom other than 1; checked on every head of
+// every slot, stepping the overload run above by hand with a longer dwell,
+// so best_effort is admitted at level 2 before the controller sheds it.
+TEST(ServeEngineFaults, DegradedSlotsTakeTheirClassHeadroom) {
+  wl::PriorityMixParams mix = fault_mix();
+  mix.arrivals.rate = 1.5;
+  Rng trace_rng(31);
+  const auto trace = wl::make_priority_mix_trace(mix, 24, trace_rng);
+
+  ServeConfig config = fault_config(PolicyKind::priority_slack);
+  config.capture_outputs = false;
+  config.degradation.enabled = true;
+  config.degradation.evaluate_every_steps = 2;
+  config.degradation.hold_steps = 16;  // dwells at levels 1 and 2
+  config.degradation.pool_hi = 0.50;
+  config.degradation.pool_lo = 0.30;
+  ServeEngine engine(config);
+  engine.submit_trace(trace);
+
+  // The controller updates its level once per step, before admission, so a
+  // slot first seen after a step was admitted at the level the step ended
+  // at. Admission precedes preemption within a step, so a request that
+  // holds a slot after a step and held none after the one before was
+  // admitted in it.
+  std::vector<bool> held(trace.size(), false);
+  std::size_t healthy_slots = 0, degraded_best_effort_slots = 0;
+  while (engine.step()) {
+    const int level = engine.metrics().degradation_level;
+    for (std::size_t r = 0; r < trace.size(); ++r) {
+      const bool holds = engine.head_state(r, 0, 0).qcache != nullptr;
+      if (holds && !held[r]) {
+        const int cls = static_cast<int>(engine.requests()[r].priority());
+        const int notches = std::max(0, level - (2 - cls));
+        const float expected =
+            1.0f + config.degradation.headroom_step *
+                       static_cast<float>(notches);
+        for (int layer = 0; layer < config.n_layer; ++layer) {
+          for (int head = 0; head < config.n_head; ++head) {
+            EXPECT_EQ(engine.head_state(r, layer, head)
+                          .qcache->config()
+                          .headroom,
+                      expected)
+                << "request " << r << " admitted at level " << level;
+          }
+        }
+        if (level == 0) ++healthy_slots;
+        if (notches > 0 && cls == static_cast<int>(wl::Priority::best_effort)) {
+          ++degraded_best_effort_slots;
+        }
+      }
+      held[r] = holds;
+    }
+  }
+  EXPECT_GT(healthy_slots, 0u);
+  EXPECT_GT(degraded_best_effort_slots, 0u);
+}
+
 // ---- the overload resilience verdict ----------------------------------------
 
 // One degraded channel: 3x burst stretch plus periodic stall windows — the

@@ -22,8 +22,9 @@ namespace topick {
 namespace {
 
 // Float KV rows kept by the test as the from-scratch reference — and, since
-// the cache retains no floats of its own, registered as its RescaleSource so
-// whole-head rescales re-read exact rows (the bit-identity contract).
+// the cache retains no floats of its own, the RescaleSource handed to every
+// mutating call, so whole-head rescales re-read exact rows (the bit-identity
+// contract).
 struct ShadowKv final : RescaleSource {
   std::size_t head_dim;
   std::vector<std::vector<float>> keys, values;
@@ -248,11 +249,10 @@ TEST(QuantizedKvCache, AppendOnlyMatchesFromScratch) {
   const std::size_t dim = 24;
   QuantizedKvCache cache(dim);
   ShadowKv shadow(dim);
-  cache.set_rescale_source(&shadow);
   for (std::size_t t = 0; t < 64; ++t) {
     auto k = random_row(rng, dim, 1.0);
     auto v = random_row(rng, dim, 1.0);
-    cache.append(k, v, t);
+    cache.append(k, v, t, shadow);
     shadow.append(k, v, t);
     expect_matches_from_scratch(cache, shadow);
   }
@@ -269,11 +269,10 @@ TEST(QuantizedKvCache, ResidencyIsThePlanesAndTheValueArena) {
   const std::size_t len = 96, dim = 64;
   QuantizedKvCache cache(dim);
   ShadowKv shadow(dim);
-  cache.set_rescale_source(&shadow);
   for (std::size_t t = 0; t < len; ++t) {
     auto k = random_row(rng, dim, 1.0);
     auto v = random_row(rng, dim, 1.0);
-    cache.append(k, v, t);
+    cache.append(k, v, t, shadow);
     shadow.append(k, v, t);
   }
   const auto res = cache.residency();
@@ -286,20 +285,19 @@ TEST(QuantizedKvCache, EngineeredMidDecodeRescale) {
   const std::size_t dim = 16;
   QuantizedKvCache cache(dim);
   ShadowKv shadow(dim);
-  cache.set_rescale_source(&shadow);
   // Quiet prefix, then a spike 10x past the running max: the spike append
   // must trigger exactly one whole-head requantize and stay exact.
   for (std::size_t t = 0; t < 20; ++t) {
     auto k = random_row(rng, dim, 0.5);
     auto v = random_row(rng, dim, 0.5);
-    cache.append(k, v, t);
+    cache.append(k, v, t, shadow);
     shadow.append(k, v, t);
   }
   const auto before = cache.key_rescales();
   auto k = random_row(rng, dim, 0.5);
   k[3] = 40.0f;  // new record by an order of magnitude
   auto v = random_row(rng, dim, 0.5);
-  cache.append(k, v, 20);
+  cache.append(k, v, 20, shadow);
   shadow.append(k, v, 20);
   EXPECT_EQ(cache.key_rescales(), before + 1);
   expect_matches_from_scratch(cache, shadow);
@@ -309,7 +307,7 @@ TEST(QuantizedKvCache, EngineeredMidDecodeRescale) {
   for (std::size_t t = 21; t < 40; ++t) {
     auto k2 = random_row(rng, dim, 0.5);
     auto v2 = random_row(rng, dim, 0.5);
-    cache.append(k2, v2, t);
+    cache.append(k2, v2, t, shadow);
     shadow.append(k2, v2, t);
   }
   EXPECT_EQ(cache.key_rescales(), after_spike);
@@ -321,17 +319,16 @@ TEST(QuantizedKvCache, EvictingTheRecordHolderShrinksTheScale) {
   const std::size_t dim = 16;
   QuantizedKvCache cache(dim);
   ShadowKv shadow(dim);
-  cache.set_rescale_source(&shadow);
   for (std::size_t t = 0; t < 12; ++t) {
     auto k = random_row(rng, dim, 0.5);
     if (t == 5) k[0] = 25.0f;  // the record holder
     auto v = random_row(rng, dim, 0.5);
-    cache.append(k, v, t);
+    cache.append(k, v, t, shadow);
     shadow.append(k, v, t);
   }
   const float scale_with_spike = cache.key_params().scale;
   const std::vector<std::size_t> dead{5};
-  EXPECT_EQ(cache.evict_ids(dead), 1u);
+  EXPECT_EQ(cache.evict_ids(dead, shadow), 1u);
   shadow.evict(dead);
   EXPECT_LT(cache.key_params().scale, scale_with_spike);
   expect_matches_from_scratch(cache, shadow);
@@ -348,13 +345,12 @@ TEST(QuantizedKvCache, OneArenaRescaleRereadsOnlyThatArena) {
   const std::size_t dim = 16, prefix = 150;
   QuantizedKvCache cache(dim);
   ShadowKv shadow(dim);
-  cache.set_rescale_source(&shadow);
   for (std::size_t t = 0; t < prefix; ++t) {
     auto k = random_row(rng, dim, 0.5);
     auto v = random_row(rng, dim, 0.5);
     k[0] = 3.0f;  // pins both maxima, so the quiet rows set no record
     v[0] = 3.0f;
-    cache.append(k, v, t);
+    cache.append(k, v, t, shadow);
     shadow.append(k, v, t);
   }
   const auto planes_of = [&] {
@@ -381,7 +377,7 @@ TEST(QuantizedKvCache, OneArenaRescaleRereadsOnlyThatArena) {
   auto k = random_row(rng, dim, 0.5);
   auto v = random_row(rng, dim, 0.5);
   v[2] = 9.0f;
-  cache.append(k, v, prefix);
+  cache.append(k, v, prefix, shadow);
   shadow.append(k, v, prefix);
   EXPECT_EQ(cache.key_rescales(), key_rescales);
   EXPECT_EQ(cache.value_rescales(), value_rescales + 1);
@@ -408,7 +404,7 @@ TEST(QuantizedKvCache, OneArenaRescaleRereadsOnlyThatArena) {
   k = random_row(rng, dim, 0.5);
   v = random_row(rng, dim, 0.5);
   k[5] = -11.0f;
-  cache.append(k, v, prefix + 1);
+  cache.append(k, v, prefix + 1, shadow);
   shadow.append(k, v, prefix + 1);
   EXPECT_EQ(cache.key_rescales(), key_rescales + 1);
   EXPECT_EQ(cache.value_rescales(), value_rescales + 1);
@@ -424,7 +420,6 @@ TEST(QuantizedKvCache, BulkAppendRowsMatchesFromScratch) {
   const std::size_t dim = 8;
   QuantizedKvCache cache(dim);
   ShadowKv shadow(dim);
-  cache.set_rescale_source(&shadow);
   std::vector<float> k_rows, v_rows;
   const std::size_t count = 33;
   for (std::size_t t = 0; t < count; ++t) {
@@ -434,7 +429,7 @@ TEST(QuantizedKvCache, BulkAppendRowsMatchesFromScratch) {
     v_rows.insert(v_rows.end(), v.begin(), v.end());
     shadow.append(k, v, t);
   }
-  cache.append_rows(k_rows.data(), v_rows.data(), count, 0);
+  cache.append_rows(k_rows.data(), v_rows.data(), count, 0, shadow);
   // The bulk path computes the batch scale once.
   EXPECT_LE(cache.key_rescales(), 1u);
   expect_matches_from_scratch(cache, shadow);
@@ -450,9 +445,8 @@ TEST(QuantizedKvCache, RandomizedInterleavingsAttendBitIdentical) {
   TokenPickerConfig config;
   config.estimator.threshold = 1e-3;
 
-  QuantizedKvCache cache(dim, {config.quant, 1.0f});
+  QuantizedKvCache cache(dim, {config.quant});
   ShadowKv shadow(dim);
-  cache.set_rescale_source(&shadow);
   TokenPickerAttention cached_op(config);
   TokenPickerAttention scratch_op(config);
   TokenPickerResult cached_result;
@@ -466,7 +460,7 @@ TEST(QuantizedKvCache, RandomizedInterleavingsAttendBitIdentical) {
       const double scale = rng.uniform_index(12) == 0 ? 30.0 : 1.0;
       auto k = random_row(rng, dim, scale);
       auto v = random_row(rng, dim, scale);
-      cache.append(k, v, next_id);
+      cache.append(k, v, next_id, shadow);
       shadow.append(k, v, next_id);
       ++next_id;
     } else {
@@ -478,7 +472,7 @@ TEST(QuantizedKvCache, RandomizedInterleavingsAttendBitIdentical) {
            ++i) {
         dead.push_back(shadow.ids[rng.uniform_index(shadow.ids.size())]);
       }
-      cache.evict_ids(dead);
+      cache.evict_ids(dead, shadow);
       shadow.evict(dead);
     }
 
@@ -515,15 +509,13 @@ TEST(QuantizedKvCache, HeadroomAmortizesRescalesWithBoundedError) {
   }
   const KvHeadView rows{keys.data(), values.data(), len, dim};
   const ViewRescaleSource source(rows);
-  QuantizedKvCache exact(dim, {fx::QuantParams{}, 1.0f});
+  QuantizedKvCache exact(dim, {fx::QuantParams{}});
   QuantizedKvCache amortized(dim, {fx::QuantParams{}, 2.0f});
-  exact.set_rescale_source(&source);
-  amortized.set_rescale_source(&source);
 
   std::vector<std::int16_t> key(dim), value(dim);
   for (std::size_t t = 0; t < len; ++t) {
-    exact.append(rows.key(t), rows.value(t), t);
-    amortized.append(rows.key(t), rows.value(t), t);
+    exact.append(rows.key(t), rows.value(t), t, source);
+    amortized.append(rows.key(t), rows.value(t), t, source);
 
     const QuantizedKvView view = amortized.view();
     const float k_scale = view.key_params.scale;
@@ -546,67 +538,6 @@ TEST(QuantizedKvCache, HeadroomAmortizesRescalesWithBoundedError) {
   EXPECT_GT(amortized.key_rescales(), 0u);
 }
 
-// A cache that holds rows but has no RescaleSource refuses every call that
-// could rescale them — whether or not the rows would set a new max — and
-// leaves its length, scales, ids and bits untouched. rebuild and the first
-// append into an empty cache need no source.
-TEST(QuantizedKvCache, SourcelessCacheHoldingRowsRefusesMutations) {
-  Rng rng(0x50c);
-  const std::size_t dim = 8;
-  std::vector<float> keys, values;
-  for (std::size_t t = 0; t < 12; ++t) {
-    push_random_row(rng, dim, 1.0, &keys, &values);
-  }
-  const KvHeadView rows{keys.data(), values.data(), 12, dim};
-  QuantizedKvCache cache(dim);
-  cache.rebuild({keys.data(), values.data(), 6, dim});
-  ASSERT_EQ(cache.rescale_source(), nullptr);
-  ASSERT_EQ(cache.len(), 6u);
-
-  const float k_scale = cache.key_params().scale;
-  const float v_scale = cache.value_params().scale;
-  const std::vector<std::size_t> ids = cache.ids();
-  const QuantizedKvView view = cache.view();
-  const std::vector<std::vector<std::uint8_t>> values_before(
-      view.value_planes,
-      view.value_planes +
-          fx::PlaneLayout::planes_for(view.value_params.total_bits));
-  const std::vector<std::vector<std::uint8_t>> planes_before(
-      view.key_planes, view.key_planes + view.key_layout->planes());
-
-  // A quiet row (no new record) and a spiking one are refused alike.
-  std::vector<float> quiet(dim, 0.0f), spike(dim, 0.0f);
-  spike[0] = 100.0f;
-  EXPECT_THROW(cache.append(quiet, quiet, 6), std::logic_error);
-  EXPECT_THROW(cache.append(spike, spike), std::logic_error);
-  EXPECT_THROW(cache.append_rows(keys.data() + 6 * dim,
-                                 values.data() + 6 * dim, 6, 6),
-               std::logic_error);
-  const std::vector<std::size_t> dead{0, 3};
-  EXPECT_THROW(cache.evict_ids(dead), std::logic_error);
-
-  EXPECT_EQ(cache.len(), 6u);
-  EXPECT_EQ(cache.key_params().scale, k_scale);
-  EXPECT_EQ(cache.value_params().scale, v_scale);
-  EXPECT_EQ(cache.ids(), ids);
-  const QuantizedKvView after = cache.view();
-  EXPECT_TRUE(std::equal(values_before.begin(), values_before.end(),
-                         after.value_planes));
-  EXPECT_TRUE(std::equal(planes_before.begin(), planes_before.end(),
-                         after.key_planes));
-
-  // With a source the same calls go through.
-  const ViewRescaleSource source(rows);
-  cache.set_rescale_source(&source);
-  cache.append_rows(keys.data() + 6 * dim, values.data() + 6 * dim, 6, 6);
-  EXPECT_EQ(cache.evict_ids(dead), 2u);
-  EXPECT_EQ(cache.len(), 10u);
-
-  QuantizedKvCache empty(dim);
-  empty.append(rows.key(0), rows.value(0));
-  EXPECT_EQ(empty.len(), 1u);
-}
-
 TEST(QuantizedKvCache, OracleGateOffZeroesDiagnosticOnly) {
   Rng rng(0x0a0a);
   const std::size_t dim = 16;
@@ -623,10 +554,9 @@ TEST(QuantizedKvCache, OracleGateOffZeroesDiagnosticOnly) {
   }
   const KvHeadView rows{keys.data(), values.data(), 40, dim};
   const ViewRescaleSource source(rows);
-  QuantizedKvCache cache(dim, {with_oracle.quant, 1.0f});
-  cache.set_rescale_source(&source);
+  QuantizedKvCache cache(dim, {with_oracle.quant});
   for (std::size_t t = 0; t < 40; ++t) {
-    cache.append(rows.key(t), rows.value(t), t);
+    cache.append(rows.key(t), rows.value(t), t, source);
   }
   const auto q = random_row(rng, dim, 1.0);
 
@@ -656,10 +586,9 @@ TEST(QuantizedKvCache, ChunkHistogramClampsDeepChunkConfigs) {
   }
   const KvHeadView rows{keys.data(), values.data(), 24, dim};
   const ViewRescaleSource source(rows);
-  QuantizedKvCache cache(dim, {config.quant, 1.0f});
-  cache.set_rescale_source(&source);
+  QuantizedKvCache cache(dim, {config.quant});
   for (std::size_t t = 0; t < 24; ++t) {
-    cache.append(rows.key(t), rows.value(t), t);
+    cache.append(rows.key(t), rows.value(t), t, source);
   }
   TokenPickerAttention op(config);
   TokenPickerResult result;

@@ -342,7 +342,8 @@ TEST(ServeEngineDeterminism, PipelinedExecutorIsBitIdenticalToSequential) {
 
 // Slots regenerate K/V rows from their request's stream, which lives in the
 // engine's request vector. Submitting while slots are live can reallocate
-// that vector; the slots must follow the move, so submitting arrivals one at
+// that vector; every rescale must read the stream where it lives at the
+// time, so submitting arrivals one at
 // a time as the engine reaches their step must be bit-identical to
 // submitting the whole trace up front — with reclaim evicting tokens and
 // record-setting rows forcing whole-head rescales that regenerate the rows,

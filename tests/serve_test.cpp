@@ -231,7 +231,7 @@ TEST(PagedRescaleSource, RegeneratesResidentRowsAndRefusesTheRest) {
     if (t < 8 || t >= 12) live.push_back(t);
   }
   ASSERT_EQ(seq.sweep(live), 1u);  // ids 8..11 leave the pool
-  const PagedRescaleSource source(&seq, &stream, 1, 0);
+  const PagedRescaleSource source(seq, stream, 1, 0);
 
   const std::vector<std::size_t> ids{0, 3, 7, 12, 13, 17};
   std::vector<float> keys(ids.size() * 5), values(ids.size() * 5);
@@ -295,16 +295,16 @@ TEST(PagedSequence, PoolProviderKeepsRecordHolderEvictionBitIdentical) {
   PagedKvPool pool({16, kPage});
   PagedSequence seq(&pool, n);
   QuantizedKvCache cache(dim);
-  const PagedRescaleSource provider(&seq, &stream, 0, 0);
-  cache.set_rescale_source(&provider);
+  const PagedRescaleSource provider(seq, stream, 0, 0);
   for (std::size_t t = 0; t < n; ++t) {
     ASSERT_TRUE(seq.append());
-    cache.append(bound.key(t), bound.value(t), t);
+    cache.append(bound.key(t), bound.value(t), t, provider);
   }
 
   // Mid-decode, persistence prunes the whole page — record holder included.
   const auto rescales_before = cache.key_rescales();
-  EXPECT_EQ(cache.evict_ids(dead), kPage);  // provider queried for survivors
+  // The provider is queried for the survivors.
+  EXPECT_EQ(cache.evict_ids(dead, provider), kPage);
   EXPECT_EQ(cache.key_rescales(), rescales_before + 1);
   EXPECT_EQ(seq.sweep(cache.ids()), 1u);  // only now does the page go
 
